@@ -351,7 +351,7 @@ fn run_tcp_smoke(catalog: &Catalog, jobs: &[Job], clients: usize, config: Server
                 "malformed STATS dump: {dump}"
             );
             // A stalled mid-frame client (promised bytes never sent) must
-            // not block shutdown: the readiness loop abandons it.
+            // not block shutdown: the reactor abandons it.
             let mut stalled = std::net::TcpStream::connect(addr).expect("stalled connect");
             stalled.write_all(&64u32.to_le_bytes()).expect("stall len");
             stalled.write_all(&[0u8; 9]).expect("stall partial");
@@ -434,7 +434,11 @@ fn main() {
     let (index, _) = IngestPipeline::new()
         .build(params, archive.docs.iter().cloned())
         .expect("pipelined build");
-    let catalog = Catalog::build_halving(&index, levels).expect("catalog");
+    let catalog = Catalog::builder()
+        .base(&index)
+        .halving(levels)
+        .build()
+        .expect("catalog");
     let infos = catalog.infos();
 
     // Tier-selection demonstration: loosening the budget must pick a

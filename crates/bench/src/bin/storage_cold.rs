@@ -10,7 +10,7 @@
 //!    `dense_over_rrr_bits_per_doc` ratio, and the query cost of serving
 //!    compressed — after asserting both tiers answer **identically**.
 //! 2. **Paged serving** — write a ≥100MB all-dense catalog to disk, open it
-//!    with [`Catalog::open_paged`] (metadata only; payload blocks fault
+//!    with `Catalog::builder().file(..)` (metadata only; payload blocks fault
 //!    through the byte-budgeted block cache) and measure: open time vs a
 //!    4×-smaller file (`paged_open_payload_independence` ≈ 4 when the open
 //!    is O(metadata)), open time vs a full read+parse
@@ -110,15 +110,19 @@ fn main() {
         base.fill_stats().0
     );
 
-    let dense_cat = Catalog::build(&base, &tier_plan_dense).expect("dense catalog");
-    let rrr_cat = Catalog::build_with(
-        &base,
-        &[
+    let dense_cat = Catalog::builder()
+        .base(&base)
+        .tier_buckets(&tier_plan_dense)
+        .build()
+        .expect("dense catalog");
+    let rrr_cat = Catalog::builder()
+        .base(&base)
+        .tiers(&[
             (buckets, TierCompression::Rrr),
             (buckets / 4, TierCompression::Dense),
-        ],
-    )
-    .expect("mixed catalog");
+        ])
+        .build()
+        .expect("mixed catalog");
 
     // Bits/doc per tier (the paper's Table 3 unit), from the encoded sizes.
     let bits_per_doc = |encoded_len: usize| encoded_len as f64 * 8.0 / docs as f64;
@@ -202,13 +206,20 @@ fn main() {
     let (small_path, _) = sizes[1].clone();
     report.int("paged_file_bytes", big_len as u64);
     let cache_bytes = cache_mb << 20;
+    let open_paged = |path: &std::path::Path| {
+        Catalog::builder()
+            .file(path)
+            .cache_bytes(cache_bytes)
+            .build()
+            .expect("paged open")
+    };
 
     // Open cost, best of 5 (page-cache warmup on the metadata reads is part
     // of what "best" strips out; the payload is never read either way).
     let best_open = |path: &std::path::Path| {
         (0..5)
             .map(|_| {
-                let (cat, t) = time(|| Catalog::open_paged(path, cache_bytes).expect("open_paged"));
+                let (cat, t) = time(|| open_paged(path));
                 drop(cat);
                 t
             })
@@ -219,7 +230,10 @@ fn main() {
     let open_small = best_open(&small_path);
     let (full_cat, open_full) = time(|| {
         let bytes = std::fs::read(&big_path).expect("read catalog");
-        Catalog::open(bytes.into()).expect("open buffered")
+        Catalog::builder()
+            .buffer(bytes.into())
+            .build()
+            .expect("open buffered")
     });
     // 4x the payload should cost ~1x the open when reads are O(metadata):
     // normalize so "fully payload-bound" ≈ 1 and "payload-independent" ≈ 4.
@@ -238,7 +252,7 @@ fn main() {
     // Cold pass: a fresh open faults every probed block from disk. Hot
     // pass: same catalog, same queries — every probe hits the block cache.
     let paged_queries = window_queries(&paged_archive, 4, 4, n_queries);
-    let cold_cat = Catalog::open_paged(&big_path, cache_bytes).expect("open_paged");
+    let cold_cat = open_paged(&big_path);
     let (cold_times, cold_hits) = per_query_times(&cold_cat, 0, &paged_queries);
     let cold_blocks = cold_cat.block_cache_stats(0).expect("paged tier");
     let (hot_times, hot_hits) = per_query_times(&cold_cat, 0, &paged_queries);

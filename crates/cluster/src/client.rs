@@ -7,7 +7,11 @@
 //! missing shard list instead.
 
 use crate::coordinator::ClusterReply;
-use crate::wire;
+use crate::wire::{parse_down_shards, STATUS_DEGRADED};
+use rambo_server::wire::{
+    encode_query_request, parse_response, STATUS_BAD_REQUEST, STATUS_DEADLINE, STATUS_OK,
+    STATUS_OVERLOADED,
+};
 use rambo_server::{ServerError, TcpClient, TcpClientError};
 use std::io;
 use std::net::ToSocketAddrs;
@@ -62,28 +66,23 @@ impl ClusterClient {
         fpr_budget: f64,
         deadline: Duration,
     ) -> Result<ClusterReply, TcpClientError> {
-        let frame = wire::encode_query_request(&wire::QueryRequest {
-            terms: terms.to_vec(),
-            fpr_budget,
-            deadline,
-            mode: None,
-        });
+        let frame = encode_query_request(terms, fpr_budget, deadline, None);
         let payload = self.inner.exchange(&frame)?;
-        let parsed = wire::parse_response(&payload).map_err(TcpClientError::Protocol)?;
+        let parsed = parse_response(&payload).map_err(TcpClientError::Protocol)?;
+        let degraded =
+            parse_down_shards(parsed.status, parsed.tail).map_err(TcpClientError::Protocol)?;
         let tier = parsed.tier as usize;
         match parsed.status {
-            wire::STATUS_OK | wire::STATUS_DEGRADED => Ok(ClusterReply {
+            STATUS_OK | STATUS_DEGRADED => Ok(ClusterReply {
                 docs: parsed.docs,
                 tier,
-                degraded: parsed.down_shards,
+                degraded,
             }),
-            wire::STATUS_OVERLOADED => {
-                Err(TcpClientError::Server(ServerError::Overloaded { tier }))
-            }
-            wire::STATUS_DEADLINE => Err(TcpClientError::Server(ServerError::DeadlineExceeded {
+            STATUS_OVERLOADED => Err(TcpClientError::Server(ServerError::Overloaded { tier })),
+            STATUS_DEADLINE => Err(TcpClientError::Server(ServerError::DeadlineExceeded {
                 tier,
             })),
-            wire::STATUS_BAD_REQUEST => Err(TcpClientError::Protocol(
+            STATUS_BAD_REQUEST => Err(TcpClientError::Protocol(
                 "coordinator reported a bad request".into(),
             )),
             other => Err(TcpClientError::Protocol(format!(

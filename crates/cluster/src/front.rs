@@ -1,16 +1,21 @@
 //! The coordinator's client-facing TCP front.
 //!
 //! Speaks the same length-prefixed protocol as a single `rambo-server`
-//! node, so existing clients point at the coordinator unchanged; the one
-//! extension is the degraded status (see [`crate::wire`]). Unlike the
-//! shard nodes' readiness reactor, the front is a plain thread-per-
-//! connection loop inside a [`std::thread::scope`] — a coordinator query
+//! node ([`rambo_server::wire`]), so existing clients point at the
+//! coordinator unchanged; the one extension is the degraded status (see
+//! [`crate::wire`]). Unlike the shard nodes' polling reactor, the front is
+//! a plain thread-per-connection loop inside a [`std::thread::scope`] — a
+//! coordinator query
 //! blocks its connection thread on the scatter anyway, and the scoped
 //! spawn keeps shutdown structural: `serve_cluster` returns only after
 //! every connection thread has observed `stop` and exited.
 
 use crate::coordinator::{ClusterError, Coordinator};
-use crate::wire;
+use crate::wire::encode_degraded_response;
+use rambo_server::wire::{
+    self, encode_blob, encode_response, OPCODE_HELLO, OPCODE_STATS, STATUS_BAD_REQUEST,
+    STATUS_DEADLINE, STATUS_OK, STATUS_OVERLOADED,
+};
 use rambo_server::ServerError;
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
@@ -71,8 +76,7 @@ fn serve_connection(coordinator: &Coordinator, mut stream: TcpStream, stop: &Ato
         };
         let frame = answer(coordinator, &payload);
         let close_after = frame.is_none();
-        let frame =
-            frame.unwrap_or_else(|| wire::encode_response(wire::STATUS_BAD_REQUEST, 0, &[]));
+        let frame = frame.unwrap_or_else(|| encode_response(STATUS_BAD_REQUEST, 0, &[]));
         if stream.write_all(&frame).is_err() {
             return;
         }
@@ -84,37 +88,31 @@ fn serve_connection(coordinator: &Coordinator, mut stream: TcpStream, stop: &Ato
 
 /// Answer one request frame; `None` means "bad request, then hang up".
 fn answer(coordinator: &Coordinator, payload: &[u8]) -> Option<Vec<u8>> {
-    if payload.len() == 1 && payload[0] == wire::OPCODE_STATS {
-        let text = coordinator.stats().to_string();
-        let mut frame = Vec::with_capacity(4 + 1 + text.len());
-        frame.extend_from_slice(&(1 + text.len() as u32).to_le_bytes());
-        frame.push(wire::STATUS_OK);
-        frame.extend_from_slice(text.as_bytes());
-        return Some(frame);
-    }
-    if payload.len() == 1 && payload[0] == wire::OPCODE_HELLO {
+    match payload {
+        [OPCODE_STATS] => {
+            return Some(encode_blob(
+                STATUS_OK,
+                coordinator.stats().to_string().as_bytes(),
+            ))
+        }
         // The coordinator is not a shard; like a manifest-less server it
         // answers HELLO with bad-request but keeps the connection open.
-        let mut frame = Vec::with_capacity(5);
-        frame.extend_from_slice(&1u32.to_le_bytes());
-        frame.push(wire::STATUS_BAD_REQUEST);
-        return Some(frame);
+        [OPCODE_HELLO] => return Some(encode_blob(STATUS_BAD_REQUEST, &[])),
+        _ => {}
     }
-    let req = wire::parse_query_request(payload)?;
-    let reply = coordinator.query_mode(&req.terms, req.fpr_budget, req.deadline, req.mode);
+    let (terms, opts) = wire::parse_request(payload)?;
+    let reply = coordinator.query_mode(&terms, opts.fpr_budget, opts.deadline, opts.mode);
     Some(match reply {
-        Ok(r) if r.degraded.is_empty() => {
-            wire::encode_response(wire::STATUS_OK, r.tier as u32, &r.docs)
-        }
-        Ok(r) => wire::encode_degraded_response(r.tier as u32, &r.docs, &r.degraded),
+        Ok(r) if r.degraded.is_empty() => encode_response(STATUS_OK, r.tier as u32, &r.docs),
+        Ok(r) => encode_degraded_response(r.tier as u32, &r.docs, &r.degraded),
         Err(ClusterError::Shard {
             error: ServerError::Overloaded { tier },
             ..
-        }) => wire::encode_response(wire::STATUS_OVERLOADED, tier as u32, &[]),
+        }) => encode_response(STATUS_OVERLOADED, tier as u32, &[]),
         Err(ClusterError::Shard {
             error: ServerError::DeadlineExceeded { tier },
             ..
-        }) => wire::encode_response(wire::STATUS_DEADLINE, tier as u32, &[]),
-        Err(_) => wire::encode_response(wire::STATUS_BAD_REQUEST, 0, &[]),
+        }) => encode_response(STATUS_DEADLINE, tier as u32, &[]),
+        Err(_) => encode_response(STATUS_BAD_REQUEST, 0, &[]),
     })
 }

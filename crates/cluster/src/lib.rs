@@ -19,8 +19,9 @@
 //!   id, replica id, global doc-id range, catalog fingerprint) served to
 //!   `HELLO` requests, so a coordinator can *verify* its topology instead
 //!   of trusting its config file.
-//! * **Coordinator** — [`Coordinator`] speaks the same client protocol on
-//!   the front ([`serve_cluster`]) and scatter-gathers every query to all
+//! * **Coordinator** — [`Coordinator`] speaks the same client protocol
+//!   ([`rambo_server::wire`], plus the degraded status in [`wire`]) on the
+//!   front ([`serve_cluster`]) and scatter-gathers every query to all
 //!   shards over per-replica connection pools. Because the two-level
 //!   partition makes bucket slices disjoint, a node-local answer *is* the
 //!   monolith's answer restricted to that node's documents — false

@@ -10,7 +10,7 @@
 //! coordinator really propagates the *remaining* budget downstream
 //! rather than the client's original deadline.
 
-use crate::wire;
+use rambo_server::wire;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -175,19 +175,14 @@ fn relay(
             }
         }
         let up = server.as_mut().expect("dialed above");
-        let mut framed = Vec::with_capacity(4 + request.len());
-        framed.extend_from_slice(&(request.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&request);
-        if up.write_all(&framed).is_err() {
+        if up.write_all(&wire::frame(&request)).is_err() {
             return;
         }
         let reply = match wire::read_frame(up) {
             Ok(Some(p)) => p,
             _ => return,
         };
-        let mut out = Vec::with_capacity(4 + reply.len());
-        out.extend_from_slice(&(reply.len() as u32).to_le_bytes());
-        out.extend_from_slice(&reply);
+        let mut out = wire::frame(&reply);
         match active {
             Fault::DelayReplyMs(ms) => {
                 // Sleep in poll-sized slices so shutdown stays prompt.
@@ -220,7 +215,6 @@ fn relay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::QueryRequest;
     use std::io::Read;
 
     /// A trivial upstream echoing a fixed OK reply per request frame.
@@ -241,12 +235,7 @@ mod tests {
     }
 
     fn query_frame(deadline_ms: u64) -> Vec<u8> {
-        wire::encode_query_request(&QueryRequest {
-            terms: vec![42],
-            fpr_budget: 0.0,
-            deadline: Duration::from_millis(deadline_ms),
-            mode: None,
-        })
+        wire::encode_query_request(&[42], 0.0, Duration::from_millis(deadline_ms), None)
     }
 
     #[test]

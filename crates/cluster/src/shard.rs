@@ -41,7 +41,10 @@ impl ShardNode {
         doc_hi: DocId,
         config: ServerConfig,
     ) -> io::Result<Self> {
-        let catalog = Catalog::build(&shard, &[shard.buckets()])
+        let catalog = Catalog::builder()
+            .base(&shard)
+            .tier_buckets(&[shard.buckets()])
+            .build()
             .map_err(|e| io::Error::other(format!("shard catalog build failed: {e}")))?;
         Self::spawn_with_catalog(catalog, shard_id, replica, doc_lo, doc_hi, config)
     }

@@ -1,12 +1,11 @@
-//! Cluster wire protocol: the `rambo-server` frame layout plus the
-//! degraded-response extension.
+//! The degraded-response extension to the `rambo-server` frame format.
 //!
-//! The coordinator front speaks the *same* length-prefixed protocol as a
-//! single `rambo-server` node — a plain [`rambo_server::TcpClient`] works
-//! against it unmodified for healthy replies. One extension: when some
-//! shards were unreachable the coordinator answers with status
-//! [`STATUS_DEGRADED`], which carries the normal response layout followed
-//! by the list of missing shard ids:
+//! The coordinator front speaks [`rambo_server::wire`] — the *same*
+//! length-prefixed protocol as a single `rambo-server` node, so a plain
+//! [`rambo_server::TcpClient`] works against it unmodified for healthy
+//! replies. One extension lives here: when some shards were unreachable the
+//! coordinator answers with status [`STATUS_DEGRADED`], which carries the
+//! normal response layout followed by the list of missing shard ids:
 //!
 //! ```text
 //! degraded-response := u32 len | u8 status(=4) | u32 tier | u32 n_docs
@@ -17,305 +16,80 @@
 //! [`crate::ClusterClient`] surfaces the partial answer plus the missing
 //! shards.
 
-use rambo_core::QueryMode;
-use std::io::{self, Read};
-use std::net::TcpStream;
-use std::time::Duration;
+use rambo_server::wire;
 
-/// Upper bound on a frame payload, mirrored from `rambo-server`.
-pub const MAX_FRAME_BYTES: usize = 16 << 20;
-
-/// Query request opcode.
-pub const OPCODE_QUERY: u8 = 1;
-/// Stats request opcode.
-pub const OPCODE_STATS: u8 = 2;
-/// Manifest request opcode.
-pub const OPCODE_HELLO: u8 = 3;
-
-/// Response status: success.
-pub const STATUS_OK: u8 = 0;
-/// Response status: admission queue full.
-pub const STATUS_OVERLOADED: u8 = 1;
-/// Response status: deadline exceeded.
-pub const STATUS_DEADLINE: u8 = 2;
-/// Response status: malformed or unanswerable request.
-pub const STATUS_BAD_REQUEST: u8 = 3;
 /// Response status (cluster extension): partial answer, some shards
 /// unreachable.
 pub const STATUS_DEGRADED: u8 = 4;
-
-/// A decoded query request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryRequest {
-    /// Query terms (hashed k-mers).
-    pub terms: Vec<u64>,
-    /// Requested false-positive budget in `[0, 1]`.
-    pub fpr_budget: f64,
-    /// End-to-end deadline (wire 0 ⇒ the protocol default of 1s).
-    pub deadline: Duration,
-    /// Evaluation mode override.
-    pub mode: Option<QueryMode>,
-}
-
-/// The deadline a `0` on the wire stands for.
-pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(1);
-
-/// Decode a query request payload (everything after the length prefix).
-/// Returns `None` for non-query opcodes and malformed frames.
-#[must_use]
-pub fn parse_query_request(payload: &[u8]) -> Option<QueryRequest> {
-    if payload.len() < 20 || payload[0] != OPCODE_QUERY {
-        return None;
-    }
-    let mode = match payload[1] {
-        0 => None,
-        1 => Some(QueryMode::Full),
-        2 => Some(QueryMode::Sparse),
-        _ => return None,
-    };
-    if payload[2] != 0 || payload[3] != 0 {
-        return None;
-    }
-    let fpr_budget = f64::from_le_bytes(payload[4..12].try_into().ok()?);
-    if !(0.0..=1.0).contains(&fpr_budget) {
-        return None;
-    }
-    let deadline_ms = u32::from_le_bytes(payload[12..16].try_into().ok()?);
-    let n_terms = u32::from_le_bytes(payload[16..20].try_into().ok()?) as usize;
-    let body = &payload[20..];
-    if body.len() != n_terms.checked_mul(8)? {
-        return None;
-    }
-    let terms = body
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect();
-    Some(QueryRequest {
-        terms,
-        fpr_budget,
-        deadline: if deadline_ms == 0 {
-            DEFAULT_DEADLINE
-        } else {
-            Duration::from_millis(u64::from(deadline_ms))
-        },
-        mode,
-    })
-}
-
-/// Encode a standard (non-degraded) response frame.
-#[must_use]
-pub fn encode_response(status: u8, tier: u32, docs: &[u32]) -> Vec<u8> {
-    let len = 1 + 4 + 4 + docs.len() * 4;
-    let mut frame = Vec::with_capacity(4 + len);
-    frame.extend_from_slice(&(len as u32).to_le_bytes());
-    frame.push(status);
-    frame.extend_from_slice(&tier.to_le_bytes());
-    frame.extend_from_slice(&(docs.len() as u32).to_le_bytes());
-    for &d in docs {
-        frame.extend_from_slice(&d.to_le_bytes());
-    }
-    frame
-}
 
 /// Encode a degraded response: the partial answer plus the unreachable
 /// shard ids.
 #[must_use]
 pub fn encode_degraded_response(tier: u32, docs: &[u32], down_shards: &[u32]) -> Vec<u8> {
-    let len = 1 + 4 + 4 + docs.len() * 4 + 4 + down_shards.len() * 4;
-    let mut frame = Vec::with_capacity(4 + len);
-    frame.extend_from_slice(&(len as u32).to_le_bytes());
-    frame.push(STATUS_DEGRADED);
-    frame.extend_from_slice(&tier.to_le_bytes());
-    frame.extend_from_slice(&(docs.len() as u32).to_le_bytes());
-    for &d in docs {
-        frame.extend_from_slice(&d.to_le_bytes());
-    }
+    let mut frame = wire::encode_response(STATUS_DEGRADED, tier, docs);
     frame.extend_from_slice(&(down_shards.len() as u32).to_le_bytes());
     for &s in down_shards {
         frame.extend_from_slice(&s.to_le_bytes());
     }
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
     frame
 }
 
-/// A decoded response frame (both the standard and degraded layouts).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResponsePayload {
-    /// Response status byte.
-    pub status: u8,
-    /// Tier the answer came from.
-    pub tier: u32,
-    /// Matching document ids.
-    pub docs: Vec<u32>,
-    /// Unreachable shard ids (empty unless `status == STATUS_DEGRADED`).
-    pub down_shards: Vec<u32>,
-}
-
-/// Decode a response payload (everything after the length prefix),
-/// accepting both the standard and degraded layouts.
+/// Decode what follows the document list of a response with `status`
+/// ([`wire::Response::tail`]): the unreachable shard ids of a degraded
+/// response, nothing for any other.
 ///
 /// # Errors
 /// A human-readable description of the malformation.
-pub fn parse_response(payload: &[u8]) -> Result<ResponsePayload, String> {
-    if payload.len() < 9 {
-        return Err(format!("response payload too short: {}", payload.len()));
+pub fn parse_down_shards(status: u8, tail: &[u8]) -> Result<Vec<u32>, String> {
+    if status != STATUS_DEGRADED {
+        return if tail.is_empty() {
+            Ok(Vec::new())
+        } else {
+            Err("response length disagrees with document count".into())
+        };
     }
-    let status = payload[0];
-    let tier = u32::from_le_bytes(payload[1..5].try_into().expect("4 bytes"));
-    let n_docs = u32::from_le_bytes(payload[5..9].try_into().expect("4 bytes")) as usize;
-    let Some(docs_end) = n_docs.checked_mul(4).map(|b| 9 + b) else {
-        return Err("document count overflows the frame".into());
+    let Some((count, ids)) = tail.split_first_chunk::<4>() else {
+        return Err("degraded response missing the down-shard count".into());
     };
-    if payload.len() < docs_end {
-        return Err("response truncated inside the document list".into());
+    if (u32::from_le_bytes(*count) as usize).checked_mul(4) != Some(ids.len()) {
+        return Err("degraded response length disagrees with down-shard count".into());
     }
-    let docs = payload[9..docs_end]
+    Ok(ids
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(c.try_into().expect("chunk of 4")))
-        .collect();
-    let mut down_shards = Vec::new();
-    if status == STATUS_DEGRADED {
-        if payload.len() < docs_end + 4 {
-            return Err("degraded response missing the down-shard count".into());
-        }
-        let n_down =
-            u32::from_le_bytes(payload[docs_end..docs_end + 4].try_into().expect("4 bytes"))
-                as usize;
-        let tail = &payload[docs_end + 4..];
-        if tail.len() != n_down * 4 {
-            return Err("degraded response length disagrees with down-shard count".into());
-        }
-        down_shards = tail
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("chunk of 4")))
-            .collect();
-    } else if payload.len() != docs_end {
-        return Err("response length disagrees with document count".into());
-    }
-    Ok(ResponsePayload {
-        status,
-        tier,
-        docs,
-        down_shards,
-    })
-}
-
-/// Read one length-prefixed frame payload from a blocking stream whose
-/// read timeout is managed by the caller. Returns `Ok(None)` on clean EOF
-/// *before* any length byte (the peer hung up between frames);
-/// mid-frame EOF and oversized lengths are errors.
-///
-/// # Errors
-/// Transport errors, including `WouldBlock`/`TimedOut` from the socket
-/// read timeout (the front's stop-polling mechanism).
-pub fn read_frame(stream: &mut TcpStream) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    loop {
-        match stream.read(&mut len_buf[..1]) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    stream.read_exact(&mut len_buf[1..])?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if !(1..=MAX_FRAME_BYTES).contains(&len) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} out of range"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    Ok(Some(payload))
-}
-
-/// Encode a query request frame (length prefix included) — what a client
-/// sends, and what the fault proxy re-emits after inspection.
-#[must_use]
-pub fn encode_query_request(req: &QueryRequest) -> Vec<u8> {
-    let deadline_ms = u32::try_from(req.deadline.as_millis().max(1)).unwrap_or(u32::MAX);
-    let len = 20 + req.terms.len() * 8;
-    let mut frame = Vec::with_capacity(4 + len);
-    frame.extend_from_slice(&(len as u32).to_le_bytes());
-    frame.push(OPCODE_QUERY);
-    frame.push(match req.mode {
-        None => 0,
-        Some(QueryMode::Full) => 1,
-        Some(QueryMode::Sparse) => 2,
-    });
-    frame.extend_from_slice(&[0, 0]);
-    frame.extend_from_slice(&req.fpr_budget.to_le_bytes());
-    frame.extend_from_slice(&deadline_ms.to_le_bytes());
-    frame.extend_from_slice(&(req.terms.len() as u32).to_le_bytes());
-    for &t in &req.terms {
-        frame.extend_from_slice(&t.to_le_bytes());
-    }
-    frame
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn query_request_roundtrip() {
-        let req = QueryRequest {
-            terms: vec![1, 2, 3, u64::MAX],
-            fpr_budget: 0.05,
-            deadline: Duration::from_millis(250),
-            mode: Some(QueryMode::Sparse),
-        };
-        let frame = encode_query_request(&req);
-        assert_eq!(parse_query_request(&frame[4..]), Some(req));
+    fn parse(payload: &[u8]) -> Result<(Vec<u32>, Vec<u32>), String> {
+        let reply = wire::parse_response(payload)?;
+        Ok((parse_down_shards(reply.status, reply.tail)?, reply.docs))
     }
 
     #[test]
     fn degraded_response_roundtrip() {
         let frame = encode_degraded_response(2, &[5, 9, 70], &[1, 3]);
-        let parsed = parse_response(&frame[4..]).expect("parse");
-        assert_eq!(parsed.status, STATUS_DEGRADED);
-        assert_eq!(parsed.tier, 2);
-        assert_eq!(parsed.docs, vec![5, 9, 70]);
-        assert_eq!(parsed.down_shards, vec![1, 3]);
-    }
-
-    #[test]
-    fn standard_response_roundtrip() {
-        let frame = encode_response(STATUS_OK, 1, &[7, 8]);
-        let parsed = parse_response(&frame[4..]).expect("parse");
-        assert_eq!(parsed.status, STATUS_OK);
-        assert_eq!(parsed.docs, vec![7, 8]);
-        assert!(parsed.down_shards.is_empty());
+        assert_eq!(wire::frame(&frame[4..]), frame, "length prefix");
+        let reply = wire::parse_response(&frame[4..]).expect("parse");
+        assert_eq!((reply.status, reply.tier), (STATUS_DEGRADED, 2));
+        assert_eq!(parse(&frame[4..]).unwrap(), (vec![1, 3], vec![5, 9, 70]));
     }
 
     #[test]
     fn rejects_truncated_and_trailing_bytes() {
         let frame = encode_degraded_response(0, &[1], &[2]);
         for cut in 5..frame.len() - 1 {
-            assert!(parse_response(&frame[4..cut]).is_err(), "cut at {cut}");
+            assert!(parse(&frame[4..cut]).is_err(), "cut at {cut}");
         }
-        let ok = encode_response(STATUS_OK, 0, &[1]);
+        let ok = wire::encode_response(wire::STATUS_OK, 0, &[1]);
+        assert_eq!(parse(&ok[4..]).unwrap(), (vec![], vec![1]));
         let mut trailing = ok[4..].to_vec();
         trailing.push(0);
-        assert!(parse_response(&trailing).is_err());
-    }
-
-    #[test]
-    fn rejects_malformed_requests() {
-        let good = encode_query_request(&QueryRequest {
-            terms: vec![1],
-            fpr_budget: 0.0,
-            deadline: Duration::from_millis(100),
-            mode: None,
-        });
-        let payload = &good[4..];
-        assert!(parse_query_request(&payload[..payload.len() - 1]).is_none());
-        let mut bad_opcode = payload.to_vec();
-        bad_opcode[0] = 9;
-        assert!(parse_query_request(&bad_opcode).is_none());
-        let mut bad_fpr = payload.to_vec();
-        bad_fpr[4..12].copy_from_slice(&f64::NAN.to_le_bytes());
-        assert!(parse_query_request(&bad_fpr).is_none());
+        assert!(parse(&trailing).is_err());
     }
 }

@@ -233,7 +233,7 @@ fn front_speaks_the_standard_protocol_and_the_degraded_extension() {
         let mut raw = TestClient::connect(front_addr).expect("raw dial");
         raw.send_framed(&[0xFF, 1, 2, 3, 4]).expect("garbage");
         let payload = raw.read_frame(16 << 20).expect("frame");
-        assert_eq!(payload[0], rambo_cluster::wire::STATUS_BAD_REQUEST);
+        assert_eq!(payload[0], rambo_server::wire::STATUS_BAD_REQUEST);
 
         stop.store(true, Ordering::Relaxed);
     });

@@ -20,10 +20,7 @@ use std::sync::Arc;
 /// [`CatalogBuilder`] when [`CatalogBuilder::cache_bytes`] is not called.
 pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 
-/// Errors from catalog construction — one typed enum instead of the ad-hoc
-/// `InvalidParams(String)`/`Decode(..)` stuffing the legacy constructors
-/// did. Converts into [`RamboError`] (preserving the legacy constructors'
-/// error shapes) so either error type flows through `?`.
+/// Errors from catalog construction ([`CatalogBuilder::build`]).
 #[derive(Debug)]
 pub enum CatalogError {
     /// [`CatalogBuilder::build`] was called without a source.
@@ -100,22 +97,6 @@ impl From<RamboError> for CatalogError {
 impl From<std::io::Error> for CatalogError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e)
-    }
-}
-
-/// The legacy constructors promised [`RamboError`]; this conversion keeps
-/// their error shapes exactly (shape errors → `InvalidParams`, I/O →
-/// `Decode`, core errors pass through) while the builder reports the richer
-/// [`CatalogError`].
-impl From<CatalogError> for RamboError {
-    fn from(e: CatalogError) -> Self {
-        match e {
-            CatalogError::Index(inner) => inner,
-            CatalogError::Io(io) => RamboError::Decode(rambo_bitvec::DecodeError::new(format!(
-                "catalog open: {io}"
-            ))),
-            other => RamboError::InvalidParams(other.to_string()),
-        }
     }
 }
 
@@ -216,185 +197,21 @@ impl Catalog {
         CatalogBuilder::new()
     }
 
-    /// Build a catalog from a live index: serialize `base` folded to each
-    /// geometry in `tier_buckets` (strictly decreasing; see
-    /// [`Rambo::fold_catalog_bytes`]) and re-open every version zero-copy
-    /// from the concatenated buffer.
-    ///
-    /// Deprecated: prefer [`Catalog::builder`] —
-    /// `Catalog::builder().base(base).tier_buckets(tier_buckets).build()`.
-    /// Kept as a thin wrapper for source compatibility.
-    ///
-    /// # Errors
-    /// Everything [`Rambo::fold_catalog_bytes`] and [`Catalog::open`] can
-    /// raise.
-    pub fn build(base: &Rambo, tier_buckets: &[u64]) -> Result<Self, RamboError> {
-        Self::builder()
-            .base(base)
-            .tier_buckets(tier_buckets)
-            .build()
-            .map_err(RamboError::from)
-    }
-
-    /// [`Catalog::build`] with a per-tier compression flag
-    /// ([`rambo_core::Rambo::fold_catalog_bytes_with`]): `Rrr` tiers
-    /// serialize and serve RRR-compressed, `Dense` tiers keep the zero-copy
-    /// word layout. The usual serving shape compresses the cold unfolded
-    /// tier 0 (large and sparse — where RRR wins) and keeps hot folded
-    /// tiers dense on the kernel fast path.
-    ///
-    /// Deprecated: prefer [`Catalog::builder`] —
-    /// `Catalog::builder().base(base).tiers(tiers).build()`.
-    ///
-    /// # Errors
-    /// Everything [`Catalog::build`] can raise.
-    pub fn build_with(base: &Rambo, tiers: &[(u64, TierCompression)]) -> Result<Self, RamboError> {
-        Self::builder()
-            .base(base)
-            .tiers(tiers)
-            .build()
-            .map_err(RamboError::from)
-    }
-
-    /// [`Catalog::build`] with `levels` halvings from the base geometry:
-    /// tiers `B, B/2, …, B/2^levels`.
-    ///
-    /// Deprecated: prefer [`Catalog::builder`] —
-    /// `Catalog::builder().base(base).halving(levels).build()`.
-    ///
-    /// # Errors
-    /// [`RamboError::FoldUnavailable`] when a halving is unreachable, plus
-    /// everything [`Catalog::build`] can raise.
-    pub fn build_halving(base: &Rambo, levels: u32) -> Result<Self, RamboError> {
-        Self::builder()
-            .base(base)
-            .halving(levels)
-            .build()
-            .map_err(RamboError::from)
-    }
-
-    /// Open a catalog from its serialized form: a buffer holding one or
-    /// more concatenated index versions (the [`Rambo::fold_catalog_bytes`]
-    /// layout — typically a memory-mapped catalog file). Every tier borrows
-    /// its payload from `buf`.
-    ///
-    /// ```
-    /// use rambo_core::{Rambo, RamboParams};
-    /// use rambo_server::Catalog;
-    /// use std::sync::Arc;
-    ///
-    /// let mut index = Rambo::new(RamboParams::flat(16, 3, 1 << 12, 2, 7)).unwrap();
-    /// for d in 0..24u64 {
-    ///     index
-    ///         .insert_document(&format!("doc{d}"), (0..40).map(|t| d << 16 | t))
-    ///         .unwrap();
-    /// }
-    /// // Serialize tiers B = 16 and B = 8 back-to-back, then re-open them
-    /// // zero-copy from one shared buffer (persist `bytes` to make a file).
-    /// let bytes: Arc<[u8]> = index.fold_catalog_bytes(&[16, 8]).unwrap().into();
-    /// let catalog = Catalog::open(bytes).unwrap();
-    /// assert_eq!(catalog.len(), 2);
-    /// assert_eq!(catalog.tier(0).buckets(), 16);
-    /// assert!(catalog.info(1).predicted_fpr > catalog.info(0).predicted_fpr);
-    /// ```
-    ///
-    /// Deprecated: prefer [`Catalog::builder`] —
-    /// `Catalog::builder().buffer(buf).build()`.
-    ///
-    /// # Errors
-    /// [`RamboError::Decode`] on malformed bytes, and
-    /// [`RamboError::InvalidParams`] when the versions are not strictly
-    /// shrinking in bucket count (the selection rule needs that order).
-    pub fn open(buf: Arc<[u8]>) -> Result<Self, RamboError> {
-        Self::open_inner(buf).map_err(RamboError::from)
-    }
-
-    fn open_inner(buf: Arc<[u8]>) -> Result<Self, CatalogError> {
-        let mut tiers = Vec::new();
-        let mut offset = 0;
-        while offset < buf.len() {
-            let (index, used) = Rambo::open_view_at(&buf, offset)?;
-            check_shrinking(&tiers, &index)?;
-            let info = tier_info(&index, tiers.len(), offset, used);
-            tiers.push(Tier {
-                index,
-                info,
-                block_counters: None,
-            });
-            offset += used;
-        }
-        if tiers.is_empty() {
-            return Err(CatalogError::Empty);
-        }
-        Ok(Self {
-            source: Source::Buffer(buf),
-            tiers,
-        })
-    }
-
-    /// Open a catalog **file** reading only metadata: each tier's prelude,
-    /// assignment vectors and matrix headers are parsed, while dense filter
-    /// payloads stay on disk and are faulted in row-aligned blocks through
-    /// one shared, byte-budgeted block cache (`cache_bytes` total) on first
-    /// probe. Open time is O(metadata) — independent of how many gigabytes
-    /// of filter payload the tiers hold. Per-tier cache traffic is
-    /// observable via [`Catalog::block_cache_stats`].
-    ///
-    /// RRR-compressed tiers in the file decode eagerly at open (they are
-    /// small by construction) and serve from memory, uncached.
-    ///
-    /// Deprecated: prefer [`Catalog::builder`] —
-    /// `Catalog::builder().file(path).cache_bytes(n).build()`.
-    ///
-    /// # Errors
-    /// I/O failures surface as [`RamboError::Decode`], plus everything
-    /// [`Catalog::open`] can raise on malformed metadata.
-    pub fn open_paged(path: impl AsRef<Path>, cache_bytes: usize) -> Result<Self, RamboError> {
-        Self::open_paged_inner(path.as_ref(), cache_bytes).map_err(RamboError::from)
-    }
-
-    fn open_paged_inner(path: &Path, cache_bytes: usize) -> Result<Self, CatalogError> {
-        let file = PagedFile::open(path, cache_bytes)?;
-        let mut tiers = Vec::new();
-        let mut offset = 0u64;
-        while offset < file.len() {
-            let counters = Arc::new(BlockCacheCounters::new());
-            let (index, used) = Rambo::open_paged_at(&file, offset, &counters)?;
-            check_shrinking(&tiers, &index)?;
-            let info = tier_info(&index, tiers.len(), offset as usize, used as usize);
-            // A tier that decoded eagerly (RRR) never touches the cache;
-            // only paged tiers report counters.
-            let block_counters = index.tables_paged().then_some(counters);
-            tiers.push(Tier {
-                index,
-                info,
-                block_counters,
-            });
-            offset += used;
-        }
-        if tiers.is_empty() {
-            return Err(CatalogError::Empty);
-        }
-        Ok(Self {
-            source: Source::Paged(file),
-            tiers,
-        })
-    }
-
     /// Number of tiers.
     #[must_use]
     pub fn len(&self) -> usize {
         self.tiers.len()
     }
 
-    /// Always false — [`Catalog::open`] rejects empty buffers.
+    /// Always false — the builder rejects sources that hold no tiers.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.tiers.is_empty()
     }
 
     /// The shared backing buffer (for persisting: write these bytes to disk
-    /// and re-open them with [`Catalog::open`] or [`Catalog::open_paged`]).
+    /// and re-open them with [`CatalogBuilder::buffer`] or
+    /// [`CatalogBuilder::file`]).
     ///
     /// # Panics
     /// Panics for a paged catalog — its payloads live in the file, not in
@@ -408,7 +225,7 @@ impl Catalog {
     }
 
     /// True when this catalog serves payloads from a file through the
-    /// block cache ([`Catalog::open_paged`]).
+    /// block cache ([`CatalogBuilder::file`]).
     #[must_use]
     pub fn is_paged(&self) -> bool {
         matches!(self.source, Source::Paged(_))
@@ -488,9 +305,8 @@ enum BuilderSource<'a> {
     Generational(&'a GenerationalIndex),
 }
 
-/// The one entry point for catalog construction, collapsing the legacy
-/// `open` / `open_paged` / `build` / `build_with` / `build_halving` family:
-/// pick exactly one **source**, optionally a **tier spec** (required for
+/// The one entry point for catalog construction: pick exactly one
+/// **source**, optionally a **tier spec** (required for
 /// live-index sources, rejected for serialized ones — those carry their tier
 /// layout in-band), and for file sources a block-cache budget.
 ///
@@ -529,17 +345,43 @@ impl<'a> CatalogBuilder<'a> {
     }
 
     /// Source: an already-serialized catalog buffer (the
-    /// [`Rambo::fold_catalog_bytes`] concatenation layout). Tiers open
-    /// zero-copy, borrowing their payloads from `buf`.
+    /// [`Rambo::fold_catalog_bytes`] concatenation layout — typically a
+    /// memory-mapped catalog file). Tiers open zero-copy, borrowing their
+    /// payloads from `buf`.
+    ///
+    /// ```
+    /// use rambo_core::{Rambo, RamboParams};
+    /// use rambo_server::Catalog;
+    /// use std::sync::Arc;
+    ///
+    /// let mut index = Rambo::new(RamboParams::flat(16, 3, 1 << 12, 2, 7)).unwrap();
+    /// for d in 0..24u64 {
+    ///     index
+    ///         .insert_document(&format!("doc{d}"), (0..40).map(|t| d << 16 | t))
+    ///         .unwrap();
+    /// }
+    /// // Serialize tiers B = 16 and B = 8 back-to-back, then re-open them
+    /// // zero-copy from one shared buffer (persist `bytes` to make a file).
+    /// let bytes: Arc<[u8]> = index.fold_catalog_bytes(&[16, 8]).unwrap().into();
+    /// let catalog = Catalog::builder().buffer(bytes).build().unwrap();
+    /// assert_eq!(catalog.len(), 2);
+    /// assert_eq!(catalog.tier(0).buckets(), 16);
+    /// assert!(catalog.info(1).predicted_fpr > catalog.info(0).predicted_fpr);
+    /// ```
     #[must_use]
     pub fn buffer(mut self, buf: Arc<[u8]>) -> Self {
         self.source = Some(BuilderSource::Buffer(buf));
         self
     }
 
-    /// Source: a serialized catalog file. Only metadata is read at build;
-    /// dense payloads fault through a shared block cache sized by
-    /// [`CatalogBuilder::cache_bytes`].
+    /// Source: a serialized catalog file. Only metadata is read at build
+    /// (each tier's prelude, assignment vectors and matrix headers), so open
+    /// time is independent of how many gigabytes of filter payload the tiers
+    /// hold; dense payloads stay on disk and fault in row-aligned blocks
+    /// through one shared block cache sized by
+    /// [`CatalogBuilder::cache_bytes`], per-tier traffic observable via
+    /// [`Catalog::block_cache_stats`]. RRR-compressed tiers decode eagerly
+    /// (they are small by construction) and serve from memory, uncached.
     #[must_use]
     pub fn file(mut self, path: impl Into<PathBuf>) -> Self {
         self.source = Some(BuilderSource::File(path.into()));
@@ -606,30 +448,82 @@ impl<'a> CatalogBuilder<'a> {
     /// state, and the underlying fold/decode/I-O failures otherwise.
     pub fn build(self) -> Result<Catalog, CatalogError> {
         let source = self.source.ok_or(CatalogError::MissingSource)?;
-        match source {
-            BuilderSource::Buffer(buf) => {
-                if self.tiers.is_some() {
-                    return Err(CatalogError::TiersWithSerializedSource);
-                }
-                Catalog::open_inner(buf)
+        let buf: Arc<[u8]> = match (source, self.tiers) {
+            (BuilderSource::Buffer(_) | BuilderSource::File(_), Some(_)) => {
+                return Err(CatalogError::TiersWithSerializedSource)
             }
-            BuilderSource::File(path) => {
-                if self.tiers.is_some() {
-                    return Err(CatalogError::TiersWithSerializedSource);
-                }
-                Catalog::open_paged_inner(&path, self.cache_bytes)
+            (BuilderSource::Buffer(buf), None) => buf,
+            (BuilderSource::File(path), None) => return open_paged(&path, self.cache_bytes),
+            (BuilderSource::Base(_) | BuilderSource::Generational(_), None) => {
+                return Err(CatalogError::MissingTiers)
             }
-            BuilderSource::Base(base) => {
-                let spec = self.tiers.ok_or(CatalogError::MissingTiers)?;
-                Catalog::open_inner(fold_spec(base, &spec)?.into())
+            (BuilderSource::Base(base), Some(spec)) => fold_spec(base, &spec)?.into(),
+            (BuilderSource::Generational(live), Some(spec)) => {
+                fold_spec(&live.to_monolithic()?, &spec)?.into()
             }
-            BuilderSource::Generational(live) => {
-                let spec = self.tiers.ok_or(CatalogError::MissingTiers)?;
-                let mono = live.to_monolithic()?;
-                Catalog::open_inner(fold_spec(&mono, &spec)?.into())
-            }
-        }
+        };
+        let tiers = open_tiers(buf.len() as u64, |offset| {
+            let (index, used) = Rambo::open_view_at(&buf, offset as usize)?;
+            Ok((index, used as u64, None))
+        })?;
+        Ok(Catalog {
+            source: Source::Buffer(buf),
+            tiers,
+        })
     }
+}
+
+/// Open a catalog file reading only metadata; see [`CatalogBuilder::file`].
+fn open_paged(path: &Path, cache_bytes: usize) -> Result<Catalog, CatalogError> {
+    let file = PagedFile::open(path, cache_bytes)?;
+    let tiers = open_tiers(file.len(), |offset| {
+        let counters = Arc::new(BlockCacheCounters::new());
+        let (index, used) = Rambo::open_paged_at(&file, offset, &counters)?;
+        // A tier that decoded eagerly (RRR) never touches the cache; only
+        // paged tiers report counters.
+        let counters = index.tables_paged().then_some(counters);
+        Ok((index, used, counters))
+    })?;
+    Ok(Catalog {
+        source: Source::Paged(file),
+        tiers,
+    })
+}
+
+/// One opened tier, its serialized length, and its block-cache counters.
+type OpenedTier = (Rambo, u64, Option<Arc<BlockCacheCounters>>);
+
+/// Walk `len` bytes of back-to-back serialized tiers with `open_at`, which
+/// opens the tier starting at an offset. Tiers must strictly shrink in
+/// bucket count (the FPR-routing rule depends on that order) and there must
+/// be at least one.
+fn open_tiers(
+    len: u64,
+    mut open_at: impl FnMut(u64) -> Result<OpenedTier, CatalogError>,
+) -> Result<Vec<Tier>, CatalogError> {
+    let mut tiers: Vec<Tier> = Vec::new();
+    let mut offset = 0;
+    while offset < len {
+        let (index, used, block_counters) = open_at(offset)?;
+        if let Some(prev) = tiers.last().filter(|p| index.buckets() >= p.info.buckets) {
+            return Err(CatalogError::NotShrinking {
+                tier: tiers.len(),
+                buckets: index.buckets(),
+                prev: prev.info.buckets,
+            });
+        }
+        let info = tier_info(&index, tiers.len(), offset as usize, used as usize);
+        tiers.push(Tier {
+            index,
+            info,
+            block_counters,
+        });
+        offset += used;
+    }
+    if tiers.is_empty() {
+        return Err(CatalogError::Empty);
+    }
+    Ok(tiers)
 }
 
 /// Serialize `base` folded per `spec` (the concatenated catalog layout).
@@ -642,20 +536,6 @@ fn fold_spec(base: &Rambo, spec: &TierSpec) -> Result<Vec<u8>, CatalogError> {
         }
     };
     Ok(bytes)
-}
-
-/// Reject a tier that does not strictly shrink the bucket count.
-fn check_shrinking(tiers: &[Tier], index: &Rambo) -> Result<(), CatalogError> {
-    if let Some(prev) = tiers.last() {
-        if index.buckets() >= prev.info.buckets {
-            return Err(CatalogError::NotShrinking {
-                tier: tiers.len(),
-                buckets: index.buckets(),
-                prev: prev.info.buckets,
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Describe one opened tier. Metadata-only FPR prediction (see
@@ -696,12 +576,32 @@ mod tests {
         r
     }
 
+    fn halving(base: &Rambo, levels: u32) -> Catalog {
+        Catalog::builder()
+            .base(base)
+            .halving(levels)
+            .build()
+            .unwrap()
+    }
+
+    fn open(buf: impl Into<Arc<[u8]>>) -> Result<Catalog, CatalogError> {
+        Catalog::builder().buffer(buf.into()).build()
+    }
+
+    fn open_paged(path: &Path) -> Catalog {
+        Catalog::builder()
+            .file(path)
+            .cache_bytes(1 << 20)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn tiers_shrink_and_fpr_grows() {
         // Buckets must stay above word granularity (64 columns per matrix
         // row) for folding to actually narrow the rows.
         let base = build_base(256, 120, 1);
-        let cat = Catalog::build_halving(&base, 2).unwrap();
+        let cat = halving(&base, 2);
         assert_eq!(cat.len(), 3);
         let infos = cat.infos();
         for w in infos.windows(2) {
@@ -724,7 +624,7 @@ mod tests {
     #[test]
     fn loosening_the_budget_selects_strictly_smaller_tiers() {
         let base = build_base(256, 120, 2);
-        let cat = Catalog::build_halving(&base, 2).unwrap();
+        let cat = halving(&base, 2);
         let infos = cat.infos();
         // A budget exactly at a tier's predicted FPR admits that tier.
         for info in &infos {
@@ -746,8 +646,8 @@ mod tests {
     #[test]
     fn open_roundtrips_the_buffer() {
         let base = build_base(16, 40, 3);
-        let cat = Catalog::build_halving(&base, 1).unwrap();
-        let reopened = Catalog::open(cat.buffer().clone()).unwrap();
+        let cat = halving(&base, 1);
+        let reopened = open(cat.buffer().clone()).unwrap();
         assert_eq!(reopened.len(), cat.len());
         for t in 0..cat.len() {
             assert_eq!(reopened.tier(t), cat.tier(t));
@@ -758,7 +658,7 @@ mod tests {
     #[test]
     fn every_tier_answers_queries_without_false_negatives() {
         let base = build_base(32, 60, 4);
-        let cat = Catalog::build_halving(&base, 2).unwrap();
+        let cat = halving(&base, 2);
         for t in 0..cat.len() {
             for d in [0usize, 17, 59] {
                 let term = ((d as u64) << 24) | 5;
@@ -777,10 +677,10 @@ mod tests {
     #[test]
     fn open_paged_matches_buffer_catalog() {
         let base = build_base(256, 120, 6);
-        let cat = Catalog::build_halving(&base, 2).unwrap();
+        let cat = halving(&base, 2);
         let path = temp_catalog_path("paged");
         std::fs::write(&path, cat.buffer()).unwrap();
-        let paged = Catalog::open_paged(&path, 1 << 20).unwrap();
+        let paged = open_paged(&path);
         assert!(paged.is_paged());
         assert_eq!(paged.len(), cat.len());
         for t in 0..cat.len() {
@@ -811,14 +711,14 @@ mod tests {
             .unwrap();
         let path = temp_catalog_path("mixed");
         std::fs::write(&path, &bytes).unwrap();
-        let paged = Catalog::open_paged(&path, 1 << 20).unwrap();
+        let paged = open_paged(&path);
         assert_eq!(paged.len(), 2);
         // RRR tier decoded eagerly → no block counters; dense tier paged.
         assert!(paged.tier(0).is_compressed());
         assert!(paged.block_cache_stats(0).is_none());
         assert!(paged.tier(1).tables_paged());
         assert!(paged.block_cache_stats(1).is_some());
-        let buffered = Catalog::open(bytes.into()).unwrap();
+        let buffered = open(bytes).unwrap();
         for d in [3usize, 77] {
             let term = ((d as u64) << 24) | 2;
             for t in 0..2 {
@@ -832,16 +732,20 @@ mod tests {
     }
 
     #[test]
-    fn build_with_compresses_requested_tiers() {
+    fn tiers_spec_compresses_requested_tiers() {
         let base = build_base(256, 120, 8);
-        let cat = Catalog::build_with(
-            &base,
-            &[(256, TierCompression::Rrr), (64, TierCompression::Dense)],
-        )
-        .unwrap();
+        let cat = Catalog::builder()
+            .base(&base)
+            .tiers(&[(256, TierCompression::Rrr), (64, TierCompression::Dense)])
+            .build()
+            .unwrap();
         assert!(cat.tier(0).is_compressed());
         assert!(!cat.tier(1).is_compressed());
-        let dense = Catalog::build(&base, &[256, 64]).unwrap();
+        let dense = Catalog::builder()
+            .base(&base)
+            .tier_buckets(&[256, 64])
+            .build()
+            .unwrap();
         assert!(
             cat.info(0).encoded_len < dense.info(0).encoded_len,
             "compressed tier must encode smaller"
@@ -851,16 +755,16 @@ mod tests {
 
     #[test]
     fn rejects_malformed_catalogs() {
-        assert!(Catalog::open(Vec::new().into()).is_err());
+        assert!(matches!(open(Vec::new()), Err(CatalogError::Empty)));
         let base = build_base(16, 20, 5);
         let mut bytes = base.to_bytes().unwrap();
         let good_len = bytes.len();
         bytes.extend(base.to_bytes().unwrap()); // equal buckets: not shrinking
         assert!(matches!(
-            Catalog::open(bytes.clone().into()),
-            Err(RamboError::InvalidParams(_))
+            open(bytes.clone()),
+            Err(CatalogError::NotShrinking { tier: 1, .. })
         ));
         bytes.truncate(good_len + 10); // trailing garbage
-        assert!(Catalog::open(bytes.into()).is_err());
+        assert!(open(bytes).is_err());
     }
 }

@@ -39,16 +39,20 @@
 //!   keyed by `(tier, canonical term-set key)` and invalidated by a
 //!   catalog version stamp: hot §3.3.1 sequence windows are answered
 //!   without touching an evaluator at all.
-//! * [`serve_tcp`] — an optional length-prefixed TCP front over
-//!   `std::net`, with [`TcpClient`] as the matching blocking client. The
-//!   listener is a single **non-blocking poll loop**: a stalled client is
-//!   timed out and aborted mid-frame instead of parking a server thread,
-//!   and a plain-text `STATS` frame exposes live counters. A cluster shard
-//!   node registers its identity via [`ServeOptions::manifest`], served to
-//!   `HELLO` requests; [`TcpClient`] carries connect/read/write timeouts
-//!   and a [`TcpClient::reconnect`] path so a dead peer can never block a
-//!   caller indefinitely — the building blocks of the `rambo-cluster`
-//!   coordinator's connection pools.
+//! * [`TenantRegistry`] — many named **mutable** indexes in one process
+//!   (LSM-style generations behind per-tenant quotas and result caches). A
+//!   single live index is a one-tenant registry; [`TenantRegistry::freeze`]
+//!   collapses a tenant into a monolith for [`Catalog::builder`].
+//! * [`serve_tcp`] / [`serve_tenant_tcp`] — optional TCP fronts over
+//!   `std::net`: length-prefixed binary frames ([`wire`]) over a catalog
+//!   server or one tenant, RESP2 text over a registry, all on one
+//!   single-threaded polling reactor (a stalled client holds a buffer, not
+//!   a thread, and cannot block shutdown). [`TcpClient`] is the matching
+//!   blocking client, with connect/read/write timeouts and a
+//!   [`TcpClient::reconnect`] path so a dead peer can never block a caller
+//!   indefinitely — the building blocks of the `rambo-cluster`
+//!   coordinator's connection pools. A cluster shard node registers its
+//!   identity via [`ServeOptions::manifest`], served to `HELLO` requests.
 //!
 //! Every tier evaluator probes through the runtime-dispatched SIMD kernels
 //! of [`rambo_core::kernel`] (re-exported here as [`KernelBackend`] /
@@ -69,7 +73,7 @@
 //!         .unwrap();
 //! }
 //! // Three fold-over tiers: 16, 8 and 4 buckets.
-//! let catalog = Catalog::build_halving(&index, 2).unwrap();
+//! let catalog = Catalog::builder().base(&index).halving(2).build().unwrap();
 //! let (reply, stats) = Server::scope(&catalog, ServerConfig::default(), |handle| {
 //!     handle
 //!         .query(&[3 << 16 | 9], 0.0, Duration::from_secs(1))
@@ -85,17 +89,17 @@
 
 mod cache;
 mod catalog;
-mod live;
+mod reactor;
 mod resp;
 mod scheduler;
 mod server;
 mod stats;
 mod tcp;
 mod tenant;
+pub mod wire;
 
 pub use cache::{CacheStats, ResultCache};
 pub use catalog::{Catalog, CatalogBuilder, CatalogError, TierInfo, DEFAULT_CACHE_BYTES};
-pub use live::{serve_live_tcp, LiveHandle, LiveServer, LiveStats};
 pub use rambo_core::kernel::{Backend as KernelBackend, Kernel};
 pub use resp::{serve_tenant_tcp, term_of, TenantServeOptions};
 pub use server::{

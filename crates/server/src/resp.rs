@@ -46,29 +46,24 @@
 //! error reply followed by a close, because the stream can no longer be
 //! trusted.
 //!
-//! ## Reactor
+//! ## Serving
 //!
-//! [`serve_tenant_tcp`] multiplexes the RESP listener and (optionally) a
-//! second listener speaking the existing binary frame protocol — same
-//! non-blocking single-thread readiness design as [`crate::serve_tcp`],
-//! sharing its connection plumbing. Binary `QUERY`/`MUTATE` frames carry
-//! no tenant name, so they are routed to the configured
-//! [`TenantServeOptions::binary_tenant`]; `STATS` dumps the registry
-//! summary. Poll ticks with no I/O run one step of generation-merge
+//! [`serve_tenant_tcp`] pairs the RESP listener with this protocol and
+//! (optionally) a second listener with the binary frame protocol bound to
+//! [`TenantServeOptions::binary_tenant`], both on the one polling reactor
+//! (`reactor.rs`). Turns with no I/O run one step of generation-merge
 //! maintenance across the registry instead of napping, so background index
 //! upkeep rides the serving thread's idle gaps.
 
-use crate::tcp::{
-    conn_flush, conn_read, encode_mutate_ok, encode_mutate_rejected, encode_response, parse_mutate,
-    parse_request, Conn, MAX_FRAME_BYTES, OPCODE_HELLO, OPCODE_MUTATE, OPCODE_STATS,
-    REACTOR_BUSY_SLEEP, REACTOR_IDLE_SLEEP, STATUS_BAD_REQUEST, STATUS_OK,
-};
+use crate::reactor::{Protocol, Reactor, Reply, Step};
+use crate::tcp::TenantFrames;
 use crate::tenant::{TenantKind, TenantOptions, TenantRegistry};
+use crate::wire::MAX_FRAME_BYTES;
 use rambo_core::{RamboError, RamboParams};
 use rambo_hash::murmur3_x64_64;
 use std::io;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 
 /// Most array elements accepted in one command.
 const MAX_ARGS: usize = 1 << 10;
@@ -508,7 +503,7 @@ fn bf_add_one(registry: &TenantRegistry, key: &str, item: &[u8]) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------
-// Reactor.
+// Serving.
 // ---------------------------------------------------------------------
 
 /// Options for [`serve_tenant_tcp`].
@@ -525,17 +520,45 @@ pub struct TenantServeOptions {
     pub binary_tenant: Option<String>,
 }
 
-/// Which protocol a connection speaks, fixed by the listener it arrived on.
-enum Front {
-    Resp,
-    Binary,
+/// RESP commands over a registry: executed the moment they decode (registry
+/// calls are lock-bounded), so replies flow in request order by construction.
+struct RespCommands<'a> {
+    registry: &'a TenantRegistry,
+}
+
+impl Protocol for RespCommands<'_> {
+    fn step(&self, inbuf: &[u8]) -> Step {
+        let violation = |message: &str| Step::Request {
+            consumed: 0,
+            reply: Some(Reply::Ready(resp_error(message))),
+            close: true,
+        };
+        match parse_resp(inbuf) {
+            // A "command" that can never fit the input ceiling will sit
+            // incomplete forever; evict it as a framing violation.
+            RespParse::Incomplete if inbuf.len() >= MAX_FRAME_BYTES => {
+                violation("Protocol error: request too large")
+            }
+            RespParse::Incomplete => Step::Incomplete,
+            RespParse::Protocol { message } => violation(&message),
+            RespParse::Command { args, consumed } => Step::Request {
+                consumed,
+                reply: (!args.is_empty()).then(|| Reply::Ready(execute(self.registry, &args))),
+                close: false,
+            },
+        }
+    }
+
+    fn idle(&self) -> bool {
+        self.registry.maintain_once()
+    }
 }
 
 /// Serve a [`TenantRegistry`] until `stop` is set: the RESP front on
-/// `resp_listener` and, when given, the existing binary frame protocol on
-/// `binary_listener`, both multiplexed by one non-blocking readiness
-/// reactor on the calling thread. Idle poll ticks run one step of
-/// generation-merge maintenance across the registry instead of sleeping.
+/// `resp_listener` and, when given, the binary frame protocol on
+/// `binary_listener`, both multiplexed by one non-blocking polling reactor
+/// on the calling thread. A mutable index over TCP is this with
+/// [`TenantServeOptions::binary_tenant`] set.
 ///
 /// # Errors
 /// Propagates listener configuration errors and fatal accept failures (which
@@ -547,238 +570,11 @@ pub fn serve_tenant_tcp(
     stop: &AtomicBool,
     options: &TenantServeOptions,
 ) -> io::Result<()> {
-    resp_listener.set_nonblocking(true)?;
-    if let Some(l) = &binary_listener {
-        l.set_nonblocking(true)?;
-    }
-    let mut conns: Vec<(Front, Conn)> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        let mut progress = false;
-        match accept_into(&resp_listener, &mut conns, Front::Resp) {
-            Ok(p) => progress |= p,
-            Err(e) => {
-                stop.store(true, Ordering::Relaxed);
-                return Err(e);
-            }
-        }
-        if let Some(l) = &binary_listener {
-            match accept_into(l, &mut conns, Front::Binary) {
-                Ok(p) => progress |= p,
-                Err(e) => {
-                    stop.store(true, Ordering::Relaxed);
-                    return Err(e);
-                }
-            }
-        }
-        for (front, conn) in &mut conns {
-            progress |= match front {
-                Front::Resp => pump_resp(conn, registry),
-                Front::Binary => pump_binary(conn, registry, options),
-            };
-        }
-        conns.retain(|(_, c)| !c.dead);
-        if !progress {
-            // Nothing on the wire: spend the tick on index upkeep. A merge
-            // counts as progress, so a busy registry keeps the loop hot.
-            if registry.maintain_once() {
-                continue;
-            }
-            let inflight = conns.iter().any(|(_, c)| !c.outbuf.is_empty());
-            std::thread::sleep(if inflight {
-                REACTOR_BUSY_SLEEP
-            } else {
-                REACTOR_IDLE_SLEEP
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Drain one listener's accept backlog into the connection list.
-fn accept_into(
-    listener: &TcpListener,
-    conns: &mut Vec<(Front, Conn)>,
-    front: Front,
-) -> io::Result<bool> {
-    let mut progress = false;
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if let Ok(conn) = Conn::new(stream) {
-                    conns.push((
-                        match front {
-                            Front::Resp => Front::Resp,
-                            Front::Binary => Front::Binary,
-                        },
-                        conn,
-                    ));
-                    progress = true;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(progress),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// One reactor pass over a RESP connection: commands are executed the
-/// moment they decode (registry calls are lock-bounded), replies flow in
-/// request order by construction.
-fn pump_resp(conn: &mut Conn, registry: &TenantRegistry) -> bool {
-    let mut progress = conn_read(conn);
-    if conn.dead {
-        return progress;
-    }
-    let mut consumed = 0;
-    while !conn.closing {
-        match parse_resp(&conn.inbuf[consumed..]) {
-            RespParse::Incomplete => {
-                // A "command" that can never fit the input ceiling will sit
-                // incomplete forever; evict it as a framing violation.
-                if conn.inbuf.len() - consumed >= MAX_FRAME_BYTES {
-                    conn.outbuf
-                        .extend_from_slice(&resp_error("Protocol error: request too large"));
-                    conn.closing = true;
-                    progress = true;
-                }
-                break;
-            }
-            RespParse::Protocol { message } => {
-                conn.outbuf.extend_from_slice(&resp_error(&message));
-                conn.closing = true;
-                progress = true;
-            }
-            RespParse::Command { args, consumed: n } => {
-                consumed += n;
-                if !args.is_empty() {
-                    let reply = execute(registry, &args);
-                    conn.outbuf.extend_from_slice(&reply);
-                }
-                progress = true;
-            }
-        }
-    }
-    if consumed > 0 {
-        conn.inbuf.drain(..consumed);
-    }
-    progress | conn_flush(conn)
-}
-
-/// One reactor pass over a binary-front connection: same framing as the
-/// live server's front, dispatched against the registry's
-/// [`TenantServeOptions::binary_tenant`].
-fn pump_binary(conn: &mut Conn, registry: &TenantRegistry, options: &TenantServeOptions) -> bool {
-    let mut progress = conn_read(conn);
-    if conn.dead {
-        return progress;
-    }
-    let mut consumed = 0;
-    while !conn.closing {
-        let avail = &conn.inbuf[consumed..];
-        if avail.len() < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_FRAME_BYTES {
-            conn.outbuf
-                .extend_from_slice(&encode_response(STATUS_BAD_REQUEST, 0, &[]));
-            conn.closing = true;
-            progress = true;
-            break;
-        }
-        if avail.len() < 4 + len {
-            break;
-        }
-        let frame = dispatch_binary(conn, registry, options, consumed + 4, len);
-        conn.outbuf.extend_from_slice(&frame);
-        consumed += 4 + len;
-        progress = true;
-    }
-    if consumed > 0 {
-        conn.inbuf.drain(..consumed);
-    }
-    progress | conn_flush(conn)
-}
-
-/// Dispatch one complete binary frame against the registry, returning the
-/// encoded reply. Mirrors the live front's dispatch: every answer is
-/// immediate, and only unparseable frames close the connection.
-fn dispatch_binary(
-    conn: &mut Conn,
-    registry: &TenantRegistry,
-    options: &TenantServeOptions,
-    offset: usize,
-    len: usize,
-) -> Vec<u8> {
-    let payload = &conn.inbuf[offset..offset + len];
-    if len == 1 && payload[0] == OPCODE_STATS {
-        let text = registry.summary();
-        let mut frame = Vec::with_capacity(4 + 1 + text.len());
-        frame.extend_from_slice(&(1 + text.len() as u32).to_le_bytes());
-        frame.push(STATUS_OK);
-        frame.extend_from_slice(text.as_bytes());
-        return frame;
-    }
-    if len == 1 && payload[0] == OPCODE_HELLO {
-        return match &options.manifest {
-            Some(manifest) => {
-                let mut frame = Vec::with_capacity(4 + 1 + manifest.len());
-                frame.extend_from_slice(&(1 + manifest.len() as u32).to_le_bytes());
-                frame.push(STATUS_OK);
-                frame.extend_from_slice(manifest);
-                frame
-            }
-            None => {
-                let mut frame = Vec::with_capacity(5);
-                frame.extend_from_slice(&1u32.to_le_bytes());
-                frame.push(STATUS_BAD_REQUEST);
-                frame
-            }
-        };
-    }
-    if !payload.is_empty() && payload[0] == OPCODE_MUTATE {
-        return match parse_mutate(payload) {
-            None => {
-                conn.closing = true;
-                encode_response(STATUS_BAD_REQUEST, 0, &[])
-            }
-            Some((name, terms)) => {
-                let Some(tenant) = options.binary_tenant.as_deref() else {
-                    return encode_mutate_rejected("no tenant bound to the binary front");
-                };
-                match registry.insert_document(tenant, &name, &terms) {
-                    Ok(id) => {
-                        let epoch = registry.stats(tenant).map_or(0, |s| s.epoch);
-                        encode_mutate_ok(id, epoch)
-                    }
-                    // Every registry refusal — duplicate, quota, or the
-                    // tenant having been dropped mid-session — is a clean
-                    // in-protocol rejection; the stream stays intact.
-                    Err(e) => encode_mutate_rejected(&e.to_string()),
-                }
-            }
-        };
-    }
-    match parse_request(payload) {
-        None => {
-            conn.closing = true;
-            encode_response(STATUS_BAD_REQUEST, 0, &[])
-        }
-        Some((terms, opts)) => {
-            let answer = options
-                .binary_tenant
-                .as_deref()
-                .and_then(|tenant| registry.query(tenant, &terms, opts.mode).ok());
-            match answer {
-                // A well-formed query with no tenant bound (or dropped) is
-                // answered bad-request but keeps the connection open, like
-                // HELLO on a manifest-less server.
-                None => encode_response(STATUS_BAD_REQUEST, 0, &[]),
-                Some(docs) => encode_response(STATUS_OK, 0, &docs),
-            }
-        }
-    }
+    let resp = RespCommands { registry };
+    let frames = TenantFrames { registry, options };
+    let mut listeners: Vec<(TcpListener, &dyn Protocol)> = vec![(resp_listener, &resp)];
+    listeners.extend(binary_listener.map(|l| (l, &frames as &dyn Protocol)));
+    Reactor::new(&listeners)?.run(stop)
 }
 
 #[cfg(test)]

@@ -33,9 +33,7 @@ use crate::cache::ResultCache;
 use crate::catalog::Catalog;
 use crate::scheduler::{run_worker, BatchKnobs, LaneGate, Reply, Request, INLINE_OVERLAP_WINDOW};
 use crate::stats::{ServerStats, SlowQuery, SlowQueryLog, TierCounters};
-use rambo_core::{
-    canonical_query_key, default_threads, DocId, GenerationConfig, QueryBatch, QueryMode,
-};
+use rambo_core::{canonical_query_key, default_threads, DocId, QueryBatch, QueryMode};
 use rambo_workloads::stats::LatencyHistogram;
 use std::fmt;
 use std::sync::atomic::Ordering;
@@ -105,10 +103,6 @@ pub struct ServerConfig {
     /// Retain this many worst-latency requests in the slow-query log; `0`
     /// disables it.
     pub slow_log: usize,
-    /// Memtable sealing / generation merging policy for the mutable-index
-    /// server ([`crate::LiveServer`]). Ignored by the read-only catalog
-    /// server.
-    pub generations: GenerationConfig,
 }
 
 impl Default for ServerConfig {
@@ -123,15 +117,13 @@ impl Default for ServerConfig {
             mask_memo_terms: None,
             result_cache_bytes: 16 << 20,
             slow_log: 32,
-            generations: GenerationConfig::default(),
         }
     }
 }
 
 impl ServerConfig {
     /// Start a [`ServerConfigBuilder`] whose defaults are exactly
-    /// [`ServerConfig::default`] — the one place to set every serving knob,
-    /// including the mutable-index [`GenerationConfig`].
+    /// [`ServerConfig::default`] — the one place to set every serving knob.
     #[must_use]
     pub fn builder() -> ServerConfigBuilder {
         ServerConfigBuilder::new()
@@ -139,8 +131,8 @@ impl ServerConfig {
 }
 
 /// Builder for [`ServerConfig`]: every scattered serving knob (scheduler
-/// mode, batching, admission, caching, slow log) plus the mutable-index
-/// generation policy in one place. Unset knobs keep today's defaults.
+/// mode, batching, admission, caching, slow log) in one place. Unset knobs
+/// keep today's defaults.
 ///
 /// ```
 /// use rambo_server::{SchedulerMode, ServerConfig};
@@ -225,13 +217,6 @@ impl ServerConfigBuilder {
     #[must_use]
     pub fn slow_log(mut self, depth: usize) -> Self {
         self.config.slow_log = depth;
-        self
-    }
-
-    /// See [`ServerConfig::generations`].
-    #[must_use]
-    pub fn generations(mut self, config: GenerationConfig) -> Self {
-        self.config.generations = config;
         self
     }
 

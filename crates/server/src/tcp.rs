@@ -1,212 +1,35 @@
-//! Non-blocking, length-prefixed TCP front over the in-process serving
-//! engine.
+//! The binary-frame fronts — a read-only [`Catalog`](crate::Catalog) behind
+//! a [`ServerHandle`], and one tenant of a [`TenantRegistry`] — plus
+//! [`TcpClient`], the matching blocking client. The frame format lives in
+//! [`crate::wire`]; the serving loop in `reactor.rs`.
 //!
-//! Wire format (all little-endian):
-//!
-//! ```text
-//! request  := u32 len | u8 opcode(=1) | u8 mode(0 default,1 Full,2 Sparse)
-//!             | u16 reserved(=0) | f64 fpr_budget | u32 deadline_ms(0=1s)
-//!             | u32 n_terms | n_terms × u64
-//! response := u32 len | u8 status | u32 tier | u32 n_docs | n_docs × u32
-//! status   := 0 ok | 1 overloaded | 2 deadline exceeded | 3 bad request
-//!
-//! stats-request  := u32 len(=1) | u8 opcode(=2)
-//! stats-response := u32 len | u8 status(=0) | utf8 text
-//!
-//! hello-request  := u32 len(=1) | u8 opcode(=3)
-//! hello-response := u32 len | u8 status(=0) | manifest bytes
-//!
-//! mutate-request  := u32 len | u8 opcode(=4) | 3 × u8 reserved(=0)
-//!                    | u32 name_len | name utf8 | u32 n_terms | n_terms × u64
-//! mutate-response := u32 len | u8 status(=0) | u32 doc_id | u64 epoch
-//!                  | u32 len | u8 status(=5) | utf8 reason   (rejected)
-//! ```
-//!
-//! `len` counts the bytes after the length field. One connection carries any
-//! number of request/response pairs in order; closing the write side (or the
-//! whole socket) ends the session. The `STATS` opcode dumps the live
-//! [`crate::ServerStats`] (tier counters, result-cache counters, slow-query
-//! log) as plain text — `printf`-debuggable with `nc`. The `HELLO` opcode
-//! returns the opaque node manifest registered via [`ServeOptions`] (a
-//! cluster shard announces its shard id, replica id, doc-id range and
-//! catalog fingerprint this way); a server with no manifest answers `HELLO`
-//! with the bad-request status but keeps the connection open.
-//!
-//! [`serve_tcp`] is a single-threaded **readiness reactor**, not a
-//! thread-per-connection accept loop: every socket is non-blocking, and one
-//! thread multiplexes accepts, frame decode, admission (through the same
-//! [`ServerHandle`] the in-process API uses — quiet lanes answer inline
-//! during the dispatch call itself), reply polling
-//! ([`crate::PendingReply::try_wait`]) and writes across all connections.
-//! Thousands of idle clients cost a few hundred bytes of buffer each, not a
-//! pinned thread. Replies on one connection always flow in request order.
-//! When `stop` is raised the reactor returns promptly, dropping every
-//! connection — including ones stalled mid-frame, which therefore cannot
-//! block shutdown.
+//! The catalog front admits queries through the same [`ServerHandle`] the
+//! in-process API uses (quiet lanes answer inline during the dispatch call
+//! itself), dumps the live [`crate::ServerStats`] as plain text for `STATS` —
+//! `printf`-debuggable with `nc` — and answers `HELLO` with the opaque node
+//! manifest registered via [`ServeOptions`] (a cluster shard announces its
+//! shard id, replica id, doc-id range and catalog fingerprint this way).
+//! The tenant front answers every request the moment it decodes: binary
+//! `QUERY`/`MUTATE` frames carry no tenant name, so they go to the configured
+//! [`TenantServeOptions::binary_tenant`], and `STATS` dumps the registry
+//! summary.
 
-use crate::server::{PendingReply, QueryOptions, QueryReply, ServerError, ServerHandle};
+use crate::reactor::{Protocol, Reactor, Reply, Step};
+use crate::resp::TenantServeOptions;
+use crate::server::{QueryReply, ServerError, ServerHandle};
+use crate::tenant::TenantRegistry;
+use crate::wire::{
+    self, encode_blob, encode_mutate_ok, encode_response, parse_mutate, parse_request,
+    MAX_FRAME_BYTES, OPCODE_HELLO, OPCODE_MUTATE, OPCODE_STATS, STATUS_BAD_REQUEST,
+    STATUS_DEADLINE, STATUS_MUTATE_REJECTED, STATUS_OK, STATUS_OVERLOADED,
+};
 use rambo_core::QueryMode;
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
-/// Upper bound on a frame payload (16 MiB ≈ two million query terms): a
-/// corrupt or hostile length prefix must not become an allocation.
-pub(crate) const MAX_FRAME_BYTES: usize = 16 << 20;
-
-pub(crate) const OPCODE_QUERY: u8 = 1;
-pub(crate) const OPCODE_STATS: u8 = 2;
-pub(crate) const OPCODE_HELLO: u8 = 3;
-/// Live-insert opcode, served only by the mutable-index front
-/// ([`crate::serve_live_tcp`]); the read-only catalog front answers it with
-/// the bad-request status.
-pub(crate) const OPCODE_MUTATE: u8 = 4;
-
-pub(crate) const STATUS_OK: u8 = 0;
-pub(crate) const STATUS_OVERLOADED: u8 = 1;
-pub(crate) const STATUS_DEADLINE: u8 = 2;
-pub(crate) const STATUS_BAD_REQUEST: u8 = 3;
-/// A well-formed mutate the index refused (duplicate name, id space
-/// exhausted). Unlike `STATUS_BAD_REQUEST` the stream is not
-/// desynchronized, so the connection stays open.
-pub(crate) const STATUS_MUTATE_REJECTED: u8 = 5;
-
-/// Reactor nap with replies in flight: short, so a worker's answer is
-/// picked up within ~a batch collection window.
-pub(crate) const REACTOR_BUSY_SLEEP: Duration = Duration::from_micros(50);
-/// Reactor nap with nothing in flight: the stop-flag/accept poll cadence.
-pub(crate) const REACTOR_IDLE_SLEEP: Duration = Duration::from_millis(1);
-/// Per-read chunk size.
-pub(crate) const READ_CHUNK: usize = 16 << 10;
-/// Per-connection cap on decoded-but-unanswered frames: a client that
-/// pipelines faster than the server drains stops being read (TCP
-/// backpressure) instead of growing an unbounded reply queue.
-pub(crate) const MAX_PIPELINED: usize = 1024;
-
-/// A reply owed to the client, in request order.
-pub(crate) enum PendingFrame {
-    /// Already encoded (errors, stats dumps, inline/cached completions).
-    Ready(Vec<u8>),
-    /// Waiting on an evaluator worker.
-    Query(PendingReply),
-}
-
-/// One multiplexed connection's state. Shared with the mutable-index front
-/// (`crate::live`), whose reactor reuses the same read/decode/write
-/// plumbing with an always-immediate dispatch.
-pub(crate) struct Conn {
-    pub(crate) stream: TcpStream,
-    /// Raw bytes read but not yet parsed into frames.
-    pub(crate) inbuf: Vec<u8>,
-    /// Replies owed, in request order.
-    pub(crate) pending: VecDeque<PendingFrame>,
-    /// Encoded bytes not yet accepted by the socket.
-    pub(crate) outbuf: Vec<u8>,
-    /// Prefix of `outbuf` already written.
-    pub(crate) sent: usize,
-    /// Close after flushing what is owed (protocol error path).
-    pub(crate) closing: bool,
-    /// Peer closed its write side.
-    pub(crate) read_closed: bool,
-    /// Ready to be dropped.
-    pub(crate) dead: bool,
-}
-
-impl Conn {
-    pub(crate) fn new(stream: TcpStream) -> io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        Ok(Self {
-            stream,
-            inbuf: Vec::new(),
-            pending: VecDeque::new(),
-            outbuf: Vec::new(),
-            sent: 0,
-            closing: false,
-            read_closed: false,
-            dead: false,
-        })
-    }
-}
-
-/// Shared read phase of every reactor pump (catalog, live and tenant
-/// fronts): pull what the socket has into `inbuf`, bounded by the pipeline
-/// cap and the frame-size ceiling (backpressure by unread socket). Marks
-/// the connection dead on hard I/O errors. Returns whether bytes moved.
-pub(crate) fn conn_read(conn: &mut Conn) -> bool {
-    let mut progress = false;
-    while !conn.read_closed
-        && !conn.closing
-        && !conn.dead
-        && conn.pending.len() < MAX_PIPELINED
-        && conn.inbuf.len() < MAX_FRAME_BYTES + 4
-    {
-        let start = conn.inbuf.len();
-        conn.inbuf.resize(start + READ_CHUNK, 0);
-        match conn.stream.read(&mut conn.inbuf[start..]) {
-            Ok(0) => {
-                conn.inbuf.truncate(start);
-                conn.read_closed = true;
-            }
-            Ok(n) => {
-                conn.inbuf.truncate(start + n);
-                progress = true;
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => conn.inbuf.truncate(start),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                conn.inbuf.truncate(start);
-                continue;
-            }
-            Err(_) => {
-                conn.inbuf.truncate(start);
-                conn.dead = true;
-                return progress;
-            }
-        }
-        break;
-    }
-    progress
-}
-
-/// Shared write/teardown phase of every reactor pump: push `outbuf` until
-/// the socket stops taking bytes, then retire the connection once
-/// everything owed is flushed after a protocol error (`closing`) or a
-/// half-closed peer. Returns whether bytes moved.
-pub(crate) fn conn_flush(conn: &mut Conn) -> bool {
-    let mut progress = false;
-    while conn.sent < conn.outbuf.len() {
-        match conn.stream.write(&conn.outbuf[conn.sent..]) {
-            Ok(0) => {
-                conn.dead = true;
-                return progress;
-            }
-            Ok(n) => {
-                conn.sent += n;
-                progress = true;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.dead = true;
-                return progress;
-            }
-        }
-    }
-    if conn.sent == conn.outbuf.len() && conn.sent > 0 {
-        conn.outbuf.clear();
-        conn.sent = 0;
-    }
-    let flushed = conn.pending.is_empty() && conn.sent == conn.outbuf.len();
-    if flushed && (conn.closing || conn.read_closed) {
-        conn.dead = true;
-    }
-    progress
-}
-
-/// Optional behaviors of the TCP front ([`serve_tcp_with`]).
+/// Optional behaviors of the catalog front ([`serve_tcp_with`]).
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// Opaque manifest bytes returned to `HELLO` requests. A cluster shard
@@ -218,10 +41,10 @@ pub struct ServeOptions {
 }
 
 /// Serve the handle over TCP until `stop` is set, multiplexing every
-/// connection on the calling thread (see the module docs for the reactor
-/// design). Returns after the stop flag is observed; all connections —
-/// idle, mid-frame, or stalled — are dropped at that point, so a dead
-/// client can never block shutdown.
+/// connection on the calling thread (see `reactor.rs` for the loop).
+/// Returns after the stop flag is observed; all connections — idle,
+/// mid-frame, or stalled — are dropped at that point, so a dead client can
+/// never block shutdown.
 ///
 /// # Errors
 /// Propagates listener configuration errors and fatal accept failures (the
@@ -247,297 +70,132 @@ pub fn serve_tcp_with(
     stop: &AtomicBool,
     options: &ServeOptions,
 ) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let mut conns: Vec<Conn> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        let mut progress = false;
-        // Drain the accept backlog.
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if let Ok(conn) = Conn::new(stream) {
-                        conns.push(conn);
-                        progress = true;
+    let manifest = options.manifest.as_deref();
+    Reactor::new(&[(listener, &CatalogFrames { handle, manifest })])?.run(stop)
+}
+
+/// Take one length-prefixed frame off `inbuf` and answer its payload with
+/// `dispatch` (reply, close-after). A length above the ceiling is answered
+/// bad-request and closed without waiting for its bytes.
+fn frame_step(inbuf: &[u8], dispatch: impl FnOnce(&[u8]) -> (Reply, bool)) -> Step {
+    let Some(prefix) = inbuf.get(..4) else {
+        return Step::Incomplete;
+    };
+    let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
+    let (consumed, (reply, close)) = if len > MAX_FRAME_BYTES {
+        (0, bad_request())
+    } else if let Some(payload) = inbuf.get(4..4 + len) {
+        (4 + len, dispatch(payload))
+    } else {
+        return Step::Incomplete;
+    };
+    Step::Request {
+        consumed,
+        reply: Some(reply),
+        close,
+    }
+}
+
+/// A frame that fails to parse may have desynchronized the stream; answer
+/// and close rather than guess at recovery.
+fn bad_request() -> (Reply, bool) {
+    let frame = encode_response(STATUS_BAD_REQUEST, 0, &[]);
+    (Reply::Ready(frame), true)
+}
+
+/// `HELLO`: the manifest, or — a well-formed request this server merely
+/// cannot serve, so the connection stays open — a bare bad-request status.
+fn hello(manifest: Option<&[u8]>) -> (Reply, bool) {
+    let frame = match manifest {
+        Some(manifest) => encode_blob(STATUS_OK, manifest),
+        None => encode_blob(STATUS_BAD_REQUEST, &[]),
+    };
+    (Reply::Ready(frame), false)
+}
+
+/// Binary frames over a read-only catalog server.
+struct CatalogFrames<'a, 'scope> {
+    handle: &'a ServerHandle<'scope>,
+    manifest: Option<&'a [u8]>,
+}
+
+impl Protocol for CatalogFrames<'_, '_> {
+    fn step(&self, inbuf: &[u8]) -> Step {
+        frame_step(inbuf, |payload| match payload {
+            [OPCODE_STATS] => {
+                let text = self.handle.stats().to_string();
+                (Reply::Ready(encode_blob(STATUS_OK, text.as_bytes())), false)
+            }
+            [OPCODE_HELLO] => hello(self.manifest),
+            _ => match parse_request(payload) {
+                None => bad_request(),
+                Some((terms, opts)) => match self.handle.submit(&terms, &opts) {
+                    Ok(reply) => (Reply::Pending(reply), false),
+                    Err(e) => {
+                        let (frame, close) = wire::encode_query_result(Err(e));
+                        (Reply::Ready(frame), close)
                     }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    stop.store(true, Ordering::Relaxed);
-                    return Err(e);
-                }
-            }
-        }
-        for conn in &mut conns {
-            progress |= pump(conn, handle, options);
-        }
-        conns.retain(|c| !c.dead);
-        if !progress {
-            let inflight = conns.iter().any(|c| !c.pending.is_empty());
-            std::thread::sleep(if inflight {
-                REACTOR_BUSY_SLEEP
-            } else {
-                REACTOR_IDLE_SLEEP
-            });
-        }
-    }
-    Ok(())
-}
-
-/// One reactor pass over a connection: read what is available, decode and
-/// dispatch complete frames, poll owed replies in order, write what is
-/// flushed. Returns true when any byte or frame moved.
-fn pump(conn: &mut Conn, handle: &ServerHandle<'_>, options: &ServeOptions) -> bool {
-    // Read until the socket runs dry — but stop decoding ahead of a client
-    // that has MAX_PIPELINED answers outstanding (backpressure by unread
-    // socket, mirroring the admission queue's own bound).
-    let mut progress = conn_read(conn);
-    if conn.dead {
-        return progress;
-    }
-
-    // Decode complete frames and dispatch them.
-    let mut consumed = 0;
-    while !conn.closing && conn.pending.len() < MAX_PIPELINED {
-        let avail = &conn.inbuf[consumed..];
-        if avail.len() < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes")) as usize;
-        if len > MAX_FRAME_BYTES {
-            conn.pending.push_back(PendingFrame::Ready(encode_response(
-                STATUS_BAD_REQUEST,
-                0,
-                &[],
-            )));
-            conn.closing = true;
-            break;
-        }
-        if avail.len() < 4 + len {
-            break;
-        }
-        dispatch(conn, handle, options, consumed + 4, len);
-        consumed += 4 + len;
-        progress = true;
-    }
-    if consumed > 0 {
-        conn.inbuf.drain(..consumed);
-    }
-
-    // Poll owed replies strictly in request order.
-    while let Some(front) = conn.pending.front_mut() {
-        let frame = match front {
-            PendingFrame::Ready(bytes) => std::mem::take(bytes),
-            PendingFrame::Query(reply) => match reply.try_wait() {
-                None => break,
-                Some(Ok(QueryReply { docs, tier })) => {
-                    encode_response(STATUS_OK, tier as u32, &docs)
-                }
-                Some(Err(ServerError::Overloaded { tier })) => {
-                    encode_response(STATUS_OVERLOADED, tier as u32, &[])
-                }
-                Some(Err(ServerError::DeadlineExceeded { tier })) => {
-                    encode_response(STATUS_DEADLINE, tier as u32, &[])
-                }
-                Some(Err(ServerError::UnknownTier(_) | ServerError::Disconnected)) => {
-                    conn.closing = true;
-                    encode_response(STATUS_BAD_REQUEST, 0, &[])
-                }
+                },
             },
-        };
-        conn.outbuf.extend_from_slice(&frame);
-        conn.pending.pop_front();
-        progress = true;
+        })
     }
-
-    // Write what the socket will take, then close once everything owed is
-    // flushed after a protocol error or a half-closed peer.
-    progress | conn_flush(conn)
 }
 
-/// Dispatch one complete frame (`len` bytes at `offset` in the inbuf).
-fn dispatch(
-    conn: &mut Conn,
-    handle: &ServerHandle<'_>,
-    options: &ServeOptions,
-    offset: usize,
-    len: usize,
-) {
-    let payload = &conn.inbuf[offset..offset + len];
-    if len == 1 && payload[0] == OPCODE_STATS {
-        let text = handle.stats().to_string();
-        let mut frame = Vec::with_capacity(4 + 1 + text.len());
-        frame.extend_from_slice(&(1 + text.len() as u32).to_le_bytes());
-        frame.push(STATUS_OK);
-        frame.extend_from_slice(text.as_bytes());
-        conn.pending.push_back(PendingFrame::Ready(frame));
-        return;
-    }
-    if len == 1 && payload[0] == OPCODE_HELLO {
-        // A well-formed HELLO on a manifest-less server is answered with
-        // the bad-request status but does NOT desynchronize the stream, so
-        // the connection stays open (unlike the parse-failure path below).
-        let frame = match &options.manifest {
-            Some(manifest) => {
-                let mut frame = Vec::with_capacity(4 + 1 + manifest.len());
-                frame.extend_from_slice(&(1 + manifest.len() as u32).to_le_bytes());
-                frame.push(STATUS_OK);
-                frame.extend_from_slice(manifest);
-                frame
+/// Binary frames over one tenant of a registry: every answer is immediate
+/// (registry calls are lock-bounded, not queue-bounded).
+pub(crate) struct TenantFrames<'a> {
+    pub(crate) registry: &'a TenantRegistry,
+    pub(crate) options: &'a TenantServeOptions,
+}
+
+impl Protocol for TenantFrames<'_> {
+    fn step(&self, inbuf: &[u8]) -> Step {
+        let tenant = self.options.binary_tenant.as_deref();
+        frame_step(inbuf, |payload| match payload {
+            [OPCODE_STATS] => {
+                let text = self.registry.summary();
+                (Reply::Ready(encode_blob(STATUS_OK, text.as_bytes())), false)
             }
-            None => {
-                let mut frame = Vec::with_capacity(5);
-                frame.extend_from_slice(&1u32.to_le_bytes());
-                frame.push(STATUS_BAD_REQUEST);
-                frame
+            [OPCODE_HELLO] => hello(self.options.manifest.as_deref()),
+            [OPCODE_MUTATE, ..] => {
+                let Some((name, terms)) = parse_mutate(payload) else {
+                    return bad_request();
+                };
+                // Every registry refusal — duplicate, quota, no tenant bound
+                // or the tenant having been dropped mid-session — is a clean
+                // in-protocol rejection; the stream stays intact.
+                let frame = match tenant {
+                    None => encode_blob(
+                        STATUS_MUTATE_REJECTED,
+                        b"no tenant bound to the binary front",
+                    ),
+                    Some(tenant) => match self.registry.insert_document(tenant, &name, &terms) {
+                        Ok(id) => {
+                            let epoch = self.registry.stats(tenant).map_or(0, |s| s.epoch);
+                            encode_mutate_ok(id, epoch)
+                        }
+                        Err(e) => encode_blob(STATUS_MUTATE_REJECTED, e.to_string().as_bytes()),
+                    },
+                };
+                (Reply::Ready(frame), false)
             }
-        };
-        conn.pending.push_back(PendingFrame::Ready(frame));
-        return;
-    }
-    match parse_request(payload) {
-        None => {
-            // A frame that fails to parse may have desynchronized the
-            // stream; answer and close rather than guess at recovery.
-            conn.pending.push_back(PendingFrame::Ready(encode_response(
-                STATUS_BAD_REQUEST,
-                0,
-                &[],
-            )));
-            conn.closing = true;
-        }
-        Some((terms, opts)) => match handle.submit(&terms, &opts) {
-            Ok(reply) => conn.pending.push_back(PendingFrame::Query(reply)),
-            Err(ServerError::Overloaded { tier }) => {
-                conn.pending.push_back(PendingFrame::Ready(encode_response(
-                    STATUS_OVERLOADED,
-                    tier as u32,
-                    &[],
-                )));
+            _ => {
+                let Some((terms, opts)) = parse_request(payload) else {
+                    return bad_request();
+                };
+                let answer = tenant.and_then(|t| self.registry.query(t, &terms, opts.mode).ok());
+                // A well-formed query with no tenant bound (or dropped) is
+                // answered bad-request but keeps the connection open, like
+                // HELLO on a manifest-less server. A tenant has no fold
+                // tiers; report tier 0.
+                let frame = match answer {
+                    None => encode_response(STATUS_BAD_REQUEST, 0, &[]),
+                    Some(docs) => encode_response(STATUS_OK, 0, &docs),
+                };
+                (Reply::Ready(frame), false)
             }
-            Err(ServerError::DeadlineExceeded { tier }) => {
-                conn.pending.push_back(PendingFrame::Ready(encode_response(
-                    STATUS_DEADLINE,
-                    tier as u32,
-                    &[],
-                )));
-            }
-            Err(ServerError::UnknownTier(_) | ServerError::Disconnected) => {
-                conn.pending.push_back(PendingFrame::Ready(encode_response(
-                    STATUS_BAD_REQUEST,
-                    0,
-                    &[],
-                )));
-                conn.closing = true;
-            }
-        },
+        })
     }
-}
-
-/// Decode a request payload into terms and options.
-pub(crate) fn parse_request(payload: &[u8]) -> Option<(Vec<u64>, QueryOptions)> {
-    if payload.len() < 20 {
-        return None;
-    }
-    let opcode = payload[0];
-    let mode = match payload[1] {
-        0 => None,
-        1 => Some(QueryMode::Full),
-        2 => Some(QueryMode::Sparse),
-        _ => return None,
-    };
-    if opcode != OPCODE_QUERY || payload[2] != 0 || payload[3] != 0 {
-        return None;
-    }
-    let fpr_budget = f64::from_le_bytes(payload[4..12].try_into().ok()?);
-    if !(0.0..=1.0).contains(&fpr_budget) {
-        return None;
-    }
-    let deadline_ms = u32::from_le_bytes(payload[12..16].try_into().ok()?);
-    let n_terms = u32::from_le_bytes(payload[16..20].try_into().ok()?) as usize;
-    let body = &payload[20..];
-    if body.len() != n_terms * 8 {
-        return None;
-    }
-    let terms = body
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect();
-    let opts = QueryOptions {
-        fpr_budget,
-        deadline: if deadline_ms == 0 {
-            Duration::from_secs(1)
-        } else {
-            Duration::from_millis(u64::from(deadline_ms))
-        },
-        mode,
-        tier: None,
-    };
-    Some((terms, opts))
-}
-
-/// Decode a mutate payload into a document name and its terms.
-pub(crate) fn parse_mutate(payload: &[u8]) -> Option<(String, Vec<u64>)> {
-    if payload.len() < 12 || payload[0] != OPCODE_MUTATE {
-        return None;
-    }
-    if payload[1] != 0 || payload[2] != 0 || payload[3] != 0 {
-        return None;
-    }
-    let name_len = u32::from_le_bytes(payload[4..8].try_into().ok()?) as usize;
-    let rest = &payload[8..];
-    if rest.len() < name_len + 4 {
-        return None;
-    }
-    let name = std::str::from_utf8(&rest[..name_len]).ok()?.to_owned();
-    if name.is_empty() {
-        return None;
-    }
-    let n_terms = u32::from_le_bytes(rest[name_len..name_len + 4].try_into().ok()?) as usize;
-    let body = &rest[name_len + 4..];
-    if body.len() != n_terms * 8 {
-        return None;
-    }
-    let terms = body
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect();
-    Some((name, terms))
-}
-
-/// Encode a successful mutate response (document id + structural epoch).
-pub(crate) fn encode_mutate_ok(doc_id: u32, epoch: u64) -> Vec<u8> {
-    let len = 1 + 4 + 8;
-    let mut frame = Vec::with_capacity(4 + len);
-    frame.extend_from_slice(&(len as u32).to_le_bytes());
-    frame.push(STATUS_OK);
-    frame.extend_from_slice(&doc_id.to_le_bytes());
-    frame.extend_from_slice(&epoch.to_le_bytes());
-    frame
-}
-
-/// Encode a mutate rejection (the index refused; connection stays open).
-pub(crate) fn encode_mutate_rejected(reason: &str) -> Vec<u8> {
-    let len = 1 + reason.len();
-    let mut frame = Vec::with_capacity(4 + len);
-    frame.extend_from_slice(&(len as u32).to_le_bytes());
-    frame.push(STATUS_MUTATE_REJECTED);
-    frame.extend_from_slice(reason.as_bytes());
-    frame
-}
-
-/// Encode one response frame.
-pub(crate) fn encode_response(status: u8, tier: u32, docs: &[u32]) -> Vec<u8> {
-    let len = 1 + 4 + 4 + docs.len() * 4;
-    let mut frame = Vec::with_capacity(4 + len);
-    frame.extend_from_slice(&(len as u32).to_le_bytes());
-    frame.push(status);
-    frame.extend_from_slice(&tier.to_le_bytes());
-    frame.extend_from_slice(&(docs.len() as u32).to_le_bytes());
-    for &d in docs {
-        frame.extend_from_slice(&d.to_le_bytes());
-    }
-    frame
 }
 
 /// Client-side error for [`TcpClient`].
@@ -698,12 +356,8 @@ impl TcpClient {
     /// [`TcpClientError::Protocol`] when the server has no manifest,
     /// [`TcpClientError::Io`] on transport failures.
     pub fn hello(&mut self) -> Result<Vec<u8>, TcpClientError> {
-        let mut frame = Vec::with_capacity(5);
-        frame.extend_from_slice(&1u32.to_le_bytes());
-        frame.push(OPCODE_HELLO);
-        self.stream.write_all(&frame)?;
-        let payload = self.read_frame()?;
-        if payload.is_empty() || payload[0] != STATUS_OK {
+        let payload = self.exchange(&wire::frame(&[OPCODE_HELLO]))?;
+        if payload[0] != STATUS_OK {
             return Err(TcpClientError::Protocol(
                 "server has no HELLO manifest".into(),
             ));
@@ -737,96 +391,47 @@ impl TcpClient {
         deadline: Duration,
         mode: Option<QueryMode>,
     ) -> Result<QueryReply, TcpClientError> {
-        let deadline_ms = u32::try_from(deadline.as_millis().max(1)).unwrap_or(u32::MAX);
-        let len = 20 + terms.len() * 8;
-        let mut frame = Vec::with_capacity(4 + len);
-        frame.extend_from_slice(&(len as u32).to_le_bytes());
-        frame.push(OPCODE_QUERY);
-        frame.push(match mode {
-            None => 0,
-            Some(QueryMode::Full) => 1,
-            Some(QueryMode::Sparse) => 2,
-        });
-        frame.extend_from_slice(&[0, 0]); // reserved
-        frame.extend_from_slice(&fpr_budget.to_le_bytes());
-        frame.extend_from_slice(&deadline_ms.to_le_bytes());
-        frame.extend_from_slice(&(terms.len() as u32).to_le_bytes());
-        for &t in terms {
-            frame.extend_from_slice(&t.to_le_bytes());
-        }
-        self.stream.write_all(&frame)?;
-
-        let payload = self.read_frame()?;
-        if payload.len() < 9 {
-            return Err(TcpClientError::Protocol(format!(
-                "response frame length {} out of range",
-                payload.len()
-            )));
-        }
-        let status = payload[0];
-        let tier = u32::from_le_bytes(payload[1..5].try_into().expect("4 bytes")) as usize;
-        let n_docs = u32::from_le_bytes(payload[5..9].try_into().expect("4 bytes")) as usize;
-        match status {
-            STATUS_OK => {}
-            STATUS_OVERLOADED => {
-                return Err(TcpClientError::Server(ServerError::Overloaded { tier }))
-            }
-            STATUS_DEADLINE => {
-                return Err(TcpClientError::Server(ServerError::DeadlineExceeded {
-                    tier,
-                }))
-            }
-            STATUS_BAD_REQUEST => {
-                return Err(TcpClientError::Protocol(
-                    "server reported a bad request".into(),
-                ))
-            }
-            other => {
-                return Err(TcpClientError::Protocol(format!(
-                    "unknown response status {other}"
-                )))
-            }
-        }
-        if payload.len() != 9 + n_docs * 4 {
-            return Err(TcpClientError::Protocol(
+        let request = wire::encode_query_request(terms, fpr_budget, deadline, mode);
+        let payload = self.exchange(&request)?;
+        let reply = wire::parse_response(&payload).map_err(TcpClientError::Protocol)?;
+        let tier = reply.tier as usize;
+        match reply.status {
+            STATUS_OK if reply.tail.is_empty() => Ok(QueryReply {
+                docs: reply.docs,
+                tier,
+            }),
+            STATUS_OK => Err(TcpClientError::Protocol(
                 "response length disagrees with document count".into(),
-            ));
+            )),
+            STATUS_OVERLOADED => Err(TcpClientError::Server(ServerError::Overloaded { tier })),
+            STATUS_DEADLINE => Err(TcpClientError::Server(ServerError::DeadlineExceeded {
+                tier,
+            })),
+            STATUS_BAD_REQUEST => Err(TcpClientError::Protocol(
+                "server reported a bad request".into(),
+            )),
+            other => Err(TcpClientError::Protocol(format!(
+                "unknown response status {other}"
+            ))),
         }
-        let docs = payload[9..]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("chunk of 4")))
-            .collect();
-        Ok(QueryReply { docs, tier })
     }
 
-    /// Insert a document with its term set into a **mutable-index** server
-    /// ([`crate::serve_live_tcp`]); the read-only catalog front answers the
-    /// mutate opcode with the bad-request status. Returns the issued global
-    /// document id and the index's structural epoch after the insert (which
-    /// advances when the insert triggered a memtable seal).
+    /// Insert a document with its term set into the tenant a
+    /// [`crate::serve_tenant_tcp`] binary front is bound to; the read-only
+    /// catalog front answers the mutate opcode with the bad-request status.
+    /// Returns the issued document id and the index's structural epoch after
+    /// the insert (which advances when the insert triggered a memtable seal).
     ///
     /// # Errors
-    /// [`TcpClientError::Rejected`] when the index refuses (duplicate name —
-    /// the connection stays open), [`TcpClientError::Io`] /
+    /// [`TcpClientError::Rejected`] when the index refuses (duplicate name,
+    /// quota — the connection stays open), [`TcpClientError::Io`] /
     /// [`TcpClientError::Protocol`] on transport or framing failures.
     pub fn insert_document(
         &mut self,
         name: &str,
         terms: &[u64],
     ) -> Result<(u32, u64), TcpClientError> {
-        let len = 4 + 4 + name.len() + 4 + terms.len() * 8;
-        let mut frame = Vec::with_capacity(4 + len);
-        frame.extend_from_slice(&(len as u32).to_le_bytes());
-        frame.push(OPCODE_MUTATE);
-        frame.extend_from_slice(&[0, 0, 0]); // reserved
-        frame.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        frame.extend_from_slice(name.as_bytes());
-        frame.extend_from_slice(&(terms.len() as u32).to_le_bytes());
-        for &t in terms {
-            frame.extend_from_slice(&t.to_le_bytes());
-        }
-        self.stream.write_all(&frame)?;
-        let payload = self.read_frame()?;
+        let payload = self.exchange(&wire::encode_mutate_request(name, terms))?;
         match payload[0] {
             STATUS_OK if payload.len() == 13 => {
                 let doc_id = u32::from_le_bytes(payload[1..5].try_into().expect("4 bytes"));
@@ -849,16 +454,18 @@ impl TcpClient {
     }
 
     /// Send one raw, pre-framed request (length prefix included) and read
-    /// back one response frame's payload. This is the extension point for
-    /// protocol-extending wrappers — the cluster client uses it to speak
-    /// the degraded-response extension over a plain [`TcpClient`].
+    /// back one response frame's payload (never empty). This is the
+    /// extension point for protocol-extending wrappers — the cluster client
+    /// uses it to speak the degraded-response extension over a plain
+    /// [`TcpClient`].
     ///
     /// # Errors
-    /// [`TcpClientError::Io`] on transport failures,
-    /// [`TcpClientError::Protocol`] on a malformed response length.
+    /// [`TcpClientError::Io`] on transport failures — a peer that hangs up
+    /// instead of answering included — and on a response length out of range.
     pub fn exchange(&mut self, frame: &[u8]) -> Result<Vec<u8>, TcpClientError> {
         self.stream.write_all(frame)?;
-        self.read_frame()
+        wire::read_frame(&mut self.stream)?
+            .ok_or_else(|| TcpClientError::Io(io::ErrorKind::UnexpectedEof.into()))
     }
 
     /// Fetch the server's plain-text stats dump (the `STATS` opcode): tier
@@ -868,32 +475,13 @@ impl TcpClient {
     /// [`TcpClientError::Io`]/[`TcpClientError::Protocol`] on transport or
     /// framing failures.
     pub fn stats(&mut self) -> Result<String, TcpClientError> {
-        let mut frame = Vec::with_capacity(5);
-        frame.extend_from_slice(&1u32.to_le_bytes());
-        frame.push(OPCODE_STATS);
-        self.stream.write_all(&frame)?;
-        let payload = self.read_frame()?;
-        if payload.is_empty() || payload[0] != STATUS_OK {
+        let payload = self.exchange(&wire::frame(&[OPCODE_STATS]))?;
+        if payload[0] != STATUS_OK {
             return Err(TcpClientError::Protocol(
                 "server rejected the stats request".into(),
             ));
         }
         String::from_utf8(payload[1..].to_vec())
             .map_err(|_| TcpClientError::Protocol("stats dump is not UTF-8".into()))
-    }
-
-    /// Read one length-prefixed frame payload.
-    fn read_frame(&mut self) -> Result<Vec<u8>, TcpClientError> {
-        let mut len_buf = [0u8; 4];
-        self.stream.read_exact(&mut len_buf)?;
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if !(1..=MAX_FRAME_BYTES).contains(&len) {
-            return Err(TcpClientError::Protocol(format!(
-                "response frame length {len} out of range"
-            )));
-        }
-        let mut payload = vec![0u8; len];
-        self.stream.read_exact(&mut payload)?;
-        Ok(payload)
     }
 }

@@ -4,9 +4,18 @@
 //! The paper pitches RAMBO as a general sub-linear multiple-set-membership
 //! service, not a single-index appliance. [`TenantRegistry`] is that
 //! service's core: it owns any number of **named** mutable indexes (each a
-//! [`GenerationalIndex`] behind the same `RwLock` + result-cache machinery
-//! as [`crate::LiveServer`]), created and dropped at runtime, each with its
-//! own memtable FPR budget, document quota and index byte budget.
+//! [`GenerationalIndex`] behind an `RwLock` and a [`ResultCache`]), created
+//! and dropped at runtime, each with its own memtable FPR budget, document
+//! quota and index byte budget. A single live index is a registry with one
+//! tenant.
+//!
+//! Per tenant, **inserts** take the write lock briefly — the memtable is
+//! small by construction (it seals at the FPR budget), so even an insert that
+//! triggers a seal serializes only the memtable. **Queries** take the read
+//! lock and OR-fold answers across memtable + generations — bit-identical to
+//! a monolithic rebuild, so a reader never observes a half-merged state.
+//! Every insert bumps the tenant's result-cache version (a new document can
+//! match any cached query); merge installs do not, being answer-preserving.
 //!
 //! **Quotas are enforced at admission**, mirroring the bounded-admission
 //! layer of the catalog server: an insert that would exceed the tenant's
@@ -25,18 +34,19 @@
 //! and a fresh creation stamp, so a drop/create cycle can never serve a
 //! stale cached answer.
 //!
-//! Merging is cooperative: inserts seal over-budget memtables inline
-//! (exactly as the live server does), and [`TenantRegistry::maintain_once`]
-//! runs at most one pending generation merge — planned under a read lock,
-//! folded off-lock, installed under a brief validated write lock. The
-//! RESP/binary reactor ([`crate::serve_tenant_tcp`]) calls it whenever a
-//! poll tick has no I/O to do, so merge work rides the serving thread's
-//! idle gaps instead of needing a dedicated thread per tenant.
+//! Merging is cooperative: inserts seal over-budget memtables inline, and
+//! [`TenantRegistry::maintain_once`] runs at most one pending generation
+//! merge — planned under a read lock, folded off-lock, installed under a
+//! brief write lock that validates the plan is still current, so writers and
+//! readers proceed during the fold. The serving reactor
+//! ([`crate::serve_tenant_tcp`]) calls it whenever a turn has no I/O to do,
+//! so merge work rides the serving thread's idle gaps; an in-process caller
+//! that wants background merging loops it on a thread of its own.
 
 use crate::cache::{CacheStats, ResultCache};
 use rambo_core::{
     canonical_query_key, DocId, GenerationConfig, GenerationalIndex, QueryContext, QueryMode,
-    RamboError, RamboParams,
+    Rambo, RamboError, RamboParams,
 };
 use rambo_hash::mix64;
 use rambo_workloads::stats::LatencyHistogram;
@@ -611,6 +621,22 @@ impl TenantRegistry {
             .iter()
             .map(|&d| index.document_name(d).to_owned())
             .collect())
+    }
+
+    /// Collapse a tenant's live index into one monolithic [`Rambo`] snapshot
+    /// (bit-identical to a from-scratch build over the same documents) — the
+    /// bridge back to the batch pipeline: feed the result to
+    /// [`Catalog::builder`](crate::Catalog::builder) via
+    /// [`CatalogBuilder::base`](crate::CatalogBuilder::base) to freeze the
+    /// accumulated documents into fold-over serving tiers.
+    ///
+    /// # Errors
+    /// [`TenantError::UnknownTenant`]; merge failures as
+    /// [`TenantError::Index`].
+    pub fn freeze(&self, tenant: &str) -> Result<Rambo, TenantError> {
+        let t = self.get(tenant)?;
+        let index = t.index.read().expect("tenant index");
+        index.to_monolithic().map_err(TenantError::Index)
     }
 
     /// Point-in-time stats for one tenant.

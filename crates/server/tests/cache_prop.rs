@@ -101,7 +101,7 @@ proptest! {
                 .insert_document(&format!("doc-{d}"), (0..30).map(|t| (d << 16) | t))
                 .unwrap();
         }
-        let catalog = Catalog::build_halving(&index, 0).unwrap();
+        let catalog = Catalog::builder().base(&index).halving(0).build().unwrap();
         let config = ServerConfig {
             result_cache_bytes: 2 << 10, // tiny: evictions under the stream
             ..ServerConfig::default()

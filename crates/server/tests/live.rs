@@ -1,17 +1,22 @@
-//! End-to-end tests for the mutable-index server: live inserts under
-//! concurrent background merges stay bit-identical to a monolithic
-//! rebuild, the result cache never serves a stale answer across an
-//! insert, the `MUTATE` TCP opcode round-trips, and the unified
-//! [`CatalogBuilder`] matches every legacy constructor byte-for-byte.
+//! End-to-end tests for a mutable index served as a one-tenant registry:
+//! live inserts under concurrent background merges stay bit-identical to a
+//! monolithic rebuild, the result cache never serves a stale answer across
+//! an insert, the binary `MUTATE` opcode round-trips, and a tenant freezes
+//! into the same catalog a from-scratch build gives.
 
-use rambo_core::{GenerationConfig, QueryContext, QueryMode, Rambo, RamboParams, TierCompression};
+use rambo_core::{
+    GenerationConfig, GenerationalIndex, QueryContext, QueryMode, Rambo, RamboParams,
+};
 use rambo_server::{
-    serve_live_tcp, Catalog, LiveServer, ServeOptions, ServerConfig, TcpClient, TcpClientError,
+    serve_tenant_tcp, Catalog, TcpClient, TcpClientError, TenantError, TenantOptions, TenantQuotas,
+    TenantRegistry, TenantServeOptions, TenantStats,
 };
 use rambo_workloads::TestClient;
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+
+const TENANT: &str = "live";
 
 fn params() -> RamboParams {
     RamboParams::flat(16, 3, 1 << 12, 2, 7)
@@ -37,34 +42,83 @@ fn oracle(docs: &[(String, Vec<u64>)]) -> Rambo {
     r
 }
 
-/// Generation config that churns hard: seal every 4 docs, merge eagerly.
-fn churny() -> GenerationConfig {
-    GenerationConfig {
-        memtable_max_docs: 4,
-        tier_growth: 2,
-        max_generations: 3,
-        ..GenerationConfig::default()
-    }
+/// A registry holding one tenant that churns hard: a memtable FPR budget the
+/// archive's documents cross every fourth insert, merged down to at most
+/// three generations.
+fn churny() -> TenantRegistry {
+    let registry = TenantRegistry::new(params(), TenantQuotas::default()).unwrap();
+    let options = TenantOptions {
+        fpr: 2e-5,
+        max_generations: Some(3),
+        ..TenantOptions::default()
+    };
+    registry.create(TENANT, options).unwrap();
+    registry
+}
+
+/// Seals and merges so far: every seal adds a generation and every merge
+/// removes one, and each advances the epoch.
+fn seals_and_merges(stats: &TenantStats) -> (u64, u64) {
+    let generations = stats.generations as u64;
+    (
+        (stats.epoch + generations) / 2,
+        (stats.epoch - generations) / 2,
+    )
+}
+
+/// Serve `registry` with the binary front bound to the tenant for the
+/// closure's duration.
+fn with_binary_front(registry: &TenantRegistry, f: impl FnOnce(SocketAddr)) {
+    let resp_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let binary_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = binary_listener.local_addr().unwrap();
+    let stop = AtomicBool::new(false);
+    let options = TenantServeOptions {
+        binary_tenant: Some(TENANT.to_owned()),
+        ..TenantServeOptions::default()
+    };
+    std::thread::scope(|s| {
+        let server = s.spawn(|| {
+            serve_tenant_tcp(
+                registry,
+                resp_listener,
+                Some(binary_listener),
+                &stop,
+                &options,
+            )
+        });
+        f(addr);
+        stop.store(true, Ordering::Relaxed);
+        server.join().unwrap().unwrap();
+    });
 }
 
 #[test]
 fn live_inserts_match_monolith_while_background_merges_run() {
     let docs = archive(40);
-    let config = ServerConfig::builder().generations(churny()).build();
-    let ((), stats) = LiveServer::scope(params(), config, |handle| {
+    let reg = churny();
+    let writing = AtomicBool::new(true);
+    std::thread::scope(|s| {
+        // The background merger: an in-process caller's own thread.
+        s.spawn(|| {
+            while writing.load(Ordering::Relaxed) {
+                if !reg.maintain_once() {
+                    std::thread::yield_now();
+                }
+            }
+        });
         for (i, (name, terms)) in docs.iter().enumerate() {
-            let id = handle.insert_document(name, terms).unwrap();
+            let id = reg.insert_document(TENANT, name, terms).unwrap();
             assert_eq!(id, i as u32, "ids must be dense and insertion-ordered");
         }
         // Concurrent readers while the merge thread churns the tail.
-        std::thread::scope(|s| {
+        std::thread::scope(|readers| {
             for r in 0..4 {
-                let handle = &handle;
-                let docs = &docs;
-                s.spawn(move || {
+                let (reg, docs) = (&reg, &docs);
+                readers.spawn(move || {
                     for (d, (_, terms)) in docs.iter().enumerate() {
                         let t = terms[r % terms.len()];
-                        let got = handle.query(&[t], None);
+                        let got = reg.query(TENANT, &[t], None).unwrap();
                         assert!(
                             got.contains(&(d as u32)),
                             "reader {r}: doc {d} missing for {t:#x}"
@@ -73,58 +127,48 @@ fn live_inserts_match_monolith_while_background_merges_run() {
                 });
             }
         });
-        handle.drain_merges().unwrap();
-        // Bit-identity with the from-scratch monolith, both modes.
-        let mono = oracle(&docs);
-        let mut ctx = QueryContext::new();
-        for (_, terms) in &docs {
-            for &t in terms.iter().take(5) {
-                for mode in [QueryMode::Full, QueryMode::Sparse] {
-                    assert_eq!(
-                        handle.query(&[t], Some(mode)),
-                        mono.query_terms_with(&[t], mode, &mut ctx),
-                        "divergence on {t:#x} ({mode:?})"
-                    );
-                }
+        writing.store(false, Ordering::Relaxed);
+    });
+    reg.drain_maintenance();
+    // Bit-identity with the from-scratch monolith, both modes.
+    let mono = oracle(&docs);
+    let mut ctx = QueryContext::new();
+    for (_, terms) in &docs {
+        for &t in terms.iter().take(5) {
+            for mode in [QueryMode::Full, QueryMode::Sparse] {
+                assert_eq!(
+                    reg.query(TENANT, &[t], Some(mode)).unwrap(),
+                    mono.query_terms_with(&[t], mode, &mut ctx),
+                    "divergence on {t:#x} ({mode:?})"
+                );
             }
         }
-        for (i, (name, _)) in docs.iter().enumerate() {
-            assert_eq!(handle.document_id(name), Some(i as u32));
-        }
-    })
-    .unwrap();
-    assert_eq!(stats.inserts, 40);
-    assert_eq!(stats.documents, 40);
-    assert!(
-        stats.seals >= 9,
-        "doc cap 4 over 40 docs must seal: {stats:?}"
-    );
-    assert!(stats.merges > 0, "churny config must merge: {stats:?}");
-    assert!(
-        stats.generations <= churny().max_generations,
-        "merge policy violated: {stats:?}"
-    );
+    }
+    let ids: Vec<u32> = (0..40).collect();
+    let names: Vec<String> = docs.iter().map(|(name, _)| name.clone()).collect();
+    assert_eq!(reg.resolve_names(TENANT, &ids).unwrap(), names);
+
+    let stats = reg.stats(TENANT).unwrap();
+    let (seals, merges) = seals_and_merges(&stats);
+    assert_eq!((stats.inserts, stats.documents), (40, 40));
+    assert!(seals >= 9, "a seal every ~4 of 40 docs: {stats:?}");
+    assert!(merges > 0, "churny tenant must merge: {stats:?}");
+    assert!(stats.generations <= 3, "merge policy violated: {stats:?}");
 }
 
 #[test]
 fn result_cache_never_serves_stale_answers_across_inserts() {
-    let config = ServerConfig::builder()
-        .generations(churny())
-        .result_cache_bytes(1 << 20)
-        .build();
-    let ((), stats) = LiveServer::scope(params(), config, |handle| {
-        let shared = 0xFFFFu64;
-        handle.insert_document("a", &[1, shared]).unwrap();
-        // Prime the cache, then hit it.
-        assert_eq!(handle.query(&[shared], None), vec![0]);
-        assert_eq!(handle.query(&[shared], None), vec![0]);
-        // The insert bumps the cache version: the cached answer for the
-        // shared term must not mask the new document.
-        let id = handle.insert_document("b", &[2, shared]).unwrap();
-        assert_eq!(handle.query(&[shared], None), vec![0, id]);
-    })
-    .unwrap();
-    let cache = stats.cache.expect("cache enabled");
+    let reg = churny();
+    let shared = 0xFFFFu64;
+    reg.insert_document(TENANT, "a", &[1, shared]).unwrap();
+    // Prime the cache, then hit it.
+    assert_eq!(reg.query(TENANT, &[shared], None).unwrap(), vec![0]);
+    assert_eq!(reg.query(TENANT, &[shared], None).unwrap(), vec![0]);
+    // The insert bumps the cache version: the cached answer for the shared
+    // term must not mask the new document.
+    let id = reg.insert_document(TENANT, "b", &[2, shared]).unwrap();
+    assert_eq!(reg.query(TENANT, &[shared], None).unwrap(), vec![0, id]);
+    let cache = reg.stats(TENANT).unwrap().cache.expect("cache enabled");
     assert!(
         cache.counters.hits >= 1,
         "second lookup must hit: {cache:?}"
@@ -133,179 +177,108 @@ fn result_cache_never_serves_stale_answers_across_inserts() {
 
 #[test]
 fn duplicate_insert_is_rejected_without_poisoning_the_index() {
-    let ((), _) = LiveServer::scope(params(), ServerConfig::default(), |handle| {
-        handle.insert_document("dup", &[10, 11]).unwrap();
-        handle.force_seal().unwrap();
-        // The name now lives in a sealed generation; the memtable must
-        // still refuse it.
-        assert!(handle.insert_document("dup", &[12]).is_err());
-        handle.insert_document("other", &[13]).unwrap();
-        assert_eq!(handle.query(&[10], None), vec![0]);
-    })
-    .unwrap();
+    let docs = archive(4);
+    let reg = churny();
+    for (name, terms) in &docs {
+        reg.insert_document(TENANT, name, terms).unwrap();
+    }
+    let stats = reg.stats(TENANT).unwrap();
+    assert!(
+        stats.generations >= 1 && stats.memtable_documents == 0,
+        "premise: the names live in a sealed generation: {stats:?}"
+    );
+    // The fresh memtable must still refuse a sealed name.
+    assert!(matches!(
+        reg.insert_document(TENANT, "doc-0", &[12]),
+        Err(TenantError::Index(_))
+    ));
+    assert_eq!(reg.insert_document(TENANT, "other", &[13]).unwrap(), 4);
+    assert_eq!(reg.query(TENANT, &[1 << 24], None).unwrap(), vec![1]);
 }
 
 #[test]
-fn live_tcp_mutate_roundtrip() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let stop = AtomicBool::new(false);
+fn binary_mutate_roundtrip() {
     let docs = archive(12);
-    let config = ServerConfig::builder().generations(churny()).build();
-    LiveServer::scope(params(), config, |handle| {
-        std::thread::scope(|s| {
-            let server =
-                s.spawn(|| serve_live_tcp(handle, listener, &stop, &ServeOptions::default()));
-            let mut client = TcpClient::connect(addr).unwrap();
-            let mut epochs = Vec::new();
-            for (i, (name, terms)) in docs.iter().enumerate() {
-                let (id, epoch) = client.insert_document(name, terms).unwrap();
-                assert_eq!(id, i as u32);
-                epochs.push(epoch);
+    let reg = churny();
+    with_binary_front(&reg, |addr| {
+        let mut client = TcpClient::connect(addr).unwrap();
+        let mut epochs = Vec::new();
+        for (i, (name, terms)) in docs.iter().enumerate() {
+            let (id, epoch) = client.insert_document(name, terms).unwrap();
+            assert_eq!(id, i as u32);
+            epochs.push(epoch);
+        }
+        assert!(
+            epochs.last() > epochs.first(),
+            "seals must advance the wire-visible epoch: {epochs:?}"
+        );
+        // Duplicate name → in-protocol rejection, connection intact.
+        match client.insert_document(&docs[3].0, &[1]) {
+            Err(TcpClientError::Rejected(msg)) => {
+                assert!(msg.contains("doc-3"), "reason should name the dup: {msg}")
             }
-            assert!(
-                epochs.last() > epochs.first(),
-                "seals must advance the wire-visible epoch: {epochs:?}"
-            );
-            // Duplicate name → in-protocol rejection, connection intact.
-            match client.insert_document(&docs[3].0, &[1]) {
-                Err(TcpClientError::Rejected(msg)) => {
-                    assert!(msg.contains("doc-3"), "reason should name the dup: {msg}")
-                }
-                other => panic!("expected rejection, got {other:?}"),
-            }
-            // Query over the same connection sees the inserted docs.
-            let reply = client
-                .query(&[(5u64 << 24) | 7], 1.0, Duration::from_secs(5))
-                .unwrap();
-            assert!(reply.docs.contains(&5));
-            let stats = client.stats().unwrap();
-            assert!(stats.contains("12 docs"), "stats frame: {stats}");
-            stop.store(true, Ordering::Relaxed);
-            server.join().unwrap().unwrap();
-        });
-    })
-    .unwrap();
+            other => panic!("expected rejection, got {other:?}"),
+        }
+        // Query over the same connection sees the inserted docs.
+        let reply = client
+            .query(&[(5u64 << 24) | 7], 1.0, Duration::from_secs(5))
+            .unwrap();
+        assert!(reply.docs.contains(&5));
+        let stats = client.stats().unwrap();
+        assert!(stats.contains("12 docs"), "stats frame: {stats}");
+    });
 }
 
 #[test]
 fn malformed_mutate_frame_closes_the_connection() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let stop = AtomicBool::new(false);
-    LiveServer::scope(params(), ServerConfig::default(), |handle| {
-        std::thread::scope(|s| {
-            let server =
-                s.spawn(|| serve_live_tcp(handle, listener, &stop, &ServeOptions::default()));
-            let mut raw = TestClient::connect(addr).unwrap();
-            // Opcode 4 with a lying name length.
-            let mut frame = vec![4u8, 0, 0, 0];
-            frame.extend_from_slice(&999u32.to_le_bytes());
-            raw.send_framed(&frame).unwrap();
-            // The server answers BAD_REQUEST, then closes.
-            let reply = raw.read_until_close().unwrap();
-            assert!(reply.len() >= 5);
-            assert_eq!(reply[4], 3, "status must be BAD_REQUEST");
-            stop.store(true, Ordering::Relaxed);
-            server.join().unwrap().unwrap();
-        });
-    })
-    .unwrap();
-}
-
-// ---------------------------------------------------------------------
-// Unified builder vs legacy constructors.
-// ---------------------------------------------------------------------
-
-#[test]
-fn builder_matches_legacy_build() {
-    let index = oracle(&archive(24));
-    let legacy = Catalog::build(&index, &[16, 8]).unwrap();
-    let built = Catalog::builder()
-        .base(&index)
-        .tier_buckets(&[16, 8])
-        .build()
-        .unwrap();
-    assert_eq!(legacy.buffer(), built.buffer(), "byte-identical catalogs");
-    assert_eq!(legacy.len(), built.len());
+    with_binary_front(&churny(), |addr| {
+        let mut raw = TestClient::connect(addr).unwrap();
+        // Opcode 4 with a lying name length.
+        let mut frame = vec![4u8, 0, 0, 0];
+        frame.extend_from_slice(&999u32.to_le_bytes());
+        raw.send_framed(&frame).unwrap();
+        // The server answers BAD_REQUEST, then closes.
+        let reply = raw.read_until_close().unwrap();
+        assert!(reply.len() >= 5);
+        assert_eq!(reply[4], 3, "status must be BAD_REQUEST");
+    });
 }
 
 #[test]
-fn builder_matches_legacy_build_with() {
-    let index = oracle(&archive(24));
-    let tiers = [(16, TierCompression::Dense), (8, TierCompression::Rrr)];
-    let legacy = Catalog::build_with(&index, &tiers).unwrap();
-    let built = Catalog::builder()
-        .base(&index)
-        .tiers(&tiers)
-        .build()
-        .unwrap();
-    assert_eq!(legacy.buffer(), built.buffer());
-}
-
-#[test]
-fn builder_matches_legacy_build_halving() {
-    let index = oracle(&archive(24));
-    let legacy = Catalog::build_halving(&index, 2).unwrap();
-    let built = Catalog::builder().base(&index).halving(2).build().unwrap();
-    assert_eq!(legacy.buffer(), built.buffer());
-    assert_eq!(legacy.len(), 3);
-}
-
-#[test]
-fn builder_matches_legacy_open_and_open_paged() {
-    let index = oracle(&archive(24));
-    let buf = std::sync::Arc::clone(Catalog::build(&index, &[16, 8]).unwrap().buffer());
-
-    let legacy = Catalog::open(std::sync::Arc::clone(&buf)).unwrap();
-    let built = Catalog::builder()
-        .buffer(std::sync::Arc::clone(&buf))
-        .build()
-        .unwrap();
-    assert_eq!(legacy.buffer(), built.buffer());
-
-    let dir = std::env::temp_dir().join(format!("rambo-live-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("catalog.rcat");
-    std::fs::write(&path, &buf[..]).unwrap();
-    let legacy = Catalog::open_paged(&path, 1 << 16).unwrap();
-    let built = Catalog::builder()
-        .file(&path)
-        .cache_bytes(1 << 16)
-        .build()
-        .unwrap();
-    assert_eq!(legacy.len(), built.len());
-    let mut ctx = QueryContext::new();
-    for t in [(3u64 << 24) | 1, 0xFFFF, 0xDEAD] {
-        for tier in 0..legacy.len() {
-            assert_eq!(
-                legacy
-                    .tier(tier)
-                    .query_terms_with(&[t], QueryMode::Full, &mut ctx),
-                built
-                    .tier(tier)
-                    .query_terms_with(&[t], QueryMode::Full, &mut ctx),
-            );
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn builder_freezes_a_generational_index() {
+fn frozen_tenant_builds_the_monolith_catalog() {
     let docs = archive(24);
-    let mut live = rambo_core::GenerationalIndex::new(params(), churny()).unwrap();
+    let reg = churny();
+    for (name, terms) in &docs {
+        reg.insert_document(TENANT, name, terms).unwrap();
+    }
+    reg.drain_maintenance();
+    assert!(reg.stats(TENANT).unwrap().generations >= 1);
+    let frozen = reg.freeze(TENANT).unwrap();
+    let tiers = |base: &Rambo| {
+        Catalog::builder()
+            .base(base)
+            .tier_buckets(&[16, 8])
+            .build()
+            .unwrap()
+    };
+    assert_eq!(
+        tiers(&frozen).buffer(),
+        tiers(&oracle(&docs)).buffer(),
+        "snapshot ≡ monolith"
+    );
+    assert!(matches!(
+        reg.freeze("ghost"),
+        Err(TenantError::UnknownTenant(_))
+    ));
+    // The builder's own generational source takes the same snapshot.
+    let mut live = GenerationalIndex::new(params(), GenerationConfig::default()).unwrap();
     for (name, terms) in &docs {
         live.insert_document(name, terms).unwrap();
     }
-    live.maintain().unwrap();
-    let catalog = Catalog::builder()
+    let direct = Catalog::builder()
         .generational(&live)
-        .tier_buckets(&[16, 8])
-        .build()
-        .unwrap();
-    let reference = Catalog::build(&oracle(&docs), &[16, 8]).unwrap();
-    assert_eq!(catalog.buffer(), reference.buffer(), "snapshot ≡ monolith");
+        .tier_buckets(&[16, 8]);
+    assert_eq!(direct.build().unwrap().buffer(), tiers(&frozen).buffer());
 }
 
 #[test]
@@ -314,7 +287,7 @@ fn builder_rejects_contradictory_sources() {
     // Base source without tiers.
     assert!(Catalog::builder().base(&index).build().is_err());
     // Serialized source with tiers.
-    let buf = std::sync::Arc::clone(Catalog::build(&index, &[16]).unwrap().buffer());
+    let buf: std::sync::Arc<[u8]> = index.fold_catalog_bytes(&[16]).unwrap().into();
     assert!(Catalog::builder()
         .buffer(buf)
         .tier_buckets(&[16])

@@ -245,7 +245,7 @@ fn with_catalog_server(f: impl FnOnce(SocketAddr)) {
             .insert_document(&format!("doc-{d}"), (0..20).map(|t| d << 16 | t))
             .unwrap();
     }
-    let catalog = Catalog::build_halving(&index, 1).unwrap();
+    let catalog = Catalog::builder().base(&index).halving(1).build().unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let stop = AtomicBool::new(false);

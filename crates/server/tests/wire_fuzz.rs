@@ -1,11 +1,13 @@
 //! Wire-level fuzz battery for the serving fronts.
 //!
-//! The reactor in `serve_tenant_tcp` multiplexes two protocols (RESP text
-//! and length-prefixed binary frames) over one poll loop; this suite
-//! attacks both with what real networks and hostile clients produce:
-//! garbage bytes, truncated streams, frames fragmented across poll ticks,
-//! lying length prefixes, and concurrent connections mixing the two
-//! protocols. The invariants are uniform:
+//! One reactor serves three protocol/engine pairings — RESP text and
+//! length-prefixed binary frames over a tenant registry
+//! (`serve_tenant_tcp`), binary frames over a catalog server (`serve_tcp`);
+//! this suite attacks all of them with what real networks and hostile
+//! clients produce: garbage bytes, truncated streams, frames fragmented
+//! across poll ticks, lying length prefixes, peers that pipeline without
+//! reading, and concurrent connections mixing the protocols. The invariants
+//! are uniform:
 //!
 //! * the server never panics or wedges — after every fuzz connection a
 //!   fresh well-formed connection gets a correct answer (liveness probe);
@@ -15,13 +17,15 @@
 //!   (`-ERR ...`, `BAD_REQUEST`) and then the connection closes cleanly.
 
 use proptest::prelude::*;
+use rambo_server::wire::{encode_query_request, frame};
 use rambo_server::{
-    serve_tenant_tcp, TcpClient, TenantOptions, TenantQuotas, TenantRegistry, TenantServeOptions,
+    serve_tcp, serve_tenant_tcp, Catalog, Server, ServerConfig, TcpClient, TenantOptions,
+    TenantQuotas, TenantRegistry, TenantServeOptions,
 };
 use rambo_workloads::TestClient;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn params() -> rambo_core::RamboParams {
     rambo_core::RamboParams::flat(8, 3, 1 << 10, 2, 7)
@@ -31,9 +35,37 @@ fn registry() -> TenantRegistry {
     TenantRegistry::new(params(), TenantQuotas::default()).unwrap()
 }
 
+/// Run `body` beside a front serving until `stop`, stopping the front even
+/// when `body` panics — otherwise the scope would block forever joining the
+/// server thread and the real failure would read as a hang.
+fn beside<T>(
+    stop: &AtomicBool,
+    server: impl FnOnce() -> std::io::Result<()> + Send,
+    body: impl FnOnce() -> T,
+) -> T {
+    std::thread::scope(|s| {
+        let server = s.spawn(server);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+        let stopped = Instant::now();
+        stop.store(true, Ordering::Relaxed);
+        let served = server.join().unwrap();
+        let out = outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        served.unwrap();
+        assert!(
+            stopped.elapsed() < Duration::from_secs(2),
+            "shutdown blocked for {:?}",
+            stopped.elapsed()
+        );
+        out
+    })
+}
+
 /// Serve `registry` on both fronts for the closure's duration, binding the
 /// binary front to tenant `bin`.
-fn with_dual_server(registry: &TenantRegistry, f: impl FnOnce(SocketAddr, SocketAddr)) {
+fn with_dual_server<T>(
+    registry: &TenantRegistry,
+    f: impl FnOnce(SocketAddr, SocketAddr) -> T,
+) -> T {
     let resp_listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let binary_listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let resp_addr = resp_listener.local_addr().unwrap();
@@ -43,29 +75,126 @@ fn with_dual_server(registry: &TenantRegistry, f: impl FnOnce(SocketAddr, Socket
         manifest: Some(b"fuzz-node".to_vec()),
         binary_tenant: Some("bin".to_string()),
     };
-    std::thread::scope(|s| {
-        let server = s.spawn(|| {
-            serve_tenant_tcp(
-                registry,
-                resp_listener,
-                Some(binary_listener),
-                &stop,
-                &options,
-            )
-        });
-        // Stop the reactor even when the closure's assertions panic —
-        // otherwise the scope would block forever joining the server thread
-        // and the real failure would read as a hang.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            f(resp_addr, bin_addr);
-        }));
-        stop.store(true, Ordering::Relaxed);
-        let served = server.join().unwrap();
-        if let Err(panic) = outcome {
-            std::panic::resume_unwind(panic);
+    let listeners = (resp_listener, Some(binary_listener));
+    beside(
+        &stop,
+        || serve_tenant_tcp(registry, listeners.0, listeners.1, &stop, &options),
+        || f(resp_addr, bin_addr),
+    )
+}
+
+/// The protocol/engine pairings the one reactor serves.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Front {
+    Resp,
+    TenantFrames,
+    CatalogFrames,
+}
+
+/// One front up and listening.
+struct Served<'a> {
+    front: Front,
+    addr: SocketAddr,
+    /// Queries the engine behind the front has answered so far.
+    answered: &'a dyn Fn() -> u64,
+}
+
+/// Term every corpus document holds.
+const SHARED: u64 = 0x5EED;
+
+/// The only term of document `d` besides [`SHARED`].
+fn private(d: u32) -> u64 {
+    (u64::from(d) << 16) | 1
+}
+
+/// Geometry roomy enough that a few thousand two-term documents neither
+/// seal a tenant's memtable early nor collide.
+fn corpus_params() -> rambo_core::RamboParams {
+    rambo_core::RamboParams::flat(64, 2, 1 << 14, 2, 7)
+}
+
+/// Serve `front` over documents `d0..d<docs>` for the closure's duration
+/// (the tenant fronts hold them in tenant `bin`), then check it is still
+/// live.
+fn with_front<T>(front: Front, docs: u32, f: impl FnOnce(&Served<'_>) -> T) -> T {
+    let corpus = (0..docs).map(|d| (format!("d{d}"), [private(d), SHARED]));
+    if front == Front::CatalogFrames {
+        let mut index = rambo_core::Rambo::new(corpus_params()).unwrap();
+        for (name, terms) in corpus {
+            index.insert_document(&name, terms).unwrap();
         }
-        served.unwrap();
-    });
+        let catalog = Catalog::builder().base(&index).halving(0).build().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = AtomicBool::new(false);
+        let (out, _) = Server::scope(&catalog, ServerConfig::default(), |handle| {
+            let answered = || handle.stats().total_completed();
+            let body = || {
+                let out = f(&Served {
+                    front,
+                    addr,
+                    answered: &answered,
+                });
+                assert_binary_alive(addr, b"");
+                out
+            };
+            beside(&stop, || serve_tcp(handle, listener, &stop), body)
+        });
+        return out;
+    }
+    let reg = TenantRegistry::new(corpus_params(), TenantQuotas::default()).unwrap();
+    reg.create("bin", TenantOptions::default()).unwrap();
+    for (name, terms) in corpus {
+        reg.insert_document("bin", &name, &terms).unwrap();
+    }
+    with_dual_server(&reg, |resp_addr, bin_addr| {
+        let answered = || reg.stats("bin").unwrap().queries;
+        let out = f(&Served {
+            front,
+            addr: if front == Front::Resp {
+                resp_addr
+            } else {
+                bin_addr
+            },
+            answered: &answered,
+        });
+        assert_binary_alive(bin_addr, b"tenants:");
+        assert_resp_alive(resp_addr);
+        out
+    })
+}
+
+impl Served<'_> {
+    /// One AND query over `terms`, as this front's protocol frames it.
+    fn query(&self, terms: &[u64]) -> Vec<u8> {
+        match self.front {
+            Front::Resp => {
+                let terms: Vec<String> = terms.iter().map(u64::to_string).collect();
+                format!("R.QUERYSEQ bin 1.0 {}\r\n", terms.join(" ")).into_bytes()
+            }
+            _ => encode_query_request(terms, 0.0, Duration::from_secs(60), None),
+        }
+    }
+
+    /// Read one reply off `client`, returning its bytes as they travelled and
+    /// the document ids it names.
+    fn read_reply(&self, client: &mut TestClient) -> (Vec<u8>, Vec<u32>) {
+        if self.front == Front::Resp {
+            let reply = client.read_resp_reply().unwrap();
+            let docs = resp_array_docs(&reply)
+                .iter()
+                .map(|name| name[1..].parse().expect("corpus document name"))
+                .collect();
+            return (reply, docs);
+        }
+        let payload = client.read_frame(16 << 20).unwrap();
+        assert_eq!(payload[0], 0, "status must be OK: {:?}", &payload[..9]);
+        let docs = payload[9..]
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        (frame(&payload), docs)
+    }
 }
 
 /// The liveness probe: a fresh RESP connection must still get `+PONG`.
@@ -76,14 +205,14 @@ fn assert_resp_alive(addr: SocketAddr) {
 }
 
 /// The binary liveness probe: a fresh connection's STATS frame answers with
-/// the registry summary.
-fn assert_binary_alive(addr: SocketAddr) {
+/// a stats dump that starts with `text`.
+fn assert_binary_alive(addr: SocketAddr, text: &[u8]) {
     let mut probe = TestClient::connect(addr).unwrap();
     probe.send_framed(&[2]).unwrap(); // OPCODE_STATS
     let payload = probe.read_frame(16 << 20).unwrap();
-    // Frame payload: status byte (OK = 0) followed by the summary text.
+    // Frame payload: status byte (OK = 0) followed by the dump.
     assert!(
-        payload.first() == Some(&0) && payload[1..].starts_with(b"tenants:"),
+        payload.first() == Some(&0) && payload.len() > 1 && payload[1..].starts_with(text),
         "stats probe got {payload:?}"
     );
 }
@@ -207,11 +336,11 @@ proptest! {
     fn fuzzed_binary_frames_never_wedge_the_server(
         ops in proptest::collection::vec((0u8..4, any::<u64>()), 1..5),
         chunk in 1usize..32,
+        catalog in any::<bool>(),
     ) {
-        let reg = registry();
-        reg.create("bin", TenantOptions::default()).unwrap();
-        with_dual_server(&reg, |resp_addr, bin_addr| {
-            let mut client = TestClient::connect(bin_addr).unwrap();
+        let front = if catalog { Front::CatalogFrames } else { Front::TenantFrames };
+        with_front(front, 1, |served| {
+            let mut client = TestClient::connect(served.addr).unwrap();
             client.set_split(chunk, Duration::from_micros(300));
             let mut wire = Vec::new();
             for &(op, r) in &ops {
@@ -241,14 +370,12 @@ proptest! {
             client.clear_split();
             let _ = client.shutdown_write();
             let _ = client.read_until_close();
-            assert_binary_alive(bin_addr);
-            assert_resp_alive(resp_addr);
         });
     }
 }
 
 #[test]
-fn pipelined_replies_stay_in_order_under_fragmentation() {
+fn pipelined_inserts_stay_in_order_under_fragmentation() {
     let reg = registry();
     with_dual_server(&reg, |resp_addr, _| {
         let mut client = TestClient::connect(resp_addr).unwrap();
@@ -270,26 +397,98 @@ fn pipelined_replies_stay_in_order_under_fragmentation() {
                 "reply {i} out of order"
             );
         }
-        // Queries across the same fragmented connection still line up.
-        let mut wire = Vec::new();
-        for i in (0..40).rev() {
-            wire.extend_from_slice(format!("R.QUERYSEQ pipe 1.0 w{i}\r\n").as_bytes());
-        }
-        client.set_split(5, Duration::from_micros(200));
-        client.send(&wire).unwrap();
-        client.clear_split();
-        // Replies must come back in request order. Bloom false positives may
-        // add extra docs to an answer, but the planted doc must be present —
-        // and because every insert/query pair is deterministic, the order of
-        // the replies is the real invariant here.
-        for i in (0..40).rev() {
-            let docs = resp_array_docs(&client.read_resp_reply().unwrap());
-            assert!(
-                docs.contains(&format!("doc-{i}")),
-                "query reply for w{i} missing its doc: {docs:?}"
-            );
-        }
     });
+}
+
+#[test]
+fn pipelined_queries_stay_in_order_under_fragmentation() {
+    for front in [Front::Resp, Front::TenantFrames, Front::CatalogFrames] {
+        with_front(front, 40, |served| {
+            let mut client = TestClient::connect(served.addr).unwrap();
+            // 40 pipelined queries in one burst, dribbled 5 bytes per tick.
+            // Bloom false positives may add documents to an answer, but the
+            // planted one must be there: the order of the replies is the
+            // invariant.
+            let wire: Vec<u8> = (0..40)
+                .rev()
+                .flat_map(|d| served.query(&[private(d)]))
+                .collect();
+            client.set_split(5, Duration::from_micros(200));
+            client.send(&wire).unwrap();
+            client.clear_split();
+            for d in (0..40).rev() {
+                let (_, docs) = served.read_reply(&mut client);
+                assert!(docs.contains(&d), "{front:?}: reply for d{d} got {docs:?}");
+            }
+        });
+    }
+}
+
+/// How many reply bytes the slow-reader test asks each front for, and how
+/// many it tolerates the server having produced for a peer that reads
+/// nothing: the reactor's own cap is 1 MiB, the rest is what loopback socket
+/// buffers may hold (kernel-tuned, so the bound is loose; the reactor's unit
+/// test pins the exact one).
+const SLOW_READER_ASKS: usize = 32 << 20;
+const SLOW_READER_BOUND: usize = 16 << 20;
+
+#[test]
+fn a_peer_that_never_reads_is_backpressured_not_buffered() {
+    for front in [Front::Resp, Front::TenantFrames, Front::CatalogFrames] {
+        with_front(front, 4096, |served| {
+            let mut slow = TestClient::connect(served.addr).unwrap();
+            // The big reply: every document. Learn its bytes once.
+            slow.send(&served.query(&[SHARED])).unwrap();
+            let (big, docs) = served.read_reply(&mut slow);
+            assert_eq!(docs.len(), 4096);
+            // Pipeline big and single-document queries alternately, reading
+            // nothing back.
+            let rounds = u32::try_from(SLOW_READER_ASKS / big.len()).unwrap();
+            let before = (served.answered)();
+            let mut wire = Vec::new();
+            for i in 0..rounds {
+                wire.extend_from_slice(&served.query(&[SHARED]));
+                wire.extend_from_slice(&served.query(&[SHARED, private(i % 4096)]));
+            }
+            slow.send(&wire).unwrap();
+            slow.shutdown_write().unwrap();
+            // Wait for the server to go quiet on this connection.
+            let mut answered = (served.answered)();
+            loop {
+                std::thread::sleep(Duration::from_millis(50));
+                let now = (served.answered)();
+                if now == answered {
+                    break;
+                }
+                answered = now;
+            }
+            let produced = (answered - before) as usize / 2 * big.len();
+            assert!(
+                produced <= SLOW_READER_BOUND,
+                "{front:?}: answered {} of {} requests ({produced} reply bytes) unread",
+                answered - before,
+                2 * rounds,
+            );
+            // Everyone else is still served, promptly.
+            let asked = Instant::now();
+            let mut other = TestClient::connect(served.addr).unwrap();
+            other.send(&served.query(&[private(7)])).unwrap();
+            assert!(served.read_reply(&mut other).1.contains(&7));
+            assert!(asked.elapsed() < Duration::from_secs(2), "{front:?}");
+            // Once the peer drains, every reply arrives in request order, and
+            // only then is the half-closed connection retired.
+            for i in 0..rounds {
+                let reply = slow.read_exact(big.len()).unwrap();
+                assert!(reply == big, "{front:?}: big reply {i}");
+                let (_, docs) = served.read_reply(&mut slow);
+                assert!(
+                    docs.contains(&(i % 4096)),
+                    "{front:?}: reply {i} got {docs:?}"
+                );
+            }
+            assert!(slow.read_until_close().unwrap().is_empty(), "{front:?}");
+        });
+    }
 }
 
 #[test]
@@ -387,26 +586,15 @@ fn resp_front_closes_cleanly_on_oversized_inline_lines() {
 
 #[test]
 fn half_open_clients_do_not_block_shutdown() {
-    // A client that sends half a multibulk and stalls forever must not
-    // prevent the reactor from honoring the stop flag.
-    let reg = registry();
-    let resp_listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = resp_listener.local_addr().unwrap();
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let server = s.spawn(|| {
-            serve_tenant_tcp(
-                &reg,
-                resp_listener,
-                None,
-                &stop,
-                &TenantServeOptions::default(),
-            )
+    // A client that sends half a request and stalls forever must not prevent
+    // the reactor from serving others or honoring the stop flag (the staller
+    // outlives the server's shutdown).
+    for front in [Front::Resp, Front::TenantFrames, Front::CatalogFrames] {
+        let _staller = with_front(front, 1, |served| {
+            let mut staller = TestClient::connect(served.addr).unwrap();
+            staller.send(&served.query(&[SHARED])[..10]).unwrap();
+            std::thread::sleep(Duration::from_millis(30));
+            staller
         });
-        let mut staller = TestClient::connect(addr).unwrap();
-        staller.send(b"*3\r\n$4\r\nPING\r\n").unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        stop.store(true, Ordering::Relaxed);
-        server.join().unwrap().unwrap();
-    });
+    }
 }

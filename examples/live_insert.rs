@@ -1,22 +1,27 @@
-//! Live inserts: the mutable generational index behind a server front.
+//! Live inserts: a mutable generational index as a one-tenant registry.
 //!
 //! The paper's pipeline is batch-shaped — crawl, build for a week, then
 //! serve a frozen catalog. This example shows the online path layered on
-//! top: a `LiveServer` owns an LSM-style `GenerationalIndex` (one mutable
-//! memtable + sealed immutable generations, merged in the background),
-//! accepts inserts while answering queries bit-identically to a
-//! monolithic rebuild, exposes the same over TCP via the `MUTATE`
-//! opcode, and finally freezes the accumulated documents into a regular
-//! fold-over `Catalog` through the unified builder.
+//! top: a `TenantRegistry` tenant is an LSM-style `GenerationalIndex` (one
+//! mutable memtable + sealed immutable generations, merged in the serving
+//! reactor's idle gaps), accepts inserts while answering queries
+//! bit-identically to a monolithic rebuild, exposes the same over TCP via
+//! the binary `MUTATE` opcode, and finally freezes the accumulated documents
+//! into a regular fold-over `Catalog` through the builder.
 //!
 //! ```text
 //! cargo run --release --example live_insert
 //! ```
 
-use rambo::core::{GenerationConfig, QueryMode, RamboParams, TierCompression};
-use rambo::server::{serve_live_tcp, Catalog, LiveServer, ServeOptions, ServerConfig, TcpClient};
+use rambo::core::{QueryMode, RamboParams, TierCompression};
+use rambo::server::{
+    serve_tenant_tcp, Catalog, TcpClient, TenantOptions, TenantQuotas, TenantRegistry,
+    TenantServeOptions,
+};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
+
+const TENANT: &str = "samples";
 
 /// A synthetic "sample": 32 private terms plus one shared marker term.
 fn sample(i: u64) -> (String, Vec<u64>) {
@@ -27,91 +32,96 @@ fn sample(i: u64) -> (String, Vec<u64>) {
 
 fn main() {
     let params = RamboParams::flat(32, 3, 1 << 13, 2, 42);
-    // Small memtable so the run visibly seals and merges: at most 8 docs
-    // (or a predicted FPR above 2%) per generation, tiers merged 2:1,
-    // never more than 3 immutable generations.
-    let config = ServerConfig::builder()
-        .generations(GenerationConfig {
-            memtable_fpr_budget: 0.02,
-            memtable_max_docs: 8,
-            tier_growth: 2,
-            max_generations: 3,
-        })
-        .build();
+    let registry = TenantRegistry::new(params, TenantQuotas::default()).expect("valid geometry");
+    // A memtable FPR budget tight enough that the run visibly seals (every
+    // eight samples or so) and merges (never more than 3 generations).
+    let options = TenantOptions {
+        fpr: 3.5e-6,
+        max_generations: Some(3),
+        ..TenantOptions::default()
+    };
+    registry.create(TENANT, options).expect("fresh tenant");
+    let query = |terms: &[u64], mode| registry.query(TENANT, terms, mode).expect("tenant");
 
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let stop = AtomicBool::new(false);
-
-    let ((), stats) = LiveServer::scope(params, config, |handle| {
-        // 1. In-process live inserts, queried as they land.
-        for i in 0..20 {
-            let (name, terms) = sample(i);
-            let id = handle.insert_document(&name, &terms).expect("insert");
-            assert!(handle.query(&[terms[0]], None).contains(&id));
-        }
-        let snap = handle.stats();
-        println!(
-            "after 20 inserts: {} generations + {} memtable docs (epoch {}, {} seals, {} merges)",
-            snap.generations, snap.memtable_documents, snap.epoch, snap.seals, snap.merges
-        );
-
-        // 2. The same index over TCP: the MUTATE opcode inserts, QUERY
-        //    reads its own writes on the same connection.
-        std::thread::scope(|s| {
-            let server =
-                s.spawn(|| serve_live_tcp(handle, listener, &stop, &ServeOptions::default()));
-            let mut client = TcpClient::connect(addr).expect("connect");
-            for i in 20..28 {
-                let (name, terms) = sample(i);
-                let (id, epoch) = client.insert_document(&name, &terms).expect("mutate");
-                let reply = client
-                    .query(&[terms[0]], 1.0, std::time::Duration::from_secs(5))
-                    .expect("query");
-                assert!(reply.docs.contains(&id));
-                println!("tcp insert {name} -> id {id} (epoch {epoch})");
-            }
-            // Duplicates are rejected in-protocol; the connection survives.
-            let err = client.insert_document("sample-5", &[1]).unwrap_err();
-            println!("duplicate rejected: {err}");
-            println!(
-                "--- live STATS frame ---\n{}",
-                client.stats().expect("stats")
-            );
-            stop.store(true, Ordering::Relaxed);
-            server.join().expect("join").expect("serve");
-        });
-
-        // 3. All 28 documents answer identically to a monolithic rebuild
-        //    no matter how the generations happen to be laid out.
-        handle.drain_merges().expect("merge");
-        for i in 0..28 {
-            let (name, terms) = sample(i);
-            let id = handle.document_id(&name).expect("indexed");
-            assert!(handle
-                .query(&[terms[7]], Some(QueryMode::Sparse))
-                .contains(&id));
-        }
-        assert_eq!(handle.query(&[0xC0FFEE], None).len(), 28);
-
-        // 4. Freeze the live index into a fold-over catalog (32- and
-        //    16-bucket tiers) through the unified builder.
-        let frozen = handle.freeze().expect("snapshot");
-        let catalog = Catalog::builder()
-            .base(&frozen)
-            .tiers(&[(32, TierCompression::Dense), (16, TierCompression::Dense)])
-            .build()
-            .expect("freeze");
-        println!(
-            "frozen into a {}-tier catalog ({} bytes)",
-            catalog.len(),
-            catalog.buffer().len()
-        );
-    })
-    .expect("valid config");
-
+    // 1. In-process live inserts, queried as they land.
+    for i in 0..20 {
+        let (name, terms) = sample(i);
+        let id = registry
+            .insert_document(TENANT, &name, &terms)
+            .expect("insert");
+        assert!(query(&[terms[0]], None).contains(&id));
+    }
+    let snap = registry.stats(TENANT).expect("tenant");
     println!(
-        "final: {} docs, {} seals, {} merges, write p99 {:?}, read p99 {:?}",
-        stats.documents, stats.seals, stats.merges, stats.write_p99, stats.read_p99
+        "after 20 inserts: {} generations + {} memtable docs (epoch {})",
+        snap.generations, snap.memtable_documents, snap.epoch
+    );
+
+    // 2. The same tenant over TCP: the binary front's MUTATE opcode inserts,
+    //    QUERY reads its own writes on the same connection. (The RESP front
+    //    on the other listener serves every tenant by name.)
+    let resp_listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let binary_listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = binary_listener.local_addr().expect("local addr");
+    let stop = AtomicBool::new(false);
+    let serve_options = TenantServeOptions {
+        binary_tenant: Some(TENANT.to_owned()),
+        ..TenantServeOptions::default()
+    };
+    std::thread::scope(|s| {
+        let server = s.spawn(|| {
+            serve_tenant_tcp(
+                &registry,
+                resp_listener,
+                Some(binary_listener),
+                &stop,
+                &serve_options,
+            )
+        });
+        let mut client = TcpClient::connect(addr).expect("connect");
+        for i in 20..28 {
+            let (name, terms) = sample(i);
+            let (id, epoch) = client.insert_document(&name, &terms).expect("mutate");
+            let reply = client
+                .query(&[terms[0]], 1.0, std::time::Duration::from_secs(5))
+                .expect("query");
+            assert!(reply.docs.contains(&id));
+            println!("tcp insert {name} -> id {id} (epoch {epoch})");
+        }
+        // Duplicates are rejected in-protocol; the connection survives.
+        let err = client.insert_document("sample-5", &[1]).unwrap_err();
+        println!("duplicate rejected: {err}");
+        println!("--- STATS frame ---\n{}", client.stats().expect("stats"));
+        stop.store(true, Ordering::Relaxed);
+        server.join().expect("join").expect("serve");
+    });
+
+    // 3. All 28 documents answer identically to a monolithic rebuild no
+    //    matter how the generations happen to be laid out.
+    registry.drain_maintenance();
+    for i in 0..28 {
+        let (_, terms) = sample(i);
+        assert!(query(&[terms[7]], Some(QueryMode::Sparse)).contains(&(i as u32)));
+    }
+    assert_eq!(query(&[0xC0FFEE], None).len(), 28);
+
+    // 4. Freeze the tenant into a fold-over catalog (32- and 16-bucket
+    //    tiers) through the builder.
+    let frozen = registry.freeze(TENANT).expect("snapshot");
+    let catalog = Catalog::builder()
+        .base(&frozen)
+        .tiers(&[(32, TierCompression::Dense), (16, TierCompression::Dense)])
+        .build()
+        .expect("freeze");
+    println!(
+        "frozen into a {}-tier catalog ({} bytes)",
+        catalog.len(),
+        catalog.buffer().len()
+    );
+
+    let stats = registry.stats(TENANT).expect("tenant");
+    println!(
+        "final: {} docs in {} generations, write p99 {:?}, read p99 {:?}",
+        stats.documents, stats.generations, stats.write_p99, stats.read_p99
     );
 }
