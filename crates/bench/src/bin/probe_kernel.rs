@@ -27,8 +27,7 @@ use rambo_hash::SplitMix64;
 use rambo_workloads::timing::time;
 use std::sync::Arc;
 
-/// Row-at-a-time baseline: one pass over the mask per probed row, exactly
-/// like the pre-kernel `probe_all_into` loop.
+/// Row-at-a-time baseline: one pass over the mask per probed row.
 fn probe_scalar(mask: &mut [u64], rows: &[u64], mask_words: usize) {
     mask.fill(u64::MAX);
     for row in rows.chunks_exact(mask_words) {
@@ -36,25 +35,12 @@ fn probe_scalar(mask: &mut [u64], rows: &[u64], mask_words: usize) {
     }
 }
 
-/// Fused kernel under one pinned backend: four rows ANDed into the mask per
-/// pass, early-exiting the moment the mask dies (it does not on random rows
-/// of this density).
-fn probe_fused(k: Kernel, mask: &mut [u64], rows: &[u64], mask_words: usize) {
+/// The production probe under one pinned backend: every row gathered into
+/// the mask in one kernel call — four rows fused per pass, early-exiting the
+/// moment the mask dies (it does not on random rows of this density).
+fn probe_fused(k: Kernel, mask: &mut [u64], rows: &[u64], offsets: &[usize]) {
     mask.fill(u64::MAX);
-    let mut chunks = rows.chunks_exact(4 * mask_words);
-    for quad in &mut chunks {
-        let (r0, rest) = quad.split_at(mask_words);
-        let (r1, rest) = rest.split_at(mask_words);
-        let (r2, r3) = rest.split_at(mask_words);
-        if !k.and_rows_into_any(mask, [r0, r1, r2, r3]) {
-            return;
-        }
-    }
-    for row in chunks.remainder().chunks_exact(mask_words) {
-        if !k.and_rows_into_any(mask, [row]) {
-            return;
-        }
-    }
+    k.and_gather_rows_into_any(mask, rows, offsets);
 }
 
 fn main() {
@@ -86,12 +72,13 @@ fn main() {
             probe_scalar(&mut mask_s, &rows, mask_words);
         }
     });
-    // The dispatched default — the exact path `probe_all_into` runs in
+    // The dispatched default — the exact call the planned probe makes in
     // production (best supported backend, RAMBO_KERNEL to override).
     let dispatch = Kernel::auto();
+    let offsets: Vec<usize> = (0..n_rows).map(|r| r * mask_words).collect();
     let (_, t_vec) = time(|| {
         for _ in 0..iters {
-            probe_fused(dispatch, &mut mask_v, &rows, mask_words);
+            probe_fused(dispatch, &mut mask_v, &rows, &offsets);
         }
     });
     assert_eq!(mask_s, mask_v, "kernels must be bit-identical");
@@ -115,7 +102,7 @@ fn main() {
         };
         let (_, t_b) = time(|| {
             for _ in 0..iters {
-                probe_fused(k, &mut mask_b, &rows, mask_words);
+                probe_fused(k, &mut mask_b, &rows, &offsets);
             }
         });
         assert_eq!(mask_s, mask_b, "backend {backend} must be bit-identical");

@@ -13,10 +13,9 @@
 //! scheduling policy; client-side latency timing is therefore symmetric
 //! across arms (same admission, queue and wakeup machinery):
 //!
-//! 1. `one-at-a-time` — `max_batch = 1` and a degenerate (single-term)
-//!    mask memo: every request staged and evaluated alone with no
-//!    cross-request amortization — serving without the micro-batching
-//!    subsystem, which is exactly the feature under test.
+//! 1. `one-at-a-time` — `max_batch = 1`: every request staged and
+//!    evaluated alone — serving without the micro-batching subsystem,
+//!    which is exactly the feature under test.
 //! 2. `always-batch` — the pre-adaptive scheduler: every request queued
 //!    and micro-batched, even a lone client paying the queue/wakeup tax.
 //! 3. `adaptive` — the load-aware scheduler: inline bypass under low load,
@@ -191,8 +190,8 @@ impl Pacer {
 /// multiplexing many end users over one connection sees exactly this shape);
 /// `pipeline = 1` is a closed loop between slots. The server outlives the
 /// call — a real serving process is long-lived, and per-chunk restarts would
-/// reset the evaluators' term-mask memos, charging warmup to the stateful
-/// arms on every interleaved chunk.
+/// reset the scheduler gates and cold-start the evaluators' scratch, charging
+/// warmup to the stateful arms on every interleaved chunk.
 fn run_clients(
     handle: &rambo_server::ServerHandle<'_>,
     jobs: &[Job],
@@ -379,17 +378,17 @@ fn main() {
     let mean_terms = args.get_usize("mean-terms", 5000);
     let n_queries = args.get_usize("queries", 8000);
     // 768 terms ≈ the k-mer set of an ~800bp amplicon: the §3.3.1
-    // sequence-query shape. The size is deliberate: an un-memoized
-    // evaluation of 768 terms costs well over the host's ambient p99
-    // noise floor (~150-250µs of timer ticks and kworker preemptions on a
-    // single-core box), so the memo arms' advantage is measured as signal,
-    // not coin-flipped against scheduler jitter the way a ~30µs eval is.
+    // sequence-query shape. The size is deliberate: a wide window keeps
+    // evaluation cost above the host's ambient p99 noise floor (~150-250µs
+    // of timer ticks and kworker preemptions on a single-core box), so a
+    // scheduling advantage is measured as signal, not coin-flipped against
+    // scheduler jitter.
     let window = args.get_usize("window", 768);
     // Windows per document: one §3.3.1 sequence search slides its window
     // across the whole sequence, so a serving session is a long run of
     // heavily-overlapping queries (a 1kbp contig yields ~800 windows).
-    // Each run shares all but a sliding fringe of its terms — the access
-    // pattern the per-term mask memo and the result cache exist for.
+    // Each run shares all but a sliding fringe of its terms, and popular
+    // windows recur — the access pattern the result cache exists for.
     let per_doc = args.get_usize("windows-per-doc", 128).max(1);
     // `--clients N` pins a single load level; `--loads a,b,c` sweeps. A
     // zero anywhere is a usage error (zero closed-loop clients generate no
@@ -503,14 +502,11 @@ fn main() {
     // scheduling, not repeat traffic; the cache gets its own phase below.
     // The baseline serves through the same admission/queue/reply machinery
     // (so client-side timing is symmetric) but without the micro-batching
-    // subsystem: singleton batches, and a degenerate one-term mask memo —
-    // cross-request mask amortization is the batching evaluator's feature,
-    // not the baseline's.
+    // subsystem: singleton batches.
     let one_config = ServerConfig {
         max_batch: 1,
         max_delay: Duration::ZERO,
         scheduler: SchedulerMode::AlwaysBatch,
-        mask_memo_terms: Some(1),
         result_cache_bytes: 0,
         ..ServerConfig::default()
     };
@@ -584,8 +580,8 @@ fn main() {
                         Server::scope(&catalog, adaptive_config, |adaptive_h| {
                             // Steady-state warmup: a prefix of the stream
                             // converges each lane's scheduler gate and
-                            // absorbs one-time cold costs (first-touch memo
-                            // fills; a level-start inline eval descheduled
+                            // absorbs one-time cold costs (first-touch scratch
+                            // sizing; a level-start inline eval descheduled
                             // mid-flight on an oversubscribed host convoys
                             // the early queue) that a long-lived server
                             // amortizes but a short measurement window
@@ -601,7 +597,7 @@ fn main() {
                             adaptive_h.reset_stats();
                             // Reference row first: stateless, so position in
                             // the level does not matter the way it does for
-                            // the memo-carrying served arms.
+                            // the stateful served arms.
                             direct.merge(run_direct(&catalog, &jobs, load, pace));
                             for (round, part) in
                                 jobs.chunks(jobs.len().div_ceil(rounds)).enumerate()

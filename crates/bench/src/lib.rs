@@ -195,7 +195,7 @@ pub fn absent_term(i: usize) -> u64 {
 /// Sliding `window`-term queries over the archive's documents (at most
 /// `per_doc` windows each, filling 9/10 of `n`), padded to exactly `n` with
 /// absent single-term probes. Adjacent queries share `window − 1` terms —
-/// the §3.3.1 sequence-query shape the mask memo amortizes.
+/// the §3.3.1 sequence-query shape.
 #[must_use]
 pub fn window_queries(
     archive: &rambo_workloads::SyntheticArchive,

@@ -12,6 +12,9 @@
 //! over the row-at-a-time baseline comes from (see the `probe_kernel`
 //! bench). The same trick is what makes the bit-sliced COBS/Bloofi baselines
 //! fast; here it is applied across buckets instead of documents.
+//! [`and_gather_rows_into_any`] runs that fused body over a whole list of
+//! rows named by their offsets in one row-major matrix — the entire probe of
+//! one repetition in a single dispatched call.
 //!
 //! Liveness (`-> bool`: "does any bit survive?") is accumulated for free in
 //! the unrolled body, so callers can stop probing the moment a running mask
@@ -32,10 +35,11 @@
 //!   `popcnt`. Only selectable after `is_x86_feature_detected!` confirms
 //!   the CPU supports it.
 //!
-//! The free functions ([`and_rows_into_any`], [`or_into`], [`popcount`],
-//! [`any`]) and [`ColumnCounter::new`] dispatch through the process-wide
-//! selection ([`Kernel::auto`]): detected once on first use, overridable
-//! with the `RAMBO_KERNEL` environment variable (`scalar`, `avx2`, `auto`).
+//! The free functions ([`and_rows_into_any`], [`and_gather_rows_into_any`],
+//! [`or_into`], [`popcount`], [`any`]) and [`ColumnCounter::new`] dispatch
+//! through the process-wide selection ([`Kernel::auto`]): detected once on
+//! first use, overridable with the `RAMBO_KERNEL` environment variable
+//! (`scalar`, `avx2`, `auto`).
 //! Every `BitVec` boolean op, every BFU-matrix probe and every column fill
 //! therefore picks up the best available backend with no API change.
 //! [`Kernel::forced`] pins a specific backend for A/B benchmarking and the
@@ -292,6 +296,37 @@ impl Kernel {
         }
     }
 
+    /// AND every listed row of `words` into `dst` in one dispatched call;
+    /// returns `true` if any bit of `dst` remains set. See the free function
+    /// [`and_gather_rows_into_any`].
+    ///
+    /// # Panics
+    /// Panics if a listed row does not lie inside `words`.
+    #[inline]
+    #[allow(unsafe_code)] // guarded target_feature dispatch; see SAFETY below
+    pub fn and_gather_rows_into_any(
+        self,
+        dst: &mut [u64],
+        words: &[u64],
+        row_offsets: &[usize],
+    ) -> bool {
+        match self.backend {
+            Backend::Scalar => and_gather_rows_into_any_portable(dst, words, row_offsets),
+            Backend::Avx2 => {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    // SAFETY: Avx2 handles exist only on CPUs that passed the
+                    // `Backend::is_supported` feature check.
+                    unsafe { avx2::and_gather_rows_into_any(dst, words, row_offsets) }
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                {
+                    and_gather_rows_into_any_portable(dst, words, row_offsets)
+                }
+            }
+        }
+    }
+
     /// `dst[i] |= src[i]` for every word. See [`or_into`].
     ///
     /// # Panics
@@ -408,6 +443,25 @@ pub fn and_rows_into_any<const N: usize>(dst: &mut [u64], rows: [&[u64]; N]) -> 
     Kernel::auto().and_rows_into_any(dst, rows)
 }
 
+/// The whole per-table probe of Algorithm 2 in one dispatched call: `words` is
+/// a row-major matrix of `dst.len()`-word rows, `row_offsets` the word offset
+/// of each probed row, and every listed row is ANDed into `dst`. Returns
+/// `true` if any bit of `dst` remains set.
+///
+/// The rows go through the fused body of [`and_rows_into_any`] four at a
+/// time, inlined into one compilation per [`Backend`] — one dispatch per
+/// repetition instead of one per four rows. Liveness is checked after every
+/// group and the walk stops at the first dead one: AND can only clear bits,
+/// so the rows left unread cannot change an all-zero `dst`. A repeated offset
+/// is one more idempotent AND.
+///
+/// # Panics
+/// Panics if a listed row does not lie inside `words`.
+#[inline]
+pub fn and_gather_rows_into_any(dst: &mut [u64], words: &[u64], row_offsets: &[usize]) -> bool {
+    Kernel::auto().and_gather_rows_into_any(dst, words, row_offsets)
+}
+
 /// Reference row-at-a-time AND (`dst &= src`), one row per pass — the
 /// pre-kernel scalar baseline, kept for the `probe_kernel` benchmark and the
 /// bit-identity property tests. Never dispatched: this is the same portable
@@ -492,6 +546,29 @@ fn and_rows_into_any_portable<const N: usize>(dst: &mut [u64], rows: [&[u64]; N]
         i += 1;
     }
     live != 0
+}
+
+#[inline(always)]
+fn and_gather_rows_into_any_portable(
+    dst: &mut [u64],
+    words: &[u64],
+    row_offsets: &[usize],
+) -> bool {
+    let n = dst.len();
+    let row = |offset: usize| &words[offset..offset + n];
+    let mut groups = row_offsets.chunks_exact(4);
+    for g in &mut groups {
+        if !and_rows_into_any_portable(dst, [row(g[0]), row(g[1]), row(g[2]), row(g[3])]) {
+            return false;
+        }
+    }
+    match *groups.remainder() {
+        [a] => and_rows_into_any_portable(dst, [row(a)]),
+        [a, b] => and_rows_into_any_portable(dst, [row(a), row(b)]),
+        [a, b, c] => and_rows_into_any_portable(dst, [row(a), row(b), row(c)]),
+        // Every group so far left `dst` live; with no group, ask `dst`.
+        _ => !row_offsets.is_empty() || any_portable(dst),
+    }
 }
 
 #[inline(always)]
@@ -670,6 +747,18 @@ mod avx2 {
         tail_live != 0 || _mm256_testz_si256(live, live) == 0
     }
 
+    /// [`super::and_gather_rows_into_any_portable`] recompiled for AVX2: the
+    /// fused four-row body inlines into the gather loop and LLVM emits it as
+    /// 256-bit ops, so no new pointer code is needed.
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) fn and_gather_rows_into_any(
+        dst: &mut [u64],
+        words: &[u64],
+        row_offsets: &[usize],
+    ) -> bool {
+        super::and_gather_rows_into_any_portable(dst, words, row_offsets)
+    }
+
     /// [`super::or_into_portable`] recompiled for AVX2.
     #[target_feature(enable = "avx2,popcnt")]
     pub(super) fn or_into(dst: &mut [u64], src: &[u64]) {
@@ -758,6 +847,107 @@ impl ColumnCounter {
         assert_eq!(row.len(), self.width, "row width mismatch");
         self.kernel
             .counter_add_row(self.width, &mut self.planes, &mut self.scratch, row);
+    }
+
+    /// Add every `width`-word row of the row-major slice `rows`.
+    ///
+    /// Eight rows at a time go through a carry-save adder tree first: per
+    /// word, seven word-wide adders compress the eight input bits of each
+    /// column into one 4-bit number, and only that number ripples into the
+    /// planes — about a quarter of the word operations of eight
+    /// [`ColumnCounter::add_row`] calls, whatever the rows' density. Rows
+    /// left over after the last full block are added one by one.
+    ///
+    /// # Panics
+    /// Panics if `rows.len()` is not a multiple of `width`.
+    pub fn add_rows(&mut self, rows: &[u64]) {
+        let width = self.width;
+        if width == 0 {
+            return;
+        }
+        assert_eq!(rows.len() % width, 0, "row width mismatch");
+        // (carry, sum) of three one-bit-per-column inputs.
+        let csa = |a: u64, b: u64, c: u64| ((a & b) | ((a ^ b) & c), a ^ b ^ c);
+        let mut blocks = rows.chunks_exact(8 * width);
+        for block in &mut blocks {
+            while self.planes.len() < 4 {
+                self.planes.push(vec![0; width]);
+            }
+            for w in 0..width {
+                let r = |i: usize| block[i * width + w];
+                let (twos_a, ones_a) = csa(r(0), r(1), r(2));
+                let (twos_b, ones_b) = csa(r(3), r(4), r(5));
+                let (twos_c, ones_c) = csa(ones_a, ones_b, r(6));
+                let (twos_d, ones) = (ones_c & r(7), ones_c ^ r(7));
+                let (fours_a, twos_e) = csa(twos_a, twos_b, twos_c);
+                let (fours_b, twos) = (twos_e & twos_d, twos_e ^ twos_d);
+                let (eights, fours) = (fours_a & fours_b, fours_a ^ fours_b);
+                // Full-adder ripple of the 4-bit column sums into the low
+                // planes, then the usual half-adder ripple of what is left.
+                let mut carry = 0u64;
+                for (plane, x) in self.planes.iter_mut().zip([ones, twos, fours, eights]) {
+                    let p = plane[w];
+                    plane[w] = p ^ x ^ carry;
+                    carry = (p & x) | (carry & (p ^ x));
+                }
+                let mut k = 4;
+                while carry != 0 {
+                    if k == self.planes.len() {
+                        self.planes.push(vec![0; width]);
+                    }
+                    let p = self.planes[k][w];
+                    self.planes[k][w] = p ^ carry;
+                    carry &= p;
+                    k += 1;
+                }
+            }
+        }
+        for row in blocks.remainder().chunks_exact(width) {
+            self.add_row(row);
+        }
+    }
+
+    /// Zero every counter and resize for rows of `width` words, keeping the
+    /// plane allocations — a counter reused across queries stops allocating
+    /// once it has seen its deepest carry.
+    pub fn reset(&mut self, width: usize) {
+        self.width = width;
+        self.scratch.clear();
+        self.scratch.resize(width, 0);
+        for plane in &mut self.planes {
+            plane.clear();
+            plane.resize(width, 0);
+        }
+    }
+
+    /// Write into `out` the bitmap of columns whose count is at least
+    /// `threshold`: a bit-sliced magnitude comparison walking the planes from
+    /// the most significant down, 64 columns per word operation, with no
+    /// per-column count materialized.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != width`.
+    pub fn at_least(&self, threshold: usize, out: &mut [u64]) {
+        assert_eq!(out.len(), self.width, "bitmap width mismatch");
+        let depth = self.planes.len();
+        // A threshold with a bit above every plane exceeds any count held.
+        if depth < usize::BITS as usize && threshold >> depth != 0 {
+            out.fill(0);
+            return;
+        }
+        for (w, out_word) in out.iter_mut().enumerate() {
+            // `eq`: columns equal to the threshold on the planes seen so
+            // far; `gt`: columns already decided greater.
+            let (mut gt, mut eq) = (0u64, u64::MAX);
+            for (k, plane) in self.planes.iter().enumerate().rev() {
+                if (threshold >> k) & 1 == 1 {
+                    eq &= plane[w];
+                } else {
+                    gt |= eq & plane[w];
+                }
+            }
+            *out_word = gt | eq;
+        }
     }
 
     /// Materialize the per-column counts (`width · 64` entries, column

@@ -261,6 +261,41 @@ proptest! {
         }
     }
 
+    /// The gather-AND — a whole repetition's probe in one call — must equal
+    /// the naive row-at-a-time AND on every supported backend: mask words
+    /// *and* liveness, for 1..=12-word rows and 0..=9 listed rows (every
+    /// four-row group and remainder shape), with repeated offsets and with
+    /// an all-zero row planted mid-list so the early exit is taken. The walk
+    /// may stop at a dead mask; a dead mask is also what the naive AND of
+    /// the full list leaves.
+    #[test]
+    fn kernel_backends_gather_and_bit_identical(
+        width in 1usize..=12,
+        picks in proptest::collection::vec(0usize..5, 0..10),
+        kill_at in 0usize..12,
+        seed in any::<u64>(),
+        sparsify in 0u32..3,
+    ) {
+        // Rows 0..5 are fuzzed, row 5 is all-zero; `picks` repeats rows.
+        let mut words = sparse_words(seed, 5 * width, sparsify);
+        words.extend(std::iter::repeat_n(0u64, width));
+        let mut offsets: Vec<usize> = picks.iter().map(|&r| r * width).collect();
+        if let Some(slot) = offsets.get_mut(kill_at) {
+            *slot = 5 * width;
+        }
+        let base = sparse_words(seed ^ 0xABCD, width, 0);
+        let mut expect = base.clone();
+        for &o in &offsets {
+            and_into_scalar(&mut expect, &words[o..o + width]);
+        }
+        for kernel in supported_kernels() {
+            let mut got = base.clone();
+            let live = kernel.and_gather_rows_into_any(&mut got, &words, &offsets);
+            prop_assert_eq!(&got, &expect, "{} on {:?}", kernel.backend(), offsets);
+            prop_assert_eq!(live, expect.iter().any(|&w| w != 0), "{} liveness", kernel.backend());
+        }
+    }
+
     /// OR, popcount and any must agree across every supported backend on
     /// fuzzed words (the intersection walk and fill statistics depend on
     /// these three being interchangeable).
@@ -285,30 +320,49 @@ proptest! {
         }
     }
 
-    /// The bit-sliced column counters must produce identical counts under
-    /// every supported backend (fuzzed row width, row count and density) —
-    /// the fill statistics behind FPR prediction may not depend on the CPU.
+    /// The bit-sliced column counters must produce the naive per-column
+    /// counts under every supported backend (fuzzed row width, row count
+    /// and density) — the fill statistics behind FPR prediction may not
+    /// depend on the CPU — whether rows arrive one by one or in bulk through
+    /// the carry-save blocks of `add_rows`, also on a counter `reset` from
+    /// another width; and `at_least` must be the bitmap of `count ≥ t`.
     #[test]
     fn kernel_backends_column_counts_bit_identical(
         width in 1usize..8,
         n_rows in 0usize..70,
+        threshold in 0usize..80,
         seed in any::<u64>(),
         sparsify in 0u32..4,
     ) {
-        let rows: Vec<Vec<u64>> =
-            (0..n_rows).map(|i| sparse_words(seed ^ (i as u64 * 31), width, sparsify)).collect();
-        let scalar = Kernel::forced(Backend::Scalar).unwrap();
-        let mut reference = ColumnCounter::with_kernel(width, scalar);
-        for row in &rows {
-            reference.add_row(row);
-        }
-        let expect = reference.counts();
-        for kernel in supported_kernels() {
-            let mut cc = ColumnCounter::with_kernel(width, kernel);
-            for row in &rows {
-                cc.add_row(row);
+        let rows: Vec<u64> = (0..n_rows)
+            .flat_map(|i| sparse_words(seed ^ (i as u64 * 31), width, sparsify))
+            .collect();
+        let mut expect = vec![0usize; width * 64];
+        for row in rows.chunks_exact(width) {
+            for (c, count) in expect.iter_mut().enumerate() {
+                *count += ((row[c / 64] >> (c % 64)) & 1) as usize;
             }
-            prop_assert_eq!(cc.counts(), expect.clone(), "{}", kernel.backend());
+        }
+        let passing: Vec<u64> = expect
+            .chunks_exact(64)
+            .map(|cs| cs.iter().enumerate().fold(0, |w, (b, &c)| w | u64::from(c >= threshold) << b))
+            .collect();
+        for kernel in supported_kernels() {
+            let mut one_by_one = ColumnCounter::with_kernel(width, kernel);
+            for row in rows.chunks_exact(width) {
+                one_by_one.add_row(row);
+            }
+            prop_assert_eq!(&one_by_one.counts(), &expect, "{} add_row", kernel.backend());
+
+            // A counter that held other counts at another width, reused.
+            let mut bulk = ColumnCounter::with_kernel(width + 1, kernel);
+            bulk.add_rows(&sparse_words(seed, 9 * (width + 1), 0));
+            bulk.reset(width);
+            bulk.add_rows(&rows);
+            prop_assert_eq!(&bulk.counts(), &expect, "{} add_rows", kernel.backend());
+            let mut got = vec![u64::MAX; width];
+            bulk.at_least(threshold, &mut got);
+            prop_assert_eq!(&got, &passing, "{} at_least {}", kernel.backend(), threshold);
         }
     }
 

@@ -20,16 +20,13 @@
 //!   insertion (bit-setting is idempotent and commutative per table), which
 //!   the property suite asserts via full `PartialEq`.
 //! * **Query** ([`QueryBatch`]): many queries evaluated against one shared
-//!   [`QueryContext`], with the `B`-bit bucket mask of every *(term,
-//!   repetition)* pair memoized — a batch whose queries share terms (the
-//!   common case for sequence workloads: overlapping k-mer windows) probes
-//!   each distinct term's rows exactly once.
+//!   [`QueryContext`] through the planned probe of [`crate::query`], so a
+//!   batch allocates nothing per query but the returned id lists.
 
 use crate::error::RamboError;
 use crate::index::{DocId, Rambo};
 use crate::query::{QueryContext, QueryMode};
-use rambo_bitvec::BitVec;
-use rambo_hash::{FastMap, HashPair};
+use rambo_hash::HashPair;
 
 /// Below this much per-table work (unique terms × η bit writes), thread
 /// spawn/join overhead outweighs the parallel win and insertion stays on the
@@ -227,191 +224,13 @@ fn insert_table(
     }
 }
 
-/// LRU budget (in blob bytes) for the per-term mask memo, sized to a typical
-/// server last-level cache: masks that outlive the LLC stop paying for
-/// themselves (the memo's hash lookup costs more than the probe it saves
-/// once the working set thrashes — see ROADMAP "mask-cache eviction").
-const DEFAULT_MASK_CACHE_BYTES: usize = 32 << 20;
-
-/// Sentinel link for the intrusive LRU list.
-const NIL: u32 = u32::MAX;
-
-/// One resident entry's term and LRU links; its mask blob lives in the
-/// shared [`MaskCache::blobs`] arena at `slot_index * blob_words`.
-struct MaskSlot {
-    term: u64,
-    prev: u32,
-    next: u32,
-}
-
-/// Bounded LRU memo: term → its `R` bucket masks as one flat
-/// repetition-major word blob. A `FastMap` indexes into a slot arena that
-/// doubles as an intrusive doubly-linked recency list, so get/insert/evict
-/// are all O(1); blobs live side by side in one arena vector, so inserting
-/// a cold term allocates nothing and terms memoized together (a query's
-/// window) stay contiguous for the warm-path reads.
-struct MaskCache {
-    cap: usize,
-    /// Words per blob — one geometry per cache.
-    blob_words: usize,
-    map: FastMap<u64, u32>,
-    slots: Vec<MaskSlot>,
-    /// Flat blob arena; slot `s` owns `blobs[s * blob_words..][..blob_words]`.
-    blobs: Vec<u64>,
-    /// Most-recently-used slot.
-    head: u32,
-    /// Least-recently-used slot (the eviction victim).
-    tail: u32,
-}
-
-impl MaskCache {
-    fn new(cap: usize, blob_words: usize) -> Self {
-        let cap = cap.max(1);
-        // Reserve the map, slot arena and blob arena up front (bounded for
-        // pathological caps): growing them organically means rehash/realloc
-        // pauses of hundreds of microseconds to milliseconds *during
-        // serving* once the memo holds tens of thousands of terms — a
-        // latency cliff in exactly the long-lived evaluators the memo
-        // exists for. Reserved-but-unused pages are virtual and cost
-        // nothing until touched.
-        let reserve = cap.min(1 << 20);
-        let mut map = FastMap::default();
-        map.reserve(reserve);
-        // Prefault the arenas (write-then-clear keeps the committed pages):
-        // growing into untouched reserved pages takes a soft page fault per
-        // 4 KiB, and a cold query inserting ~200 blobs crosses enough page
-        // boundaries to smear hundreds of microseconds across the first
-        // minutes of serving.
-        let mut slots = Vec::new();
-        slots.resize_with(reserve, || MaskSlot {
-            term: 0,
-            prev: NIL,
-            next: NIL,
-        });
-        slots.clear();
-        let mut blobs = vec![0u64; reserve * blob_words];
-        blobs.clear();
-        Self {
-            cap,
-            blob_words,
-            map,
-            slots,
-            blobs,
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Detach a slot from the recency list.
-    fn unlink(&mut self, s: u32) {
-        let (prev, next) = (self.slots[s as usize].prev, self.slots[s as usize].next);
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.slots[prev as usize].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.slots[next as usize].prev = prev;
-        }
-    }
-
-    /// Attach a slot at the MRU end.
-    fn push_front(&mut self, s: u32) {
-        self.slots[s as usize].prev = NIL;
-        self.slots[s as usize].next = self.head;
-        if self.head != NIL {
-            self.slots[self.head as usize].prev = s;
-        }
-        self.head = s;
-        if self.tail == NIL {
-            self.tail = s;
-        }
-    }
-
-    /// Hit-path lookup: bump the term to most-recently-used and return its
-    /// blob, or `None` if not resident.
-    fn get(&mut self, term: u64) -> Option<&[u64]> {
-        let &s = self.map.get(&term)?;
-        if self.head != s {
-            self.unlink(s);
-            self.push_front(s);
-        }
-        let start = s as usize * self.blob_words;
-        Some(&self.blobs[start..start + self.blob_words])
-    }
-
-    /// Look up a term's blob (bumping it to most-recently-used), filling it
-    /// via `fill` on a miss — one hash lookup on the hit path. At capacity
-    /// the evicted entry's allocation is handed to `fill` for reuse, so a
-    /// full cache stops allocating (`fill` must overwrite every word).
-    fn get_or_insert_with(
-        &mut self,
-        term: u64,
-        blob_words: usize,
-        fill: impl FnOnce(&mut [u64]),
-    ) -> &[u64] {
-        debug_assert_eq!(blob_words, self.blob_words, "one geometry per cache");
-        if let Some(&s) = self.map.get(&term) {
-            if self.head != s {
-                self.unlink(s);
-                self.push_front(s);
-            }
-            let start = s as usize * self.blob_words;
-            return &self.blobs[start..start + self.blob_words];
-        }
-        let s = if self.map.len() >= self.cap {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL);
-            self.unlink(victim);
-            let slot = &mut self.slots[victim as usize];
-            self.map.remove(&slot.term);
-            slot.term = term;
-            victim
-        } else {
-            let s = u32::try_from(self.slots.len()).expect("mask cache capacity exceeds u32");
-            self.slots.push(MaskSlot {
-                term,
-                prev: NIL,
-                next: NIL,
-            });
-            self.blobs.resize(self.blobs.len() + self.blob_words, 0);
-            s
-        };
-        let start = s as usize * self.blob_words;
-        fill(&mut self.blobs[start..start + self.blob_words]);
-        self.map.insert(term, s);
-        self.push_front(s);
-        &self.blobs[start..start + self.blob_words]
-    }
-
-    /// Non-bumping membership probe (diagnostics/tests).
-    fn contains(&self, term: u64) -> bool {
-        self.map.contains_key(&term)
-    }
-}
-
-/// Shared-scratch batch evaluator for Algorithm 2 with per-term bucket-mask
-/// memoization.
+/// A query evaluator bound to one index with its own reused scratch: the
+/// handle a server lane or a batch job holds, so that a run of queries pays
+/// for [`QueryContext`] warm-up once.
 ///
-/// Holds an immutable borrow of the index for its lifetime, so memoized
-/// masks can never go stale (fold-over or insertion require `&mut Rambo`).
-/// [`QueryMode::Full`] queries AND memoized per-term masks; RAMBO+
-/// ([`QueryMode::Sparse`]) queries share the scratch context but skip the
-/// mask cache — sparse evaluation only probes the buckets that still hold
-/// candidates, so a full `B × R` mask would cost more than it saves.
-///
-/// The memo is **bounded**: an LRU policy caps resident blobs at a byte
-/// budget defaulting to a last-level-cache-sized
-/// `DEFAULT_MASK_CACHE_BYTES` (long-running servers would otherwise grow
-/// the map without limit, and masks evicted from the LLC stop being
-/// cheaper than a re-probe anyway). Use [`QueryBatch::with_mask_capacity`]
-/// to tune the entry count directly.
+/// Holds an immutable borrow of the index for its lifetime. Both modes go
+/// through [`Rambo::query_terms_with`] — the planned probe is the only
+/// evaluator, so a batch answers exactly what per-call evaluation answers.
 ///
 /// ```
 /// use rambo_core::{QueryBatch, QueryMode, Rambo, RamboParams};
@@ -420,7 +239,6 @@ impl MaskCache {
 /// let a = index.insert_document("doc-a", [1u64, 2, 3]).unwrap();
 /// let b = index.insert_document("doc-b", [2u64, 3, 4]).unwrap();
 ///
-/// // Queries sharing terms probe each distinct term's rows exactly once.
 /// let mut batch = QueryBatch::new(&index);
 /// let results = batch.run(&[vec![2], vec![2, 3], vec![4]], QueryMode::Full);
 /// assert_eq!(results[0], vec![a, b]); // term 2 is in both documents
@@ -430,68 +248,16 @@ impl MaskCache {
 pub struct QueryBatch<'i> {
     index: &'i Rambo,
     ctx: QueryContext,
-    /// Bounded per-term mask memo (`R × ⌈B/64⌉` words per entry).
-    masks: MaskCache,
-    /// Cold-term scratch for the bulk miss fill: the deduplicated missing
-    /// terms, their per-repetition hash pairs, and a rep-major mask staging
-    /// area (reused across queries so the miss path never allocates).
-    miss_terms: Vec<u64>,
-    miss_pairs: Vec<HashPair>,
-    miss_masks: Vec<u64>,
-    /// Per-repetition combined-mask scratch (`R` masks of `B` bits), so the
-    /// evaluation loop does one cache lookup per *term* rather than per
-    /// `(term, repetition)`.
-    rep_masks: Vec<BitVec>,
 }
 
 impl<'i> QueryBatch<'i> {
-    /// Create an evaluator bound to `index`, with the default
-    /// LLC-sized mask-cache budget.
+    /// Create an evaluator bound to `index`.
     #[must_use]
     pub fn new(index: &'i Rambo) -> Self {
-        let blob_bytes = index.repetitions() * (index.buckets() as usize).div_ceil(64) * 8;
-        // Entry overhead: slot links + map entry, roughly one cache line.
-        let cap = DEFAULT_MASK_CACHE_BYTES / (blob_bytes + 64).max(1);
-        Self::with_mask_capacity(index, cap)
-    }
-
-    /// Create an evaluator whose mask memo holds at most `capacity` terms
-    /// (clamped to at least 1); least-recently-used terms are evicted and
-    /// transparently re-probed if queried again.
-    #[must_use]
-    pub fn with_mask_capacity(index: &'i Rambo, capacity: usize) -> Self {
         Self {
             index,
             ctx: QueryContext::new(),
-            masks: MaskCache::new(
-                capacity,
-                index.repetitions() * (index.buckets() as usize).div_ceil(64),
-            ),
-            miss_terms: Vec::new(),
-            miss_pairs: Vec::new(),
-            miss_masks: Vec::new(),
-            rep_masks: (0..index.repetitions())
-                .map(|_| BitVec::zeros(index.buckets() as usize))
-                .collect(),
         }
-    }
-
-    /// Number of distinct terms whose masks are currently memoized.
-    #[must_use]
-    pub fn memoized_terms(&self) -> usize {
-        self.masks.len()
-    }
-
-    /// Maximum number of memoized terms before LRU eviction kicks in.
-    #[must_use]
-    pub fn mask_capacity(&self) -> usize {
-        self.masks.cap
-    }
-
-    /// Is this term's mask currently resident? (Non-bumping; diagnostics.)
-    #[must_use]
-    pub fn is_memoized(&self, term: u64) -> bool {
-        self.masks.contains(term)
     }
 
     /// Evaluate one query (Algorithm 2 semantics: a BFU matches only if it
@@ -499,135 +265,16 @@ impl<'i> QueryBatch<'i> {
     /// [`Rambo::query_terms_with`] returns for the same inputs.
     #[must_use]
     pub fn query_terms(&mut self, terms: &[u64], mode: QueryMode) -> Vec<DocId> {
-        match mode {
-            QueryMode::Sparse => self.index.query_terms_with(terms, mode, &mut self.ctx),
-            QueryMode::Full => self.query_full_memoized(terms),
-        }
+        self.index.query_terms_with(terms, mode, &mut self.ctx)
     }
 
-    /// Evaluate a batch of queries, reusing scratch and memoized masks
-    /// across all of them. Results are in input order.
+    /// Evaluate a batch of queries, reusing scratch across all of them.
+    /// Results are in input order.
     #[must_use]
     pub fn run<Q: AsRef<[u64]>>(&mut self, queries: &[Q], mode: QueryMode) -> Vec<Vec<DocId>> {
         queries
             .iter()
             .map(|q| self.query_terms(q.as_ref(), mode))
-            .collect()
-    }
-
-    /// Full-mode evaluation over memoized masks. Probing rows for a term
-    /// happens at most once per index lifetime; each query is then `R`
-    /// word-wise mask ANDs plus the union/intersection walk.
-    ///
-    /// Cold terms are *deferred*: resident terms are consumed in a first
-    /// pass, then every missing term's rows are probed in one interleaved
-    /// bulk sweep per repetition ([`BfuMatrix::probe_pairs_into`]). A
-    /// term-at-a-time fill serializes one random DRAM read behind another,
-    /// which made a query's first sighting of a document ~3× slower than a
-    /// memo-free evaluation — the bulk sweep overlaps the misses, so a cold
-    /// query costs about the same as a direct one.
-    fn query_full_memoized(&mut self, terms: &[u64]) -> Vec<DocId> {
-        let index = self.index;
-        let k = index.num_documents();
-        if k == 0 || terms.is_empty() {
-            return Vec::new();
-        }
-        let b = index.buckets() as usize;
-        let eta = index.params().eta;
-        let mask_words = b.div_ceil(64);
-        let blob_words = index.repetitions() * mask_words;
-        for mask in &mut self.rep_masks {
-            mask.set_all();
-        }
-        // Pass 1: resident terms — one memo lookup each (disjoint-field
-        // borrows: `masks` is the cache, `rep_masks` the accumulators),
-        // ANDed straight into the repetition masks.
-        self.miss_terms.clear();
-        for &t in terms {
-            let Some(blob) = self.masks.get(t) else {
-                self.miss_terms.push(t);
-                continue;
-            };
-            let mut all_live = true;
-            for (rep, mask) in self.rep_masks.iter_mut().enumerate() {
-                all_live &= mask.and_words_any(&blob[rep * mask_words..(rep + 1) * mask_words]);
-            }
-            if !all_live {
-                // Some repetition's bucket mask died: its union is empty, so
-                // the intersection is conclusively empty.
-                return Vec::new();
-            }
-        }
-        // Pass 2: cold terms, bulk-probed into a rep-major staging area,
-        // then gathered into blobs. Each blob is memoized and consumed
-        // immediately — consume-before-evict, so a query with more cold
-        // terms than the memo capacity still evaluates correctly.
-        if !self.miss_terms.is_empty() {
-            self.miss_terms.sort_unstable();
-            self.miss_terms.dedup();
-            let n = self.miss_terms.len();
-            self.miss_masks.clear();
-            self.miss_masks.resize(n * blob_words, 0);
-            for (rep, table) in index.tables.iter().enumerate() {
-                self.miss_pairs.clear();
-                let miss_terms = &self.miss_terms;
-                self.miss_pairs
-                    .extend(miss_terms.iter().map(|&t| index.hash_u64_rep(rep, t)));
-                table.matrix.probe_pairs_into(
-                    &self.miss_pairs,
-                    eta,
-                    &mut self.miss_masks[rep * n * mask_words..(rep + 1) * n * mask_words],
-                );
-            }
-            let mut dead = false;
-            for i in 0..n {
-                let (t, miss_masks) = (self.miss_terms[i], &self.miss_masks);
-                let blob = self.masks.get_or_insert_with(t, blob_words, |blob| {
-                    for rep in 0..index.repetitions() {
-                        let src = (rep * n + i) * mask_words;
-                        blob[rep * mask_words..(rep + 1) * mask_words]
-                            .copy_from_slice(&miss_masks[src..src + mask_words]);
-                    }
-                });
-                // The rows are already probed, so the remaining terms stay
-                // worth memoizing even after the result is known-empty.
-                if dead {
-                    continue;
-                }
-                let mut all_live = true;
-                for (rep, mask) in self.rep_masks.iter_mut().enumerate() {
-                    all_live &= mask.and_words_any(&blob[rep * mask_words..(rep + 1) * mask_words]);
-                }
-                dead = !all_live;
-            }
-            if dead {
-                return Vec::new();
-            }
-        }
-        self.ctx.ensure(k, b);
-        let (acc, tbl, _) = self.ctx.full_mode_buffers();
-        for (rep, table) in index.tables.iter().enumerate() {
-            let mask = &self.rep_masks[rep];
-            tbl.clear_all();
-            for bucket in mask.iter_ones() {
-                for &d in &table.buckets[bucket] {
-                    tbl.set(d as usize);
-                }
-            }
-            // Fused AND + liveness, mirroring the per-call evaluator.
-            let live = if rep == 0 {
-                acc.copy_from(tbl);
-                acc.any()
-            } else {
-                acc.and_assign_any(tbl)
-            };
-            if !live {
-                return Vec::new();
-            }
-        }
-        acc.iter_ones()
-            .filter(|&d| d < k)
-            .map(|d| d as DocId)
             .collect()
     }
 }
@@ -756,7 +403,7 @@ mod tests {
             r.insert_document_batch(name, terms).unwrap();
         }
         // Single-term, multi-term, and absent-term queries, with repeats to
-        // exercise memoization.
+        // exercise scratch reuse.
         let mut queries: Vec<Vec<u64>> = docs.iter().map(|(_, ts)| ts[..1].to_vec()).collect();
         queries.push(vec![0xFFFF]);
         queries.push(vec![0xFFFF]);
@@ -772,96 +419,5 @@ mod tests {
             let got = batch.run(&queries, mode);
             assert_eq!(got, expected, "mode {mode:?}");
         }
-    }
-
-    /// Eviction correctness: the memo never exceeds its capacity, evicts in
-    /// LRU order (recency includes hits, not just inserts), and evicted
-    /// terms are transparently re-probed with identical results.
-    #[test]
-    fn mask_cache_evicts_lru_and_stays_correct() {
-        let docs = archive(20, 30);
-        let mut r = Rambo::new(params(17)).unwrap();
-        for (name, terms) in &docs {
-            r.insert_document_batch(name, terms).unwrap();
-        }
-        let (a, b, c) = (docs[0].1[0], docs[1].1[0], docs[2].1[0]);
-
-        let mut batch = QueryBatch::with_mask_capacity(&r, 2);
-        assert_eq!(batch.mask_capacity(), 2);
-        let res_a = batch.query_terms(&[a], QueryMode::Full);
-        let res_b = batch.query_terms(&[b], QueryMode::Full);
-        assert_eq!(batch.memoized_terms(), 2);
-        // Touch `a` so `b` becomes the LRU victim.
-        assert_eq!(batch.query_terms(&[a], QueryMode::Full), res_a);
-        let res_c = batch.query_terms(&[c], QueryMode::Full);
-        assert_eq!(batch.memoized_terms(), 2, "capacity is a hard bound");
-        assert!(batch.is_memoized(a), "recently hit entry must survive");
-        assert!(!batch.is_memoized(b), "LRU entry must be evicted");
-        assert!(batch.is_memoized(c));
-        // Evicted term re-probes to the same answer.
-        assert_eq!(batch.query_terms(&[b], QueryMode::Full), res_b);
-        assert!(batch.is_memoized(b) && !batch.is_memoized(a));
-        assert_eq!(batch.query_terms(&[c], QueryMode::Full), res_c);
-
-        // A query with more distinct terms than the capacity still equals
-        // the per-call evaluator (consume-before-evict).
-        let wide: Vec<u64> = docs.iter().take(6).map(|(_, ts)| ts[0]).collect();
-        let mut ctx = QueryContext::new();
-        assert_eq!(
-            batch.query_terms(&wide, QueryMode::Full),
-            r.query_terms_with(&wide, QueryMode::Full, &mut ctx)
-        );
-        assert_eq!(batch.memoized_terms(), 2);
-    }
-
-    #[test]
-    fn mask_cache_capacity_is_clamped_to_one() {
-        let docs = archive(5, 10);
-        let mut r = Rambo::new(params(19)).unwrap();
-        for (name, terms) in &docs {
-            r.insert_document_batch(name, terms).unwrap();
-        }
-        let mut batch = QueryBatch::with_mask_capacity(&r, 0);
-        assert_eq!(batch.mask_capacity(), 1);
-        let mut ctx = QueryContext::new();
-        for (_, terms) in &docs {
-            let q = &terms[..2];
-            assert_eq!(
-                batch.query_terms(q, QueryMode::Full),
-                r.query_terms_with(q, QueryMode::Full, &mut ctx)
-            );
-            assert_eq!(batch.memoized_terms(), 1);
-        }
-    }
-
-    #[test]
-    fn default_mask_capacity_is_llc_sized() {
-        let r = Rambo::new(params(23)).unwrap();
-        let batch = QueryBatch::new(&r);
-        let blob_bytes = r.repetitions() * (r.buckets() as usize).div_ceil(64) * 8;
-        assert_eq!(
-            batch.mask_capacity(),
-            super::DEFAULT_MASK_CACHE_BYTES / (blob_bytes + 64)
-        );
-    }
-
-    #[test]
-    fn query_batch_memoizes_unique_terms() {
-        let docs = archive(10, 20);
-        let mut r = Rambo::new(params(5)).unwrap();
-        for (name, terms) in &docs {
-            r.insert_document_batch(name, terms).unwrap();
-        }
-        let mut batch = QueryBatch::new(&r);
-        let q = vec![0xFFFFu64];
-        for _ in 0..50 {
-            let hits = batch.query_terms(&q, QueryMode::Full);
-            assert_eq!(hits.len(), 10);
-        }
-        assert_eq!(
-            batch.memoized_terms(),
-            1,
-            "repeat queries must hit the memo"
-        );
     }
 }

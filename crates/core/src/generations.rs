@@ -54,12 +54,10 @@
 
 use std::sync::Arc;
 
-use rambo_hash::HashPair;
-
 use crate::error::RamboError;
 use crate::index::{DocId, Rambo};
 use crate::params::RamboParams;
-use crate::query::{QueryContext, QueryMode};
+use crate::query::{evaluate, evaluate_theta, hash_u64, Component, QueryContext, QueryMode};
 use crate::theory;
 
 /// Policy knobs for [`GenerationalIndex`]: when the memtable seals and when
@@ -553,45 +551,15 @@ impl GenerationalIndex {
         mode: QueryMode,
         ctx: &mut QueryContext,
     ) -> Vec<DocId> {
-        let docs = self.num_documents();
-        if docs == 0 || terms.is_empty() {
-            return Vec::new();
-        }
-        // Single live component: delegate — trivially identical.
-        if self.generations.is_empty() {
-            return self.memtable.query_terms_with(terms, mode, ctx);
-        }
-        if self.generations.len() == 1 && self.memtable.num_documents() == 0 {
-            return self.generations[0].index.query_terms_with(terms, mode, ctx);
-        }
-        let mut comps: Vec<(&Rambo, u32)> = Vec::with_capacity(self.generations.len() + 1);
-        comps.extend(self.generations.iter().map(|g| (&*g.index, g.doc_lo)));
-        if self.memtable.num_documents() > 0 {
-            comps.push((&self.memtable, self.memtable_lo));
-        }
-        // Hash each term once per repetition; the Bloom seed schedule is
-        // derived from the shared master seed, so it is identical in every
-        // component (and in the monolith).
-        ctx.pairs.clear();
-        for &seed in &self.memtable.bloom_seeds {
-            ctx.pairs
-                .extend(terms.iter().map(|&t| HashPair::of_u64(t, seed)));
-        }
-        ctx.ensure(docs, self.params.buckets() as usize);
-        match mode {
-            QueryMode::Full => full_union(&comps, &self.params, terms.len(), ctx),
-            QueryMode::Sparse => sparse_union(&comps, &self.params, terms.len(), ctx),
-        }
+        evaluate(&self.components(), terms, hash_u64, mode, ctx)
     }
 
     /// θ-fraction sequence query across memtable + generations: documents
     /// that (appear to) contain at least `theta · terms.len()` of the query
-    /// terms. The per-term counting loop is exactly
-    /// [`Rambo::query_sequence_theta`]'s, but each per-term membership test
-    /// runs through [`GenerationalIndex::query_terms_with`] — which is
-    /// bit-identical to the monolithic rebuild — so the θ answer is
-    /// bit-identical too. This is the serving path behind the multi-tenant
-    /// `R.QUERYSEQ` verb.
+    /// terms, counted with multiplicity. Runs [`Rambo::query_sequence_theta`]'s
+    /// evaluator over the component list, so the answer is bit-identical to
+    /// the monolithic rebuild's. This is the serving path behind the
+    /// multi-tenant `R.QUERYSEQ` verb.
     ///
     /// # Panics
     /// Panics unless `0 < theta ≤ 1`.
@@ -603,39 +571,20 @@ impl GenerationalIndex {
         mode: QueryMode,
         ctx: &mut QueryContext,
     ) -> Vec<DocId> {
-        assert!(theta > 0.0 && theta <= 1.0, "theta must be in (0, 1]");
-        let k = self.num_documents();
-        if k == 0 || terms.is_empty() {
-            return Vec::new();
+        evaluate_theta(&self.components(), terms, theta, mode, ctx)
+    }
+
+    /// The live components the shared evaluator of [`crate::query`] runs
+    /// over, oldest first. The Bloom seed schedule is derived from the
+    /// shared master seed, so it is identical in every component (and in
+    /// the monolith).
+    fn components(&self) -> Vec<Component<'_>> {
+        let mut comps = Vec::with_capacity(self.generations.len() + 1);
+        comps.extend(self.generations.iter().map(|g| (&*g.index, g.doc_lo)));
+        if self.memtable.num_documents() > 0 {
+            comps.push((&self.memtable, self.memtable_lo));
         }
-        let needed = ((theta * terms.len() as f64).ceil() as usize).max(1);
-        // The per-term results land in `ctx`; the counts vector must not be
-        // clobbered by the inner queries, so keep it local.
-        let mut counts = vec![0u32; k];
-        let mut max_count = 0usize;
-        for (done, &term) in terms.iter().enumerate() {
-            let hits = self.query_terms_with(&[term], mode, ctx);
-            for d in hits {
-                let c = &mut counts[d as usize];
-                *c += 1;
-                max_count = max_count.max(*c as usize);
-            }
-            let remaining = terms.len() - done - 1;
-            if remaining == 0 {
-                break;
-            }
-            // Even if every remaining term hit every document, nobody new
-            // can reach the threshold once the deficit is fatal.
-            if max_count + remaining < needed {
-                return Vec::new();
-            }
-        }
-        counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c as usize >= needed)
-            .map(|(d, _)| d as DocId)
-            .collect()
+        comps
     }
 
     /// Rebuild a monolithic [`Rambo`] over every indexed document (global id
@@ -681,156 +630,6 @@ fn merge_components(params: RamboParams, comps: &[&Rambo]) -> Result<Rambo, Ramb
         out.inserts += comp.total_inserts();
     }
     Ok(out)
-}
-
-/// Full-mode OR-first union query. Mirrors `query_full` exactly, except each
-/// probed filter row is OR-ed across components before the η-AND, and bucket
-/// document lists are unioned with each component's `doc_lo` offset.
-fn full_union(
-    comps: &[(&Rambo, u32)],
-    params: &RamboParams,
-    n_terms: usize,
-    ctx: &mut QueryContext,
-) -> Vec<DocId> {
-    let eta = params.eta;
-    let m = params.bfu_bits as u64;
-    let row_words = (params.buckets() as usize).div_ceil(64);
-    let mut or_row = vec![0u64; row_words];
-    let mut one_row = vec![0u64; row_words];
-    let QueryContext {
-        pairs,
-        mask,
-        acc,
-        tbl,
-        ..
-    } = ctx;
-    for rep in 0..params.repetitions {
-        let rep_pairs = &pairs[rep * n_terms..(rep + 1) * n_terms];
-        mask.set_all();
-        'probe: for (i, pair) in rep_pairs.iter().enumerate() {
-            // Duplicate hash pairs AND idempotently — skip, matching the
-            // monolith's `probe_all_into` dedup.
-            if rep_pairs[..i].contains(pair) {
-                continue;
-            }
-            for j in 0..eta {
-                let p = pair.index(j, m) as usize;
-                or_row.fill(0);
-                for &(comp, _) in comps {
-                    comp.tables[rep].matrix.row_into(p, &mut one_row);
-                    for (dst, &src) in or_row.iter_mut().zip(one_row.iter()) {
-                        *dst |= src;
-                    }
-                }
-                if !mask.and_words_any(&or_row) {
-                    break 'probe;
-                }
-            }
-        }
-        tbl.clear_all();
-        for bucket in mask.iter_ones() {
-            for &(comp, lo) in comps {
-                for &d in &comp.tables[rep].buckets[bucket] {
-                    tbl.set(lo as usize + d as usize);
-                }
-            }
-        }
-        let live = if rep == 0 {
-            acc.copy_from(tbl);
-            acc.any()
-        } else {
-            acc.and_assign_any(tbl)
-        };
-        if !live {
-            return Vec::new();
-        }
-    }
-    acc.iter_ones().map(|i| i as DocId).collect()
-}
-
-/// Sparse-mode OR-first union query. Mirrors `query_sparse` exactly:
-/// repetition 0 forms the OR-first bucket mask and gathers offset global
-/// candidates (sorted); later repetitions retain candidates through a
-/// per-bucket memoized probe whose bit reads are OR-ed across components.
-fn sparse_union(
-    comps: &[(&Rambo, u32)],
-    params: &RamboParams,
-    n_terms: usize,
-    ctx: &mut QueryContext,
-) -> Vec<DocId> {
-    let eta = params.eta;
-    let m = params.bfu_bits as u64;
-    let b = params.buckets() as usize;
-    let row_words = b.div_ceil(64);
-    let mut or_row = vec![0u64; row_words];
-    let mut one_row = vec![0u64; row_words];
-    let QueryContext {
-        pairs,
-        mask,
-        probes,
-        candidates,
-        ..
-    } = ctx;
-    let rep_pairs = &pairs[..n_terms];
-    mask.set_all();
-    'probe: for (i, pair) in rep_pairs.iter().enumerate() {
-        if rep_pairs[..i].contains(pair) {
-            continue;
-        }
-        for j in 0..eta {
-            let p = pair.index(j, m) as usize;
-            or_row.fill(0);
-            for &(comp, _) in comps {
-                comp.tables[0].matrix.row_into(p, &mut one_row);
-                for (dst, &src) in or_row.iter_mut().zip(one_row.iter()) {
-                    *dst |= src;
-                }
-            }
-            if !mask.and_words_any(&or_row) {
-                break 'probe;
-            }
-        }
-    }
-    candidates.clear();
-    for bucket in mask.iter_ones() {
-        for &(comp, lo) in comps {
-            candidates.extend(comp.tables[0].buckets[bucket].iter().map(|&d| lo + d));
-        }
-    }
-    candidates.sort_unstable();
-    for rep in 1..params.repetitions {
-        if candidates.is_empty() {
-            break;
-        }
-        probes[..b].fill(0);
-        let rep_pairs = &pairs[rep * n_terms..(rep + 1) * n_terms];
-        candidates.retain(|&gd| {
-            let slot = comps.partition_point(|&(_, lo)| lo <= gd) - 1;
-            let (comp, lo) = comps[slot];
-            let bucket = comp.tables[rep].assign[(gd - lo) as usize] as usize;
-            match probes[bucket] {
-                1 => true,
-                2 => false,
-                _ => {
-                    // Bucket membership = AND over (pair, η-row) of the
-                    // OR-across-components bit — the monolith's
-                    // `probe_bucket` on the OR-ed matrix. No dedup needed:
-                    // duplicate pairs probe idempotently.
-                    let hit = rep_pairs.iter().all(|pair| {
-                        (0..eta).all(|j| {
-                            let p = pair.index(j, m) as usize;
-                            comps
-                                .iter()
-                                .any(|&(c, _)| c.tables[rep].matrix.bit(p, bucket))
-                        })
-                    });
-                    probes[bucket] = if hit { 1 } else { 2 };
-                    hit
-                }
-            }
-        });
-    }
-    std::mem::take(candidates)
 }
 
 #[cfg(test)]

@@ -373,9 +373,9 @@ impl Rambo {
     /// Panics when out of range.
     #[must_use]
     pub fn bfu_contains_pair(&self, rep: usize, bucket: usize, pair: HashPair) -> bool {
-        self.tables[rep]
-            .matrix
-            .probe_bucket(bucket, &[pair], self.params.eta)
+        let matrix = &self.tables[rep].matrix;
+        pair.indices(self.params.eta, matrix.m_bits() as u64)
+            .all(|p| matrix.bit(p as usize, bucket))
     }
 
     /// Does the BFU at `(rep, bucket)` report this packed term?

@@ -30,11 +30,14 @@
 //! * [`Rambo`] — the index: Algorithm 1 insertion, Algorithm 2 querying,
 //!   plain and **RAMBO+** sparse evaluation ([`QueryMode`]), large-sequence
 //!   queries with first-FALSE early exit (§3.3.1), and §5.3 **fold-over**
-//!   (halve `B` by OR-ing filter halves, trading memory for FPR).
+//!   (halve `B` by OR-ing filter halves, trading memory for FPR). Every
+//!   query verb, on a static or a generational index, runs on one planned
+//!   probe: each term hashed once per repetition into a row plan held in
+//!   the [`QueryContext`], one gather-AND kernel call per repetition.
 //! * [`Rambo::insert_document_batch`]/[`QueryBatch`] — the batch-parallel
 //!   execution engine: deduplicated hash-once-per-repetition ingestion with
 //!   row-grouped writes fanned over scoped threads, and shared-scratch batch
-//!   querying with LRU-bounded per-term bucket-mask memoization.
+//!   querying that allocates nothing per query but the answer.
 //! * [`IngestPipeline`] — pipelined, shard-parallel construction: a
 //!   bounded-queue pipeline overlapping parse+hash of document *n+1* with
 //!   the bucket writes of document *n* (hash/write split via
@@ -108,6 +111,6 @@ pub use index::{DocId, Rambo};
 pub use params::RamboParams;
 pub use partition::PartitionScheme;
 pub use pipeline::{HashPlan, HashedDoc, IngestPipeline, PipelineObserver, PipelineReport};
-pub use query::{canonical_query_key, QueryContext, QueryMode};
+pub use query::{canonical_query_key, multiset_query_key, QueryContext, QueryMode};
 pub use rambo_bitvec::kernel;
 pub use sharded::{build_sharded_parallel, ShardedRambo};

@@ -10,13 +10,15 @@
 //! applied across buckets. This is what makes RAMBO's `O(√K)` probe phase
 //! beat COBS's `O(K)` row scan in practice and not just asymptotically.
 //!
-//! The probe itself runs through the fused kernels of
-//! [`rambo_bitvec::kernel`]: up to four probed rows are ANDed into the
-//! bucket mask per pass (duplicate query terms deduplicated first), and the
-//! table is abandoned the moment the running mask goes all-zero. The kernels
-//! are runtime-dispatched ([`rambo_bitvec::kernel::Backend`]): the probe,
-//! the repetition-intersection walk and the bit-sliced column fills all pick
-//! up the AVX2 variants on hosts that support them, with no change here. The word
+//! The probe itself is *planned* by the evaluator ([`crate::query`]): it
+//! hands this module the word offset of every row a repetition must read,
+//! and [`BfuMatrix::and_rows_into`] only moves them — on dense storage one
+//! [`rambo_bitvec::kernel::and_gather_rows_into_any`] call ANDs the whole
+//! list into the bucket mask, four rows per fused pass, abandoning the table
+//! the moment the running mask goes all-zero. The kernels are
+//! runtime-dispatched ([`rambo_bitvec::kernel::Backend`]): the probe, the
+//! repetition-intersection walk and the bit-sliced column fills all pick up
+//! the AVX2 variants on hosts that support them, with no change here. The word
 //! payload lives in a [`WordStore`] — owned, or a zero-copy view into a
 //! serialized index buffer (see [`crate::Rambo::open_view`]); mutating a
 //! viewed matrix promotes it to owned storage first.
@@ -43,7 +45,7 @@ const HEADER_BYTES: usize = 4 + 8 + 8 + 1;
 /// Storage backend behind one repetition's bit payload.
 ///
 /// * `Dense` — row-major words, owned or a zero-copy view; the probe fast
-///   path (staged 4-row fused AND) runs only here.
+///   path (one gather-AND call per repetition) runs only here.
 /// * `Rrr` — RRR-compressed rows for cold tiers; probes decode the touched
 ///   rows block-wise into dense scratch words.
 /// * `Paged` — dense rows left on disk, faulted in row-aligned blocks
@@ -201,11 +203,19 @@ impl BfuMatrix {
     /// Read one bit, whatever the backend.
     #[inline]
     pub(crate) fn bit(&self, p: usize, bucket: usize) -> bool {
+        self.bit_at(p * self.row_words, bucket)
+    }
+
+    /// [`BfuMatrix::bit`] of the row at word offset `offset` — the form the
+    /// query row plan stores, so RAMBO+'s per-bucket probes read planned
+    /// rows without re-deriving positions.
+    #[inline]
+    pub(crate) fn bit_at(&self, offset: usize, bucket: usize) -> bool {
         let (word, shift) = (bucket / 64, bucket % 64);
         match &self.store {
-            MatrixStore::Dense(ws) => (ws.as_words()[p * self.row_words + word] >> shift) & 1 == 1,
-            MatrixStore::Rrr(rrr) => rrr.get(p, bucket),
-            MatrixStore::Paged(pw) => (pw.read_word(p * self.row_words + word) >> shift) & 1 == 1,
+            MatrixStore::Dense(ws) => (ws.as_words()[offset + word] >> shift) & 1 == 1,
+            MatrixStore::Rrr(rrr) => rrr.get(offset / self.row_words, bucket),
+            MatrixStore::Paged(pw) => (pw.read_word(offset + word) >> shift) & 1 == 1,
         }
     }
 
@@ -274,186 +284,105 @@ impl BfuMatrix {
         }
     }
 
-    /// Which BFUs contain *all* the given terms: AND of the probed rows,
-    /// written into `mask` (a `B`-bit vector). This is the whole per-table
-    /// probe phase of Algorithm 2.
+    /// AND the planned filter rows into `dst` (`row_words` words): afterwards
+    /// bit `b` of `dst` survives only if BFU `b` has every listed position
+    /// set. With `dst` starting all-ones this is the whole per-table probe
+    /// of Algorithm 2. Returns `false` once `dst` is all-zero — AND can only
+    /// clear bits, so the rows left unread cannot change the answer.
     ///
-    /// Three optimizations over the row-at-a-time loop:
-    /// * duplicate [`HashPair`]s (a term repeated across the query) are
-    ///   probed once;
-    /// * up to four rows are fused into each pass over the mask
-    ///   ([`BitVec::and_rows_any`]), keeping the running mask in registers;
-    /// * the table is abandoned the moment the mask goes all-zero — AND can
-    ///   only clear bits, so the remaining rows cannot change the answer.
-    pub(crate) fn probe_all_into(&self, pairs: &[HashPair], eta: u32, mask: &mut BitVec) {
-        debug_assert_eq!(mask.len(), self.buckets);
-        // set_all keeps the tail bits beyond B zeroed (BitVec invariant), and
-        // AND can only clear bits, so the mask stays well-formed throughout —
-        // including against paged rows whose on-disk tails are unvalidated.
-        mask.set_all();
-        let m = self.m_bits as u64;
+    /// `rows` holds the word offset of each row (`position · row_words`, see
+    /// [`crate::query::QueryContext`]'s row plan). The caller must start from
+    /// a mask whose bits beyond `B` are zero; then paged rows, whose on-disk
+    /// tails are unvalidated, cannot set them.
+    ///
+    /// * Dense rows go through one dispatched
+    ///   [`kernel::and_gather_rows_into_any`] call with no dedupe: a repeated
+    ///   row is one more cache-resident AND.
+    /// * RRR and paged rows cost a block decode or a page fault each, so the
+    ///   list is sorted (in place — AND is order-blind) and repeats are
+    ///   skipped; ascending row order is also what the block cache wants.
+    pub(crate) fn and_rows_into(
+        &self,
+        rows: &mut [usize],
+        dst: &mut [u64],
+        scratch: &mut Vec<u64>,
+    ) -> bool {
         let rw = self.row_words;
-        let words = match &self.store {
-            MatrixStore::Dense(ws) => ws.as_words(),
-            MatrixStore::Rrr(rrr) => {
-                // Cold tier: decode each probed row block-wise into scratch
-                // and AND it straight into the mask, with the same
-                // dedup + dead-mask early exit as the dense path.
-                let mut scratch = vec![0u64; rw];
-                for (i, pair) in pairs.iter().enumerate() {
-                    if pairs[..i].contains(pair) {
-                        continue;
-                    }
-                    for j in 0..eta {
-                        rrr.decode_row_into(pair.index(j, m) as usize, &mut scratch);
-                        if !mask.and_words_any(&scratch) {
-                            return;
-                        }
-                    }
-                }
-                return;
+        debug_assert_eq!(dst.len(), rw);
+        if let MatrixStore::Dense(ws) = &self.store {
+            return kernel::and_gather_rows_into_any(dst, ws.as_words(), rows);
+        }
+        rows.sort_unstable();
+        let mut live = kernel::any(dst);
+        let mut prev = usize::MAX;
+        for &offset in rows.iter() {
+            if !live {
+                break;
             }
-            MatrixStore::Paged(pw) => {
-                // Paged tier: each probed row is one in-page slice; the
-                // fault cost dominates, so no 4-row staging here.
-                for (i, pair) in pairs.iter().enumerate() {
-                    if pairs[..i].contains(pair) {
-                        continue;
-                    }
-                    for j in 0..eta {
-                        let row = pw.read(pair.index(j, m) as usize * rw, rw);
-                        if !mask.and_words_any(&row) {
-                            return;
-                        }
-                    }
-                }
-                return;
-            }
-        };
-        let mut staged = [0usize; 4];
-        let mut n = 0;
-        for (i, pair) in pairs.iter().enumerate() {
-            if pairs[..i].contains(pair) {
-                continue; // duplicate term: same rows, AND is idempotent
-            }
-            for j in 0..eta {
-                staged[n] = pair.index(j, m) as usize * rw;
-                n += 1;
-                if n == 4 {
-                    n = 0;
-                    if !mask.and_rows_any([
-                        &words[staged[0]..staged[0] + rw],
-                        &words[staged[1]..staged[1] + rw],
-                        &words[staged[2]..staged[2] + rw],
-                        &words[staged[3]..staged[3] + rw],
-                    ]) {
-                        return; // mask is dead; nothing can revive it
-                    }
-                }
+            if offset != prev {
+                prev = offset;
+                live = self.with_row(offset, scratch, |row| kernel::and_rows_into_any(dst, [row]));
             }
         }
-        match n {
-            1 => {
-                mask.and_rows_any([&words[staged[0]..staged[0] + rw]]);
+        live
+    }
+
+    /// Run `f` on the row at word offset `offset`, whatever the backend: a
+    /// dense row in place, an RRR row decoded into `scratch`, a paged row
+    /// from its resident block (tail bits beyond `B` unvalidated).
+    #[inline]
+    fn with_row<T>(&self, offset: usize, scratch: &mut Vec<u64>, f: impl FnOnce(&[u64]) -> T) -> T {
+        let rw = self.row_words;
+        match &self.store {
+            MatrixStore::Dense(ws) => f(&ws.as_words()[offset..offset + rw]),
+            MatrixStore::Rrr(rrr) => {
+                scratch.resize(rw, 0);
+                rrr.decode_row_into(offset / rw, scratch);
+                f(scratch)
             }
-            2 => {
-                mask.and_rows_any([
-                    &words[staged[0]..staged[0] + rw],
-                    &words[staged[1]..staged[1] + rw],
-                ]);
-            }
-            3 => {
-                mask.and_rows_any([
-                    &words[staged[0]..staged[0] + rw],
-                    &words[staged[1]..staged[1] + rw],
-                    &words[staged[2]..staged[2] + rw],
-                ]);
-            }
-            _ => {}
+            MatrixStore::Paged(pw) => f(&pw.read(offset, rw)),
         }
     }
 
-    /// Materialize each pair's *own* bucket mask:
-    /// `out[i * row_words..][..row_words]` becomes the AND of pair `i`'s
-    /// `eta` rows — which BFUs contain that term. Unlike
-    /// [`BfuMatrix::probe_all_into`] the masks stay separate (the shape the
-    /// batch evaluator's per-term memo stores), and the row loads of up to
-    /// four pairs are interleaved so their random-access cache misses
-    /// overlap instead of serializing: a cold memo fill is latency-bound,
-    /// and term-at-a-time probing leaves the memory pipeline idle.
-    pub(crate) fn probe_pairs_into(&self, pairs: &[HashPair], eta: u32, out: &mut [u64]) {
+    /// Each term's *own* bucket mask: `out[t · row_words..][..row_words]`
+    /// becomes the AND of the `eta` planned rows of term `t` — which BFUs
+    /// hold that term. Unlike [`BfuMatrix::and_rows_into`] the masks stay
+    /// separate (θ queries count them per bucket) and there is no early
+    /// exit, so no term's row loads wait on another's. Bits beyond `B` come
+    /// out zero on every backend.
+    pub(crate) fn term_masks_into(
+        &self,
+        rows: &[usize],
+        eta: usize,
+        out: &mut [u64],
+        scratch: &mut Vec<u64>,
+    ) {
         let rw = self.row_words;
-        debug_assert_eq!(out.len(), pairs.len() * rw);
-        if eta == 0 {
-            // Zero filter bits per term: every bucket matches (the same
-            // all-ones-with-zero-tail mask `probe_all_into` starts from).
-            let tail = self.buckets % 64;
-            for mask in out.chunks_exact_mut(rw) {
-                mask.fill(!0u64);
-                if tail != 0 {
-                    mask[rw - 1] = (1u64 << tail) - 1;
-                }
-            }
-            return;
-        }
-        let m = self.m_bits as u64;
-        let words = match &self.store {
-            MatrixStore::Dense(ws) => ws.as_words(),
-            _ => {
-                // Compressed/paged tiers: copy the first row (tail-masked by
-                // `row_into`), then AND the remaining rows in — correctness
-                // over lane interleaving off the dense fast path.
-                let mut scratch = vec![0u64; rw];
-                for (i, pair) in pairs.iter().enumerate() {
-                    let out_row = &mut out[i * rw..(i + 1) * rw];
-                    self.row_into(pair.index(0, m) as usize, out_row);
-                    for j in 1..eta {
-                        self.row_into(pair.index(j, m) as usize, &mut scratch);
-                        for (dst, s) in out_row.iter_mut().zip(&scratch) {
-                            *dst &= s;
-                        }
-                    }
-                }
-                return;
-            }
-        };
-        const LANES: usize = 4;
-        let mut offs = [0usize; LANES];
-        for (chunk_i, chunk) in pairs.chunks(LANES).enumerate() {
-            let base = chunk_i * LANES * rw;
-            // First row of every lane, offsets computed before any load so
-            // the loads issue back to back with no dependencies between
-            // them; then each later row is ANDed in, again lane-interleaved.
-            for (g, pair) in chunk.iter().enumerate() {
-                offs[g] = pair.index(0, m) as usize * rw;
-            }
-            for g in 0..chunk.len() {
-                out[base + g * rw..base + (g + 1) * rw]
-                    .copy_from_slice(&words[offs[g]..offs[g] + rw]);
-            }
-            for j in 1..eta {
-                for (g, pair) in chunk.iter().enumerate() {
-                    offs[g] = pair.index(j, m) as usize * rw;
-                }
-                for g in 0..chunk.len() {
-                    let row = &words[offs[g]..offs[g] + rw];
-                    for (dst, r) in out[base + g * rw..base + (g + 1) * rw].iter_mut().zip(row) {
+        debug_assert_eq!(out.len() * eta, rows.len() * rw);
+        for (mask, term_rows) in out.chunks_exact_mut(rw).zip(rows.chunks_exact(eta)) {
+            self.with_row(term_rows[0], scratch, |row| mask.copy_from_slice(row));
+            for &offset in &term_rows[1..] {
+                self.with_row(offset, scratch, |row| {
+                    for (dst, r) in mask.iter_mut().zip(row) {
                         *dst &= r;
                     }
-                }
+                });
             }
+            mask_tail(mask, self.buckets);
         }
     }
 
-    /// Does one BFU contain all the terms? Used by RAMBO+ for memoized
-    /// candidate-bucket probes.
-    #[inline]
-    pub(crate) fn probe_bucket(&self, bucket: usize, pairs: &[HashPair], eta: u32) -> bool {
-        debug_assert!(bucket < self.buckets);
-        let m = self.m_bits as u64;
-        pairs
-            .iter()
-            .all(|pair| (0..eta).all(|i| self.bit(pair.index(i, m) as usize, bucket)))
+    /// OR the row at word offset `offset` into `acc` — the cross-component
+    /// fold of [`crate::generations`], which must happen before the η-row
+    /// AND. Paged tail bits may leak into `acc`; the AND against a
+    /// tail-zeroed mask drops them. (A plain loop: rows are `⌈B/64⌉` words,
+    /// too short to repay a kernel dispatch each.)
+    pub(crate) fn or_row_into(&self, offset: usize, acc: &mut [u64], scratch: &mut Vec<u64>) {
+        self.with_row(offset, scratch, |row| {
+            for (a, r) in acc.iter_mut().zip(row) {
+                *a |= r;
+            }
+        });
     }
 
     /// Extract one BFU's bits as a standalone filter image (column slice).
@@ -893,15 +822,38 @@ mod tests {
         HashPair::of_u64(t, 99)
     }
 
+    /// The planned row offsets of `pairs`: η per pair, as the evaluator
+    /// stages them.
+    fn plan(m: &BfuMatrix, pairs: &[HashPair], eta: u32) -> Vec<usize> {
+        pairs
+            .iter()
+            .flat_map(|p| p.indices(eta, m.m_bits as u64))
+            .map(|row| row as usize * m.row_words)
+            .collect()
+    }
+
+    /// Which BFUs hold all `pairs`: the planned probe from an all-ones mask.
+    fn probe_all(m: &BfuMatrix, pairs: &[HashPair], eta: u32) -> BitVec {
+        let mut mask = BitVec::ones(m.buckets).words().to_vec();
+        let live = m.and_rows_into(&mut plan(m, pairs, eta), &mut mask, &mut Vec::new());
+        assert_eq!(live, mask.iter().any(|&w| w != 0));
+        let ones = (0..m.buckets).filter(|b| (mask[b / 64] >> (b % 64)) & 1 == 1);
+        BitVec::from_ones(m.buckets, ones)
+    }
+
+    fn probe_bucket(m: &BfuMatrix, bucket: usize, pairs: &[HashPair], eta: u32) -> bool {
+        plan(m, pairs, eta).iter().all(|&o| m.bit_at(o, bucket))
+    }
+
     #[test]
     fn insert_probe_roundtrip() {
         let mut m = BfuMatrix::new(1 << 10, 70); // >64 columns: two words/row
         m.insert(3, pair(1), 2);
         m.insert(68, pair(2), 2);
-        assert!(m.probe_bucket(3, &[pair(1)], 2));
-        assert!(m.probe_bucket(68, &[pair(2)], 2));
-        assert!(!m.probe_bucket(3, &[pair(2)], 2));
-        assert!(!m.probe_bucket(0, &[pair(1)], 2));
+        assert!(probe_bucket(&m, 3, &[pair(1)], 2));
+        assert!(probe_bucket(&m, 68, &[pair(2)], 2));
+        assert!(!probe_bucket(&m, 3, &[pair(2)], 2));
+        assert!(!probe_bucket(&m, 0, &[pair(1)], 2));
     }
 
     #[test]
@@ -912,22 +864,21 @@ mod tests {
                 m.insert(b, pair(t), 3);
             }
         }
-        let mut mask = BitVec::zeros(130);
         for t in 0..7u64 {
-            m.probe_all_into(&[pair(t)], 3, &mut mask);
+            let mask = probe_all(&m, &[pair(t)], 3);
             for b in 0..130usize {
                 assert_eq!(
                     mask.get(b),
-                    m.probe_bucket(b, &[pair(t)], 3),
+                    probe_bucket(&m, b, &[pair(t)], 3),
                     "term {t} bucket {b}"
                 );
             }
         }
     }
 
-    /// The fused/staged kernel path must agree with per-bucket probes for
-    /// every pair-count arity (1..=5 pairs × η rows exercises every
-    /// remainder branch of the 4-row staging loop).
+    /// The gather kernel must agree with per-bucket probes for every
+    /// pair-count arity (1..=5 pairs × η rows exercises every remainder
+    /// branch of its four-row grouping).
     #[test]
     fn probe_all_arity_sweep() {
         let mut m = BfuMatrix::new(1 << 12, 70);
@@ -938,15 +889,14 @@ mod tests {
                 }
             }
         }
-        let mut mask = BitVec::zeros(70);
         for n_pairs in 1..=5usize {
             for eta in 1..=5u32 {
                 let pairs: Vec<HashPair> = (0..n_pairs as u64).map(pair).collect();
-                m.probe_all_into(&pairs, eta, &mut mask);
+                let mask = probe_all(&m, &pairs, eta);
                 for b in 0..70usize {
                     assert_eq!(
                         mask.get(b),
-                        m.probe_bucket(b, &pairs, eta),
+                        probe_bucket(&m, b, &pairs, eta),
                         "pairs {n_pairs} eta {eta} bucket {b}"
                     );
                 }
@@ -954,23 +904,43 @@ mod tests {
         }
     }
 
-    /// Duplicate pairs (a term repeated across the query) must not change
-    /// the result — they are deduplicated before the kernel loop.
+    /// Repeated terms do not change the mask, on any backend: dense ANDs the
+    /// repeated rows again (idempotent), RRR and paged sort the plan and skip
+    /// them.
     #[test]
     fn probe_all_dedupes_repeated_pairs() {
-        let mut m = BfuMatrix::new(1 << 12, 66);
+        let mut dense = BfuMatrix::new(1 << 12, 66);
         for b in 0..66usize {
-            m.insert(b, pair(b as u64 % 5), 3);
+            dense.insert(b, pair(b as u64 % 5), 3);
+            dense.insert(b, pair((b as u64 + 1) % 5), 3);
         }
-        let mut plain = BitVec::zeros(66);
-        let mut duped = BitVec::zeros(66);
-        m.probe_all_into(&[pair(1), pair(2)], 3, &mut plain);
-        m.probe_all_into(
-            &[pair(1), pair(2), pair(1), pair(1), pair(2)],
-            3,
-            &mut duped,
-        );
-        assert_eq!(plain, duped);
+        let mut rrr = dense.clone();
+        rrr.compress_rrr();
+        let path = std::env::temp_dir().join(format!("rambo-matrix-{}.rbfm", std::process::id()));
+        let mut bytes = Vec::new();
+        dense.encode_into(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        let file = PagedFile::open(&path, 1 << 16).unwrap();
+        let paged =
+            BfuMatrix::decode_paged(&file, &mut 0, &Arc::new(BlockCacheCounters::new())).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(rrr.is_compressed() && paged.is_paged());
+
+        let plain = [pair(1), pair(2)];
+        let repeated = [pair(1), pair(2), pair(1), pair(1), pair(2)];
+        let expect = probe_all(&dense, &plain, 3);
+        assert!(expect.any(), "the fixture must leave live buckets");
+        for m in [&dense, &rrr, &paged] {
+            assert_eq!(probe_all(m, &plain, 3), expect);
+            assert_eq!(probe_all(m, &repeated, 3), expect);
+            for b in 0..66 {
+                assert_eq!(
+                    probe_bucket(m, b, &repeated, 3),
+                    expect.get(b),
+                    "bucket {b}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -979,18 +949,15 @@ mod tests {
         m.insert(5, pair(10), 2);
         m.insert(5, pair(11), 2);
         m.insert(9, pair(10), 2);
-        let mut mask = BitVec::zeros(16);
-        m.probe_all_into(&[pair(10), pair(11)], 2, &mut mask);
+        let mask = probe_all(&m, &[pair(10), pair(11)], 2);
         assert!(mask.get(5));
-        assert!(!mask.get(9) || m.probe_bucket(9, &[pair(11)], 2));
+        assert!(!mask.get(9) || probe_bucket(&m, 9, &[pair(11)], 2));
     }
 
     #[test]
     fn probe_all_on_empty_matrix_dies_early() {
         let m = BfuMatrix::new(1 << 10, 40);
-        let mut mask = BitVec::zeros(40);
-        m.probe_all_into(&[pair(1), pair(2), pair(3)], 4, &mut mask);
-        assert!(mask.none());
+        assert!(probe_all(&m, &[pair(1), pair(2), pair(3)], 4).none());
     }
 
     #[test]
@@ -1150,11 +1117,11 @@ mod tests {
         assert!(view.payload_borrows(&arc));
         assert_eq!(view, m);
         // Probes agree between owned and viewed storage.
-        let mut a = BitVec::zeros(70);
-        let mut b = BitVec::zeros(70);
         for t in 0..70u64 {
-            m.probe_all_into(&[pair(t)], 3, &mut a);
-            view.probe_all_into(&[pair(t)], 3, &mut b);
+            let (a, b) = (
+                probe_all(&m, &[pair(t)], 3),
+                probe_all(&view, &[pair(t)], 3),
+            );
             assert_eq!(a, b, "term {t}");
         }
     }
@@ -1196,7 +1163,7 @@ mod tests {
         let mut view = BfuMatrix::decode_view(&arc, &mut pos).unwrap();
         view.insert(5, pair(10), 2);
         assert!(!view.is_view(), "mutation must promote to owned");
-        assert!(view.probe_bucket(3, &[pair(9)], 2));
-        assert!(view.probe_bucket(5, &[pair(10)], 2));
+        assert!(probe_bucket(&view, 3, &[pair(9)], 2));
+        assert!(probe_bucket(&view, 5, &[pair(10)], 2));
     }
 }

@@ -1,5 +1,5 @@
 //! Algorithm 2 (query), the RAMBO+ sparse evaluation of §5.1, and the
-//! large-sequence query protocol of §3.3.1.
+//! large-sequence query protocol of §3.3.1 — one evaluator for every caller.
 //!
 //! A query against one repetition is: probe the BFUs (η contiguous row reads
 //! of the position-major matrix, ANDed into a `B`-bit bucket mask — see
@@ -8,10 +8,23 @@
 //! paper's §5.1 measured the AND at under 5% of query cycles; the row-major
 //! probe plus word-AND here reproduces that design.
 //!
-//! Terms are hashed **once per repetition** (each repetition has an
-//! independent Bloom family — see the seed discussion on [`Rambo`]); the
-//! per-repetition [`rambo_hash::HashPair`]s are cached in the
-//! [`QueryContext`] so multi-table evaluation never re-hashes.
+//! # One planned probe
+//!
+//! Every verb runs on the same **row plan**: when evaluation reaches a
+//! repetition, each term is hashed once with that repetition's Bloom seed
+//! (each repetition has an independent Bloom family — see the seed
+//! discussion on [`Rambo`]) and its η filter rows are written, as word
+//! offsets into the row-major matrix, to one flat scratch vector in the
+//! [`QueryContext`]. The probe then does nothing but move those rows: one
+//! [`rambo_bitvec::kernel::and_gather_rows_into_any`] call ANDs a whole
+//! repetition's rows into the bucket mask. Planning per repetition, not per
+//! query, means a query that dies in repetition 0 never hashes for the rest.
+//!
+//! The evaluator works over a **component list** — `(index, first global
+//! document id)` pairs sharing one geometry and seed schedule. A [`Rambo`]
+//! is the list of one; [`crate::GenerationalIndex`] passes its sealed
+//! generations plus memtable, and each planned row is OR-ed across
+//! components before the AND (see that module for why the order matters).
 //!
 //! Two evaluation strategies:
 //!
@@ -22,8 +35,15 @@
 //!   sequentially over an explicit candidate list — repetition `r` only
 //!   probes the buckets that still hold live candidates, memoized. Its cost
 //!   is Lemma 4.4's `B·η + (K/B)(V + B·p)·R` with no `O(K)` bitmap pass.
+//!
+//! θ-threshold sequence queries use the two modes as two independent
+//! strategies: Full counts term hits per *bucket* first and verifies only the
+//! documents whose buckets reach the threshold; Sparse runs one single-term
+//! RAMBO+ query per term and counts per document. The property suites and the
+//! benchmark's oracle hold one against the other.
 
 use crate::index::{DocId, Rambo};
+use rambo_bitvec::kernel::{self, ColumnCounter};
 use rambo_bitvec::BitVec;
 use rambo_hash::HashPair;
 
@@ -39,24 +59,35 @@ pub enum QueryMode {
 }
 
 /// Reusable query scratch space. Query latency at RAMBO's scale is dominated
-/// by cache behaviour; reusing the buffers avoids per-query allocation
-/// entirely.
+/// by cache behaviour; reusing the buffers means a warmed-up context
+/// allocates nothing per query but the returned id list.
 #[derive(Debug)]
 pub struct QueryContext {
-    /// Per-(repetition, term) hash pairs, repetition-major.
-    pub(crate) pairs: Vec<HashPair>,
-    /// Bucket mask for the per-table probe (`B` bits).
-    pub(crate) mask: BitVec,
+    /// The current repetition's row plan: η word offsets per term,
+    /// term-major (see the [module docs](self)).
+    rows: Vec<usize>,
+    /// Bucket mask for the per-table probe (`⌈B/64⌉` words).
+    mask: Vec<u64>,
+    /// Row staging for non-dense probes: one decoded RRR row, and the
+    /// cross-component OR of one row.
+    row_scratch: Vec<u64>,
+    or_row: Vec<u64>,
     /// Intersection accumulator across repetitions (`K` bits, Full mode).
-    pub(crate) acc: BitVec,
+    acc: BitVec,
     /// Per-repetition union bitmap (`K` bits, Full mode).
-    pub(crate) tbl: BitVec,
+    tbl: BitVec,
     /// Probe memo per bucket: 0 unknown, 1 true, 2 false (Sparse mode).
-    pub(crate) probes: Vec<u8>,
+    probes: Vec<u8>,
     /// Live candidates (Sparse mode).
-    pub(crate) candidates: Vec<DocId>,
-    /// Per-document hit counts for θ-threshold sequence queries.
-    pub(crate) counts: Vec<u32>,
+    candidates: Vec<DocId>,
+    /// Per-document hit counts (Sparse-mode θ queries).
+    counts: Vec<u32>,
+    /// Per-(repetition, term) bucket masks, repetition-major (Full-mode θ).
+    term_masks: Vec<u64>,
+    /// Per-repetition bitmaps of buckets reaching the θ threshold.
+    passing: Vec<u64>,
+    /// Per-bucket term-hit counters (Full-mode θ).
+    bucket_counts: ColumnCounter,
 }
 
 impl Default for QueryContext {
@@ -65,54 +96,425 @@ impl Default for QueryContext {
     }
 }
 
+/// Grow `v` to at least `len` entries (never shrink it).
+fn grow<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
+    if v.len() < len {
+        v.resize(len, T::default());
+    }
+}
+
 impl QueryContext {
     /// Fresh context; buffers are sized lazily on first use.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            pairs: Vec::new(),
-            mask: BitVec::zeros(0),
+            rows: Vec::new(),
+            mask: Vec::new(),
+            row_scratch: Vec::new(),
+            or_row: Vec::new(),
             acc: BitVec::zeros(0),
             tbl: BitVec::zeros(0),
             probes: Vec::new(),
             candidates: Vec::new(),
             counts: Vec::new(),
+            term_masks: Vec::new(),
+            passing: Vec::new(),
+            bucket_counts: ColumnCounter::new(0),
         }
     }
 
     /// Size the scratch buffers for an index with `docs` documents and
     /// `buckets` buckets.
     ///
-    /// **Invariant: buffer reuse is monotonic.** `acc`/`tbl`/`probes`/
-    /// `counts` only ever grow, so a context alternating between indexes of
-    /// different geometry keeps its largest allocation instead of thrashing
-    /// the allocator. This is sound because every query path fully
-    /// re-initializes the prefix it reads: `tbl` is cleared per repetition,
-    /// `acc` is overwritten from `tbl` at repetition 0 (and only documents
-    /// `< docs` are ever set), `probes[..buckets]` is zeroed per repetition,
-    /// and `counts[..docs]` is zeroed per θ-query. Only `mask` is kept at
-    /// exactly `buckets` bits: [`crate::matrix::BfuMatrix::probe_all_into`]
-    /// requires the mask length to equal the column count, and `set_all`'s
-    /// tail masking depends on the true length.
-    pub(crate) fn ensure(&mut self, docs: usize, buckets: usize) {
+    /// **Invariant: buffer reuse is monotonic.** Every buffer only ever
+    /// grows, so a context alternating between indexes of different geometry
+    /// keeps its largest allocation instead of thrashing the allocator. This
+    /// is sound because every query path fully re-initializes the prefix it
+    /// reads: `mask[..⌈B/64⌉]` is refilled per repetition, `tbl` is cleared
+    /// per repetition, `acc` is overwritten from `tbl` at repetition 0 (and
+    /// only documents `< docs` are ever set), `probes[..buckets]` is zeroed
+    /// per repetition, and `counts[..docs]`, the θ mask arena and the bucket
+    /// counters are reset per θ-query. The row plan and the row staging are
+    /// rewritten before each use.
+    fn ensure(&mut self, docs: usize, buckets: usize) {
         if self.acc.len() < docs {
             self.acc = BitVec::zeros(docs);
             self.tbl = BitVec::zeros(docs);
         }
-        if self.mask.len() != buckets {
-            self.mask = BitVec::zeros(buckets);
-        }
-        if self.probes.len() < buckets {
-            self.probes.resize(buckets, 0);
-        }
+        grow(&mut self.mask, buckets.div_ceil(64));
+        grow(&mut self.probes, buckets);
     }
+}
 
-    /// Mutable access to the Full-mode scratch (`acc`, `tbl`, `mask`) for
-    /// the batch engine in [`crate::batch`]. Call [`QueryContext::ensure`]
-    /// first.
-    pub(crate) fn full_mode_buffers(&mut self) -> (&mut BitVec, &mut BitVec, &mut BitVec) {
-        (&mut self.acc, &mut self.tbl, &mut self.mask)
+/// One member of the component list a query evaluates over: an index and the
+/// global id of its first document. Lists are ascending in that id, and all
+/// members share one [`crate::RamboParams`].
+pub(crate) type Component<'a> = (&'a Rambo, u32);
+
+/// The per-repetition planner of one query: given a repetition's Bloom seed,
+/// overwrite the vector with the η row offsets of every term, term-major.
+type Planner<'a> = dyn Fn(u64, &mut Vec<usize>) + 'a;
+
+/// Build the [`Planner`] of `terms` for an index of `geometry`'s shape.
+/// `hash` is the only thing that differs between packed and byte terms; the
+/// row positions are [`HashPair::index`], so they match insertion bit for
+/// bit.
+fn planner<'a, T>(
+    geometry: &Rambo,
+    terms: &'a [T],
+    hash: impl Fn(&T, u64) -> HashPair + 'a,
+) -> impl Fn(u64, &mut Vec<usize>) + 'a {
+    let eta = geometry.params().eta;
+    let m = geometry.params().bfu_bits as u64;
+    let row_words = (geometry.buckets() as usize).div_ceil(64);
+    move |seed, rows| {
+        rows.clear();
+        for term in terms {
+            let pair = hash(term, seed);
+            rows.extend((0..eta).map(|j| pair.index(j, m) as usize * row_words));
+        }
     }
+}
+
+pub(crate) fn hash_u64(term: &u64, seed: u64) -> HashPair {
+    HashPair::of_u64(*term, seed)
+}
+
+/// Set the low `bits` bits of `mask`, zero the rest of its last word.
+fn fill_ones(mask: &mut [u64], bits: usize) {
+    mask.fill(u64::MAX);
+    let tail = bits % 64;
+    if tail != 0 {
+        mask[bits / 64] = (1u64 << tail) - 1;
+    }
+}
+
+/// Indices of the set bits of a word slice, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors((word != 0).then_some(word), |&rest| {
+            let rest = rest & (rest - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+    })
+}
+
+fn bit(words: &[u64], i: usize) -> bool {
+    (words[i / 64] >> (i % 64)) & 1 == 1
+}
+
+/// The probe every verb shares: AND into `dst` the planned `rows` of
+/// repetition `rep`, each OR-ed across `comps` first. Returns `false` once
+/// `dst` is all-zero.
+fn and_rows_into(
+    comps: &[Component<'_>],
+    rep: usize,
+    rows: &mut [usize],
+    dst: &mut [u64],
+    row_scratch: &mut Vec<u64>,
+    or_row: &mut Vec<u64>,
+) -> bool {
+    if let [(only, _)] = comps {
+        return only.tables[rep]
+            .matrix
+            .and_rows_into(rows, dst, row_scratch);
+    }
+    grow(or_row, dst.len());
+    let or_row = &mut or_row[..dst.len()];
+    rows.iter().all(|&offset| {
+        or_row.fill(0);
+        for (comp, _) in comps {
+            comp.tables[rep]
+                .matrix
+                .or_row_into(offset, or_row, row_scratch);
+        }
+        let mut live = 0;
+        for (d, r) in dst.iter_mut().zip(or_row.iter()) {
+            *d &= r;
+            live |= *d;
+        }
+        live != 0
+    })
+}
+
+/// Documents held by a component list.
+fn total_documents(comps: &[Component<'_>]) -> usize {
+    comps
+        .last()
+        .map_or(0, |&(comp, lo)| lo as usize + comp.num_documents())
+}
+
+/// Algorithm 2 over a component list with caller-owned scratch: global ids
+/// of the documents whose BFUs hold *all* `terms`, ascending. `hash` maps a
+/// term and a repetition's Bloom seed to its [`HashPair`].
+pub(crate) fn evaluate<T>(
+    comps: &[Component<'_>],
+    terms: &[T],
+    hash: impl Fn(&T, u64) -> HashPair,
+    mode: QueryMode,
+    ctx: &mut QueryContext,
+) -> Vec<DocId> {
+    let docs = total_documents(comps);
+    if docs == 0 || terms.is_empty() {
+        return Vec::new();
+    }
+    let lead = comps[0].0;
+    ctx.ensure(docs, lead.buckets() as usize);
+    let plan = planner(lead, terms, hash);
+    match mode {
+        QueryMode::Full => query_full(comps, &plan, ctx),
+        QueryMode::Sparse => query_sparse(comps, &plan, ctx),
+    }
+}
+
+/// Full evaluation: probe every repetition's whole matrix, union into
+/// `K`-bit bitmaps, intersect across repetitions.
+fn query_full(comps: &[Component<'_>], plan: &Planner<'_>, ctx: &mut QueryContext) -> Vec<DocId> {
+    let lead = comps[0].0;
+    let b = lead.buckets() as usize;
+    let QueryContext {
+        rows,
+        mask,
+        row_scratch,
+        or_row,
+        acc,
+        tbl,
+        ..
+    } = ctx;
+    let mask = &mut mask[..b.div_ceil(64)];
+    for (rep, &seed) in lead.bloom_seeds.iter().enumerate() {
+        plan(seed, rows);
+        fill_ones(mask, b);
+        if !and_rows_into(comps, rep, rows, mask, row_scratch, or_row) {
+            return Vec::new(); // no BFU holds every term: the union is empty
+        }
+        tbl.clear_all();
+        for bucket in ones(mask) {
+            for &(comp, lo) in comps {
+                for &d in &comp.tables[rep].buckets[bucket] {
+                    tbl.set(lo as usize + d as usize);
+                }
+            }
+        }
+        // Fused AND + liveness (one unrolled pass — see
+        // [`rambo_bitvec::kernel`]): stop the moment the intersection
+        // empties, it is already conclusive.
+        let live = if rep == 0 {
+            acc.copy_from(tbl);
+            acc.any()
+        } else {
+            acc.and_assign_any(tbl)
+        };
+        if !live {
+            return Vec::new();
+        }
+    }
+    acc.iter_ones().map(|i| i as DocId).collect()
+}
+
+/// RAMBO+ evaluation: repetition 0 probes the matrix once and gathers an
+/// explicit candidate list; repetition `r > 0` probes only the buckets
+/// holding surviving candidates, memoized per bucket.
+fn query_sparse(comps: &[Component<'_>], plan: &Planner<'_>, ctx: &mut QueryContext) -> Vec<DocId> {
+    let lead = comps[0].0;
+    let b = lead.buckets() as usize;
+    let QueryContext {
+        rows,
+        mask,
+        row_scratch,
+        or_row,
+        probes,
+        candidates,
+        ..
+    } = ctx;
+    let mask = &mut mask[..b.div_ceil(64)];
+    candidates.clear();
+    for (rep, &seed) in lead.bloom_seeds.iter().enumerate() {
+        plan(seed, rows);
+        if rep == 0 {
+            // Full matrix probe, then gather candidates from the matching
+            // buckets (buckets partition the documents, so the
+            // concatenation is duplicate-free; one sort restores id order).
+            fill_ones(mask, b);
+            if and_rows_into(comps, 0, rows, mask, row_scratch, or_row) {
+                for bucket in ones(mask) {
+                    for &(comp, lo) in comps {
+                        candidates.extend(comp.tables[0].buckets[bucket].iter().map(|&d| lo + d));
+                    }
+                }
+                candidates.sort_unstable();
+            }
+        } else {
+            probes[..b].fill(0);
+            candidates.retain(|&doc| {
+                let slot = comps.partition_point(|&(_, lo)| lo <= doc) - 1;
+                let (comp, lo) = comps[slot];
+                let bucket = comp.tables[rep].assign[(doc - lo) as usize] as usize;
+                if probes[bucket] == 0 {
+                    // A bucket holds a position if any component set it —
+                    // the bit-at-a-time form of the OR-first row fold.
+                    let hit = rows.iter().all(|&offset| {
+                        comps
+                            .iter()
+                            .any(|(c, _)| c.tables[rep].matrix.bit_at(offset, bucket))
+                    });
+                    probes[bucket] = if hit { 1 } else { 2 };
+                }
+                probes[bucket] == 1
+            });
+        }
+        if candidates.is_empty() {
+            break;
+        }
+    }
+    std::mem::take(candidates)
+}
+
+/// θ-fraction sequence query over a component list: global ids of the
+/// documents that (appear to) contain at least `⌈theta · terms.len()⌉` of
+/// the terms, counted with multiplicity, ascending.
+///
+/// # Panics
+/// Panics unless `0 < theta ≤ 1`.
+pub(crate) fn evaluate_theta(
+    comps: &[Component<'_>],
+    terms: &[u64],
+    theta: f64,
+    mode: QueryMode,
+    ctx: &mut QueryContext,
+) -> Vec<DocId> {
+    assert!(theta > 0.0 && theta <= 1.0, "theta must be in (0, 1]");
+    if total_documents(comps) == 0 || terms.is_empty() {
+        return Vec::new();
+    }
+    let needed = ((theta * terms.len() as f64).ceil() as usize).max(1);
+    match mode {
+        QueryMode::Full => theta_by_bucket_count(comps, terms, needed, ctx),
+        QueryMode::Sparse => theta_term_at_a_time(comps, terms, needed, ctx),
+    }
+}
+
+/// Full-mode θ: filter at bucket granularity, then verify.
+///
+/// A term hits a document only if it hits the document's bucket in every
+/// repetition, so a document's hit count is at most the smallest, over
+/// repetitions, of its bucket's hit count. Per repetition, each term's
+/// `B`-bit mask is built on the shared row plan and summed per bucket with
+/// bit-sliced counters (`B` bits of work per term, not `K`); only documents
+/// whose `R` buckets all reach `needed` are counted exactly, from the
+/// retained masks.
+fn theta_by_bucket_count(
+    comps: &[Component<'_>],
+    terms: &[u64],
+    needed: usize,
+    ctx: &mut QueryContext,
+) -> Vec<DocId> {
+    let lead = comps[0].0;
+    let b = lead.buckets() as usize;
+    let rw = b.div_ceil(64);
+    let n = terms.len();
+    let eta = lead.params().eta as usize;
+    let reps = lead.repetitions();
+    let plan = planner(lead, terms, hash_u64);
+    let QueryContext {
+        rows,
+        row_scratch,
+        or_row,
+        term_masks,
+        passing,
+        bucket_counts,
+        ..
+    } = ctx;
+    grow(term_masks, reps * n * rw);
+    grow(passing, reps * rw);
+    for (rep, &seed) in lead.bloom_seeds.iter().enumerate() {
+        plan(seed, rows);
+        bucket_counts.reset(rw);
+        let masks = &mut term_masks[rep * n * rw..(rep + 1) * n * rw];
+        if let [(only, _)] = comps {
+            let matrix = &only.tables[rep].matrix;
+            matrix.term_masks_into(rows, eta, masks, row_scratch);
+        } else {
+            for (mask, term_rows) in masks.chunks_exact_mut(rw).zip(rows.chunks_exact_mut(eta)) {
+                fill_ones(mask, b);
+                and_rows_into(comps, rep, term_rows, mask, row_scratch, or_row);
+            }
+        }
+        bucket_counts.add_rows(masks);
+        let passing = &mut passing[rep * rw..(rep + 1) * rw];
+        bucket_counts.at_least(needed, passing);
+        if !kernel::any(passing) {
+            return Vec::new(); // no bucket of this repetition can hold a match
+        }
+    }
+    // Exact count: a term hits `doc` of `comp` if its mask holds the
+    // document's bucket in every repetition.
+    let reaches_needed = |comp: &Rambo, doc: usize| {
+        let buckets = |rep: usize| comp.tables[rep].assign[doc] as usize;
+        if !(1..reps).all(|rep| bit(&passing[rep * rw..], buckets(rep))) {
+            return false;
+        }
+        let mut hits = 0;
+        for t in 0..n {
+            let hit = (0..reps).all(|rep| bit(&term_masks[(rep * n + t) * rw..], buckets(rep)));
+            hits += usize::from(hit);
+            // Decided either way: enough hits, or too many misses to recover.
+            if hits >= needed || t + 1 - hits > n - needed {
+                break;
+            }
+        }
+        hits >= needed
+    };
+    let mut out = Vec::new();
+    for bucket in ones(&passing[..rw]) {
+        for &(comp, lo) in comps {
+            let docs = &comp.tables[0].buckets[bucket];
+            out.extend(
+                docs.iter()
+                    .filter(|&&d| reaches_needed(comp, d as usize))
+                    .map(|&d| lo + d),
+            );
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
+/// Sparse-mode θ: one single-term RAMBO+ query per term, counted per
+/// document — the strategy [`theta_by_bucket_count`] is held against.
+fn theta_term_at_a_time(
+    comps: &[Component<'_>],
+    terms: &[u64],
+    needed: usize,
+    ctx: &mut QueryContext,
+) -> Vec<DocId> {
+    let k = total_documents(comps);
+    grow(&mut ctx.counts, k);
+    ctx.counts[..k].fill(0);
+    // Running maximum over all counts: increments only ever raise a single
+    // counter, so tracking the max incrementally needs no O(K) scan per term.
+    let mut max_count = 0usize;
+    for (done, term) in terms.iter().enumerate() {
+        let term = std::slice::from_ref(term);
+        for d in evaluate(comps, term, hash_u64, QueryMode::Sparse, ctx) {
+            let c = &mut ctx.counts[d as usize];
+            *c += 1;
+            max_count = max_count.max(*c as usize);
+        }
+        // Early exit: even if every remaining term hit every document,
+        // nobody can reach the threshold once the deficit is fatal.
+        let remaining = terms.len() - done - 1;
+        if max_count + remaining < needed {
+            return Vec::new();
+        }
+    }
+    ctx.counts[..k]
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c as usize >= needed)
+        .map(|(d, _)| d as DocId)
+        .collect()
 }
 
 impl Rambo {
@@ -153,16 +555,7 @@ impl Rambo {
         mode: QueryMode,
         ctx: &mut QueryContext,
     ) -> Vec<DocId> {
-        if self.num_documents() == 0 || terms.is_empty() {
-            return Vec::new();
-        }
-        // Hash each term once per repetition, repetition-major.
-        ctx.pairs.clear();
-        for &seed in &self.bloom_seeds {
-            ctx.pairs
-                .extend(terms.iter().map(|&t| HashPair::of_u64(t, seed)));
-        }
-        self.query_hashed(terms.len(), mode, ctx)
+        evaluate(&[(self, 0)], terms, hash_u64, mode, ctx)
     }
 
     /// [`Rambo::query_terms_with`] for byte terms (words, raw k-mer text).
@@ -173,104 +566,8 @@ impl Rambo {
         mode: QueryMode,
         ctx: &mut QueryContext,
     ) -> Vec<DocId> {
-        if self.num_documents() == 0 || terms.is_empty() {
-            return Vec::new();
-        }
-        ctx.pairs.clear();
-        for &seed in &self.bloom_seeds {
-            ctx.pairs
-                .extend(terms.iter().map(|&t| HashPair::of_bytes(t, seed)));
-        }
-        self.query_hashed(terms.len(), mode, ctx)
-    }
-
-    /// Shared evaluation over the pairs already staged in `ctx.pairs`.
-    fn query_hashed(&self, n_terms: usize, mode: QueryMode, ctx: &mut QueryContext) -> Vec<DocId> {
-        let k = self.num_documents();
-        let b = self.buckets() as usize;
-        ctx.ensure(k, b);
-        match mode {
-            QueryMode::Full => {
-                self.query_full(n_terms, ctx);
-                ctx.acc.iter_ones().map(|i| i as DocId).collect()
-            }
-            QueryMode::Sparse => {
-                self.query_sparse(n_terms, ctx);
-                std::mem::take(&mut ctx.candidates)
-            }
-        }
-    }
-
-    /// Full evaluation: probe every repetition's whole matrix, union into
-    /// `K`-bit bitmaps, intersect across repetitions.
-    fn query_full(&self, n_terms: usize, ctx: &mut QueryContext) {
-        let eta = self.params().eta;
-        for (rep, table) in self.tables.iter().enumerate() {
-            let rep_pairs = &ctx.pairs[rep * n_terms..(rep + 1) * n_terms];
-            table.matrix.probe_all_into(rep_pairs, eta, &mut ctx.mask);
-            let tbl = &mut ctx.tbl;
-            tbl.clear_all();
-            for bucket in ctx.mask.iter_ones() {
-                for &d in &table.buckets[bucket] {
-                    tbl.set(d as usize);
-                }
-            }
-            // Fused AND + liveness (one unrolled pass — see
-            // [`rambo_bitvec::kernel`]): stop the moment the intersection
-            // empties, it is already conclusive.
-            let live = if rep == 0 {
-                ctx.acc.copy_from(tbl);
-                ctx.acc.any()
-            } else {
-                ctx.acc.and_assign_any(tbl)
-            };
-            if !live {
-                return;
-            }
-        }
-    }
-
-    /// RAMBO+ evaluation: repetition 1 probes the matrix once and gathers an
-    /// explicit candidate list; repetition `r > 1` probes only the buckets
-    /// holding surviving candidates, memoized per bucket.
-    fn query_sparse(&self, n_terms: usize, ctx: &mut QueryContext) {
-        let eta = self.params().eta;
-        let b = self.buckets() as usize;
-        // First repetition: full matrix probe, then gather candidates from
-        // the matching buckets (buckets partition the documents, so the
-        // concatenation is duplicate-free; one sort restores id order).
-        let table0 = &self.tables[0];
-        table0
-            .matrix
-            .probe_all_into(&ctx.pairs[..n_terms], eta, &mut ctx.mask);
-        ctx.candidates.clear();
-        for bucket in ctx.mask.iter_ones() {
-            ctx.candidates.extend_from_slice(&table0.buckets[bucket]);
-        }
-        ctx.candidates.sort_unstable();
-
-        for (rep, table) in self.tables.iter().enumerate().skip(1) {
-            if ctx.candidates.is_empty() {
-                return;
-            }
-            ctx.probes[..b].fill(0);
-            let probes = &mut ctx.probes;
-            let rep_pairs = &ctx.pairs[rep * n_terms..(rep + 1) * n_terms];
-            let matrix = &table.matrix;
-            let assign = &table.assign;
-            ctx.candidates.retain(|&d| {
-                let bucket = assign[d as usize] as usize;
-                match probes[bucket] {
-                    1 => true,
-                    2 => false,
-                    _ => {
-                        let ok = matrix.probe_bucket(bucket, rep_pairs, eta);
-                        probes[bucket] = if ok { 1 } else { 2 };
-                        ok
-                    }
-                }
-            });
-        }
+        let hash = |term: &&[u8], seed| HashPair::of_bytes(term, seed);
+        evaluate(&[(self, 0)], terms, hash, mode, ctx)
     }
 
     /// Large-sequence query (§3.3.1): membership-test each term of the query
@@ -291,10 +588,6 @@ impl Rambo {
         mode: QueryMode,
         ctx: &mut QueryContext,
     ) -> Vec<DocId> {
-        let k = self.num_documents();
-        if k == 0 || terms.is_empty() {
-            return Vec::new();
-        }
         let mut acc: Option<Vec<DocId>> = None;
         for &term in terms {
             let hits = self.query_terms_with(&[term], mode, ctx);
@@ -344,45 +637,7 @@ impl Rambo {
         mode: QueryMode,
         ctx: &mut QueryContext,
     ) -> Vec<DocId> {
-        assert!(theta > 0.0 && theta <= 1.0, "theta must be in (0, 1]");
-        let k = self.num_documents();
-        if k == 0 || terms.is_empty() {
-            return Vec::new();
-        }
-        let needed = ((theta * terms.len() as f64).ceil() as usize).max(1);
-        // Counts live in the context (monotonic reuse — see
-        // [`QueryContext::ensure`]); only the `k`-prefix is read or written.
-        if ctx.counts.len() < k {
-            ctx.counts.resize(k, 0);
-        }
-        ctx.counts[..k].fill(0);
-        // Running maximum over all counts: increments only ever raise a
-        // single counter, so tracking the max incrementally replaces the
-        // former O(K) scan per term.
-        let mut max_count = 0usize;
-        for (done, &term) in terms.iter().enumerate() {
-            let hits = self.query_terms_with(&[term], mode, ctx);
-            for d in hits {
-                let c = &mut ctx.counts[d as usize];
-                *c += 1;
-                max_count = max_count.max(*c as usize);
-            }
-            // Early exit: even if every remaining term hit every document,
-            // nobody new can reach the threshold once the deficit is fatal.
-            let remaining = terms.len() - done - 1;
-            if remaining == 0 {
-                break;
-            }
-            if max_count + remaining < needed {
-                return Vec::new();
-            }
-        }
-        ctx.counts[..k]
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c as usize >= needed)
-            .map(|(d, _)| d as DocId)
-            .collect()
+        evaluate_theta(&[(self, 0)], terms, theta, mode, ctx)
     }
 
     /// Convenience: resolve query results to document names.
@@ -392,7 +647,7 @@ impl Rambo {
     }
 }
 
-/// Salts decorrelating the two 64-bit halves of [`canonical_query_key`].
+/// Salts decorrelating the two 64-bit halves of the query keys.
 const QUERY_KEY_SALT_LO: u64 = 0x9E37_79B9_7F4A_7C15;
 const QUERY_KEY_SALT_HI: u64 = 0xC2B2_AE3D_27D4_EB4F;
 
@@ -403,11 +658,9 @@ const QUERY_KEY_SALT_HI: u64 = 0xC2B2_AE3D_27D4_EB4F;
 /// this value returns bit-identical answers for every phrasing of the same
 /// set.
 ///
-/// The combine is a commutative wrapping sum of two independently salted
-/// [`rambo_hash::mix64`] images per distinct term, folded with the distinct
-/// count — order-insensitive by construction, no sort needed for the
-/// already-strictly-sorted batches the ingestion paths produce. Unsorted
-/// inputs pay one sort+dedupe of a scratch copy.
+/// It is the [`multiset_query_key`] of the distinct terms: no sort is needed
+/// for the already-strictly-sorted batches the ingestion paths produce;
+/// unsorted inputs pay one sort+dedupe of a scratch copy.
 ///
 /// ```
 /// use rambo_core::canonical_query_key;
@@ -420,27 +673,46 @@ const QUERY_KEY_SALT_HI: u64 = 0xC2B2_AE3D_27D4_EB4F;
 /// ```
 #[must_use]
 pub fn canonical_query_key(terms: &[u64]) -> u128 {
-    use rambo_hash::mix64;
-    let fold = |unique: &[u64]| {
-        let mut lo = 0u64;
-        let mut hi = 0u64;
-        for &t in unique {
-            lo = lo.wrapping_add(mix64(t ^ QUERY_KEY_SALT_LO));
-            hi = hi.wrapping_add(mix64(t.rotate_left(32) ^ QUERY_KEY_SALT_HI));
-        }
-        // Fold the distinct count into both halves so `{}`-padding or
-        // truncation collisions cannot survive the final mix.
-        let n = unique.len() as u64;
-        (u128::from(mix64(lo ^ n)) << 64) | u128::from(mix64(hi ^ n.rotate_left(17)))
-    };
     if terms.windows(2).all(|w| w[0] < w[1]) {
-        fold(terms)
+        multiset_query_key(terms)
     } else {
         let mut sorted = terms.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        fold(&sorted)
+        multiset_query_key(&sorted)
     }
+}
+
+/// A 128-bit key identifying a query's term **multiset**: independent of
+/// term order but not of multiplicity, so `[a, b]` and `[b, a]` share a key
+/// while `[a, a, b]` gets its own. This is the key for θ-threshold sequence
+/// queries, which count a repeated term once per occurrence — under
+/// [`canonical_query_key`] a cached answer for `[a, b]` would be served for
+/// `[a, a, b]`, whose threshold `a` alone can reach.
+///
+/// The combine is a commutative wrapping sum of two independently salted
+/// [`rambo_hash::mix64`] images per term, folded with the term count —
+/// order-insensitive by construction, no sort needed.
+///
+/// ```
+/// use rambo_core::multiset_query_key;
+///
+/// assert_eq!(multiset_query_key(&[3, 1, 2]), multiset_query_key(&[1, 2, 3]));
+/// assert_ne!(multiset_query_key(&[1, 1, 2]), multiset_query_key(&[1, 2]));
+/// ```
+#[must_use]
+pub fn multiset_query_key(terms: &[u64]) -> u128 {
+    use rambo_hash::mix64;
+    let mut lo = 0u64;
+    let mut hi = 0u64;
+    for &t in terms {
+        lo = lo.wrapping_add(mix64(t ^ QUERY_KEY_SALT_LO));
+        hi = hi.wrapping_add(mix64(t.rotate_left(32) ^ QUERY_KEY_SALT_HI));
+    }
+    // Fold the count into both halves so `{}`-padding or truncation
+    // collisions cannot survive the final mix.
+    let n = terms.len() as u64;
+    (u128::from(mix64(lo ^ n)) << 64) | u128::from(mix64(hi ^ n.rotate_left(17)))
 }
 
 /// Merge-intersection of two ascending id lists.

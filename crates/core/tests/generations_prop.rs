@@ -82,6 +82,30 @@ fn assert_parity(live: &GenerationalIndex, mono: &Rambo, probes: &[u64]) {
         let b = mono.query_terms_with(pair, QueryMode::Full, &mut ctx_mono);
         prop_assert_eq!(&a, &b, "multi-term divergence on {:x?}", pair);
     }
+    // θ queries count with multiplicity, by two independent strategies
+    // (Full: bucket-count filter-then-verify; Sparse: term at a time): both,
+    // over the component list, must equal the monolith.
+    for window in probes.chunks(5) {
+        let mut seq = window.to_vec();
+        seq.push(window[0]); // a repeated term counts twice
+        for theta in [0.4, 0.8, 1.0] {
+            let want = mono.query_sequence_theta(&seq, theta, QueryMode::Sparse, &mut ctx_mono);
+            let mono_full = mono.query_sequence_theta(&seq, theta, QueryMode::Full, &mut ctx_mono);
+            prop_assert_eq!(&mono_full, &want, "monolith θ={} on {:x?}", theta, seq);
+            for mode in [QueryMode::Full, QueryMode::Sparse] {
+                let got = live.query_sequence_theta_with(&seq, theta, mode, &mut ctx_live);
+                prop_assert_eq!(
+                    &got,
+                    &want,
+                    "θ={} divergence on {:x?} ({:?}, {} gens)",
+                    theta,
+                    seq,
+                    mode,
+                    live.num_generations()
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -138,6 +162,33 @@ proptest! {
             prop_assert_eq!(live.document_id(name), Some(i as u32));
             prop_assert_eq!(live.document_name(i as u32), name.as_str());
         }
+    }
+
+    /// Every query verb equals the monolith for every component count: 0–3
+    /// sealed, never-merged generations plus a non-empty memtable.
+    #[test]
+    fn every_component_count_matches_monolith(
+        archive in archive_strategy(12),
+        sealed in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let params = RamboParams::flat(8, 3, 1 << 10, 2, seed);
+        let config = GenerationConfig {
+            memtable_fpr_budget: 1.0, // never auto-seal: the test places the seals
+            memtable_max_docs: 0,
+            ..GenerationConfig::default()
+        };
+        let mut live = GenerationalIndex::new(params, config).unwrap();
+        let last = archive.docs.len() - 1;
+        for (i, (name, terms)) in archive.docs.iter().enumerate() {
+            live.insert_document(name, terms).unwrap();
+            if i < sealed.min(last) {
+                live.seal_memtable().unwrap();
+            }
+        }
+        prop_assert_eq!(live.num_generations(), sealed.min(last));
+        prop_assert!(live.memtable_documents() > 0);
+        assert_parity(&live, &oracle(params, &archive.docs), &probe_set(&archive));
     }
 
     /// The merge policy must respect its bound for any config: after

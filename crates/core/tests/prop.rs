@@ -42,6 +42,34 @@ fn build(params: RamboParams, archive: &Archive) -> Rambo {
     r
 }
 
+/// Does document `d` (appear to) hold `term`, straight from the definition:
+/// in every repetition, the BFU of the document's bucket has all η bits of
+/// the term's hash pair set. Shares no code with the planned probe.
+fn holds(idx: &Rambo, d: u32, term: u64) -> bool {
+    (0..idx.repetitions()).all(|rep| {
+        let bucket = idx.bucket_of(rep, d) as usize;
+        idx.bfu_contains_pair(rep, bucket, idx.hash_u64_rep(rep, term))
+    })
+}
+
+/// Write `idx` to a scratch file and reopen it paged (payload left on disk);
+/// also returns the bytes the record occupied.
+fn reopen_paged(idx: &Rambo) -> (Rambo, u64) {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "rambo-prop-paged-{}-{}.cat",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed),
+    ));
+    std::fs::write(&path, idx.to_bytes().unwrap()).unwrap();
+    let file = rambo_bitvec::PagedFile::open(&path, 1 << 20).unwrap();
+    let counters = Arc::new(rambo_bitvec::BlockCacheCounters::new());
+    let opened = Rambo::open_paged_at(&file, 0, &counters).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    opened
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -174,7 +202,7 @@ proptest! {
 
     /// [`QueryBatch`] returns exactly what per-call
     /// [`Rambo::query_terms_with`] returns, in both evaluation modes, for
-    /// single- and multi-term queries with repeats (memoization hits).
+    /// single- and multi-term queries with repeats (scratch reuse).
     #[test]
     fn query_batch_equals_per_call(
         archive in archive_strategy(14),
@@ -188,7 +216,7 @@ proptest! {
             .map(|(_, ts)| ts.iter().take(3).copied().collect())
             .collect();
         queries.extend(probes.into_iter().map(|t| vec![t]));
-        queries.push(queries[0].clone()); // repeated query → memo hit
+        queries.push(queries[0].clone()); // repeated query
         for mode in [QueryMode::Full, QueryMode::Sparse] {
             let mut ctx = QueryContext::new();
             let expected: Vec<_> = queries
@@ -286,33 +314,6 @@ proptest! {
             // Whatever decoded must be internally consistent enough to query.
             let _ = view.query_u64(0xF00D);
         }
-    }
-
-    /// Bounded mask memos answer exactly like unbounded evaluation under
-    /// random capacities and query streams with repeats (eviction churn).
-    #[test]
-    fn bounded_query_batch_equals_per_call(
-        archive in archive_strategy(12),
-        seed in any::<u64>(),
-        capacity in 1usize..6,
-        probes in proptest::collection::vec(any::<u64>(), 1..15),
-    ) {
-        let idx = build(RamboParams::flat(8, 3, 1 << 10, 2, seed), &archive);
-        let mut queries: Vec<Vec<u64>> = archive
-            .docs
-            .iter()
-            .map(|(_, ts)| ts.iter().take(3).copied().collect())
-            .collect();
-        queries.extend(probes.into_iter().map(|t| vec![t]));
-        queries.push(queries[0].clone()); // repeat → memo hit or re-probe
-        let mut ctx = QueryContext::new();
-        let expected: Vec<_> = queries
-            .iter()
-            .map(|q| idx.query_terms_with(q, QueryMode::Full, &mut ctx))
-            .collect();
-        let mut qb = QueryBatch::with_mask_capacity(&idx, capacity);
-        prop_assert_eq!(qb.run(&queries, QueryMode::Full), expected);
-        prop_assert!(qb.memoized_terms() <= capacity, "capacity must bound the memo");
     }
 
     /// Fold/shard interplay: [`rambo_core::ShardedRambo::stack`] followed
@@ -475,24 +476,10 @@ proptest! {
         seed in any::<u64>(),
         probes in proptest::collection::vec(any::<u64>(), 1..10),
     ) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static CASE: AtomicUsize = AtomicUsize::new(0);
-
         let mut idx = build(RamboParams::flat(b << folds, r, 1 << 10, 2, seed), &archive);
         idx.fold_times(folds).unwrap();
-        let bytes = idx.to_bytes().unwrap();
-        let path = std::env::temp_dir().join(format!(
-            "rambo-prop-paged-{}-{}.cat",
-            std::process::id(),
-            CASE.fetch_add(1, Ordering::Relaxed),
-        ));
-        std::fs::write(&path, &bytes).unwrap();
-
-        let file = rambo_bitvec::PagedFile::open(&path, 1 << 20).unwrap();
-        let counters = Arc::new(rambo_bitvec::BlockCacheCounters::new());
-        let (paged, used) = Rambo::open_paged_at(&file, 0, &counters).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        prop_assert_eq!(used, bytes.len() as u64);
+        let (paged, used) = reopen_paged(&idx);
+        prop_assert_eq!(used, idx.to_bytes().unwrap().len() as u64);
         prop_assert_eq!(&paged, &idx, "paged index must equal the source");
 
         let mut all_probes = probes;
@@ -513,6 +500,68 @@ proptest! {
             idx.query_terms_with(&q, QueryMode::Full, &mut ctx_m),
             paged.query_terms_with(&q, QueryMode::Full, &mut ctx_p)
         );
+    }
+
+    /// Every query verb equals its definition on every storage backend.
+    /// AND queries (Full and Sparse) return exactly the documents that hold
+    /// every term; θ queries (Full: bucket-count filter-then-verify, Sparse:
+    /// term-at-a-time) return exactly the documents holding at least
+    /// `⌈θ·n⌉` terms counted with multiplicity. Queries carry repeated and
+    /// absent terms; geometry sweeps η and bucket counts that are not a
+    /// multiple of the word size.
+    #[test]
+    fn every_verb_matches_the_definition_on_every_backend(
+        archive in archive_strategy(10),
+        b in 2u64..150,
+        r in 1usize..4,
+        eta in 1u32..=4,
+        seed in any::<u64>(),
+        absent in proptest::collection::vec(any::<u64>(), 1..4),
+        tenths in 1u32..=10,
+    ) {
+        let dense = build(RamboParams::flat(b, r, 1 << 10, eta, seed), &archive);
+        let bytes: Arc<[u8]> = dense.to_bytes().unwrap().into();
+        let mut rrr = dense.clone();
+        rrr.compress_to_rrr();
+        let (paged, _) = reopen_paged(&dense);
+        prop_assert!(rrr.is_compressed() && paged.tables_paged());
+        let mut backends = vec![("dense", &dense), ("rrr", &rrr), ("paged", &paged)];
+        // 32-bit Arc layouts may misalign the payload; the loader errors there.
+        let view = Rambo::open_view(bytes).ok();
+        if let Some(view) = &view {
+            backends.push(("view", view));
+        }
+
+        let theta = f64::from(tenths) / 10.0;
+        let k = archive.docs.len() as u32;
+        let mut ctx = QueryContext::new();
+        for (i, (_, terms)) in archive.docs.iter().enumerate() {
+            // A window of the document's terms with one repeated, then the
+            // same window with an absent term in the middle.
+            let mut present: Vec<u64> = terms.iter().take(4).copied().collect();
+            present.push(terms[0]);
+            let mut perturbed = present.clone();
+            perturbed.insert(2, absent[i % absent.len()]);
+            for q in [&present, &perturbed] {
+                let all: Vec<u32> = (0..k).filter(|&d| q.iter().all(|&t| holds(&dense, d, t))).collect();
+                let needed = (theta * q.len() as f64).ceil() as usize;
+                let enough: Vec<u32> = (0..k)
+                    .filter(|&d| q.iter().filter(|&&t| holds(&dense, d, t)).count() >= needed)
+                    .collect();
+                for (name, idx) in &backends {
+                    for mode in [QueryMode::Full, QueryMode::Sparse] {
+                        prop_assert_eq!(
+                            &idx.query_terms_with(q, mode, &mut ctx), &all,
+                            "{} {:?} AND {:x?}", name, mode, q
+                        );
+                        prop_assert_eq!(
+                            &idx.query_sequence_theta(q, theta, mode, &mut ctx), &enough,
+                            "{} {:?} theta {} {:x?}", name, mode, theta, q
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Multi-term queries (Algorithm 2 semantics) always contain every

@@ -12,9 +12,8 @@
 //! the serve tests), so either mode may consume a hit produced by the other.
 //!
 //! The cache is sized in **bytes, not entries** — one broad-tier hit list
-//! can outweigh a thousand point lookups — and reuses the intrusive-LRU
-//! shape proven in `QueryBatch`'s mask memo: a [`FastMap`] indexes into a
-//! slot arena that doubles as a doubly-linked recency list, so hit, insert
+//! can outweigh a thousand point lookups — and is an intrusive LRU: a
+//! [`FastMap`] indexes into a slot arena that doubles as a doubly-linked recency list, so hit, insert
 //! and evict are all O(1) under one short shard lock.
 //!
 //! Invalidation is O(1): [`ResultCache::bump_version`] increments an atomic

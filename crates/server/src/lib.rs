@@ -24,10 +24,8 @@
 //!   within a 10 ms window) the lane flips to **micro-batching**: workers
 //!   take whatever requests are queued (up to `max_batch`, waiting at
 //!   most `max_delay` for stragglers) and evaluate the batch through a
-//!   tier-local [`rambo_core::QueryBatch`], so the LRU per-term
-//!   bucket-mask memo and the query scratch amortize across concurrent
-//!   clients — sequence workloads share most terms between adjacent
-//!   requests. Hysteresis (a quiet-streak plus a live-traffic cooldown)
+//!   tier-local [`rambo_core::QueryBatch`], so one warmed-up query
+//!   scratch serves every concurrent client. Hysteresis (a quiet-streak plus a live-traffic cooldown)
 //!   keeps the gate from thrashing; both paths share one evaluator, so
 //!   results are bit-identical either way. Backpressure is explicit
 //!   ([`ServerError::Overloaded`]), deadlines are enforced on both sides

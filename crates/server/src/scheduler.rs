@@ -27,10 +27,8 @@
 //! preemption inside a joint evaluation delays every request in the batch)
 //! and only win once queue wait dominates. It then releases
 //! the lock (handing the intake to a sibling worker) and evaluates the whole
-//! batch through its tier-local [`QueryBatch`], so the per-term bucket-mask
-//! memo and the query scratch stay hot across every request in the batch —
-//! the §3.3.1 sequence workloads this engine targets share most of their
-//! terms between adjacent requests.
+//! batch through its tier-local [`QueryBatch`], so the query scratch stays
+//! hot across every request in the batch.
 //!
 //! `max_delay = 0` degenerates to greedy adaptive batching (evaluate
 //! whatever accumulated while the previous batch ran — no added latency);
@@ -150,9 +148,6 @@ pub(crate) struct BatchKnobs {
     /// capped at a singleton (see [`collect_batch`]). Unused in always-batch
     /// mode.
     pub batch_above: usize,
-    /// Evaluator mask-memo capacity override
-    /// (see `ServerConfig::mask_memo_terms`).
-    pub memo_terms: Option<usize>,
 }
 
 /// Run one evaluator worker until the intake disconnects (all request
@@ -180,10 +175,7 @@ pub(crate) fn run_worker(
     /// *but* quiet batches, so it converges in `QUIET_STREAK` requests
     /// (well under a millisecond of extra batched mode).
     const QUIET_STREAK: u32 = 16;
-    let mut evaluator = match knobs.memo_terms {
-        None => QueryBatch::new(index),
-        Some(n) => QueryBatch::with_mask_capacity(index, n),
-    };
+    let mut evaluator = QueryBatch::new(index);
     let mut batch: Vec<Request> = Vec::with_capacity(knobs.max_batch.max(1));
     let mut quiet_batches = 0u32;
     let mut last_batch_end = Instant::now();
@@ -307,10 +299,9 @@ fn collect_batch(
     // Tail-amplification guard: one preemption landing inside a joint batch
     // evaluation delays every request sharing the batch, so wide batches
     // only pay for themselves once queue wait dominates. While the queue is
-    // shallow an adaptive lane feeds singletons — the per-term mask memo
-    // still amortizes across batches because the evaluator is
-    // worker-persistent — and drains greedily only at depths where waiting
-    // in the queue costs more than sharing a preemption.
+    // shallow an adaptive lane feeds singletons, and drains greedily only
+    // at depths where waiting in the queue costs more than sharing a
+    // preemption.
     let max_take = match knobs.inline_below {
         Some(_) if (gate.queued.load(Ordering::Acquire) as usize) < knobs.batch_above => 1,
         _ => knobs.max_batch,

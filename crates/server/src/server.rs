@@ -13,8 +13,8 @@
 //!
 //! ## The adaptive scheduler
 //!
-//! Micro-batching pays off when the queue is busy: the per-term mask memo
-//! amortizes across a batch and dispatch overhead is shared. Under light
+//! Micro-batching pays off when the queue is busy: one wake-up and one
+//! warmed-up scratch serve the whole batch. Under light
 //! load it *loses* — staging a lone request through a channel, a worker
 //! wake-up and a reply channel costs more than just evaluating it. The
 //! scheduler therefore tracks each lane's instantaneous queue depth: while
@@ -91,13 +91,6 @@ pub struct ServerConfig {
     pub default_mode: QueryMode,
     /// Inline-bypass vs batching policy (see [`SchedulerMode`]).
     pub scheduler: SchedulerMode,
-    /// Capacity, in resident terms, of each evaluator's per-term bucket-mask
-    /// memo: `None` uses the engine default (an LLC-sized byte budget, see
-    /// [`rambo_core::QueryBatch::new`]); `Some(n)` pins it (clamped to at
-    /// least 1, where the memo degenerates to per-request evaluation — the
-    /// `serve_load` bench's one-at-a-time arm, and the right setting for
-    /// memory-constrained deployments that would rather re-probe).
-    pub mask_memo_terms: Option<usize>,
     /// Byte budget of the hot-query result cache; `0` disables it.
     pub result_cache_bytes: usize,
     /// Retain this many worst-latency requests in the slow-query log; `0`
@@ -114,7 +107,6 @@ impl Default for ServerConfig {
             workers_per_tier: default_threads(),
             default_mode: QueryMode::Full,
             scheduler: SchedulerMode::default(),
-            mask_memo_terms: None,
             result_cache_bytes: 16 << 20,
             slow_log: 32,
         }
@@ -196,13 +188,6 @@ impl ServerConfigBuilder {
     #[must_use]
     pub fn scheduler(mut self, mode: SchedulerMode) -> Self {
         self.config.scheduler = mode;
-        self
-    }
-
-    /// See [`ServerConfig::mask_memo_terms`].
-    #[must_use]
-    pub fn mask_memo_terms(mut self, terms: Option<usize>) -> Self {
-        self.config.mask_memo_terms = terms;
         self
     }
 
@@ -662,7 +647,7 @@ impl<'env> ServerHandle<'env> {
 
     /// Zero the per-tier counters, latency histograms and slow-query log —
     /// a monitoring-window boundary (steady-state benchmark start after
-    /// warmup, or a periodic scrape). Scheduler gate state, evaluator memos
+    /// warmup, or a periodic scrape). Scheduler gate state, evaluator scratch
     /// and the result cache (whose counters are cumulative by design, see
     /// [`crate::cache::CacheStats`]) are untouched: the point of a window
     /// boundary is fresh *measurements* of the same warmed server.
@@ -741,15 +726,10 @@ impl Server {
                 SchedulerMode::Adaptive { inline_below, .. } => Some(inline_below),
                 SchedulerMode::AlwaysBatch => None,
             },
-            memo_terms: config.mask_memo_terms,
             batch_above: match config.scheduler {
                 SchedulerMode::Adaptive { batch_above, .. } => batch_above,
                 SchedulerMode::AlwaysBatch => 0,
             },
-        };
-        let make_evaluator = |index| match config.mask_memo_terms {
-            None => QueryBatch::new(index),
-            Some(n) => QueryBatch::with_mask_capacity(index, n),
         };
         let counters: Vec<TierCounters> = (0..catalog.len()).map(|_| TierCounters::new()).collect();
         // Always-batch lanes start (and stay) gated closed; adaptive lanes
@@ -758,7 +738,7 @@ impl Server {
             .map(|_| LaneGate::new(matches!(config.scheduler, SchedulerMode::AlwaysBatch)))
             .collect();
         let inline_evaluators: Vec<Mutex<QueryBatch<'_>>> = (0..catalog.len())
-            .map(|t| Mutex::new(make_evaluator(catalog.tier(t))))
+            .map(|t| Mutex::new(QueryBatch::new(catalog.tier(t))))
             .collect();
         let cache =
             (config.result_cache_bytes > 0).then(|| ResultCache::new(config.result_cache_bytes));

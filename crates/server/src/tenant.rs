@@ -45,8 +45,8 @@
 
 use crate::cache::{CacheStats, ResultCache};
 use rambo_core::{
-    canonical_query_key, DocId, GenerationConfig, GenerationalIndex, QueryContext, QueryMode,
-    Rambo, RamboError, RamboParams,
+    canonical_query_key, multiset_query_key, DocId, GenerationConfig, GenerationalIndex,
+    QueryContext, QueryMode, Rambo, RamboError, RamboParams,
 };
 use rambo_hash::mix64;
 use rambo_workloads::stats::LatencyHistogram;
@@ -560,11 +560,12 @@ impl TenantRegistry {
             QueryMode::Sparse => 1,
         };
         // θ queries live in their own cache lanes with the threshold mixed
-        // into the key: the same term set at a different θ is a different
-        // answer.
+        // into the key: the same terms at a different θ are a different
+        // answer. θ counts a repeated term once per occurrence, so its key
+        // keeps multiplicity; AND queries are set-valued.
         let (lane, key) = match theta {
             None => (mode_lane, canonical_query_key(terms)),
-            Some(th) => (2 + mode_lane, canonical_query_key(terms) ^ theta_salt(th)),
+            Some(th) => (2 + mode_lane, multiset_query_key(terms) ^ theta_salt(th)),
         };
         let mut version = 0;
         if let Some(cache) = &t.cache {

@@ -30,12 +30,17 @@ struct Oracle {
 
 /// Fuzzed term list over a small shared universe — the same terms recur
 /// across tenants and across ops, so cache hits, repeated queries, and
-/// cross-tenant term collisions all happen.
+/// cross-tenant term collisions all happen. Half the lists repeat their
+/// first term: θ queries count it twice, AND queries must not care.
 fn fuzz_terms(r: u64) -> Vec<u64> {
     let n = 1 + (r % 4) as usize;
-    (0..n as u64)
+    let mut terms: Vec<u64> = (0..n as u64)
         .map(|i| (r >> 8).wrapping_add(i * 7) % 24)
-        .collect()
+        .collect();
+    if r & 4 != 0 {
+        terms.push(terms[0]);
+    }
+    terms
 }
 
 proptest! {
@@ -197,4 +202,39 @@ fn recreate_after_drop_never_serves_the_old_incarnation() {
         registry.resolve_names("phoenix", &ids).unwrap(),
         vec!["new-doc".to_string()]
     );
+}
+
+/// θ counts a repeated term once per occurrence, so `[a, a, b]` is a
+/// different query from `[a, b]`: a cached answer for one must never be
+/// served for the other (the θ lanes are keyed on the term multiset, not the
+/// term set). Reachable from the wire: `R.QUERYSEQ` passes a read's k-mers
+/// through undeduplicated, and k-mers repeat.
+#[test]
+fn theta_cache_key_keeps_term_multiplicity() {
+    let registry = TenantRegistry::new(params(), TenantQuotas::default()).unwrap();
+    registry.create("reads", TenantOptions::default()).unwrap();
+    let (a, b) = (7u64, 1000u64);
+    registry.insert_document("reads", "only-a", &[a]).unwrap();
+
+    // One of two terms present: below θ = 0.6 (needs both). Cached.
+    let set = registry.query_theta("reads", &[a, b], 0.6, None).unwrap();
+    assert!(set.is_empty(), "fixture: `b` must be absent, got {set:?}");
+    // Two of three occurrences present: reaches ⌈0.6 · 3⌉ = 2.
+    let multiset = registry
+        .query_theta("reads", &[a, a, b], 0.6, None)
+        .unwrap();
+    assert_eq!(
+        multiset,
+        vec![0],
+        "cached [a, b] answer served for [a, a, b]"
+    );
+    // Order still does not matter, and repeats of the exact query hit.
+    assert_eq!(
+        registry
+            .query_theta("reads", &[b, a, a], 0.6, None)
+            .unwrap(),
+        vec![0]
+    );
+    let cache = registry.stats("reads").unwrap().cache.expect("cache on");
+    assert_eq!(cache.counters.hits, 1, "only the reordered repeat may hit");
 }

@@ -35,9 +35,7 @@ BASELINE_DIR=scripts/bench_baselines
 # uploaded as artifacts for human eyes.
 CHECKS="
 BENCH_ingest.json|speedup_batch_vs_naive
-BENCH_batch_query.json|sparse_batch_speedup
 BENCH_probe.json|speedup_vectorized_vs_scalar
-BENCH_serve.json|batched_qps_speedup_vs_one_at_a_time
 BENCH_serve.json|batched_p99_speedup_vs_one_at_a_time
 BENCH_serve.json|batched_p99_speedup_vs_always_batch
 BENCH_storage.json|hot_over_cold_query_speedup
@@ -46,8 +44,11 @@ BENCH_storage.json|hot_over_cold_query_speedup
 # file | metric | absolute floor — design targets that hold regardless of
 # what any past run blessed: the adaptive scheduler must never lose at
 # tail latency to either fixed design at ANY swept load level (the
-# batched_p99_* aggregates are minima across levels), and a served hot
-# query must beat re-evaluation by a wide margin. The same TOLERANCE_PCT
+# batched_p99_* aggregates are minima across levels), micro-batching must
+# not cost throughput against one-at-a-time serving (both arms run the
+# same evaluator, so at the paced loads of this bench the ratio sits at
+# 1.0; it is a floor, not a blessed speedup), and a served hot query must
+# beat re-evaluation by a wide margin. The same TOLERANCE_PCT
 # is applied below the floor so single-core scheduler jitter does not
 # fail a structurally-sound build; a real design regression sits well
 # below floor*(1-tol) twice in a row.
@@ -77,6 +78,7 @@ BENCH_storage.json|hot_over_cold_query_speedup
 # and document-quota admission must reject exactly the inserts beyond the
 # cap, in-protocol, with the registry's rejection counter agreeing.
 ABS_CHECKS="
+BENCH_serve.json|batched_qps_speedup_vs_one_at_a_time|1.0
 BENCH_serve.json|batched_p99_speedup_vs_one_at_a_time|1.0
 BENCH_serve.json|batched_p99_speedup_vs_always_batch|1.0
 BENCH_serve.json|cache_hit_p50_speedup|5.0
@@ -95,7 +97,7 @@ BENCH_tenant.json|quota_enforcement_ok|1.0
 # the committed baselines were recorded with. Keep flags here and baseline
 # regeneration (--update) in lockstep.
 run_benches() {
-    for bin in ingest_throughput batch_query probe_kernel serve_load storage_cold cluster_serve mutable_load tenant_serve; do
+    for bin in ingest_throughput probe_kernel serve_load storage_cold cluster_serve mutable_load tenant_serve; do
         echo "+ cargo run --release -p rambo-bench --bin $bin" >&2
         cargo run --release -p rambo-bench --bin "$bin" >/dev/null
     done
@@ -111,7 +113,7 @@ run_benches
 
 if [ "${1:-}" = "--update" ]; then
     mkdir -p "$BASELINE_DIR"
-    for f in BENCH_ingest.json BENCH_batch_query.json BENCH_probe.json BENCH_serve.json BENCH_storage.json BENCH_cluster.json BENCH_mutable.json BENCH_tenant.json; do
+    for f in BENCH_ingest.json BENCH_probe.json BENCH_serve.json BENCH_storage.json BENCH_cluster.json BENCH_mutable.json BENCH_tenant.json; do
         cp "$f" "$BASELINE_DIR/$f"
         echo "blessed $BASELINE_DIR/$f"
     done
@@ -122,7 +124,6 @@ fi
 bin_of() {
     case "$1" in
         BENCH_ingest.json) echo ingest_throughput ;;
-        BENCH_batch_query.json) echo batch_query ;;
         BENCH_probe.json) echo probe_kernel ;;
         BENCH_serve.json) echo serve_load ;;
         BENCH_storage.json) echo storage_cold ;;

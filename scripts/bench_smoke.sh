@@ -19,8 +19,6 @@ run() {
 
 run cargo run --release -p rambo-bench --bin ingest_throughput -- \
     --docs 20 --mean-terms 5000 --reps 4
-run cargo run --release -p rambo-bench --bin batch_query -- \
-    --docs 100 --mean-terms 200 --queries 500
 run cargo run --release -p rambo-bench --bin probe_kernel -- \
     --mask-words 262144 --rows 8 --iters 3 --docs 100 --queries 300
 # serve-smoke: starts the adaptive-scheduler server (in-process and on a
