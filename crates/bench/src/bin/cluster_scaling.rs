@@ -55,14 +55,11 @@ fn main() {
     let bfu_bits = rambo_bloom::params::optimal_m(per_bucket, 0.01);
 
     // Single-thread monolithic reference (also the correctness oracle).
-    // Pinned to one batch-insertion thread so the speedup column measures
-    // the node fan-out, not the batch engine's per-repetition fan-out.
     let mono_params = RamboParams::two_level(1, total_b, reps, bfu_bits, 2, seed);
     let (_, mono_time) = time(|| {
         let mut r = Rambo::new(mono_params).expect("params");
         for (name, terms) in &archive.docs {
-            r.insert_document_batch_with(name, terms, 1)
-                .expect("unique");
+            r.insert_document_batch(name, terms).expect("unique");
         }
         r
     });

@@ -392,7 +392,7 @@ fn main() {
     let per_doc = args.get_usize("windows-per-doc", 128).max(1);
     // `--clients N` pins a single load level; `--loads a,b,c` sweeps. A
     // zero anywhere is a usage error (zero closed-loop clients generate no
-    // load), same contract as ingest_throughput's `--docs`.
+    // load).
     let loads: Vec<usize> = if args.get("clients").is_some() {
         vec![args.get_usize("clients", 4)]
     } else {

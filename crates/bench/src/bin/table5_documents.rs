@@ -17,7 +17,7 @@
 //! ```
 
 use rambo_baselines::{CompactBitSliced, MembershipIndex, RamboIndex, SplitSbt};
-use rambo_bench::{build_rambo_threads, mean_query_time, Args};
+use rambo_bench::{build_rambo, mean_query_time, Args};
 use rambo_core::RamboParams;
 use rambo_text::{CorpusParams, ZipfCorpus};
 use rambo_workloads::timing::{human_bytes, human_duration, time};
@@ -81,10 +81,7 @@ fn main() {
 
         // RAMBO with the paper's per-dataset parameters.
         let params = RamboParams::flat(spec.buckets, spec.reps, spec.bfu_bits, 2, seed);
-        // One ingestion thread: this table's construction-time column is
-        // compared against single-threaded baseline builds (same fairness
-        // rule as build_suite; the fan-out is measured by ingest_throughput).
-        let (rambo, rambo_ct) = time(|| build_rambo_threads(params, &docs, 1));
+        let (rambo, rambo_ct) = time(|| build_rambo(params, &docs));
         let rambo = RamboIndex::new(rambo);
 
         let (cobs, cobs_ct) =

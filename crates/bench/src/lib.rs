@@ -97,11 +97,9 @@ pub fn build_suite(
     let mut out: Vec<BuiltIndex> = Vec::new();
 
     let params = paper_rambo_params(k, mean_terms, fastq, seed);
-    // Single ingestion thread: the suite's construction-time columns compare
-    // against single-threaded COBS/BIGSI/SBT builds, so RAMBO must not get a
-    // hidden multi-core advantage here (the thread fan-out is measured
-    // separately by the ingest_throughput bin).
-    let (rambo, t) = time(|| build_rambo_threads(params, docs, 1));
+    // Built on the calling thread, like the COBS/BIGSI/SBT builds its
+    // construction-time column is compared against.
+    let (rambo, t) = time(|| build_rambo(params, docs));
     out.push(BuiltIndex {
         index: Box::new(RamboIndex::new(rambo.clone())),
         build_time: t,
@@ -146,30 +144,16 @@ pub fn build_suite(
     out
 }
 
-/// Build a RAMBO index from a batch through the batch-parallel ingestion
-/// engine, using all available cores for the per-repetition fan-out.
+/// Build a RAMBO index from a batch, one document at a time on the calling
+/// thread.
 #[must_use]
 pub fn build_rambo(params: RamboParams, docs: &[(String, Vec<u64>)]) -> Rambo {
-    build_rambo_threads(params, docs, default_threads())
-}
-
-/// [`build_rambo`] with an explicit ingestion thread budget (`1` forces the
-/// sequential path; the resulting index is bit-identical either way).
-#[must_use]
-pub fn build_rambo_threads(
-    params: RamboParams,
-    docs: &[(String, Vec<u64>)],
-    threads: usize,
-) -> Rambo {
     let mut r = Rambo::new(params).expect("valid params");
     for (name, terms) in docs {
-        r.insert_document_batch_with(name, terms, threads)
-            .expect("unique names");
+        r.insert_document_batch(name, terms).expect("unique names");
     }
     r
 }
-
-pub use rambo_core::default_threads;
 
 /// Synthetic ENA-like archive with an explicit mean terms-per-document —
 /// the workload every throughput bin builds (σ is set to a third of the
@@ -238,10 +222,10 @@ pub fn single_term_queries(archive: &rambo_workloads::SyntheticArchive, n: usize
 }
 
 /// Exit with the conventional usage status (2) when any size/count flag is
-/// zero — same contract as `ingest_throughput`'s `--docs`: a zero-sized run
-/// measures nothing and would otherwise panic deep inside index
-/// construction with a far less useful message. List-valued flags pass each
-/// element (an empty list should be rejected by the caller with `(flag, 0)`).
+/// zero: a zero-sized run measures nothing and would otherwise panic deep
+/// inside index construction with a far less useful message. List-valued
+/// flags pass each element (an empty list should be rejected by the caller
+/// with `(flag, 0)`).
 pub fn require_nonzero(bin: &str, flags: &[(&str, usize)]) {
     for (flag, v) in flags {
         if *v == 0 {

@@ -11,30 +11,18 @@
 //!   and what makes the §5.3 *fold-over* operation (OR-ing half the index
 //!   onto the other half) semantically a coarser partition.
 //!
-//! Three filter variants are provided:
-//!
-//! * [`BloomFilter`] — fixed-size filter with Kirsch–Mitzenmacher double
-//!   hashing; the BFU building block.
-//! * [`ScalableBloomFilter`] — Almeida et al.'s scalable filter (paper
-//!   reference \[4\], suggested for adaptive BFU sizing when document
-//!   cardinalities are unknown).
-//! * [`CountingBloomFilter`] — counter-based filter supporting deletion; an
-//!   extension the paper mentions implicitly by noting any membership tester
-//!   can replace the BFU.
+//! [`BloomFilter`] is the fixed-size filter with Kirsch–Mitzenmacher double
+//! hashing — the BFU building block.
 //!
 //! Sizing math ((`m`, `η`) from (`n`, `p`)) lives in [`params`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counting;
 mod error;
 mod filter;
 pub mod params;
-mod scalable;
 
-pub use counting::CountingBloomFilter;
 pub use error::BloomError;
 pub use filter::BloomFilter;
 pub use params::BloomParams;
-pub use scalable::ScalableBloomFilter;

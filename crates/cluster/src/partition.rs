@@ -40,13 +40,13 @@ pub fn plan_cluster(
     params: RamboParams,
     docs: &[(String, Vec<u64>)],
 ) -> Result<ClusterPlan, RamboError> {
-    let mut for_shards = ShardedRambo::new(params)?;
-    let mut for_monolith = ShardedRambo::new(params)?;
+    let mut sharded = ShardedRambo::new(params)?;
     for (name, terms) in docs {
-        for_shards.ingest_document(name, terms.iter().copied())?;
-        for_monolith.ingest_document(name, terms.iter().copied())?;
+        sharded.ingest_document(name, terms.iter().copied())?;
     }
-    let shards = for_shards.into_shards();
+    let shards: Vec<Rambo> = (0..sharded.nodes())
+        .map(|node| sharded.shard(node).clone())
+        .collect();
     let mut ranges = Vec::with_capacity(shards.len());
     let mut lo: DocId = 0;
     for shard in &shards {
@@ -54,7 +54,7 @@ pub fn plan_cluster(
         ranges.push((lo, hi));
         lo = hi;
     }
-    let monolith = for_monolith.stack()?;
+    let monolith = sharded.stack()?;
     Ok(ClusterPlan {
         shards,
         ranges,

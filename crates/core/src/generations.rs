@@ -12,8 +12,8 @@
 //!
 //! A fixed-geometry index cannot absorb unbounded inserts: BFU fill — and
 //! with it the false-positive rate — rises with every document. The memtable
-//! therefore follows the scalable Bloom filter rule (the
-//! `rambo_bloom` scalable-filter idea lifted to the RAMBO level): when its
+//! therefore follows the scalable Bloom filter rule (Almeida et al., the
+//! paper's reference \[4\], lifted to the RAMBO level): when its
 //! *predicted* per-BFU FPR — the same metadata-only §2.1 estimate the
 //! serving catalog quotes per tier — exceeds
 //! [`GenerationConfig::memtable_fpr_budget`], the memtable is **sealed**:
@@ -615,7 +615,7 @@ fn predicted_fpr(index: &Rambo) -> f64 {
 /// OR-fold `comps` (in order) into one fresh monolithic index: re-register
 /// every document name (recomputing identical bucket assignments — the
 /// partition hash depends only on name and shared seed), then `merge_or`
-/// every table matrix. Exactly the document-sharded build idiom.
+/// every table matrix.
 fn merge_components(params: RamboParams, comps: &[&Rambo]) -> Result<Rambo, RamboError> {
     let mut out = Rambo::new(params)?;
     for comp in comps {

@@ -245,9 +245,9 @@ impl Rambo {
     /// Register a document and ingest its whole term set — the typical
     /// ingestion call (one McCortex file, one tokenized web page, …).
     ///
-    /// Routed through the batch engine ([`Rambo::insert_document_batch`]):
-    /// the term set is deduplicated, hashed once per repetition, and written
-    /// row-grouped — bit-identical to the former term-at-a-time loop but
+    /// Routed through [`Rambo::insert_document_batch`]: the term set is
+    /// deduplicated, hashed once per repetition, and written one repetition
+    /// at a time — bit-identical to the term-at-a-time loop but
     /// substantially faster for real document sizes.
     ///
     /// ```

@@ -34,16 +34,15 @@
 //!   query verb, on a static or a generational index, runs on one planned
 //!   probe: each term hashed once per repetition into a row plan held in
 //!   the [`QueryContext`], one gather-AND kernel call per repetition.
-//! * [`Rambo::insert_document_batch`]/[`QueryBatch`] — the batch-parallel
-//!   execution engine: deduplicated hash-once-per-repetition ingestion with
-//!   row-grouped writes fanned over scoped threads, and shared-scratch batch
-//!   querying that allocates nothing per query but the answer.
-//! * [`IngestPipeline`] — pipelined, shard-parallel construction: a
-//!   bounded-queue pipeline overlapping parse+hash of document *n+1* with
-//!   the bucket writes of document *n* (hash/write split via
-//!   [`HashPlan`]/[`Rambo::apply_hashed`]), and document-sharded parallel
-//!   builds whose partial indexes fold into the final structure
-//!   bit-identically (§5.3's smart parallelism at document granularity).
+//! * [`HashPlan::hash_document`] → [`Rambo::apply_hashed`] — the one write
+//!   path: dedupe, hash each unique term once per repetition into row
+//!   blocks, then sweep the blocks into the matrices.
+//!   [`Rambo::insert_document_batch`] runs the two halves on the calling
+//!   thread; [`IngestPipeline`] overlaps the parse+hash of document *n+1*
+//!   with the bucket writes of document *n* through a bounded queue. Both
+//!   are bit-identical to term-at-a-time Algorithm 1.
+//! * [`QueryBatch`] — shared-scratch batch querying that allocates nothing
+//!   per query but the answer.
 //! * [`Rambo::open_view`]/[`Rambo::open_view_at`] — zero-copy index loads:
 //!   the v2 serialization format 8-byte-aligns every matrix word payload, so
 //!   a serialized index (or several fold-over versions concatenated in one
@@ -110,7 +109,7 @@ pub use generations::{
 pub use index::{DocId, Rambo};
 pub use params::RamboParams;
 pub use partition::PartitionScheme;
-pub use pipeline::{HashPlan, HashedDoc, IngestPipeline, PipelineObserver, PipelineReport};
+pub use pipeline::{HashPlan, HashedDoc, IngestPipeline, PipelineReport};
 pub use query::{canonical_query_key, multiset_query_key, QueryContext, QueryMode};
 pub use rambo_bitvec::kernel;
 pub use sharded::{build_sharded_parallel, ShardedRambo};

@@ -266,10 +266,10 @@ impl BfuMatrix {
         }
     }
 
-    /// Set one bucket's bit in every listed filter row. The batch engine
-    /// stages rows pre-sorted so this walks the row-major storage
-    /// monotonically — sequential cache lines instead of the term-order
-    /// hopping of repeated [`BfuMatrix::insert`] calls.
+    /// Set one bucket's bit in every listed filter row. For tables past the
+    /// cache the hash stage hands the rows over sorted, so this walks the
+    /// row-major storage monotonically — sequential cache lines instead of
+    /// the term-order hopping of repeated [`BfuMatrix::insert`] calls.
     #[inline]
     pub(crate) fn set_rows(&mut self, bucket: usize, rows: &[usize]) {
         debug_assert!(bucket < self.buckets);

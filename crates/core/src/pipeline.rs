@@ -1,59 +1,63 @@
-//! Pipelined, shard-parallel ingestion (the paper's §5.3 construction story
-//! at full depth).
+//! The write path: `hash_document → apply_hashed`, and the two-stage
+//! pipeline that overlaps the two halves (the paper's §5.3 construction
+//! story).
 //!
-//! The batch engine ([`Rambo::insert_document_batch`]) amortizes hashing
-//! *within* one document but is strictly synchronous across documents: the
-//! caller parses document *n+1* only after every bit of document *n* has been
-//! written. The paper's headline — 170TB indexed in 14 hours — rests on the
-//! observation that construction is embarrassingly parallel at *every* level,
-//! so this module decomposes ingestion into its two independent halves and
-//! recomposes them two ways:
+//! Every document enters an index the same way, split into two independent
+//! halves:
 //!
-//! * **Hash/write split.** [`HashPlan::hash_document`] turns a raw term set
-//!   into a [`HashedDoc`] — per-repetition blocks of matrix rows, sorted
-//!   when the table is big enough for the batch engine's row-sorted sweep
-//!   to pay (same threshold, same policy) — using nothing but the index's
+//! * **Hash.** [`HashPlan::hash_document`] turns a raw term set into a
+//!   [`HashedDoc`] — per-repetition blocks of matrix rows, sorted when the
+//!   table has outgrown the cache (24 MiB) — using nothing but the index's
 //!   Bloom seeds, so it can run on any thread without touching the index.
-//!   [`Rambo::apply_hashed`] replays such a block through
-//!   the matrix row sweep.
-//!   The split is lossless: bit-setting is idempotent and commutative, so
-//!   hash-then-apply is **bit-identical** to the in-place batch path (pinned
-//!   by the property suite via full `PartialEq`).
+//! * **Apply.** [`Rambo::apply_hashed`] registers the name and replays each
+//!   block through the matrix row sweep. Bit-setting is idempotent and
+//!   commutative, so the result is **bit-identical** to term-at-a-time
+//!   Algorithm 1 (pinned by the property suite via full `PartialEq`).
 //!
-//! * **Pipeline** ([`IngestPipeline::ingest`]). A bounded-queue two-stage
-//!   pipeline: the *calling thread* parses and hashes document *n+1* while a
-//!   dedicated writer thread applies document *n*'s bucket writes. With
-//!   `hash_workers > 1` the hash stage widens into a pool pulling documents
-//!   from a shared queue (idle workers steal whatever arrives next), and the
-//!   writer re-sequences completions so document ids still match arrival
-//!   order. Stall time on either side of the queue is counted — a saturated
-//!   queue means the writer is the bottleneck, an empty one means parsing
-//!   is — and surfaced through [`PipelineReport`] plus an optional
-//!   [`PipelineObserver`] (e.g. `rambo_workloads`' latency histograms).
-//!
-//! * **Shard-parallel builds** ([`IngestPipeline::build_sharded`]). The
-//!   document set is dealt round-robin across `S` workers, each building a
-//!   private partial index with the *same seed*; partials are then folded
-//!   into the final [`Rambo`] by OR-ing their matrices — the same argument
-//!   that makes [`crate::sharded`]'s `stack()` exact: with shared hashes the
-//!   final bits are a union over documents, independent of which worker set
-//!   them or in what order. The merge re-registers names in original input
-//!   order, so document ids, bucket lists and insert accounting are also
-//!   **bit-identical** to a sequential build.
-//!
-//! Both paths compose with everything downstream (fold-over, serialization,
-//! the serving catalog) because they produce literally the same structure.
+//! [`Rambo::insert_document_batch`] runs the two back to back on the calling
+//! thread. [`IngestPipeline::ingest`] overlaps them across documents through
+//! a bounded queue: the *calling thread* parses and hashes document *n+1*
+//! while a dedicated writer thread applies document *n*'s bucket writes.
+//! Stall time on either side of the queue is counted — a saturated queue
+//! means the writer is the bottleneck, an empty one means parsing is — and
+//! returned in the [`PipelineReport`].
 
-use crate::batch::dedupe_terms;
 use crate::error::RamboError;
 use crate::index::{DocId, Rambo};
 use crate::params::RamboParams;
 use rambo_hash::HashPair;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Per-table matrix size above which a repetition's row block is sorted
+/// before it is written: once a table outgrows the last-level cache, random
+/// row writes are DRAM-latency-bound and a sorted sweep (sequential,
+/// prefetchable) wins. Below it the matrix is cache-resident and the
+/// O(n log n) sort costs more than it saves.
+const ROW_SORT_MIN_BYTES: usize = 24 << 20;
+
+/// Hashed-but-unwritten documents the pipeline queue holds. A few absorb
+/// the stage-time variance between documents; each costs roughly
+/// `unique_terms × η × R × 8` bytes.
+const QUEUE_DEPTH: usize = 4;
+
+/// Dedupe a term batch once for all repetitions: Bloom insertion is
+/// idempotent, so duplicates would only re-hash and re-write the same bits.
+/// Inputs that are already strictly sorted (KmerSet output, the synthetic
+/// archives) skip the sort entirely; otherwise `scratch` receives the
+/// sorted-deduped copy and the returned slice borrows it.
+fn dedupe_terms<'a>(terms: &'a [u64], scratch: &'a mut Vec<u64>) -> &'a [u64] {
+    if terms.windows(2).all(|w| w[0] < w[1]) {
+        terms
+    } else {
+        scratch.clear();
+        scratch.extend_from_slice(terms);
+        scratch.sort_unstable();
+        scratch.dedup();
+        scratch
+    }
+}
 
 /// Fingerprint of a seed vector, carried by every [`HashedDoc`] so
 /// [`Rambo::apply_hashed`] can reject blocks hashed under a different seed
@@ -74,12 +78,10 @@ pub struct HashPlan {
     seeds: Vec<u64>,
     eta: u32,
     m: u64,
-    /// Sort each repetition's row block? Worth it only for tables past the
-    /// last-level cache (same policy as the batch engine's
-    /// [`crate::batch::ROW_SORT_MIN_BYTES`]): a sorted block turns the write
-    /// stage into a prefetchable sequential sweep, but on a cache-resident
-    /// matrix the sort costs more than it saves.
-    sort_rows: bool,
+    /// Sort each repetition's row block? True for tables of at least
+    /// [`ROW_SORT_MIN_BYTES`]; crate-visible so tests can force the branch
+    /// on a small index.
+    pub(crate) sort_rows: bool,
 }
 
 impl Rambo {
@@ -88,22 +90,20 @@ impl Rambo {
     /// exclusively owned by the write stage.
     #[must_use]
     pub fn hash_plan(&self) -> HashPlan {
-        // Same size the batch engine compares against ROW_SORT_MIN_BYTES, so
-        // the "same threshold, same policy" contract can't drift.
         let table_bytes = self.tables[0].matrix.size_bytes();
         HashPlan {
             seed_tag: seed_tag(&self.bloom_seeds),
             seeds: self.bloom_seeds.clone(),
             eta: self.params().eta,
             m: self.params().bfu_bits as u64,
-            sort_rows: table_bytes >= crate::batch::ROW_SORT_MIN_BYTES,
+            sort_rows: table_bytes >= ROW_SORT_MIN_BYTES,
         }
     }
 
     /// Apply one hashed document: register the name and replay each
-    /// repetition's row block through the matrix row sweep. Produces
-    /// exactly the bits (and insert accounting) that
-    /// [`Rambo::insert_document_batch`] would for the same raw terms.
+    /// repetition's row block through the matrix row sweep — the one place
+    /// whole-document ingestion sets bits. Produces exactly the bits (and
+    /// insert accounting) of term-at-a-time insertion of the same raw terms.
     ///
     /// # Errors
     /// [`RamboError::DuplicateDocument`] when the name is already indexed;
@@ -189,7 +189,7 @@ impl HashPlan {
 pub struct HashedDoc {
     name: String,
     /// Raw term count *with multiplicity* (drives `total_inserts`, exactly
-    /// like the batch engine's accounting).
+    /// like the term-at-a-time loop's accounting).
     term_count: u64,
     /// Rows per repetition block (`unique_terms × η`).
     per_rep: usize,
@@ -220,26 +220,6 @@ impl HashedDoc {
     }
 }
 
-/// Observer hooks for pipeline telemetry. All methods default to no-ops;
-/// implementations must be cheap — they run on the hot path. See
-/// `rambo_workloads`' `QueueTelemetry` for a histogram-backed implementation.
-pub trait PipelineObserver: Send + Sync {
-    /// The producer blocked this long on a full queue (writer is the
-    /// bottleneck).
-    fn producer_stall(&self, waited: Duration) {
-        let _ = waited;
-    }
-    /// The writer blocked this long on an empty queue (parse/hash is the
-    /// bottleneck).
-    fn writer_stall(&self, waited: Duration) {
-        let _ = waited;
-    }
-    /// Queue depth observed right after a document was enqueued.
-    fn queue_depth(&self, depth: usize) {
-        let _ = depth;
-    }
-}
-
 /// What one pipeline run did, including where it stalled. Counters are
 /// exact; durations are wall-clock sums over blocking waits.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -257,13 +237,10 @@ pub struct PipelineReport {
     /// Total nanoseconds the writer spent blocked on an empty queue.
     pub writer_stall_ns: u64,
     /// High-water mark of documents in flight between producer and writer.
-    /// Can exceed the configured queue depth: a document blocked in `send`
-    /// counts, and in pooled mode so do documents being hashed or waiting
-    /// in the resequencing buffer (the bound is then roughly
-    /// `2·queue_depth + hash_workers`).
+    /// Can exceed the queue's capacity by two: a document blocked in `send`
+    /// counts, and so does the one the writer has received but not yet
+    /// counted out.
     pub max_queue_depth: u64,
-    /// Worker shards used (1 for the plain pipeline).
-    pub shards: u64,
 }
 
 /// Shared atomic counters behind a [`PipelineReport`].
@@ -280,7 +257,7 @@ struct Counters {
 }
 
 impl Counters {
-    fn report(&self, shards: u64) -> PipelineReport {
+    fn report(&self) -> PipelineReport {
         PipelineReport {
             docs: self.docs.load(Ordering::Relaxed),
             terms: self.terms.load(Ordering::Relaxed),
@@ -289,15 +266,13 @@ impl Counters {
             writer_stalls: self.writer_stalls.load(Ordering::Relaxed),
             writer_stall_ns: self.writer_stall_ns.load(Ordering::Relaxed),
             max_queue_depth: self.max_depth.load(Ordering::Relaxed),
-            shards,
         }
     }
 
-    /// Depth++ (before enqueue); returns the new depth for observers.
-    fn enqueued(&self) -> u64 {
+    /// Depth++ (before enqueue).
+    fn enqueued(&self) {
         let d = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.max_depth.fetch_max(d, Ordering::Relaxed);
-        d
     }
 
     fn dequeued(&self) {
@@ -305,68 +280,17 @@ impl Counters {
     }
 }
 
-/// Configuration for pipelined / sharded ingestion. The defaults (queue
-/// depth 4, one hash worker) give the strict two-stage parse+hash ∥ write
-/// overlap; widen `hash_workers` when hashing, not writing, dominates.
-#[derive(Clone)]
-pub struct IngestPipeline {
-    queue_depth: usize,
-    hash_workers: usize,
-    observer: Option<Arc<dyn PipelineObserver>>,
-}
-
-impl Default for IngestPipeline {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for IngestPipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IngestPipeline")
-            .field("queue_depth", &self.queue_depth)
-            .field("hash_workers", &self.hash_workers)
-            .field("observer", &self.observer.is_some())
-            .finish()
-    }
-}
+/// The two-stage ingestion pipeline: parse+hash on the calling thread ∥
+/// write on a scoped writer thread, joined by a bounded queue of four
+/// hashed documents. Carries no configuration.
+#[derive(Debug, Clone, Default)]
+pub struct IngestPipeline;
 
 impl IngestPipeline {
-    /// Defaults: bounded queue of 4 hashed documents, single hash worker
-    /// (the calling thread), no observer.
+    /// The pipeline.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            queue_depth: 4,
-            hash_workers: 1,
-            observer: None,
-        }
-    }
-
-    /// Bound on hashed-but-unwritten documents in flight (clamped to ≥ 1).
-    /// Deeper queues absorb burstier stage-time variance at the cost of
-    /// memory (roughly `depth × unique_terms × η × R × 8` bytes).
-    #[must_use]
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth.max(1);
-        self
-    }
-
-    /// Number of hash-stage workers. `1` keeps hashing on the calling
-    /// thread (two-stage pipeline); `n > 1` spawns a pool pulling documents
-    /// from a shared queue, with the writer re-sequencing completions so
-    /// document ids still follow arrival order.
-    #[must_use]
-    pub fn hash_workers(mut self, workers: usize) -> Self {
-        self.hash_workers = workers.max(1);
-        self
-    }
-
-    /// Attach a telemetry observer (stall durations, queue depths).
-    #[must_use]
-    pub fn observer(mut self, obs: Arc<dyn PipelineObserver>) -> Self {
-        self.observer = Some(obs);
-        self
+        Self
     }
 
     fn observe_producer_stall(&self, counters: &Counters, waited: Duration) {
@@ -374,9 +298,6 @@ impl IngestPipeline {
         counters
             .producer_stall_ns
             .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-        if let Some(obs) = &self.observer {
-            obs.producer_stall(waited);
-        }
     }
 
     fn observe_writer_stall(&self, counters: &Counters, waited: Duration) {
@@ -384,9 +305,6 @@ impl IngestPipeline {
         counters
             .writer_stall_ns
             .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-        if let Some(obs) = &self.observer {
-            obs.writer_stall(waited);
-        }
     }
 
     /// Pipeline a document stream into an existing index. Bit-identical to
@@ -408,12 +326,8 @@ impl IngestPipeline {
     ) -> Result<PipelineReport, RamboError> {
         let plan = index.hash_plan();
         let counters = Counters::default();
-        if self.hash_workers == 1 {
-            self.run_two_stage(index, &plan, &counters, docs)?;
-        } else {
-            self.run_pooled(index, &plan, &counters, docs)?;
-        }
-        Ok(counters.report(1))
+        self.run_two_stage(index, &plan, &counters, docs)?;
+        Ok(counters.report())
     }
 
     /// Build a fresh index by pipelining a document stream.
@@ -440,7 +354,7 @@ impl IngestPipeline {
         docs: impl IntoIterator<Item = (String, Vec<u64>)>,
     ) -> Result<(), RamboError> {
         std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<HashedDoc>(self.queue_depth);
+            let (tx, rx) = std::sync::mpsc::sync_channel::<HashedDoc>(QUEUE_DEPTH);
             let writer = scope.spawn(move || -> Result<(), RamboError> {
                 loop {
                     let doc = match self.next_hashed(&rx, counters) {
@@ -485,10 +399,7 @@ impl IngestPipeline {
     /// Non-blocking-first send with stall accounting. Returns `false` when
     /// the consumer hung up (error downstream).
     fn enqueue<T>(&self, tx: &SyncSender<T>, item: T, counters: &Counters) -> bool {
-        let depth = counters.enqueued();
-        if let Some(obs) = &self.observer {
-            obs.queue_depth(depth as usize);
-        }
+        counters.enqueued();
         match tx.try_send(item) {
             Ok(()) => true,
             Err(TrySendError::Disconnected(_)) => {
@@ -505,154 +416,6 @@ impl IngestPipeline {
                 sent
             }
         }
-    }
-
-    /// Three-stage pipeline: caller thread parses, `hash_workers` pull raw
-    /// documents from a shared queue and hash them, the writer re-sequences
-    /// and applies in arrival order.
-    fn run_pooled(
-        &self,
-        index: &mut Rambo,
-        plan: &HashPlan,
-        counters: &Counters,
-        docs: impl IntoIterator<Item = (String, Vec<u64>)>,
-    ) -> Result<(), RamboError> {
-        type Raw = (u64, String, Vec<u64>);
-        std::thread::scope(|scope| {
-            let (raw_tx, raw_rx) = std::sync::mpsc::sync_channel::<Raw>(self.queue_depth);
-            // `Receiver` is single-consumer; the pool shares it behind a
-            // mutex — an idle worker grabs whatever document arrives next,
-            // which is exactly the work-stealing discipline we want (no
-            // per-worker queues to go idle behind a straggler).
-            let raw_rx = Arc::new(Mutex::new(raw_rx));
-            let (done_tx, done_rx) =
-                std::sync::mpsc::sync_channel::<(u64, HashedDoc)>(self.queue_depth);
-            for _ in 0..self.hash_workers {
-                let raw_rx = Arc::clone(&raw_rx);
-                let done_tx = done_tx.clone();
-                let plan = plan.clone();
-                scope.spawn(move || {
-                    loop {
-                        // Hold the lock only for the dequeue, not the hash.
-                        let msg = raw_rx.lock().expect("hash queue poisoned").recv();
-                        let Ok((seq, name, terms)) = msg else { return };
-                        let hashed = plan.hash_document(&name, &terms);
-                        if done_tx.send((seq, hashed)).is_err() {
-                            return; // writer hung up on error
-                        }
-                    }
-                });
-            }
-            drop(done_tx); // writers' clones keep the channel alive
-            let writer = scope.spawn(move || -> Result<(), RamboError> {
-                // Completions arrive hash-pool-ordered; re-sequence so the
-                // registry issues ids in arrival order (bit-identity with
-                // the sequential build). The buffer is bounded by the two
-                // queue depths plus the pool width.
-                let mut pending: BTreeMap<u64, HashedDoc> = BTreeMap::new();
-                let mut next_seq = 0u64;
-                loop {
-                    let Some((seq, doc)) = self.next_hashed(&done_rx, counters) else {
-                        debug_assert!(pending.is_empty(), "stream ended with holes");
-                        return Ok(());
-                    };
-                    pending.insert(seq, doc);
-                    while let Some(doc) = pending.remove(&next_seq) {
-                        counters.dequeued();
-                        index.apply_hashed(&doc)?;
-                        next_seq += 1;
-                    }
-                }
-            });
-            for (seq, (name, terms)) in (0u64..).zip(docs) {
-                counters.docs.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .terms
-                    .fetch_add(terms.len() as u64, Ordering::Relaxed);
-                if !self.enqueue(&raw_tx, (seq, name, terms), counters) {
-                    break;
-                }
-            }
-            drop(raw_tx);
-            writer.join().expect("pipeline writer panicked")
-        })
-    }
-
-    /// Shard-parallel build: deal `docs` round-robin across `shards`
-    /// workers, each building a private partial index with the same seed
-    /// through the hash/write split, then fold the partials into one final
-    /// index — **bit-identical** to a sequential
-    /// [`Rambo::insert_document_batch`] build over `docs` in order (the
-    /// document-level counterpart of [`crate::sharded`]'s node-level
-    /// `stack()`).
-    ///
-    /// With `shards > 1` each worker interleaves hash and apply directly —
-    /// there is no queue, so `queue_depth`, `hash_workers` and the observer
-    /// do not apply and the returned report carries only document/term/
-    /// shard counts (stall counters are structurally zero). `shards == 1`
-    /// degenerates to [`IngestPipeline::build`], which honors all of them.
-    /// (Per-shard inner pipelines are a ROADMAP follow-on.)
-    ///
-    /// # Errors
-    /// Invalid params, duplicate document names, or any worker failure.
-    ///
-    /// # Panics
-    /// Panics if a worker thread panics.
-    pub fn build_sharded(
-        &self,
-        params: RamboParams,
-        docs: &[(String, Vec<u64>)],
-        shards: usize,
-    ) -> Result<(Rambo, PipelineReport), RamboError> {
-        let shards = shards.max(1);
-        if shards == 1 {
-            let (index, mut report) = self.build(params, docs.iter().cloned())?;
-            report.shards = 1;
-            return Ok((index, report));
-        }
-        // Phase 1: private partial builds, one worker per shard. Workers
-        // never touch shared state — same-seed hashes make the final bits a
-        // union over documents regardless of who wrote them.
-        let partials: Vec<Rambo> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|s| {
-                    scope.spawn(move || -> Result<Rambo, RamboError> {
-                        let mut part = Rambo::new(params)?;
-                        let plan = part.hash_plan();
-                        for (name, terms) in docs.iter().skip(s).step_by(shards) {
-                            let hashed = plan.hash_document(name, terms);
-                            part.apply_hashed(&hashed)?;
-                        }
-                        Ok(part)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect::<Result<Vec<_>, _>>()
-        })?;
-        // Phase 2: fold the partials into the final index. Names are
-        // re-registered in original input order (rebuilding the id-ordered
-        // registry, assignments and bucket lists exactly as a sequential
-        // build would), then each repetition's matrices are OR-merged.
-        let mut out = Rambo::new(params)?;
-        for (name, _) in docs {
-            out.add_document(name)?;
-        }
-        for part in &partials {
-            for (dst, src) in out.tables.iter_mut().zip(&part.tables) {
-                dst.matrix.merge_or(&src.matrix);
-            }
-            out.inserts += part.inserts;
-        }
-        let mut report = PipelineReport {
-            shards: shards as u64,
-            ..PipelineReport::default()
-        };
-        report.docs = docs.len() as u64;
-        report.terms = docs.iter().map(|(_, t)| t.len() as u64).sum();
-        Ok((out, report))
     }
 }
 
@@ -674,7 +437,6 @@ impl PipelineReport {
 mod tests {
     use super::*;
     use crate::query::QueryMode;
-    use std::sync::atomic::AtomicUsize;
 
     fn params(seed: u64) -> RamboParams {
         RamboParams::flat(8, 3, 1 << 12, 2, seed)
@@ -692,10 +454,14 @@ mod tests {
             .collect()
     }
 
+    /// Algorithm 1 as written: the reference the write path must equal.
     fn sequential(p: RamboParams, docs: &[(String, Vec<u64>)]) -> Rambo {
         let mut r = Rambo::new(p).unwrap();
         for (name, terms) in docs {
-            r.insert_document_batch_with(name, terms, 1).unwrap();
+            let d = r.add_document(name).unwrap();
+            for &t in terms {
+                r.insert_term_u64(d, t).unwrap();
+            }
         }
         r
     }
@@ -718,47 +484,16 @@ mod tests {
     fn pipelined_build_is_bit_identical() {
         let docs = archive(25, 40);
         let reference = sequential(params(7), &docs);
-        for depth in [1, 4] {
-            let (piped, report) = IngestPipeline::new()
-                .queue_depth(depth)
-                .build(params(7), docs.iter().cloned())
-                .unwrap();
-            assert_eq!(reference, piped, "queue depth {depth}");
-            assert_eq!(report.docs, 25);
-            assert_eq!(
-                report.terms,
-                docs.iter().map(|(_, t)| t.len() as u64).sum::<u64>()
-            );
-            assert!(report.max_queue_depth >= 1);
-        }
-    }
-
-    #[test]
-    fn pooled_hash_workers_preserve_arrival_order() {
-        let docs = archive(40, 30);
-        let reference = sequential(params(11), &docs);
-        for workers in [2, 4] {
-            let (piped, report) = IngestPipeline::new()
-                .hash_workers(workers)
-                .build(params(11), docs.iter().cloned())
-                .unwrap();
-            assert_eq!(reference, piped, "workers = {workers}");
-            assert_eq!(report.docs, 40);
-        }
-    }
-
-    #[test]
-    fn sharded_build_folds_to_bit_identical() {
-        let docs = archive(30, 35);
-        let reference = sequential(params(13), &docs);
-        for shards in [1, 2, 3, 7] {
-            let (built, report) = IngestPipeline::new()
-                .build_sharded(params(13), &docs, shards)
-                .unwrap();
-            assert_eq!(reference, built, "shards = {shards}");
-            assert_eq!(report.shards, shards as u64);
-            assert_eq!(report.docs, 30);
-        }
+        let (piped, report) = IngestPipeline::new()
+            .build(params(7), docs.iter().cloned())
+            .unwrap();
+        assert_eq!(reference, piped);
+        assert_eq!(report.docs, 25);
+        assert_eq!(
+            report.terms,
+            docs.iter().map(|(_, t)| t.len() as u64).sum::<u64>()
+        );
+        assert!(report.max_queue_depth >= 1);
     }
 
     #[test]
@@ -787,20 +522,12 @@ mod tests {
             ("c".to_string(), vec![5u64]),
         ];
         let mut idx = Rambo::new(params(9)).unwrap();
-        let err = IngestPipeline::new().ingest(&mut idx, docs.clone());
+        let err = IngestPipeline::new().ingest(&mut idx, docs);
         assert!(matches!(err, Err(RamboError::DuplicateDocument(_))));
         // a and b landed before the failure.
         assert!(idx.num_documents() >= 2);
         assert_eq!(idx.document_id("a"), Some(0));
         assert_eq!(idx.document_id("b"), Some(1));
-
-        let err = IngestPipeline::new()
-            .hash_workers(2)
-            .ingest(&mut Rambo::new(params(9)).unwrap(), docs.clone());
-        assert!(matches!(err, Err(RamboError::DuplicateDocument(_))));
-
-        let err = IngestPipeline::new().build_sharded(params(9), &docs, 2);
-        assert!(matches!(err, Err(RamboError::DuplicateDocument(_))));
     }
 
     #[test]
@@ -855,61 +582,23 @@ mod tests {
         assert_eq!(idx.total_inserts(), 0);
     }
 
+    /// The report is the pipeline's only observer: a producer slower than
+    /// the writer leaves the queue empty, and the report must say so; it
+    /// also bounds what was ever in flight.
     #[test]
     fn observer_sees_stalls_and_depths() {
-        struct Spy {
-            producer: AtomicUsize,
-            writer: AtomicUsize,
-            depths: AtomicUsize,
-        }
-        impl PipelineObserver for Spy {
-            fn producer_stall(&self, _: Duration) {
-                self.producer.fetch_add(1, Ordering::Relaxed);
-            }
-            fn writer_stall(&self, _: Duration) {
-                self.writer.fetch_add(1, Ordering::Relaxed);
-            }
-            fn queue_depth(&self, _: usize) {
-                self.depths.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let spy = Arc::new(Spy {
-            producer: AtomicUsize::new(0),
-            writer: AtomicUsize::new(0),
-            depths: AtomicUsize::new(0),
+        let docs = archive(3 * QUEUE_DEPTH, 40);
+        let slow = docs.iter().cloned().inspect(|_| {
+            std::thread::sleep(Duration::from_millis(2));
         });
-        let docs = archive(30, 40);
-        let (_, report) = IngestPipeline::new()
-            .queue_depth(1)
-            .observer(Arc::clone(&spy) as Arc<dyn PipelineObserver>)
-            .build(params(4), docs.iter().cloned())
-            .unwrap();
-        // Every enqueue samples the depth.
-        assert_eq!(spy.depths.load(Ordering::Relaxed) as u64, report.docs);
-        // Observer counts match the report's counters exactly.
+        let (_, report) = IngestPipeline::new().build(params(4), slow).unwrap();
+        assert_eq!(report.docs, docs.len() as u64);
+        assert!(report.writer_stalls >= 1, "{report:?}");
+        assert!(report.writer_stall_ns > 0, "{report:?}");
         assert_eq!(
-            spy.producer.load(Ordering::Relaxed) as u64,
-            report.producer_stalls
+            report.writer_stall(),
+            Duration::from_nanos(report.writer_stall_ns)
         );
-        assert_eq!(
-            spy.writer.load(Ordering::Relaxed) as u64,
-            report.writer_stalls
-        );
-    }
-
-    #[test]
-    fn sharded_then_fold_then_serialize_roundtrips() {
-        // The sharded build composes with fold-over and serialization
-        // because it produces literally the same structure.
-        let docs = archive(24, 30);
-        let (mut built, _) = IngestPipeline::new()
-            .build_sharded(params(21), &docs, 3)
-            .unwrap();
-        let mut reference = sequential(params(21), &docs);
-        built.fold_once().unwrap();
-        reference.fold_once().unwrap();
-        assert_eq!(built, reference);
-        let back = Rambo::from_bytes(&built.to_bytes().unwrap()).unwrap();
-        assert_eq!(built, back);
+        assert!((1..=QUEUE_DEPTH as u64 + 2).contains(&report.max_queue_depth));
     }
 }

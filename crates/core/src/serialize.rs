@@ -584,9 +584,9 @@ mod tests {
                 .ingest_document(&format!("doc{d}"), (0..10).map(|t| d << 16 | t))
                 .unwrap();
         }
-        for shard in sharded.into_shards() {
+        for shard in (0..sharded.nodes()).map(|n| sharded.shard(n)) {
             let back = Rambo::from_bytes(&shard.to_bytes().unwrap()).unwrap();
-            assert_eq!(shard, back);
+            assert_eq!(*shard, back);
             for t in [0u64, 3 << 16 | 1, 0xBEEF] {
                 assert_eq!(shard.query_u64(t), back.query_u64(t));
             }
@@ -598,8 +598,7 @@ mod tests {
         let mut sharded =
             crate::ShardedRambo::new(RamboParams::two_level(2, 8, 2, 1 << 10, 2, 5)).unwrap();
         sharded.ingest_document("a", [1u64]).unwrap();
-        let shard = sharded.into_shards().remove(0);
-        let mut bytes = shard.to_bytes().unwrap();
+        let mut bytes = sharded.shard(0).to_bytes().unwrap();
         // partition block: tag at offset 6, local_buckets, nodes, then node.
         bytes[7 + 16..7 + 24].copy_from_slice(&9u64.to_le_bytes());
         assert!(Rambo::from_bytes(&bytes).is_err(), "node 9 of 2 must fail");

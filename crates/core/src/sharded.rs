@@ -91,28 +91,22 @@ impl ShardedRambo {
         self.router.node_of(name.as_bytes())
     }
 
-    /// A node's local shard (for inspection/tests).
+    /// A node's local shard — cloned out, the piece a *serving* cluster
+    /// deploys. Each shard is a standalone [`Rambo`] over `local_buckets`
+    /// buckets holding exactly the documents `τ` routed to that node,
+    /// hashing with the shared router, so its answers are the monolithic
+    /// index's answers restricted to its own documents: the two-level map
+    /// gives every node a disjoint slice of the global bucket space, and
+    /// [`ShardedRambo::stack`] copies those slices verbatim. Document ids
+    /// are node-local (0.. per shard, in ingestion order); a coordinator
+    /// recovers the stacked index's node-major global ids by offsetting with
+    /// the cumulative document counts of earlier shards.
     ///
     /// # Panics
     /// Panics when `node` is out of range.
     #[must_use]
     pub fn shard(&self, node: usize) -> &Rambo {
         &self.shards[node]
-    }
-
-    /// Consume the builder and hand out the node-local shards — the piece a
-    /// *serving* cluster deploys. Each shard is a standalone [`Rambo`] over
-    /// `local_buckets` buckets holding exactly the documents `τ` routed to
-    /// that node, hashing with the shared router, so its answers are the
-    /// monolithic index's answers restricted to its own documents: the
-    /// two-level map gives every node a disjoint slice of the global bucket
-    /// space, and [`ShardedRambo::stack`] copies those slices verbatim.
-    /// Document ids are node-local (0.. per shard, in ingestion order);
-    /// a coordinator recovers the stacked index's node-major global ids by
-    /// offsetting with the cumulative document counts of earlier shards.
-    #[must_use]
-    pub fn into_shards(self) -> Vec<Rambo> {
-        self.shards
     }
 
     /// Sequentially ingest one document on its owning node. Returns the node
@@ -153,11 +147,7 @@ impl ShardedRambo {
                 txs.push(tx);
                 handles.push(scope.spawn(move || -> Result<Rambo, RamboError> {
                     for (name, terms) in rx {
-                        // One node = one worker thread: keep the per-document
-                        // batch insertion sequential (threads = 1) so the
-                        // node fan-out isn't multiplied by the batch engine's
-                        // per-repetition fan-out.
-                        shard.insert_document_batch_with(&name, &terms, 1)?;
+                        shard.insert_document_batch(&name, &terms)?;
                     }
                     Ok(shard)
                 }));

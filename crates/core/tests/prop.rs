@@ -7,7 +7,8 @@
 
 use proptest::prelude::*;
 use rambo_core::{
-    build_sharded_parallel, IngestPipeline, QueryBatch, QueryContext, QueryMode, Rambo, RamboParams,
+    build_sharded_parallel, GenerationConfig, GenerationalIndex, IngestPipeline, QueryBatch,
+    QueryContext, QueryMode, Rambo, RamboParams,
 };
 use std::sync::Arc;
 
@@ -174,30 +175,78 @@ proptest! {
         prop_assert_eq!(idx, back);
     }
 
-    /// Batch insertion ([`Rambo::insert_document_batch_with`]) produces a
-    /// **bit-identical** index to term-at-a-time insertion — full structural
-    /// equality via `PartialEq`, for any geometry, any archive (duplicates
-    /// included), and any thread budget.
+    /// Every way a whole document enters an index is `hash_document` →
+    /// `apply_hashed`, and each entry point produces an index
+    /// **bit-identical** to the Algorithm-1 loop (`add_document` +
+    /// `insert_term_u64` per term) — full structural equality via
+    /// `PartialEq`, same `total_inserts` — for any geometry and any documents,
+    /// duplicate-bearing and empty term lists included:
+    /// [`Rambo::insert_document_batch`]; the split called apart, with the
+    /// plan's cache-resident (unsorted) and large-table (sorted) row order;
+    /// [`IngestPipeline::build`] then [`IngestPipeline::ingest`] into the
+    /// non-empty result; and [`GenerationalIndex::insert_document`] across
+    /// seals, folded back by `to_monolithic`.
     #[test]
     fn batch_insertion_bit_identical_to_term_at_a_time(
-        archive in archive_strategy(16),
+        term_lists in proptest::collection::vec(proptest::collection::vec(0u64..48, 0..60), 1..14),
         b in 2u64..16,
         r in 1usize..5,
+        eta in 1u32..=4,
         seed in any::<u64>(),
-        threads in 1usize..5,
+        split in any::<proptest::sample::Index>(),
     ) {
-        let params = RamboParams::flat(b, r, 1 << 11, 2, seed);
+        const M: usize = 1 << 11;
+        let docs: Vec<(String, Vec<u64>)> = term_lists
+            .into_iter()
+            .enumerate()
+            .map(|(d, terms)| (format!("doc-{d}"), terms))
+            .collect();
+        let params = RamboParams::flat(b, r, M, eta, seed);
         let mut serial = Rambo::new(params).unwrap();
-        let mut batch = Rambo::new(params).unwrap();
-        for (name, terms) in &archive.docs {
+        for (name, terms) in &docs {
             let d = serial.add_document(name).unwrap();
             for &t in terms {
                 serial.insert_term_u64(d, t).unwrap();
             }
-            batch.insert_document_batch_with(name, terms, threads).unwrap();
         }
-        prop_assert_eq!(&serial, &batch, "threads = {}", threads);
+
+        let mut batch = Rambo::new(params).unwrap();
+        for (name, terms) in &docs {
+            batch.insert_document_batch(name, terms).unwrap();
+        }
+        prop_assert_eq!(&serial, &batch, "insert_document_batch");
         prop_assert_eq!(serial.total_inserts(), batch.total_inserts());
+
+        // A plan is valid for any index of the same (R, m, η, seed); one
+        // taken from an index whose tables reach 24 MiB sorts its row blocks.
+        let wide = (24 << 20) * 8 / M as u64;
+        let sorting = Rambo::new(RamboParams::flat(wide, r, M, eta, seed)).unwrap().hash_plan();
+        prop_assert!(format!("{sorting:?}").contains("sort_rows: true"));
+        for (plan, what) in [(batch.hash_plan(), "unsorted plan"), (sorting, "sorted plan")] {
+            let mut split_apart = Rambo::new(params).unwrap();
+            for (name, terms) in &docs {
+                split_apart.apply_hashed(&plan.hash_document(name, terms)).unwrap();
+            }
+            prop_assert_eq!(&serial, &split_apart, "hash_document → apply_hashed, {}", what);
+            prop_assert_eq!(serial.total_inserts(), split_apart.total_inserts());
+        }
+
+        let (head, tail) = docs.split_at(split.index(docs.len()));
+        let (mut piped, built) = IngestPipeline::new().build(params, head.iter().cloned()).unwrap();
+        let ingested = IngestPipeline::new().ingest(&mut piped, tail.iter().cloned()).unwrap();
+        prop_assert_eq!(&serial, &piped, "pipeline build of {} + ingest of {}", head.len(), tail.len());
+        prop_assert_eq!(serial.total_inserts(), piped.total_inserts());
+        prop_assert_eq!((built.docs + ingested.docs) as usize, docs.len());
+        prop_assert_eq!(built.terms + ingested.terms, serial.total_inserts());
+
+        let config = GenerationConfig { memtable_max_docs: 3, ..GenerationConfig::default() };
+        let mut live = GenerationalIndex::new(params, config).unwrap();
+        for (name, terms) in &docs {
+            live.insert_document(name, terms).unwrap();
+        }
+        let folded = live.to_monolithic().unwrap();
+        prop_assert_eq!(&serial, &folded, "{} generations + memtable", live.num_generations());
+        prop_assert_eq!(serial.total_inserts(), folded.total_inserts());
     }
 
     /// [`QueryBatch`] returns exactly what per-call
@@ -372,51 +421,24 @@ proptest! {
         }
     }
 
-    /// Pipelined ingestion ([`IngestPipeline::ingest`]) is **bit-identical**
-    /// to the sequential batch build — full structural equality — for any
-    /// geometry, any archive, any queue depth and any hash-pool width
-    /// (including the re-sequencing writer path).
+    /// Pipelined ingestion ([`IngestPipeline::build`]) is **bit-identical**
+    /// to the sequential per-document build — full structural equality —
+    /// for any geometry and any archive, and its report counts what went in.
     #[test]
     fn pipelined_build_bit_identical_to_sequential(
         archive in archive_strategy(16),
         b in 2u64..16,
         r in 1usize..5,
         seed in any::<u64>(),
-        depth in 1usize..6,
-        workers in 1usize..4,
     ) {
         let params = RamboParams::flat(b, r, 1 << 11, 2, seed);
         let reference = build(params, &archive);
         let (piped, report) = IngestPipeline::new()
-            .queue_depth(depth)
-            .hash_workers(workers)
             .build(params, archive.docs.iter().cloned())
             .unwrap();
-        prop_assert_eq!(&reference, &piped, "depth = {}, workers = {}", depth, workers);
+        prop_assert_eq!(&reference, &piped);
         prop_assert_eq!(reference.total_inserts(), piped.total_inserts());
         prop_assert_eq!(report.docs as usize, archive.docs.len());
-    }
-
-    /// Document-sharded builds ([`IngestPipeline::build_sharded`]) fold
-    /// their partial indexes into a structure **bit-identical** to the
-    /// monolithic sequential build, for fuzzed shard counts — including
-    /// more shards than documents.
-    #[test]
-    fn sharded_build_then_fold_bit_identical_to_monolithic(
-        archive in archive_strategy(16),
-        b in 2u64..16,
-        r in 1usize..5,
-        seed in any::<u64>(),
-        shards in 1usize..9,
-    ) {
-        let params = RamboParams::flat(b, r, 1 << 11, 2, seed);
-        let reference = build(params, &archive);
-        let (built, report) = IngestPipeline::new()
-            .build_sharded(params, &archive.docs, shards)
-            .unwrap();
-        prop_assert_eq!(&reference, &built, "shards = {}", shards);
-        prop_assert_eq!(reference.total_inserts(), built.total_inserts());
-        prop_assert_eq!(report.shards as usize, shards);
     }
 
     /// RRR-compressed storage is lossless: for any archive, geometry and

@@ -28,13 +28,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fnv;
 mod mix;
 mod murmur3;
 mod pair;
 mod universal;
 
-pub use fnv::fnv1a64;
 pub use mix::{mix64, splitmix64, SplitMix64};
 pub use murmur3::{murmur3_x64_128, murmur3_x64_64};
 pub use pair::HashPair;

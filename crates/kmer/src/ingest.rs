@@ -1,20 +1,15 @@
-//! Genomics ingestion glue: FASTA / FASTQ / k-mer sets → a RAMBO index,
-//! through the batch engine.
+//! Genomics ingestion glue: FASTA / FASTQ streams → a RAMBO index, through
+//! the ingestion pipeline.
 //!
 //! The paper's pipeline treats one sequencing run or assembled genome as one
-//! document and its distinct 31-mers as the term set. These helpers connect
-//! the parsers in this crate to [`Rambo::insert_document_batch`]: terms
-//! arrive as whole per-document batches (already distinct when they come
-//! from a [`KmerSet`]), so the index hashes each unique k-mer once per
-//! repetition and writes the filter bits row-grouped instead of paying the
-//! term-at-a-time insertion path per k-mer.
-//!
-//! For streaming inputs the `pipeline_*` variants go one level further:
-//! they feed the parser straight into [`IngestPipeline`], so parsing and
-//! k-mer hashing of the next record overlap the previous record's bucket
-//! writes (bit-identical output, same error contract).
+//! document and its distinct 31-mers as the term set. These helpers feed the
+//! parsers in this crate straight into [`IngestPipeline`]: terms arrive as
+//! whole per-document batches, so the index hashes each unique k-mer once
+//! per repetition, and parsing and k-mer hashing of the next record overlap
+//! the previous record's bucket writes. A document already in memory (a
+//! [`crate::KmerSet`], an extracted k-mer vector) goes through
+//! [`Rambo::insert_document_batch`] directly.
 
-use crate::cortex::KmerSet;
 use crate::fasta::FastaReader;
 use crate::fastq::FastqReader;
 use crate::iter::kmers_of;
@@ -61,80 +56,6 @@ impl From<RamboError> for IngestError {
     }
 }
 
-/// Insert a pre-extracted distinct k-mer set (one McCortex-style `.ctx`
-/// file) as one document.
-///
-/// # Errors
-/// [`RamboError::DuplicateDocument`] when the name is already indexed.
-pub fn insert_kmer_set(index: &mut Rambo, name: &str, set: &KmerSet) -> Result<DocId, RamboError> {
-    index.insert_document_batch(name, set.kmers())
-}
-
-/// Insert one raw sequence (an assembled genome) as one document: extract
-/// its k-mers and batch-insert them.
-///
-/// # Errors
-/// [`RamboError::DuplicateDocument`] when the name is already indexed.
-pub fn insert_sequence(
-    index: &mut Rambo,
-    name: &str,
-    seq: &[u8],
-    k: usize,
-    canonical: bool,
-) -> Result<DocId, RamboError> {
-    let terms: Vec<u64> = kmers_of(seq, k, canonical).collect();
-    index.insert_document_batch(name, &terms)
-}
-
-/// Ingest a FASTA stream: every record becomes one document named by its
-/// header, with the record's k-mers as terms.
-///
-/// # Errors
-/// [`IngestError::Io`] on malformed FASTA or reader failure,
-/// [`IngestError::Index`] on duplicate headers. Documents ingested before
-/// the failure remain in the index.
-pub fn insert_fasta_documents<R: BufRead>(
-    index: &mut Rambo,
-    reader: FastaReader<R>,
-    k: usize,
-    canonical: bool,
-) -> Result<Vec<DocId>, IngestError> {
-    let mut ids = Vec::new();
-    for record in reader {
-        let record = record?;
-        ids.push(insert_sequence(
-            index,
-            &record.id,
-            &record.seq,
-            k,
-            canonical,
-        )?);
-    }
-    Ok(ids)
-}
-
-/// Ingest a FASTQ stream as **one** document (the genomics convention: one
-/// sequencing run per file): the distinct k-mers across all reads become the
-/// document's term set.
-///
-/// # Errors
-/// [`IngestError::Io`] on malformed FASTQ or reader failure,
-/// [`IngestError::Index`] on a duplicate document name.
-pub fn insert_fastq_document<R: BufRead>(
-    index: &mut Rambo,
-    name: &str,
-    reader: FastqReader<R>,
-    k: usize,
-    canonical: bool,
-) -> Result<DocId, IngestError> {
-    let mut kmers: Vec<u64> = Vec::new();
-    for record in reader {
-        let record = record?;
-        kmers.extend(kmers_of(&record.seq, k, canonical));
-    }
-    Ok(index.insert_document_batch(name, &kmers)?)
-}
-
 /// Outcome of a pipelined streaming ingestion: the ids issued plus the
 /// pipeline's stall/queue telemetry.
 #[derive(Debug, Clone)]
@@ -146,11 +67,11 @@ pub struct PipelinedIngest {
 }
 
 /// Ingest a FASTA stream through the bounded-queue ingestion pipeline:
-/// while the write stage sets document *n*'s filter bits, the calling
-/// thread is already parsing record *n+1* and hashing its k-mers — the
-/// overlap that matters when records stream off storage or a decompressor.
-///
-/// Produces an index bit-identical to [`insert_fasta_documents`].
+/// every record becomes one document named by its header, with the record's
+/// k-mers as terms. While the write stage sets document *n*'s filter bits,
+/// the calling thread is already parsing record *n+1* and hashing its
+/// k-mers — the overlap that matters when records stream off storage or a
+/// decompressor.
 ///
 /// # Errors
 /// [`IngestError::Io`] on malformed FASTA or reader failure,
@@ -191,12 +112,10 @@ pub fn pipeline_fasta_documents<R: BufRead>(
     })
 }
 
-/// Ingest several FASTQ runs (one document each, per the genomics
-/// convention) through the pipeline: run *n+1* is parsed and hashed while
+/// Ingest several FASTQ runs through the pipeline, each as **one** document
+/// (the genomics convention: one sequencing run per file) whose term set is
+/// the k-mers across all its reads: run *n+1* is parsed and hashed while
 /// run *n*'s bits are written.
-///
-/// Produces an index bit-identical to calling [`insert_fastq_document`]
-/// per run in order.
 ///
 /// # Errors
 /// As [`pipeline_fasta_documents`]; the first malformed run stops the
@@ -240,6 +159,7 @@ pub fn pipeline_fastq_documents<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cortex::KmerSet;
     use rambo_core::RamboParams;
     use std::io::Cursor;
 
@@ -247,52 +167,81 @@ mod tests {
         Rambo::new(RamboParams::flat(8, 3, 1 << 12, 2, 5)).unwrap()
     }
 
+    fn fasta(
+        index: &mut Rambo,
+        text: &str,
+        k: usize,
+        canonical: bool,
+    ) -> Result<PipelinedIngest, IngestError> {
+        pipeline_fasta_documents(
+            index,
+            FastaReader::new(Cursor::new(text)),
+            k,
+            canonical,
+            &IngestPipeline::new(),
+        )
+    }
+
     #[test]
     fn fasta_records_become_documents() {
-        let fasta = ">g1\nACGTACGTACGT\n>g2\nTTTTGGGGCCCC\n";
         let mut idx = index();
-        let ids = insert_fasta_documents(&mut idx, FastaReader::new(Cursor::new(fasta)), 5, false)
-            .unwrap();
-        assert_eq!(ids, vec![0, 1]);
+        let out = fasta(&mut idx, ">g1\nACGTACGTACGT\n>g2\nTTTTGGGGCCCC\n", 5, false).unwrap();
+        assert_eq!(out.ids, vec![0, 1]);
         assert_eq!(idx.document_name(0), "g1");
         // A k-mer of g1 finds g1.
         let probe = kmers_of(b"ACGTACGTACGT", 5, false).next().unwrap();
         assert!(idx.query_u64(probe).contains(&0));
     }
 
+    /// A reader that fails mid-stream: the I/O error surfaces, and the
+    /// records parsed before it are in the index.
     #[test]
     fn fasta_errors_propagate() {
-        let bad = "ACGT\n>late\nAC\n"; // data before first header
+        struct Broken;
+        impl io::Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::Error::other("disk on fire"))
+            }
+        }
+        let stream = io::Read::chain(Cursor::new(">g1\nACGTACGT\n>g2\nTTTTGGGG\n>g3\n"), Broken);
         let mut idx = index();
-        let err = insert_fasta_documents(&mut idx, FastaReader::new(Cursor::new(bad)), 4, false);
+        let err = pipeline_fasta_documents(
+            &mut idx,
+            FastaReader::new(io::BufReader::new(stream)),
+            4,
+            false,
+            &IngestPipeline::new(),
+        );
         assert!(matches!(err, Err(IngestError::Io(_))));
+        assert_eq!(idx.document_names(), ["g1", "g2"]);
     }
 
     #[test]
     fn fastq_file_is_one_document() {
         let fastq = "@r1\nACGTACGT\n+\nFFFFFFFF\n@r2\nGGGGCCCC\n+\nFFFFFFFF\n";
         let mut idx = index();
-        let d = insert_fastq_document(
+        let out = pipeline_fastq_documents(
             &mut idx,
-            "run-1",
-            FastqReader::new(Cursor::new(fastq)),
+            [("run-1".to_string(), FastqReader::new(Cursor::new(fastq)))],
             4,
             false,
+            &IngestPipeline::new(),
         )
         .unwrap();
         assert_eq!(idx.num_documents(), 1);
         let probe = kmers_of(b"ACGTACGT", 4, false).next().unwrap();
-        assert!(idx.query_u64(probe).contains(&d));
+        assert!(idx.query_u64(probe).contains(&out.ids[0]));
     }
 
     #[test]
     fn kmer_set_ingestion_matches_sequence_ingestion() {
         let seq = b"ACGTTGCAACGTGGGTACCA";
         let set = KmerSet::from_sequence(seq, 7, true);
+        let raw: Vec<u64> = kmers_of(seq, 7, true).collect();
         let mut via_set = index();
         let mut via_seq = index();
-        insert_kmer_set(&mut via_set, "doc", &set).unwrap();
-        insert_sequence(&mut via_seq, "doc", seq, 7, true).unwrap();
+        via_set.insert_document_batch("doc", set.kmers()).unwrap();
+        via_seq.insert_document_batch("doc", &raw).unwrap();
         // Same distinct k-mers → same filter bits; only the multiplicity
         // accounting may differ (the raw sequence repeats k-mers).
         for kmer in set.kmers() {
@@ -302,22 +251,17 @@ mod tests {
 
     #[test]
     fn pipelined_fasta_is_bit_identical_to_eager() {
-        let fasta = ">g1\nACGTACGTACGTTTAA\n>g2\nTTTTGGGGCCCCAAAA\n>g3\nACACACACGTGTGTGT\n";
+        let text = ">g1\nACGTACGTACGTTTAA\n>g2\nTTTTGGGGCCCCAAAA\n>g3\nACACACACGTGTGTGT\n";
         let mut eager = index();
-        let eager_ids =
-            insert_fasta_documents(&mut eager, FastaReader::new(Cursor::new(fasta)), 5, true)
-                .unwrap();
+        for rec in FastaReader::new(Cursor::new(text)) {
+            let rec = rec.unwrap();
+            let terms: Vec<u64> = kmers_of(&rec.seq, 5, true).collect();
+            eager.insert_document_batch(&rec.id, &terms).unwrap();
+        }
         let mut piped = index();
-        let out = pipeline_fasta_documents(
-            &mut piped,
-            FastaReader::new(Cursor::new(fasta)),
-            5,
-            true,
-            &IngestPipeline::new(),
-        )
-        .unwrap();
+        let out = fasta(&mut piped, text, 5, true).unwrap();
         assert_eq!(eager, piped, "pipelined FASTA ingest must be lossless");
-        assert_eq!(out.ids, eager_ids);
+        assert_eq!(out.ids, vec![0, 1, 2]);
         assert_eq!(out.report.docs, 3);
     }
 
@@ -325,14 +269,11 @@ mod tests {
     fn pipelined_fasta_surfaces_parse_errors() {
         let bad = "ACGT\n>late\nAC\n"; // data before first header
         let mut idx = index();
-        let err = pipeline_fasta_documents(
-            &mut idx,
-            FastaReader::new(Cursor::new(bad)),
-            4,
-            false,
-            &IngestPipeline::new(),
-        );
-        assert!(matches!(err, Err(IngestError::Io(_))));
+        assert!(matches!(
+            fasta(&mut idx, bad, 4, false),
+            Err(IngestError::Io(_))
+        ));
+        assert_eq!(idx.num_documents(), 0);
     }
 
     #[test]
@@ -342,14 +283,13 @@ mod tests {
         };
         let mut eager = index();
         for t in 0..3u8 {
-            insert_fastq_document(
-                &mut eager,
-                &format!("run-{t}"),
-                FastqReader::new(Cursor::new(run(t))),
-                4,
-                false,
-            )
-            .unwrap();
+            let mut kmers: Vec<u64> = Vec::new();
+            for rec in FastqReader::new(Cursor::new(run(t))) {
+                kmers.extend(kmers_of(&rec.unwrap().seq, 4, false));
+            }
+            eager
+                .insert_document_batch(&format!("run-{t}"), &kmers)
+                .unwrap();
         }
         let mut piped = index();
         let out = pipeline_fastq_documents(
@@ -357,7 +297,7 @@ mod tests {
             (0..3u8).map(|t| (format!("run-{t}"), FastqReader::new(Cursor::new(run(t))))),
             4,
             false,
-            &IngestPipeline::new().queue_depth(2),
+            &IngestPipeline::new(),
         )
         .unwrap();
         assert_eq!(eager, piped, "pipelined FASTQ ingest must be lossless");
@@ -387,13 +327,11 @@ mod tests {
     #[test]
     fn duplicate_names_surface_as_index_errors() {
         let mut idx = index();
-        insert_kmer_set(
-            &mut idx,
-            "dup",
-            &KmerSet::from_sequence(b"ACGTACGT", 4, false),
-        )
-        .unwrap();
-        let err = insert_kmer_set(&mut idx, "dup", &KmerSet::from_sequence(b"TTTT", 4, false));
-        assert!(matches!(err, Err(RamboError::DuplicateDocument(_))));
+        let err = fasta(&mut idx, ">dup\nACGTACGT\n>dup\nTTTT\n", 4, false);
+        assert!(matches!(
+            err,
+            Err(IngestError::Index(RamboError::DuplicateDocument(_)))
+        ));
+        assert_eq!(idx.document_id("dup"), Some(0), "the first one landed");
     }
 }

@@ -13,9 +13,11 @@
 //! This crate provides all of that: [`encode`] packs DNA into `u64`s (with
 //! reverse complements and canonical forms), [`KmerIter`] does the
 //! sliding-window extraction, [`fasta`]/[`fastq`] parse the text formats,
-//! [`KmerSet`] is our McCortex-like binary k-mer-set format, and
+//! [`KmerSet`] is our McCortex-like binary k-mer-set format,
 //! [`sim::GenomeSimulator`] generates the synthetic archives that stand in
-//! for the 170TB ENA dataset (see DESIGN.md "Substitutions").
+//! for the 170TB ENA dataset (see DESIGN.md "Substitutions"), and
+//! [`ingest`] streams FASTA/FASTQ into an index through
+//! `rambo_core::IngestPipeline`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +35,6 @@ pub use encode::{canonical_kmer, pack_kmer, revcomp_kmer, revcomp_seq, unpack_km
 pub use fasta::{FastaReader, FastaRecord};
 pub use fastq::{FastqReader, FastqRecord};
 pub use ingest::{
-    insert_fasta_documents, insert_fastq_document, insert_kmer_set, insert_sequence,
     pipeline_fasta_documents, pipeline_fastq_documents, IngestError, PipelinedIngest,
 };
 pub use iter::{kmers_of, KmerIter};

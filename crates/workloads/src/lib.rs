@@ -10,8 +10,8 @@
 //!   exponentially distributed multiplicity `V ~ Exp(α)`, query them, and
 //!   compare against the recorded ground truth.
 //! * [`timing`] / [`stats`] — wall-clock measurement and summary statistics.
-//! * [`telemetry`] — histogram-backed queue/stall observers for the
-//!   ingestion pipeline.
+//! * [`telemetry`] — lock-free result-cache counters for the serving
+//!   engine.
 //! * [`report`] — fixed-width table printing so each harness binary emits
 //!   rows shaped like the paper's tables.
 //! * [`netclient`] — a raw-bytes TCP test client (timeouts, frame-split
@@ -33,5 +33,5 @@ pub use archive::{ArchiveParams, SyntheticArchive};
 pub use fpr::{FprMeasurement, PlantedQueries};
 pub use netclient::TestClient;
 pub use report::Table;
-pub use telemetry::{CacheSnapshot, CacheTelemetry, QueueTelemetry};
+pub use telemetry::{CacheSnapshot, CacheTelemetry};
 pub use timing::{time, Stopwatch};

@@ -1,63 +1,7 @@
-//! Pipeline telemetry: a histogram-backed [`PipelineObserver`] so ingestion
-//! benchmarks can report not just *how often* the bounded queue stalled but
-//! the *distribution* of stall durations (a handful of long producer stalls
-//! and a stream of short ones need different fixes: the former wants a
-//! deeper queue, the latter a faster write stage).
-//!
-//! Built on [`LatencyHistogram`] — the same lock-free log-linear recorder
-//! the serving engine uses — so recording from the pipeline's hot path is
-//! one relaxed atomic increment per stall.
+//! Result-cache telemetry: lock-free hit/miss/eviction counters and a
+//! resident-bytes gauge for the serving engine's cache.
 
-use crate::stats::LatencyHistogram;
-use rambo_core::PipelineObserver;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-/// Histogram-backed queue telemetry for [`rambo_core::IngestPipeline`].
-///
-/// Wrap it in an `Arc`, attach via `IngestPipeline::observer`, and read the
-/// histograms after the run (recording threads are joined by then).
-#[derive(Debug, Default)]
-pub struct QueueTelemetry {
-    producer_stalls: LatencyHistogram,
-    writer_stalls: LatencyHistogram,
-    depth_high_water: AtomicU64,
-}
-
-impl QueueTelemetry {
-    /// Empty telemetry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Distribution of producer-side stalls (blocked on a full queue: the
-    /// write stage is the bottleneck).
-    #[must_use]
-    pub fn producer_stalls(&self) -> &LatencyHistogram {
-        &self.producer_stalls
-    }
-
-    /// Distribution of writer-side stalls (blocked on an empty queue: the
-    /// parse/hash stage is the bottleneck).
-    #[must_use]
-    pub fn writer_stalls(&self) -> &LatencyHistogram {
-        &self.writer_stalls
-    }
-
-    /// Highest queue depth observed at enqueue time.
-    #[must_use]
-    pub fn depth_high_water(&self) -> u64 {
-        self.depth_high_water.load(Ordering::Relaxed)
-    }
-
-    /// Reset all recorders (quiesce the pipeline first).
-    pub fn clear(&self) {
-        self.producer_stalls.clear();
-        self.writer_stalls.clear();
-        self.depth_high_water.store(0, Ordering::Relaxed);
-    }
-}
 
 /// Lock-free counters for a result cache: every recorder is one relaxed
 /// atomic op, safe to call from concurrent admission threads and batch
@@ -181,56 +125,9 @@ impl CacheTelemetry {
     }
 }
 
-impl PipelineObserver for QueueTelemetry {
-    fn producer_stall(&self, waited: Duration) {
-        self.producer_stalls.record(waited);
-    }
-
-    fn writer_stall(&self, waited: Duration) {
-        self.writer_stalls.record(waited);
-    }
-
-    fn queue_depth(&self, depth: usize) {
-        self.depth_high_water
-            .fetch_max(depth as u64, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rambo_core::{IngestPipeline, RamboParams};
-    use std::sync::Arc;
-
-    #[test]
-    fn telemetry_matches_pipeline_report() {
-        let telemetry = Arc::new(QueueTelemetry::new());
-        let docs: Vec<(String, Vec<u64>)> = (0..40)
-            .map(|d| {
-                let base = (d as u64) << 32;
-                (format!("doc-{d}"), (0..200u64).map(|t| base | t).collect())
-            })
-            .collect();
-        let (_, report) = IngestPipeline::new()
-            .queue_depth(1)
-            .observer(Arc::clone(&telemetry) as Arc<dyn PipelineObserver>)
-            .build(RamboParams::flat(8, 3, 1 << 12, 2, 5), docs)
-            .unwrap();
-        assert_eq!(telemetry.producer_stalls().count(), report.producer_stalls);
-        assert_eq!(telemetry.writer_stalls().count(), report.writer_stalls);
-        assert_eq!(telemetry.depth_high_water(), report.max_queue_depth);
-        // Stall durations in the histograms sum to roughly the report's
-        // nanosecond totals (histogram buckets quote upper bounds, so the
-        // histogram mean·count can only over-report, within 12.5%).
-        if report.writer_stalls > 0 {
-            let hist_total = telemetry.writer_stalls().mean().as_nanos() as u64
-                * telemetry.writer_stalls().count();
-            assert!(hist_total * 10 >= report.writer_stall_ns * 9);
-        }
-        telemetry.clear();
-        assert_eq!(telemetry.producer_stalls().count(), 0);
-        assert_eq!(telemetry.depth_high_water(), 0);
-    }
 
     #[test]
     fn cache_telemetry_counts_and_byte_gauge_balance() {

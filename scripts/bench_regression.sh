@@ -28,13 +28,9 @@ BASELINE_DIR=scripts/bench_baselines
 # file | headline metric (a within-run speedup ratio; higher is better)
 #
 # Metrics chosen for stability on the host class that recorded the
-# baseline. Deliberately NOT gated: speedup_pipelined_vs_single and
-# speedup_sharded_vs_single — two-threads-on-one-core ratios swing
-# 0.8–1.8x with OS scheduling on single-core hosts (their win is a
-# multi-core property); they are still recorded in BENCH_ingest.json and
-# uploaded as artifacts for human eyes.
+# baseline. Ingestion is not gated here: the write path is measured by the
+# archive_build workload of BENCHMARK.json.
 CHECKS="
-BENCH_ingest.json|speedup_batch_vs_naive
 BENCH_probe.json|speedup_vectorized_vs_scalar
 BENCH_serve.json|batched_p99_speedup_vs_one_at_a_time
 BENCH_serve.json|batched_p99_speedup_vs_always_batch
@@ -97,7 +93,7 @@ BENCH_tenant.json|quota_enforcement_ok|1.0
 # the committed baselines were recorded with. Keep flags here and baseline
 # regeneration (--update) in lockstep.
 run_benches() {
-    for bin in ingest_throughput probe_kernel serve_load storage_cold cluster_serve mutable_load tenant_serve; do
+    for bin in probe_kernel serve_load storage_cold cluster_serve mutable_load tenant_serve; do
         echo "+ cargo run --release -p rambo-bench --bin $bin" >&2
         cargo run --release -p rambo-bench --bin "$bin" >/dev/null
     done
@@ -113,7 +109,7 @@ run_benches
 
 if [ "${1:-}" = "--update" ]; then
     mkdir -p "$BASELINE_DIR"
-    for f in BENCH_ingest.json BENCH_probe.json BENCH_serve.json BENCH_storage.json BENCH_cluster.json BENCH_mutable.json BENCH_tenant.json; do
+    for f in BENCH_probe.json BENCH_serve.json BENCH_storage.json BENCH_cluster.json BENCH_mutable.json BENCH_tenant.json; do
         cp "$f" "$BASELINE_DIR/$f"
         echo "blessed $BASELINE_DIR/$f"
     done
@@ -123,7 +119,6 @@ fi
 # file -> bench bin (for targeted retries)
 bin_of() {
     case "$1" in
-        BENCH_ingest.json) echo ingest_throughput ;;
         BENCH_probe.json) echo probe_kernel ;;
         BENCH_serve.json) echo serve_load ;;
         BENCH_storage.json) echo storage_cold ;;

@@ -4,8 +4,8 @@
 # CI's test job runs it verbatim, and a local `scripts/bench_smoke.sh`
 # executes exactly what CI does.
 #
-# Each binary asserts its own correctness invariants (bit-identity across
-# ingestion paths, served-vs-direct result parity, …) and writes its
+# Each binary asserts its own correctness invariants (served-vs-direct
+# result parity, paged-vs-buffered parity, …) and writes its
 # BENCH_*.json into the repo root. For the full-size runs that the
 # regression gate compares against committed baselines, see
 # scripts/bench_regression.sh.
@@ -17,8 +17,6 @@ run() {
     "$@"
 }
 
-run cargo run --release -p rambo-bench --bin ingest_throughput -- \
-    --docs 20 --mean-terms 5000 --reps 4
 run cargo run --release -p rambo-bench --bin probe_kernel -- \
     --mask-words 262144 --rows 8 --iters 3 --docs 100 --queries 300
 # serve-smoke: starts the adaptive-scheduler server (in-process and on a
