@@ -555,13 +555,35 @@ fn and_gather_rows_into_any_portable(
     row_offsets: &[usize],
 ) -> bool {
     let n = dst.len();
-    let row = |offset: usize| &words[offset..offset + n];
+    // The live window: every word of `dst` outside `[lo, hi)` is zero, and
+    // AND cannot set a bit, so later rows are only read inside it. A probe
+    // of a few hundred rows is down to a word or two after the first group;
+    // the rest of each 72-byte row is traffic for nothing.
+    let (mut lo, mut hi) = (0, n);
+    // Each row is sliced whole first, so an offset that does not lie inside
+    // `words` panics however far the window has closed.
+    let row = |offset: usize, lo: usize, hi: usize| &words[offset..offset + n][lo..hi];
     let mut groups = row_offsets.chunks_exact(4);
     for g in &mut groups {
-        if !and_rows_into_any_portable(dst, [row(g[0]), row(g[1]), row(g[2]), row(g[3])]) {
+        let rows = [
+            row(g[0], lo, hi),
+            row(g[1], lo, hi),
+            row(g[2], lo, hi),
+            row(g[3], lo, hi),
+        ];
+        if !and_rows_into_any_portable(&mut dst[lo..hi], rows) {
             return false;
         }
+        // Live, so both scans stop at a set word inside the window.
+        while dst[lo] == 0 {
+            lo += 1;
+        }
+        while dst[hi - 1] == 0 {
+            hi -= 1;
+        }
     }
+    let dst = &mut dst[lo..hi];
+    let row = |offset: usize| row(offset, lo, hi);
     match *groups.remainder() {
         [a] => and_rows_into_any_portable(dst, [row(a)]),
         [a, b] => and_rows_into_any_portable(dst, [row(a), row(b)]),

@@ -263,27 +263,64 @@ proptest! {
 
     /// The gather-AND — a whole repetition's probe in one call — must equal
     /// the naive row-at-a-time AND on every supported backend: mask words
-    /// *and* liveness, for 1..=12-word rows and 0..=9 listed rows (every
+    /// *and* liveness, for 1..=24-word rows and 0..=13 listed rows (every
     /// four-row group and remainder shape), with repeated offsets and with
     /// an all-zero row planted mid-list so the early exit is taken. The walk
     /// may stop at a dead mask; a dead mask is also what the naive AND of
     /// the full list leaves.
+    ///
+    /// The kernel only reads later rows inside the mask's live word window,
+    /// so the cases that would expose a wrong window are forced: a row that
+    /// is zero outside one (usually interior) word planted anywhere in the
+    /// list, collapsing the mask to that word while the rows after it stay
+    /// dense everywhere else — they differ from a zero-padded copy only
+    /// outside the window, and the naive AND still reads them whole; and a
+    /// mask that *enters* with zero words, at both ends or everywhere but
+    /// one word.
     #[test]
     fn kernel_backends_gather_and_bit_identical(
-        width in 1usize..=12,
-        picks in proptest::collection::vec(0usize..5, 0..10),
-        kill_at in 0usize..12,
+        width in 1usize..=24,
+        picks in proptest::collection::vec(0usize..5, 0..14),
+        kill_at in 0usize..18,
+        collapse_at in 0usize..18,
+        focus in 0usize..24,
+        dst_shape in 0u32..3,
         seed in any::<u64>(),
         sparsify in 0u32..3,
     ) {
-        // Rows 0..5 are fuzzed, row 5 is all-zero; `picks` repeats rows.
+        let focus = focus % width;
+        // Rows 0..5 are fuzzed, row 5 is all-zero, row 6 is all-ones in word
+        // `focus` and zero elsewhere; `picks` repeats rows.
         let mut words = sparse_words(seed, 5 * width, sparsify);
-        words.extend(std::iter::repeat_n(0u64, width));
+        words.extend(std::iter::repeat_n(0u64, 2 * width));
+        words[6 * width + focus] = u64::MAX;
         let mut offsets: Vec<usize> = picks.iter().map(|&r| r * width).collect();
+        if let Some(slot) = offsets.get_mut(collapse_at) {
+            *slot = 6 * width;
+        }
         if let Some(slot) = offsets.get_mut(kill_at) {
             *slot = 5 * width;
         }
-        let base = sparse_words(seed ^ 0xABCD, width, 0);
+        let mut base = sparse_words(seed ^ 0xABCD, width, 0);
+        match dst_shape {
+            0 => {}
+            // Zero words at both ends.
+            1 => {
+                let edge = width / 3;
+                base[..edge].fill(0);
+                base[width - edge..].fill(0);
+            }
+            // One live word, not the one the collapsing row keeps (unless
+            // the width leaves no choice).
+            _ => {
+                let keep = (focus + width / 2) % width;
+                for (i, w) in base.iter_mut().enumerate() {
+                    if i != keep {
+                        *w = 0;
+                    }
+                }
+            }
+        }
         let mut expect = base.clone();
         for &o in &offsets {
             and_into_scalar(&mut expect, &words[o..o + width]);

@@ -3,7 +3,7 @@
 //! Speaks the same length-prefixed protocol as a single `rambo-server`
 //! node ([`rambo_server::wire`]), so existing clients point at the
 //! coordinator unchanged; the one extension is the degraded status (see
-//! [`crate::wire`]). Unlike the shard nodes' polling reactor, the front is
+//! [`crate::wire`]). Unlike the shard nodes' readiness reactor, the front is
 //! a plain thread-per-connection loop inside a [`std::thread::scope`] — a
 //! coordinator query
 //! blocks its connection thread on the scatter anyway, and the scoped

@@ -25,7 +25,7 @@
 use crate::error::RamboError;
 use crate::index::{DocId, Rambo};
 use crate::params::RamboParams;
-use rambo_hash::HashPair;
+use rambo_hash::{HashPair, Modulus};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
 use std::time::{Duration, Instant};
@@ -77,7 +77,9 @@ pub struct HashPlan {
     seed_tag: u64,
     seeds: Vec<u64>,
     eta: u32,
-    m: u64,
+    /// Filter size, with its reciprocal: a 50 kb genome takes ~300 000
+    /// positions modulo this one value.
+    m: Modulus,
     /// Sort each repetition's row block? True for tables of at least
     /// [`ROW_SORT_MIN_BYTES`]; crate-visible so tests can force the branch
     /// on a small index.
@@ -95,7 +97,7 @@ impl Rambo {
             seed_tag: seed_tag(&self.bloom_seeds),
             seeds: self.bloom_seeds.clone(),
             eta: self.params().eta,
-            m: self.params().bfu_bits as u64,
+            m: Modulus::new(self.params().bfu_bits as u64),
             sort_rows: table_bytes >= ROW_SORT_MIN_BYTES,
         }
     }
@@ -163,7 +165,7 @@ impl HashPlan {
             for &t in unique {
                 let pair = HashPair::of_u64(t, seed);
                 for i in 0..self.eta {
-                    rows.push(pair.index(i, self.m) as usize);
+                    rows.push(pair.index_in(i, &self.m) as usize);
                 }
             }
             if self.sort_rows {
@@ -175,7 +177,7 @@ impl HashPlan {
             term_count: terms.len() as u64,
             per_rep,
             rows,
-            m: self.m,
+            m: self.m.get(),
             eta: self.eta,
             seed_tag: self.seed_tag,
         }

@@ -35,7 +35,7 @@ mod universal;
 
 pub use mix::{mix64, splitmix64, SplitMix64};
 pub use murmur3::{murmur3_x64_128, murmur3_x64_64};
-pub use pair::HashPair;
+pub use pair::{HashPair, Modulus};
 pub use universal::{CarterWegman, PartitionHasher, TwoLevelHash, MERSENNE_P61};
 
 use std::hash::{BuildHasherDefault, Hasher};

@@ -1,6 +1,6 @@
 //! RESP2-compatible text protocol front over a [`TenantRegistry`] — the
 //! multi-tenant command surface, served alongside the binary frames by one
-//! poll-loop reactor.
+//! readiness reactor.
 //!
 //! ## Command surface
 //!
@@ -50,12 +50,14 @@
 //!
 //! [`serve_tenant_tcp`] pairs the RESP listener with this protocol and
 //! (optionally) a second listener with the binary frame protocol bound to
-//! [`TenantServeOptions::binary_tenant`], both on the one polling reactor
-//! (`reactor.rs`). Turns with no I/O run one step of generation-merge
-//! maintenance across the registry instead of napping, so background index
-//! upkeep rides the serving thread's idle gaps.
+//! [`TenantServeOptions::binary_tenant`], both on the one reactor
+//! (`reactor.rs`). A turn with no I/O runs one step of generation-merge
+//! maintenance across the registry before the loop blocks in `poll`, so
+//! background index upkeep rides the serving thread's idle gaps; a merge
+//! made due by an in-process insert on another thread is picked up on the
+//! reactor's next tick.
 
-use crate::reactor::{Protocol, Reactor, Reply, Step};
+use crate::reactor::{Protocol, Reactor, Reply, Step, Waker};
 use crate::tcp::TenantFrames;
 use crate::tenant::{TenantKind, TenantOptions, TenantRegistry};
 use crate::wire::MAX_FRAME_BYTES;
@@ -527,7 +529,7 @@ struct RespCommands<'a> {
 }
 
 impl Protocol for RespCommands<'_> {
-    fn step(&self, inbuf: &[u8]) -> Step {
+    fn step(&self, inbuf: &[u8], _waker: &Waker) -> Step {
         let violation = |message: &str| Step::Request {
             consumed: 0,
             reply: Some(Reply::Ready(resp_error(message))),
@@ -556,8 +558,8 @@ impl Protocol for RespCommands<'_> {
 
 /// Serve a [`TenantRegistry`] until `stop` is set: the RESP front on
 /// `resp_listener` and, when given, the binary frame protocol on
-/// `binary_listener`, both multiplexed by one non-blocking polling reactor
-/// on the calling thread. A mutable index over TCP is this with
+/// `binary_listener`, both multiplexed by one readiness reactor on the
+/// calling thread. A mutable index over TCP is this with
 /// [`TenantServeOptions::binary_tenant`] set.
 ///
 /// # Errors

@@ -36,6 +36,7 @@
 //! baseline the `serve_load` bench compares against.
 
 use crate::cache::ResultCache;
+use crate::reactor::Waker;
 use crate::stats::{SlowQuery, SlowQueryLog, TierCounters};
 use rambo_core::{DocId, QueryBatch, QueryMode, Rambo};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -61,6 +62,21 @@ pub(crate) struct Request {
     pub version: u64,
     /// Oneshot reply channel (capacity 1; the send never blocks).
     pub reply: SyncSender<Reply>,
+    /// Set when the TCP reactor admitted the request: it is blocked in
+    /// `poll` and must be told the reply is there. In-process submitters
+    /// block on the channel itself and carry none.
+    pub waker: Option<Waker>,
+}
+
+impl Request {
+    /// Hand `reply` to whoever is waiting. A client that gave up (dropped
+    /// its reply receiver) is not an error; the result is simply discarded.
+    fn answer(self, reply: Reply) {
+        let _ = self.reply.try_send(reply);
+        if let Some(waker) = self.waker {
+            waker.wake();
+        }
+    }
 }
 
 /// Worker → client reply.
@@ -214,7 +230,7 @@ pub(crate) fn run_worker(
             if dequeued >= req.deadline {
                 counters.expired.fetch_add(1, Ordering::Relaxed);
                 quiet &= gate.queued.load(Ordering::Acquire) <= threshold;
-                let _ = req.reply.try_send(Reply::Expired);
+                req.answer(Reply::Expired);
                 continue;
             }
             let docs = evaluator.query_terms(&req.terms, req.mode);
@@ -237,9 +253,7 @@ pub(crate) fn run_worker(
                 cache.insert(tier as u32, req.key, req.version, &docs);
             }
             quiet &= gate.queued.load(Ordering::Acquire) <= threshold;
-            // A client that gave up (dropped its reply receiver) is not an
-            // error; the result is simply discarded.
-            let _ = req.reply.try_send(Reply::Docs(docs));
+            req.answer(Reply::Docs(docs));
         }
         // Hysteresis flip-back: only after a *streak* of demonstrably quiet
         // batches, and only once the lane's last proof of concurrency has

@@ -31,6 +31,7 @@
 
 use crate::cache::ResultCache;
 use crate::catalog::Catalog;
+use crate::reactor::Waker;
 use crate::scheduler::{run_worker, BatchKnobs, LaneGate, Reply, Request, INLINE_OVERLAP_WINDOW};
 use crate::stats::{ServerStats, SlowQuery, SlowQueryLog, TierCounters};
 use rambo_core::{canonical_query_key, default_threads, DocId, QueryBatch, QueryMode};
@@ -312,10 +313,29 @@ impl PendingReply {
         }
     }
 
+    /// A reply no worker will ever send, for the reactor's deadline tests;
+    /// the sender keeps the channel connected.
+    #[cfg(test)]
+    pub(crate) fn unanswered(deadline: Instant) -> (Self, SyncSender<Reply>) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        let reply = Self {
+            inner: PendingInner::Waiting(rx),
+            tier: 0,
+            deadline,
+        };
+        (reply, tx)
+    }
+
     /// The tier the request was routed to.
     #[must_use]
     pub fn tier(&self) -> usize {
         self.tier
+    }
+
+    /// The instant past which [`PendingReply::try_wait`] gives up on a worker
+    /// — what the TCP reactor bounds its wait by.
+    pub(crate) fn deadline(&self) -> Instant {
+        self.deadline
     }
 
     /// Block until the reply arrives or the request's deadline passes.
@@ -429,6 +449,19 @@ impl<'env> ServerHandle<'env> {
     /// [`ServerError::UnknownTier`] for an out-of-range explicit tier,
     /// [`ServerError::Disconnected`] during shutdown.
     pub fn submit(&self, terms: &[u64], opts: &QueryOptions) -> Result<PendingReply, ServerError> {
+        self.submit_waking(terms, opts, None)
+    }
+
+    /// [`ServerHandle::submit`] for a caller that will not block on the
+    /// reply: if the request ends up on a worker's queue, the worker signals
+    /// `waker` once it has answered or expired it. Requests answered at
+    /// admission never touch it.
+    pub(crate) fn submit_waking(
+        &self,
+        terms: &[u64],
+        opts: &QueryOptions,
+        waker: Option<&Waker>,
+    ) -> Result<PendingReply, ServerError> {
         let tier = match opts.tier {
             Some(t) if t < self.lanes.len() => t,
             Some(t) => return Err(ServerError::UnknownTier(t)),
@@ -565,6 +598,7 @@ impl<'env> ServerHandle<'env> {
             key,
             version,
             reply: reply_tx,
+            waker: waker.cloned(),
         };
         let depth = lane.gate.queued.fetch_add(1, Ordering::AcqRel) + 1;
         match lane.tx.try_send(request) {

@@ -14,7 +14,7 @@
 //! [`TenantServeOptions::binary_tenant`], and `STATS` dumps the registry
 //! summary.
 
-use crate::reactor::{Protocol, Reactor, Reply, Step};
+use crate::reactor::{Protocol, Reactor, Reply, Step, Waker};
 use crate::resp::TenantServeOptions;
 use crate::server::{QueryReply, ServerError, ServerHandle};
 use crate::tenant::TenantRegistry;
@@ -114,13 +114,13 @@ fn hello(manifest: Option<&[u8]>) -> (Reply, bool) {
 }
 
 /// Binary frames over a read-only catalog server.
-struct CatalogFrames<'a, 'scope> {
-    handle: &'a ServerHandle<'scope>,
-    manifest: Option<&'a [u8]>,
+pub(crate) struct CatalogFrames<'a, 'scope> {
+    pub(crate) handle: &'a ServerHandle<'scope>,
+    pub(crate) manifest: Option<&'a [u8]>,
 }
 
 impl Protocol for CatalogFrames<'_, '_> {
-    fn step(&self, inbuf: &[u8]) -> Step {
+    fn step(&self, inbuf: &[u8], waker: &Waker) -> Step {
         frame_step(inbuf, |payload| match payload {
             [OPCODE_STATS] => {
                 let text = self.handle.stats().to_string();
@@ -129,13 +129,15 @@ impl Protocol for CatalogFrames<'_, '_> {
             [OPCODE_HELLO] => hello(self.manifest),
             _ => match parse_request(payload) {
                 None => bad_request(),
-                Some((terms, opts)) => match self.handle.submit(&terms, &opts) {
-                    Ok(reply) => (Reply::Pending(reply), false),
-                    Err(e) => {
-                        let (frame, close) = wire::encode_query_result(Err(e));
-                        (Reply::Ready(frame), close)
+                Some((terms, opts)) => {
+                    match self.handle.submit_waking(&terms, &opts, Some(waker)) {
+                        Ok(reply) => (Reply::Pending(reply), false),
+                        Err(e) => {
+                            let (frame, close) = wire::encode_query_result(Err(e));
+                            (Reply::Ready(frame), close)
+                        }
                     }
-                },
+                }
             },
         })
     }
@@ -149,7 +151,7 @@ pub(crate) struct TenantFrames<'a> {
 }
 
 impl Protocol for TenantFrames<'_> {
-    fn step(&self, inbuf: &[u8]) -> Step {
+    fn step(&self, inbuf: &[u8], _waker: &Waker) -> Step {
         let tenant = self.options.binary_tenant.as_deref();
         frame_step(inbuf, |payload| match payload {
             [OPCODE_STATS] => {
