@@ -35,6 +35,45 @@ impl Table {
     }
 }
 
+/// Everything [`Rambo::add_document`] writes, borrowed apart from the
+/// matrices (see [`Rambo::split_registry`]).
+pub(crate) struct Registry<'a> {
+    resolver: &'a Resolver,
+    current_buckets: u64,
+    doc_names: &'a mut Vec<String>,
+    name_index: &'a mut HashMap<String, DocId>,
+    /// Per repetition: the document→bucket assignment and the bucket lists.
+    slots: Vec<(&'a mut Vec<u32>, &'a mut Vec<Vec<DocId>>)>,
+    /// [`Rambo::total_inserts`].
+    pub inserts: &'a mut u64,
+}
+
+impl Registry<'_> {
+    /// Issue the next id to `name` and assign it its `R` buckets.
+    pub(crate) fn add(&mut self, name: &str) -> Result<DocId, RamboError> {
+        if self.name_index.contains_key(name) {
+            return Err(RamboError::DuplicateDocument(name.to_string()));
+        }
+        let id = u32::try_from(self.doc_names.len())
+            .map_err(|_| RamboError::InvalidParams("document count exceeds u32".into()))?;
+        self.doc_names.push(name.to_string());
+        self.name_index.insert(name.to_string(), id);
+        for (rep, (assign, buckets)) in self.slots.iter_mut().enumerate() {
+            // Raw bucket in the unfolded range, then the fold composition.
+            let raw = self.resolver.bucket(rep, name.as_bytes());
+            let bucket = (raw % self.current_buckets) as u32;
+            assign.push(bucket);
+            buckets[bucket as usize].push(id);
+        }
+        Ok(id)
+    }
+
+    /// The bucket of document `doc` in repetition `rep`.
+    pub(crate) fn bucket_of(&self, rep: usize, doc: DocId) -> usize {
+        self.slots[rep].0[doc as usize] as usize
+    }
+}
+
 /// The Repeated And Merged BloOm filter: a `B × R` grid of BFUs (Figure 2 of
 /// the paper).
 ///
@@ -169,22 +208,28 @@ impl Rambo {
     /// # Errors
     /// [`RamboError::DuplicateDocument`] when the name is already indexed.
     pub fn add_document(&mut self, name: &str) -> Result<DocId, RamboError> {
-        if self.name_index.contains_key(name) {
-            return Err(RamboError::DuplicateDocument(name.to_string()));
-        }
-        let id = u32::try_from(self.doc_names.len())
-            .map_err(|_| RamboError::InvalidParams("document count exceeds u32".into()))?;
-        self.doc_names.push(name.to_string());
-        self.name_index.insert(name.to_string(), id);
-        for rep in 0..self.params.repetitions {
-            // Raw bucket in the unfolded range, then the fold composition.
-            let raw = self.resolver.bucket(rep, name.as_bytes());
-            let bucket = (raw % self.current_buckets) as u32;
-            let table = &mut self.tables[rep];
-            table.assign.push(bucket);
-            table.buckets[bucket as usize].push(id);
-        }
-        Ok(id)
+        self.split_registry().0.add(name)
+    }
+
+    /// Borrow the index as two disjoint halves: the [`Registry`] (names,
+    /// ids, bucket assignments, insert count) and the `R` matrices, so that
+    /// documents can register on one thread while their bits are written
+    /// on others.
+    pub(crate) fn split_registry(&mut self) -> (Registry<'_>, Vec<&mut BfuMatrix>) {
+        let (slots, matrices) = self
+            .tables
+            .iter_mut()
+            .map(|t| ((&mut t.assign, &mut t.buckets), &mut t.matrix))
+            .unzip();
+        let registry = Registry {
+            resolver: &self.resolver,
+            current_buckets: self.current_buckets,
+            doc_names: &mut self.doc_names,
+            name_index: &mut self.name_index,
+            slots,
+            inserts: &mut self.inserts,
+        };
+        (registry, matrices)
     }
 
     /// Hash a byte term for repetition `rep` (each repetition draws an

@@ -34,13 +34,15 @@
 //!   query verb, on a static or a generational index, runs on one planned
 //!   probe: each term hashed once per repetition into a row plan held in
 //!   the [`QueryContext`], one gather-AND kernel call per repetition.
-//! * [`HashPlan::hash_document`] → [`Rambo::apply_hashed`] — the one write
-//!   path: dedupe, hash each unique term once per repetition into row
-//!   blocks, then sweep the blocks into the matrices.
+//! * [`HashPlan::hash_document`] → [`Rambo::apply_hashed`] — the write
+//!   path for one document: dedupe, hash each unique term once per
+//!   repetition into row blocks, then set the blocks in the matrices.
 //!   [`Rambo::insert_document_batch`] runs the two halves on the calling
-//!   thread; [`IngestPipeline`] overlaps the parse+hash of document *n+1*
-//!   with the bucket writes of document *n* through a bounded queue. Both
-//!   are bit-identical to term-at-a-time Algorithm 1.
+//!   thread. [`IngestPipeline`] runs the same per-repetition step for a
+//!   stream: the calling thread parses, dedupes and registers documents in
+//!   order, and a worker pool hashes and writes one repetition of one
+//!   document per job. Both are bit-identical to term-at-a-time
+//!   Algorithm 1.
 //! * [`QueryBatch`] — shared-scratch batch querying that allocates nothing
 //!   per query but the answer.
 //! * [`Rambo::open_view`]/[`Rambo::open_view_at`] — zero-copy index loads:

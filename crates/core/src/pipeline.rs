@@ -1,33 +1,39 @@
-//! The write path: `hash_document → apply_hashed`, and the two-stage
-//! pipeline that overlaps the two halves (the paper's §5.3 construction
-//! story).
+//! The write path, and the worker pool that runs it for a document stream
+//! (the paper's §5.3 construction story, inside one node).
 //!
-//! Every document enters an index the same way, split into two independent
-//! halves:
+//! Every document's bits land through one per-repetition primitive: hash
+//! the document's unique terms under repetition `r`'s Bloom seed into
+//! matrix rows (rows-for-`r`, on a [`HashPlan`]), then set those rows in
+//! the document's bucket of table `r`. Bit-setting is idempotent and
+//! commutative, so any order and any split of that work is
+//! **bit-identical** to term-at-a-time Algorithm 1 (pinned by the property
+//! suites via full `PartialEq`). Two drivers run it:
 //!
-//! * **Hash.** [`HashPlan::hash_document`] turns a raw term set into a
-//!   [`HashedDoc`] — per-repetition blocks of matrix rows, sorted when the
-//!   table has outgrown the cache (24 MiB) — using nothing but the index's
-//!   Bloom seeds, so it can run on any thread without touching the index.
-//! * **Apply.** [`Rambo::apply_hashed`] registers the name and replays each
-//!   block through the matrix row sweep. Bit-setting is idempotent and
-//!   commutative, so the result is **bit-identical** to term-at-a-time
-//!   Algorithm 1 (pinned by the property suite via full `PartialEq`).
-//!
-//! [`Rambo::insert_document_batch`] runs the two back to back on the calling
-//! thread. [`IngestPipeline::ingest`] overlaps them across documents through
-//! a bounded queue: the *calling thread* parses and hashes document *n+1*
-//! while a dedicated writer thread applies document *n*'s bucket writes.
-//! Stall time on either side of the queue is counted — a saturated queue
-//! means the writer is the bottleneck, an empty one means parsing is — and
-//! returned in the [`PipelineReport`].
+//! * **One document.** [`HashPlan::hash_document`] dedupes once and runs
+//!   rows-for-`r` for every repetition into a [`HashedDoc`], touching
+//!   nothing but the Bloom seeds; [`Rambo::apply_hashed`] registers the
+//!   name and sets each repetition's block. [`Rambo::insert_document_batch`]
+//!   runs the two back to back on the calling thread.
+//! * **A stream.** [`IngestPipeline::ingest`] keeps only the serial part on
+//!   the calling thread: it parses, extracts, dedupes and registers each
+//!   document in stream order, then enqueues one job per repetition on a
+//!   bounded queue. A pool of [`default_threads`] workers runs the jobs:
+//!   rows-for-`r` into a reused buffer, then the row writes under table
+//!   `r`'s lock. Repetitions are the paper's independent unit (§4.2), so
+//!   two workers want the same table only by accident. Stall time on both
+//!   sides of the queue is counted in the [`PipelineReport`]: a full queue
+//!   means the workers are the bottleneck, an empty one means the caller
+//!   is.
 
+use crate::batch::default_threads;
 use crate::error::RamboError;
 use crate::index::{DocId, Rambo};
+use crate::matrix::BfuMatrix;
 use crate::params::RamboParams;
 use rambo_hash::{HashPair, Modulus};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Per-table matrix size above which a repetition's row block is sorted
@@ -37,26 +43,52 @@ use std::time::{Duration, Instant};
 /// O(n log n) sort costs more than it saves.
 const ROW_SORT_MIN_BYTES: usize = 24 << 20;
 
-/// Hashed-but-unwritten documents the pipeline queue holds. A few absorb
-/// the stage-time variance between documents; each costs roughly
-/// `unique_terms × η × R × 8` bytes.
+/// Registered-but-unwritten documents the pool's queue holds, as `R` jobs
+/// each. A few absorb the stage-time variance between documents; each
+/// holds its unique terms (8 bytes apiece) until its last job is written.
 const QUEUE_DEPTH: usize = 4;
 
-/// Dedupe a term batch once for all repetitions: Bloom insertion is
-/// idempotent, so duplicates would only re-hash and re-write the same bits.
-/// Inputs that are already strictly sorted (KmerSet output, the synthetic
-/// archives) skip the sort entirely; otherwise `scratch` receives the
-/// sorted-deduped copy and the returned slice borrows it.
-fn dedupe_terms<'a>(terms: &'a [u64], scratch: &'a mut Vec<u64>) -> &'a [u64] {
+/// Dedupe a term batch in place, once for all repetitions: Bloom insertion
+/// is idempotent, so duplicates would only re-hash and re-write the same
+/// bits. Input that is already strictly sorted (KmerSet output, the
+/// synthetic archives) is left as it is. Otherwise an exact open-addressed
+/// set (`seen`, reused scratch) keeps each term's first occurrence — the
+/// survivors' order does not matter, because bits are order-free.
+fn dedupe_terms(terms: &mut Vec<u64>, seen: &mut Vec<u64>) {
     if terms.windows(2).all(|w| w[0] < w[1]) {
-        terms
-    } else {
-        scratch.clear();
-        scratch.extend_from_slice(terms);
-        scratch.sort_unstable();
-        scratch.dedup();
-        scratch
+        return;
     }
+    // A power-of-two table at most half full. Slot value 0 means empty, so
+    // the term 0 is tracked apart.
+    let bits = (terms.len() * 2).next_power_of_two().trailing_zeros();
+    seen.clear();
+    seen.resize(1 << bits, 0);
+    let mask = seen.len() - 1;
+    let mut zero_seen = false;
+    let mut kept = 0;
+    for i in 0..terms.len() {
+        let t = terms[i];
+        let fresh = if t == 0 {
+            !std::mem::replace(&mut zero_seen, true)
+        } else {
+            let mut slot = (t.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
+            loop {
+                match seen[slot] {
+                    0 => {
+                        seen[slot] = t;
+                        break true;
+                    }
+                    s if s == t => break false,
+                    _ => slot = (slot + 1) & mask,
+                }
+            }
+        };
+        if fresh {
+            terms[kept] = t;
+            kept += 1;
+        }
+    }
+    terms.truncate(kept);
 }
 
 /// Fingerprint of a seed vector, carried by every [`HashedDoc`] so
@@ -87,9 +119,8 @@ pub struct HashPlan {
 }
 
 impl Rambo {
-    /// The hash plan of this index — hand it to producer/hash threads so
-    /// they can run [`HashPlan::hash_document`] while the index itself is
-    /// exclusively owned by the write stage.
+    /// The hash plan of this index — hand it to other threads so they can
+    /// run [`HashPlan::hash_document`] without touching the index.
     #[must_use]
     pub fn hash_plan(&self) -> HashPlan {
         let table_bytes = self.tables[0].matrix.size_bytes();
@@ -102,10 +133,10 @@ impl Rambo {
         }
     }
 
-    /// Apply one hashed document: register the name and replay each
-    /// repetition's row block through the matrix row sweep — the one place
-    /// whole-document ingestion sets bits. Produces exactly the bits (and
-    /// insert accounting) of term-at-a-time insertion of the same raw terms.
+    /// Apply one hashed document: register the name and set each
+    /// repetition's row block in the document's bucket. Produces exactly the
+    /// bits (and insert accounting) of term-at-a-time insertion of the same
+    /// raw terms.
     ///
     /// # Errors
     /// [`RamboError::DuplicateDocument`] when the name is already indexed;
@@ -149,28 +180,17 @@ impl Rambo {
 }
 
 impl HashPlan {
-    /// Hash a document's term set: dedupe once, then derive each unique
-    /// term's `η` filter positions per repetition — sorting each
-    /// repetition's block when the table is large enough that the write
-    /// stage's monotone sweep pays for it. This is the CPU-heavy half of
-    /// ingestion and needs no access to the index.
+    /// Hash a document's term set: dedupe once, then rows-for-`r` for
+    /// every repetition. This is the CPU-heavy half of ingestion and needs
+    /// no access to the index.
     #[must_use]
     pub fn hash_document(&self, name: &str, terms: &[u64]) -> HashedDoc {
-        let mut scratch = Vec::new();
-        let unique = dedupe_terms(terms, &mut scratch);
+        let mut unique = terms.to_vec();
+        dedupe_terms(&mut unique, &mut Vec::new());
         let per_rep = unique.len() * self.eta as usize;
         let mut rows = Vec::with_capacity(per_rep * self.seeds.len());
-        for &seed in &self.seeds {
-            let start = rows.len();
-            for &t in unique {
-                let pair = HashPair::of_u64(t, seed);
-                for i in 0..self.eta {
-                    rows.push(pair.index_in(i, &self.m) as usize);
-                }
-            }
-            if self.sort_rows {
-                rows[start..].sort_unstable();
-            }
+        for rep in 0..self.seeds.len() {
+            self.push_rows(rep, &unique, &mut rows);
         }
         HashedDoc {
             name: name.to_string(),
@@ -182,11 +202,29 @@ impl HashPlan {
             seed_tag: self.seed_tag,
         }
     }
+
+    /// Rows-for-`rep`, the one hashing step of every write: append the `η`
+    /// matrix rows of each unique term under repetition `rep`'s Bloom seed,
+    /// and sort the appended block when the table is large enough that the
+    /// write's monotone sweep pays for it.
+    fn push_rows(&self, rep: usize, unique: &[u64], rows: &mut Vec<usize>) {
+        let start = rows.len();
+        let seed = self.seeds[rep];
+        rows.reserve(unique.len() * self.eta as usize);
+        for &t in unique {
+            let pair = HashPair::of_u64(t, seed);
+            for i in 0..self.eta {
+                rows.push(pair.index_in(i, &self.m) as usize);
+            }
+        }
+        if self.sort_rows {
+            rows[start..].sort_unstable();
+        }
+    }
 }
 
-/// One document, fully hashed: `R` consecutive blocks of sorted matrix rows
-/// (one per repetition), ready for [`Rambo::apply_hashed`]. This is the unit
-/// that flows through the pipeline queue.
+/// One document, fully hashed: `R` consecutive blocks of matrix rows (one
+/// per repetition), ready for [`Rambo::apply_hashed`].
 #[derive(Debug, Clone)]
 pub struct HashedDoc {
     name: String,
@@ -207,7 +245,7 @@ pub struct HashedDoc {
 }
 
 impl HashedDoc {
-    /// Document name carried through the pipeline.
+    /// Document name.
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
@@ -230,18 +268,20 @@ pub struct PipelineReport {
     pub docs: u64,
     /// Terms ingested (with multiplicity).
     pub terms: u64,
-    /// Times the producer found the queue full and had to block.
+    /// Times the calling thread found the queue full and had to block.
     pub producer_stalls: u64,
-    /// Total nanoseconds the producer spent blocked on a full queue.
+    /// Total nanoseconds the calling thread spent blocked on a full queue.
     pub producer_stall_ns: u64,
-    /// Times the writer found the queue empty and had to block.
+    /// Times a worker found the queue empty and had to block, over all
+    /// workers.
     pub writer_stalls: u64,
-    /// Total nanoseconds the writer spent blocked on an empty queue.
+    /// Nanoseconds workers spent blocked on an empty queue, summed over
+    /// workers.
     pub writer_stall_ns: u64,
-    /// High-water mark of documents in flight between producer and writer.
-    /// Can exceed the queue's capacity by two: a document blocked in `send`
-    /// counts, and so does the one the writer has received but not yet
-    /// counted out.
+    /// High-water mark of documents registered but not yet completely
+    /// written. At most the queue's four documents plus one whose jobs
+    /// straddle its ends, plus one per worker still writing a document
+    /// whose jobs have all left the queue.
     pub max_queue_depth: u64,
 }
 
@@ -271,20 +311,213 @@ impl Counters {
         }
     }
 
-    /// Depth++ (before enqueue).
-    fn enqueued(&self) {
-        let d = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.max_depth.fetch_max(d, Ordering::Relaxed);
-    }
-
-    fn dequeued(&self) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
+    fn stalled(count: &AtomicU64, ns: &AtomicU64, waited: Duration) {
+        count.fetch_add(1, Ordering::Relaxed);
+        ns.fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
-/// The two-stage ingestion pipeline: parse+hash on the calling thread ∥
-/// write on a scoped writer thread, joined by a bounded queue of four
-/// hashed documents. Carries no configuration.
+/// A registered document's unique terms, shared by its `R` jobs. It counts
+/// toward the report's queue depth from registration until its last job
+/// is written and the last `Arc` drops.
+struct InFlight<'c> {
+    terms: Vec<u64>,
+    counters: &'c Counters,
+}
+
+impl<'c> InFlight<'c> {
+    fn new(terms: Vec<u64>, counters: &'c Counters) -> Arc<Self> {
+        let depth = counters.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        counters.max_depth.fetch_max(depth, Ordering::Relaxed);
+        Arc::new(Self { terms, counters })
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.counters.depth.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// One repetition's share of one document: rows-for-`rep` of its terms,
+/// set in `bucket`.
+struct Job<'c> {
+    doc: Arc<InFlight<'c>>,
+    rep: usize,
+    bucket: usize,
+}
+
+/// The bounded queue between the calling thread and the workers.
+struct JobQueue<'c> {
+    state: Mutex<QueueState<'c>>,
+    not_empty: Condvar,
+    not_full: Condvar,
+    capacity: usize,
+}
+
+struct QueueState<'c> {
+    jobs: VecDeque<Job<'c>>,
+    closed: bool,
+}
+
+impl<'c> JobQueue<'c> {
+    fn new(capacity: usize) -> Self {
+        Self {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::with_capacity(capacity),
+                closed: false,
+            }),
+            not_empty: Condvar::new(),
+            not_full: Condvar::new(),
+            capacity,
+        }
+    }
+
+    /// The state lock. Every update under it (a push, a pop, closing)
+    /// leaves the queue valid, so a poisoned lock is recovered — and
+    /// `close` runs in `Drop`, where a second panic would abort.
+    fn lock(&self) -> MutexGuard<'_, QueueState<'c>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Enqueue, blocking while the queue is full (a producer stall).
+    /// Returns `false` when the queue was closed under the caller, which
+    /// only a dying worker does.
+    fn push(&self, job: Job<'c>, counters: &Counters) -> bool {
+        let mut state = self.lock();
+        if state.jobs.len() >= self.capacity && !state.closed {
+            let t0 = Instant::now();
+            state = self
+                .not_full
+                .wait_while(state, |s| s.jobs.len() >= self.capacity && !s.closed)
+                .unwrap_or_else(PoisonError::into_inner);
+            Counters::stalled(
+                &counters.producer_stalls,
+                &counters.producer_stall_ns,
+                t0.elapsed(),
+            );
+        }
+        if state.closed {
+            return false;
+        }
+        state.jobs.push_back(job);
+        drop(state);
+        self.not_empty.notify_one();
+        true
+    }
+
+    /// Dequeue, blocking while the queue is empty and open (a worker
+    /// stall). `None` once it is closed and drained.
+    fn pop(&self, counters: &Counters) -> Option<Job<'c>> {
+        let mut state = self.lock();
+        if state.jobs.is_empty() && !state.closed {
+            let t0 = Instant::now();
+            state = self
+                .not_empty
+                .wait_while(state, |s| s.jobs.is_empty() && !s.closed)
+                .unwrap_or_else(PoisonError::into_inner);
+            Counters::stalled(
+                &counters.writer_stalls,
+                &counters.writer_stall_ns,
+                t0.elapsed(),
+            );
+        }
+        let job = state.jobs.pop_front();
+        drop(state);
+        if job.is_some() {
+            self.not_full.notify_one();
+        }
+        job
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.not_empty.notify_all();
+        self.not_full.notify_all();
+    }
+}
+
+/// Closes the queue when dropped: at the end of the stream, on an early
+/// error return, and when the caller or a worker unwinds — so no thread
+/// waits forever on a peer that is gone.
+struct CloseOnDrop<'q, 'c>(&'q JobQueue<'c>);
+
+impl Drop for CloseOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// A worker: run jobs until the queue is closed and drained.
+fn work(queue: &JobQueue<'_>, plan: &HashPlan, tables: &[Mutex<&mut BfuMatrix>], c: &Counters) {
+    let _close = CloseOnDrop(queue);
+    let mut rows = Vec::new();
+    while let Some(job) = queue.pop(c) {
+        rows.clear();
+        plan.push_rows(job.rep, &job.doc.terms, &mut rows);
+        tables[job.rep]
+            .lock()
+            .expect("another worker panicked while writing this table")
+            .set_rows(job.bucket, &rows);
+    }
+}
+
+/// The pool behind [`IngestPipeline::ingest`], with the plan and the
+/// worker count as parameters so tests can force the row sort and sweep
+/// the pool size.
+fn run_pool(
+    index: &mut Rambo,
+    plan: &HashPlan,
+    workers: usize,
+    docs: impl IntoIterator<Item = (String, Vec<u64>)>,
+) -> Result<PipelineReport, RamboError> {
+    let counters = Counters::default();
+    let (mut registry, matrices) = index.split_registry();
+    let tables: Vec<Mutex<&mut BfuMatrix>> = matrices.into_iter().map(Mutex::new).collect();
+    let queue = JobQueue::new(QUEUE_DEPTH * tables.len());
+    std::thread::scope(|scope| -> Result<(), RamboError> {
+        let _close = CloseOnDrop(&queue);
+        let mut seen = Vec::new();
+        let mut started = false;
+        for (name, mut terms) in docs {
+            let id = registry.add(&name)?;
+            *registry.inserts += terms.len() as u64;
+            counters.docs.fetch_add(1, Ordering::Relaxed);
+            counters
+                .terms
+                .fetch_add(terms.len() as u64, Ordering::Relaxed);
+            dedupe_terms(&mut terms, &mut seen);
+            let doc = InFlight::new(terms, &counters);
+            for rep in 0..tables.len() {
+                let bucket = registry.bucket_of(rep, id);
+                let job = Job {
+                    doc: Arc::clone(&doc),
+                    rep,
+                    bucket,
+                };
+                if !queue.push(job, &counters) {
+                    // A worker died; leaving the scope re-raises its panic.
+                    return Ok(());
+                }
+            }
+            if !started {
+                // Started only now, with the first document's jobs queued
+                // (they fit: the queue holds several documents), so the
+                // workers do not idle through its parse.
+                started = true;
+                for _ in 0..workers {
+                    scope.spawn(|| work(&queue, plan, &tables, &counters));
+                }
+            }
+        }
+        Ok(())
+    })?;
+    Ok(counters.report())
+}
+
+/// The ingestion pool: the calling thread parses, dedupes and registers,
+/// a pool of [`default_threads`] workers hashes and writes one repetition
+/// of one document per job. Carries no configuration.
 #[derive(Debug, Clone, Default)]
 pub struct IngestPipeline;
 
@@ -295,41 +528,24 @@ impl IngestPipeline {
         Self
     }
 
-    fn observe_producer_stall(&self, counters: &Counters, waited: Duration) {
-        counters.producer_stalls.fetch_add(1, Ordering::Relaxed);
-        counters
-            .producer_stall_ns
-            .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    fn observe_writer_stall(&self, counters: &Counters, waited: Duration) {
-        counters.writer_stalls.fetch_add(1, Ordering::Relaxed);
-        counters
-            .writer_stall_ns
-            .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Pipeline a document stream into an existing index. Bit-identical to
+    /// Ingest a document stream into an existing index. Bit-identical to
     /// calling [`Rambo::insert_document_batch`] per document in stream
-    /// order, but the parse+hash of document *n+1* overlaps the bucket
-    /// writes of document *n*.
+    /// order, with the hashing and row writes on the worker pool.
     ///
     /// # Errors
-    /// Propagates the writer's first index error (duplicate names, …);
-    /// documents applied before the failure remain in the index, documents
-    /// still in flight are dropped.
+    /// The first index error (a duplicate name, …) stops the stream before
+    /// anything of that document is queued; every document registered
+    /// before it is completely written, none after it is registered.
     ///
     /// # Panics
-    /// Panics if a pipeline thread panics.
+    /// Panics if a worker panics.
     pub fn ingest(
         &self,
         index: &mut Rambo,
         docs: impl IntoIterator<Item = (String, Vec<u64>)>,
     ) -> Result<PipelineReport, RamboError> {
         let plan = index.hash_plan();
-        let counters = Counters::default();
-        self.run_two_stage(index, &plan, &counters, docs)?;
-        Ok(counters.report())
+        run_pool(index, &plan, default_threads(), docs)
     }
 
     /// Build a fresh index by pipelining a document stream.
@@ -344,80 +560,6 @@ impl IngestPipeline {
         let mut index = Rambo::new(params)?;
         let report = self.ingest(&mut index, docs)?;
         Ok((index, report))
-    }
-
-    /// Two-stage pipeline: caller thread parses + hashes, a scoped writer
-    /// thread applies.
-    fn run_two_stage(
-        &self,
-        index: &mut Rambo,
-        plan: &HashPlan,
-        counters: &Counters,
-        docs: impl IntoIterator<Item = (String, Vec<u64>)>,
-    ) -> Result<(), RamboError> {
-        std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<HashedDoc>(QUEUE_DEPTH);
-            let writer = scope.spawn(move || -> Result<(), RamboError> {
-                loop {
-                    let doc = match self.next_hashed(&rx, counters) {
-                        Some(d) => d,
-                        None => return Ok(()),
-                    };
-                    counters.dequeued();
-                    index.apply_hashed(&doc)?;
-                }
-            });
-            for (name, terms) in docs {
-                let hashed = plan.hash_document(&name, &terms);
-                counters.docs.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .terms
-                    .fetch_add(terms.len() as u64, Ordering::Relaxed);
-                if !self.enqueue(&tx, hashed, counters) {
-                    break; // writer hung up: it hit an error
-                }
-            }
-            drop(tx); // close the queue; the writer drains and returns
-            writer.join().expect("pipeline writer panicked")
-        })
-    }
-
-    /// Blocking-with-accounting receive: `try_recv` first so an already-full
-    /// queue costs nothing, then a timed blocking `recv` counted as a writer
-    /// stall. `None` means the channel closed (end of stream).
-    fn next_hashed<T>(&self, rx: &Receiver<T>, counters: &Counters) -> Option<T> {
-        match rx.try_recv() {
-            Ok(d) => Some(d),
-            Err(TryRecvError::Disconnected) => None,
-            Err(TryRecvError::Empty) => {
-                let t0 = Instant::now();
-                let got = rx.recv();
-                self.observe_writer_stall(counters, t0.elapsed());
-                got.ok()
-            }
-        }
-    }
-
-    /// Non-blocking-first send with stall accounting. Returns `false` when
-    /// the consumer hung up (error downstream).
-    fn enqueue<T>(&self, tx: &SyncSender<T>, item: T, counters: &Counters) -> bool {
-        counters.enqueued();
-        match tx.try_send(item) {
-            Ok(()) => true,
-            Err(TrySendError::Disconnected(_)) => {
-                counters.dequeued();
-                false
-            }
-            Err(TrySendError::Full(item)) => {
-                let t0 = Instant::now();
-                let sent = tx.send(item).is_ok();
-                self.observe_producer_stall(counters, t0.elapsed());
-                if !sent {
-                    counters.dequeued();
-                }
-                sent
-            }
-        }
     }
 }
 
@@ -439,6 +581,7 @@ impl PipelineReport {
 mod tests {
     use super::*;
     use crate::query::QueryMode;
+    use proptest::prelude::*;
 
     fn params(seed: u64) -> RamboParams {
         RamboParams::flat(8, 3, 1 << 12, 2, seed)
@@ -498,6 +641,65 @@ mod tests {
         assert!(report.max_queue_depth >= 1);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The pool is Algorithm 1: for any repetition count, pool size and
+        /// row order, with duplicate terms and empty documents, a pooled
+        /// build equals the term-at-a-time reference structurally and in
+        /// its insert count, and the report counts what went in.
+        #[test]
+        fn pipeline_pool_equals_algorithm_1(
+            term_lists in proptest::collection::vec(proptest::collection::vec(0u64..64, 0..50), 0..12),
+            r in proptest::sample::select(vec![1usize, 2, 3, 5]),
+            workers in proptest::sample::select(vec![1usize, 2, 3, 8]),
+            sort_rows in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let docs: Vec<(String, Vec<u64>)> = term_lists
+                .into_iter()
+                .enumerate()
+                .map(|(d, terms)| (format!("doc-{d}"), terms))
+                .collect();
+            let p = RamboParams::flat(8, r, 1 << 11, 2, seed);
+            let reference = sequential(p, &docs);
+            let mut pooled = Rambo::new(p).unwrap();
+            let mut plan = pooled.hash_plan();
+            plan.sort_rows = sort_rows;
+            let report = run_pool(&mut pooled, &plan, workers, docs.iter().cloned()).unwrap();
+            prop_assert_eq!(&reference, &pooled, "R={} workers={} sorted={}", r, workers, sort_rows);
+            prop_assert_eq!(reference.total_inserts(), pooled.total_inserts());
+            prop_assert_eq!(report.docs as usize, docs.len());
+            prop_assert_eq!(report.terms, reference.total_inserts());
+        }
+
+        /// The sort-free dedupe keeps exactly the set `sort + dedup` keeps,
+        /// each term once, on random input and on the edge shapes: empty,
+        /// all-equal, already sorted, and the extremes `0` and `u64::MAX`.
+        #[test]
+        fn pipeline_dedupe_equals_sort_dedup(
+            raw in proptest::collection::vec(0u64..40, 0..200),
+            wide in proptest::collection::vec(any::<u64>(), 0..50),
+            shape in 0u8..5,
+        ) {
+            let mut terms: Vec<u64> = match shape {
+                0 => raw.iter().map(|&t| [0, u64::MAX, t][t as usize % 3]).collect(),
+                1 => vec![raw.first().copied().unwrap_or(0); raw.len()],
+                2 => (0..raw.len() as u64).collect(),
+                3 => Vec::new(),
+                _ => raw.iter().chain(&wide).copied().collect(),
+            };
+            let mut expect = terms.clone();
+            expect.sort_unstable();
+            expect.dedup();
+            dedupe_terms(&mut terms, &mut Vec::new());
+            let kept = terms.len();
+            terms.sort_unstable();
+            prop_assert_eq!(kept, expect.len(), "a term kept twice");
+            prop_assert_eq!(terms, expect);
+        }
+    }
+
     #[test]
     fn pipeline_into_existing_index_continues_ids() {
         let docs = archive(10, 20);
@@ -515,21 +717,33 @@ mod tests {
         assert_eq!(hits.len(), 10);
     }
 
+    /// A duplicate name mid-stream stops the caller before anything of that
+    /// document is queued: every earlier document is completely written
+    /// (it returns itself for each of its own terms), no later one is
+    /// registered, and `total_inserts` counts only the accepted documents.
     #[test]
     fn duplicate_name_error_propagates_and_prior_docs_survive() {
-        let docs = vec![
-            ("a".to_string(), vec![1u64, 2]),
-            ("b".to_string(), vec![3u64]),
-            ("a".to_string(), vec![4u64]), // duplicate
-            ("c".to_string(), vec![5u64]),
-        ];
-        let mut idx = Rambo::new(params(9)).unwrap();
-        let err = IngestPipeline::new().ingest(&mut idx, docs);
-        assert!(matches!(err, Err(RamboError::DuplicateDocument(_))));
-        // a and b landed before the failure.
-        assert!(idx.num_documents() >= 2);
-        assert_eq!(idx.document_id("a"), Some(0));
-        assert_eq!(idx.document_id("b"), Some(1));
+        let mut docs = archive(12, 30);
+        docs[8].0 = "doc-2".to_string();
+        for workers in [1, 2, 8] {
+            let mut idx = Rambo::new(params(9)).unwrap();
+            let plan = idx.hash_plan();
+            let err = run_pool(&mut idx, &plan, workers, docs.iter().cloned());
+            assert!(matches!(err, Err(RamboError::DuplicateDocument(ref n)) if n == "doc-2"));
+            assert_eq!(idx.num_documents(), 8, "workers={workers}");
+            for (d, (name, terms)) in docs[..8].iter().enumerate() {
+                assert_eq!(idx.document_id(name), Some(d as DocId));
+                for &t in terms {
+                    assert!(
+                        idx.query_u64(t).contains(&(d as DocId)),
+                        "{name} lost {t:#x}"
+                    );
+                }
+            }
+            assert!(docs[9..].iter().all(|(n, _)| idx.document_id(n).is_none()));
+            let accepted: usize = docs[..8].iter().map(|(_, t)| t.len()).sum();
+            assert_eq!(idx.total_inserts(), accepted as u64);
+        }
     }
 
     #[test]
@@ -584,8 +798,8 @@ mod tests {
         assert_eq!(idx.total_inserts(), 0);
     }
 
-    /// The report is the pipeline's only observer: a producer slower than
-    /// the writer leaves the queue empty, and the report must say so; it
+    /// The report is the pipeline's only observer: a caller slower than
+    /// the workers leaves the queue empty, and the report must say so; it
     /// also bounds what was ever in flight.
     #[test]
     fn observer_sees_stalls_and_depths() {
@@ -601,6 +815,32 @@ mod tests {
             report.writer_stall(),
             Duration::from_nanos(report.writer_stall_ns)
         );
-        assert!((1..=QUEUE_DEPTH as u64 + 2).contains(&report.max_queue_depth));
+        let bound = (QUEUE_DEPTH + 1 + default_threads()) as u64;
+        assert!((1..=bound).contains(&report.max_queue_depth), "{report:?}");
+    }
+
+    /// Workers slower than the caller fill the queue: the caller's stalls
+    /// are counted, and the depth stays within its bound. Sorted terms
+    /// make the caller's share a scan while one worker hashes and writes
+    /// five repetitions, tens of times more work per document.
+    #[test]
+    fn pipeline_counts_producer_stalls_behind_one_worker() {
+        let p = RamboParams::flat(8, 5, 1 << 12, 2, 6);
+        let docs: Vec<(String, Vec<u64>)> = (0..60u64)
+            .map(|d| (format!("doc-{d}"), (0..4000).map(|t| d << 32 | t).collect()))
+            .collect();
+        let mut idx = Rambo::new(p).unwrap();
+        let plan = idx.hash_plan();
+        let report = run_pool(&mut idx, &plan, 1, docs.clone()).unwrap();
+        assert_eq!(idx, sequential(p, &docs));
+        assert!(report.producer_stalls >= 1, "{report:?}");
+        assert_eq!(
+            report.producer_stall(),
+            Duration::from_nanos(report.producer_stall_ns)
+        );
+        assert!(
+            report.max_queue_depth <= (QUEUE_DEPTH + 2) as u64,
+            "{report:?}"
+        );
     }
 }

@@ -421,24 +421,40 @@ proptest! {
         }
     }
 
-    /// Pipelined ingestion ([`IngestPipeline::build`]) is **bit-identical**
-    /// to the sequential per-document build — full structural equality —
-    /// for any geometry and any archive, and its report counts what went in.
+    /// Pipelined ingestion ([`IngestPipeline::build`], the worker pool) is
+    /// **bit-identical** to Algorithm 1 term at a time — full structural
+    /// equality and the same insert count — for any bucket count, for
+    /// R ∈ {1, 2, 3, 5}, and for archives with duplicate terms and empty
+    /// documents; its report counts what went in. (The pool-size and
+    /// row-order sweep of the same property is `pipeline_pool_equals_algorithm_1`
+    /// in `src/pipeline.rs`, where the test hooks are visible.)
     #[test]
     fn pipelined_build_bit_identical_to_sequential(
         archive in archive_strategy(16),
+        extra in proptest::collection::vec(proptest::collection::vec(0u64..32, 0..40), 0..4),
         b in 2u64..16,
-        r in 1usize..5,
+        r in proptest::sample::select(vec![1usize, 2, 3, 5]),
         seed in any::<u64>(),
     ) {
+        let mut docs = archive.docs;
+        let at = docs.len();
+        docs.extend(extra.into_iter().enumerate().map(|(i, terms)| (format!("extra-{i}"), terms)));
+        docs.push((format!("empty-{at}"), Vec::new()));
         let params = RamboParams::flat(b, r, 1 << 11, 2, seed);
-        let reference = build(params, &archive);
+        let mut reference = Rambo::new(params).unwrap();
+        for (name, terms) in &docs {
+            let d = reference.add_document(name).unwrap();
+            for &t in terms {
+                reference.insert_term_u64(d, t).unwrap();
+            }
+        }
         let (piped, report) = IngestPipeline::new()
-            .build(params, archive.docs.iter().cloned())
+            .build(params, docs.iter().cloned())
             .unwrap();
         prop_assert_eq!(&reference, &piped);
         prop_assert_eq!(reference.total_inserts(), piped.total_inserts());
-        prop_assert_eq!(report.docs as usize, archive.docs.len());
+        prop_assert_eq!(report.docs as usize, docs.len());
+        prop_assert_eq!(report.terms, reference.total_inserts());
     }
 
     /// RRR-compressed storage is lossless: for any archive, geometry and

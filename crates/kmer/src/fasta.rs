@@ -20,7 +20,10 @@ pub struct FastaReader<R: BufRead> {
     input: R,
     /// Header of the record currently being accumulated.
     pending: Option<String>,
-    line: String,
+    /// The current line's raw bytes, validated as UTF-8 before use.
+    line: Vec<u8>,
+    /// Sequence length of the previous record: the next one's capacity.
+    last_len: usize,
     done: bool,
 }
 
@@ -30,7 +33,8 @@ impl<R: BufRead> FastaReader<R> {
         Self {
             input,
             pending: None,
-            line: String::new(),
+            line: Vec::new(),
+            last_len: 0,
             done: false,
         }
     }
@@ -43,10 +47,10 @@ impl<R: BufRead> Iterator for FastaReader<R> {
         if self.done {
             return None;
         }
-        let mut seq: Vec<u8> = Vec::new();
+        let mut seq: Vec<u8> = Vec::with_capacity(self.last_len);
         loop {
             self.line.clear();
-            let n = match self.input.read_line(&mut self.line) {
+            let n = match self.input.read_until(b'\n', &mut self.line) {
                 Ok(n) => n,
                 Err(e) => return Some(Err(e)),
             };
@@ -55,14 +59,25 @@ impl<R: BufRead> Iterator for FastaReader<R> {
                 self.done = true;
                 return self.pending.take().map(|id| Ok(FastaRecord { id, seq }));
             }
-            let line = self.line.trim_end();
+            let line = match std::str::from_utf8(&self.line) {
+                Ok(line) => line.trim_end(),
+                Err(_) => {
+                    return Some(Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "stream did not contain valid UTF-8",
+                    )))
+                }
+            };
             if line.is_empty() {
                 continue;
             }
             if let Some(header) = line.strip_prefix('>') {
                 let header = header.to_string();
                 match self.pending.replace(header) {
-                    Some(id) => return Some(Ok(FastaRecord { id, seq })),
+                    Some(id) => {
+                        self.last_len = seq.len();
+                        return Some(Ok(FastaRecord { id, seq }));
+                    }
                     None => {
                         if !seq.is_empty() {
                             self.done = true;
@@ -81,7 +96,12 @@ impl<R: BufRead> Iterator for FastaReader<R> {
                         "sequence data before first FASTA header",
                     )));
                 }
-                seq.extend(line.bytes().filter(|b| !b.is_ascii_whitespace()));
+                let bases = line.as_bytes();
+                if bases.iter().any(u8::is_ascii_whitespace) {
+                    seq.extend(bases.iter().filter(|b| !b.is_ascii_whitespace()));
+                } else {
+                    seq.extend_from_slice(bases);
+                }
             }
         }
     }
@@ -174,5 +194,20 @@ mod tests {
     fn crlf_line_endings_handled() {
         let recs = parse(">a\r\nACGT\r\nAC\r\n");
         assert_eq!(recs[0].seq, b"ACGTAC");
+    }
+
+    #[test]
+    fn interior_whitespace_is_stripped() {
+        let recs = parse(">a\nAC GT\tTT\x0cA\n  CC\n");
+        assert_eq!(recs[0].seq, b"ACGTTTACC");
+    }
+
+    #[test]
+    fn non_utf8_input_is_an_error() {
+        let mut rdr = FastaReader::new(Cursor::new(&b">a\nAC\xffGT\n"[..]));
+        let err = rdr.next().unwrap().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut rdr = FastaReader::new(Cursor::new(&b">\xc3(\nACGT\n"[..]));
+        assert!(rdr.next().unwrap().is_err());
     }
 }

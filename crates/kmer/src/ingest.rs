@@ -3,10 +3,10 @@
 //!
 //! The paper's pipeline treats one sequencing run or assembled genome as one
 //! document and its distinct 31-mers as the term set. These helpers feed the
-//! parsers in this crate straight into [`IngestPipeline`]: terms arrive as
-//! whole per-document batches, so the index hashes each unique k-mer once
-//! per repetition, and parsing and k-mer hashing of the next record overlap
-//! the previous record's bucket writes. A document already in memory (a
+//! parsers in this crate straight into [`IngestPipeline`]: the calling
+//! thread parses each record and extracts its k-mers, and the pipeline's
+//! worker pool hashes each unique k-mer once per repetition and writes the
+//! bits while the next records are parsed. A document already in memory (a
 //! [`crate::KmerSet`], an extracted k-mer vector) goes through
 //! [`Rambo::insert_document_batch`] directly.
 
@@ -66,17 +66,23 @@ pub struct PipelinedIngest {
     pub report: PipelineReport,
 }
 
-/// Ingest a FASTA stream through the bounded-queue ingestion pipeline:
-/// every record becomes one document named by its header, with the record's
-/// k-mers as terms. While the write stage sets document *n*'s filter bits,
-/// the calling thread is already parsing record *n+1* and hashing its
-/// k-mers — the overlap that matters when records stream off storage or a
-/// decompressor.
+/// Upper bound on the k-mers of `seq`: its window count.
+fn windows(seq: &[u8], k: usize) -> usize {
+    (seq.len() + 1).saturating_sub(k)
+}
+
+/// Ingest a FASTA stream through the ingestion pipeline: every record
+/// becomes one document named by its header, with the record's k-mers as
+/// terms. While the pipeline's workers hash and write document *n*'s
+/// filter bits, the calling thread is already parsing record *n+1* and
+/// extracting its k-mers — the overlap that matters when records stream off
+/// storage or a decompressor.
 ///
 /// # Errors
 /// [`IngestError::Io`] on malformed FASTA or reader failure,
-/// [`IngestError::Index`] on duplicate headers. Documents fully written
-/// before the failure remain in the index; in-flight ones are dropped.
+/// [`IngestError::Index`] on duplicate headers. Every document registered
+/// before the failure is completely written; nothing after it is
+/// registered.
 pub fn pipeline_fasta_documents<R: BufRead>(
     index: &mut Rambo,
     reader: FastaReader<R>,
@@ -92,11 +98,12 @@ pub fn pipeline_fasta_documents<R: BufRead>(
         std::iter::from_fn(|| match records.next() {
             None => None,
             Some(Ok(rec)) => {
-                let terms: Vec<u64> = kmers_of(&rec.seq, k, canonical).collect();
+                let mut terms = Vec::with_capacity(windows(&rec.seq, k));
+                terms.extend(kmers_of(&rec.seq, k, canonical));
                 Some((rec.id, terms))
             }
             Some(Err(e)) => {
-                // Stop producing; the writer drains what's queued. The I/O
+                // Stop producing; the workers drain what's queued. The I/O
                 // error is surfaced after the index error check below.
                 parse_err = Some(e);
                 None
@@ -114,8 +121,8 @@ pub fn pipeline_fasta_documents<R: BufRead>(
 
 /// Ingest several FASTQ runs through the pipeline, each as **one** document
 /// (the genomics convention: one sequencing run per file) whose term set is
-/// the k-mers across all its reads: run *n+1* is parsed and hashed while
-/// run *n*'s bits are written.
+/// the k-mers across all its reads: run *n+1* is parsed while run *n* is
+/// hashed and written.
 ///
 /// # Errors
 /// As [`pipeline_fasta_documents`]; the first malformed run stops the
@@ -137,7 +144,10 @@ pub fn pipeline_fastq_documents<R: BufRead>(
             let mut kmers: Vec<u64> = Vec::new();
             for record in reader {
                 match record {
-                    Ok(rec) => kmers.extend(kmers_of(&rec.seq, k, canonical)),
+                    Ok(rec) => {
+                        kmers.reserve(windows(&rec.seq, k));
+                        kmers.extend(kmers_of(&rec.seq, k, canonical));
+                    }
                     Err(e) => {
                         parse_err = Some(e);
                         return None;

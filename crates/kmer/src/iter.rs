@@ -4,9 +4,29 @@
 //! window by one (`O(1)` per position, `O(n)` per sequence). Ambiguous bases
 //! (anything outside ACGT) reset the window, so no emitted k-mer spans an
 //! `N` — matching how BIGSI/COBS/McCortex treat ambiguity codes.
+//!
+//! The reverse complement rolls alongside the forward window, entering at
+//! the top instead of the bottom, so a canonical k-mer costs one `min` per
+//! position rather than a full [`crate::canonical_kmer`].
 
-use crate::encode::{canonical_kmer, encode_base, kmer_mask};
+use crate::encode::{encode_base, kmer_mask};
 use crate::MAX_K;
+
+/// [`encode_base`] as a table: the 2-bit code of every byte, or
+/// [`NOT_A_BASE`].
+const BASE_CODE: [u8; 256] = {
+    let mut table = [NOT_A_BASE; 256];
+    let mut b = 0;
+    while b < 256 {
+        if let Some(code) = encode_base(b as u8) {
+            table[b] = code;
+        }
+        b += 1;
+    }
+    table
+};
+
+const NOT_A_BASE: u8 = 4;
 
 /// Iterator over the packed k-mers of a sequence. See [`kmers_of`].
 pub struct KmerIter<'a> {
@@ -14,7 +34,12 @@ pub struct KmerIter<'a> {
     k: usize,
     mask: u64,
     pos: usize,
-    current: u64,
+    /// The window, first base most significant.
+    fwd: u64,
+    /// Its reverse complement: each new base enters complemented at bit
+    /// `rc_shift` while the oldest falls off the bottom.
+    rc: u64,
+    rc_shift: u32,
     /// Number of consecutive valid bases ending just before `pos`.
     run: usize,
     canonical: bool,
@@ -28,7 +53,9 @@ impl<'a> KmerIter<'a> {
             k,
             mask: kmer_mask(k),
             pos: 0,
-            current: 0,
+            fwd: 0,
+            rc: 0,
+            rc_shift: 2 * (k as u32 - 1),
             run: 0,
             canonical,
         }
@@ -39,25 +66,23 @@ impl Iterator for KmerIter<'_> {
     type Item = u64;
 
     fn next(&mut self) -> Option<u64> {
-        while self.pos < self.seq.len() {
-            let b = self.seq[self.pos];
+        while let Some(&b) = self.seq.get(self.pos) {
             self.pos += 1;
-            match encode_base(b) {
-                Some(code) => {
-                    self.current = ((self.current << 2) | u64::from(code)) & self.mask;
-                    self.run += 1;
-                    if self.run >= self.k {
-                        return Some(if self.canonical {
-                            canonical_kmer(self.current, self.k)
-                        } else {
-                            self.current
-                        });
-                    }
-                }
-                None => {
-                    self.run = 0;
-                    self.current = 0;
-                }
+            let code = BASE_CODE[usize::from(b)];
+            if code == NOT_A_BASE {
+                self.run = 0;
+                continue;
+            }
+            let code = u64::from(code);
+            self.fwd = ((self.fwd << 2) | code) & self.mask;
+            self.rc = (self.rc >> 2) | ((code ^ 0b11) << self.rc_shift);
+            self.run += 1;
+            if self.run >= self.k {
+                return Some(if self.canonical {
+                    self.fwd.min(self.rc)
+                } else {
+                    self.fwd
+                });
             }
         }
         None

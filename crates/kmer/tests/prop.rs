@@ -53,6 +53,37 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
+    /// The rolling extractor (forward and reverse-complement windows, table
+    /// decode) emits exactly the definition: every window without a
+    /// non-ACGT byte, packed, then canonicalised from scratch. Input mixes
+    /// both cases of ACGT with `N`, other IUPAC codes and arbitrary bytes,
+    /// sparse enough that windows up to k = 31 survive between them.
+    #[test]
+    fn rolling_extraction_matches_definition(
+        bases in proptest::collection::vec(proptest::sample::select(b"ACGTacgt".to_vec()), 0..300),
+        breaks in proptest::collection::vec(
+            (any::<proptest::sample::Index>(), any::<u8>(), proptest::sample::select(b"NnRYKMSWx-\n".to_vec())),
+            0..6,
+        ),
+        k in 1usize..=31,
+        canonical in any::<bool>(),
+    ) {
+        let mut seq = bases;
+        for (at, byte, iupac) in breaks {
+            if !seq.is_empty() {
+                let at = at.index(seq.len());
+                seq[at] = if byte % 2 == 0 { iupac } else { byte };
+            }
+        }
+        let got: Vec<u64> = kmers_of(&seq, k, canonical).collect();
+        let expect: Vec<u64> = seq
+            .windows(k)
+            .filter_map(pack_kmer)
+            .map(|x| if canonical { canonical_kmer(x, k) } else { x })
+            .collect();
+        prop_assert_eq!(got, expect, "k={} canonical={}", k, canonical);
+    }
+
     #[test]
     fn kmer_set_contains_exactly_extracted(seq in dna(10..200), k in 1usize..12) {
         let set = KmerSet::from_sequence(&seq, k, false);

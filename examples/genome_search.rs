@@ -51,10 +51,10 @@ fn main() {
         .collect();
 
     // --- 3. Index with RAMBO (+ exact oracle for comparison) -------------
-    // K-mer sets stream in through the bounded-queue ingestion pipeline:
-    // while the write stage sets genome n's filter bits, the calling thread
-    // is already hashing genome n+1 (each document still gets the batch
-    // engine's hash-once-per-repetition, row-grouped treatment).
+    // K-mer sets stream in through the ingestion pipeline: the calling
+    // thread registers genome n+1 while a worker pool hashes and writes
+    // genome n, one repetition per job (each unique k-mer is still hashed
+    // once per repetition).
     let mut index = RamboBuilder::new()
         .expected_documents(docs.len())
         .expected_terms_per_doc(mean_kmers)
@@ -67,7 +67,7 @@ fn main() {
         .ingest(&mut index, docs.iter().cloned())
         .expect("unique names");
     println!(
-        "pipelined ingest: {} documents, {} terms; producer stalled {}x, writer {}x",
+        "pipelined ingest: {} documents, {} terms; caller stalled {}x, workers {}x",
         report.docs, report.terms, report.producer_stalls, report.writer_stalls
     );
     let oracle = InvertedIndex::build(&docs);
