@@ -1,4 +1,4 @@
-//! # rambo-server — adaptive-scheduling, multi-core serving over a fold-over tier catalog
+//! # rambo-server — multi-core serving over a fold-over tier catalog
 //!
 //! The paper's operational story has two halves. Construction ends with
 //! "a one-time processing allows us to create several versions of RAMBO
@@ -17,21 +17,15 @@
 //!   versions, tight budgets in the full build.
 //! * [`Server`] — per-core evaluator workers (scoped threads, one
 //!   zero-copy tier view each) behind bounded per-tier admission queues,
-//!   under a **load-adaptive scheduler** ([`SchedulerMode`], default
-//!   `Adaptive`). At low load a request is evaluated *inline* on the
-//!   submitting thread — no hand-off, no wake-up. Under concurrency
-//!   (inline lock contention, queue depth, or distinct threads admitting
-//!   within a 10 ms window) the lane flips to **micro-batching**: workers
-//!   take whatever requests are queued (up to `max_batch`, waiting at
-//!   most `max_delay` for stragglers) and evaluate the batch through a
-//!   tier-local [`rambo_core::QueryBatch`], so one warmed-up query
-//!   scratch serves every concurrent client. Hysteresis (a quiet-streak plus a live-traffic cooldown)
-//!   keeps the gate from thrashing; both paths share one evaluator, so
+//!   with **one admission rule**: a request runs *inline* on the submitting
+//!   thread when the tier's shared evaluator is free (no hand-off, no
+//!   wake-up), and otherwise waits in the tier's queue for a worker's own
+//!   [`rambo_core::QueryBatch`]. Both paths run the same evaluation, so
 //!   results are bit-identical either way. Backpressure is explicit
 //!   ([`ServerError::Overloaded`]), deadlines are enforced on both sides
 //!   of the queue, and shutdown is structural: leaving [`Server::scope`]
 //!   drains and joins everything, returning a final [`ServerStats`]
-//!   snapshot of per-tier latency/throughput/hit/scheduler-decision
+//!   snapshot of per-tier latency, throughput, hit and inline/queued
 //!   counters and the slow-query log ([`SlowQuery`]).
 //! * [`ResultCache`] — a sharded, byte-bounded LRU over answered queries,
 //!   keyed by `(tier, canonical term-set key)` and invalidated by a
@@ -106,8 +100,8 @@ pub use catalog::{Catalog, CatalogBuilder, CatalogError, TierInfo, DEFAULT_CACHE
 pub use rambo_core::kernel::{Backend as KernelBackend, Kernel};
 pub use resp::{serve_tenant_tcp, term_of, TenantServeOptions};
 pub use server::{
-    PendingReply, QueryOptions, QueryReply, SchedulerMode, Server, ServerConfig,
-    ServerConfigBuilder, ServerError, ServerHandle,
+    PendingReply, QueryOptions, QueryReply, Server, ServerConfig, ServerConfigBuilder, ServerError,
+    ServerHandle,
 };
 pub use stats::{ServerStats, SlowQuery, TierStats};
 pub use tcp::{serve_tcp, serve_tcp_with, ServeOptions, TcpClient, TcpClientError};

@@ -33,8 +33,9 @@
 //!   can make generation maintenance due without touching a socket; both are
 //!   seen on the next tick. No request waits on it.
 //!
-//! Evaluation still happens on this thread for quiet lanes (inline admission
-//! in [`ServerHandle::submit`](crate::ServerHandle::submit)); moving it onto
+//! Evaluation still happens on this thread whenever the tier's evaluator is
+//! free, which for a lone admitting thread is always (the admission rule in
+//! [`ServerHandle::submit`](crate::ServerHandle::submit)); moving it onto
 //! the workers is ROADMAP item 1's next step.
 //!
 //! Backpressure is by unread socket: a connection with [`MAX_PIPELINED`]
@@ -554,10 +555,10 @@ mod tests {
     use super::*;
     use crate::tcp::CatalogFrames;
     use crate::{
-        serve_tcp_with, serve_tenant_tcp, Catalog, SchedulerMode, ServeOptions, Server,
-        ServerConfig, TcpClient, TenantQuotas, TenantRegistry, TenantServeOptions,
+        serve_tcp_with, serve_tenant_tcp, Catalog, ServeOptions, Server, ServerConfig, TcpClient,
+        TenantQuotas, TenantRegistry, TenantServeOptions,
     };
-    use rambo_core::{Rambo, RamboParams};
+    use rambo_core::{QueryContext, QueryMode, Rambo, RamboParams};
     use std::net::SocketAddr;
     use std::sync::mpsc::SyncSender;
     use std::sync::Mutex;
@@ -736,18 +737,18 @@ mod tests {
         assert!(pumped <= 2, "{pumped} pumps for one request");
     }
 
-    /// The real queued path: every query goes to a worker, and it is the
-    /// worker's byte on the wake pipe — not a tick — that gets the reply
-    /// collected.
+    /// The real queued path: with the tier's evaluator held, every query
+    /// goes to a worker, and it is the worker's byte on the wake pipe — not
+    /// a tick — that gets the reply collected. Every queued reply equals
+    /// direct evaluation, so the queued path answers what inline would.
     #[test]
     fn a_queued_query_is_answered_through_the_waker() {
         const QUERIES: u64 = 40;
         let catalog = small_catalog();
-        let config = ServerConfig::builder()
-            .scheduler(SchedulerMode::AlwaysBatch)
-            .result_cache_bytes(0)
-            .build();
+        let tier0 = catalog.tier(0);
+        let config = ServerConfig::builder().result_cache_bytes(0).build();
         let ((tally, elapsed), stats) = Server::scope(&catalog, config, |handle| {
+            let _held = handle.hold_evaluator(0);
             let (listener, addr) = bind();
             let frames = CatalogFrames {
                 handle,
@@ -757,17 +758,20 @@ mod tests {
             let mut reactor = Reactor::new(&listeners).unwrap();
             let elapsed = run_during(&mut reactor, || {
                 let mut client = TcpClient::connect(addr).unwrap();
+                let mut ctx = QueryContext::new();
                 for q in 0..QUERIES {
-                    let doc = q % 32;
-                    let reply = client
-                        .query(&[doc << 16 | 9], 0.0, Duration::from_secs(5))
-                        .unwrap();
-                    assert!(reply.docs.contains(&(doc as u32)));
+                    // Every fourth query probes a term no document holds.
+                    let term = if q % 4 == 3 { !q } else { (q % 32) << 16 | 9 };
+                    let reply = client.query(&[term], 0.0, Duration::from_secs(5)).unwrap();
+                    let direct = tier0.query_terms_with(&[term], QueryMode::Full, &mut ctx);
+                    assert_eq!(reply.docs, direct, "query {q}");
+                    assert!(q % 4 == 3 || reply.docs.contains(&((q % 32) as u32)));
                 }
             });
             (reactor.tally, elapsed)
         });
         assert_eq!(stats.total_inline(), 0);
+        assert_eq!(stats.total_batches(), QUERIES);
         assert_eq!(stats.total_completed(), QUERIES);
         // One byte per reply; two may now and then be swallowed together.
         assert!(tally.wakes as u64 >= QUERIES / 2, "{tally:?}");

@@ -1,6 +1,6 @@
 //! The serving engine: scoped per-core evaluator workers over a tier
-//! catalog, with bounded admission, an adaptive inline-bypass scheduler, a
-//! hot-query result cache, and an in-process query API.
+//! catalog, with bounded admission, a hot-query result cache, and an
+//! in-process query API.
 //!
 //! Lifecycle is scope-shaped ([`Server::scope`]): workers are scoped
 //! threads borrowing the catalog (no payload duplication — each worker's
@@ -11,77 +11,37 @@
 //! counters come back as a [`ServerStats`] snapshot. There is no detached
 //! state to leak and no shutdown flag to forget.
 //!
-//! ## The adaptive scheduler
+//! ## Admission
 //!
-//! Micro-batching pays off when the queue is busy: one wake-up and one
-//! warmed-up scratch serve the whole batch. Under light
-//! load it *loses* — staging a lone request through a channel, a worker
-//! wake-up and a reply channel costs more than just evaluating it. The
-//! scheduler therefore tracks each lane's instantaneous queue depth: while
-//! the lane is quiet, [`ServerHandle::submit`] evaluates the request
-//! **inline on the admitting thread** against the tier's shared evaluator
-//! (same code path, bit-identical results) and returns an already-resolved
-//! [`PendingReply`]. When admission finds the queued depth at or above
-//! `batch_above` (or inline-lock contention proves concurrent admissions)
-//! the lane flips to batching; a worker flips it back only after a
-//! sustained streak of quiet batches *and* a cooldown with no fresh proof
-//! of concurrency (hysteresis, so the gate does not flap on every request).
-//! [`SchedulerMode::AlwaysBatch`] pins the old behavior for comparison
-//! benchmarks.
+//! Each tier has one shared evaluator and a bounded queue served by its
+//! workers. [`ServerHandle::submit`] applies one rule, which keeps no state
+//! and has no setting: when `try_lock` on the tier's evaluator succeeds, the
+//! request is evaluated **inline on the calling thread** and comes back as
+//! an already-resolved [`PendingReply`]; otherwise it goes on the tier's
+//! queue, where a worker takes it, checks its deadline, evaluates it with
+//! its own evaluator and answers. A lone caller — the TCP reactor is one —
+//! always finds the evaluator free and never pays a hand-off, while
+//! concurrent in-process callers spill onto the workers instead of queueing
+//! on the lock. Both paths run the same evaluation, so their answers are
+//! bit-identical.
 
 use crate::cache::ResultCache;
 use crate::catalog::Catalog;
 use crate::reactor::Waker;
-use crate::scheduler::{run_worker, BatchKnobs, LaneGate, Reply, Request, INLINE_OVERLAP_WINDOW};
+use crate::scheduler::{run_worker, Reply, Request};
 use crate::stats::{ServerStats, SlowQuery, SlowQueryLog, TierCounters};
 use rambo_core::{canonical_query_key, default_threads, DocId, QueryBatch, QueryMode};
-use rambo_workloads::stats::LatencyHistogram;
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::Mutex;
+#[cfg(test)]
+use std::sync::MutexGuard;
 use std::time::{Duration, Instant};
-
-/// How the server decides between inline evaluation and micro-batching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerMode {
-    /// Load-aware bypass: evaluate inline on the admitting thread while the
-    /// lane is quiet; switch to greedy-drain batching when the queued depth
-    /// reaches `batch_above`, and back once a worker drains the queue to
-    /// `inline_below`. `inline_below < batch_above` gives the hysteresis
-    /// band that keeps the gate from flapping.
-    Adaptive {
-        /// Flip to batching when admission observes this many queued
-        /// requests.
-        batch_above: usize,
-        /// Flip back to inline when a worker observes the queue at or below
-        /// this depth.
-        inline_below: usize,
-    },
-    /// Always stage through the micro-batch queue (the pre-adaptive
-    /// behavior; the `serve_load` bench's comparison arm).
-    AlwaysBatch,
-}
-
-impl Default for SchedulerMode {
-    fn default() -> Self {
-        Self::Adaptive {
-            batch_above: 3,
-            inline_below: 0,
-        }
-    }
-}
 
 /// Serving configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Largest micro-batch a worker evaluates in one pass. `1` disables
-    /// batching (the one-query-at-a-time baseline).
-    pub max_batch: usize,
-    /// How long a worker with a short batch waits for stragglers once the
-    /// queue runs empty. `0` means greedy adaptive batching: evaluate
-    /// whatever accumulated while the previous batch ran, never wait.
-    pub max_delay: Duration,
     /// Bounded admission queue depth per tier; a full queue rejects with
     /// [`ServerError::Overloaded`] instead of buffering without limit.
     pub queue_capacity: usize,
@@ -90,8 +50,6 @@ pub struct ServerConfig {
     pub workers_per_tier: usize,
     /// Evaluation mode for requests that do not specify one.
     pub default_mode: QueryMode,
-    /// Inline-bypass vs batching policy (see [`SchedulerMode`]).
-    pub scheduler: SchedulerMode,
     /// Byte budget of the hot-query result cache; `0` disables it.
     pub result_cache_bytes: usize,
     /// Retain this many worst-latency requests in the slow-query log; `0`
@@ -102,12 +60,9 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            max_batch: 64,
-            max_delay: Duration::from_micros(100),
             queue_capacity: 1024,
             workers_per_tier: default_threads(),
             default_mode: QueryMode::Full,
-            scheduler: SchedulerMode::default(),
             result_cache_bytes: 16 << 20,
             slow_log: 32,
         }
@@ -123,19 +78,17 @@ impl ServerConfig {
     }
 }
 
-/// Builder for [`ServerConfig`]: every scattered serving knob (scheduler
-/// mode, batching, admission, caching, slow log) in one place. Unset knobs
-/// keep today's defaults.
+/// Builder for [`ServerConfig`]: every serving knob (admission, workers,
+/// caching, slow log) in one place. Unset knobs keep today's defaults.
 ///
 /// ```
-/// use rambo_server::{SchedulerMode, ServerConfig};
+/// use rambo_server::ServerConfig;
 ///
 /// let config = ServerConfig::builder()
-///     .max_batch(32)
-///     .scheduler(SchedulerMode::AlwaysBatch)
+///     .workers_per_tier(2)
 ///     .result_cache_bytes(0)
 ///     .build();
-/// assert_eq!(config.max_batch, 32);
+/// assert_eq!(config.workers_per_tier, 2);
 /// assert_eq!(config.queue_capacity, ServerConfig::default().queue_capacity);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -148,20 +101,6 @@ impl ServerConfigBuilder {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// See [`ServerConfig::max_batch`].
-    #[must_use]
-    pub fn max_batch(mut self, n: usize) -> Self {
-        self.config.max_batch = n;
-        self
-    }
-
-    /// See [`ServerConfig::max_delay`].
-    #[must_use]
-    pub fn max_delay(mut self, d: Duration) -> Self {
-        self.config.max_delay = d;
-        self
     }
 
     /// See [`ServerConfig::queue_capacity`].
@@ -182,13 +121,6 @@ impl ServerConfigBuilder {
     #[must_use]
     pub fn default_mode(mut self, mode: QueryMode) -> Self {
         self.config.default_mode = mode;
-        self
-    }
-
-    /// See [`ServerConfig::scheduler`].
-    #[must_use]
-    pub fn scheduler(mut self, mode: SchedulerMode) -> Self {
-        self.config.scheduler = mode;
         self
     }
 
@@ -326,12 +258,6 @@ impl PendingReply {
         (reply, tx)
     }
 
-    /// The tier the request was routed to.
-    #[must_use]
-    pub fn tier(&self) -> usize {
-        self.tier
-    }
-
     /// The instant past which [`PendingReply::try_wait`] gives up on a worker
     /// — what the TCP reactor bounds its wait by.
     pub(crate) fn deadline(&self) -> Instant {
@@ -399,21 +325,9 @@ impl PendingReply {
 struct Lane<'env> {
     tx: SyncSender<Request>,
     counters: &'env TierCounters,
-    gate: &'env LaneGate,
-    /// The tier's shared inline evaluator. `try_lock` contention simply
-    /// falls through to the queue — the bypass must never block admission.
+    /// The tier's shared inline evaluator. A busy one sends the request to
+    /// the queue: admission never blocks on it.
     inline: &'env Mutex<QueryBatch<'env>>,
-}
-
-/// A nonzero identity for the calling thread, cheap enough for the admission
-/// hot path: the address of a thread-local byte. Distinct per live thread;
-/// an address may be reused after a thread exits, which at worst delays one
-/// overlap detection (see [`INLINE_OVERLAP_WINDOW`]).
-fn admit_token() -> u64 {
-    thread_local! {
-        static TOKEN: u8 = const { 0 };
-    }
-    TOKEN.with(|t| std::ptr::from_ref(t) as u64)
 }
 
 /// The in-process client surface of a running server. `Sync`: any number of
@@ -422,27 +336,16 @@ pub struct ServerHandle<'env> {
     catalog: &'env Catalog,
     lanes: Vec<Lane<'env>>,
     default_mode: QueryMode,
-    scheduler: SchedulerMode,
     cache: Option<&'env ResultCache>,
     slow: &'env SlowQueryLog,
-    /// Server start instant; `LaneGate::last_live` stamps are nanoseconds
-    /// since this epoch.
-    epoch: Instant,
 }
 
 impl<'env> ServerHandle<'env> {
-    /// The catalog being served.
-    #[must_use]
-    pub fn catalog(&self) -> &'env Catalog {
-        self.catalog
-    }
-
     /// Submit a query without blocking for its answer.
     ///
-    /// Under the adaptive scheduler a quiet lane evaluates the query inline
-    /// (or answers it from the result cache) and returns an
-    /// already-resolved [`PendingReply`]; a busy lane stages it through the
-    /// micro-batch queue.
+    /// A cache hit, or a query the tier's free evaluator answers on this
+    /// thread, comes back as an already-resolved [`PendingReply`]; when the
+    /// evaluator is busy the query waits on the tier's queue for a worker.
     ///
     /// # Errors
     /// [`ServerError::Overloaded`] when the routed tier's queue is full,
@@ -480,13 +383,10 @@ impl<'env> ServerHandle<'env> {
                 let key = canonical_query_key(terms);
                 let version = cache.version();
                 if let Some(docs) = cache.get(tier as u32, key, version) {
-                    lane.counters
-                        .hits
-                        .fetch_add(docs.len() as u64, Ordering::Relaxed);
                     lane.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                    lane.counters.completed.fetch_add(1, Ordering::Relaxed);
                     lane.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    lane.counters.latency.record(submitted.elapsed());
+                    lane.counters
+                        .record_completion(docs.len(), submitted.elapsed());
                     return Ok(PendingReply::ready(
                         Ok(QueryReply { docs, tier }),
                         tier,
@@ -499,96 +399,43 @@ impl<'env> ServerHandle<'env> {
             None => (0, 0),
         };
 
-        // Adaptive bypass: while the lane is quiet, evaluate inline on this
-        // thread. Lock contention (another thread mid-inline-evaluation)
-        // flips the lane to batching and falls through to the queue: inline
-        // admissions serialize on this one mutex anyway, so batching loses
-        // no parallelism under contention — and contention is a far earlier
-        // (and at low client counts, the only reachable) load signal than
-        // the queue-depth threshold.
-        if matches!(self.scheduler, SchedulerMode::Adaptive { .. }) {
-            // Concurrency is also proven by *who* is admitting: admissions
-            // from two different threads inside a short window mean at
-            // least two live clients, even if the inline lock never
-            // contends. On a single-core host concurrent clients execute
-            // serialized — each one's try_lock succeeds in turn — so
-            // without this check a fully loaded lane could stay inline
-            // until a preemption happens to land mid-evaluation. The check
-            // runs on *every* adaptive admission (not just inline ones):
-            // while batching it refreshes the liveness stamp, so a lane
-            // with two live clients never drifts back to inline on quiet
-            // singleton batches alone, only to flip again two requests
-            // later through a cold inline evaluator.
-            let token = admit_token();
-            let now_ns = self.epoch.elapsed().as_nanos() as u64;
-            let prev_token = lane.gate.last_admit_token.swap(token, Ordering::AcqRel);
-            let prev_ns = lane.gate.last_admit_ns.swap(now_ns, Ordering::AcqRel);
-            let overlapping = prev_token != 0
-                && prev_token != token
-                && now_ns.saturating_sub(prev_ns) < INLINE_OVERLAP_WINDOW.as_nanos() as u64;
-            if overlapping {
-                lane.gate.last_live.store(now_ns, Ordering::Release);
-            }
-            if lane.gate.batching.load(Ordering::Acquire) {
-                // Fall through to the queue path below.
-            } else if overlapping {
-                if !lane.gate.batching.swap(true, Ordering::AcqRel) {
-                    lane.counters
-                        .switched_to_batch
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            } else if let Ok(mut evaluator) = lane.inline.try_lock() {
-                lane.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                if Instant::now() >= deadline {
-                    lane.counters.expired.fetch_add(1, Ordering::Relaxed);
-                    return Ok(PendingReply::ready(
-                        Err(ServerError::DeadlineExceeded { tier }),
-                        tier,
-                        deadline,
-                    ));
-                }
-                let eval_start = Instant::now();
-                let docs = evaluator.query_terms(terms, mode);
-                drop(evaluator);
-                let eval = eval_start.elapsed();
-                let total = submitted.elapsed();
-                lane.counters
-                    .hits
-                    .fetch_add(docs.len() as u64, Ordering::Relaxed);
-                lane.counters.completed.fetch_add(1, Ordering::Relaxed);
-                lane.counters.inline.fetch_add(1, Ordering::Relaxed);
-                lane.counters.latency.record(total);
-                self.slow.record(SlowQuery {
-                    tier,
-                    terms: terms.len(),
-                    queue_wait: Duration::ZERO,
-                    eval,
-                    total,
-                    batched: false,
-                });
-                if let Some(cache) = self.cache {
-                    cache.insert(tier as u32, key, version, &docs);
-                }
+        // The admission rule: a free evaluator answers on this thread; a
+        // busy one sends the request to the queue. `try_lock` never blocks.
+        if let Ok(mut evaluator) = lane.inline.try_lock() {
+            lane.counters.accepted.fetch_add(1, Ordering::Relaxed);
+            if Instant::now() >= deadline {
+                lane.counters.expired.fetch_add(1, Ordering::Relaxed);
                 return Ok(PendingReply::ready(
-                    Ok(QueryReply { docs, tier }),
+                    Err(ServerError::DeadlineExceeded { tier }),
                     tier,
                     deadline,
                 ));
-            } else {
-                lane.gate
-                    .last_live
-                    .store(self.epoch.elapsed().as_nanos() as u64, Ordering::Release);
-                if !lane.gate.batching.swap(true, Ordering::AcqRel) {
-                    lane.counters
-                        .switched_to_batch
-                        .fetch_add(1, Ordering::Relaxed);
-                }
             }
+            let eval_start = Instant::now();
+            let docs = evaluator.query_terms(terms, mode);
+            drop(evaluator);
+            let eval = eval_start.elapsed();
+            let total = submitted.elapsed();
+            lane.counters.record_completion(docs.len(), total);
+            lane.counters.inline.fetch_add(1, Ordering::Relaxed);
+            self.slow.record(SlowQuery {
+                tier,
+                terms: terms.len(),
+                queue_wait: Duration::ZERO,
+                eval,
+                total,
+                queued: false,
+            });
+            if let Some(cache) = self.cache {
+                cache.insert(tier as u32, key, version, &docs);
+            }
+            return Ok(PendingReply::ready(
+                Ok(QueryReply { docs, tier }),
+                tier,
+                deadline,
+            ));
         }
 
-        // Queue path. The depth gauge is incremented *before* the send so a
-        // worker's decrement can never land first and wrap it; send failure
-        // undoes the increment.
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         let request = Request {
             terms: terms.to_vec(),
@@ -600,25 +447,13 @@ impl<'env> ServerHandle<'env> {
             reply: reply_tx,
             waker: waker.cloned(),
         };
-        let depth = lane.gate.queued.fetch_add(1, Ordering::AcqRel) + 1;
+        let depth = lane.counters.depth.fetch_add(1, Ordering::AcqRel) + 1;
         match lane.tx.try_send(request) {
             Ok(()) => {
                 lane.counters.accepted.fetch_add(1, Ordering::Relaxed);
                 lane.counters
                     .queue_depth_max
                     .fetch_max(depth, Ordering::Relaxed);
-                if let SchedulerMode::Adaptive { batch_above, .. } = self.scheduler {
-                    if depth >= batch_above as u64 {
-                        lane.gate
-                            .last_live
-                            .store(self.epoch.elapsed().as_nanos() as u64, Ordering::Release);
-                        if !lane.gate.batching.swap(true, Ordering::AcqRel) {
-                            lane.counters
-                                .switched_to_batch
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
                 Ok(PendingReply {
                     inner: PendingInner::Waiting(reply_rx),
                     tier,
@@ -626,12 +461,12 @@ impl<'env> ServerHandle<'env> {
                 })
             }
             Err(TrySendError::Full(_)) => {
-                lane.gate.queued.fetch_sub(1, Ordering::AcqRel);
+                lane.counters.depth.fetch_sub(1, Ordering::AcqRel);
                 lane.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 Err(ServerError::Overloaded { tier })
             }
             Err(TrySendError::Disconnected(_)) => {
-                lane.gate.queued.fetch_sub(1, Ordering::AcqRel);
+                lane.counters.depth.fetch_sub(1, Ordering::AcqRel);
                 Err(ServerError::Disconnected)
             }
         }
@@ -681,10 +516,10 @@ impl<'env> ServerHandle<'env> {
 
     /// Zero the per-tier counters, latency histograms and slow-query log —
     /// a monitoring-window boundary (steady-state benchmark start after
-    /// warmup, or a periodic scrape). Scheduler gate state, evaluator scratch
-    /// and the result cache (whose counters are cumulative by design, see
-    /// [`crate::cache::CacheStats`]) are untouched: the point of a window
-    /// boundary is fresh *measurements* of the same warmed server.
+    /// warmup, or a periodic scrape). The live queue-depth gauge, evaluator
+    /// scratch and the result cache (whose counters are cumulative by
+    /// design, see [`crate::cache::CacheStats`]) are untouched: the point of
+    /// a window boundary is fresh *measurements* of the same warmed server.
     pub fn reset_stats(&self) {
         for lane in &self.lanes {
             lane.counters.clear();
@@ -692,10 +527,11 @@ impl<'env> ServerHandle<'env> {
         self.slow.clear();
     }
 
-    /// The result cache, when enabled (tests and diagnostics).
-    #[must_use]
-    pub fn result_cache(&self) -> Option<&'env ResultCache> {
-        self.cache
+    /// Hold tier `tier`'s shared evaluator, so every admission to it queues
+    /// for a worker until the guard drops.
+    #[cfg(test)]
+    pub(crate) fn hold_evaluator(&self, tier: usize) -> MutexGuard<'_, QueryBatch<'env>> {
+        self.lanes[tier].inline.lock().expect("evaluator lock")
     }
 
     /// Snapshot of the per-tier counters, slow-query log and cache counters
@@ -703,24 +539,8 @@ impl<'env> ServerHandle<'env> {
     /// relaxed stores).
     #[must_use]
     pub fn stats(&self) -> ServerStats {
-        let latency = LatencyHistogram::new();
-        for lane in &self.lanes {
-            latency.merge(&lane.counters.latency);
-        }
-        ServerStats {
-            tiers: self
-                .lanes
-                .iter()
-                .enumerate()
-                .map(|(t, lane)| {
-                    lane.counters
-                        .snapshot(self.catalog.info(t), self.catalog.block_cache_stats(t))
-                })
-                .collect(),
-            slow_queries: self.slow.snapshot(),
-            cache: self.cache.map(ResultCache::stats),
-            latency,
-        }
+        let counters = self.lanes.iter().map(|lane| lane.counters);
+        ServerStats::snapshot(self.catalog, counters, self.slow, self.cache)
     }
 }
 
@@ -737,76 +557,39 @@ impl Server {
     /// together with the final [`ServerStats`].
     ///
     /// # Panics
-    /// Panics if `max_batch`, `queue_capacity` or `workers_per_tier` is
-    /// zero, or if a worker thread panics.
+    /// Panics if `queue_capacity` or `workers_per_tier` is zero, or if a
+    /// worker thread panics.
     pub fn scope<T>(
         catalog: &Catalog,
         config: ServerConfig,
         f: impl FnOnce(&ServerHandle<'_>) -> T,
     ) -> (T, ServerStats) {
-        assert!(config.max_batch >= 1, "max_batch must be at least 1");
         assert!(
-            config.queue_capacity >= 1,
-            "queue_capacity must be at least 1"
+            config.queue_capacity >= 1 && config.workers_per_tier >= 1,
+            "queue_capacity and workers_per_tier must be at least 1"
         );
-        assert!(
-            config.workers_per_tier >= 1,
-            "workers_per_tier must be at least 1"
-        );
-        let knobs = BatchKnobs {
-            max_batch: config.max_batch,
-            max_delay: config.max_delay,
-            inline_below: match config.scheduler {
-                SchedulerMode::Adaptive { inline_below, .. } => Some(inline_below),
-                SchedulerMode::AlwaysBatch => None,
-            },
-            batch_above: match config.scheduler {
-                SchedulerMode::Adaptive { batch_above, .. } => batch_above,
-                SchedulerMode::AlwaysBatch => 0,
-            },
-        };
-        let counters: Vec<TierCounters> = (0..catalog.len()).map(|_| TierCounters::new()).collect();
-        // Always-batch lanes start (and stay) gated closed; adaptive lanes
-        // start open for inline bypass.
-        let gates: Vec<LaneGate> = (0..catalog.len())
-            .map(|_| LaneGate::new(matches!(config.scheduler, SchedulerMode::AlwaysBatch)))
-            .collect();
+        let counters: Vec<TierCounters> = (0..catalog.len()).map(|_| Default::default()).collect();
         let inline_evaluators: Vec<Mutex<QueryBatch<'_>>> = (0..catalog.len())
             .map(|t| Mutex::new(QueryBatch::new(catalog.tier(t))))
             .collect();
         let cache =
             (config.result_cache_bytes > 0).then(|| ResultCache::new(config.result_cache_bytes));
         let slow = SlowQueryLog::new(config.slow_log);
-        let mut intakes = Vec::with_capacity(catalog.len());
-        let mut receivers = Vec::with_capacity(catalog.len());
-        for _ in 0..catalog.len() {
-            let (tx, rx) = mpsc::sync_channel::<Request>(config.queue_capacity);
-            intakes.push(tx);
-            receivers.push(Mutex::new(rx));
-        }
-        let epoch = Instant::now();
+        let (intakes, receivers): (Vec<_>, Vec<_>) = (0..catalog.len())
+            .map(|_| {
+                let (tx, rx) = mpsc::sync_channel::<Request>(config.queue_capacity);
+                (tx, Mutex::new(rx))
+            })
+            .unzip();
         let out = std::thread::scope(|scope| {
             for (tier, intake) in receivers.iter().enumerate() {
-                let index = catalog.tier(tier);
-                let tier_counters = &counters[tier];
-                let gate = &gates[tier];
-                let cache = cache.as_ref();
-                let slow = &slow;
+                let (index, counters, cache, slow) =
+                    (catalog.tier(tier), &counters[tier], cache.as_ref(), &slow);
                 for w in 0..config.workers_per_tier {
                     std::thread::Builder::new()
                         .name(format!("rambo-serve-t{tier}-w{w}"))
                         .spawn_scoped(scope, move || {
-                            run_worker(
-                                tier,
-                                index,
-                                intake,
-                                knobs,
-                                tier_counters,
-                                gate,
-                                cache,
-                                slow,
-                                epoch,
-                            );
+                            run_worker(tier, index, intake, counters, cache, slow);
                         })
                         .expect("spawn evaluator worker");
                 }
@@ -815,39 +598,113 @@ impl Server {
                 catalog,
                 lanes: intakes
                     .into_iter()
-                    .zip(counters.iter().zip(gates.iter().zip(&inline_evaluators)))
-                    .map(|(tx, (counters, (gate, inline)))| Lane {
+                    .zip(counters.iter().zip(&inline_evaluators))
+                    .map(|(tx, (counters, inline))| Lane {
                         tx,
                         counters,
-                        gate,
                         inline,
                     })
                     .collect(),
                 default_mode: config.default_mode,
-                scheduler: config.scheduler,
                 cache: cache.as_ref(),
                 slow: &slow,
-                epoch,
             };
             // `handle` (and with it every intake sender) drops here, which
             // disconnects the lanes; workers drain and exit, and the scope
             // joins them before returning.
             f(&handle)
         });
-        let latency = LatencyHistogram::new();
-        for c in &counters {
-            latency.merge(&c.latency);
-        }
-        let stats = ServerStats {
-            tiers: counters
-                .iter()
-                .enumerate()
-                .map(|(t, c)| c.snapshot(catalog.info(t), catalog.block_cache_stats(t)))
-                .collect(),
-            slow_queries: slow.snapshot(),
-            cache: cache.as_ref().map(ResultCache::stats),
-            latency,
-        };
+        let stats = ServerStats::snapshot(catalog, counters.iter(), &slow, cache.as_ref());
         (out, stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rambo_core::{QueryContext, Rambo, RamboParams};
+
+    /// 32 documents of 20 terms (`d << 16 | t`), folded `halvings` times.
+    fn catalog(halvings: u32) -> Catalog {
+        let mut index = Rambo::new(RamboParams::flat(16, 3, 1 << 12, 2, 7)).unwrap();
+        for d in 0..32u64 {
+            index
+                .insert_document(&format!("doc{d}"), (0..20).map(|t| d << 16 | t))
+                .unwrap();
+        }
+        Catalog::builder()
+            .base(&index)
+            .halving(halvings)
+            .build()
+            .unwrap()
+    }
+
+    fn one_worker_no_cache() -> ServerConfig {
+        ServerConfig::builder()
+            .workers_per_tier(1)
+            .result_cache_bytes(0)
+            .build()
+    }
+
+    #[test]
+    fn inline_and_queued_paths_answer_identically() {
+        let catalog = catalog(1);
+        // Present single terms, present pairs and absent probes, every tier.
+        let queries: Vec<(Vec<u64>, usize)> = (0..32u64)
+            .flat_map(|d| [vec![d << 16 | 3], vec![d << 16 | 5, d << 16 | 6], vec![!d]])
+            .flat_map(|q| (0..catalog.len()).map(move |t| (q.clone(), t)))
+            .collect();
+        let mut ctx = QueryContext::new();
+        let direct: Vec<Vec<DocId>> = queries
+            .iter()
+            .map(|(q, t)| {
+                catalog
+                    .tier(*t)
+                    .query_terms_with(q, QueryMode::Full, &mut ctx)
+            })
+            .collect();
+        let (answers, stats) = Server::scope(&catalog, one_worker_no_cache(), |handle| {
+            let run = || -> Vec<Vec<DocId>> {
+                queries
+                    .iter()
+                    .map(|(q, t)| {
+                        let opts = QueryOptions {
+                            tier: Some(*t),
+                            ..QueryOptions::default()
+                        };
+                        handle.query_opts(q, &opts).unwrap().docs
+                    })
+                    .collect()
+            };
+            let inline = run();
+            let _held: Vec<_> = (0..catalog.len())
+                .map(|t| handle.hold_evaluator(t))
+                .collect();
+            [inline, run()]
+        });
+        assert_eq!(answers, [direct.clone(), direct], "inline, then queued");
+        let n = queries.len() as u64;
+        assert_eq!((stats.total_inline(), stats.total_batches()), (n, n));
+    }
+
+    #[test]
+    fn a_queued_request_past_its_deadline_is_expired_unevaluated() {
+        let catalog = catalog(0);
+        let (reply, stats) = Server::scope(&catalog, one_worker_no_cache(), |handle| {
+            let _held = handle.hold_evaluator(0);
+            let opts = QueryOptions {
+                deadline: Duration::ZERO,
+                ..QueryOptions::default()
+            };
+            handle.submit(&[3 << 16 | 1], &opts).unwrap().wait()
+        });
+        assert_eq!(reply, Err(ServerError::DeadlineExceeded { tier: 0 }));
+        // Queued (the scope drains it before returning), then expired.
+        let t = &stats.tiers[0];
+        assert_eq!((t.accepted, t.max_queue_depth, t.expired), (1, 1, 1));
+        assert_eq!(
+            (t.queued, t.inline_completed, t.completed, t.hits),
+            (0, 0, 0, 0)
+        );
     }
 }

@@ -9,8 +9,8 @@
 //! whose fast path (request faster than the current floor) is a single
 //! relaxed load.
 
-use crate::cache::CacheStats;
-use crate::catalog::TierInfo;
+use crate::cache::{CacheStats, ResultCache};
+use crate::catalog::{Catalog, TierInfo};
 use rambo_bitvec::BlockCacheSnapshot;
 use rambo_workloads::stats::LatencyHistogram;
 use std::fmt;
@@ -26,37 +26,36 @@ pub(crate) struct TierCounters {
     pub accepted: AtomicU64,
     /// Requests rejected at admission (queue full → `Overloaded`).
     pub rejected: AtomicU64,
-    /// Requests evaluated and answered (inline, batched or from cache).
+    /// Requests evaluated and answered (inline, queued or from cache).
     pub completed: AtomicU64,
     /// Requests dropped unevaluated because their deadline had passed by the
     /// time a worker dequeued them (or the inline path reached them).
     pub expired: AtomicU64,
-    /// Micro-batches evaluated.
-    pub batches: AtomicU64,
-    /// Requests that went through the batch path (batched / batches gives
-    /// the mean batch size; inline and cache-hit completions never inflate
-    /// it).
-    pub batched: AtomicU64,
-    /// Requests the adaptive scheduler evaluated inline on the admitting
-    /// thread, bypassing the queue.
+    /// Requests a worker took off the queue and evaluated.
+    pub queued: AtomicU64,
+    /// Requests evaluated inline on the admitting thread.
     pub inline: AtomicU64,
     /// Requests answered from the result cache without any evaluation.
     pub cache_hits: AtomicU64,
-    /// Inline→batch mode transitions (queue depth crossed the threshold).
-    pub switched_to_batch: AtomicU64,
-    /// Batch→inline mode transitions (queue drained back down).
-    pub switched_to_inline: AtomicU64,
     /// Highest instantaneous queue depth observed at admission.
     pub queue_depth_max: AtomicU64,
     /// Total documents returned (hit counter).
     pub hits: AtomicU64,
     /// Submit→completion latency of answered requests.
     pub latency: LatencyHistogram,
+    /// Requests sitting in the queue right now: incremented *before* the
+    /// send and decremented on send failure or dequeue, so it can only
+    /// over-count transiently. A gauge, not a window count: [`Self::clear`]
+    /// leaves it alone.
+    pub depth: AtomicU64,
 }
 
 impl TierCounters {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// One answered request: its documents, its completion, its latency.
+    pub(crate) fn record_completion(&self, docs: usize, latency: Duration) {
+        self.hits.fetch_add(docs as u64, Ordering::Relaxed);
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.latency.record(latency);
     }
 
     /// Zero every counter (monitoring-window boundary). Not atomic across
@@ -67,12 +66,9 @@ impl TierCounters {
             &self.rejected,
             &self.completed,
             &self.expired,
-            &self.batches,
-            &self.batched,
+            &self.queued,
             &self.inline,
             &self.cache_hits,
-            &self.switched_to_batch,
-            &self.switched_to_inline,
             &self.queue_depth_max,
             &self.hits,
         ] {
@@ -86,8 +82,6 @@ impl TierCounters {
         info: &TierInfo,
         block_cache: Option<BlockCacheSnapshot>,
     ) -> TierStats {
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched = self.batched.load(Ordering::Relaxed);
         TierStats {
             block_cache,
             tier: info.tier,
@@ -98,17 +92,9 @@ impl TierCounters {
             rejected: self.rejected.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
-            batches,
-            batched,
-            mean_batch: if batches == 0 {
-                0.0
-            } else {
-                batched as f64 / batches as f64
-            },
+            queued: self.queued.load(Ordering::Relaxed),
             inline_completed: self.inline.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            switched_to_batch: self.switched_to_batch.load(Ordering::Relaxed),
-            switched_to_inline: self.switched_to_inline.load(Ordering::Relaxed),
             max_queue_depth: self.queue_depth_max.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             mean: self.latency.mean(),
@@ -134,25 +120,16 @@ pub struct TierStats {
     pub accepted: u64,
     /// Requests rejected with `Overloaded`.
     pub rejected: u64,
-    /// Requests evaluated and answered (inline, batched or from cache).
+    /// Requests evaluated and answered (inline, queued or from cache).
     pub completed: u64,
     /// Requests dropped past their deadline without evaluation.
     pub expired: u64,
-    /// Micro-batches evaluated.
-    pub batches: u64,
-    /// Requests that went through the batch path.
-    pub batched: u64,
-    /// Mean requests per micro-batch (batch-path requests only).
-    pub mean_batch: f64,
-    /// Requests the adaptive scheduler evaluated inline, bypassing the
-    /// queue entirely.
+    /// Requests a worker took off the queue and evaluated.
+    pub queued: u64,
+    /// Requests evaluated inline on the admitting thread.
     pub inline_completed: u64,
     /// Requests answered from the result cache.
     pub cache_hits: u64,
-    /// Inline→batch scheduler transitions.
-    pub switched_to_batch: u64,
-    /// Batch→inline scheduler transitions.
-    pub switched_to_inline: u64,
     /// Highest instantaneous queue depth observed at admission.
     pub max_queue_depth: u64,
     /// Total documents returned.
@@ -172,8 +149,8 @@ pub struct TierStats {
 
 /// One entry of the slow-query log: where the worst requests spent their
 /// time. `queue_wait` vs `eval` splits scheduling debt from evaluation
-/// cost — a log full of long waits wants more workers (or a lower batch
-/// threshold); long evals want a smaller tier or fewer terms.
+/// cost — a log full of long waits wants more workers; long evals want a
+/// smaller tier or fewer terms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlowQuery {
     /// Tier that served the request.
@@ -186,8 +163,8 @@ pub struct SlowQuery {
     pub eval: Duration,
     /// Submission → completion.
     pub total: Duration,
-    /// True when the request went through the micro-batch path.
-    pub batched: bool,
+    /// True when a worker evaluated the request off the queue.
+    pub queued: bool,
 }
 
 /// Keep-the-worst ring of the `cap` highest-latency requests.
@@ -282,6 +259,30 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
+    /// Snapshot the per-tier `counters` (tier order), the slow-query log and
+    /// the cache counters of a server over `catalog`.
+    pub(crate) fn snapshot<'a>(
+        catalog: &Catalog,
+        counters: impl Iterator<Item = &'a TierCounters>,
+        slow: &SlowQueryLog,
+        cache: Option<&ResultCache>,
+    ) -> Self {
+        let latency = LatencyHistogram::new();
+        let tiers = counters
+            .enumerate()
+            .map(|(t, c)| {
+                latency.merge(&c.latency);
+                c.snapshot(catalog.info(t), catalog.block_cache_stats(t))
+            })
+            .collect();
+        Self {
+            tiers,
+            slow_queries: slow.snapshot(),
+            cache: cache.map(ResultCache::stats),
+            latency,
+        }
+    }
+
     /// Total requests answered across tiers.
     #[must_use]
     pub fn total_completed(&self) -> u64 {
@@ -294,10 +295,12 @@ impl ServerStats {
         self.tiers.iter().map(|t| t.rejected).sum()
     }
 
-    /// Total micro-batches evaluated across tiers.
+    /// Total requests a worker took off the queue and evaluated, across
+    /// tiers (the sum of [`TierStats::queued`]; the name predates the
+    /// one-request-at-a-time workers).
     #[must_use]
     pub fn total_batches(&self) -> u64 {
-        self.tiers.iter().map(|t| t.batches).sum()
+        self.tiers.iter().map(|t| t.queued).sum()
     }
 
     /// Total inline (queue-bypass) completions across tiers.
@@ -321,8 +324,7 @@ impl fmt::Display for ServerStats {
             writeln!(
                 f,
                 "tier {}: buckets={} fpr={:.3e} accepted={} rejected={} completed={} \
-                 expired={} inline={} cache_hits={} batched={} batches={} mean_batch={:.2} \
-                 switches(batch/inline)={}/{} depth_max={} docs={}",
+                 expired={} inline={} cache_hits={} queued={} depth_max={} docs={}",
                 t.tier,
                 t.buckets,
                 t.predicted_fpr,
@@ -332,11 +334,7 @@ impl fmt::Display for ServerStats {
                 t.expired,
                 t.inline_completed,
                 t.cache_hits,
-                t.batched,
-                t.batches,
-                t.mean_batch,
-                t.switched_to_batch,
-                t.switched_to_inline,
+                t.queued,
                 t.max_queue_depth,
                 t.hits,
             )?;
@@ -389,13 +387,13 @@ impl fmt::Display for ServerStats {
         for (i, q) in self.slow_queries.iter().enumerate() {
             writeln!(
                 f,
-                "slow {i}: tier={} terms={} wait={}us eval={}us total={}us batched={}",
+                "slow {i}: tier={} terms={} wait={}us eval={}us total={}us queued={}",
                 q.tier,
                 q.terms,
                 q.queue_wait.as_micros(),
                 q.eval.as_micros(),
                 q.total.as_micros(),
-                q.batched,
+                q.queued,
             )?;
         }
         Ok(())
@@ -413,7 +411,7 @@ mod tests {
             queue_wait: Duration::ZERO,
             eval: Duration::from_micros(total_us),
             total: Duration::from_micros(total_us),
-            batched: false,
+            queued: false,
         }
     }
 

@@ -4,8 +4,8 @@
 //! [`crate::wire`]; the serving loop in `reactor.rs`.
 //!
 //! The catalog front admits queries through the same [`ServerHandle`] the
-//! in-process API uses (quiet lanes answer inline during the dispatch call
-//! itself), dumps the live [`crate::ServerStats`] as plain text for `STATS` —
+//! in-process API uses (a free evaluator answers inline during the dispatch
+//! call itself), dumps the live [`crate::ServerStats`] as plain text for `STATS` —
 //! `printf`-debuggable with `nc` — and answers `HELLO` with the opaque node
 //! manifest registered via [`ServeOptions`] (a cluster shard announces its
 //! shard id, replica id, doc-id range and catalog fingerprint this way).

@@ -88,7 +88,7 @@ proptest! {
 
     /// End-to-end: a server with an aggressively small result cache answers
     /// a fuzzed repeat-heavy query stream with interleaved invalidations;
-    /// every reply (inline, batched, cached, or freshly re-evaluated after
+    /// every reply (inline, queued, cached, or freshly re-evaluated after
     /// a bump) must equal direct evaluation of the immutable tier.
     #[test]
     fn cached_replies_equal_uncached_evaluation(

@@ -1,10 +1,10 @@
 //! End-to-end tests for the serving engine: result parity with direct
-//! evaluation, tier routing, batching, backpressure, deadlines, the TCP
-//! front, and clean shutdown accounting.
+//! evaluation, tier routing, the inline-or-queue admission rule,
+//! backpressure, deadlines, the TCP front, and clean shutdown accounting.
 
 use rambo_core::{QueryContext, QueryMode, Rambo, RamboParams};
 use rambo_server::{
-    serve_tcp, Catalog, QueryOptions, SchedulerMode, Server, ServerConfig, ServerError, TcpClient,
+    serve_tcp, Catalog, QueryOptions, Server, ServerConfig, ServerError, ServerHandle, TcpClient,
     TcpClientError,
 };
 use rambo_workloads::TestClient;
@@ -31,6 +31,27 @@ fn build_index(buckets: u64, k: usize, seed: u64) -> Rambo {
         r.insert_document(&name, terms).unwrap();
     }
     r
+}
+
+/// One document over 400 000 terms, and those terms: a query over all of
+/// them is present in every row, so it evaluates for ≈ 20 ms in a release
+/// build (far longer in debug) with no early exit.
+fn slow_fixture(seed: u64) -> (Vec<u64>, Catalog) {
+    let slow_terms: Vec<u64> = (0..400_000u64).collect();
+    let mut index = Rambo::new(RamboParams::flat(8, 3, 1 << 16, 2, seed)).unwrap();
+    index
+        .insert_document("big", slow_terms.iter().copied())
+        .unwrap();
+    let catalog = Catalog::builder().base(&index).halving(0).build().unwrap();
+    (slow_terms, catalog)
+}
+
+/// Wait until tier 0 has admitted a request. An inline request holds the
+/// tier's evaluator from its admission until it is answered.
+fn await_admission(handle: &ServerHandle<'_>) {
+    while handle.stats().tiers[0].accepted == 0 {
+        std::thread::yield_now();
+    }
 }
 
 /// A mixed query load: one present term per covered document, plus absent
@@ -122,18 +143,11 @@ fn sparse_mode_and_explicit_tier_override() {
 }
 
 #[test]
-fn concurrent_clients_get_batched() {
+fn concurrent_clients_all_get_right_answers() {
     let index = build_index(16, 40, 3);
     let catalog = Catalog::builder().base(&index).halving(0).build().unwrap();
-    // Pin always-batch and disable the result cache: this test asserts the
-    // *batching machinery* coalesces, so neither the adaptive inline bypass
-    // nor cache hits may short-circuit the queue.
     let config = ServerConfig {
-        max_batch: 8,
-        max_delay: Duration::from_millis(5),
         workers_per_tier: 1,
-        scheduler: SchedulerMode::AlwaysBatch,
-        result_cache_bytes: 0,
         ..ServerConfig::default()
     };
     let n_clients = 4;
@@ -142,77 +156,77 @@ fn concurrent_clients_get_batched() {
         std::thread::scope(|s| {
             for c in 0..n_clients {
                 let handle = &handle;
+                let catalog = &catalog;
                 s.spawn(move || {
+                    let mut ctx = QueryContext::new();
                     for i in 0..per_client {
                         let term = (((i % 40) as u64) << 24) | (c as u64);
                         let reply = handle.query(&[term], 0.0, Duration::from_secs(5)).unwrap();
                         assert_eq!(reply.tier, 0);
+                        let direct =
+                            catalog
+                                .tier(0)
+                                .query_terms_with(&[term], QueryMode::Full, &mut ctx);
+                        assert_eq!(reply.docs, direct, "client {c} query {i}");
+                        assert!(reply.docs.contains(&((i % 40) as u32)));
                     }
                 });
             }
         });
     });
     let total = (n_clients * per_client) as u64;
-    assert_eq!(stats.total_completed(), total);
-    // Micro-batching must have coalesced concurrent requests: strictly
-    // fewer batches than queries, i.e. mean batch size above one.
-    assert!(
-        stats.tiers[0].batches < total,
-        "no batching happened: {} batches for {total} queries",
-        stats.tiers[0].batches
-    );
-    assert!(stats.tiers[0].mean_batch > 1.0);
-    assert_eq!(stats.tiers[0].hits, total); // every term hits exactly one doc
+    let t = &stats.tiers[0];
+    assert_eq!(t.completed, total);
+    // Every answer came from exactly one of the three paths.
+    assert_eq!(t.inline_completed + t.queued + t.cache_hits, t.completed);
+    assert_eq!((t.rejected, t.expired), (0, 0));
 }
 
 #[test]
 fn overload_rejects_when_the_queue_is_full() {
-    // One document with a large term set: a query over all its terms keeps
-    // the single worker busy evaluating for many milliseconds (every term
-    // is present, so there is no early exit), while the tiny admission
-    // queue fills deterministically behind it.
-    let slow_terms: Vec<u64> = (0..200_000u64).collect();
-    let mut index = Rambo::new(RamboParams::flat(8, 3, 1 << 16, 2, 4)).unwrap();
-    index
-        .insert_document("big", slow_terms.iter().copied())
-        .unwrap();
-    let catalog = Catalog::builder().base(&index).halving(0).build().unwrap();
-    // Pin always-batch: under the adaptive scheduler the slow query would
-    // evaluate inline on the submitting thread and the queue would never
-    // fill — this test exercises the queue-full backpressure path.
+    let (slow_terms, catalog) = slow_fixture(4);
     let config = ServerConfig {
-        max_batch: 1, // no collection loop: the worker is either evaluating or idle
         queue_capacity: 2,
         workers_per_tier: 1,
-        scheduler: SchedulerMode::AlwaysBatch,
+        result_cache_bytes: 0,
         ..ServerConfig::default()
     };
+    let slow = QueryOptions {
+        deadline: Duration::from_secs(30),
+        ..QueryOptions::default()
+    };
     let ((accepted, rejected), stats) = Server::scope(&catalog, config, |handle| {
-        let mut pending = vec![handle
-            .submit(&slow_terms, &QueryOptions::default())
-            .unwrap()];
-        // Let the worker dequeue the slow query and start evaluating (the
-        // sleep must end well inside the tens-of-ms evaluation).
-        std::thread::sleep(Duration::from_millis(5));
-        let mut rejected = 0usize;
-        // The worker is mid-evaluation: the queue holds 2, the rest bounce.
-        for i in 0..6u64 {
-            match handle.submit(&[i], &QueryOptions::default()) {
-                Ok(p) => pending.push(p),
-                Err(ServerError::Overloaded { tier: 0 }) => rejected += 1,
-                Err(e) => panic!("unexpected error: {e}"),
+        std::thread::scope(|s| {
+            // Another thread holds the evaluator with a slow inline query,
+            // so this thread's admissions queue. The first queued one is
+            // slow too, and keeps the one worker busy: the queue holds 2
+            // (the slow one and a fast one, or two fast ones once the
+            // worker has taken it), and the rest bounce.
+            let inline = s.spawn(|| handle.query_opts(&slow_terms, &slow).unwrap());
+            await_admission(handle);
+            let mut pending = vec![handle.submit(&slow_terms, &slow).unwrap()];
+            let mut rejected = 0usize;
+            for i in 0..6u64 {
+                match handle.submit(&[i], &slow) {
+                    Ok(p) => pending.push(p),
+                    Err(ServerError::Overloaded { tier: 0 }) => rejected += 1,
+                    Err(e) => panic!("unexpected error: {e}"),
+                }
             }
-        }
-        let accepted = pending.len();
-        for p in pending {
-            p.wait().unwrap();
-        }
-        (accepted, rejected)
+            let accepted = pending.len();
+            for p in pending {
+                p.wait().unwrap();
+            }
+            inline.join().unwrap();
+            (accepted, rejected)
+        })
     });
     assert!(rejected > 0, "queue never filled");
     assert_eq!(accepted + rejected, 7);
-    assert_eq!(stats.tiers[0].rejected as usize, rejected);
-    assert_eq!(stats.tiers[0].completed as usize, accepted);
+    let t = &stats.tiers[0];
+    assert_eq!(t.rejected as usize, rejected);
+    assert_eq!(t.queued as usize, accepted);
+    assert_eq!(t.completed as usize, accepted + 1);
 }
 
 #[test]
@@ -230,31 +244,6 @@ fn expired_requests_are_dropped_not_evaluated() {
     assert_eq!(result, Err(ServerError::DeadlineExceeded { tier: 0 }));
     assert_eq!(stats.tiers[0].expired, 1);
     assert_eq!(stats.tiers[0].completed, 0);
-}
-
-#[test]
-fn deadline_caps_the_straggler_wait() {
-    let index = build_index(16, 20, 6);
-    let catalog = Catalog::builder().base(&index).halving(0).build().unwrap();
-    // Collection window far beyond the request deadline: the scheduler must
-    // cut the wait at the deadline and still answer in time.
-    let config = ServerConfig {
-        max_batch: 64,
-        max_delay: Duration::from_secs(30),
-        workers_per_tier: 1,
-        ..ServerConfig::default()
-    };
-    let (reply, _) = Server::scope(&catalog, config, |handle| {
-        let start = std::time::Instant::now();
-        let reply = handle.query(&[(3u64 << 24) | 1], 0.0, Duration::from_millis(200));
-        (reply, start.elapsed())
-    });
-    let (reply, elapsed) = reply;
-    assert!(reply.is_ok(), "deadline-capped wait must still answer");
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "worker waited the full window: {elapsed:?}"
-    );
 }
 
 #[test]
@@ -333,121 +322,38 @@ fn tcp_rejects_malformed_frames_without_dying() {
 }
 
 #[test]
-fn inline_path_is_bit_identical_to_batched_path() {
-    let index = build_index(16, 30, 10);
-    let catalog = Catalog::builder().base(&index).halving(1).build().unwrap();
-    let queries = query_load(30);
-    // Forced-inline arm: an unreachable batch threshold keeps every request
-    // on the admitting thread. Forced-batch arm: the pre-adaptive path.
-    // Cache off on both so every reply is a fresh evaluation.
-    let run = |scheduler: SchedulerMode| {
-        let config = ServerConfig {
-            workers_per_tier: 1,
-            scheduler,
-            result_cache_bytes: 0,
-            ..ServerConfig::default()
-        };
-        Server::scope(&catalog, config, |handle| {
-            queries
-                .iter()
-                .flat_map(|q| {
-                    (0..catalog.len()).map(|t| {
-                        handle
-                            .query_opts(
-                                q,
-                                &QueryOptions {
-                                    tier: Some(t),
-                                    deadline: Duration::from_secs(5),
-                                    ..QueryOptions::default()
-                                },
-                            )
-                            .unwrap()
-                            .docs
-                    })
-                })
-                .collect::<Vec<_>>()
-        })
-    };
-    let (inline_docs, inline_stats) = run(SchedulerMode::Adaptive {
-        batch_above: usize::MAX,
-        inline_below: 0,
-    });
-    let (batched_docs, batched_stats) = run(SchedulerMode::AlwaysBatch);
-    assert_eq!(inline_docs, batched_docs, "inline and batched paths differ");
-    let total = (queries.len() * catalog.len()) as u64;
-    assert_eq!(inline_stats.total_inline(), total, "not all inline");
-    assert_eq!(inline_stats.total_batches(), 0);
-    assert_eq!(batched_stats.total_inline(), 0, "always-batch went inline");
-    assert_eq!(batched_stats.total_completed(), total);
-}
-
-#[test]
-fn adaptive_scheduler_switches_to_batching_under_load() {
-    // One huge-term-set document: queries over all its terms evaluate for
-    // many milliseconds, so the inline lock stays held while fast queries
-    // pile into the queue and trip the batching threshold.
-    let slow_terms: Vec<u64> = (0..200_000u64).collect();
-    let mut index = Rambo::new(RamboParams::flat(8, 3, 1 << 16, 2, 11)).unwrap();
-    index
-        .insert_document("big", slow_terms.iter().copied())
-        .unwrap();
-    let catalog = Catalog::builder().base(&index).halving(0).build().unwrap();
+fn contended_admissions_queue_uncontended_ones_run_inline() {
+    let (slow_terms, catalog) = slow_fixture(11);
     let config = ServerConfig {
         workers_per_tier: 1,
-        max_batch: 8,
-        scheduler: SchedulerMode::Adaptive {
-            batch_above: 2,
-            inline_below: 0,
-        },
         result_cache_bytes: 0,
         ..ServerConfig::default()
     };
+    // Generous deadlines: the queued requests sit behind a multi-hundred-ms
+    // (in debug builds) slow evaluation and must not expire.
+    let patient = QueryOptions {
+        deadline: Duration::from_secs(30),
+        ..QueryOptions::default()
+    };
     let (_, stats) = Server::scope(&catalog, config, |handle| {
         std::thread::scope(|s| {
-            // Thread A grabs the inline evaluator for a long evaluation.
+            // Thread A holds the inline evaluator for a long evaluation.
             let slow = &slow_terms;
-            let handle_a = &handle;
-            s.spawn(move || {
-                handle_a.query(slow, 0.0, Duration::from_secs(30)).unwrap();
-            });
-            std::thread::sleep(Duration::from_millis(5));
-            // Contended admissions fall through to the queue. The first is
-            // another slow query so the worker stays busy while the fast
-            // ones stack up past the threshold.
-            let mut pending = vec![handle
-                .submit(
-                    slow,
-                    &QueryOptions {
-                        deadline: Duration::from_secs(30),
-                        ..QueryOptions::default()
-                    },
-                )
-                .unwrap()];
-            // Generous deadlines: these sit behind a multi-hundred-ms (in
-            // debug builds) slow evaluation and must not expire.
+            let inline = s.spawn(|| handle.query_opts(slow, &patient).unwrap());
+            await_admission(handle);
+            // Contended admissions go to the queue. The first is another
+            // slow query, so the worker stays busy while the fast ones
+            // stack up behind it.
+            let mut pending = vec![handle.submit(slow, &patient).unwrap()];
             for i in 0..4u64 {
-                pending.push(
-                    handle
-                        .submit(
-                            &[i],
-                            &QueryOptions {
-                                deadline: Duration::from_secs(30),
-                                ..QueryOptions::default()
-                            },
-                        )
-                        .unwrap(),
-                );
+                pending.push(handle.submit(&[i], &patient).unwrap());
             }
             for p in pending {
                 p.wait().unwrap();
             }
-            // Load gone: wait out the flip-back cooldown (the contended
-            // phase stamped the lane as live), then a sequential
-            // closed-loop trickle is nothing but quiet singleton batches,
-            // so the worker's quiet streak builds up and flips the lane
-            // back to inline; the tail of the trickle is then served
-            // inline again.
-            std::thread::sleep(Duration::from_millis(400));
+            inline.join().unwrap();
+            // Nothing holds the evaluator now: a sequential trickle runs
+            // inline, every request of it.
             for i in 0..40u64 {
                 handle
                     .query(&[100 + i], 0.0, Duration::from_secs(5))
@@ -456,21 +362,9 @@ fn adaptive_scheduler_switches_to_batching_under_load() {
         });
     });
     let t = &stats.tiers[0];
-    assert!(
-        t.inline_completed >= 2,
-        "quiet traffic should run inline: {t:?}"
-    );
-    assert!(t.batched >= 1, "contended requests should queue");
-    assert!(
-        t.switched_to_batch >= 1,
-        "queue depth {} never tripped batching: {t:?}",
-        t.max_queue_depth
-    );
-    assert!(
-        t.switched_to_inline >= 1,
-        "a sustained quiet streak never flipped back: {t:?}"
-    );
-    assert!(t.max_queue_depth >= 2);
+    assert_eq!(t.inline_completed, 41, "{t:?}");
+    assert_eq!(t.queued, 5, "{t:?}");
+    assert!(t.max_queue_depth >= 2, "{t:?}");
     assert_eq!(t.completed, 46);
 }
 
@@ -569,7 +463,6 @@ fn shutdown_drains_admitted_requests() {
     let index = build_index(16, 30, 9);
     let catalog = Catalog::builder().base(&index).halving(1).build().unwrap();
     let config = ServerConfig {
-        max_delay: Duration::from_millis(20),
         workers_per_tier: 1,
         ..ServerConfig::default()
     };

@@ -19,10 +19,10 @@ run() {
 
 run cargo run --release -p rambo-bench --bin probe_kernel -- \
     --mask-words 262144 --rows 8 --iters 3 --docs 100 --queries 300
-# serve-smoke: starts the adaptive-scheduler server (in-process and on a
-# loopback non-blocking TCP port), sweeps the paced load levels 1/2/8 so
-# the scheduler exercises both the inline-bypass and batching regimes, and
-# asserts result parity with direct evaluation (served arms and TCP front
+# serve-smoke: starts the server (in-process and on a loopback
+# non-blocking TCP port), sweeps the paced load levels 1/2/8 so concurrent
+# clients exercise both inline evaluation and the worker queue, and
+# asserts result parity with direct evaluation (in-process and TCP front
 # alike), non-empty responses for present-term queries, strictly-smaller
 # tier selection under a loosened FPR budget, and a clean drain-and-join
 # shutdown. Mid-frame stalled-client abort and cached-vs-uncached parity
