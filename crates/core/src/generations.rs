@@ -45,12 +45,12 @@
 //! the same documents in the same arrival order is exactly the component-wise
 //! OR: its filter matrix is the OR of the component matrices, and its bucket
 //! lists are the offset concatenation of the component bucket lists. Queries
-//! here evaluate **OR-first**: per repetition, each probed filter row is
-//! OR-ed across components *before* the η-row AND that forms the bucket
-//! mask. The order matters — AND-ing within each component and unioning the
-//! per-component *answers* would miss exactly the monolith's
-//! cross-component false positives and break bit-identity (the property
-//! tests pin this equivalence, including for [`QueryMode::Sparse`]).
+//! here evaluate **OR-first**: per repetition, one gather ORs each probed
+//! filter row across components into a block *before* the η-row AND that
+//! forms the bucket mask (see [`crate::query`]). AND-ing within each
+//! component and unioning the per-component *answers* would miss exactly the
+//! monolith's cross-component false positives and break bit-identity (the
+//! property tests pin this equivalence, including for [`QueryMode::Sparse`]).
 
 use std::sync::Arc;
 

@@ -372,17 +372,24 @@ impl BfuMatrix {
         }
     }
 
-    /// OR the row at word offset `offset` into `acc` — the cross-component
-    /// fold of [`crate::generations`], which must happen before the η-row
-    /// AND. Paged tail bits may leak into `acc`; the AND against a
-    /// tail-zeroed mask drops them. (A plain loop: rows are `⌈B/64⌉` words,
-    /// too short to repay a kernel dispatch each.)
-    pub(crate) fn or_row_into(&self, offset: usize, acc: &mut [u64], scratch: &mut Vec<u64>) {
-        self.with_row(offset, scratch, |row| {
-            for (a, r) in acc.iter_mut().zip(row) {
-                *a |= r;
+    /// OR row `rows[i]` into `block[i · row_words..]` for every `i`: this
+    /// matrix's share of the cross-component gather in [`crate::query`].
+    /// The backend is resolved once; dense rows come straight from the word
+    /// slice, RRR and paged rows through [`BfuMatrix::with_row`]. Paged tail
+    /// bits may leak into `block`; the evaluator's tail-zeroed masks drop them.
+    pub(crate) fn or_rows_into(&self, rows: &[usize], block: &mut [u64], scratch: &mut Vec<u64>) {
+        let rw = self.row_words;
+        let dense = match &self.store {
+            MatrixStore::Dense(ws) => Some(ws.as_words()),
+            _ => None,
+        };
+        for (slot, &offset) in block.chunks_exact_mut(rw).zip(rows) {
+            let mut or = |row: &[u64]| slot.iter_mut().zip(row).for_each(|(a, r)| *a |= r);
+            match dense {
+                Some(words) => or(&words[offset..offset + rw]),
+                None => self.with_row(offset, scratch, or),
             }
-        });
+        }
     }
 
     /// Extract one BFU's bits as a standalone filter image (column slice).

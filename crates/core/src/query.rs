@@ -23,8 +23,10 @@
 //! The evaluator works over a **component list** — `(index, first global
 //! document id)` pairs sharing one geometry and seed schedule. A [`Rambo`]
 //! is the list of one; [`crate::GenerationalIndex`] passes its sealed
-//! generations plus memtable, and each planned row is OR-ed across
-//! components before the AND (see that module for why the order matters).
+//! generations plus memtable, and one **gather** per component list ORs each
+//! planned row across components into a contiguous block before the AND (see
+//! that module for why the order matters). The block then feeds the
+//! single-index kernels: the gather-AND, or θ's per-term η-AND.
 //!
 //! Two evaluation strategies:
 //!
@@ -68,10 +70,11 @@ pub struct QueryContext {
     rows: Vec<usize>,
     /// Bucket mask for the per-table probe (`⌈B/64⌉` words).
     mask: Vec<u64>,
-    /// Row staging for non-dense probes: one decoded RRR row, and the
-    /// cross-component OR of one row.
+    /// One decoded RRR row, for probes of non-dense storage.
     row_scratch: Vec<u64>,
-    or_row: Vec<u64>,
+    /// The multi-component gather: planned row `i`, OR-ed across the
+    /// component list, at words `i·⌈B/64⌉..` (see the [module docs](self)).
+    block: Vec<u64>,
     /// Intersection accumulator across repetitions (`K` bits, Full mode).
     acc: BitVec,
     /// Per-repetition union bitmap (`K` bits, Full mode).
@@ -111,7 +114,7 @@ impl QueryContext {
             rows: Vec::new(),
             mask: Vec::new(),
             row_scratch: Vec::new(),
-            or_row: Vec::new(),
+            block: Vec::new(),
             acc: BitVec::zeros(0),
             tbl: BitVec::zeros(0),
             probes: Vec::new(),
@@ -134,8 +137,8 @@ impl QueryContext {
     /// per repetition, `acc` is overwritten from `tbl` at repetition 0 (and
     /// only documents `< docs` are ever set), `probes[..buckets]` is zeroed
     /// per repetition, and `counts[..docs]`, the θ mask arena and the bucket
-    /// counters are reset per θ-query. The row plan and the row staging are
-    /// rewritten before each use.
+    /// counters are reset per θ-query. The row plan, the row staging and the
+    /// gather block are rewritten before each use.
     fn ensure(&mut self, docs: usize, buckets: usize) {
         if self.acc.len() < docs {
             self.acc = BitVec::zeros(docs);
@@ -205,37 +208,53 @@ fn bit(words: &[u64], i: usize) -> bool {
     (words[i / 64] >> (i % 64)) & 1 == 1
 }
 
+/// Planned rows per gather group of a multi-component AND probe: the mask is
+/// checked after each group, so a query that dies early skips the rest.
+const GATHER_ROWS: usize = 64;
+
+/// The cross-component gather: row `rows[i]` of repetition `rep`, OR-ed
+/// across `comps`, lands at `block[i·rw..][..rw]`. Paged tail bits beyond
+/// `B` may be set; both consumers drop them against a tail-zeroed mask.
+fn gather<'b>(
+    comps: &[Component<'_>],
+    rep: usize,
+    rows: &[usize],
+    rw: usize,
+    block: &'b mut Vec<u64>,
+    row_scratch: &mut Vec<u64>,
+) -> &'b [u64] {
+    block.clear();
+    block.resize(rows.len() * rw, 0);
+    for matrix in comps.iter().map(|(comp, _)| &comp.tables[rep].matrix) {
+        matrix.or_rows_into(rows, block, row_scratch);
+    }
+    block
+}
+
 /// The probe every verb shares: AND into `dst` the planned `rows` of
 /// repetition `rep`, each OR-ed across `comps` first. Returns `false` once
-/// `dst` is all-zero.
+/// `dst` is all-zero. Overwrites `rows`.
 fn and_rows_into(
     comps: &[Component<'_>],
     rep: usize,
     rows: &mut [usize],
     dst: &mut [u64],
     row_scratch: &mut Vec<u64>,
-    or_row: &mut Vec<u64>,
+    block: &mut Vec<u64>,
 ) -> bool {
     if let [(only, _)] = comps {
         return only.tables[rep]
             .matrix
             .and_rows_into(rows, dst, row_scratch);
     }
-    grow(or_row, dst.len());
-    let or_row = &mut or_row[..dst.len()];
-    rows.iter().all(|&offset| {
-        or_row.fill(0);
-        for (comp, _) in comps {
-            comp.tables[rep]
-                .matrix
-                .or_row_into(offset, or_row, row_scratch);
+    let rw = dst.len();
+    rows.chunks_mut(GATHER_ROWS).all(|group| {
+        let gathered = gather(comps, rep, group, rw, block, row_scratch);
+        // The group's rows now sit back to back: re-point the plan at them.
+        for (i, row) in group.iter_mut().enumerate() {
+            *row = i * rw;
         }
-        let mut live = 0;
-        for (d, r) in dst.iter_mut().zip(or_row.iter()) {
-            *d &= r;
-            live |= *d;
-        }
-        live != 0
+        kernel::and_gather_rows_into_any(dst, gathered, group)
     })
 }
 
@@ -278,7 +297,7 @@ fn query_full(comps: &[Component<'_>], plan: &Planner<'_>, ctx: &mut QueryContex
         rows,
         mask,
         row_scratch,
-        or_row,
+        block,
         acc,
         tbl,
         ..
@@ -287,7 +306,7 @@ fn query_full(comps: &[Component<'_>], plan: &Planner<'_>, ctx: &mut QueryContex
     for (rep, &seed) in lead.bloom_seeds.iter().enumerate() {
         plan(seed, rows);
         fill_ones(mask, b);
-        if !and_rows_into(comps, rep, rows, mask, row_scratch, or_row) {
+        if !and_rows_into(comps, rep, rows, mask, row_scratch, block) {
             return Vec::new(); // no BFU holds every term: the union is empty
         }
         tbl.clear_all();
@@ -324,7 +343,7 @@ fn query_sparse(comps: &[Component<'_>], plan: &Planner<'_>, ctx: &mut QueryCont
         rows,
         mask,
         row_scratch,
-        or_row,
+        block,
         probes,
         candidates,
         ..
@@ -338,7 +357,7 @@ fn query_sparse(comps: &[Component<'_>], plan: &Planner<'_>, ctx: &mut QueryCont
             // buckets (buckets partition the documents, so the
             // concatenation is duplicate-free; one sort restores id order).
             fill_ones(mask, b);
-            if and_rows_into(comps, 0, rows, mask, row_scratch, or_row) {
+            if and_rows_into(comps, 0, rows, mask, row_scratch, block) {
                 for bucket in ones(mask) {
                     for &(comp, lo) in comps {
                         candidates.extend(comp.tables[0].buckets[bucket].iter().map(|&d| lo + d));
@@ -421,7 +440,7 @@ fn theta_by_bucket_count(
     let QueryContext {
         rows,
         row_scratch,
-        or_row,
+        block,
         term_masks,
         passing,
         bucket_counts,
@@ -437,9 +456,13 @@ fn theta_by_bucket_count(
             let matrix = &only.tables[rep].matrix;
             matrix.term_masks_into(rows, eta, masks, row_scratch);
         } else {
-            for (mask, term_rows) in masks.chunks_exact_mut(rw).zip(rows.chunks_exact_mut(eta)) {
+            let per_term = gather(comps, rep, rows, rw, block, row_scratch).chunks_exact(eta * rw);
+            for (mask, term_rows) in masks.chunks_exact_mut(rw).zip(per_term) {
+                // A tail-zeroed start keeps the counters off buckets ≥ `B`.
                 fill_ones(mask, b);
-                and_rows_into(comps, rep, term_rows, mask, row_scratch, or_row);
+                for row in term_rows.chunks_exact(rw) {
+                    mask.iter_mut().zip(row).for_each(|(m, r)| *m &= r);
+                }
             }
         }
         bucket_counts.add_rows(masks);
@@ -959,6 +982,55 @@ mod tests {
         let absent: Vec<u64> = (0..10).map(|i| 0xBBBB_0000_0000u64 + i).collect();
         let hits = r.query_sequence_theta(&absent, 0.9, QueryMode::Sparse, &mut ctx);
         assert!(hits.is_empty());
+    }
+
+    /// The gather's non-dense arm: owned, zero-copy view and RRR components
+    /// in one list answer every verb exactly like three owned ones, at a `B`
+    /// with a partial second row word and AND windows past two gather groups.
+    #[test]
+    fn gather_reads_every_storage_kind() {
+        let params = RamboParams::flat(100, 3, 1 << 12, 2, 21);
+        // Overlapping term ranges: rows set by different components meet in
+        // one bucket, so the OR across components matters.
+        let doc_terms = |g: u64| (0..30).map(move |t| (g * 7 + t) % 400);
+        let owned: Vec<Rambo> = (0..3u64)
+            .map(|c| {
+                let mut r = Rambo::new(params).unwrap();
+                for g in c * 40..(c + 1) * 40 {
+                    r.insert_document(&format!("doc{g}"), doc_terms(g)).unwrap();
+                }
+                r
+            })
+            .collect();
+        let view = Rambo::open_view(owned[1].to_bytes().unwrap().into()).unwrap();
+        let mut rrr = owned[2].clone();
+        rrr.compress_to_rrr();
+        assert!(view.is_view() && rrr.is_compressed());
+        let all_owned = [(&owned[0], 0), (&owned[1], 40), (&owned[2], 80)];
+        let mixed = [(&owned[0], 0), (&view, 40), (&rrr, 80)];
+        let mut ctx = QueryContext::new();
+        for g in [3u64, 57, 101] {
+            // AND: the document's terms cycled (so it always matches), then
+            // the same window ending on an absent term.
+            let own: Vec<u64> = doc_terms(g).cycle().take(80).collect();
+            let absent_last = [&own[..79], &[0xDEAD_0000_0000]].concat();
+            // θ: the document's terms, another's, and absent ones.
+            let seq: Vec<u64> = (doc_terms(g).chain(doc_terms(g + 13).take(20)))
+                .chain(0xBEEF_0000_0000..0xBEEF_0000_000A)
+                .collect();
+            for mode in [QueryMode::Full, QueryMode::Sparse] {
+                for terms in [&own[..1], &own[..7], &own[..40], &own, &absent_last] {
+                    let want = evaluate(&all_owned, terms, hash_u64, mode, &mut ctx);
+                    let got = evaluate(&mixed, terms, hash_u64, mode, &mut ctx);
+                    assert_eq!(got, want, "doc {g}, {} terms, {mode:?}", terms.len());
+                }
+                for theta in [0.4, 0.8, 1.0] {
+                    let want = evaluate_theta(&all_owned, &seq, theta, mode, &mut ctx);
+                    let got = evaluate_theta(&mixed, &seq, theta, mode, &mut ctx);
+                    assert_eq!(got, want, "doc {g}, θ = {theta}, {mode:?}");
+                }
+            }
+        }
     }
 
     #[test]

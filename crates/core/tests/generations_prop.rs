@@ -58,6 +58,108 @@ fn probe_set(archive: &Archive) -> Vec<u64> {
     probes
 }
 
+/// Bucket counts whose rows span one, two, three and four words, with and
+/// without a partial last word.
+const BUCKETS: [u64; 5] = [8, 64, 100, 128, 200];
+
+/// A query window: the terms of document `doc` (modulo the archive size),
+/// cycled to `len` terms so repeats occur, with `splices` overwriting
+/// positions (modulo `len`): an even choice writes an absent term, an odd
+/// one a probe term that may belong to another document.
+#[derive(Debug, Clone)]
+struct Window {
+    doc: usize,
+    len: usize,
+    splices: Vec<(usize, u64)>,
+}
+
+fn window_strategy(max_len: usize) -> impl Strategy<Value = Window> {
+    (
+        0usize..64,
+        1..=max_len,
+        proptest::collection::vec((0..max_len, any::<u64>()), 0..4),
+    )
+        .prop_map(|(doc, len, splices)| Window { doc, len, splices })
+}
+
+/// AND windows of 1–80 terms and θ windows of up to 60.
+fn windows_strategy() -> impl Strategy<Value = (Vec<Window>, Vec<Window>)> {
+    (
+        proptest::collection::vec(window_strategy(80), 1..4),
+        proptest::collection::vec(window_strategy(60), 1..4),
+    )
+}
+
+impl Window {
+    fn terms(&self, archive: &Archive, probes: &[u64]) -> Vec<u64> {
+        let own = &archive.docs[self.doc % archive.docs.len()].1;
+        let mut terms: Vec<u64> = own.iter().copied().cycle().take(self.len).collect();
+        for &(at, choice) in &self.splices {
+            terms[at % self.len] = if choice % 2 == 0 {
+                0xDEAD_0000_0000_0000 | choice >> 16
+            } else {
+                probes[(choice >> 1) as usize % probes.len()]
+            };
+        }
+        terms
+    }
+}
+
+/// Long AND windows the fuzzed ones may miss: at η = 2 a gather group is
+/// 32 terms, so these end in the second and third group, one of them on an
+/// absent term that only the last group sees.
+fn fixed_windows() -> Vec<Window> {
+    [(33, None), (80, None), (80, Some(79))]
+        .into_iter()
+        .map(|(len, absent)| Window {
+            doc: 0,
+            len,
+            splices: absent.map(|at| (at, 0)).into_iter().collect(),
+        })
+        .collect()
+}
+
+/// [`assert_parity`] plus the fuzzed and fixed windows: every AND window in
+/// both modes, every θ window at θ ∈ {0.4, 0.8, 1.0} in both modes.
+fn assert_window_parity(
+    live: &GenerationalIndex,
+    mono: &Rambo,
+    archive: &Archive,
+    (and, theta): &(Vec<Window>, Vec<Window>),
+) {
+    let probes = probe_set(archive);
+    assert_parity(live, mono, &probes);
+    let mut ctx_live = QueryContext::new();
+    let mut ctx_mono = QueryContext::new();
+    for window in and.iter().chain(&fixed_windows()) {
+        let terms = window.terms(archive, &probes);
+        for mode in [QueryMode::Full, QueryMode::Sparse] {
+            let a = live.query_terms_with(&terms, mode, &mut ctx_live);
+            let b = mono.query_terms_with(&terms, mode, &mut ctx_mono);
+            prop_assert_eq!(&a, &b, "AND divergence on {:?} ({:?})", window, mode);
+        }
+    }
+    for window in theta {
+        let seq = window.terms(archive, &probes);
+        for theta in [0.4, 0.8, 1.0] {
+            let want = mono.query_sequence_theta(&seq, theta, QueryMode::Sparse, &mut ctx_mono);
+            let mono_full = mono.query_sequence_theta(&seq, theta, QueryMode::Full, &mut ctx_mono);
+            prop_assert_eq!(&mono_full, &want, "monolith θ={} on {:?}", theta, window);
+            for mode in [QueryMode::Full, QueryMode::Sparse] {
+                let got = live.query_sequence_theta_with(&seq, theta, mode, &mut ctx_live);
+                prop_assert_eq!(
+                    &got,
+                    &want,
+                    "θ={} divergence on {:?} ({:?})",
+                    theta,
+                    window,
+                    mode
+                );
+            }
+        }
+    }
+}
+
 fn assert_parity(live: &GenerationalIndex, mono: &Rambo, probes: &[u64]) {
     let mut ctx_live = QueryContext::new();
     let mut ctx_mono = QueryContext::new();
@@ -126,8 +228,10 @@ proptest! {
         // One schedule byte per insert: bit 0 = force a seal after it,
         // bit 1 = run one merge step, bit 2 = run maintenance to quiescence.
         schedule in proptest::collection::vec(0u8..8, 16),
+        buckets in proptest::sample::select(BUCKETS.to_vec()),
+        windows in windows_strategy(),
     ) {
-        let params = RamboParams::flat(8, 3, 1 << 10, 2, seed);
+        let params = RamboParams::flat(buckets, 3, 1 << 10, 2, seed);
         let config = GenerationConfig {
             memtable_fpr_budget: 1.0, // doc cap drives auto-seals
             memtable_max_docs: cap,
@@ -135,7 +239,6 @@ proptest! {
             max_generations,
         };
         let mut live = GenerationalIndex::new(params, config).unwrap();
-        let probes = probe_set(&archive);
         for (i, (name, terms)) in archive.docs.iter().enumerate() {
             let id = live.insert_document(name, terms).unwrap();
             prop_assert_eq!(id, i as u32, "global ids must be dense and stable");
@@ -150,7 +253,7 @@ proptest! {
                 live.maintain().unwrap();
             }
             let mono = oracle(params, &archive.docs[..=i]);
-            assert_parity(&live, &mono, &probes);
+            assert_window_parity(&live, &mono, &archive, &windows);
             prop_assert_eq!(
                 live.to_monolithic().unwrap(),
                 mono,
@@ -165,14 +268,18 @@ proptest! {
     }
 
     /// Every query verb equals the monolith for every component count: 0–3
-    /// sealed, never-merged generations plus a non-empty memtable.
+    /// sealed, never-merged generations plus a non-empty memtable, at every
+    /// row width, for AND windows that cross gather groups and long θ
+    /// windows with repeats.
     #[test]
     fn every_component_count_matches_monolith(
         archive in archive_strategy(12),
         sealed in 0usize..4,
         seed in any::<u64>(),
+        buckets in proptest::sample::select(BUCKETS.to_vec()),
+        windows in windows_strategy(),
     ) {
-        let params = RamboParams::flat(8, 3, 1 << 10, 2, seed);
+        let params = RamboParams::flat(buckets, 3, 1 << 10, 2, seed);
         let config = GenerationConfig {
             memtable_fpr_budget: 1.0, // never auto-seal: the test places the seals
             memtable_max_docs: 0,
@@ -188,7 +295,7 @@ proptest! {
         }
         prop_assert_eq!(live.num_generations(), sealed.min(last));
         prop_assert!(live.memtable_documents() > 0);
-        assert_parity(&live, &oracle(params, &archive.docs), &probe_set(&archive));
+        assert_window_parity(&live, &oracle(params, &archive.docs), &archive, &windows);
     }
 
     /// The merge policy must respect its bound for any config: after

@@ -285,8 +285,23 @@ fn wrong_arity(canonical: &str) -> Vec<u8> {
 
 /// A term token: a decimal `u64` is a raw hash, anything else is a word.
 fn parse_term(tok: &[u8]) -> u64 {
-    let s = String::from_utf8_lossy(tok);
-    s.parse::<u64>().unwrap_or_else(|_| term_of(&s))
+    decimal_u64(tok).unwrap_or_else(|| term_of(&String::from_utf8_lossy(tok)))
+}
+
+/// `str::parse::<u64>` straight from the bytes: an optional `+`, then one or
+/// more ASCII digits (leading zeros allowed) whose value fits in a `u64`.
+fn decimal_u64(tok: &[u8]) -> Option<u64> {
+    let digits = tok.strip_prefix(b"+").unwrap_or(tok);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(u64::from(d))
+    })
 }
 
 /// Degenerate single-repetition geometry for a `BF.*` tenant: 2 buckets
@@ -739,6 +754,82 @@ mod tests {
             text.starts_with("-ERR quota exceeded"),
             "full filter must reject in-protocol: {text}"
         );
+    }
+
+    /// The byte-level term parser keeps `str::parse::<u64>`'s definition:
+    /// signs, leading zeros, the `u64` edge, non-UTF-8 bytes and fuzzed
+    /// tokens over a digit-heavy alphabet all map to the same term.
+    #[test]
+    fn parse_term_matches_str_parse() {
+        let old = |tok: &[u8]| {
+            let s = String::from_utf8_lossy(tok);
+            s.parse::<u64>().unwrap_or_else(|_| term_of(&s))
+        };
+        let max = u64::MAX.to_string();
+        let over = (u128::from(u64::MAX) + 1).to_string();
+        let mut tokens: Vec<Vec<u8>> = [
+            "",
+            "+",
+            "-",
+            "0",
+            "+7",
+            "-1",
+            "007",
+            "+007",
+            "++7",
+            "+-7",
+            "7+",
+            " 7",
+            "7 ",
+            "1e3",
+            "0x10",
+            "alpha",
+            &max,
+            &over,
+            "99999999999999999999999",
+        ]
+        .iter()
+        .map(|s| s.as_bytes().to_vec())
+        .collect();
+        tokens.extend([
+            vec![0xFF],
+            vec![b'1', 0xC3],
+            vec![0xC3, 0xA9, b'4'],
+            vec![b'9'; 25],
+        ]);
+        // xorshift64: fuzzed tokens of 1–22 bytes from digits, signs, a
+        // letter and two non-UTF-8 bytes.
+        let alphabet = b"0123456789+-a\xff\xc3";
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..20_000 {
+            let len = 1 + (next() % 22) as usize;
+            let tok = (0..len)
+                .map(|i| {
+                    // Mostly digits, so long tokens reach the overflow edge.
+                    let r = next();
+                    if i > 0 && r % 8 != 0 {
+                        b'0' + (r % 10) as u8
+                    } else {
+                        alphabet[(r % alphabet.len() as u64) as usize]
+                    }
+                })
+                .collect();
+            tokens.push(tok);
+        }
+        for tok in &tokens {
+            assert_eq!(parse_term(tok), old(tok), "token {tok:?}");
+        }
+        assert_eq!(parse_term(b"+7"), 7);
+        assert_eq!(parse_term(b"007"), 7);
+        assert_eq!(parse_term(max.as_bytes()), u64::MAX);
+        assert_eq!(parse_term(over.as_bytes()), term_of(&over));
+        assert_eq!(parse_term(b"-1"), term_of("-1"));
     }
 
     #[test]
