@@ -30,7 +30,7 @@ pub use bitsliced::{BitSlicedIndex, CompactBitSliced};
 pub use inverted::InvertedIndex;
 pub use sbt::Sbt;
 pub use split::SplitSbt;
-pub use traits::{intersect_sorted, MembershipIndex, RamboIndex, RamboPlusIndex};
+pub use traits::{MembershipIndex, RamboIndex, RamboPlusIndex};
 
 /// A document ready for batch indexing: `(name, distinct terms)`.
 ///

@@ -42,15 +42,8 @@ pub trait MembershipIndex {
 }
 
 /// Intersection of two ascending id lists.
-///
-/// Exposed publicly for the §5.1 "bitmap arrays vs sets" ablation: the
-/// benches compare this sorted-list merge against [`BitVec`] word-AND at
-/// different densities (the paper picked bitmaps because result sets exceed
-/// the ~15% density where bitmaps win).
-///
-/// [`BitVec`]: rambo_bitvec::BitVec
 #[must_use]
-pub fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
+fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {

@@ -1,9 +1,11 @@
 //! Shared harness machinery for the table/figure reproduction binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md's per-experiment index); this library holds what they
-//! share: the paper's parameter grids, index-suite construction with build
-//! timing, query timing loops, and a tiny CLI-argument parser (no external
+//! (see DESIGN.md's per-experiment index), except `storage_cold` and
+//! `mutable_load`, which record the cold tiers and the merge phase that no
+//! `benchmark/` workload measures yet. This library holds what they share:
+//! the paper's parameter grids, index-suite construction with build timing,
+//! query timing loops, and a tiny CLI-argument parser (no external
 //! dependency).
 
 #![forbid(unsafe_code)]
@@ -156,8 +158,9 @@ pub fn build_rambo(params: RamboParams, docs: &[(String, Vec<u64>)]) -> Rambo {
 }
 
 /// Synthetic ENA-like archive with an explicit mean terms-per-document —
-/// the workload every throughput bin builds (σ is set to a third of the
-/// mean, matching the archives the paper's experiments sample).
+/// the workload `storage_cold` and `mutable_load` build (σ is set to a
+/// third of the mean, matching the archives the paper's experiments
+/// sample).
 #[must_use]
 pub fn archive_with_mean_terms(
     docs: usize,
@@ -205,22 +208,6 @@ pub fn window_queries(
     queries
 }
 
-/// Single-term probes: 3/4 present terms (up to three per document), the
-/// rest absent, exactly `n` in total.
-#[must_use]
-pub fn single_term_queries(archive: &rambo_workloads::SyntheticArchive, n: usize) -> Vec<u64> {
-    let mut queries: Vec<u64> = archive
-        .docs
-        .iter()
-        .flat_map(|(_, ts)| ts.iter().take(3).copied())
-        .take(n * 3 / 4)
-        .collect();
-    while queries.len() < n {
-        queries.push(absent_term(queries.len()));
-    }
-    queries
-}
-
 /// Exit with the conventional usage status (2) when any size/count flag is
 /// zero: a zero-sized run measures nothing and would otherwise panic deep
 /// inside index construction with a far less useful message. List-valued
@@ -241,12 +228,6 @@ pub fn us_per(d: Duration, n: usize) -> f64 {
     d.as_secs_f64() * 1e6 / n.max(1) as f64
 }
 
-/// Wall-time speedup of `candidate` over `baseline` (>1 means faster).
-#[must_use]
-pub fn speedup(baseline: Duration, candidate: Duration) -> f64 {
-    baseline.as_secs_f64() / candidate.as_secs_f64().max(1e-12)
-}
-
 /// Time a query workload: mean wall time per query over `terms`.
 #[must_use]
 pub fn mean_query_time(index: &dyn MembershipIndex, terms: &[u64]) -> Duration {
@@ -262,8 +243,8 @@ pub fn mean_query_time(index: &dyn MembershipIndex, terms: &[u64]) -> Duration {
 }
 
 /// Minimal JSON-object writer for the machine-readable `BENCH_*.json`
-/// artifacts the throughput benchmarks emit (no external JSON dependency;
-/// keys keep insertion order so diffs across PRs stay readable).
+/// artifacts `storage_cold` and `mutable_load` emit (no external JSON
+/// dependency; keys keep insertion order so diffs stay readable).
 #[derive(Debug, Default)]
 pub struct JsonReport {
     fields: Vec<(String, String)>,
@@ -331,29 +312,24 @@ impl JsonReport {
         format!("{{\n{}\n}}\n", body.join(",\n"))
     }
 
-    /// Add a duration ratio field (>1 means `candidate` beat `baseline`).
+    /// Add a duration ratio field: the wall-time speedup of `candidate`
+    /// over `baseline` (>1 means `candidate` was faster).
     pub fn ratio(&mut self, key: &str, baseline: Duration, candidate: Duration) -> &mut Self {
-        self.num(key, speedup(baseline, candidate))
+        self.num(
+            key,
+            baseline.as_secs_f64() / candidate.as_secs_f64().max(1e-12),
+        )
     }
 
-    /// Write the report to `path` and echo it to stdout.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        let rendered = self.render();
-        print!("{rendered}");
-        std::fs::write(path, rendered)
-    }
-
-    /// [`JsonReport::write`], panicking with context on failure — the
-    /// shared tail of every `BENCH_*.json`-emitting binary.
+    /// Write the report to `path` and echo it to stdout — the shared tail of
+    /// every `BENCH_*.json`-emitting binary.
     ///
     /// # Panics
     /// Panics when the file cannot be written.
     pub fn finish(&self, path: &str) {
-        self.write(path)
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+        let rendered = self.render();
+        print!("{rendered}");
+        std::fs::write(path, rendered).unwrap_or_else(|e| panic!("write {path}: {e}"));
     }
 }
 
@@ -408,12 +384,6 @@ impl Args {
         self.get(key)
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
-    }
-
-    /// Look up a boolean flag (present without value = true).
-    #[must_use]
-    pub fn get_bool(&self, key: &str) -> bool {
-        self.get(key).is_some_and(|v| v != "false")
     }
 
     /// Raw lookup.

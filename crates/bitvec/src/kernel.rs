@@ -9,9 +9,11 @@
 //! length so bounds checks hoist out. [`and_rows_into_any`] additionally
 //! fuses up to `N` probed rows into a *single* pass over the destination
 //! mask — `N + 2` streams instead of `3N` — which is where the measured win
-//! over the row-at-a-time baseline comes from (see the `probe_kernel`
-//! bench). The same trick is what makes the bit-sliced COBS/Bloofi baselines
-//! fast; here it is applied across buckets instead of documents.
+//! over the row-at-a-time baseline comes from (`query_direct` and the
+//! `bitvec.kernel.and_rows_ns_per_word` trace metric of the `benchmark/`
+//! package measure it). The same trick is what makes the bit-sliced
+//! COBS/Bloofi baselines fast; here it is applied across buckets instead of
+//! documents.
 //! [`and_gather_rows_into_any`] runs that fused body over a whole list of
 //! rows named by their offsets in one row-major matrix — the entire probe of
 //! one repetition in a single dispatched call.
@@ -38,13 +40,12 @@
 //! The free functions ([`and_rows_into_any`], [`and_gather_rows_into_any`],
 //! [`or_into`], [`popcount`], [`any`]) and [`ColumnCounter::new`] dispatch
 //! through the process-wide selection ([`Kernel::auto`]): detected once on
-//! first use, overridable with the `RAMBO_KERNEL` environment variable
-//! (`scalar`, `avx2`, `auto`).
+//! first use.
 //! Every `BitVec` boolean op, every BFU-matrix probe and every column fill
 //! therefore picks up the best available backend with no API change.
-//! [`Kernel::forced`] pins a specific backend for A/B benchmarking and the
-//! bit-identity property tests (`tests/prop.rs` proves every backend equal
-//! to scalar on fuzzed geometries).
+//! [`Kernel::forced`] pins a specific backend for the bit-identity property
+//! tests (`tests/prop.rs` proves every backend equal to scalar on fuzzed
+//! geometries).
 //!
 //! Unsafe policy: the AVX2 variants are the crate's only unsafe code besides
 //! the zero-copy word cast (see `store::cast_words`); each `unsafe` block is
@@ -110,24 +111,14 @@ impl Backend {
         }
     }
 
-    /// Stable lower-case name (`"scalar"`, `"avx2"`) — the spelling
-    /// [`Backend::parse`] and the `RAMBO_KERNEL` environment override accept,
-    /// and what the bench JSON records.
+    /// Stable lower-case name (`"scalar"`, `"avx2"`), as [`fmt::Display`]
+    /// prints it.
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
         }
-    }
-
-    /// Parse a backend name as written by [`Backend::name`] (case-insensitive).
-    /// Returns `None` for unknown names.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        Self::ALL
-            .into_iter()
-            .find(|b| b.name().eq_ignore_ascii_case(name.trim()))
     }
 }
 
@@ -164,41 +155,11 @@ impl fmt::Display for UnsupportedBackend {
 
 impl std::error::Error for UnsupportedBackend {}
 
-/// The process-wide backend behind the free-function kernels: resolved once,
-/// on first use, from the `RAMBO_KERNEL` environment variable when set to a
-/// valid supported backend, otherwise [`Backend::detect`]. An unknown or
-/// unsupported override is reported to stderr once and falls back to
-/// detection — a misconfigured knob must never break queries.
+/// The process-wide backend behind the free-function kernels:
+/// [`Backend::detect`], resolved once on first use.
 fn global_backend() -> Backend {
     static GLOBAL: OnceLock<Backend> = OnceLock::new();
-    *GLOBAL.get_or_init(|| {
-        let Ok(raw) = std::env::var("RAMBO_KERNEL") else {
-            return Backend::detect();
-        };
-        let name = raw.trim();
-        if name.is_empty() || name.eq_ignore_ascii_case("auto") {
-            return Backend::detect();
-        }
-        match Backend::parse(name) {
-            Some(b) if b.is_supported() => b,
-            Some(b) => {
-                eprintln!(
-                    "RAMBO_KERNEL={name}: backend {b} unsupported on this CPU; \
-                     falling back to {}",
-                    Backend::detect()
-                );
-                Backend::detect()
-            }
-            None => {
-                eprintln!(
-                    "RAMBO_KERNEL={name}: unknown backend (expected scalar, avx2 \
-                     or auto); falling back to {}",
-                    Backend::detect()
-                );
-                Backend::detect()
-            }
-        }
-    })
+    *GLOBAL.get_or_init(Backend::detect)
 }
 
 /// A dispatch handle binding the kernel entry points to one [`Backend`].
@@ -206,8 +167,7 @@ fn global_backend() -> Backend {
 /// The hot paths ([`BitVec`](crate::BitVec) boolean ops, the BFU-matrix
 /// probe, [`ColumnCounter`]) go through [`Kernel::auto`] — the process-wide
 /// selection, so they need no plumbing. [`Kernel::forced`] pins a specific
-/// backend, which is how the `probe_kernel` bench times scalar vs AVX2 on
-/// the same data and how the property tests prove the backends bit-identical.
+/// backend, which is how the property tests prove the backends bit-identical.
 ///
 /// ```
 /// use rambo_bitvec::kernel::{Backend, Kernel};
@@ -234,9 +194,9 @@ impl Default for Kernel {
 }
 
 impl Kernel {
-    /// The process-wide selection: `RAMBO_KERNEL` override when valid,
-    /// otherwise the best backend [`Backend::detect`] finds. Resolved once
-    /// per process; this call is a cached atomic load afterwards.
+    /// The process-wide selection: the best backend [`Backend::detect`]
+    /// finds. Resolved once per process; this call is a cached atomic load
+    /// afterwards.
     #[inline]
     #[must_use]
     pub fn auto() -> Self {
@@ -245,7 +205,7 @@ impl Kernel {
         }
     }
 
-    /// Pin a specific backend (for benchmarking and differential tests).
+    /// Pin a specific backend (for differential tests).
     ///
     /// # Errors
     /// [`UnsupportedBackend`] when the CPU cannot run `backend` — a forced
@@ -463,9 +423,8 @@ pub fn and_gather_rows_into_any(dst: &mut [u64], words: &[u64], row_offsets: &[u
 }
 
 /// Reference row-at-a-time AND (`dst &= src`), one row per pass — the
-/// pre-kernel scalar baseline, kept for the `probe_kernel` benchmark and the
-/// bit-identity property tests. Never dispatched: this is the same portable
-/// loop on every host.
+/// pre-kernel scalar baseline, kept for the bit-identity property tests.
+/// Never dispatched: this is the same portable loop on every host.
 ///
 /// # Panics
 /// Panics if `src` is shorter than `dst`.
@@ -1148,12 +1107,8 @@ mod tests {
     #[test]
     fn backend_names_roundtrip() {
         for b in Backend::ALL {
-            assert_eq!(Backend::parse(b.name()), Some(b));
-            assert_eq!(Backend::parse(&b.name().to_uppercase()), Some(b));
             assert_eq!(format!("{b}"), b.name());
         }
-        assert_eq!(Backend::parse("neon"), None);
-        assert_eq!(Backend::parse(""), None);
     }
 
     #[test]

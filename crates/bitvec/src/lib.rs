@@ -32,8 +32,8 @@
 //! (typically a memory-mapped file), and the word-loop hot paths run through
 //! the runtime-dispatched kernels in [`kernel`] — a portable unrolled
 //! [`Backend::Scalar`] everywhere, 256-bit [`Backend::Avx2`] variants where
-//! `is_x86_feature_detected!` confirms support (override with the
-//! `RAMBO_KERNEL` environment variable or pin a [`Kernel`] explicitly).
+//! `is_x86_feature_detected!` confirms support (pin a [`Kernel`] to choose
+//! one explicitly).
 //!
 //! Unsafe policy: the crate is `deny(unsafe_code)` with scoped, audited
 //! allows in exactly two places — the aligned `&[u8]` → `&[u64]`

@@ -21,7 +21,7 @@ const MAGIC: &[u8; 4] = b"RBF1";
 ///
 /// ```
 /// use rambo_bloom::{BloomFilter, BloomParams};
-/// let mut f = BloomFilter::new(BloomParams::for_capacity(1000, 0.01, 42));
+/// let mut f = BloomFilter::new(BloomParams::fixed(1 << 14, 7, 42));
 /// f.insert_bytes(b"ACGTACGTACGTACGT");
 /// assert!(f.contains_bytes(b"ACGTACGTACGTACGT")); // never a false negative
 /// ```
@@ -260,6 +260,7 @@ impl BloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::{optimal_eta_for_fpr, optimal_m};
     use rambo_hash::SplitMix64;
 
     fn params(m: usize, eta: u32) -> BloomParams {
@@ -295,7 +296,8 @@ mod tests {
         // Size for 2000 keys at 1%: measured FPR on unseen keys should land
         // in the same decade.
         let n = 2000;
-        let mut f = BloomFilter::new(BloomParams::for_capacity(n, 0.01, 3));
+        let sized = BloomParams::fixed(optimal_m(n, 0.01), optimal_eta_for_fpr(0.01), 3);
+        let mut f = BloomFilter::new(sized);
         for i in 0..n as u64 {
             f.insert_u64(i);
         }

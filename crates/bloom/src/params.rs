@@ -22,20 +22,6 @@ pub struct BloomParams {
 }
 
 impl BloomParams {
-    /// Parameters sized for `n` expected keys at target false-positive rate
-    /// `p`, seeded with `seed`.
-    ///
-    /// # Panics
-    /// Panics unless `0 < p < 1` and `n > 0`.
-    #[must_use]
-    pub fn for_capacity(n: usize, p: f64, seed: u64) -> Self {
-        Self {
-            m_bits: optimal_m(n, p),
-            eta: optimal_eta_for_fpr(p),
-            seed,
-        }
-    }
-
     /// Fixed-size parameters (the paper hand-fixes BFU sizes per experiment,
     /// e.g. 10⁹ bits for the McCortex runs).
     #[must_use]
@@ -128,7 +114,7 @@ mod tests {
         // Sizing for p then evaluating the estimate at capacity should land
         // at or below ~p (the ceil in m and η pushes it slightly under).
         for &p in &[0.1, 0.01, 0.001] {
-            let params = BloomParams::for_capacity(50_000, p, 1);
+            let params = BloomParams::fixed(optimal_m(50_000, p), optimal_eta_for_fpr(p), 1);
             let achieved = expected_fpr(params.m_bits, 50_000, params.eta);
             assert!(
                 achieved <= p * 1.05,

@@ -706,12 +706,6 @@ pub struct ClusterStats {
 }
 
 impl ClusterStats {
-    /// Total hedges fired across shards.
-    #[must_use]
-    pub fn total_hedges(&self) -> u64 {
-        self.shards.iter().map(|s| s.hedges).sum()
-    }
-
     /// Total failover re-launches across shards.
     #[must_use]
     pub fn total_failovers(&self) -> u64 {

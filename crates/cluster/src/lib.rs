@@ -27,7 +27,7 @@
 //!   monolith's answer restricted to that node's documents — false
 //!   positives included — so the union of per-shard answers is
 //!   **bit-identical** to querying the stacked monolith (property-tested,
-//!   and re-asserted on every `cluster_serve` bench run). Deadlines
+//!   and asserted per query over loopback shard servers). Deadlines
 //!   propagate to shards net of elapsed time, and **hedged reads** re-issue
 //!   a straggling request to a sibling replica after a delay derived from
 //!   the replica's own latency histogram quantile — the first answer wins.

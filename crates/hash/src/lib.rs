@@ -5,8 +5,8 @@
 //!
 //! 1. **Bloom-filter key hashing** — every term (a packed 31-mer or a word)
 //!    must be mapped to `η` bit positions inside a Bloom Filter for the Union
-//!    (BFU). We use [MurmurHash3](murmur3_x64_128) (128-bit, x64 variant) to
-//!    derive a [`HashPair`] and expand it into `η` indices with
+//!    (BFU). We use MurmurHash3 (128-bit, x64 variant) to derive a
+//!    [`HashPair`] and expand it into `η` indices with
 //!    Kirsch–Mitzenmacher *double hashing* (`h1 + i·h2 mod m`), which is the
 //!    standard trick used by BIGSI/COBS and friends: one hash computation
 //!    serves any `η`.
@@ -34,7 +34,7 @@ mod pair;
 mod universal;
 
 pub use mix::{mix64, splitmix64, SplitMix64};
-pub use murmur3::{murmur3_x64_128, murmur3_x64_64};
+pub use murmur3::murmur3_x64_64;
 pub use pair::{HashPair, Modulus};
 pub use universal::{CarterWegman, PartitionHasher, TwoLevelHash, MERSENNE_P61};
 

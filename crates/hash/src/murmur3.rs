@@ -33,17 +33,7 @@ fn read_u64_le(bytes: &[u8]) -> u64 {
 /// Returns the two 64-bit halves `(h1, h2)`. The pair is used directly as a
 /// [double-hashing pair](crate::HashPair) for Bloom filters, so a single call
 /// prices the entire `η`-probe sequence of a filter lookup.
-///
-/// ```
-/// use rambo_hash::murmur3_x64_128;
-/// // Deterministic: same input/seed, same output.
-/// assert_eq!(murmur3_x64_128(b"ACGT", 7), murmur3_x64_128(b"ACGT", 7));
-/// // Seed-sensitive.
-/// assert_ne!(murmur3_x64_128(b"ACGT", 7), murmur3_x64_128(b"ACGT", 8));
-/// // The empty string with seed 0 hashes to (0, 0) in reference MurmurHash3.
-/// assert_eq!(murmur3_x64_128(b"", 0), (0, 0));
-/// ```
-pub fn murmur3_x64_128(data: &[u8], seed: u64) -> (u64, u64) {
+pub(crate) fn murmur3_x64_128(data: &[u8], seed: u64) -> (u64, u64) {
     let len = data.len();
     let n_blocks = len / 16;
 
@@ -116,7 +106,7 @@ pub fn murmur3_x64_128(data: &[u8], seed: u64) -> (u64, u64) {
     (h1, h2)
 }
 
-/// 64-bit convenience wrapper: the first half of [`murmur3_x64_128`].
+/// 64-bit convenience wrapper: the first half of the 128-bit MurmurHash3.
 ///
 /// Used for document-name hashing (mapping set identities onto the
 /// 2-universal partition domain) where 64 bits are plenty.
@@ -143,6 +133,13 @@ mod tests {
         let c = murmur3_x64_128(b"the quick brown fox", 2);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn short_kmer_is_deterministic_and_seed_sensitive() {
+        // A tail-only input (no 16-byte block).
+        assert_eq!(murmur3_x64_128(b"ACGT", 7), murmur3_x64_128(b"ACGT", 7));
+        assert_ne!(murmur3_x64_128(b"ACGT", 7), murmur3_x64_128(b"ACGT", 8));
     }
 
     #[test]

@@ -50,8 +50,7 @@
 //! Every tier evaluator probes through the runtime-dispatched SIMD kernels
 //! of [`rambo_core::kernel`] (re-exported here as [`KernelBackend`] /
 //! [`Kernel`]): the best backend the CPU supports is selected once at
-//! startup, and the `RAMBO_KERNEL` environment variable (`scalar`, `avx2`,
-//! `auto`) pins one for benchmarking — no server configuration required.
+//! startup — no server configuration required.
 //!
 //! ```
 //! use rambo_core::{Rambo, RamboParams};

@@ -110,4 +110,24 @@ mod tests {
         wait(&mut fds, Duration::ZERO).unwrap();
         assert_ne!(fds[0].revents() & POLLHUP, 0, "hang-up is always reported");
     }
+
+    #[test]
+    fn a_quiet_wait_lasts_at_least_its_timeout() {
+        // Rounding down to whole milliseconds would return the sub-ms
+        // timeouts at once.
+        let (a, _b) = UnixStream::pair().unwrap();
+        for timeout in [
+            Duration::from_micros(1),
+            Duration::from_micros(999),
+            Duration::from_millis(1) + Duration::from_nanos(1),
+            Duration::from_micros(2_500),
+        ] {
+            let mut fds = [PollFd::new(&a, POLLIN)];
+            let start = std::time::Instant::now();
+            wait(&mut fds, timeout).unwrap();
+            let waited = start.elapsed();
+            assert_eq!(fds[0].revents(), 0, "{timeout:?}: no event was due");
+            assert!(waited >= timeout, "{timeout:?}: returned after {waited:?}");
+        }
+    }
 }

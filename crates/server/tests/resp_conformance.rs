@@ -209,7 +209,7 @@ fn params() -> RamboParams {
 }
 
 /// Fresh registry served over RESP for the scenario's duration.
-fn with_tenant_server(f: impl FnOnce(SocketAddr)) {
+fn with_tenant_server(f: impl FnOnce(&TenantRegistry, SocketAddr)) {
     let registry = TenantRegistry::new(params(), TenantQuotas::default()).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -226,7 +226,7 @@ fn with_tenant_server(f: impl FnOnce(SocketAddr)) {
         });
         // Stop the reactor even if an assertion panics, so the failure
         // surfaces instead of the scope hanging on the join.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(addr)));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&registry, addr)));
         stop.store(true, Ordering::Relaxed);
         let served = server.join().unwrap();
         if let Err(panic) = outcome {
@@ -301,7 +301,7 @@ fn resp_happy_paths() {
         Step::ExpectResp(1),
         Step::ExpectEof,
     ];
-    with_tenant_server(|addr| run_scenario("resp_happy", &steps, addr));
+    with_tenant_server(|_, addr| run_scenario("resp_happy", &steps, addr));
 }
 
 #[test]
@@ -333,7 +333,7 @@ fn resp_error_taxonomy() {
         Step::ExpectResp(1),
         Step::ExpectEof,
     ];
-    with_tenant_server(|addr| run_scenario("resp_errors", &steps, addr));
+    with_tenant_server(|_, addr| run_scenario("resp_errors", &steps, addr));
 }
 
 #[test]
@@ -360,7 +360,7 @@ fn resp_bf_compatibility() {
         Step::ExpectResp(1),
         Step::ExpectEof,
     ];
-    with_tenant_server(|addr| run_scenario("resp_bf", &steps, addr));
+    with_tenant_server(|_, addr| run_scenario("resp_bf", &steps, addr));
 }
 
 #[test]
@@ -380,7 +380,36 @@ fn resp_stats_surface() {
         Step::ExpectResp(1),
         Step::ExpectEof,
     ];
-    with_tenant_server(|addr| run_scenario("resp_stats", &steps, addr));
+    with_tenant_server(|_, addr| run_scenario("resp_stats", &steps, addr));
+}
+
+#[test]
+fn quota_rejections_agree_on_the_wire_and_in_the_registry() {
+    // A `docs=N` tenant takes N inserts and answers each of the k beyond
+    // its quota with an in-protocol error; the registry counts exactly k.
+    let (cap, extra) = (5, 3);
+    with_tenant_server(|registry, addr| {
+        let mut client = TestClient::connect(addr).unwrap();
+        client
+            .send_resp(&[b"R.CREATE", b"capped", format!("docs={cap}").as_bytes()])
+            .unwrap();
+        assert_eq!(client.read_resp_reply().unwrap(), b"+OK\r\n");
+        let mut wire_rejections = 0u64;
+        for i in 0..cap + extra {
+            let (name, term) = (format!("c-{i}"), (0xCAFE_0000 + i).to_string());
+            client
+                .send_resp(&[b"R.INSERTDOC", b"capped", name.as_bytes(), term.as_bytes()])
+                .unwrap();
+            let reply = client.read_resp_reply().unwrap();
+            if reply.starts_with(b"-ERR quota exceeded") {
+                wire_rejections += 1;
+            } else {
+                assert_eq!(reply, format!(":{i}\r\n").into_bytes());
+            }
+        }
+        assert_eq!(wire_rejections, extra);
+        assert_eq!(registry.stats("capped").unwrap().quota_rejections, extra);
+    });
 }
 
 #[test]

@@ -419,6 +419,9 @@ fn result_cache_serves_repeats_and_invalidates_on_version_bump() {
     });
     assert_eq!(stats.total_completed(), 3);
     assert_eq!(stats.total_cache_hits(), 1);
+    // A hit does not evaluate: three completions, two evaluations (inline
+    // or by a worker).
+    assert_eq!(stats.total_inline() + stats.total_batches(), 2);
     let cache = stats.cache.expect("cache enabled by default");
     assert_eq!(cache.counters.hits, 1);
     assert_eq!(cache.counters.stale, 1, "stale entry not dropped");

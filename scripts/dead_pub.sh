@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Grep-level reachability check for the public surface (ROADMAP item 10).
 #
-# For every `pub fn|struct|enum|trait|const` identifier declared under
-# crates/<c>/src, the name is *dead* when it appears as a word in no .rs
-# file outside crates/<c>/src — other crates, the root src/ tests/
-# examples/, any crate's tests/ or benches/, and benchmark/src. It is a
+# For every `pub fn|struct|enum|trait|const` identifier declared in a
+# crate's library (crates/<c>/src minus src/bin/), the name is *dead* when
+# it appears as a word in no .rs file outside that library — other crates,
+# the crate's own binaries (they link the lib as an external crate), the
+# root src/ tests/ examples/, any crate's tests/, and benchmark/src. It is a
 # word match, not name resolution: a common method name (`new`, `len`) is
 # kept alive by any namesake, so the list under-reports; what it does
 # report has no caller outside its own crate.
@@ -26,8 +27,9 @@ find crates src tests examples benchmark/src -name '*.rs' -not -path '*/target/*
 for dir in crates/*/; do
     c="$(basename "$dir")"
     [ -d "$dir/src" ] || continue
-    grep -v "^crates/$c/src/" "$tmp/all" | xargs grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort -u >"$tmp/outside"
-    find "crates/$c/src" -name '*.rs' -print0 |
+    { grep -v "^crates/$c/src/" "$tmp/all" || true; grep "^crates/$c/src/bin/" "$tmp/all" || true; } |
+        xargs grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort -u >"$tmp/outside"
+    find "crates/$c/src" -name '*.rs' -not -path "crates/$c/src/bin/*" -print0 |
         xargs -0 sed -nE 's/^[[:space:]]*pub (const fn|unsafe fn|fn|struct|enum|trait|const) ([A-Za-z_][A-Za-z0-9_]*).*/\2/p' |
         sort -u | comm -23 - "$tmp/outside" | sed "s/^/$c::/"
 done | sort >"$tmp/dead"
