@@ -1,9 +1,9 @@
 //! Shared harness machinery for the table/figure reproduction binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md's per-experiment index), except `storage_cold` and
-//! `mutable_load`, which record the cold tiers and the merge phase that no
-//! `benchmark/` workload measures yet. This library holds what they share:
+//! (see DESIGN.md's per-experiment index), except `storage_cold`, which
+//! records the cold tiers no `benchmark/` workload measures yet. This
+//! library holds what they share:
 //! the paper's parameter grids, index-suite construction with build timing,
 //! query timing loops, and a tiny CLI-argument parser (no external
 //! dependency).
@@ -158,9 +158,8 @@ pub fn build_rambo(params: RamboParams, docs: &[(String, Vec<u64>)]) -> Rambo {
 }
 
 /// Synthetic ENA-like archive with an explicit mean terms-per-document —
-/// the workload `storage_cold` and `mutable_load` build (σ is set to a
-/// third of the mean, matching the archives the paper's experiments
-/// sample).
+/// the workload `storage_cold` builds (σ is set to a third of the mean,
+/// matching the archives the paper's experiments sample).
 #[must_use]
 pub fn archive_with_mean_terms(
     docs: usize,
@@ -174,8 +173,7 @@ pub fn archive_with_mean_terms(
 }
 
 /// An absent probe term (outside every synthetic document's term range).
-#[must_use]
-pub fn absent_term(i: usize) -> u64 {
+fn absent_term(i: usize) -> u64 {
     0xDEAD_0000_0000u64 + i as u64
 }
 
@@ -242,9 +240,9 @@ pub fn mean_query_time(index: &dyn MembershipIndex, terms: &[u64]) -> Duration {
     total / terms.len() as u32
 }
 
-/// Minimal JSON-object writer for the machine-readable `BENCH_*.json`
-/// artifacts `storage_cold` and `mutable_load` emit (no external JSON
-/// dependency; keys keep insertion order so diffs stay readable).
+/// Minimal JSON-object writer for the machine-readable `BENCH_storage.json`
+/// artifact `storage_cold` emits (no external JSON dependency; keys keep
+/// insertion order so diffs stay readable).
 #[derive(Debug, Default)]
 pub struct JsonReport {
     fields: Vec<(String, String)>,
@@ -321,8 +319,7 @@ impl JsonReport {
         )
     }
 
-    /// Write the report to `path` and echo it to stdout — the shared tail of
-    /// every `BENCH_*.json`-emitting binary.
+    /// Write the report to `path` and echo it to stdout.
     ///
     /// # Panics
     /// Panics when the file cannot be written.

@@ -4,7 +4,9 @@ use crate::error::RamboError;
 use crate::matrix::BfuMatrix;
 use crate::params::RamboParams;
 use crate::partition::{derive_seeds, Resolver};
+use crate::theory;
 use rambo_bitvec::BitVec;
+use rambo_bloom::params::expected_fpr;
 use rambo_hash::{HashPair, SplitMix64};
 use std::collections::HashMap;
 
@@ -400,6 +402,24 @@ impl Rambo {
         } else {
             sum / n as f64
         }
+    }
+
+    /// Predicted per-document query false-positive rate, from metadata
+    /// alone: the §2.1 per-BFU estimate `(1 − e^{−ηn/m})^η` at the mean keys
+    /// per bucket (recorded insertions / current buckets), fed into Lemma 4.1
+    /// at term multiplicity `V = 1`. No matrix scan, so a zero-copy or paged
+    /// open stays metadata-only ([`Rambo::estimated_bfu_fpr`] is the measured
+    /// alternative). Conservative: the insertion total counts duplicates that
+    /// Bloom insertion dedupes. Serving cannot know a query term's true
+    /// multiplicity, so the rare-term case the paper's k-mer workloads are
+    /// dominated by stands in; the figure orders fold-over tiers and tracks a
+    /// live index's fill, and the choice of `V` changes neither. The one
+    /// prediction every serving surface quotes.
+    #[must_use]
+    pub fn predicted_fpr(&self) -> f64 {
+        let keys_per_bucket = (self.inserts / self.current_buckets.max(1)) as usize;
+        let bfu_fpr = expected_fpr(self.params.bfu_bits, keys_per_bucket, self.params.eta);
+        theory::per_doc_fpr(bfu_fpr, self.current_buckets, 1, self.repetitions())
     }
 
     /// Extract one BFU's filter image (column of the position-major matrix).

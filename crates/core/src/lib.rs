@@ -31,7 +31,7 @@
 //!   plain and **RAMBO+** sparse evaluation ([`QueryMode`]), large-sequence
 //!   queries with first-FALSE early exit (§3.3.1), and §5.3 **fold-over**
 //!   (halve `B` by OR-ing filter halves, trading memory for FPR). Every
-//!   query verb, on a static or a generational index, runs on one planned
+//!   query verb, on a static index or a live tenant's, runs on one planned
 //!   probe: each term hashed once per repetition into a row plan held in
 //!   the [`QueryContext`], one gather-AND kernel call per repetition.
 //! * [`HashPlan::hash_document`] → [`Rambo::apply_hashed`] — the write
@@ -42,7 +42,9 @@
 //!   stream: the calling thread parses, dedupes and registers documents in
 //!   order, and a worker pool hashes and writes one repetition of one
 //!   document per job. Both are bit-identical to term-at-a-time
-//!   Algorithm 1.
+//!   Algorithm 1. A live index takes inserts the same way: it is one
+//!   [`Rambo`] whose fixed `B × R` grid absorbs each new document's bits,
+//!   the paper's cheap streaming update.
 //! * [`QueryBatch`] — shared-scratch batch querying that allocates nothing
 //!   per query but the answer.
 //! * [`Rambo::open_view`]/[`Rambo::open_view_at`] — zero-copy index loads:
@@ -90,7 +92,7 @@ mod batch;
 mod builder;
 mod error;
 mod fold;
-mod generations;
+mod forwards;
 mod index;
 mod matrix;
 mod params;
@@ -105,9 +107,8 @@ pub use batch::{default_threads, QueryBatch};
 pub use builder::RamboBuilder;
 pub use error::RamboError;
 pub use fold::TierCompression;
-pub use generations::{
-    GenerationConfig, GenerationInfo, GenerationalIndex, MergeJob, SealedGeneration,
-};
+#[doc(hidden)]
+pub use forwards::{GenerationConfig, GenerationalIndex};
 pub use index::{DocId, Rambo};
 pub use params::RamboParams;
 pub use partition::PartitionScheme;

@@ -372,26 +372,6 @@ impl BfuMatrix {
         }
     }
 
-    /// OR row `rows[i]` into `block[i · row_words..]` for every `i`: this
-    /// matrix's share of the cross-component gather in [`crate::query`].
-    /// The backend is resolved once; dense rows come straight from the word
-    /// slice, RRR and paged rows through [`BfuMatrix::with_row`]. Paged tail
-    /// bits may leak into `block`; the evaluator's tail-zeroed masks drop them.
-    pub(crate) fn or_rows_into(&self, rows: &[usize], block: &mut [u64], scratch: &mut Vec<u64>) {
-        let rw = self.row_words;
-        let dense = match &self.store {
-            MatrixStore::Dense(ws) => Some(ws.as_words()),
-            _ => None,
-        };
-        for (slot, &offset) in block.chunks_exact_mut(rw).zip(rows) {
-            let mut or = |row: &[u64]| slot.iter_mut().zip(row).for_each(|(a, r)| *a |= r);
-            match dense {
-                Some(words) => or(&words[offset..offset + rw]),
-                None => self.with_row(offset, scratch, or),
-            }
-        }
-    }
-
     /// Extract one BFU's bits as a standalone filter image (column slice).
     /// O(m) — used for stats, tests and cross-checks, not on query paths.
     pub(crate) fn column(&self, bucket: usize) -> BitVec {
@@ -524,33 +504,6 @@ impl BfuMatrix {
             }
             // Clear any bits that spilled past the window (src tail bits are
             // zero by construction, so nothing to clean in practice).
-        }
-    }
-
-    /// OR another same-geometry matrix into this one — the merge step of a
-    /// document-sharded build ([`crate::pipeline`]): partial indexes built
-    /// with the same seed set disjoint documents' bits into the same
-    /// `m × B` grid, so their union is exactly the monolithic matrix.
-    ///
-    /// # Panics
-    /// Panics on geometry mismatch.
-    pub(crate) fn merge_or(&mut self, src: &Self) {
-        assert_eq!(self.m_bits, src.m_bits, "row counts must match");
-        assert_eq!(self.buckets, src.buckets, "column counts must match");
-        let rw = self.row_words;
-        let dst_words = self.words_mut();
-        if let MatrixStore::Dense(ws) = &src.store {
-            for (d, &s) in dst_words.iter_mut().zip(ws.as_words()) {
-                *d |= s;
-            }
-        } else {
-            let mut scratch = vec![0u64; rw];
-            for (p, dst_row) in dst_words.chunks_exact_mut(rw).enumerate() {
-                src.row_into(p, &mut scratch);
-                for (d, &s) in dst_row.iter_mut().zip(&scratch) {
-                    *d |= s;
-                }
-            }
         }
     }
 

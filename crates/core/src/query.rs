@@ -20,13 +20,10 @@
 //! repetition's rows into the bucket mask. Planning per repetition, not per
 //! query, means a query that dies in repetition 0 never hashes for the rest.
 //!
-//! The evaluator works over a **component list** — `(index, first global
-//! document id)` pairs sharing one geometry and seed schedule. A [`Rambo`]
-//! is the list of one; [`crate::GenerationalIndex`] passes its sealed
-//! generations plus memtable, and one **gather** per component list ORs each
-//! planned row across components into a contiguous block before the AND (see
-//! that module for why the order matters). The block then feeds the
-//! single-index kernels: the gather-AND, or θ's per-term η-AND.
+//! Every evaluator takes one [`Rambo`]: a static catalog tier, a zero-copy
+//! view, a paged file or a live tenant's matrix are all the same index to
+//! it, and the planned rows feed the matrix's own kernels — the gather-AND,
+//! or θ's per-term η-AND.
 //!
 //! Two evaluation strategies:
 //!
@@ -72,9 +69,6 @@ pub struct QueryContext {
     mask: Vec<u64>,
     /// One decoded RRR row, for probes of non-dense storage.
     row_scratch: Vec<u64>,
-    /// The multi-component gather: planned row `i`, OR-ed across the
-    /// component list, at words `i·⌈B/64⌉..` (see the [module docs](self)).
-    block: Vec<u64>,
     /// Intersection accumulator across repetitions (`K` bits, Full mode).
     acc: BitVec,
     /// Per-repetition union bitmap (`K` bits, Full mode).
@@ -114,7 +108,6 @@ impl QueryContext {
             rows: Vec::new(),
             mask: Vec::new(),
             row_scratch: Vec::new(),
-            block: Vec::new(),
             acc: BitVec::zeros(0),
             tbl: BitVec::zeros(0),
             probes: Vec::new(),
@@ -137,8 +130,8 @@ impl QueryContext {
     /// per repetition, `acc` is overwritten from `tbl` at repetition 0 (and
     /// only documents `< docs` are ever set), `probes[..buckets]` is zeroed
     /// per repetition, and `counts[..docs]`, the θ mask arena and the bucket
-    /// counters are reset per θ-query. The row plan, the row staging and the
-    /// gather block are rewritten before each use.
+    /// counters are reset per θ-query. The row plan and the row staging are
+    /// rewritten before each use.
     fn ensure(&mut self, docs: usize, buckets: usize) {
         if self.acc.len() < docs {
             self.acc = BitVec::zeros(docs);
@@ -148,11 +141,6 @@ impl QueryContext {
         grow(&mut self.probes, buckets);
     }
 }
-
-/// One member of the component list a query evaluates over: an index and the
-/// global id of its first document. Lists are ascending in that id, and all
-/// members share one [`crate::RamboParams`].
-pub(crate) type Component<'a> = (&'a Rambo, u32);
 
 /// The per-repetition planner of one query: given a repetition's Bloom seed,
 /// overwrite the vector with the η row offsets of every term, term-major.
@@ -180,7 +168,7 @@ fn planner<'a, T>(
     }
 }
 
-pub(crate) fn hash_u64(term: &u64, seed: u64) -> HashPair {
+fn hash_u64(term: &u64, seed: u64) -> HashPair {
     HashPair::of_u64(*term, seed)
 }
 
@@ -208,113 +196,51 @@ fn bit(words: &[u64], i: usize) -> bool {
     (words[i / 64] >> (i % 64)) & 1 == 1
 }
 
-/// Planned rows per gather group of a multi-component AND probe: the mask is
-/// checked after each group, so a query that dies early skips the rest.
-const GATHER_ROWS: usize = 64;
-
-/// The cross-component gather: row `rows[i]` of repetition `rep`, OR-ed
-/// across `comps`, lands at `block[i·rw..][..rw]`. Paged tail bits beyond
-/// `B` may be set; both consumers drop them against a tail-zeroed mask.
-fn gather<'b>(
-    comps: &[Component<'_>],
-    rep: usize,
-    rows: &[usize],
-    rw: usize,
-    block: &'b mut Vec<u64>,
-    row_scratch: &mut Vec<u64>,
-) -> &'b [u64] {
-    block.clear();
-    block.resize(rows.len() * rw, 0);
-    for matrix in comps.iter().map(|(comp, _)| &comp.tables[rep].matrix) {
-        matrix.or_rows_into(rows, block, row_scratch);
-    }
-    block
-}
-
-/// The probe every verb shares: AND into `dst` the planned `rows` of
-/// repetition `rep`, each OR-ed across `comps` first. Returns `false` once
-/// `dst` is all-zero. Overwrites `rows`.
-fn and_rows_into(
-    comps: &[Component<'_>],
-    rep: usize,
-    rows: &mut [usize],
-    dst: &mut [u64],
-    row_scratch: &mut Vec<u64>,
-    block: &mut Vec<u64>,
-) -> bool {
-    if let [(only, _)] = comps {
-        return only.tables[rep]
-            .matrix
-            .and_rows_into(rows, dst, row_scratch);
-    }
-    let rw = dst.len();
-    rows.chunks_mut(GATHER_ROWS).all(|group| {
-        let gathered = gather(comps, rep, group, rw, block, row_scratch);
-        // The group's rows now sit back to back: re-point the plan at them.
-        for (i, row) in group.iter_mut().enumerate() {
-            *row = i * rw;
-        }
-        kernel::and_gather_rows_into_any(dst, gathered, group)
-    })
-}
-
-/// Documents held by a component list.
-fn total_documents(comps: &[Component<'_>]) -> usize {
-    comps
-        .last()
-        .map_or(0, |&(comp, lo)| lo as usize + comp.num_documents())
-}
-
-/// Algorithm 2 over a component list with caller-owned scratch: global ids
-/// of the documents whose BFUs hold *all* `terms`, ascending. `hash` maps a
-/// term and a repetition's Bloom seed to its [`HashPair`].
-pub(crate) fn evaluate<T>(
-    comps: &[Component<'_>],
+/// Algorithm 2 with caller-owned scratch: ids of the documents whose BFUs
+/// hold *all* `terms`, ascending. `hash` maps a term and a repetition's Bloom
+/// seed to its [`HashPair`].
+fn evaluate<T>(
+    index: &Rambo,
     terms: &[T],
     hash: impl Fn(&T, u64) -> HashPair,
     mode: QueryMode,
     ctx: &mut QueryContext,
 ) -> Vec<DocId> {
-    let docs = total_documents(comps);
+    let docs = index.num_documents();
     if docs == 0 || terms.is_empty() {
         return Vec::new();
     }
-    let lead = comps[0].0;
-    ctx.ensure(docs, lead.buckets() as usize);
-    let plan = planner(lead, terms, hash);
+    ctx.ensure(docs, index.buckets() as usize);
+    let plan = planner(index, terms, hash);
     match mode {
-        QueryMode::Full => query_full(comps, &plan, ctx),
-        QueryMode::Sparse => query_sparse(comps, &plan, ctx),
+        QueryMode::Full => query_full(index, &plan, ctx),
+        QueryMode::Sparse => query_sparse(index, &plan, ctx),
     }
 }
 
 /// Full evaluation: probe every repetition's whole matrix, union into
 /// `K`-bit bitmaps, intersect across repetitions.
-fn query_full(comps: &[Component<'_>], plan: &Planner<'_>, ctx: &mut QueryContext) -> Vec<DocId> {
-    let lead = comps[0].0;
-    let b = lead.buckets() as usize;
+fn query_full(index: &Rambo, plan: &Planner<'_>, ctx: &mut QueryContext) -> Vec<DocId> {
+    let b = index.buckets() as usize;
     let QueryContext {
         rows,
         mask,
         row_scratch,
-        block,
         acc,
         tbl,
         ..
     } = ctx;
     let mask = &mut mask[..b.div_ceil(64)];
-    for (rep, &seed) in lead.bloom_seeds.iter().enumerate() {
+    for (rep, (&seed, table)) in index.bloom_seeds.iter().zip(&index.tables).enumerate() {
         plan(seed, rows);
         fill_ones(mask, b);
-        if !and_rows_into(comps, rep, rows, mask, row_scratch, block) {
+        if !table.matrix.and_rows_into(rows, mask, row_scratch) {
             return Vec::new(); // no BFU holds every term: the union is empty
         }
         tbl.clear_all();
         for bucket in ones(mask) {
-            for &(comp, lo) in comps {
-                for &d in &comp.tables[rep].buckets[bucket] {
-                    tbl.set(lo as usize + d as usize);
-                }
+            for &d in &table.buckets[bucket] {
+                tbl.set(d as usize);
             }
         }
         // Fused AND + liveness (one unrolled pass — see
@@ -336,49 +262,39 @@ fn query_full(comps: &[Component<'_>], plan: &Planner<'_>, ctx: &mut QueryContex
 /// RAMBO+ evaluation: repetition 0 probes the matrix once and gathers an
 /// explicit candidate list; repetition `r > 0` probes only the buckets
 /// holding surviving candidates, memoized per bucket.
-fn query_sparse(comps: &[Component<'_>], plan: &Planner<'_>, ctx: &mut QueryContext) -> Vec<DocId> {
-    let lead = comps[0].0;
-    let b = lead.buckets() as usize;
+fn query_sparse(index: &Rambo, plan: &Planner<'_>, ctx: &mut QueryContext) -> Vec<DocId> {
+    let b = index.buckets() as usize;
     let QueryContext {
         rows,
         mask,
         row_scratch,
-        block,
         probes,
         candidates,
         ..
     } = ctx;
     let mask = &mut mask[..b.div_ceil(64)];
     candidates.clear();
-    for (rep, &seed) in lead.bloom_seeds.iter().enumerate() {
+    for (rep, (&seed, table)) in index.bloom_seeds.iter().zip(&index.tables).enumerate() {
         plan(seed, rows);
         if rep == 0 {
             // Full matrix probe, then gather candidates from the matching
             // buckets (buckets partition the documents, so the
             // concatenation is duplicate-free; one sort restores id order).
             fill_ones(mask, b);
-            if and_rows_into(comps, 0, rows, mask, row_scratch, block) {
+            if table.matrix.and_rows_into(rows, mask, row_scratch) {
                 for bucket in ones(mask) {
-                    for &(comp, lo) in comps {
-                        candidates.extend(comp.tables[0].buckets[bucket].iter().map(|&d| lo + d));
-                    }
+                    candidates.extend_from_slice(&table.buckets[bucket]);
                 }
                 candidates.sort_unstable();
             }
         } else {
             probes[..b].fill(0);
             candidates.retain(|&doc| {
-                let slot = comps.partition_point(|&(_, lo)| lo <= doc) - 1;
-                let (comp, lo) = comps[slot];
-                let bucket = comp.tables[rep].assign[(doc - lo) as usize] as usize;
+                let bucket = table.assign[doc as usize] as usize;
                 if probes[bucket] == 0 {
-                    // A bucket holds a position if any component set it —
-                    // the bit-at-a-time form of the OR-first row fold.
-                    let hit = rows.iter().all(|&offset| {
-                        comps
-                            .iter()
-                            .any(|(c, _)| c.tables[rep].matrix.bit_at(offset, bucket))
-                    });
+                    let hit = rows
+                        .iter()
+                        .all(|&offset| table.matrix.bit_at(offset, bucket));
                     probes[bucket] = if hit { 1 } else { 2 };
                 }
                 probes[bucket] == 1
@@ -391,27 +307,27 @@ fn query_sparse(comps: &[Component<'_>], plan: &Planner<'_>, ctx: &mut QueryCont
     std::mem::take(candidates)
 }
 
-/// θ-fraction sequence query over a component list: global ids of the
-/// documents that (appear to) contain at least `⌈theta · terms.len()⌉` of
-/// the terms, counted with multiplicity, ascending.
+/// θ-fraction sequence query: ids of the documents that (appear to) contain
+/// at least `⌈theta · terms.len()⌉` of the terms, counted with multiplicity,
+/// ascending.
 ///
 /// # Panics
 /// Panics unless `0 < theta ≤ 1`.
-pub(crate) fn evaluate_theta(
-    comps: &[Component<'_>],
+fn evaluate_theta(
+    index: &Rambo,
     terms: &[u64],
     theta: f64,
     mode: QueryMode,
     ctx: &mut QueryContext,
 ) -> Vec<DocId> {
     assert!(theta > 0.0 && theta <= 1.0, "theta must be in (0, 1]");
-    if total_documents(comps) == 0 || terms.is_empty() {
+    if index.num_documents() == 0 || terms.is_empty() {
         return Vec::new();
     }
     let needed = ((theta * terms.len() as f64).ceil() as usize).max(1);
     match mode {
-        QueryMode::Full => theta_by_bucket_count(comps, terms, needed, ctx),
-        QueryMode::Sparse => theta_term_at_a_time(comps, terms, needed, ctx),
+        QueryMode::Full => theta_by_bucket_count(index, terms, needed, ctx),
+        QueryMode::Sparse => theta_term_at_a_time(index, terms, needed, ctx),
     }
 }
 
@@ -425,22 +341,19 @@ pub(crate) fn evaluate_theta(
 /// whose `R` buckets all reach `needed` are counted exactly, from the
 /// retained masks.
 fn theta_by_bucket_count(
-    comps: &[Component<'_>],
+    index: &Rambo,
     terms: &[u64],
     needed: usize,
     ctx: &mut QueryContext,
 ) -> Vec<DocId> {
-    let lead = comps[0].0;
-    let b = lead.buckets() as usize;
-    let rw = b.div_ceil(64);
+    let rw = (index.buckets() as usize).div_ceil(64);
     let n = terms.len();
-    let eta = lead.params().eta as usize;
-    let reps = lead.repetitions();
-    let plan = planner(lead, terms, hash_u64);
+    let eta = index.params().eta as usize;
+    let reps = index.repetitions();
+    let plan = planner(index, terms, hash_u64);
     let QueryContext {
         rows,
         row_scratch,
-        block,
         term_masks,
         passing,
         bucket_counts,
@@ -448,23 +361,11 @@ fn theta_by_bucket_count(
     } = ctx;
     grow(term_masks, reps * n * rw);
     grow(passing, reps * rw);
-    for (rep, &seed) in lead.bloom_seeds.iter().enumerate() {
+    for (rep, (&seed, table)) in index.bloom_seeds.iter().zip(&index.tables).enumerate() {
         plan(seed, rows);
         bucket_counts.reset(rw);
         let masks = &mut term_masks[rep * n * rw..(rep + 1) * n * rw];
-        if let [(only, _)] = comps {
-            let matrix = &only.tables[rep].matrix;
-            matrix.term_masks_into(rows, eta, masks, row_scratch);
-        } else {
-            let per_term = gather(comps, rep, rows, rw, block, row_scratch).chunks_exact(eta * rw);
-            for (mask, term_rows) in masks.chunks_exact_mut(rw).zip(per_term) {
-                // A tail-zeroed start keeps the counters off buckets ≥ `B`.
-                fill_ones(mask, b);
-                for row in term_rows.chunks_exact(rw) {
-                    mask.iter_mut().zip(row).for_each(|(m, r)| *m &= r);
-                }
-            }
-        }
+        table.matrix.term_masks_into(rows, eta, masks, row_scratch);
         bucket_counts.add_rows(masks);
         let passing = &mut passing[rep * rw..(rep + 1) * rw];
         bucket_counts.at_least(needed, passing);
@@ -472,10 +373,10 @@ fn theta_by_bucket_count(
             return Vec::new(); // no bucket of this repetition can hold a match
         }
     }
-    // Exact count: a term hits `doc` of `comp` if its mask holds the
-    // document's bucket in every repetition.
-    let reaches_needed = |comp: &Rambo, doc: usize| {
-        let buckets = |rep: usize| comp.tables[rep].assign[doc] as usize;
+    // Exact count: a term hits `doc` if its mask holds the document's bucket
+    // in every repetition.
+    let reaches_needed = |doc: usize| {
+        let buckets = |rep: usize| index.tables[rep].assign[doc] as usize;
         if !(1..reps).all(|rep| bit(&passing[rep * rw..], buckets(rep))) {
             return false;
         }
@@ -492,14 +393,8 @@ fn theta_by_bucket_count(
     };
     let mut out = Vec::new();
     for bucket in ones(&passing[..rw]) {
-        for &(comp, lo) in comps {
-            let docs = &comp.tables[0].buckets[bucket];
-            out.extend(
-                docs.iter()
-                    .filter(|&&d| reaches_needed(comp, d as usize))
-                    .map(|&d| lo + d),
-            );
-        }
+        let docs = &index.tables[0].buckets[bucket];
+        out.extend(docs.iter().filter(|&&d| reaches_needed(d as usize)));
     }
     out.sort_unstable();
     out
@@ -508,12 +403,12 @@ fn theta_by_bucket_count(
 /// Sparse-mode θ: one single-term RAMBO+ query per term, counted per
 /// document — the strategy [`theta_by_bucket_count`] is held against.
 fn theta_term_at_a_time(
-    comps: &[Component<'_>],
+    index: &Rambo,
     terms: &[u64],
     needed: usize,
     ctx: &mut QueryContext,
 ) -> Vec<DocId> {
-    let k = total_documents(comps);
+    let k = index.num_documents();
     grow(&mut ctx.counts, k);
     ctx.counts[..k].fill(0);
     // Running maximum over all counts: increments only ever raise a single
@@ -521,7 +416,7 @@ fn theta_term_at_a_time(
     let mut max_count = 0usize;
     for (done, term) in terms.iter().enumerate() {
         let term = std::slice::from_ref(term);
-        for d in evaluate(comps, term, hash_u64, QueryMode::Sparse, ctx) {
+        for d in evaluate(index, term, hash_u64, QueryMode::Sparse, ctx) {
             let c = &mut ctx.counts[d as usize];
             *c += 1;
             max_count = max_count.max(*c as usize);
@@ -579,7 +474,7 @@ impl Rambo {
         mode: QueryMode,
         ctx: &mut QueryContext,
     ) -> Vec<DocId> {
-        evaluate(&[(self, 0)], terms, hash_u64, mode, ctx)
+        evaluate(self, terms, hash_u64, mode, ctx)
     }
 
     /// [`Rambo::query_terms_with`] for byte terms (words, raw k-mer text).
@@ -591,7 +486,7 @@ impl Rambo {
         ctx: &mut QueryContext,
     ) -> Vec<DocId> {
         let hash = |term: &&[u8], seed| HashPair::of_bytes(term, seed);
-        evaluate(&[(self, 0)], terms, hash, mode, ctx)
+        evaluate(self, terms, hash, mode, ctx)
     }
 
     /// Large-sequence query (§3.3.1): membership-test each term of the query
@@ -661,7 +556,7 @@ impl Rambo {
         mode: QueryMode,
         ctx: &mut QueryContext,
     ) -> Vec<DocId> {
-        evaluate_theta(&[(self, 0)], terms, theta, mode, ctx)
+        evaluate_theta(self, terms, theta, mode, ctx)
     }
 
     /// Convenience: resolve query results to document names.
@@ -982,55 +877,6 @@ mod tests {
         let absent: Vec<u64> = (0..10).map(|i| 0xBBBB_0000_0000u64 + i).collect();
         let hits = r.query_sequence_theta(&absent, 0.9, QueryMode::Sparse, &mut ctx);
         assert!(hits.is_empty());
-    }
-
-    /// The gather's non-dense arm: owned, zero-copy view and RRR components
-    /// in one list answer every verb exactly like three owned ones, at a `B`
-    /// with a partial second row word and AND windows past two gather groups.
-    #[test]
-    fn gather_reads_every_storage_kind() {
-        let params = RamboParams::flat(100, 3, 1 << 12, 2, 21);
-        // Overlapping term ranges: rows set by different components meet in
-        // one bucket, so the OR across components matters.
-        let doc_terms = |g: u64| (0..30).map(move |t| (g * 7 + t) % 400);
-        let owned: Vec<Rambo> = (0..3u64)
-            .map(|c| {
-                let mut r = Rambo::new(params).unwrap();
-                for g in c * 40..(c + 1) * 40 {
-                    r.insert_document(&format!("doc{g}"), doc_terms(g)).unwrap();
-                }
-                r
-            })
-            .collect();
-        let view = Rambo::open_view(owned[1].to_bytes().unwrap().into()).unwrap();
-        let mut rrr = owned[2].clone();
-        rrr.compress_to_rrr();
-        assert!(view.is_view() && rrr.is_compressed());
-        let all_owned = [(&owned[0], 0), (&owned[1], 40), (&owned[2], 80)];
-        let mixed = [(&owned[0], 0), (&view, 40), (&rrr, 80)];
-        let mut ctx = QueryContext::new();
-        for g in [3u64, 57, 101] {
-            // AND: the document's terms cycled (so it always matches), then
-            // the same window ending on an absent term.
-            let own: Vec<u64> = doc_terms(g).cycle().take(80).collect();
-            let absent_last = [&own[..79], &[0xDEAD_0000_0000]].concat();
-            // θ: the document's terms, another's, and absent ones.
-            let seq: Vec<u64> = (doc_terms(g).chain(doc_terms(g + 13).take(20)))
-                .chain(0xBEEF_0000_0000..0xBEEF_0000_000A)
-                .collect();
-            for mode in [QueryMode::Full, QueryMode::Sparse] {
-                for terms in [&own[..1], &own[..7], &own[..40], &own, &absent_last] {
-                    let want = evaluate(&all_owned, terms, hash_u64, mode, &mut ctx);
-                    let got = evaluate(&mixed, terms, hash_u64, mode, &mut ctx);
-                    assert_eq!(got, want, "doc {g}, {} terms, {mode:?}", terms.len());
-                }
-                for theta in [0.4, 0.8, 1.0] {
-                    let want = evaluate_theta(&all_owned, &seq, theta, mode, &mut ctx);
-                    let got = evaluate_theta(&mixed, &seq, theta, mode, &mut ctx);
-                    assert_eq!(got, want, "doc {g}, θ = {theta}, {mode:?}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -5,13 +5,6 @@
 //! and Table 2 harnesses, and property tests pinning the qualitative claims
 //! (monotonicity, limits) the paper states in prose.
 
-/// Per-BFU false-positive estimate `(1 − e^{−ηn/m})^η` (§2.1). Re-exported
-/// from the bloom crate for convenience.
-#[must_use]
-pub fn bfu_fpr(m_bits: usize, n_keys: usize, eta: u32) -> f64 {
-    rambo_bloom::params::expected_fpr(m_bits, n_keys, eta)
-}
-
 /// **Lemma 4.1** — per-document false-positive rate.
 ///
 /// With per-BFU FPR `p`, `B` buckets, `R` repetitions, and a query term

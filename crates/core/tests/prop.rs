@@ -7,8 +7,7 @@
 
 use proptest::prelude::*;
 use rambo_core::{
-    build_sharded_parallel, GenerationConfig, GenerationalIndex, IngestPipeline, QueryBatch,
-    QueryContext, QueryMode, Rambo, RamboParams,
+    build_sharded_parallel, IngestPipeline, QueryBatch, QueryContext, QueryMode, Rambo, RamboParams,
 };
 use std::sync::Arc;
 
@@ -183,9 +182,8 @@ proptest! {
     /// duplicate-bearing and empty term lists included:
     /// [`Rambo::insert_document_batch`]; the split called apart, with the
     /// plan's cache-resident (unsorted) and large-table (sorted) row order;
-    /// [`IngestPipeline::build`] then [`IngestPipeline::ingest`] into the
-    /// non-empty result; and [`GenerationalIndex::insert_document`] across
-    /// seals, folded back by `to_monolithic`.
+    /// and [`IngestPipeline::build`] then [`IngestPipeline::ingest`] into the
+    /// non-empty result.
     #[test]
     fn batch_insertion_bit_identical_to_term_at_a_time(
         term_lists in proptest::collection::vec(proptest::collection::vec(0u64..48, 0..60), 1..14),
@@ -238,15 +236,6 @@ proptest! {
         prop_assert_eq!(serial.total_inserts(), piped.total_inserts());
         prop_assert_eq!((built.docs + ingested.docs) as usize, docs.len());
         prop_assert_eq!(built.terms + ingested.terms, serial.total_inserts());
-
-        let config = GenerationConfig { memtable_max_docs: 3, ..GenerationConfig::default() };
-        let mut live = GenerationalIndex::new(params, config).unwrap();
-        for (name, terms) in &docs {
-            live.insert_document(name, terms).unwrap();
-        }
-        let folded = live.to_monolithic().unwrap();
-        prop_assert_eq!(&serial, &folded, "{} generations + memtable", live.num_generations());
-        prop_assert_eq!(serial.total_inserts(), folded.total_inserts());
     }
 
     /// [`QueryBatch`] returns exactly what per-call
@@ -546,7 +535,10 @@ proptest! {
     /// term-at-a-time) return exactly the documents holding at least
     /// `⌈θ·n⌉` terms counted with multiplicity. Queries carry repeated and
     /// absent terms; geometry sweeps η and bucket counts that are not a
-    /// multiple of the word size.
+    /// multiple of the word size. Each document's terms are also cycled into
+    /// long AND windows (33 and 80 terms, and 80 ending on an absent term),
+    /// so long row plans run through the RRR and paged sort-and-dedupe path
+    /// and an early exit can only come from the last rows.
     #[test]
     fn every_verb_matches_the_definition_on_every_backend(
         archive in archive_strategy(10),
@@ -580,7 +572,10 @@ proptest! {
             present.push(terms[0]);
             let mut perturbed = present.clone();
             perturbed.insert(2, absent[i % absent.len()]);
-            for q in [&present, &perturbed] {
+            let cycled = |len| terms.iter().copied().cycle().take(len).collect::<Vec<u64>>();
+            let mut absent_last = cycled(80);
+            absent_last[79] = absent[0];
+            for q in [&present, &perturbed, &cycled(33), &cycled(80), &absent_last] {
                 let all: Vec<u32> = (0..k).filter(|&d| q.iter().all(|&t| holds(&dense, d, t))).collect();
                 let needed = (theta * q.len() as f64).ceil() as usize;
                 let enough: Vec<u32> = (0..k)

@@ -11,7 +11,7 @@
 //! costs metadata, not payload, no matter how many tiers it holds.
 
 use rambo_bitvec::{BlockCacheCounters, BlockCacheSnapshot, PagedFile};
-use rambo_core::{theory, GenerationalIndex, Rambo, RamboError, TierCompression};
+use rambo_core::{Rambo, RamboError, TierCompression};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -25,8 +25,7 @@ pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 pub enum CatalogError {
     /// [`CatalogBuilder::build`] was called without a source.
     MissingSource,
-    /// A live-index source ([`CatalogBuilder::base`] /
-    /// [`CatalogBuilder::generational`]) needs a tier spec
+    /// A live-index source ([`CatalogBuilder::base`]) needs a tier spec
     /// ([`CatalogBuilder::tier_buckets`], [`CatalogBuilder::tiers`] or
     /// [`CatalogBuilder::halving`]) to know what to fold.
     MissingTiers,
@@ -100,13 +99,6 @@ impl From<std::io::Error> for CatalogError {
     }
 }
 
-/// Term multiplicity assumed when predicting a tier's false-positive rate.
-/// Serving cannot know each query term's true document multiplicity `V`, so
-/// the catalog quotes Lemma 4.1 at `V = 1` (the rare-term case the paper's
-/// k-mer workloads are dominated by); the prediction is used for *relative*
-/// tier ordering, which is unaffected by the choice of `V`.
-const CATALOG_FPR_V: u32 = 1;
-
 /// Description of one catalog tier (one fold-over version of the index).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TierInfo {
@@ -123,18 +115,11 @@ pub struct TierInfo {
     pub encoded_len: usize,
     /// In-memory payload size ([`Rambo::size_bytes`]).
     pub size_bytes: usize,
-    /// Predicted per-BFU false-positive rate: the §2.1 estimate
-    /// `(1 − e^{−ηn/m})^η` at the tier's geometry and mean per-bucket key
-    /// count derived from the recorded insertion total. Computed from
-    /// **metadata only** — opening a catalog never scans filter payloads
-    /// (that would defeat the zero-copy open; the measured alternative is
-    /// [`Rambo::estimated_bfu_fpr`] on demand). Conservative: the insertion
-    /// total counts duplicates that Bloom insertion dedupes.
-    pub bfu_fpr: f64,
-    /// Predicted per-document query FPR — Lemma 4.1 at the predicted
-    /// per-BFU rate and `V = 1`. Strictly grows with the fold factor
-    /// (folding doubles per-bucket keys and shrinks `B`); tier selection
-    /// compares budgets to this.
+    /// Predicted per-document query FPR ([`Rambo::predicted_fpr`]: §2.1 and
+    /// Lemma 4.1 from **metadata only**, so opening a catalog never scans
+    /// filter payloads). Strictly grows with the fold factor (folding
+    /// doubles per-bucket keys and shrinks `B`); tier selection compares
+    /// budgets to this.
     pub predicted_fpr: f64,
 }
 
@@ -176,8 +161,9 @@ pub struct Catalog {
 
 impl Catalog {
     /// Start a [`CatalogBuilder`] — the one entry point behind every way of
-    /// making a catalog (in-memory buffer, file-backed paged open, folding a
-    /// live [`Rambo`], or snapshotting a [`GenerationalIndex`]).
+    /// making a catalog (in-memory buffer, file-backed paged open, or folding
+    /// a live [`Rambo`] — a tenant's [`freeze`](crate::TenantRegistry::freeze)
+    /// included).
     ///
     /// ```
     /// use rambo_core::{Rambo, RamboParams};
@@ -263,12 +249,6 @@ impl Catalog {
         &self.tiers[tier].info
     }
 
-    /// All tier descriptions, tier 0 first.
-    #[must_use]
-    pub fn infos(&self) -> Vec<TierInfo> {
-        self.tiers.iter().map(|t| t.info.clone()).collect()
-    }
-
     /// Route an FPR budget to a tier: the **smallest** (highest-numbered)
     /// tier whose predicted FPR is at most `fpr_budget`. A budget tighter
     /// than every tier falls back to tier 0, the most accurate version —
@@ -301,8 +281,6 @@ enum BuilderSource<'a> {
     File(PathBuf),
     /// A live index to fold per the tier spec.
     Base(&'a Rambo),
-    /// A generational index to snapshot (monolithic rebuild) and fold.
-    Generational(&'a GenerationalIndex),
 }
 
 /// The one entry point for catalog construction: pick exactly one
@@ -395,16 +373,6 @@ impl<'a> CatalogBuilder<'a> {
         self
     }
 
-    /// Source: a [`GenerationalIndex`] — snapshotted via
-    /// [`GenerationalIndex::to_monolithic`] (bit-identical to a from-scratch
-    /// build over the same documents) and then folded like
-    /// [`CatalogBuilder::base`]. A tier spec is required.
-    #[must_use]
-    pub fn generational(mut self, live: &'a GenerationalIndex) -> Self {
-        self.source = Some(BuilderSource::Generational(live));
-        self
-    }
-
     /// Tier spec: explicit strictly-decreasing bucket counts, all dense.
     #[must_use]
     pub fn tier_buckets(mut self, buckets: &[u64]) -> Self {
@@ -454,13 +422,8 @@ impl<'a> CatalogBuilder<'a> {
             }
             (BuilderSource::Buffer(buf), None) => buf,
             (BuilderSource::File(path), None) => return open_paged(&path, self.cache_bytes),
-            (BuilderSource::Base(_) | BuilderSource::Generational(_), None) => {
-                return Err(CatalogError::MissingTiers)
-            }
+            (BuilderSource::Base(_), None) => return Err(CatalogError::MissingTiers),
             (BuilderSource::Base(base), Some(spec)) => fold_spec(base, &spec)?.into(),
-            (BuilderSource::Generational(live), Some(spec)) => {
-                fold_spec(&live.to_monolithic()?, &spec)?.into()
-            }
         };
         let tiers = open_tiers(buf.len() as u64, |offset| {
             let (index, used) = Rambo::open_view_at(&buf, offset as usize)?;
@@ -538,12 +501,8 @@ fn fold_spec(base: &Rambo, spec: &TierSpec) -> Result<Vec<u8>, CatalogError> {
     Ok(bytes)
 }
 
-/// Describe one opened tier. Metadata-only FPR prediction (see
-/// [`TierInfo::bfu_fpr`]): mean keys per BFU ≈ recorded insertions /
-/// current buckets.
+/// Describe one opened tier, from its metadata only.
 fn tier_info(index: &Rambo, tier: usize, offset: usize, encoded_len: usize) -> TierInfo {
-    let keys_per_bucket = (index.total_inserts() / index.buckets().max(1)) as usize;
-    let bfu_fpr = theory::bfu_fpr(index.params().bfu_bits, keys_per_bucket, index.params().eta);
     TierInfo {
         tier,
         fold_factor: index.fold_factor(),
@@ -551,13 +510,7 @@ fn tier_info(index: &Rambo, tier: usize, offset: usize, encoded_len: usize) -> T
         offset,
         encoded_len,
         size_bytes: index.size_bytes(),
-        bfu_fpr,
-        predicted_fpr: theory::per_doc_fpr(
-            bfu_fpr,
-            index.buckets(),
-            CATALOG_FPR_V,
-            index.repetitions(),
-        ),
+        predicted_fpr: index.predicted_fpr(),
     }
 }
 
@@ -603,7 +556,7 @@ mod tests {
         let base = build_base(256, 120, 1);
         let cat = halving(&base, 2);
         assert_eq!(cat.len(), 3);
-        let infos = cat.infos();
+        let infos: Vec<&TierInfo> = (0..cat.len()).map(|t| cat.info(t)).collect();
         for w in infos.windows(2) {
             assert!(w[1].size_bytes < w[0].size_bytes, "tiers must shrink");
             assert!(w[1].encoded_len < w[0].encoded_len);
@@ -625,7 +578,7 @@ mod tests {
     fn loosening_the_budget_selects_strictly_smaller_tiers() {
         let base = build_base(256, 120, 2);
         let cat = halving(&base, 2);
-        let infos = cat.infos();
+        let infos: Vec<&TierInfo> = (0..cat.len()).map(|t| cat.info(t)).collect();
         // A budget exactly at a tier's predicted FPR admits that tier.
         for info in &infos {
             assert_eq!(cat.select(info.predicted_fpr), info.tier);

@@ -11,7 +11,7 @@
 //! * [`Catalog`] — several fold-over versions of one index opened
 //!   **zero-copy** out of a single shared `Arc<[u8]>` buffer
 //!   ([`rambo_core::Rambo::open_view_at`]), each tier annotated with its
-//!   metadata-predicted per-BFU FPR and its Lemma-4.1 query FPR. A
+//!   metadata-predicted Lemma-4.1 query FPR. A
 //!   request's FPR budget routes it to the *smallest* tier that satisfies
 //!   the budget: loose budgets run in the folded, cache-friendlier
 //!   versions, tight budgets in the full build.
@@ -32,9 +32,9 @@
 //!   catalog version stamp: hot §3.3.1 sequence windows are answered
 //!   without touching an evaluator at all.
 //! * [`TenantRegistry`] — many named **mutable** indexes in one process
-//!   (LSM-style generations behind per-tenant quotas and result caches). A
+//!   (one RAMBO matrix each, behind per-tenant quotas and result caches). A
 //!   single live index is a one-tenant registry; [`TenantRegistry::freeze`]
-//!   collapses a tenant into a monolith for [`Catalog::builder`].
+//!   snapshots a tenant for [`Catalog::builder`].
 //! * [`serve_tcp`] / [`serve_tenant_tcp`] — optional TCP fronts over
 //!   `std::net`: length-prefixed binary frames ([`wire`]) over a catalog
 //!   server or one tenant, RESP2 text over a registry, all on one

@@ -11,8 +11,8 @@
 //! dropping every connection — including ones stalled mid-request, which
 //! therefore cannot block shutdown.
 //!
-//! A turn that moved nothing, with no upkeep from a [`Protocol::idle`] hook,
-//! ends blocked in `poll(2)` (`poll.rs`). Three things end the wait:
+//! A turn that moved nothing ends blocked in `poll(2)` (`poll.rs`). Three
+//! things end the wait:
 //!
 //! * **`poll` itself — sockets.** Listeners are watched for connections; a
 //!   connection is watched for input only while [`Conn::read`] would take it
@@ -28,10 +28,8 @@
 //!   end, and the worker sends one byte after answering or expiring it. The
 //!   earliest deadline among replies still owed bounds the wait, so a request
 //!   no worker reaches is answered `STATUS_DEADLINE` when that passes.
-//! * **The [`TICK`] — everything nobody can hook.** The stop flag is a
-//!   caller-owned `AtomicBool`, and an in-process insert from another thread
-//!   can make generation maintenance due without touching a socket; both are
-//!   seen on the next tick. No request waits on it.
+//! * **The [`TICK`] — the stop flag.** It is a caller-owned `AtomicBool`
+//!   nobody can hook, seen on the next tick. No request waits on it.
 //!
 //! Evaluation still happens on this thread whenever the tier's evaluator is
 //! free, which for a lone admitting thread is always (the admission rule in
@@ -55,9 +53,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Longest one `poll` blocks: the cadence at which the stop flag and
-/// maintenance made due off-socket are noticed, and how long a listener that
-/// hit descriptor exhaustion sits out. On no request's path.
+/// Longest one `poll` blocks: the cadence at which the stop flag is noticed,
+/// and how long a listener that hit descriptor exhaustion sits out. On no
+/// request's path.
 const TICK: Duration = Duration::from_millis(25);
 /// Per-read chunk size.
 const READ_CHUNK: usize = 16 << 10;
@@ -112,13 +110,6 @@ pub(crate) trait Protocol {
     /// [`Reply::Pending`] must have been handed `waker`, so that whoever
     /// resolves it wakes the loop.
     fn step(&self, inbuf: &[u8], waker: &Waker) -> Step;
-
-    /// Called on a turn in which no byte moved; returns whether it did
-    /// background work (the reactor then takes another turn before it
-    /// blocks).
-    fn idle(&self) -> bool {
-        false
-    }
 }
 
 /// One multiplexed connection's state.
@@ -523,7 +514,7 @@ impl<'a> Reactor<'a> {
     }
 
     /// Turn until `stop` is set, blocking in `poll` whenever a turn moved
-    /// nothing and no protocol had upkeep to do instead.
+    /// nothing.
     ///
     /// # Errors
     /// A fatal `accept` or `poll` failure, which also raises `stop` so a
@@ -537,10 +528,9 @@ impl<'a> Reactor<'a> {
             let progress = self.turn(timeout).inspect_err(|_| {
                 stop.store(true, Ordering::Relaxed);
             })?;
-            // Something moved, or a protocol spent the turn on upkeep (that
-            // counts as progress, so a busy engine keeps the loop hot): look
-            // again without blocking. Otherwise wait for the next event.
-            timeout = if progress || self.listeners.iter().any(|(_, p)| p.idle()) {
+            // Something moved: look again without blocking. Otherwise wait
+            // for the next event.
+            timeout = if progress {
                 Duration::ZERO
             } else {
                 self.idle_timeout()

@@ -7,13 +7,20 @@
 //! RAMBO verbs (one named index per tenant):
 //!
 //! ```text
-//! R.CREATE    <name> [fpr=<budget>] [docs=<n>] [bytes=<n>] [tiers=<n>]   → +OK
-//! R.INSERTDOC <name> <doc> <term...>                                    → :id
-//! R.QUERYSEQ  <name> <theta> <term...>                                  → *N doc names
-//! R.DROP      <name>                                                    → :1 / :0
-//! R.STATS     [<name>]                                                  → $text
-//! R.LIST                                                                → *N tenant names
+//! R.CREATE    <name> [fpr=<budget>] [docs=<n>] [bytes=<n>]   → +OK
+//! R.INSERTDOC <name> <doc> <term...>                         → :id
+//! R.QUERYSEQ  <name> <theta> <term...>                       → *N doc names
+//! R.DROP      <name>                                         → :1 / :0
+//! R.STATS     [<name>]                                       → $text
+//! R.LIST                                                     → *N tenant names
 //! ```
+//!
+//! A tenant is one RAMBO matrix. `fpr=` is its stated FPR budget, which
+//! `R.STATS` shows beside the tenant's predicted FPR; `docs=` caps its
+//! documents; `bytes=` caps its index size (matrix plus per-document
+//! bookkeeping): `R.CREATE` answers `-ERR quota exceeded …` when the empty
+//! matrix already reaches the budget, and an insert does once the index
+//! has.
 //!
 //! `BF.*` compatibility (SpinelDB/RedisBloom shape), mapped onto a
 //! degenerate single-repetition index where every item is its own
@@ -51,11 +58,8 @@
 //! [`serve_tenant_tcp`] pairs the RESP listener with this protocol and
 //! (optionally) a second listener with the binary frame protocol bound to
 //! [`TenantServeOptions::binary_tenant`], both on the one reactor
-//! (`reactor.rs`). A turn with no I/O runs one step of generation-merge
-//! maintenance across the registry before the loop blocks in `poll`, so
-//! background index upkeep rides the serving thread's idle gaps; a merge
-//! made due by an in-process insert on another thread is picked up on the
-//! reactor's next tick.
+//! (`reactor.rs`). Every command runs to completion as it decodes; a tenant
+//! has no background upkeep, so a turn with no I/O blocks in `poll`.
 
 use crate::reactor::{Protocol, Reactor, Reply, Step, Waker};
 use crate::tcp::TenantFrames;
@@ -423,10 +427,6 @@ fn cmd_create(registry: &TenantRegistry, args: &[Vec<u8>]) -> Vec<u8> {
                 Ok(n) if n > 0 => opts.max_bytes = Some(n),
                 _ => return resp_error(&format!("invalid value '{value}' for option 'bytes'")),
             },
-            "tiers" => match value.parse::<usize>() {
-                Ok(n) if n > 0 => opts.max_generations = Some(n),
-                _ => return resp_error(&format!("invalid value '{value}' for option 'tiers'")),
-            },
             _ => return resp_error(&format!("unknown option '{key}' for 'r.create'")),
         }
     }
@@ -564,10 +564,6 @@ impl Protocol for RespCommands<'_> {
                 close: false,
             },
         }
-    }
-
-    fn idle(&self) -> bool {
-        self.registry.maintain_once()
     }
 }
 
@@ -721,6 +717,34 @@ mod tests {
         assert_eq!(
             run(&reg, "R.QUERYSEQ idx 0 a"),
             b"-ERR invalid theta '0' (want 0 < theta <= 1)\r\n"
+        );
+    }
+
+    #[test]
+    fn create_options_check_the_byte_budget_and_reject_tiers() {
+        let reg = registry();
+        assert_eq!(
+            run(&reg, "R.CREATE t bytes=1"),
+            b"-ERR quota exceeded: index larger than the byte budget (1)\r\n"
+        );
+        assert_eq!(run(&reg, "R.LIST"), b"*0\r\n");
+        assert_eq!(
+            run(&reg, "R.CREATE t tiers=3"),
+            b"-ERR unknown option 'tiers' for 'r.create'\r\n"
+        );
+        assert_eq!(run(&reg, "R.CREATE t bytes=1000000"), b"+OK\r\n");
+        assert_eq!(run(&reg, "R.INSERTDOC t d a b"), b":0\r\n");
+        // BF.RESERVE sizes its filter from the capacity; the registry's
+        // default budget applies.
+        let quotas = TenantQuotas {
+            max_bytes: 64 << 10,
+            ..TenantQuotas::default()
+        };
+        let small = TenantRegistry::new(RamboParams::flat(8, 3, 1 << 10, 2, 7), quotas).unwrap();
+        assert_eq!(run(&small, "BF.RESERVE f 0.01 100"), b"+OK\r\n");
+        assert_eq!(
+            run(&small, "BF.RESERVE g 0.01 1000000"),
+            b"-ERR quota exceeded: index larger than the byte budget (65536)\r\n"
         );
     }
 

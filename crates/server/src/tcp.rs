@@ -172,10 +172,7 @@ impl Protocol for TenantFrames<'_> {
                         b"no tenant bound to the binary front",
                     ),
                     Some(tenant) => match self.registry.insert_document(tenant, &name, &terms) {
-                        Ok(id) => {
-                            let epoch = self.registry.stats(tenant).map_or(0, |s| s.epoch);
-                            encode_mutate_ok(id, epoch)
-                        }
+                        Ok(id) => encode_mutate_ok(id),
                         Err(e) => encode_blob(STATUS_MUTATE_REJECTED, e.to_string().as_bytes()),
                     },
                 };
@@ -421,8 +418,8 @@ impl TcpClient {
     /// Insert a document with its term set into the tenant a
     /// [`crate::serve_tenant_tcp`] binary front is bound to; the read-only
     /// catalog front answers the mutate opcode with the bad-request status.
-    /// Returns the issued document id and the index's structural epoch after
-    /// the insert (which advances when the insert triggered a memtable seal).
+    /// Returns the issued document id and the reply's reserved 8-byte slot
+    /// (written 0 by this server; see [`crate::wire`]).
     ///
     /// # Errors
     /// [`TcpClientError::Rejected`] when the index refuses (duplicate name,
@@ -437,8 +434,8 @@ impl TcpClient {
         match payload[0] {
             STATUS_OK if payload.len() == 13 => {
                 let doc_id = u32::from_le_bytes(payload[1..5].try_into().expect("4 bytes"));
-                let epoch = u64::from_le_bytes(payload[5..13].try_into().expect("8 bytes"));
-                Ok((doc_id, epoch))
+                let reserved = u64::from_le_bytes(payload[5..13].try_into().expect("8 bytes"));
+                Ok((doc_id, reserved))
             }
             STATUS_OK => Err(TcpClientError::Protocol(
                 "mutate response length disagrees with layout".into(),

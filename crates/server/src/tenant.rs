@@ -3,50 +3,49 @@
 //!
 //! The paper pitches RAMBO as a general sub-linear multiple-set-membership
 //! service, not a single-index appliance. [`TenantRegistry`] is that
-//! service's core: it owns any number of **named** mutable indexes (each a
-//! [`GenerationalIndex`] behind an `RwLock` and a [`ResultCache`]), created
-//! and dropped at runtime, each with its own memtable FPR budget, document
-//! quota and index byte budget. A single live index is a registry with one
-//! tenant.
+//! service's core: it owns any number of **named** mutable indexes (each one
+//! [`Rambo`] behind an `RwLock`, plus a [`ResultCache`]), created and dropped
+//! at runtime, each with its own stated FPR budget, document quota and index
+//! byte budget. A single live index is a registry with one tenant.
 //!
-//! Per tenant, **inserts** take the write lock briefly — the memtable is
-//! small by construction (it seals at the FPR budget), so even an insert that
-//! triggers a seal serializes only the memtable. **Queries** take the read
-//! lock and OR-fold answers across memtable + generations — bit-identical to
-//! a monolithic rebuild, so a reader never observes a half-merged state.
-//! Every insert bumps the tenant's result-cache version (a new document can
-//! match any cached query); merge installs do not, being answer-preserving.
+//! **One matrix per tenant.** RAMBO absorbs a streamed document by setting
+//! its bits in the fixed `B × R` grid, so an insert is
+//! [`Rambo::insert_document_batch`] under the tenant's write lock, and a
+//! query is the single-index evaluator under its read lock — bit-identical
+//! to a from-scratch build over the same documents, false positives
+//! included. Every insert bumps the tenant's result-cache version (a new
+//! document can match any cached query).
+//!
+//! **The FPR budget is stated, not enforced.** [`TenantOptions::fpr`] is
+//! reported beside the tenant's predicted FPR ([`Rambo::predicted_fpr`], the
+//! figure the catalog quotes per tier) in [`TenantStats`]; the prediction
+//! rises with every insert, and nothing stops at the budget. What bounds a
+//! tenant is its document quota.
 //!
 //! **Quotas are enforced at admission**, mirroring the bounded-admission
 //! layer of the catalog server: an insert that would exceed the tenant's
-//! document quota or arrives after the index has filled its byte budget is
-//! rejected *before* touching the index, with a typed
-//! [`TenantError`] the protocol fronts map to an in-band error reply
+//! document quota or term cap is rejected *before* touching the index, with
+//! a typed [`TenantError`] the protocol fronts map to an in-band error reply
 //! (`-ERR quota exceeded …` on the RESP front). Rejections are counted per
-//! tenant ([`TenantStats::quota_rejections`]).
+//! tenant ([`TenantStats::quota_rejections`]). The byte budget is checked
+//! twice: [`TenantRegistry::create`] refuses a tenant whose empty matrix
+//! already reaches it, and an insert is refused once the index (matrix plus
+//! per-document bookkeeping, which grows with every document) has reached
+//! it — so a tenant overshoots its budget by at most one document.
 //!
 //! **Isolation** is structural: tenants share no index state — each has its
-//! own `GenerationalIndex`, its own [`ResultCache`] and its own latency
-//! histograms — so one tenant's answers are bit-identical to a
-//! single-index process holding only that tenant's documents (property
-//! tested in `tests/tenant_prop.rs`). Dropping a tenant drops its cache
-//! with it; a recreated tenant of the same name starts from a fresh cache
-//! and a fresh creation stamp, so a drop/create cycle can never serve a
-//! stale cached answer.
-//!
-//! Merging is cooperative: inserts seal over-budget memtables inline, and
-//! [`TenantRegistry::maintain_once`] runs at most one pending generation
-//! merge — planned under a read lock, folded off-lock, installed under a
-//! brief write lock that validates the plan is still current, so writers and
-//! readers proceed during the fold. The serving reactor
-//! ([`crate::serve_tenant_tcp`]) calls it whenever a turn has no I/O to do,
-//! so merge work rides the serving thread's idle gaps; an in-process caller
-//! that wants background merging loops it on a thread of its own.
+//! own [`Rambo`], its own [`ResultCache`] and its own latency histograms —
+//! so one tenant's answers are bit-identical to a single-index process
+//! holding only that tenant's documents (property tested in
+//! `tests/tenant_prop.rs`). Dropping a tenant drops its cache with it; a
+//! recreated tenant of the same name starts from a fresh cache and a fresh
+//! creation stamp, so a drop/create cycle can never serve a stale cached
+//! answer.
 
 use crate::cache::{CacheStats, ResultCache};
 use rambo_core::{
-    canonical_query_key, multiset_query_key, DocId, GenerationConfig, GenerationalIndex,
-    QueryContext, QueryMode, Rambo, RamboError, RamboParams,
+    canonical_query_key, multiset_query_key, DocId, QueryContext, QueryMode, Rambo, RamboError,
+    RamboParams,
 };
 use rambo_hash::mix64;
 use rambo_workloads::stats::LatencyHistogram;
@@ -68,9 +67,10 @@ pub struct TenantQuotas {
     /// Default per-tenant document cap (overridable per tenant at create).
     pub max_docs: usize,
     /// Default per-tenant index byte budget (overridable per tenant at
-    /// create): once [`GenerationalIndex::size_bytes`] reaches it, further
-    /// inserts are rejected. The budget bounds *admission*, so the index
-    /// can overshoot by at most the in-flight memtable.
+    /// create), measured by [`Rambo::size_bytes`]: a tenant whose empty
+    /// index already reaches it is refused at create, and an insert once
+    /// the index has reached it. The matrix never grows after create, but
+    /// the per-document bookkeeping (bucket lists, document names) does.
     pub max_bytes: usize,
     /// Largest accepted term set per document insert.
     pub max_terms_per_doc: usize,
@@ -113,8 +113,8 @@ impl fmt::Display for TenantKind {
 /// Per-tenant creation options ([`TenantRegistry::create`]).
 #[derive(Debug, Clone)]
 pub struct TenantOptions {
-    /// Memtable seal budget (the generational index seals when its
-    /// metadata-predicted FPR exceeds this). Must lie in `(0, 1]`.
+    /// The tenant's stated FPR budget, reported beside its predicted FPR
+    /// ([`TenantStats::predicted_fpr`]). Must lie in `(0, 1]`.
     pub fpr: f64,
     /// Index geometry override; `None` uses the registry's base params.
     pub params: Option<RamboParams>,
@@ -122,9 +122,6 @@ pub struct TenantOptions {
     pub max_docs: Option<usize>,
     /// Byte-budget override; `None` uses [`TenantQuotas::max_bytes`].
     pub max_bytes: Option<usize>,
-    /// Generation-cap override (`R.CREATE … tiers=N`): the LSM tier count
-    /// beyond which adjacent generations merge eagerly.
-    pub max_generations: Option<usize>,
     /// Display/bookkeeping kind tag.
     pub kind: TenantKind,
 }
@@ -136,7 +133,6 @@ impl Default for TenantOptions {
             params: None,
             max_docs: None,
             max_bytes: None,
-            max_generations: None,
             kind: TenantKind::Rambo,
         }
     }
@@ -164,7 +160,7 @@ pub enum TenantError {
         /// The tenant's document cap.
         limit: usize,
     },
-    /// The tenant's index has filled its byte budget.
+    /// The tenant's index is larger than its byte budget.
     ByteQuota {
         /// The tenant's byte budget.
         limit: usize,
@@ -209,7 +205,10 @@ impl fmt::Display for TenantError {
                 write!(f, "quota exceeded: tenant at its document cap ({limit})")
             }
             Self::ByteQuota { limit } => {
-                write!(f, "quota exceeded: tenant filled its byte budget ({limit})")
+                write!(
+                    f,
+                    "quota exceeded: index larger than the byte budget ({limit})"
+                )
             }
             Self::TermQuota { limit } => {
                 write!(f, "quota exceeded: term set larger than {limit}")
@@ -232,8 +231,9 @@ impl std::error::Error for TenantError {
 pub(crate) struct TenantState {
     pub(crate) name: String,
     kind: TenantKind,
-    pub(crate) index: RwLock<GenerationalIndex>,
+    pub(crate) index: RwLock<Rambo>,
     cache: Option<ResultCache>,
+    fpr_budget: f64,
     max_docs: usize,
     max_bytes: usize,
     /// Registry-wide creation stamp: strictly increasing across every
@@ -259,12 +259,14 @@ pub struct TenantStats {
     pub created: u64,
     /// Documents indexed.
     pub documents: usize,
-    /// Live immutable generations.
+    /// Always 0: a tenant is one matrix. Kept for the `benchmark/` harness.
+    #[doc(hidden)]
     pub generations: usize,
-    /// Documents in the mutable memtable.
-    pub memtable_documents: usize,
-    /// Structural epoch of the index.
-    pub epoch: u64,
+    /// Predicted per-document query FPR at the current fill
+    /// ([`Rambo::predicted_fpr`]).
+    pub predicted_fpr: f64,
+    /// The stated budget it is reported against ([`TenantOptions::fpr`]).
+    pub fpr_budget: f64,
     /// Current index payload size.
     pub size_bytes: usize,
     /// The tenant's byte budget.
@@ -289,14 +291,13 @@ impl fmt::Display for TenantStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "tenant '{}' [{}]: {} docs ({} generations + {} memtable), epoch {}, {} bytes",
+            "tenant '{}' [{}]: {} docs, {} bytes, predicted fpr {:.3e} (budget {:.3e})",
             self.name,
             self.kind,
             self.documents,
-            self.generations,
-            self.memtable_documents,
-            self.epoch,
             self.size_bytes,
+            self.predicted_fpr,
+            self.fpr_budget,
         )?;
         writeln!(
             f,
@@ -399,19 +400,22 @@ impl TenantRegistry {
     ///
     /// # Errors
     /// [`TenantError::BadName`], [`TenantError::DuplicateTenant`],
-    /// [`TenantError::TenantQuota`] at the live-tenant cap, and
+    /// [`TenantError::TenantQuota`] at the live-tenant cap,
+    /// [`TenantError::ByteQuota`] when the empty index already reaches the
+    /// byte budget (it would refuse every insert), and
     /// [`TenantError::Index`] when the FPR budget or geometry is invalid.
     pub fn create(&self, name: &str, opts: TenantOptions) -> Result<(), TenantError> {
         validate_name(name)?;
-        let params = opts.params.unwrap_or(self.params);
-        let mut config = GenerationConfig {
-            memtable_fpr_budget: opts.fpr,
-            ..GenerationConfig::default()
-        };
-        if let Some(tiers) = opts.max_generations {
-            config.max_generations = tiers;
+        if !(opts.fpr > 0.0 && opts.fpr <= 1.0) {
+            return Err(TenantError::Index(RamboError::InvalidParams(
+                "fpr must lie in (0, 1]".into(),
+            )));
         }
-        let index = GenerationalIndex::new(params, config).map_err(TenantError::Index)?;
+        let index = Rambo::new(opts.params.unwrap_or(self.params)).map_err(TenantError::Index)?;
+        let max_bytes = opts.max_bytes.unwrap_or(self.quotas.max_bytes);
+        if index.size_bytes() >= max_bytes {
+            return Err(TenantError::ByteQuota { limit: max_bytes });
+        }
         let mut map = self.tenants.write().expect("tenant map");
         if map.contains_key(name) {
             return Err(TenantError::DuplicateTenant(name.to_owned()));
@@ -431,8 +435,9 @@ impl TenantRegistry {
                 index: RwLock::new(index),
                 cache: (self.quotas.cache_bytes > 0)
                     .then(|| ResultCache::new(self.quotas.cache_bytes)),
+                fpr_budget: opts.fpr,
                 max_docs: opts.max_docs.unwrap_or(self.quotas.max_docs),
-                max_bytes: opts.max_bytes.unwrap_or(self.quotas.max_bytes),
+                max_bytes,
                 created,
                 inserts: AtomicU64::new(0),
                 queries: AtomicU64::new(0),
@@ -464,8 +469,9 @@ impl TenantRegistry {
 
     /// Insert a document into a tenant, returning its tenant-local id.
     /// Quotas (term cap, document cap, byte budget) are checked at
-    /// admission, before the index is touched; rejections are counted in
-    /// the tenant's [`TenantStats::quota_rejections`].
+    /// admission, before the index is touched; rejections are counted in the
+    /// tenant's
+    /// [`TenantStats::quota_rejections`].
     ///
     /// # Errors
     /// [`TenantError::UnknownTenant`], the quota variants, and
@@ -497,7 +503,7 @@ impl TenantRegistry {
                 return Err(TenantError::ByteQuota { limit: t.max_bytes });
             }
             index
-                .insert_document(doc, terms)
+                .insert_document_batch(doc, terms)
                 .map_err(TenantError::Index)?
         };
         t.inserts.fetch_add(1, Ordering::Relaxed);
@@ -587,7 +593,7 @@ impl TenantRegistry {
             let index = t.index.read().expect("tenant index");
             match theta {
                 None => index.query_terms_with(terms, mode, &mut ctx),
-                Some(th) => index.query_sequence_theta_with(terms, th, mode, &mut ctx),
+                Some(th) => index.query_sequence_theta(terms, th, mode, &mut ctx),
             }
         };
         {
@@ -624,20 +630,18 @@ impl TenantRegistry {
             .collect())
     }
 
-    /// Collapse a tenant's live index into one monolithic [`Rambo`] snapshot
-    /// (bit-identical to a from-scratch build over the same documents) — the
-    /// bridge back to the batch pipeline: feed the result to
-    /// [`Catalog::builder`](crate::Catalog::builder) via
+    /// A snapshot of a tenant's index (bit-identical to a from-scratch build
+    /// over the same documents) — the bridge back to the batch pipeline:
+    /// feed the result to [`Catalog::builder`](crate::Catalog::builder) via
     /// [`CatalogBuilder::base`](crate::CatalogBuilder::base) to freeze the
     /// accumulated documents into fold-over serving tiers.
     ///
     /// # Errors
-    /// [`TenantError::UnknownTenant`]; merge failures as
-    /// [`TenantError::Index`].
+    /// [`TenantError::UnknownTenant`].
     pub fn freeze(&self, tenant: &str) -> Result<Rambo, TenantError> {
         let t = self.get(tenant)?;
         let index = t.index.read().expect("tenant index");
-        index.to_monolithic().map_err(TenantError::Index)
+        Ok(index.clone())
     }
 
     /// Point-in-time stats for one tenant.
@@ -696,51 +700,25 @@ impl TenantRegistry {
         out
     }
 
-    /// Run at most one pending generation merge across all tenants: plan
-    /// under a read lock, OR-fold off-lock, install under a brief validated
-    /// write lock. Returns whether a merge was installed — callers (the
-    /// serving reactor's idle path, tests, benches) loop while it returns
-    /// `true` to quiesce. Merges are answer-preserving, so no cache bump.
+    /// Always `false`: a tenant is one matrix, with nothing to merge. Kept
+    /// for the `benchmark/` harness.
+    #[doc(hidden)]
+    #[must_use]
     pub fn maintain_once(&self) -> bool {
-        let tenants: Vec<Arc<TenantState>> = self
-            .tenants
-            .read()
-            .expect("tenant map")
-            .values()
-            .cloned()
-            .collect();
-        for t in tenants {
-            let job = {
-                let index = t.index.read().expect("tenant index");
-                index.merge_job()
-            };
-            let Some(job) = job else { continue };
-            let Ok(merged) = job.run() else { continue };
-            if t.index
-                .write()
-                .expect("tenant index")
-                .install_merged(&job, merged)
-            {
-                return true;
-            }
-        }
         false
     }
 
-    /// Run merges until every tenant's tiers are quiescent.
-    pub fn drain_maintenance(&self) {
-        while self.maintain_once() {}
-    }
+    /// A no-op, for the same reason. Kept for the `benchmark/` harness.
+    #[doc(hidden)]
+    pub fn drain_maintenance(&self) {}
 }
 
 fn snapshot(t: &TenantState) -> TenantStats {
-    let (documents, generations, memtable_documents, epoch, size_bytes) = {
+    let (documents, predicted_fpr, size_bytes) = {
         let index = t.index.read().expect("tenant index");
         (
             index.num_documents(),
-            index.num_generations(),
-            index.memtable_documents(),
-            index.epoch(),
+            index.predicted_fpr(),
             index.size_bytes(),
         )
     };
@@ -749,9 +727,9 @@ fn snapshot(t: &TenantState) -> TenantStats {
         kind: t.kind,
         created: t.created,
         documents,
-        generations,
-        memtable_documents,
-        epoch,
+        generations: 0,
+        predicted_fpr,
+        fpr_budget: t.fpr_budget,
         size_bytes,
         max_bytes: t.max_bytes,
         inserts: t.inserts.load(Ordering::Relaxed),
@@ -883,20 +861,76 @@ mod tests {
     #[test]
     fn byte_budget_bounds_admission() {
         let reg = registry();
-        reg.create(
-            "tiny",
-            TenantOptions {
-                max_bytes: Some(1),
-                ..TenantOptions::default()
-            },
-        )
-        .unwrap();
-        // The empty index already exceeds a 1-byte budget, so the very
-        // first insert is rejected at admission.
+        let tiny = |max_bytes| TenantOptions {
+            max_bytes: Some(max_bytes),
+            ..TenantOptions::default()
+        };
+        // The empty index already exceeds a 1-byte budget: no tenant.
         assert!(matches!(
-            reg.insert_document("tiny", "d", &[1]),
+            reg.create("tiny", tiny(1)),
             Err(TenantError::ByteQuota { limit: 1 })
         ));
+        assert!(!reg.contains("tiny"));
+        // A budget the empty matrix already reaches would refuse every
+        // insert, so it is refused at create too.
+        let empty = Rambo::new(params()).unwrap().size_bytes();
+        assert!(matches!(
+            reg.create("exact", tiny(empty)),
+            Err(TenantError::ByteQuota { .. })
+        ));
+        // The matrix is fixed, but every document adds bookkeeping (bucket
+        // entries, its name): long-named inserts fill a budget a little
+        // above the empty size, and the insert that finds it full is refused.
+        let budget = empty + 4096;
+        reg.create("fits", tiny(budget)).unwrap();
+        let mut admitted = 0u64;
+        let mut largest_doc = 0;
+        let rejection = loop {
+            let before = reg.stats("fits").unwrap().size_bytes;
+            let name = format!("{admitted:0>500}");
+            match reg.insert_document("fits", &name, &[admitted]) {
+                Ok(_) => {
+                    largest_doc = largest_doc.max(reg.stats("fits").unwrap().size_bytes - before);
+                    admitted += 1;
+                    assert!(admitted < 64, "the byte budget never refused an insert");
+                }
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(rejection, TenantError::ByteQuota { limit } if limit == budget));
+        assert!(admitted > 1);
+        let stats = reg.stats("fits").unwrap();
+        assert_eq!(stats.quota_rejections, 1);
+        assert_eq!(stats.documents as u64, admitted);
+        assert!(stats.size_bytes >= budget);
+        assert!(stats.size_bytes < budget + largest_doc);
+    }
+
+    /// One FPR rule: a tenant reports the prediction the catalog quotes for
+    /// tier 0 of the tenant's frozen index, beside its stated budget.
+    #[test]
+    fn reported_fpr_is_the_catalog_prediction() {
+        let reg = registry();
+        let options = TenantOptions {
+            fpr: 0.05,
+            ..TenantOptions::default()
+        };
+        reg.create("a", options).unwrap();
+        for d in 0..40u64 {
+            let terms: Vec<u64> = (0..64).map(|t| d << 16 | t).collect();
+            reg.insert_document("a", &format!("d{d}"), &terms).unwrap();
+        }
+        let stats = reg.stats("a").unwrap();
+        let frozen = reg.freeze("a").unwrap();
+        let catalog = crate::Catalog::builder()
+            .base(&frozen)
+            .halving(1)
+            .build()
+            .unwrap();
+        assert!(stats.predicted_fpr > 0.0);
+        assert_eq!(stats.predicted_fpr, catalog.info(0).predicted_fpr);
+        assert_eq!(stats.fpr_budget, 0.05);
+        assert_eq!(stats.size_bytes, frozen.size_bytes());
     }
 
     #[test]
@@ -913,28 +947,5 @@ mod tests {
         // The recreated tenant must answer from its own (empty) index.
         assert!(reg.query("a", &[42], None).unwrap().is_empty());
         assert!(reg.stats("a").unwrap().created > first_created);
-    }
-
-    #[test]
-    fn maintenance_merges_generations() {
-        let reg = registry();
-        reg.create("a", TenantOptions::default()).unwrap();
-        let small = GenerationConfig::default();
-        assert!(small.memtable_max_docs >= 4, "default cap sanity");
-        // Force seals via many docs with rich term sets to cross the FPR
-        // budget quickly at the tiny geometry.
-        for d in 0..64 {
-            let base = (d as u64) << 16;
-            let terms: Vec<u64> = (0..64).map(|t| base | t).collect();
-            reg.insert_document("a", &format!("d{d}"), &terms).unwrap();
-        }
-        reg.drain_maintenance();
-        let stats = reg.stats("a").unwrap();
-        assert_eq!(stats.documents, 64);
-        // Every doc still answers after merging.
-        for d in [0u64, 31, 63] {
-            let got = reg.query("a", &[(d << 16) | 5], None).unwrap();
-            assert!(got.contains(&(d as u32)), "doc {d} lost after merges");
-        }
     }
 }

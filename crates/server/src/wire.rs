@@ -20,7 +20,7 @@
 //!
 //! mutate-request  := u32 len | u8 opcode(=4) | 3 × u8 reserved(=0)
 //!                    | u32 name_len | name utf8 | u32 n_terms | n_terms × u64
-//! mutate-response := u32 len | u8 status(=0) | u32 doc_id | u64 epoch
+//! mutate-response := u32 len | u8 status(=0) | u32 doc_id | u64 reserved(=0)
 //!                  | u32 len | u8 status(=5) | utf8 reason   (rejected)
 //! ```
 //!
@@ -187,12 +187,12 @@ pub(crate) fn encode_query_result(result: Result<QueryReply, ServerError>) -> (V
     }
 }
 
-/// Encode a successful mutate response (document id + structural epoch).
+/// Encode a successful mutate response: the document id, then the 8-byte
+/// reserved slot, written 0.
 #[must_use]
-pub fn encode_mutate_ok(doc_id: u32, epoch: u64) -> Vec<u8> {
+pub fn encode_mutate_ok(doc_id: u32) -> Vec<u8> {
     let mut body = [0u8; 12];
     body[..4].copy_from_slice(&doc_id.to_le_bytes());
-    body[4..].copy_from_slice(&epoch.to_le_bytes());
     encode_blob(STATUS_OK, &body)
 }
 

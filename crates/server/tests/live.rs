@@ -1,15 +1,13 @@
 //! End-to-end tests for a mutable index served as a one-tenant registry:
-//! live inserts under concurrent background merges stay bit-identical to a
-//! monolithic rebuild, the result cache never serves a stale answer across
+//! live inserts under concurrent readers stay bit-identical to a
+//! from-scratch build, the result cache never serves a stale answer across
 //! an insert, the binary `MUTATE` opcode round-trips, and a tenant freezes
 //! into the same catalog a from-scratch build gives.
 
-use rambo_core::{
-    GenerationConfig, GenerationalIndex, QueryContext, QueryMode, Rambo, RamboParams,
-};
+use rambo_core::{QueryContext, QueryMode, Rambo, RamboParams};
 use rambo_server::{
     serve_tenant_tcp, Catalog, TcpClient, TcpClientError, TenantError, TenantOptions, TenantQuotas,
-    TenantRegistry, TenantServeOptions, TenantStats,
+    TenantRegistry, TenantServeOptions,
 };
 use rambo_workloads::TestClient;
 use std::net::{SocketAddr, TcpListener};
@@ -42,28 +40,11 @@ fn oracle(docs: &[(String, Vec<u64>)]) -> Rambo {
     r
 }
 
-/// A registry holding one tenant that churns hard: a memtable FPR budget the
-/// archive's documents cross every fourth insert, merged down to at most
-/// three generations.
-fn churny() -> TenantRegistry {
+/// A registry holding one tenant of the test geometry.
+fn one_tenant() -> TenantRegistry {
     let registry = TenantRegistry::new(params(), TenantQuotas::default()).unwrap();
-    let options = TenantOptions {
-        fpr: 2e-5,
-        max_generations: Some(3),
-        ..TenantOptions::default()
-    };
-    registry.create(TENANT, options).unwrap();
+    registry.create(TENANT, TenantOptions::default()).unwrap();
     registry
-}
-
-/// Seals and merges so far: every seal adds a generation and every merge
-/// removes one, and each advances the epoch.
-fn seals_and_merges(stats: &TenantStats) -> (u64, u64) {
-    let generations = stats.generations as u64;
-    (
-        (stats.epoch + generations) / 2,
-        (stats.epoch - generations) / 2,
-    )
 }
 
 /// Serve `registry` with the binary front bound to the tenant for the
@@ -94,42 +75,35 @@ fn with_binary_front(registry: &TenantRegistry, f: impl FnOnce(SocketAddr)) {
 }
 
 #[test]
-fn live_inserts_match_monolith_while_background_merges_run() {
+fn live_inserts_match_monolith_under_concurrent_readers() {
     let docs = archive(40);
-    let reg = churny();
-    let writing = AtomicBool::new(true);
+    let reg = one_tenant();
+    let (head, tail) = docs.split_at(20);
+    for (i, (name, terms)) in head.iter().enumerate() {
+        let id = reg.insert_document(TENANT, name, terms).unwrap();
+        assert_eq!(id, i as u32, "ids must be dense and insertion-ordered");
+    }
     std::thread::scope(|s| {
-        // The background merger: an in-process caller's own thread.
-        s.spawn(|| {
-            while writing.load(Ordering::Relaxed) {
-                if !reg.maintain_once() {
-                    std::thread::yield_now();
+        // Readers on their own threads while the writer streams the tail:
+        // every document inserted before a reader started is found.
+        for r in 0..4 {
+            let (reg, head) = (&reg, head);
+            s.spawn(move || {
+                for (d, (_, terms)) in head.iter().enumerate() {
+                    let t = terms[r % terms.len()];
+                    let got = reg.query(TENANT, &[t], None).unwrap();
+                    assert!(
+                        got.contains(&(d as u32)),
+                        "reader {r}: doc {d} missing for {t:#x}"
+                    );
                 }
-            }
-        });
-        for (i, (name, terms)) in docs.iter().enumerate() {
-            let id = reg.insert_document(TENANT, name, terms).unwrap();
-            assert_eq!(id, i as u32, "ids must be dense and insertion-ordered");
+            });
         }
-        // Concurrent readers while the merge thread churns the tail.
-        std::thread::scope(|readers| {
-            for r in 0..4 {
-                let (reg, docs) = (&reg, &docs);
-                readers.spawn(move || {
-                    for (d, (_, terms)) in docs.iter().enumerate() {
-                        let t = terms[r % terms.len()];
-                        let got = reg.query(TENANT, &[t], None).unwrap();
-                        assert!(
-                            got.contains(&(d as u32)),
-                            "reader {r}: doc {d} missing for {t:#x}"
-                        );
-                    }
-                });
-            }
-        });
-        writing.store(false, Ordering::Relaxed);
+        for (i, (name, terms)) in tail.iter().enumerate() {
+            let id = reg.insert_document(TENANT, name, terms).unwrap();
+            assert_eq!(id, (head.len() + i) as u32);
+        }
     });
-    reg.drain_maintenance();
     // Bit-identity with the from-scratch monolith, both modes.
     let mono = oracle(&docs);
     let mut ctx = QueryContext::new();
@@ -149,16 +123,13 @@ fn live_inserts_match_monolith_while_background_merges_run() {
     assert_eq!(reg.resolve_names(TENANT, &ids).unwrap(), names);
 
     let stats = reg.stats(TENANT).unwrap();
-    let (seals, merges) = seals_and_merges(&stats);
     assert_eq!((stats.inserts, stats.documents), (40, 40));
-    assert!(seals >= 9, "a seal every ~4 of 40 docs: {stats:?}");
-    assert!(merges > 0, "churny tenant must merge: {stats:?}");
-    assert!(stats.generations <= 3, "merge policy violated: {stats:?}");
+    assert_eq!(stats.size_bytes, mono.size_bytes(), "one matrix: {stats:?}");
 }
 
 #[test]
 fn result_cache_never_serves_stale_answers_across_inserts() {
-    let reg = churny();
+    let reg = one_tenant();
     let shared = 0xFFFFu64;
     reg.insert_document(TENANT, "a", &[1, shared]).unwrap();
     // Prime the cache, then hit it.
@@ -178,16 +149,10 @@ fn result_cache_never_serves_stale_answers_across_inserts() {
 #[test]
 fn duplicate_insert_is_rejected_without_poisoning_the_index() {
     let docs = archive(4);
-    let reg = churny();
+    let reg = one_tenant();
     for (name, terms) in &docs {
         reg.insert_document(TENANT, name, terms).unwrap();
     }
-    let stats = reg.stats(TENANT).unwrap();
-    assert!(
-        stats.generations >= 1 && stats.memtable_documents == 0,
-        "premise: the names live in a sealed generation: {stats:?}"
-    );
-    // The fresh memtable must still refuse a sealed name.
     assert!(matches!(
         reg.insert_document(TENANT, "doc-0", &[12]),
         Err(TenantError::Index(_))
@@ -199,19 +164,14 @@ fn duplicate_insert_is_rejected_without_poisoning_the_index() {
 #[test]
 fn binary_mutate_roundtrip() {
     let docs = archive(12);
-    let reg = churny();
+    let reg = one_tenant();
     with_binary_front(&reg, |addr| {
         let mut client = TcpClient::connect(addr).unwrap();
-        let mut epochs = Vec::new();
         for (i, (name, terms)) in docs.iter().enumerate() {
-            let (id, epoch) = client.insert_document(name, terms).unwrap();
+            let (id, reserved) = client.insert_document(name, terms).unwrap();
             assert_eq!(id, i as u32);
-            epochs.push(epoch);
+            assert_eq!(reserved, 0, "the reply's reserved slot reads 0");
         }
-        assert!(
-            epochs.last() > epochs.first(),
-            "seals must advance the wire-visible epoch: {epochs:?}"
-        );
         // Duplicate name → in-protocol rejection, connection intact.
         match client.insert_document(&docs[3].0, &[1]) {
             Err(TcpClientError::Rejected(msg)) => {
@@ -231,7 +191,7 @@ fn binary_mutate_roundtrip() {
 
 #[test]
 fn malformed_mutate_frame_closes_the_connection() {
-    with_binary_front(&churny(), |addr| {
+    with_binary_front(&one_tenant(), |addr| {
         let mut raw = TestClient::connect(addr).unwrap();
         // Opcode 4 with a lying name length.
         let mut frame = vec![4u8, 0, 0, 0];
@@ -247,12 +207,10 @@ fn malformed_mutate_frame_closes_the_connection() {
 #[test]
 fn frozen_tenant_builds_the_monolith_catalog() {
     let docs = archive(24);
-    let reg = churny();
+    let reg = one_tenant();
     for (name, terms) in &docs {
         reg.insert_document(TENANT, name, terms).unwrap();
     }
-    reg.drain_maintenance();
-    assert!(reg.stats(TENANT).unwrap().generations >= 1);
     let frozen = reg.freeze(TENANT).unwrap();
     let tiers = |base: &Rambo| {
         Catalog::builder()
@@ -270,15 +228,6 @@ fn frozen_tenant_builds_the_monolith_catalog() {
         reg.freeze("ghost"),
         Err(TenantError::UnknownTenant(_))
     ));
-    // The builder's own generational source takes the same snapshot.
-    let mut live = GenerationalIndex::new(params(), GenerationConfig::default()).unwrap();
-    for (name, terms) in &docs {
-        live.insert_document(name, terms).unwrap();
-    }
-    let direct = Catalog::builder()
-        .generational(&live)
-        .tier_buckets(&[16, 8]);
-    assert_eq!(direct.build().unwrap().buffer(), tiers(&frozen).buffer());
 }
 
 #[test]

@@ -107,8 +107,8 @@ fn private(d: u32) -> u64 {
     (u64::from(d) << 16) | 1
 }
 
-/// Geometry roomy enough that a few thousand two-term documents neither
-/// seal a tenant's memtable early nor collide.
+/// Geometry roomy enough that a few thousand two-term documents do not
+/// collide.
 fn corpus_params() -> rambo_core::RamboParams {
     rambo_core::RamboParams::flat(64, 2, 1 << 14, 2, 7)
 }

@@ -1,13 +1,14 @@
-//! Live inserts: a mutable generational index as a one-tenant registry.
+//! Live inserts: a mutable index as a one-tenant registry.
 //!
 //! The paper's pipeline is batch-shaped — crawl, build for a week, then
 //! serve a frozen catalog. This example shows the online path layered on
-//! top: a `TenantRegistry` tenant is an LSM-style `GenerationalIndex` (one
-//! mutable memtable + sealed immutable generations, merged in the serving
-//! reactor's idle gaps), accepts inserts while answering queries
-//! bit-identically to a monolithic rebuild, exposes the same over TCP via
-//! the binary `MUTATE` opcode, and finally freezes the accumulated documents
-//! into a regular fold-over `Catalog` through the builder.
+//! top: a `TenantRegistry` tenant is one RAMBO matrix whose fixed `B × R`
+//! grid absorbs each inserted document's bits (the paper's cheap streaming
+//! update). It accepts inserts while answering queries bit-identically to a
+//! from-scratch build, exposes the same over TCP via the binary `MUTATE`
+//! opcode, reports its predicted FPR beside its stated budget, and finally
+//! freezes the accumulated documents into a regular fold-over `Catalog`
+//! through the builder.
 //!
 //! ```text
 //! cargo run --release --example live_insert
@@ -16,7 +17,7 @@
 use rambo::core::{QueryMode, RamboParams, TierCompression};
 use rambo::server::{
     serve_tenant_tcp, Catalog, TcpClient, TenantOptions, TenantQuotas, TenantRegistry,
-    TenantServeOptions,
+    TenantServeOptions, TenantStats,
 };
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,14 +31,20 @@ fn sample(i: u64) -> (String, Vec<u64>) {
     (format!("sample-{i}"), terms)
 }
 
+/// A tenant's shape: documents, bytes, and predicted FPR against its budget.
+fn shape(stats: &TenantStats) -> String {
+    format!(
+        "{} docs in {} bytes, predicted fpr {:.3e} (budget {:.0e})",
+        stats.documents, stats.size_bytes, stats.predicted_fpr, stats.fpr_budget
+    )
+}
+
 fn main() {
     let params = RamboParams::flat(32, 3, 1 << 13, 2, 42);
     let registry = TenantRegistry::new(params, TenantQuotas::default()).expect("valid geometry");
-    // A memtable FPR budget tight enough that the run visibly seals (every
-    // eight samples or so) and merges (never more than 3 generations).
+    // The stated FPR budget is reported beside the tenant's prediction.
     let options = TenantOptions {
-        fpr: 3.5e-6,
-        max_generations: Some(3),
+        fpr: 1e-4,
         ..TenantOptions::default()
     };
     registry.create(TENANT, options).expect("fresh tenant");
@@ -52,10 +59,7 @@ fn main() {
         assert!(query(&[terms[0]], None).contains(&id));
     }
     let snap = registry.stats(TENANT).expect("tenant");
-    println!(
-        "after 20 inserts: {} generations + {} memtable docs (epoch {})",
-        snap.generations, snap.memtable_documents, snap.epoch
-    );
+    println!("after 20 inserts: {}", shape(&snap));
 
     // 2. The same tenant over TCP: the binary front's MUTATE opcode inserts,
     //    QUERY reads its own writes on the same connection. (The RESP front
@@ -81,12 +85,12 @@ fn main() {
         let mut client = TcpClient::connect(addr).expect("connect");
         for i in 20..28 {
             let (name, terms) = sample(i);
-            let (id, epoch) = client.insert_document(&name, &terms).expect("mutate");
+            let (id, _reserved) = client.insert_document(&name, &terms).expect("mutate");
             let reply = client
                 .query(&[terms[0]], 1.0, std::time::Duration::from_secs(5))
                 .expect("query");
             assert!(reply.docs.contains(&id));
-            println!("tcp insert {name} -> id {id} (epoch {epoch})");
+            println!("tcp insert {name} -> id {id}");
         }
         // Duplicates are rejected in-protocol; the connection survives.
         let err = client.insert_document("sample-5", &[1]).unwrap_err();
@@ -96,9 +100,7 @@ fn main() {
         server.join().expect("join").expect("serve");
     });
 
-    // 3. All 28 documents answer identically to a monolithic rebuild no
-    //    matter how the generations happen to be laid out.
-    registry.drain_maintenance();
+    // 3. All 28 documents answer, in either evaluation mode.
     for i in 0..28 {
         let (_, terms) = sample(i);
         assert!(query(&[terms[7]], Some(QueryMode::Sparse)).contains(&(i as u32)));
@@ -120,8 +122,11 @@ fn main() {
     );
 
     let stats = registry.stats(TENANT).expect("tenant");
+    assert_eq!(stats.size_bytes, frozen.size_bytes(), "one matrix");
     println!(
-        "final: {} docs in {} generations, write p99 {:?}, read p99 {:?}",
-        stats.documents, stats.generations, stats.write_p99, stats.read_p99
+        "final: {}, write p99 {:?}, read p99 {:?}",
+        shape(&stats),
+        stats.write_p99,
+        stats.read_p99
     );
 }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Bench floor gate: run the benches no BENCHMARK.json workload measures yet
-# (storage_cold for the cold tiers, mutable_load for the merge phase) at
-# their canonical (default-flag) sizes, and fail (exit 1) when a gated
-# metric in their BENCH_*.json sits below its absolute floor. A floor means
-# the floor: there is no tolerance below it, no baseline file and no retry.
-# Speed of everything else is the yardstick's job (BENCHMARK.json).
+# Bench floor gate: run the bench no BENCHMARK.json workload measures yet
+# (storage_cold, for the cold tiers) at its canonical (default-flag) sizes,
+# and fail (exit 1) when a gated metric in BENCH_storage.json sits below its
+# absolute floor. A floor means the floor: there is no tolerance below it,
+# no baseline file and no retry. Speed of everything else is the
+# yardstick's job (BENCHMARK.json).
 #
 # Usage:
 #   scripts/bench_regression.sh
@@ -20,19 +20,10 @@ cd "$(dirname "$0")/.."
 # cold (all-faulting) query under the 20ms serving ceiling on a 128MB
 # catalog; hot_over_cold_query_speedup >= 4.48 is a block-cache hit beating
 # a cold fault (recorded 5.97-7.05; the floor is 5.969 less 25%).
-#
-# Mutable-index floors: generations_parity_ok is the live-insert
-# bit-identity gate (0-or-1 — every query through the generational index
-# must equal a from-scratch monolithic rebuild, after a run full of
-# concurrent seals and merges); merge_read_p99_headroom >= 1.0 holds the
-# concurrent-read p99 under the mutable bench's latency ceiling while
-# background merges run.
 FLOORS="
 BENCH_storage.json|dense_over_rrr_bits_per_doc|1.667
 BENCH_storage.json|cold_query_headroom|1.0
 BENCH_storage.json|hot_over_cold_query_speedup|4.48
-BENCH_mutable.json|generations_parity_ok|1.0
-BENCH_mutable.json|merge_read_p99_headroom|1.0
 "
 
 # extract FILE KEY -> prints the numeric value of "KEY": value
@@ -41,11 +32,9 @@ extract() {
 }
 
 cargo build --release -p rambo-bench
-# Canonical runs: default flags, which fix the seed and sizes.
-for bin in storage_cold mutable_load; do
-    echo "+ cargo run --release -p rambo-bench --bin $bin" >&2
-    cargo run --release -p rambo-bench --bin "$bin" >/dev/null
-done
+# Canonical run: default flags, which fix the seed and sizes.
+echo "+ cargo run --release -p rambo-bench --bin storage_cold" >&2
+cargo run --release -p rambo-bench --bin storage_cold >/dev/null
 
 echo "bench floor gate:"
 failed=0
