@@ -24,7 +24,7 @@ use crate::query::{QueryContext, QueryMode};
 /// The machine's available parallelism, probed once (the syscall behind
 /// `available_parallelism` is not free).
 #[must_use]
-pub fn default_threads() -> usize {
+pub(crate) fn default_threads() -> usize {
     static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
 }

@@ -103,7 +103,7 @@ mod serialize;
 pub mod sharded;
 pub mod theory;
 
-pub use batch::{default_threads, QueryBatch};
+pub use batch::QueryBatch;
 pub use builder::RamboBuilder;
 pub use error::RamboError;
 pub use fold::TierCompression;

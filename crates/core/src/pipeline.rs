@@ -17,7 +17,7 @@
 //! * **A stream.** [`IngestPipeline::ingest`] keeps only the serial part on
 //!   the calling thread: it parses, extracts, dedupes and registers each
 //!   document in stream order, then enqueues one job per repetition on a
-//!   bounded queue. A pool of [`default_threads`] workers runs the jobs:
+//!   bounded queue. A pool of `available_parallelism` workers runs the jobs:
 //!   rows-for-`r` into a reused buffer, then the row writes under table
 //!   `r`'s lock. Repetitions are the paper's independent unit (§4.2), so
 //!   two workers want the same table only by accident. Stall time on both
@@ -516,7 +516,7 @@ fn run_pool(
 }
 
 /// The ingestion pool: the calling thread parses, dedupes and registers,
-/// a pool of [`default_threads`] workers hashes and writes one repetition
+/// a pool of `available_parallelism` workers hashes and writes one repetition
 /// of one document per job. Carries no configuration.
 #[derive(Debug, Clone, Default)]
 pub struct IngestPipeline;

@@ -17,11 +17,12 @@
 //! and evict are all O(1) under one short shard lock.
 //!
 //! Invalidation is O(1): [`ResultCache::bump_version`] increments an atomic
-//! stamp; entries carry the version current when their query was *admitted*
-//! (not when its evaluation finished, so a bump racing a slow evaluation can
+//! stamp; entries carry the version current when their lookup *began* (not
+//! when its evaluation finished, so a bump racing a slow evaluation can
 //! never be masked), and a lookup that finds a stale entry removes it and
 //! reports a miss. Stale entries that are never touched again age out
-//! through the LRU tail like any cold entry.
+//! through the LRU tail like any cold entry. Both engines take the whole
+//! rule from one method, `ResultCache::get_or_evaluate`.
 
 use rambo_core::DocId;
 use rambo_hash::FastMap;
@@ -33,7 +34,7 @@ use std::sync::Mutex;
 const NIL: u32 = u32::MAX;
 
 /// Lock shards. Eight is plenty: the critical section is a hash probe plus
-/// a few link writes, and admission concurrency is bounded by core count.
+/// a few link writes, and concurrency is bounded by the evaluating threads.
 const SHARDS: usize = 8;
 
 /// Accounting overhead charged per resident entry on top of its doc-id
@@ -136,8 +137,8 @@ impl CacheStats {
 
 /// Sharded, byte-bounded, version-invalidated LRU of answered queries.
 ///
-/// All methods take `&self`; sharded `Mutex`es make it safe to probe from
-/// every admission thread and insert from every worker concurrently.
+/// All methods take `&self`; sharded `Mutex`es make it safe to probe and
+/// insert from every evaluating thread concurrently.
 pub struct ResultCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard byte budget (total / SHARDS).
@@ -219,8 +220,8 @@ impl ResultCache {
     }
 
     /// Insert an answered query, evicting least-recently-used entries until
-    /// the shard fits its budget. `version` must be the stamp read at
-    /// admission. Oversized results (larger than a whole shard) and
+    /// the shard fits its budget. `version` must be the stamp read before
+    /// the lookup. Oversized results (larger than a whole shard) and
     /// downgrades (an entry for the key already carries a newer stamp) are
     /// skipped.
     pub fn insert(&self, tier: u32, key: u128, version: u64, docs: &[DocId]) {
@@ -267,6 +268,26 @@ impl ResultCache {
         shard.push_front(s);
         shard.bytes += bytes;
         self.telemetry.record_insert(bytes as u64);
+    }
+
+    /// The whole cache rule, in order: read the version, probe, and on a
+    /// miss evaluate and insert under the version read *first* — so an
+    /// invalidation racing `evaluate` leaves the entry stale instead of
+    /// masking it. Returns the answer and whether it was a hit.
+    pub(crate) fn get_or_evaluate(
+        &self,
+        tier: u32,
+        key: u128,
+        evaluate: impl FnOnce() -> Vec<DocId>,
+    ) -> (Vec<DocId>, bool) {
+        let version = self.version();
+        if let Some(docs) = self.get(tier, key, version) {
+            return (docs, true);
+        }
+        self.record_miss();
+        let docs = evaluate();
+        self.insert(tier, key, version, &docs);
+        (docs, false)
     }
 
     /// Counter snapshot plus capacity and the current version stamp.
@@ -339,6 +360,23 @@ mod tests {
         // Re-insert under the new version serves again.
         cache.insert(0, k, v1, &[2]);
         assert_eq!(cache.get(0, k, v1), Some(vec![2]));
+    }
+
+    /// The race the version rule exists for, as explicit steps on one
+    /// thread: an insert lands (bumping the version) while a query is being
+    /// evaluated.
+    #[test]
+    fn a_bump_during_evaluation_leaves_the_entry_stale() {
+        let cache = ResultCache::new(1 << 16);
+        let k = key(&[4, 2]);
+        let raced = cache.get_or_evaluate(0, k, || {
+            cache.bump_version();
+            vec![7]
+        });
+        assert_eq!(raced, (vec![7], false), "the answer is still returned");
+        let next = cache.get_or_evaluate(0, k, || vec![7, 8]);
+        assert_eq!(next, (vec![7, 8], false), "the next lookup misses");
+        assert_eq!(cache.stats().counters.stale, 1);
     }
 
     #[test]

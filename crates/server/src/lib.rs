@@ -15,22 +15,17 @@
 //!   request's FPR budget routes it to the *smallest* tier that satisfies
 //!   the budget: loose budgets run in the folded, cache-friendlier
 //!   versions, tight budgets in the full build.
-//! * [`Server`] — per-core evaluator workers (scoped threads, one
-//!   zero-copy tier view each) behind bounded per-tier admission queues,
-//!   with **one admission rule**: a request runs *inline* on the submitting
-//!   thread when the tier's shared evaluator is free (no hand-off, no
-//!   wake-up), and otherwise waits in the tier's queue for a worker's own
-//!   [`rambo_core::QueryBatch`]. Both paths run the same evaluation, so
-//!   results are bit-identical either way. Backpressure is explicit
-//!   ([`ServerError::Overloaded`]), deadlines are enforced on both sides
-//!   of the queue, and shutdown is structural: leaving [`Server::scope`]
-//!   drains and joins everything, returning a final [`ServerStats`]
-//!   snapshot of per-tier latency, throughput, hit and inline/queued
+//! * [`Server`] — **one evaluation path**: every query runs on the thread
+//!   that asks it, with a query scratch borrowed from a shared pool (the
+//!   index is immutable, so no query waits for another). A request already
+//!   past its deadline is answered [`ServerError::DeadlineExceeded`]
+//!   unevaluated. Leaving [`Server::scope`] returns a final [`ServerStats`]
+//!   snapshot of per-tier latency, throughput, hit and evaluated/cached
 //!   counters and the slow-query log ([`SlowQuery`]).
 //! * [`ResultCache`] — a sharded, byte-bounded LRU over answered queries,
 //!   keyed by `(tier, canonical term-set key)` and invalidated by a
 //!   catalog version stamp: hot §3.3.1 sequence windows are answered
-//!   without touching an evaluator at all.
+//!   without evaluating at all.
 //! * [`TenantRegistry`] — many named **mutable** indexes in one process
 //!   (one RAMBO matrix each, behind per-tenant quotas and result caches). A
 //!   single live index is a one-tenant registry; [`TenantRegistry::freeze`]
@@ -38,9 +33,10 @@
 //! * [`serve_tcp`] / [`serve_tenant_tcp`] — optional TCP fronts over
 //!   `std::net`: length-prefixed binary frames ([`wire`]) over a catalog
 //!   server or one tenant, RESP2 text over a registry, all on one
-//!   single-threaded readiness reactor that blocks in `poll(2)` until a
-//!   socket or an evaluator worker is ready (a stalled client holds a
-//!   buffer, not a thread, and cannot block shutdown). [`TcpClient`] is the matching
+//!   single-threaded readiness reactor that answers each request as it
+//!   decodes and blocks in `poll(2)` until a socket is ready (a stalled
+//!   client holds a buffer, not a thread, and cannot block shutdown).
+//!   [`TcpClient`] is the matching
 //!   blocking client, with connect/read/write timeouts and a
 //!   [`TcpClient::reconnect`] path so a dead peer can never block a caller
 //!   indefinitely — the building blocks of the `rambo-cluster`
@@ -87,7 +83,6 @@ mod catalog;
 mod poll;
 mod reactor;
 mod resp;
-mod scheduler;
 mod server;
 mod stats;
 mod tcp;
@@ -99,8 +94,7 @@ pub use catalog::{Catalog, CatalogBuilder, CatalogError, TierInfo, DEFAULT_CACHE
 pub use rambo_core::kernel::{Backend as KernelBackend, Kernel};
 pub use resp::{serve_tenant_tcp, term_of, TenantServeOptions};
 pub use server::{
-    PendingReply, QueryOptions, QueryReply, Server, ServerConfig, ServerConfigBuilder, ServerError,
-    ServerHandle,
+    QueryOptions, QueryReply, Server, ServerConfig, ServerConfigBuilder, ServerError, ServerHandle,
 };
 pub use stats::{ServerStats, SlowQuery, TierStats};
 pub use tcp::{serve_tcp, serve_tcp_with, ServeOptions, TcpClient, TcpClientError};

@@ -2,55 +2,37 @@
 //! TCP front in this crate runs on.
 //!
 //! Each listener is paired with a [`Protocol`]; every socket is
-//! non-blocking, and one thread multiplexes accepts, reads, request decode
-//! and dispatch (through the protocol), reply collection
-//! ([`PendingReply::try_wait`]) and writes across all connections. Thousands
-//! of idle clients cost a few hundred bytes of buffer and one `pollfd` each,
-//! not a pinned thread, and replies on one connection always flow in request
-//! order. When `stop` is raised the loop returns within one [`TICK`],
-//! dropping every connection — including ones stalled mid-request, which
-//! therefore cannot block shutdown.
+//! non-blocking, and one thread multiplexes accepts, reads, request decode,
+//! execution (through the protocol — every request is answered on this
+//! thread the moment it decodes) and writes across all connections.
+//! Thousands of idle clients cost a few hundred bytes of buffer and one
+//! `pollfd` each, not a pinned thread, and replies on one connection flow in
+//! request order by construction. When `stop` is raised the loop returns
+//! within one [`TICK`], dropping every connection — including ones stalled
+//! mid-request, which therefore cannot block shutdown.
 //!
-//! A turn that moved nothing ends blocked in `poll(2)` (`poll.rs`). Three
-//! things end the wait:
+//! A turn that moved nothing ends blocked in `poll(2)` (`poll.rs`) until a
+//! socket is ready or a [`TICK`] passes. Listeners are watched for
+//! connections; a connection is watched for input only while [`Conn::read`]
+//! would take it and for output only while reply bytes are unflushed. `poll`
+//! is level-triggered, so a descriptor left in the set with an event nobody
+//! acts on (a back-pressured peer's unread request bytes) would spin the
+//! loop; the interest sets are exactly the conditions under which the
+//! matching call makes progress. After a wake only the connections that
+//! reported an event, or paused decoding for room they now have, are
+//! pumped. The tick is for the stop flag, a caller-owned `AtomicBool` nobody
+//! can hook; no request waits on it.
 //!
-//! * **`poll` itself — sockets.** Listeners are watched for connections; a
-//!   connection is watched for input only while [`Conn::read`] would take it
-//!   and for output only while reply bytes are unflushed. `poll` is
-//!   level-triggered, so a descriptor left in the set with an event nobody
-//!   acts on (a back-pressured peer's unread request bytes) would spin the
-//!   loop; the interest sets are exactly the conditions under which the
-//!   matching call makes progress. After a wake only the connections that
-//!   reported an event, are owed a worker's reply, or paused decoding for
-//!   room they now have, are pumped.
-//! * **The [`Waker`] — evaluator workers.** A socket pair whose read end is
-//!   in the poll set. A query admitted to a worker's queue carries the write
-//!   end, and the worker sends one byte after answering or expiring it. The
-//!   earliest deadline among replies still owed bounds the wait, so a request
-//!   no worker reaches is answered `STATUS_DEADLINE` when that passes.
-//! * **The [`TICK`] — the stop flag.** It is a caller-owned `AtomicBool`
-//!   nobody can hook, seen on the next tick. No request waits on it.
-//!
-//! Evaluation still happens on this thread whenever the tier's evaluator is
-//! free, which for a lone admitting thread is always (the admission rule in
-//! [`ServerHandle::submit`](crate::ServerHandle::submit)); moving it onto
-//! the workers is ROADMAP item 1's next step.
-//!
-//! Backpressure is by unread socket: a connection with [`MAX_PIPELINED`]
-//! replies outstanding, or more than [`MAX_UNFLUSHED`] reply bytes its peer
-//! has not taken, is neither read nor decoded until it drains, so a client
-//! that pipelines without reading fills its own TCP window instead of this
-//! process's memory.
+//! Backpressure is by unread socket: a connection with more than
+//! [`MAX_UNFLUSHED`] reply bytes its peer has not taken is neither read nor
+//! decoded until it drains, so a client that pipelines without reading fills
+//! its own TCP window instead of this process's memory.
 
 use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
-use crate::server::PendingReply;
-use crate::wire::{self, MAX_FRAME_BYTES};
-use std::collections::VecDeque;
+use crate::wire::MAX_FRAME_BYTES;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Longest one `poll` blocks: the cadence at which the stop flag is noticed,
@@ -59,44 +41,19 @@ use std::time::{Duration, Instant};
 const TICK: Duration = Duration::from_millis(25);
 /// Per-read chunk size.
 const READ_CHUNK: usize = 16 << 10;
-/// Per-connection cap on decoded-but-unanswered requests, mirroring the
-/// admission queue's own bound.
-const MAX_PIPELINED: usize = 1024;
 /// Per-connection cap on encoded reply bytes the socket has not accepted:
 /// decoding pauses above it, so the buffer holds at most this plus one reply.
 const MAX_UNFLUSHED: usize = 1 << 20;
-
-/// The write end of a reactor's wake pipe, handed to whoever will complete a
-/// reply off the reactor thread.
-#[derive(Debug, Clone)]
-pub(crate) struct Waker(Arc<UnixStream>);
-
-impl Waker {
-    /// Make the reactor's current or next `poll` return. Never blocks: a
-    /// full pipe already holds a wake nobody has consumed.
-    pub(crate) fn wake(&self) {
-        let _ = (&*self.0).write(&[0]);
-    }
-}
-
-/// A reply owed to the client.
-pub(crate) enum Reply {
-    /// Already encoded.
-    Ready(Vec<u8>),
-    /// A binary-frame query waiting on an evaluator worker; encoded by
-    /// [`wire::encode_query_result`] once it resolves.
-    Pending(PendingReply),
-}
 
 /// What a protocol found at the front of a connection's input buffer.
 pub(crate) enum Step {
     /// No complete request yet; read more and retry with the same prefix.
     Incomplete,
-    /// One request, `consumed` bytes long, executed or admitted.
+    /// One request, `consumed` bytes long, executed.
     Request {
         consumed: usize,
-        /// `None` for a no-op (a blank RESP line).
-        reply: Option<Reply>,
+        /// The encoded reply; empty for a no-op (a blank RESP line).
+        reply: Vec<u8>,
         /// The stream can no longer be trusted: flush what is owed, then
         /// close.
         close: bool,
@@ -106,10 +63,8 @@ pub(crate) enum Step {
 /// A wire protocol bound to the engine it serves: how one request comes off
 /// the byte stream and what answers it.
 pub(crate) trait Protocol {
-    /// Take one request off the front of `inbuf`. A reply left
-    /// [`Reply::Pending`] must have been handed `waker`, so that whoever
-    /// resolves it wakes the loop.
-    fn step(&self, inbuf: &[u8], waker: &Waker) -> Step;
+    /// Take one request off the front of `inbuf` and answer it.
+    fn step(&self, inbuf: &[u8]) -> Step;
 }
 
 /// One multiplexed connection's state.
@@ -118,9 +73,6 @@ struct Conn<'a> {
     protocol: &'a dyn Protocol,
     /// Raw bytes read but not yet decoded.
     inbuf: Vec<u8>,
-    /// Replies owed but not yet in `outbuf`, in request order: an unresolved
-    /// one and whatever was answered behind it.
-    pending: VecDeque<Reply>,
     /// Encoded bytes not yet accepted by the socket.
     outbuf: Vec<u8>,
     /// Prefix of `outbuf` already written.
@@ -143,7 +95,6 @@ impl<'a> Conn<'a> {
             stream,
             protocol,
             inbuf: Vec::new(),
-            pending: VecDeque::new(),
             outbuf: Vec::new(),
             sent: 0,
             closing: false,
@@ -157,13 +108,13 @@ impl<'a> Conn<'a> {
         self.outbuf.len() - self.sent
     }
 
-    /// Whether the backpressure bounds leave room for one more request.
+    /// Whether the backpressure bound leaves room for one more reply.
     fn has_room(&self) -> bool {
-        self.pending.len() < MAX_PIPELINED && self.unflushed() <= MAX_UNFLUSHED
+        self.unflushed() <= MAX_UNFLUSHED
     }
 
     /// Whether [`Conn::read`] would take bytes from the socket: the peer has
-    /// not finished sending, and the backpressure caps and the frame-size
+    /// not finished sending, and the backpressure cap and the frame-size
     /// ceiling leave somewhere to put them. Doubles as the read interest —
     /// input nobody will read must not be polled for.
     fn wants_read(&self) -> bool {
@@ -179,15 +130,6 @@ impl<'a> Conn<'a> {
         let read = if self.wants_read() { POLLIN } else { 0 };
         let write = if self.unflushed() > 0 { POLLOUT } else { 0 };
         read | write
-    }
-
-    /// The deadline of the worker reply at the head of the queue, if that is
-    /// what this connection is waiting on.
-    fn owed_deadline(&self) -> Option<Instant> {
-        match self.pending.front() {
-            Some(Reply::Pending(reply)) => Some(reply.deadline()),
-            _ => None,
-        }
     }
 
     /// Pull what the socket has into `inbuf`, bounded by [`Conn::wants_read`].
@@ -251,29 +193,6 @@ impl<'a> Conn<'a> {
         progress
     }
 
-    /// Move owed replies to `outbuf` strictly in request order, up to the
-    /// first one still waiting on a worker. Returns whether any moved.
-    fn settle(&mut self) -> bool {
-        let mut progress = false;
-        while let Some(front) = self.pending.front_mut() {
-            let bytes = match front {
-                Reply::Ready(bytes) => std::mem::take(bytes),
-                Reply::Pending(reply) => match reply.try_wait() {
-                    None => break,
-                    Some(result) => {
-                        let (bytes, close) = wire::encode_query_result(result);
-                        self.closing |= close;
-                        bytes
-                    }
-                },
-            };
-            self.outbuf.extend_from_slice(&bytes);
-            self.pending.pop_front();
-            progress = true;
-        }
-        progress
-    }
-
     /// Whether a pump would move something with no event behind it: decoding
     /// last stopped for want of room, and the flush after it made some. The
     /// requests still sitting in `inbuf` are not a socket event, so the loop
@@ -283,10 +202,9 @@ impl<'a> Conn<'a> {
     }
 
     /// One pass: read what is available (when the socket said there is
-    /// something), decode and dispatch complete requests, collect the replies
-    /// that are ready, write what the socket takes. Returns whether any byte
-    /// or request moved.
-    fn pump(&mut self, readable: bool, waker: &Waker) -> bool {
+    /// something), decode and answer complete requests, write what the
+    /// socket takes. Returns whether any byte or request moved.
+    fn pump(&mut self, readable: bool) -> bool {
         let mut progress = readable && self.read();
         if self.dead {
             return progress;
@@ -295,7 +213,7 @@ impl<'a> Conn<'a> {
         let mut consumed = 0;
         self.starved = false;
         while !self.closing && self.has_room() {
-            match self.protocol.step(&self.inbuf[consumed..], waker) {
+            match self.protocol.step(&self.inbuf[consumed..]) {
                 Step::Incomplete => {
                     self.starved = true;
                     break;
@@ -307,10 +225,7 @@ impl<'a> Conn<'a> {
                 } => {
                     consumed += n;
                     self.closing |= close;
-                    // Settled at once when already answered (inline, cached,
-                    // or a tenant front's), so the byte cap sees it.
-                    self.pending.extend(reply);
-                    self.settle();
+                    self.outbuf.extend_from_slice(&reply);
                     progress = true;
                 }
             }
@@ -319,11 +234,10 @@ impl<'a> Conn<'a> {
             self.inbuf.drain(..consumed);
         }
 
-        progress |= self.settle();
         progress |= self.flush();
         // Retire once everything owed is flushed after a protocol error, or
         // after a half-closed peer's last complete request.
-        let flushed = self.pending.is_empty() && self.unflushed() == 0;
+        let flushed = self.unflushed() == 0;
         if flushed && (self.closing || (self.read_closed && self.starved)) {
             self.dead = true;
         }
@@ -380,8 +294,6 @@ struct Tally {
     turns: usize,
     /// Connection pumps across those turns.
     pumped: usize,
-    /// Turns that found the waker signalled.
-    wakes: usize,
 }
 
 /// The wait → accept → pump → retain loop body and its connection table.
@@ -391,10 +303,7 @@ pub(crate) struct Reactor<'a> {
     /// ([`AcceptFailure::Exhausted`]).
     accept_after: Vec<Instant>,
     conns: Vec<Conn<'a>>,
-    /// Read end of the wake pipe; always in the poll set.
-    wake_rx: UnixStream,
-    waker: Waker,
-    /// The poll set, rebuilt every turn: waker, listeners, connections.
+    /// The poll set, rebuilt every turn: listeners, then connections.
     fds: Vec<PollFd>,
     #[cfg(test)]
     tally: Tally,
@@ -405,15 +314,10 @@ impl<'a> Reactor<'a> {
         for (listener, _) in listeners {
             listener.set_nonblocking(true)?;
         }
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
         Ok(Self {
             listeners,
             accept_after: vec![Instant::now(); listeners.len()],
             conns: Vec::new(),
-            wake_rx,
-            waker: Waker(Arc::new(wake_tx)),
             fds: Vec::new(),
             #[cfg(test)]
             tally: Tally::default(),
@@ -422,12 +326,11 @@ impl<'a> Reactor<'a> {
 
     /// One turn: wait up to `timeout` for a descriptor to be ready, drain the
     /// accept backlog of every listener that is, pump the connections that
-    /// reported an event, are owed a worker's reply or have a backlog, drop
-    /// the dead. Returns whether anything moved.
+    /// reported an event or have a backlog, drop the dead. Returns whether
+    /// anything moved.
     fn turn(&mut self, timeout: Duration) -> io::Result<bool> {
         let now = Instant::now();
         self.fds.clear();
-        self.fds.push(PollFd::new(&self.wake_rx, POLLIN));
         for ((listener, _), after) in self.listeners.iter().zip(&self.accept_after) {
             let events = if now >= *after { POLLIN } else { 0 };
             self.fds.push(PollFd::new(listener, events));
@@ -442,20 +345,11 @@ impl<'a> Reactor<'a> {
         #[cfg(test)]
         {
             self.tally.turns += 1;
-            self.tally.wakes += usize::from(self.fds[0].revents() != 0);
-        }
-
-        // Swallow the wake bytes *before* looking at any reply: a worker
-        // sends its answer first and its byte second, so an answer this turn
-        // misses still has its byte in the pipe for the next `poll`.
-        if self.fds[0].revents() != 0 {
-            let mut sink = [0u8; 64];
-            while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n == sink.len()) {}
         }
 
         let mut progress = false;
         for (i, (listener, protocol)) in self.listeners.iter().enumerate() {
-            if self.fds[1 + i].revents() == 0 {
+            if self.fds[i].revents() == 0 {
                 continue;
             }
             loop {
@@ -489,8 +383,8 @@ impl<'a> Reactor<'a> {
                 // reported whatever the interest set, so leaving the
                 // connection in would spin the loop.
                 conn.dead = true;
-            } else if revents != 0 || conn.owed_deadline().is_some() || conn.has_backlog() {
-                progress |= conn.pump(revents & !POLLOUT != 0, &self.waker);
+            } else if revents != 0 || conn.has_backlog() {
+                progress |= conn.pump(revents & !POLLOUT != 0);
                 #[cfg(test)]
                 {
                     self.tally.pumped += 1;
@@ -499,18 +393,6 @@ impl<'a> Reactor<'a> {
         }
         self.conns.retain(|c| !c.dead);
         Ok(progress)
-    }
-
-    /// How long the loop may block when nothing is moving: to the earliest
-    /// deadline among the worker replies still owed, and never past a
-    /// [`TICK`].
-    fn idle_timeout(&self) -> Duration {
-        let now = Instant::now();
-        self.conns
-            .iter()
-            .filter_map(Conn::owed_deadline)
-            .map(|deadline| deadline.saturating_duration_since(now))
-            .fold(TICK, Duration::min)
     }
 
     /// Turn until `stop` is set, blocking in `poll` whenever a turn moved
@@ -530,11 +412,7 @@ impl<'a> Reactor<'a> {
             })?;
             // Something moved: look again without blocking. Otherwise wait
             // for the next event.
-            timeout = if progress {
-                Duration::ZERO
-            } else {
-                self.idle_timeout()
-            };
+            timeout = if progress { Duration::ZERO } else { TICK };
         }
         Ok(())
     }
@@ -543,35 +421,28 @@ impl<'a> Reactor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcp::CatalogFrames;
+    use crate::wire;
     use crate::{
-        serve_tcp_with, serve_tenant_tcp, Catalog, ServeOptions, Server, ServerConfig, TcpClient,
+        serve_tcp_with, serve_tenant_tcp, Catalog, ServeOptions, Server, ServerConfig,
         TenantQuotas, TenantRegistry, TenantServeOptions,
     };
-    use rambo_core::{QueryContext, QueryMode, Rambo, RamboParams};
+    use rambo_core::{Rambo, RamboParams};
     use std::net::SocketAddr;
-    use std::sync::mpsc::SyncSender;
-    use std::sync::Mutex;
 
     /// Newline-terminated requests, each answered by `REPLY` bytes.
     struct Echo;
     const REPLY: usize = 4 << 10;
 
-    /// One newline-terminated request off `inbuf`, answered by `reply()`.
-    fn line_step(inbuf: &[u8], reply: impl FnOnce() -> Reply) -> Step {
-        match inbuf.iter().position(|&b| b == b'\n') {
-            None => Step::Incomplete,
-            Some(nl) => Step::Request {
-                consumed: nl + 1,
-                reply: Some(reply()),
-                close: false,
-            },
-        }
-    }
-
     impl Protocol for Echo {
-        fn step(&self, inbuf: &[u8], _waker: &Waker) -> Step {
-            line_step(inbuf, || Reply::Ready(vec![b'.'; REPLY]))
+        fn step(&self, inbuf: &[u8]) -> Step {
+            match inbuf.iter().position(|&b| b == b'\n') {
+                None => Step::Incomplete,
+                Some(nl) => Step::Request {
+                    consumed: nl + 1,
+                    reply: vec![b'.'; REPLY],
+                    close: false,
+                },
+            }
         }
     }
 
@@ -725,96 +596,6 @@ mod tests {
         peers[100].read_exact(&mut [0; REPLY]).unwrap();
         let pumped = reactor.tally.pumped - before;
         assert!(pumped <= 2, "{pumped} pumps for one request");
-    }
-
-    /// The real queued path: with the tier's evaluator held, every query
-    /// goes to a worker, and it is the worker's byte on the wake pipe — not
-    /// a tick — that gets the reply collected. Every queued reply equals
-    /// direct evaluation, so the queued path answers what inline would.
-    #[test]
-    fn a_queued_query_is_answered_through_the_waker() {
-        const QUERIES: u64 = 40;
-        let catalog = small_catalog();
-        let tier0 = catalog.tier(0);
-        let config = ServerConfig::builder().result_cache_bytes(0).build();
-        let ((tally, elapsed), stats) = Server::scope(&catalog, config, |handle| {
-            let _held = handle.hold_evaluator(0);
-            let (listener, addr) = bind();
-            let frames = CatalogFrames {
-                handle,
-                manifest: None,
-            };
-            let listeners = [(listener, &frames as &dyn Protocol)];
-            let mut reactor = Reactor::new(&listeners).unwrap();
-            let elapsed = run_during(&mut reactor, || {
-                let mut client = TcpClient::connect(addr).unwrap();
-                let mut ctx = QueryContext::new();
-                for q in 0..QUERIES {
-                    // Every fourth query probes a term no document holds.
-                    let term = if q % 4 == 3 { !q } else { (q % 32) << 16 | 9 };
-                    let reply = client.query(&[term], 0.0, Duration::from_secs(5)).unwrap();
-                    let direct = tier0.query_terms_with(&[term], QueryMode::Full, &mut ctx);
-                    assert_eq!(reply.docs, direct, "query {q}");
-                    assert!(q % 4 == 3 || reply.docs.contains(&((q % 32) as u32)));
-                }
-            });
-            (reactor.tally, elapsed)
-        });
-        assert_eq!(stats.total_inline(), 0);
-        assert_eq!(stats.total_batches(), QUERIES);
-        assert_eq!(stats.total_completed(), QUERIES);
-        // One byte per reply; two may now and then be swallowed together.
-        assert!(tally.wakes as u64 >= QUERIES / 2, "{tally:?}");
-        // A handful of turns per query (request, wake, the looks after
-        // each), none of them waiting out a tick.
-        let budget = idle_turns(elapsed) + 6 * QUERIES as usize;
-        assert!(tally.turns <= budget, "{tally:?} in {elapsed:?}");
-    }
-
-    /// Every request is admitted to a queue that no worker serves.
-    struct Unserved {
-        deadline: Duration,
-        /// Keeps the reply channels connected.
-        senders: Mutex<Vec<SyncSender<crate::scheduler::Reply>>>,
-    }
-
-    impl Protocol for Unserved {
-        fn step(&self, inbuf: &[u8], _waker: &Waker) -> Step {
-            line_step(inbuf, || {
-                let (reply, sender) = PendingReply::unanswered(Instant::now() + self.deadline);
-                self.senders.lock().unwrap().push(sender);
-                Reply::Pending(reply)
-            })
-        }
-    }
-
-    #[test]
-    fn an_owed_reply_is_expired_at_its_deadline_not_at_the_next_tick() {
-        let unserved = Unserved {
-            deadline: TICK / 5,
-            senders: Mutex::new(Vec::new()),
-        };
-        let (listener, addr) = bind();
-        let listeners = [(listener, &unserved as &dyn Protocol)];
-        let mut reactor = Reactor::new(&listeners).unwrap();
-        let mut peer = TcpStream::connect(addr).unwrap();
-        peer.write_all(b"\n").unwrap();
-        while reactor.conns.first().is_none_or(|c| c.pending.is_empty()) {
-            reactor.turn(TICK).unwrap();
-        }
-
-        // The wait is cut to the deadline …
-        assert!(reactor.idle_timeout() <= unserved.deadline);
-        // … and the turn it ends (two, if `poll` came back a hair early)
-        // sends the frame.
-        let before = reactor.tally.turns;
-        while !reactor.conns[0].pending.is_empty() {
-            let wait = reactor.idle_timeout();
-            reactor.turn(wait).unwrap();
-        }
-        assert!(reactor.tally.turns - before <= 2);
-        let frame = wire::read_frame(&mut peer).unwrap().unwrap();
-        assert_eq!(frame[0], wire::STATUS_DEADLINE);
     }
 
     /// Run `serve` with an idle, a mid-frame and a stalled peer attached

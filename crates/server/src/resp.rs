@@ -61,7 +61,7 @@
 //! (`reactor.rs`). Every command runs to completion as it decodes; a tenant
 //! has no background upkeep, so a turn with no I/O blocks in `poll`.
 
-use crate::reactor::{Protocol, Reactor, Reply, Step, Waker};
+use crate::reactor::{Protocol, Reactor, Step};
 use crate::tcp::TenantFrames;
 use crate::tenant::{TenantKind, TenantOptions, TenantRegistry};
 use crate::wire::MAX_FRAME_BYTES;
@@ -544,10 +544,10 @@ struct RespCommands<'a> {
 }
 
 impl Protocol for RespCommands<'_> {
-    fn step(&self, inbuf: &[u8], _waker: &Waker) -> Step {
+    fn step(&self, inbuf: &[u8]) -> Step {
         let violation = |message: &str| Step::Request {
             consumed: 0,
-            reply: Some(Reply::Ready(resp_error(message))),
+            reply: resp_error(message),
             close: true,
         };
         match parse_resp(inbuf) {
@@ -560,7 +560,11 @@ impl Protocol for RespCommands<'_> {
             RespParse::Protocol { message } => violation(&message),
             RespParse::Command { args, consumed } => Step::Request {
                 consumed,
-                reply: (!args.is_empty()).then(|| Reply::Ready(execute(self.registry, &args))),
+                reply: if args.is_empty() {
+                    Vec::new()
+                } else {
+                    execute(self.registry, &args)
+                },
                 close: false,
             },
         }

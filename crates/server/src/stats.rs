@@ -1,10 +1,10 @@
 //! Per-tier serving counters, the slow-query log, and their exported
 //! snapshot.
 //!
-//! Workers and the admission path record into lock-free atomics (one relaxed
+//! Every evaluating thread records into lock-free atomics (one relaxed
 //! increment per event, a [`LatencyHistogram`] bucket bump per completion);
 //! [`ServerStats`] is the read side — a plain-data snapshot safe to take
-//! while the server runs and returned after it drains. The slow-query log is
+//! while the server runs and returned when its scope ends. The slow-query log is
 //! the one non-atomic recorder: a small mutex-guarded keep-the-worst buffer
 //! whose fast path (request faster than the current floor) is a single
 //! relaxed load.
@@ -22,32 +22,21 @@ use std::time::Duration;
 /// monotone event counts with no cross-counter invariant to order.
 #[derive(Debug, Default)]
 pub(crate) struct TierCounters {
-    /// Requests admitted (queued or evaluated inline).
+    /// Requests admitted (routed to this tier).
     pub accepted: AtomicU64,
-    /// Requests rejected at admission (queue full → `Overloaded`).
-    pub rejected: AtomicU64,
-    /// Requests evaluated and answered (inline, queued or from cache).
+    /// Requests answered (evaluated or from cache).
     pub completed: AtomicU64,
-    /// Requests dropped unevaluated because their deadline had passed by the
-    /// time a worker dequeued them (or the inline path reached them).
+    /// Requests answered `DeadlineExceeded` unevaluated: their deadline had
+    /// passed at admission.
     pub expired: AtomicU64,
-    /// Requests a worker took off the queue and evaluated.
-    pub queued: AtomicU64,
-    /// Requests evaluated inline on the admitting thread.
-    pub inline: AtomicU64,
+    /// Requests evaluated (on the thread that asked).
+    pub evaluated: AtomicU64,
     /// Requests answered from the result cache without any evaluation.
     pub cache_hits: AtomicU64,
-    /// Highest instantaneous queue depth observed at admission.
-    pub queue_depth_max: AtomicU64,
     /// Total documents returned (hit counter).
     pub hits: AtomicU64,
     /// Submit→completion latency of answered requests.
     pub latency: LatencyHistogram,
-    /// Requests sitting in the queue right now: incremented *before* the
-    /// send and decremented on send failure or dequeue, so it can only
-    /// over-count transiently. A gauge, not a window count: [`Self::clear`]
-    /// leaves it alone.
-    pub depth: AtomicU64,
 }
 
 impl TierCounters {
@@ -63,13 +52,10 @@ impl TierCounters {
     pub(crate) fn clear(&self) {
         for c in [
             &self.accepted,
-            &self.rejected,
             &self.completed,
             &self.expired,
-            &self.queued,
-            &self.inline,
+            &self.evaluated,
             &self.cache_hits,
-            &self.queue_depth_max,
             &self.hits,
         ] {
             c.store(0, Ordering::Relaxed);
@@ -89,13 +75,10 @@ impl TierCounters {
             predicted_fpr: info.predicted_fpr,
             size_bytes: info.size_bytes,
             accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
-            queued: self.queued.load(Ordering::Relaxed),
-            inline_completed: self.inline.load(Ordering::Relaxed),
+            evaluated: self.evaluated.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            max_queue_depth: self.queue_depth_max.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             mean: self.latency.mean(),
             p50: self.latency.quantile(0.50),
@@ -116,22 +99,16 @@ pub struct TierStats {
     pub predicted_fpr: f64,
     /// In-memory payload size of the tier.
     pub size_bytes: usize,
-    /// Requests admitted (queued or evaluated inline).
+    /// Requests admitted (routed to this tier).
     pub accepted: u64,
-    /// Requests rejected with `Overloaded`.
-    pub rejected: u64,
-    /// Requests evaluated and answered (inline, queued or from cache).
+    /// Requests answered (evaluated or from cache).
     pub completed: u64,
-    /// Requests dropped past their deadline without evaluation.
+    /// Requests past their deadline at admission, answered unevaluated.
     pub expired: u64,
-    /// Requests a worker took off the queue and evaluated.
-    pub queued: u64,
-    /// Requests evaluated inline on the admitting thread.
-    pub inline_completed: u64,
+    /// Requests evaluated (on the thread that asked).
+    pub evaluated: u64,
     /// Requests answered from the result cache.
     pub cache_hits: u64,
-    /// Highest instantaneous queue depth observed at admission.
-    pub max_queue_depth: u64,
     /// Total documents returned.
     pub hits: u64,
     /// Block-cache traffic of this tier's file-backed payload (hits,
@@ -147,24 +124,20 @@ pub struct TierStats {
     pub max: Duration,
 }
 
-/// One entry of the slow-query log: where the worst requests spent their
-/// time. `queue_wait` vs `eval` splits scheduling debt from evaluation
-/// cost — a log full of long waits wants more workers; long evals want a
-/// smaller tier or fewer terms.
+/// One entry of the slow-query log: where the worst evaluated requests
+/// spent their time. `eval` vs `total` splits evaluation proper from the
+/// routing and cache probe around it — long evals want a smaller tier or
+/// fewer terms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlowQuery {
     /// Tier that served the request.
     pub tier: usize,
     /// Number of query terms (as submitted, before dedup).
     pub terms: usize,
-    /// Submission → dequeue (zero for inline and cache-hit completions).
-    pub queue_wait: Duration,
     /// Evaluation time proper.
     pub eval: Duration,
     /// Submission → completion.
     pub total: Duration,
-    /// True when a worker evaluated the request off the queue.
-    pub queued: bool,
 }
 
 /// Keep-the-worst ring of the `cap` highest-latency requests.
@@ -251,10 +224,9 @@ pub struct ServerStats {
     pub cache: Option<CacheStats>,
     /// Submit→completion latency aggregated over every tier (bucket-exact
     /// merge of the per-tier histograms). This is the serving boundary:
-    /// queue wait and evaluation are inside, the client's wake-up is not —
-    /// which is what makes it comparable across scheduler designs on an
-    /// oversubscribed host, where client-side tails measure the OS
-    /// scheduler instead.
+    /// cache probe and evaluation are inside, the socket and the client's
+    /// wake-up are not — on an oversubscribed host, client-side tails
+    /// measure the OS scheduler instead.
     pub latency: LatencyHistogram,
 }
 
@@ -289,24 +261,27 @@ impl ServerStats {
         self.tiers.iter().map(|t| t.completed).sum()
     }
 
-    /// Total requests rejected at admission across tiers.
+    /// Always 0: this engine rejects nothing at admission. Kept for the
+    /// `benchmark/` harness.
+    #[doc(hidden)]
     #[must_use]
     pub fn total_rejected(&self) -> u64 {
-        self.tiers.iter().map(|t| t.rejected).sum()
+        0
     }
 
-    /// Total requests a worker took off the queue and evaluated, across
-    /// tiers (the sum of [`TierStats::queued`]; the name predates the
-    /// one-request-at-a-time workers).
+    /// Always 0: there are no worker batches. Kept for the `benchmark/`
+    /// harness.
+    #[doc(hidden)]
     #[must_use]
     pub fn total_batches(&self) -> u64 {
-        self.tiers.iter().map(|t| t.queued).sum()
+        0
     }
 
-    /// Total inline (queue-bypass) completions across tiers.
+    /// Total evaluated requests across tiers (the sum of
+    /// [`TierStats::evaluated`]; the name predates the one evaluation path).
     #[must_use]
     pub fn total_inline(&self) -> u64 {
-        self.tiers.iter().map(|t| t.inline_completed).sum()
+        self.tiers.iter().map(|t| t.evaluated).sum()
     }
 
     /// Total result-cache hits across tiers.
@@ -323,19 +298,16 @@ impl fmt::Display for ServerStats {
         for t in &self.tiers {
             writeln!(
                 f,
-                "tier {}: buckets={} fpr={:.3e} accepted={} rejected={} completed={} \
-                 expired={} inline={} cache_hits={} queued={} depth_max={} docs={}",
+                "tier {}: buckets={} fpr={:.3e} accepted={} completed={} expired={} \
+                 inline={} cache_hits={} docs={}",
                 t.tier,
                 t.buckets,
                 t.predicted_fpr,
                 t.accepted,
-                t.rejected,
                 t.completed,
                 t.expired,
-                t.inline_completed,
+                t.evaluated,
                 t.cache_hits,
-                t.queued,
-                t.max_queue_depth,
                 t.hits,
             )?;
             writeln!(
@@ -387,13 +359,11 @@ impl fmt::Display for ServerStats {
         for (i, q) in self.slow_queries.iter().enumerate() {
             writeln!(
                 f,
-                "slow {i}: tier={} terms={} wait={}us eval={}us total={}us queued={}",
+                "slow {i}: tier={} terms={} eval={}us total={}us",
                 q.tier,
                 q.terms,
-                q.queue_wait.as_micros(),
                 q.eval.as_micros(),
                 q.total.as_micros(),
-                q.queued,
             )?;
         }
         Ok(())
@@ -408,10 +378,8 @@ mod tests {
         SlowQuery {
             tier: 0,
             terms: 3,
-            queue_wait: Duration::ZERO,
             eval: Duration::from_micros(total_us),
             total: Duration::from_micros(total_us),
-            queued: false,
         }
     }
 

@@ -3,9 +3,9 @@
 //! [`TcpClient`], the matching blocking client. The frame format lives in
 //! [`crate::wire`]; the serving loop in `reactor.rs`.
 //!
-//! The catalog front admits queries through the same [`ServerHandle`] the
-//! in-process API uses (a free evaluator answers inline during the dispatch
-//! call itself), dumps the live [`crate::ServerStats`] as plain text for `STATS` —
+//! The catalog front answers queries through the same [`ServerHandle`] the
+//! in-process API uses (on the reactor thread, during the dispatch call
+//! itself), dumps the live [`crate::ServerStats`] as plain text for `STATS` —
 //! `printf`-debuggable with `nc` — and answers `HELLO` with the opaque node
 //! manifest registered via [`ServeOptions`] (a cluster shard announces its
 //! shard id, replica id, doc-id range and catalog fingerprint this way).
@@ -14,7 +14,7 @@
 //! [`TenantServeOptions::binary_tenant`], and `STATS` dumps the registry
 //! summary.
 
-use crate::reactor::{Protocol, Reactor, Reply, Step, Waker};
+use crate::reactor::{Protocol, Reactor, Step};
 use crate::resp::TenantServeOptions;
 use crate::server::{QueryReply, ServerError, ServerHandle};
 use crate::tenant::TenantRegistry;
@@ -77,7 +77,7 @@ pub fn serve_tcp_with(
 /// Take one length-prefixed frame off `inbuf` and answer its payload with
 /// `dispatch` (reply, close-after). A length above the ceiling is answered
 /// bad-request and closed without waiting for its bytes.
-fn frame_step(inbuf: &[u8], dispatch: impl FnOnce(&[u8]) -> (Reply, bool)) -> Step {
+fn frame_step(inbuf: &[u8], dispatch: impl FnOnce(&[u8]) -> (Vec<u8>, bool)) -> Step {
     let Some(prefix) = inbuf.get(..4) else {
         return Step::Incomplete;
     };
@@ -91,72 +91,64 @@ fn frame_step(inbuf: &[u8], dispatch: impl FnOnce(&[u8]) -> (Reply, bool)) -> St
     };
     Step::Request {
         consumed,
-        reply: Some(reply),
+        reply,
         close,
     }
 }
 
 /// A frame that fails to parse may have desynchronized the stream; answer
 /// and close rather than guess at recovery.
-fn bad_request() -> (Reply, bool) {
-    let frame = encode_response(STATUS_BAD_REQUEST, 0, &[]);
-    (Reply::Ready(frame), true)
+fn bad_request() -> (Vec<u8>, bool) {
+    (encode_response(STATUS_BAD_REQUEST, 0, &[]), true)
 }
 
 /// `HELLO`: the manifest, or — a well-formed request this server merely
 /// cannot serve, so the connection stays open — a bare bad-request status.
-fn hello(manifest: Option<&[u8]>) -> (Reply, bool) {
+fn hello(manifest: Option<&[u8]>) -> (Vec<u8>, bool) {
     let frame = match manifest {
         Some(manifest) => encode_blob(STATUS_OK, manifest),
         None => encode_blob(STATUS_BAD_REQUEST, &[]),
     };
-    (Reply::Ready(frame), false)
+    (frame, false)
 }
 
 /// Binary frames over a read-only catalog server.
-pub(crate) struct CatalogFrames<'a, 'scope> {
-    pub(crate) handle: &'a ServerHandle<'scope>,
-    pub(crate) manifest: Option<&'a [u8]>,
+struct CatalogFrames<'a, 'scope> {
+    handle: &'a ServerHandle<'scope>,
+    manifest: Option<&'a [u8]>,
 }
 
 impl Protocol for CatalogFrames<'_, '_> {
-    fn step(&self, inbuf: &[u8], waker: &Waker) -> Step {
+    fn step(&self, inbuf: &[u8]) -> Step {
         frame_step(inbuf, |payload| match payload {
             [OPCODE_STATS] => {
                 let text = self.handle.stats().to_string();
-                (Reply::Ready(encode_blob(STATUS_OK, text.as_bytes())), false)
+                (encode_blob(STATUS_OK, text.as_bytes()), false)
             }
             [OPCODE_HELLO] => hello(self.manifest),
             _ => match parse_request(payload) {
                 None => bad_request(),
                 Some((terms, opts)) => {
-                    match self.handle.submit_waking(&terms, &opts, Some(waker)) {
-                        Ok(reply) => (Reply::Pending(reply), false),
-                        Err(e) => {
-                            let (frame, close) = wire::encode_query_result(Err(e));
-                            (Reply::Ready(frame), close)
-                        }
-                    }
+                    wire::encode_query_result(self.handle.query_opts(&terms, &opts))
                 }
             },
         })
     }
 }
 
-/// Binary frames over one tenant of a registry: every answer is immediate
-/// (registry calls are lock-bounded, not queue-bounded).
+/// Binary frames over one tenant of a registry.
 pub(crate) struct TenantFrames<'a> {
     pub(crate) registry: &'a TenantRegistry,
     pub(crate) options: &'a TenantServeOptions,
 }
 
 impl Protocol for TenantFrames<'_> {
-    fn step(&self, inbuf: &[u8], _waker: &Waker) -> Step {
+    fn step(&self, inbuf: &[u8]) -> Step {
         let tenant = self.options.binary_tenant.as_deref();
         frame_step(inbuf, |payload| match payload {
             [OPCODE_STATS] => {
                 let text = self.registry.summary();
-                (Reply::Ready(encode_blob(STATUS_OK, text.as_bytes())), false)
+                (encode_blob(STATUS_OK, text.as_bytes()), false)
             }
             [OPCODE_HELLO] => hello(self.options.manifest.as_deref()),
             [OPCODE_MUTATE, ..] => {
@@ -176,7 +168,7 @@ impl Protocol for TenantFrames<'_> {
                         Err(e) => encode_blob(STATUS_MUTATE_REJECTED, e.to_string().as_bytes()),
                     },
                 };
-                (Reply::Ready(frame), false)
+                (frame, false)
             }
             _ => {
                 let Some((terms, opts)) = parse_request(payload) else {
@@ -191,7 +183,7 @@ impl Protocol for TenantFrames<'_> {
                     None => encode_response(STATUS_BAD_REQUEST, 0, &[]),
                     Some(docs) => encode_response(STATUS_OK, 0, &docs),
                 };
-                (Reply::Ready(frame), false)
+                (frame, false)
             }
         })
     }

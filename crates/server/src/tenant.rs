@@ -22,16 +22,16 @@
 //! rises with every insert, and nothing stops at the budget. What bounds a
 //! tenant is its document quota.
 //!
-//! **Quotas are enforced at admission**, mirroring the bounded-admission
-//! layer of the catalog server: an insert that would exceed the tenant's
-//! document quota or term cap is rejected *before* touching the index, with
-//! a typed [`TenantError`] the protocol fronts map to an in-band error reply
-//! (`-ERR quota exceeded …` on the RESP front). Rejections are counted per
-//! tenant ([`TenantStats::quota_rejections`]). The byte budget is checked
-//! twice: [`TenantRegistry::create`] refuses a tenant whose empty matrix
-//! already reaches it, and an insert is refused once the index (matrix plus
-//! per-document bookkeeping, which grows with every document) has reached
-//! it — so a tenant overshoots its budget by at most one document.
+//! **Quotas are enforced at admission**: an insert that would exceed the
+//! tenant's document quota or term cap is rejected *before* touching the
+//! index, with a typed [`TenantError`] the protocol fronts map to an
+//! in-band error reply (`-ERR quota exceeded …` on the RESP front).
+//! Rejections are counted per tenant ([`TenantStats::quota_rejections`]).
+//! The byte budget is checked twice: [`TenantRegistry::create`] refuses a
+//! tenant whose empty matrix already reaches it, and an insert is refused
+//! once the index (matrix plus per-document bookkeeping, which grows with
+//! every document) has reached it — so a tenant overshoots its budget by at
+//! most one document.
 //!
 //! **Isolation** is structural: tenants share no index state — each has its
 //! own [`Rambo`], its own [`ResultCache`] and its own latency histograms —
@@ -43,20 +43,17 @@
 //! answer.
 
 use crate::cache::{CacheStats, ResultCache};
+use crate::server::ScratchPool;
 use rambo_core::{
-    canonical_query_key, multiset_query_key, DocId, QueryContext, QueryMode, Rambo, RamboError,
-    RamboParams,
+    canonical_query_key, multiset_query_key, DocId, QueryMode, Rambo, RamboError, RamboParams,
 };
 use rambo_hash::mix64;
 use rambo_workloads::stats::LatencyHistogram;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
-
-/// Cap on pooled query scratch contexts shared by all tenants.
-const CTX_POOL_CAP: usize = 16;
 
 /// Registry-wide and per-tenant admission limits. Every limit is enforced
 /// *at admission* — a rejected request never touches the index.
@@ -334,7 +331,8 @@ pub struct TenantRegistry {
     drops: AtomicU64,
     /// `R.CREATE`/`BF.RESERVE` rejections at the registry tenant cap.
     tenant_quota_rejections: AtomicU64,
-    ctx_pool: Mutex<Vec<QueryContext>>,
+    /// Query scratch shared by every tenant.
+    scratch: ScratchPool,
 }
 
 impl TenantRegistry {
@@ -353,7 +351,7 @@ impl TenantRegistry {
             creations: AtomicU64::new(0),
             drops: AtomicU64::new(0),
             tenant_quota_rejections: AtomicU64::new(0),
-            ctx_pool: Mutex::new(Vec::new()),
+            scratch: ScratchPool::default(),
         })
     }
 
@@ -573,41 +571,19 @@ impl TenantRegistry {
             None => (mode_lane, canonical_query_key(terms)),
             Some(th) => (2 + mode_lane, multiset_query_key(terms) ^ theta_salt(th)),
         };
-        let mut version = 0;
-        if let Some(cache) = &t.cache {
-            version = cache.version();
-            if let Some(docs) = cache.get(lane, key, version) {
-                t.queries.fetch_add(1, Ordering::Relaxed);
-                t.read_latency.record(start.elapsed());
-                return Ok(docs);
-            }
-            cache.record_miss();
-        }
-        let mut ctx = self
-            .ctx_pool
-            .lock()
-            .expect("ctx pool")
-            .pop()
-            .unwrap_or_default();
-        let docs = {
+        let evaluate = || {
             let index = t.index.read().expect("tenant index");
-            match theta {
-                None => index.query_terms_with(terms, mode, &mut ctx),
-                Some(th) => index.query_sequence_theta(terms, th, mode, &mut ctx),
-            }
+            self.scratch.with(|ctx| match theta {
+                None => index.query_terms_with(terms, mode, ctx),
+                Some(th) => index.query_sequence_theta(terms, th, mode, ctx),
+            })
         };
-        {
-            let mut pool = self.ctx_pool.lock().expect("ctx pool");
-            if pool.len() < CTX_POOL_CAP {
-                pool.push(ctx);
-            }
-        }
-        if let Some(cache) = &t.cache {
-            // Keyed to the version read before evaluation: an insert that
-            // raced this query bumped the version, so the entry can never
-            // mask the new document.
-            cache.insert(lane, key, version, &docs);
-        }
+        // An insert racing this query bumps the version, so the entry it
+        // leaves can never mask the new document.
+        let docs = match &t.cache {
+            Some(cache) => cache.get_or_evaluate(lane, key, evaluate).0,
+            None => evaluate(),
+        };
         t.queries.fetch_add(1, Ordering::Relaxed);
         t.read_latency.record(start.elapsed());
         Ok(docs)

@@ -52,7 +52,8 @@ pub const OPCODE_MUTATE: u8 = 4;
 
 /// Response status: success.
 pub const STATUS_OK: u8 = 0;
-/// Response status: admission queue full.
+/// Response status: the server shed the request under load (this crate's
+/// servers never send it; a client still decodes it).
 pub const STATUS_OVERLOADED: u8 = 1;
 /// Response status: deadline exceeded.
 pub const STATUS_DEADLINE: u8 = 2;
@@ -181,9 +182,7 @@ pub(crate) fn encode_query_result(result: Result<QueryReply, ServerError>) -> (V
         Err(ServerError::DeadlineExceeded { tier }) => {
             (encode_response(STATUS_DEADLINE, tier as u32, &[]), false)
         }
-        Err(ServerError::UnknownTier(_) | ServerError::Disconnected) => {
-            (encode_response(STATUS_BAD_REQUEST, 0, &[]), true)
-        }
+        Err(ServerError::UnknownTier(_)) => (encode_response(STATUS_BAD_REQUEST, 0, &[]), true),
     }
 }
 

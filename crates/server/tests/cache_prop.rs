@@ -88,8 +88,8 @@ proptest! {
 
     /// End-to-end: a server with an aggressively small result cache answers
     /// a fuzzed repeat-heavy query stream with interleaved invalidations;
-    /// every reply (inline, queued, cached, or freshly re-evaluated after
-    /// a bump) must equal direct evaluation of the immutable tier.
+    /// every reply (evaluated, cached, or freshly re-evaluated after a
+    /// bump) must equal direct evaluation of the immutable tier.
     #[test]
     fn cached_replies_equal_uncached_evaluation(
         stream in proptest::collection::vec((0u8..8, any::<u64>()), 1..60),

@@ -1,11 +1,10 @@
 //! End-to-end tests for the serving engine: result parity with direct
-//! evaluation, tier routing, the inline-or-queue admission rule,
-//! backpressure, deadlines, the TCP front, and clean shutdown accounting.
+//! evaluation, tier routing, concurrent callers, deadlines, the result
+//! cache and the TCP front.
 
 use rambo_core::{QueryContext, QueryMode, Rambo, RamboParams};
 use rambo_server::{
-    serve_tcp, Catalog, QueryOptions, Server, ServerConfig, ServerError, ServerHandle, TcpClient,
-    TcpClientError,
+    serve_tcp, Catalog, QueryOptions, Server, ServerConfig, ServerError, TcpClient, TcpClientError,
 };
 use rambo_workloads::TestClient;
 use std::net::TcpListener;
@@ -31,27 +30,6 @@ fn build_index(buckets: u64, k: usize, seed: u64) -> Rambo {
         r.insert_document(&name, terms).unwrap();
     }
     r
-}
-
-/// One document over 400 000 terms, and those terms: a query over all of
-/// them is present in every row, so it evaluates for ≈ 20 ms in a release
-/// build (far longer in debug) with no early exit.
-fn slow_fixture(seed: u64) -> (Vec<u64>, Catalog) {
-    let slow_terms: Vec<u64> = (0..400_000u64).collect();
-    let mut index = Rambo::new(RamboParams::flat(8, 3, 1 << 16, 2, seed)).unwrap();
-    index
-        .insert_document("big", slow_terms.iter().copied())
-        .unwrap();
-    let catalog = Catalog::builder().base(&index).halving(0).build().unwrap();
-    (slow_terms, catalog)
-}
-
-/// Wait until tier 0 has admitted a request. An inline request holds the
-/// tier's evaluator from its admission until it is answered.
-fn await_admission(handle: &ServerHandle<'_>) {
-    while handle.stats().tiers[0].accepted == 0 {
-        std::thread::yield_now();
-    }
 }
 
 /// A mixed query load: one present term per covered document, plus absent
@@ -90,7 +68,6 @@ fn served_results_match_direct_evaluation_on_every_tier() {
     });
     assert_eq!(checked, queries.len());
     assert_eq!(stats.total_completed(), queries.len() as u64);
-    assert_eq!(stats.total_rejected(), 0);
     // Every tier served some share of the mixed-budget load.
     for tier in &stats.tiers {
         assert!(tier.completed > 0, "tier {} sat idle", tier.tier);
@@ -127,8 +104,8 @@ fn sparse_mode_and_explicit_tier_override() {
         assert_eq!(full.tier, 1);
         assert_eq!(full.docs, sparse.docs);
         assert!(full.docs.contains(&4));
-        assert!(matches!(
-            handle.submit(
+        assert_eq!(
+            handle.query_opts(
                 &[term],
                 &QueryOptions {
                     tier: Some(9),
@@ -136,7 +113,7 @@ fn sparse_mode_and_explicit_tier_override() {
                 }
             ),
             Err(ServerError::UnknownTier(9))
-        ));
+        );
     });
     assert_eq!(stats.tiers[0].completed, 0);
     assert_eq!(stats.tiers[1].completed, 2);
@@ -146,13 +123,9 @@ fn sparse_mode_and_explicit_tier_override() {
 fn concurrent_clients_all_get_right_answers() {
     let index = build_index(16, 40, 3);
     let catalog = Catalog::builder().base(&index).halving(0).build().unwrap();
-    let config = ServerConfig {
-        workers_per_tier: 1,
-        ..ServerConfig::default()
-    };
     let n_clients = 4;
     let per_client = 100usize;
-    let (_, stats) = Server::scope(&catalog, config, |handle| {
+    let (_, stats) = Server::scope(&catalog, ServerConfig::default(), |handle| {
         std::thread::scope(|s| {
             for c in 0..n_clients {
                 let handle = &handle;
@@ -177,73 +150,23 @@ fn concurrent_clients_all_get_right_answers() {
     let total = (n_clients * per_client) as u64;
     let t = &stats.tiers[0];
     assert_eq!(t.completed, total);
-    // Every answer came from exactly one of the three paths.
-    assert_eq!(t.inline_completed + t.queued + t.cache_hits, t.completed);
-    assert_eq!((t.rejected, t.expired), (0, 0));
-}
-
-#[test]
-fn overload_rejects_when_the_queue_is_full() {
-    let (slow_terms, catalog) = slow_fixture(4);
-    let config = ServerConfig {
-        queue_capacity: 2,
-        workers_per_tier: 1,
-        result_cache_bytes: 0,
-        ..ServerConfig::default()
-    };
-    let slow = QueryOptions {
-        deadline: Duration::from_secs(30),
-        ..QueryOptions::default()
-    };
-    let ((accepted, rejected), stats) = Server::scope(&catalog, config, |handle| {
-        std::thread::scope(|s| {
-            // Another thread holds the evaluator with a slow inline query,
-            // so this thread's admissions queue. The first queued one is
-            // slow too, and keeps the one worker busy: the queue holds 2
-            // (the slow one and a fast one, or two fast ones once the
-            // worker has taken it), and the rest bounce.
-            let inline = s.spawn(|| handle.query_opts(&slow_terms, &slow).unwrap());
-            await_admission(handle);
-            let mut pending = vec![handle.submit(&slow_terms, &slow).unwrap()];
-            let mut rejected = 0usize;
-            for i in 0..6u64 {
-                match handle.submit(&[i], &slow) {
-                    Ok(p) => pending.push(p),
-                    Err(ServerError::Overloaded { tier: 0 }) => rejected += 1,
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
-            }
-            let accepted = pending.len();
-            for p in pending {
-                p.wait().unwrap();
-            }
-            inline.join().unwrap();
-            (accepted, rejected)
-        })
-    });
-    assert!(rejected > 0, "queue never filled");
-    assert_eq!(accepted + rejected, 7);
-    let t = &stats.tiers[0];
-    assert_eq!(t.rejected as usize, rejected);
-    assert_eq!(t.queued as usize, accepted);
-    assert_eq!(t.completed as usize, accepted + 1);
+    // Every answer was either evaluated or served from the cache.
+    assert_eq!(t.evaluated + t.cache_hits, t.completed);
+    assert_eq!(t.expired, 0);
 }
 
 #[test]
 fn expired_requests_are_dropped_not_evaluated() {
     let index = build_index(16, 20, 5);
     let catalog = Catalog::builder().base(&index).halving(0).build().unwrap();
-    let config = ServerConfig {
-        workers_per_tier: 1,
-        ..ServerConfig::default()
-    };
-    let (result, stats) = Server::scope(&catalog, config, |handle| {
-        // A deadline of zero is already past when the worker dequeues.
+    let (result, stats) = Server::scope(&catalog, ServerConfig::default(), |handle| {
+        // A deadline of zero is already past at admission.
         handle.query(&[42], 0.0, Duration::ZERO)
     });
     assert_eq!(result, Err(ServerError::DeadlineExceeded { tier: 0 }));
-    assert_eq!(stats.tiers[0].expired, 1);
-    assert_eq!(stats.tiers[0].completed, 0);
+    let t = &stats.tiers[0];
+    assert_eq!((t.accepted, t.expired), (1, 1));
+    assert_eq!((t.evaluated, t.completed, t.hits), (0, 0, 0));
 }
 
 #[test]
@@ -322,53 +245,6 @@ fn tcp_rejects_malformed_frames_without_dying() {
 }
 
 #[test]
-fn contended_admissions_queue_uncontended_ones_run_inline() {
-    let (slow_terms, catalog) = slow_fixture(11);
-    let config = ServerConfig {
-        workers_per_tier: 1,
-        result_cache_bytes: 0,
-        ..ServerConfig::default()
-    };
-    // Generous deadlines: the queued requests sit behind a multi-hundred-ms
-    // (in debug builds) slow evaluation and must not expire.
-    let patient = QueryOptions {
-        deadline: Duration::from_secs(30),
-        ..QueryOptions::default()
-    };
-    let (_, stats) = Server::scope(&catalog, config, |handle| {
-        std::thread::scope(|s| {
-            // Thread A holds the inline evaluator for a long evaluation.
-            let slow = &slow_terms;
-            let inline = s.spawn(|| handle.query_opts(slow, &patient).unwrap());
-            await_admission(handle);
-            // Contended admissions go to the queue. The first is another
-            // slow query, so the worker stays busy while the fast ones
-            // stack up behind it.
-            let mut pending = vec![handle.submit(slow, &patient).unwrap()];
-            for i in 0..4u64 {
-                pending.push(handle.submit(&[i], &patient).unwrap());
-            }
-            for p in pending {
-                p.wait().unwrap();
-            }
-            inline.join().unwrap();
-            // Nothing holds the evaluator now: a sequential trickle runs
-            // inline, every request of it.
-            for i in 0..40u64 {
-                handle
-                    .query(&[100 + i], 0.0, Duration::from_secs(5))
-                    .unwrap();
-            }
-        });
-    });
-    let t = &stats.tiers[0];
-    assert_eq!(t.inline_completed, 41, "{t:?}");
-    assert_eq!(t.queued, 5, "{t:?}");
-    assert!(t.max_queue_depth >= 2, "{t:?}");
-    assert_eq!(t.completed, 46);
-}
-
-#[test]
 fn reset_stats_opens_a_fresh_measurement_window() {
     let index = build_index(16, 20, 17);
     let catalog = Catalog::builder().base(&index).halving(0).build().unwrap();
@@ -419,9 +295,8 @@ fn result_cache_serves_repeats_and_invalidates_on_version_bump() {
     });
     assert_eq!(stats.total_completed(), 3);
     assert_eq!(stats.total_cache_hits(), 1);
-    // A hit does not evaluate: three completions, two evaluations (inline
-    // or by a worker).
-    assert_eq!(stats.total_inline() + stats.total_batches(), 2);
+    // A hit does not evaluate: three completions, two evaluations.
+    assert_eq!(stats.total_inline(), 2);
     let cache = stats.cache.expect("cache enabled by default");
     assert_eq!(cache.counters.hits, 1);
     assert_eq!(cache.counters.stale, 1, "stale entry not dropped");
@@ -459,32 +334,4 @@ fn tcp_stats_frame_dumps_counters() {
             server.join().unwrap().unwrap();
         });
     });
-}
-
-#[test]
-fn shutdown_drains_admitted_requests() {
-    let index = build_index(16, 30, 9);
-    let catalog = Catalog::builder().base(&index).halving(1).build().unwrap();
-    let config = ServerConfig {
-        workers_per_tier: 1,
-        ..ServerConfig::default()
-    };
-    // Submit and *abandon* pending replies, then leave the scope: every
-    // admitted request must still be drained (evaluated or expired), and
-    // the scope must not hang.
-    let (submitted, stats) = Server::scope(&catalog, config, |handle| {
-        let mut submitted = 0u64;
-        for d in 0..30u64 {
-            let opts = QueryOptions {
-                fpr_budget: if d % 2 == 0 { 0.0 } else { 1.0 },
-                ..QueryOptions::default()
-            };
-            if handle.submit(&[(d << 24) | 2], &opts).is_ok() {
-                submitted += 1;
-            }
-        }
-        submitted
-    });
-    let drained: u64 = stats.tiers.iter().map(|t| t.completed + t.expired).sum();
-    assert_eq!(drained, submitted, "shutdown dropped admitted requests");
 }
