@@ -172,12 +172,6 @@ impl CompactBitSliced {
             ndocs: docs.len(),
         }
     }
-
-    /// Number of blocks.
-    #[must_use]
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
 }
 
 impl MembershipIndex for CompactBitSliced {
@@ -285,7 +279,7 @@ mod tests {
         let ds = docs(30, 50);
         let uniform = BitSlicedIndex::build_auto(&ds, 0.01, 3, 5);
         let compact = CompactBitSliced::build(&ds, 8, 0.01, 3, 5);
-        assert!(compact.num_blocks() >= 3);
+        assert!(compact.blocks.len() >= 3);
         for (j, (_, terms)) in ds.iter().enumerate() {
             for &t in terms.iter().take(3) {
                 assert!(uniform.query_term(t).contains(&(j as u32)));

@@ -59,12 +59,6 @@ impl InvertedIndex {
     pub fn doc_frequency(&self, term: u64) -> usize {
         self.postings(term).len()
     }
-
-    /// Number of distinct terms indexed.
-    #[must_use]
-    pub fn distinct_terms(&self) -> usize {
-        self.map.len()
-    }
 }
 
 impl MembershipIndex for InvertedIndex {
@@ -106,7 +100,7 @@ mod tests {
         assert_eq!(idx.postings(99), &[] as &[u32]);
         assert_eq!(idx.num_documents(), 3);
         assert_eq!(idx.doc_frequency(2), 3);
-        assert_eq!(idx.distinct_terms(), 4);
+        assert_eq!(idx.map.len(), 4);
     }
 
     #[test]

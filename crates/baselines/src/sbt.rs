@@ -211,12 +211,6 @@ impl Sbt {
         hits.sort_unstable();
         hits
     }
-
-    /// Number of tree nodes (≈ `2K − 1`).
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 impl MembershipIndex for Sbt {
@@ -257,7 +251,7 @@ mod tests {
     #[test]
     fn tree_has_2k_minus_1_nodes() {
         let sbt = Sbt::build(&docs(17, 20), 1 << 12, 2, 3);
-        assert_eq!(sbt.num_nodes(), 2 * 17 - 1);
+        assert_eq!(sbt.nodes.len(), 2 * 17 - 1);
     }
 
     #[test]
@@ -284,7 +278,7 @@ mod tests {
         // Absent terms should die high in the tree, far below visiting all
         // ~127 nodes each.
         assert!(
-            total_visits < 100 * sbt.num_nodes() / 4,
+            total_visits < 100 * sbt.nodes.len() / 4,
             "visited {total_visits} nodes across 100 absent probes"
         );
     }
@@ -342,6 +336,6 @@ mod tests {
         let sbt = Sbt::build(&ds, 1 << 13, 2, 13);
         let (hits, visited) = sbt.query_term_stats(5); // family-0 term
         assert_eq!(hits, (0..8).collect::<Vec<u32>>());
-        assert!(visited < sbt.num_nodes(), "visited {visited}");
+        assert!(visited < sbt.nodes.len(), "visited {visited}");
     }
 }

@@ -172,12 +172,6 @@ impl SplitSbt {
         self.compressed
     }
 
-    /// Number of tree nodes.
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Query with traversal accounting: `(hits, nodes_visited)`.
     #[must_use]
     pub fn query_term_stats(&self, term: u64) -> (Vec<u32>, usize) {
@@ -369,14 +363,14 @@ mod tests {
             assert!(hits.len() < 4);
             total += visited;
         }
-        assert!(total < 100 * t.num_nodes() / 4, "visited {total}");
+        assert!(total < 100 * t.nodes.len() / 4, "visited {total}");
     }
 
     #[test]
     fn empty_tree() {
         let t = SplitSbt::build(&[], 1024, 2, 0, false);
         assert!(t.query_term(7).is_empty());
-        assert_eq!(t.num_nodes(), 0);
+        assert_eq!(t.nodes.len(), 0);
     }
 
     #[test]

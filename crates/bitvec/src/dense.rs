@@ -151,12 +151,6 @@ impl BitVec {
         self.words.to_mut().fill(0);
     }
 
-    /// Set every bit.
-    pub fn set_all(&mut self) {
-        self.words.to_mut().fill(u64::MAX);
-        self.mask_tail();
-    }
-
     /// Number of set bits.
     #[must_use]
     pub fn count_ones(&self) -> usize {
@@ -241,32 +235,13 @@ impl BitVec {
     }
 
     /// In-place intersection with a raw word slice (`self &= words`), used
-    /// by row-major bit matrices whose rows alias this vector's geometry.
-    ///
-    /// # Panics
-    /// Panics if `words` is shorter than this vector's word count.
-    pub fn and_words(&mut self, words: &[u64]) {
-        self.and_words_any(words);
-    }
-
-    /// [`BitVec::and_words`] returning `true` if any bit survives (fused
-    /// AND + liveness, one pass).
+    /// by row-major bit matrices whose rows alias this vector's geometry;
+    /// returns `true` if any bit survives (fused AND + liveness, one pass).
     ///
     /// # Panics
     /// Panics if `words` is shorter than this vector's word count.
     pub fn and_words_any(&mut self, words: &[u64]) -> bool {
         kernel::and_rows_into_any(self.words.to_mut(), [words])
-    }
-
-    /// Fused multi-row intersection: `self &= rows[0] & … & rows[N-1]` in a
-    /// single pass over the vector, returning `true` if any bit survives.
-    /// This is the per-table probe kernel of Algorithm 2: several Bloom rows
-    /// are ANDed per pass so the running mask stays in registers.
-    ///
-    /// # Panics
-    /// Panics if any row is shorter than this vector's word count.
-    pub fn and_rows_any<const N: usize>(&mut self, rows: [&[u64]; N]) -> bool {
-        kernel::and_rows_into_any(self.words.to_mut(), rows)
     }
 
     /// Overwrite `self` with `other`, reusing the existing allocation.
@@ -291,21 +266,6 @@ impl BitVec {
             .iter()
             .zip(other.words.as_words())
             .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
-    /// `popcount(self | other)` without materializing the union.
-    ///
-    /// # Panics
-    /// Panics on length mismatch.
-    #[must_use]
-    pub fn count_or(&self, other: &Self) -> usize {
-        assert_eq!(self.len, other.len, "count_or length mismatch");
-        self.words
-            .as_words()
-            .iter()
-            .zip(other.words.as_words())
-            .map(|(a, b)| (a | b).count_ones() as usize)
             .sum()
     }
 
@@ -552,7 +512,6 @@ mod tests {
             assert_eq!(diff.get(i), x && !y);
         }
         assert_eq!(a.count_and(&b), and.count_ones());
-        assert_eq!(a.count_or(&b), or.count_ones());
     }
 
     #[test]
@@ -577,10 +536,11 @@ mod tests {
 
         let mut seq = base.clone();
         for r in [&r0, &r1, &r2, &r3] {
-            seq.and_words(r.words());
+            seq.and_words_any(r.words());
         }
         let mut fused = base.clone();
-        let live = fused.and_rows_any([r0.words(), r1.words(), r2.words(), r3.words()]);
+        let rows = [r0.words(), r1.words(), r2.words(), r3.words()];
+        let live = kernel::and_rows_into_any(fused.words.to_mut(), rows);
         assert_eq!(fused, seq);
         assert_eq!(live, seq.any());
     }
@@ -611,9 +571,7 @@ mod tests {
 
     #[test]
     fn tail_masking_keeps_counts_exact() {
-        let mut v = BitVec::ones(65);
-        assert_eq!(v.count_ones(), 65);
-        v.set_all();
+        let v = BitVec::ones(65);
         assert_eq!(v.count_ones(), 65);
     }
 

@@ -97,15 +97,6 @@ impl RankBitVec {
         r
     }
 
-    /// Number of zero bits strictly before position `i`.
-    ///
-    /// # Panics
-    /// Panics if `i > len()`.
-    #[must_use]
-    pub fn rank0(&self, i: usize) -> usize {
-        i - self.rank1(i)
-    }
-
     /// Position of the `k`-th set bit (0-based): `select1(0)` is the first
     /// one. Returns `None` when fewer than `k+1` bits are set.
     #[must_use]
@@ -166,7 +157,6 @@ mod tests {
         let rb = RankBitVec::new(bits.clone());
         for i in (0..=1500).step_by(31) {
             assert_eq!(rb.rank1(i), naive_rank(&bits, i), "rank1({i})");
-            assert_eq!(rb.rank0(i), i - naive_rank(&bits, i), "rank0({i})");
         }
         assert_eq!(rb.rank1(1500), rb.count_ones());
     }

@@ -91,7 +91,7 @@ impl BloomFilter {
     /// filter's seed.
     #[inline]
     #[must_use]
-    pub fn hash_u64(&self, key: u64) -> HashPair {
+    fn hash_u64(&self, key: u64) -> HashPair {
         HashPair::of_u64(key, self.params.seed)
     }
 
@@ -145,15 +145,6 @@ impl BloomFilter {
         self.bits.fill_ratio()
     }
 
-    /// Estimated false-positive rate from the observed fill: `fill^η`.
-    ///
-    /// This estimator is what the RAMBO harness reports as the per-BFU `p`
-    /// feeding Lemma 4.1/4.2 predictions.
-    #[must_use]
-    pub fn estimated_fpr(&self) -> f64 {
-        self.fill_ratio().powi(self.params.eta as i32)
-    }
-
     /// Merge `other` into `self` by bitwise OR — the *union* of the two
     /// represented sets. Requires identical parameters.
     ///
@@ -167,24 +158,6 @@ impl BloomFilter {
         }
         self.bits.or_assign(&other.bits);
         self.inserts += other.inserts;
-        Ok(())
-    }
-
-    /// Intersect `other` into `self` by bitwise AND. The result may contain
-    /// *false positives relative to set intersection* (AND of filters is a
-    /// superset of the filter of the intersection) — used by the split-SBT
-    /// baselines for their "sim" filters, matching the original SSBT.
-    ///
-    /// # Errors
-    /// [`BloomError::ParamsMismatch`] if `(m, η, seed)` differ.
-    pub fn intersect_assign(&mut self, other: &Self) -> Result<(), BloomError> {
-        if self.params != other.params {
-            return Err(BloomError::ParamsMismatch {
-                detail: format!("{:?} vs {:?}", self.params, other.params),
-            });
-        }
-        self.bits.and_assign(&other.bits);
-        self.inserts = self.inserts.min(other.inserts);
         Ok(())
     }
 
@@ -260,7 +233,7 @@ impl BloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{optimal_eta_for_fpr, optimal_m};
+    use crate::params::optimal_m;
     use rambo_hash::SplitMix64;
 
     fn params(m: usize, eta: u32) -> BloomParams {
@@ -288,15 +261,15 @@ mod tests {
         for _ in 0..100 {
             assert!(!f.contains_u64(s.next_u64()));
         }
-        assert_eq!(f.estimated_fpr(), 0.0);
+        assert_eq!(f.fill_ratio(), 0.0);
     }
 
     #[test]
     fn measured_fpr_tracks_target() {
-        // Size for 2000 keys at 1%: measured FPR on unseen keys should land
-        // in the same decade.
+        // Size for 2000 keys at 1% (η = ⌈−log₂ 0.01⌉ = 7): measured FPR on
+        // unseen keys should land in the same decade.
         let n = 2000;
-        let sized = BloomParams::fixed(optimal_m(n, 0.01), optimal_eta_for_fpr(0.01), 3);
+        let sized = BloomParams::fixed(optimal_m(n, 0.01), 7, 3);
         let mut f = BloomFilter::new(sized);
         for i in 0..n as u64 {
             f.insert_u64(i);
@@ -313,7 +286,7 @@ mod tests {
         assert!(rate < 0.02, "measured {rate} vs target 0.01");
         // Analytic estimate from the fill ratio should agree with measurement
         // within 2x.
-        let est = f.estimated_fpr();
+        let est = f.fill_ratio().powi(7);
         assert!(
             rate < est * 2.0 + 0.005 && est < rate * 2.0 + 0.005,
             "estimate {est} vs measured {rate}"
@@ -356,26 +329,6 @@ mod tests {
         ));
         let c = BloomFilter::new(BloomParams::fixed(1024, 3, 999));
         assert!(a.union_assign(&c).is_err(), "seed mismatch must fail");
-    }
-
-    #[test]
-    fn intersect_keeps_common_keys() {
-        let p = params(1 << 13, 3);
-        let mut a = BloomFilter::new(p);
-        let mut b = BloomFilter::new(p);
-        for i in 0..300u64 {
-            a.insert_u64(i);
-        }
-        for i in 200..500u64 {
-            b.insert_u64(i);
-        }
-        let mut x = a.clone();
-        x.intersect_assign(&b).unwrap();
-        // Keys in both sets are always retained (no false negatives for the
-        // intersection).
-        for i in 200..300u64 {
-            assert!(x.contains_u64(i));
-        }
     }
 
     #[test]

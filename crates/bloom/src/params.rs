@@ -42,28 +42,6 @@ pub fn optimal_m(n: usize, p: f64) -> usize {
     ((-(n as f64) * p.ln()) / (ln2 * ln2)).ceil() as usize
 }
 
-/// Optimal probe count for a *given* geometry: `η = max(1, round(m/n · ln 2))`.
-///
-/// # Panics
-/// Panics if `n == 0`.
-#[must_use]
-pub fn optimal_eta(m: usize, n: usize) -> u32 {
-    assert!(n > 0, "capacity must be positive");
-    let eta = (m as f64 / n as f64 * std::f64::consts::LN_2).round();
-    (eta.max(1.0)) as u32
-}
-
-/// Optimal probe count straight from the target FPR: `η = ⌈−log₂ p⌉`
-/// (the paper's `η = −log p / log 2`).
-///
-/// # Panics
-/// Panics unless `0 < p < 1`.
-#[must_use]
-pub fn optimal_eta_for_fpr(p: f64) -> u32 {
-    assert!(p > 0.0 && p < 1.0, "fpr must be in (0, 1)");
-    ((-p.log2()).ceil()).max(1.0) as u32
-}
-
 /// The simplified false-positive estimate `(1 − e^{−ηn/m})^η`.
 ///
 /// # Panics
@@ -87,21 +65,6 @@ mod tests {
     }
 
     #[test]
-    fn optimal_eta_matches_geometry() {
-        // m/n = 9.585 → η ≈ 6.64 → 7.
-        assert_eq!(optimal_eta(9_585_059, 1_000_000), 7);
-        // Degenerate: m < n still yields at least one probe.
-        assert_eq!(optimal_eta(10, 1000), 1);
-    }
-
-    #[test]
-    fn eta_from_fpr() {
-        assert_eq!(optimal_eta_for_fpr(0.01), 7);
-        assert_eq!(optimal_eta_for_fpr(0.5), 1);
-        assert_eq!(optimal_eta_for_fpr(0.1), 4);
-    }
-
-    #[test]
     fn expected_fpr_monotone_in_load() {
         let lo = expected_fpr(10_000, 100, 3);
         let hi = expected_fpr(10_000, 2_000, 3);
@@ -111,10 +74,12 @@ mod tests {
 
     #[test]
     fn sized_filter_meets_target() {
-        // Sizing for p then evaluating the estimate at capacity should land
-        // at or below ~p (the ceil in m and η pushes it slightly under).
-        for &p in &[0.1, 0.01, 0.001] {
-            let params = BloomParams::fixed(optimal_m(50_000, p), optimal_eta_for_fpr(p), 1);
+        // Sizing for p (η = ⌈−log₂ p⌉) then evaluating the estimate at
+        // capacity should land at or below ~p (the ceil in m and η pushes it
+        // slightly under).
+        for &p in &[0.1f64, 0.01, 0.001] {
+            let eta = (-p.log2()).ceil() as u32;
+            let params = BloomParams::fixed(optimal_m(50_000, p), eta, 1);
             let achieved = expected_fpr(params.m_bits, 50_000, params.eta);
             assert!(
                 achieved <= p * 1.05,

@@ -10,7 +10,6 @@ use crate::coordinator::ClusterReply;
 use crate::wire::{parse_down_shards, STATUS_DEGRADED};
 use rambo_server::wire::{
     encode_query_request, parse_response, STATUS_BAD_REQUEST, STATUS_DEADLINE, STATUS_OK,
-    STATUS_OVERLOADED,
 };
 use rambo_server::{ServerError, TcpClient, TcpClientError};
 use std::io;
@@ -57,7 +56,7 @@ impl ClusterClient {
     /// caller decides whether a partial answer is acceptable.
     ///
     /// # Errors
-    /// [`TcpClientError::Server`] for overload/deadline rejections,
+    /// [`TcpClientError::Server`] for a deadline rejection,
     /// [`TcpClientError::Io`]/[`TcpClientError::Protocol`] on transport or
     /// framing failures.
     pub fn query(
@@ -66,7 +65,7 @@ impl ClusterClient {
         fpr_budget: f64,
         deadline: Duration,
     ) -> Result<ClusterReply, TcpClientError> {
-        let frame = encode_query_request(terms, fpr_budget, deadline, None);
+        let frame = encode_query_request(terms, fpr_budget, deadline);
         let payload = self.inner.exchange(&frame)?;
         let parsed = parse_response(&payload).map_err(TcpClientError::Protocol)?;
         let degraded =
@@ -78,7 +77,6 @@ impl ClusterClient {
                 tier,
                 degraded,
             }),
-            STATUS_OVERLOADED => Err(TcpClientError::Server(ServerError::Overloaded { tier })),
             STATUS_DEADLINE => Err(TcpClientError::Server(ServerError::DeadlineExceeded {
                 tier,
             })),

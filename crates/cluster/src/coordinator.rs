@@ -12,7 +12,6 @@
 use crate::health::ReplicaHealth;
 use crate::manifest::{ManifestError, NodeManifest};
 use crate::pool::ClientPool;
-use rambo_core::QueryMode;
 use rambo_server::{QueryReply, ServerError, TcpClient, TcpClientError};
 use rambo_workloads::stats::LatencyHistogram;
 use std::fmt;
@@ -22,64 +21,27 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// When to re-issue a straggling request to a sibling replica.
-#[derive(Debug, Clone)]
-pub struct HedgeConfig {
-    /// Latency quantile of the primary replica's own history that arms the
-    /// hedge timer.
-    pub quantile: f64,
-    /// Lower clamp on the derived delay (don't hedge on micro-jitter).
-    pub floor: Duration,
-    /// Upper clamp on the derived delay (a slow history must not disable
-    /// hedging entirely).
-    pub cap: Duration,
-    /// Delay used until the replica has [`HedgeConfig::min_samples`]
-    /// recorded attempts.
-    pub cold: Duration,
-    /// Attempts a replica's histogram needs before its quantile is
-    /// trusted.
-    pub min_samples: u64,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        Self {
-            quantile: 0.99,
-            floor: Duration::from_millis(1),
-            cap: Duration::from_millis(100),
-            cold: Duration::from_millis(20),
-            min_samples: 32,
-        }
-    }
-}
-
-/// Coordinator tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Per-address TCP connect timeout (topology discovery and pool
-    /// refills).
-    pub connect_timeout: Duration,
-    /// Idle connections kept per replica.
-    pub pool_capacity: usize,
-    /// Consecutive transport errors that demote a replica.
-    pub fail_threshold: u32,
-    /// Cool-down before a demoted replica is re-probed with a live query.
-    pub probe_interval: Duration,
-    /// Hedged-read policy.
-    pub hedge: HedgeConfig,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        Self {
-            connect_timeout: Duration::from_secs(1),
-            pool_capacity: 4,
-            fail_threshold: 3,
-            probe_interval: Duration::from_millis(500),
-            hedge: HedgeConfig::default(),
-        }
-    }
-}
+/// Per-address TCP connect timeout (topology discovery and pool refills).
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// Idle connections kept per replica.
+const POOL_CAPACITY: usize = 4;
+/// Consecutive transport errors that demote a replica.
+const FAIL_THRESHOLD: u32 = 3;
+/// Cool-down before a demoted replica is re-probed with a live query.
+const PROBE_INTERVAL: Duration = Duration::from_millis(500);
+/// Latency quantile of the primary replica's own history that arms the
+/// hedge timer.
+const HEDGE_QUANTILE: f64 = 0.99;
+/// Lower clamp on the hedge delay (don't hedge on micro-jitter).
+const HEDGE_FLOOR: Duration = Duration::from_millis(1);
+/// Upper clamp on the hedge delay (a slow history must not disable hedging
+/// entirely).
+const HEDGE_CAP: Duration = Duration::from_millis(100);
+/// Hedge delay until the replica has [`HEDGE_MIN_SAMPLES`] recorded
+/// attempts.
+const HEDGE_COLD: Duration = Duration::from_millis(20);
+/// Attempts a replica's histogram needs before its quantile is trusted.
+const HEDGE_MIN_SAMPLES: u64 = 32;
 
 /// A coordinator answer: the global union, plus which shards (if any)
 /// could not be reached.
@@ -108,7 +70,7 @@ pub enum ClusterError {
     },
     /// The configured topology contradicts what the nodes announced.
     Config(String),
-    /// A (reachable) shard rejected the query — overload or deadline; the
+    /// A (reachable) shard rejected the query — its deadline passed; the
     /// cluster answer would be incomplete for a non-availability reason,
     /// so the rejection is surfaced rather than masked as degraded.
     Shard {
@@ -183,7 +145,7 @@ enum ShardFailure {
     /// Every replica transport-failed (or none was eligible) — the shard
     /// is unreachable and the reply degrades.
     Unreachable,
-    /// A live shard said no (overload/deadline).
+    /// A live shard said no (its deadline passed).
     Rejected(ServerError),
 }
 
@@ -191,7 +153,6 @@ enum ShardFailure {
 #[derive(Debug)]
 pub struct Coordinator {
     shards: Vec<Shard>,
-    config: ClusterConfig,
     /// Monotonic epoch for the probe scheduler's nanosecond clock.
     epoch: Instant,
     queries: AtomicU64,
@@ -199,21 +160,18 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Dial a replica and complete the `HELLO` exchange. The whole
-    /// exchange is bounded by `timeout` — discovery must never hang on a
+    /// Dial a replica and complete the `HELLO` exchange. The whole exchange
+    /// is bounded by [`CONNECT_TIMEOUT`] — discovery must never hang on a
     /// half-dead peer — and retried once, because a freshly spawned node
     /// on a loaded host can miss a single read window without being
     /// dead. Each retry starts from a brand-new connection so a late
     /// reply to the first attempt can never desynchronize the stream.
-    fn dial_hello(
-        addr: SocketAddr,
-        timeout: Duration,
-    ) -> Result<(TcpClient, Vec<u8>), ClusterError> {
+    fn dial_hello(addr: SocketAddr) -> Result<(TcpClient, Vec<u8>), ClusterError> {
         let mut last = None;
         for _ in 0..2 {
             let attempt = (|| {
-                let mut client = TcpClient::connect_with_timeout(addr, timeout)?;
-                client.set_io_timeout(Some(timeout))?;
+                let mut client = TcpClient::connect_with_timeout(addr, CONNECT_TIMEOUT)?;
+                client.set_io_timeout(Some(CONNECT_TIMEOUT))?;
                 let raw = client.hello().map_err(|e| {
                     ClusterError::Config(format!("{addr} did not answer HELLO: {e}"))
                 })?;
@@ -238,10 +196,7 @@ impl Coordinator {
     /// [`ClusterError::Io`] when a replica cannot be reached,
     /// [`ClusterError::Config`] when the manifests contradict the
     /// configured topology.
-    pub fn connect(
-        topology: &[Vec<SocketAddr>],
-        config: ClusterConfig,
-    ) -> Result<Self, ClusterError> {
+    pub fn connect(topology: &[Vec<SocketAddr>]) -> Result<Self, ClusterError> {
         if topology.is_empty() {
             return Err(ClusterError::Config("topology has no shards".into()));
         }
@@ -254,7 +209,7 @@ impl Coordinator {
             let mut replicas = Vec::with_capacity(addrs.len());
             let mut first: Option<NodeManifest> = None;
             for &addr in addrs {
-                let (client, raw) = Self::dial_hello(addr, config.connect_timeout)?;
+                let (client, raw) = Self::dial_hello(addr)?;
                 let manifest =
                     NodeManifest::decode(&raw).map_err(|error| ClusterError::Manifest {
                         addr: addr.to_string(),
@@ -283,7 +238,7 @@ impl Coordinator {
                         }
                     }
                 }
-                let pool = ClientPool::new(addr, config.connect_timeout, config.pool_capacity);
+                let pool = ClientPool::new(addr, CONNECT_TIMEOUT, POOL_CAPACITY);
                 pool.put(client); // seed with the discovery connection
                 replicas.push(Arc::new(Replica {
                     pool,
@@ -318,7 +273,6 @@ impl Coordinator {
         }
         Ok(Self {
             shards,
-            config,
             epoch: Instant::now(),
             queries: AtomicU64::new(0),
             degraded_replies: AtomicU64::new(0),
@@ -344,20 +298,6 @@ impl Coordinator {
         fpr_budget: f64,
         deadline: Duration,
     ) -> Result<ClusterReply, ClusterError> {
-        self.query_mode(terms, fpr_budget, deadline, None)
-    }
-
-    /// [`Coordinator::query`] with an explicit evaluation mode.
-    ///
-    /// # Errors
-    /// See [`Coordinator::query`].
-    pub fn query_mode(
-        &self,
-        terms: &[u64],
-        fpr_budget: f64,
-        deadline: Duration,
-        mode: Option<QueryMode>,
-    ) -> Result<ClusterReply, ClusterError> {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
         let terms: Arc<Vec<u64>> = Arc::new(terms.to_vec());
@@ -367,9 +307,7 @@ impl Coordinator {
                 .iter()
                 .map(|shard| {
                     let terms = Arc::clone(&terms);
-                    scope.spawn(move || {
-                        self.query_shard(shard, terms, fpr_budget, start, deadline, mode)
-                    })
+                    scope.spawn(move || self.query_shard(shard, terms, fpr_budget, start, deadline))
                 })
                 .collect();
             handles
@@ -415,22 +353,19 @@ impl Coordinator {
         fpr_budget: f64,
         start: Instant,
         deadline: Duration,
-        mode: Option<QueryMode>,
     ) -> Result<QueryReply, ShardFailure> {
         let overall = start + deadline;
         let (tx, rx) = mpsc::channel::<(bool, Result<QueryReply, TcpClientError>)>();
         let mut used = vec![false; shard.replicas.len()];
         let now_ns = || self.epoch.elapsed().as_nanos() as u64;
-        let probe_ns = self.config.probe_interval.as_nanos() as u64;
+        let probe_ns = PROBE_INTERVAL.as_nanos() as u64;
 
         let Some(primary) = self.pick_primary(shard, &used, now_ns(), probe_ns) else {
             return Err(ShardFailure::Unreachable);
         };
         used[primary] = true;
-        let hedge_at = Instant::now() + self.hedge_delay(&shard.replicas[primary]);
-        self.launch(
-            shard, primary, &tx, &terms, fpr_budget, overall, mode, false,
-        );
+        let hedge_at = Instant::now() + Self::hedge_delay(&shard.replicas[primary]);
+        self.launch(shard, primary, &tx, &terms, fpr_budget, overall, false);
         let mut inflight = 1usize;
         let mut hedged = false;
         let mut last_rejection: Option<ServerError> = None;
@@ -464,7 +399,7 @@ impl Coordinator {
                     if let Some(next) = self.pick_fallback(shard, &used, now_ns(), probe_ns) {
                         used[next] = true;
                         shard.failovers.fetch_add(1, Ordering::Relaxed);
-                        self.launch(shard, next, &tx, &terms, fpr_budget, overall, mode, hedged);
+                        self.launch(shard, next, &tx, &terms, fpr_budget, overall, hedged);
                         inflight += 1;
                     } else if inflight == 0 {
                         return Err(match last_rejection {
@@ -479,7 +414,7 @@ impl Coordinator {
                         if let Some(next) = self.pick_fallback(shard, &used, now_ns(), probe_ns) {
                             used[next] = true;
                             shard.hedges.fetch_add(1, Ordering::Relaxed);
-                            self.launch(shard, next, &tx, &terms, fpr_budget, overall, mode, true);
+                            self.launch(shard, next, &tx, &terms, fpr_budget, overall, true);
                             inflight += 1;
                         }
                     }
@@ -530,13 +465,15 @@ impl Coordinator {
     }
 
     /// The hedge timer for a primary: its own latency quantile, clamped;
-    /// a configured cold default until the histogram has enough samples.
-    fn hedge_delay(&self, replica: &Replica) -> Duration {
-        let h = &self.config.hedge;
-        if replica.latency.count() < h.min_samples {
-            h.cold
+    /// a fixed cold default until the histogram has enough samples.
+    fn hedge_delay(replica: &Replica) -> Duration {
+        if replica.latency.count() < HEDGE_MIN_SAMPLES {
+            HEDGE_COLD
         } else {
-            replica.latency.quantile(h.quantile).clamp(h.floor, h.cap)
+            replica
+                .latency
+                .quantile(HEDGE_QUANTILE)
+                .clamp(HEDGE_FLOOR, HEDGE_CAP)
         }
     }
 
@@ -554,19 +491,17 @@ impl Coordinator {
         terms: &Arc<Vec<u64>>,
         fpr_budget: f64,
         overall: Instant,
-        mode: Option<QueryMode>,
         is_hedge: bool,
     ) {
         let replica = Arc::clone(&shard.replicas[replica_idx]);
         let terms = Arc::clone(terms);
         let tx = tx.clone();
-        let fail_threshold = self.config.fail_threshold;
-        let probe_ns = self.config.probe_interval.as_nanos() as u64;
+        let probe_ns = PROBE_INTERVAL.as_nanos() as u64;
         let epoch = self.epoch;
         std::thread::spawn(move || {
             let remaining = overall.saturating_duration_since(Instant::now());
             let t0 = Instant::now();
-            let result = attempt(&replica.pool, &terms, fpr_budget, remaining, mode);
+            let result = attempt(&replica.pool, &terms, fpr_budget, remaining);
             match &result {
                 Ok(_) => {
                     replica.latency.record(t0.elapsed());
@@ -580,7 +515,7 @@ impl Coordinator {
                     let now_ns = epoch.elapsed().as_nanos() as u64;
                     if replica
                         .health
-                        .record_failure(fail_threshold, now_ns, probe_ns)
+                        .record_failure(FAIL_THRESHOLD, now_ns, probe_ns)
                     {
                         replica.demotions.fetch_add(1, Ordering::Relaxed);
                         // Sockets that died with the replica must not be
@@ -636,15 +571,9 @@ fn attempt(
     terms: &[u64],
     fpr_budget: f64,
     remaining: Duration,
-    mode: Option<QueryMode>,
 ) -> Result<QueryReply, TcpClientError> {
     let mut client = pool.get(remaining)?;
-    match client.query_mode(
-        terms,
-        fpr_budget,
-        remaining.max(Duration::from_millis(1)),
-        mode,
-    ) {
+    match client.query(terms, fpr_budget, remaining.max(Duration::from_millis(1))) {
         Ok(reply) => {
             pool.put(client);
             Ok(reply)

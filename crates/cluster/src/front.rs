@@ -14,7 +14,7 @@ use crate::coordinator::{ClusterError, Coordinator};
 use crate::wire::encode_degraded_response;
 use rambo_server::wire::{
     self, encode_blob, encode_response, OPCODE_HELLO, OPCODE_STATS, STATUS_BAD_REQUEST,
-    STATUS_DEADLINE, STATUS_OK, STATUS_OVERLOADED,
+    STATUS_DEADLINE, STATUS_OK,
 };
 use rambo_server::ServerError;
 use std::io::{self, Write};
@@ -101,14 +101,10 @@ fn answer(coordinator: &Coordinator, payload: &[u8]) -> Option<Vec<u8>> {
         _ => {}
     }
     let (terms, opts) = wire::parse_request(payload)?;
-    let reply = coordinator.query_mode(&terms, opts.fpr_budget, opts.deadline, opts.mode);
+    let reply = coordinator.query(&terms, opts.fpr_budget, opts.deadline);
     Some(match reply {
         Ok(r) if r.degraded.is_empty() => encode_response(STATUS_OK, r.tier as u32, &r.docs),
         Ok(r) => encode_degraded_response(r.tier as u32, &r.docs, &r.degraded),
-        Err(ClusterError::Shard {
-            error: ServerError::Overloaded { tier },
-            ..
-        }) => encode_response(STATUS_OVERLOADED, tier as u32, &[]),
         Err(ClusterError::Shard {
             error: ServerError::DeadlineExceeded { tier },
             ..

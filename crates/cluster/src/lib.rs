@@ -42,9 +42,8 @@
 //!   coordinator's `STATS` frame.
 //!
 //! ```
-//! use rambo_cluster::{plan_cluster, ClusterConfig, Coordinator, ShardNode};
+//! use rambo_cluster::{plan_cluster, Coordinator, ShardNode};
 //! use rambo_core::{QueryMode, RamboParams};
-//! use rambo_server::ServerConfig;
 //! use std::time::Duration;
 //!
 //! // Partition a corpus across 2 nodes with the two-level hash.
@@ -60,16 +59,13 @@
 //!     .iter()
 //!     .zip(&plan.ranges)
 //!     .enumerate()
-//!     .map(|(s, (shard, &(lo, hi)))| {
-//!         ShardNode::spawn(shard.clone(), s as u32, 0, lo, hi, ServerConfig::default())
-//!             .unwrap()
-//!     })
+//!     .map(|(s, (shard, &(lo, hi)))| ShardNode::spawn(shard.clone(), s as u32, 0, lo, hi).unwrap())
 //!     .collect();
 //! let topology: Vec<Vec<std::net::SocketAddr>> =
 //!     nodes.iter().map(|n| vec![n.addr()]).collect();
 //!
 //! // The coordinator's union answer is bit-identical to the monolith.
-//! let coordinator = Coordinator::connect(&topology, ClusterConfig::default()).unwrap();
+//! let coordinator = Coordinator::connect(&topology).unwrap();
 //! let terms = vec![5u64 << 16 | 1, 5 << 16 | 2];
 //! let reply = coordinator
 //!     .query(&terms, 0.0, Duration::from_secs(2))
@@ -95,8 +91,7 @@ pub mod wire;
 
 pub use client::ClusterClient;
 pub use coordinator::{
-    ClusterConfig, ClusterError, ClusterReply, ClusterStats, Coordinator, HedgeConfig,
-    ReplicaStats, ShardStats,
+    ClusterError, ClusterReply, ClusterStats, Coordinator, ReplicaStats, ShardStats,
 };
 pub use front::serve_cluster;
 pub use health::ReplicaHealth;

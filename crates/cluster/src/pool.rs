@@ -70,12 +70,6 @@ impl ClientPool {
         }
     }
 
-    /// Number of idle pooled connections (tests/stats).
-    #[must_use]
-    pub fn idle_len(&self) -> usize {
-        self.idle.lock().expect("pool lock poisoned").len()
-    }
-
     /// Drop every idle connection (e.g. after the replica was demoted — a
     /// recovered replica gets fresh dials, not sockets that died with it).
     pub fn clear(&self) {
@@ -88,6 +82,10 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::TcpListener;
+
+    fn idle_len(pool: &ClientPool) -> usize {
+        pool.idle.lock().expect("pool lock poisoned").len()
+    }
 
     /// An accept-and-hold listener so `get` can dial something real.
     fn listener() -> (TcpListener, SocketAddr) {
@@ -106,9 +104,9 @@ mod tests {
         let s2 = l.accept().expect("accept 2").0;
         pool.put(c1);
         pool.put(c2); // over capacity → dropped
-        assert_eq!(pool.idle_len(), 1);
+        assert_eq!(idle_len(&pool), 1);
         let c3 = pool.get(Duration::from_millis(100)).expect("reuse");
-        assert_eq!(pool.idle_len(), 0, "reused the pooled connection");
+        assert_eq!(idle_len(&pool), 0, "reused the pooled connection");
         drop((c3, s1, s2));
     }
 
@@ -132,8 +130,8 @@ mod tests {
         let c = pool.get(Duration::from_millis(50)).expect("dial");
         let _s = l.accept().expect("accept");
         pool.put(c);
-        assert_eq!(pool.idle_len(), 1);
+        assert_eq!(idle_len(&pool), 1);
         pool.clear();
-        assert_eq!(pool.idle_len(), 0);
+        assert_eq!(idle_len(&pool), 0);
     }
 }

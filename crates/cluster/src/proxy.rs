@@ -235,7 +235,7 @@ mod tests {
     }
 
     fn query_frame(deadline_ms: u64) -> Vec<u8> {
-        wire::encode_query_request(&[42], 0.0, Duration::from_millis(deadline_ms), None)
+        wire::encode_query_request(&[42], 0.0, Duration::from_millis(deadline_ms))
     }
 
     #[test]

@@ -39,14 +39,13 @@ impl ShardNode {
         replica: u32,
         doc_lo: DocId,
         doc_hi: DocId,
-        config: ServerConfig,
     ) -> io::Result<Self> {
         let catalog = Catalog::builder()
             .base(&shard)
             .tier_buckets(&[shard.buckets()])
             .build()
             .map_err(|e| io::Error::other(format!("shard catalog build failed: {e}")))?;
-        Self::spawn_with_catalog(catalog, shard_id, replica, doc_lo, doc_hi, config)
+        Self::spawn_with_catalog(catalog, shard_id, replica, doc_lo, doc_hi)
     }
 
     /// [`ShardNode::spawn`] with a pre-built (possibly multi-tier)
@@ -60,7 +59,6 @@ impl ShardNode {
         replica: u32,
         doc_lo: DocId,
         doc_hi: DocId,
-        config: ServerConfig,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
@@ -71,7 +69,7 @@ impl ShardNode {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_for_thread = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
-            Server::scope(&catalog, config, |handle| {
+            Server::scope(&catalog, ServerConfig::default(), |handle| {
                 let _ = serve_tcp_with(handle, listener, &stop_for_thread, &options);
             });
         });
@@ -132,7 +130,7 @@ mod tests {
     fn serves_queries_and_manifest() {
         let shard = small_shard();
         let oracle = shard.query_terms_u64(&[3 << 16 | 4], QueryMode::Full);
-        let node = ShardNode::spawn(shard, 2, 1, 100, 110, ServerConfig::default()).expect("spawn");
+        let node = ShardNode::spawn(shard, 2, 1, 100, 110).expect("spawn");
         let mut client =
             TcpClient::connect_with_timeout(node.addr(), Duration::from_secs(2)).expect("dial");
         let manifest = NodeManifest::decode(&client.hello().expect("hello")).expect("decode");
@@ -147,8 +145,7 @@ mod tests {
 
     #[test]
     fn kill_refuses_new_connections() {
-        let mut node =
-            ShardNode::spawn(small_shard(), 0, 0, 0, 10, ServerConfig::default()).expect("spawn");
+        let mut node = ShardNode::spawn(small_shard(), 0, 0, 0, 10).expect("spawn");
         let addr = node.addr();
         node.kill();
         node.kill(); // idempotent

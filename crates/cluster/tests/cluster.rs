@@ -4,11 +4,10 @@
 //! coordinator front speaking the standard protocol.
 
 use rambo_cluster::{
-    plan_cluster, serve_cluster, ClusterClient, ClusterConfig, ClusterError, ClusterPlan,
-    Coordinator, ShardNode,
+    plan_cluster, serve_cluster, ClusterClient, ClusterError, ClusterPlan, Coordinator, ShardNode,
 };
 use rambo_core::{QueryMode, RamboParams};
-use rambo_server::{ServerConfig, TcpClient};
+use rambo_server::TcpClient;
 use rambo_workloads::TestClient;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,8 +45,7 @@ fn spawn_nodes(plan: &ClusterPlan, replicas: u32) -> Vec<Vec<ShardNode>> {
         .map(|(s, (shard, &(lo, hi)))| {
             (0..replicas)
                 .map(|r| {
-                    ShardNode::spawn(shard.clone(), s as u32, r, lo, hi, ServerConfig::default())
-                        .expect("spawn shard node")
+                    ShardNode::spawn(shard.clone(), s as u32, r, lo, hi).expect("spawn shard node")
                 })
                 .collect()
         })
@@ -76,8 +74,7 @@ fn query_mix(docs: u64) -> Vec<Vec<u64>> {
 fn scatter_gather_is_bit_identical_to_monolith() {
     let plan = plan(3, 30);
     let nodes = spawn_nodes(&plan, 1);
-    let coordinator =
-        Coordinator::connect(&topology(&nodes), ClusterConfig::default()).expect("connect");
+    let coordinator = Coordinator::connect(&topology(&nodes)).expect("connect");
     assert_eq!(coordinator.n_shards(), 3);
     for terms in query_mix(30) {
         let reply = coordinator.query(&terms, 0.0, DEADLINE).expect("query");
@@ -95,8 +92,7 @@ fn scatter_gather_is_bit_identical_to_monolith() {
 fn killing_one_replica_loses_zero_queries() {
     let plan = plan(2, 20);
     let mut nodes = spawn_nodes(&plan, 2);
-    let coordinator =
-        Coordinator::connect(&topology(&nodes), ClusterConfig::default()).expect("connect");
+    let coordinator = Coordinator::connect(&topology(&nodes)).expect("connect");
     let queries = query_mix(20);
 
     // Warm traffic, then kill replica 0 of shard 0 mid-load.
@@ -129,11 +125,7 @@ fn killing_one_replica_loses_zero_queries() {
 fn killing_a_full_replica_set_degrades_instead_of_failing() {
     let plan = plan(2, 20);
     let mut nodes = spawn_nodes(&plan, 2);
-    let config = ClusterConfig {
-        fail_threshold: 2,
-        ..ClusterConfig::default()
-    };
-    let coordinator = Coordinator::connect(&topology(&nodes), config).expect("connect");
+    let coordinator = Coordinator::connect(&topology(&nodes)).expect("connect");
     let queries = query_mix(20);
     for terms in &queries[..3] {
         coordinator.query(terms, 0.0, DEADLINE).expect("warm query");
@@ -141,6 +133,9 @@ fn killing_a_full_replica_set_degrades_instead_of_failing() {
     // Kill the entire replica set of shard 1.
     nodes[1][0].kill();
     nodes[1][1].kill();
+    // Every query tries both dead replicas, so the coordinator's fail
+    // threshold (3 consecutive transport errors) demotes each within the
+    // first three of the 22 queries below.
     let (lo, hi) = plan.ranges[1];
     let mut degraded_seen = 0u64;
     for terms in &queries {
@@ -177,11 +172,7 @@ fn killing_a_full_replica_set_degrades_instead_of_failing() {
 fn front_speaks_the_standard_protocol_and_the_degraded_extension() {
     let plan = plan(2, 16);
     let mut nodes = spawn_nodes(&plan, 1);
-    let config = ClusterConfig {
-        fail_threshold: 1,
-        ..ClusterConfig::default()
-    };
-    let coordinator = Coordinator::connect(&topology(&nodes), config).expect("connect");
+    let coordinator = Coordinator::connect(&topology(&nodes)).expect("connect");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind front");
     let front_addr = listener.local_addr().expect("addr");
     let stop = Arc::new(AtomicBool::new(false));
@@ -246,7 +237,7 @@ fn connect_rejects_contradictory_topologies() {
     let mut topo = topology(&nodes);
     // Swap the shards: every node now announces the "wrong" shard id.
     topo.swap(0, 1);
-    match Coordinator::connect(&topo, ClusterConfig::default()) {
+    match Coordinator::connect(&topo) {
         Err(ClusterError::Config(msg)) => {
             assert!(msg.contains("announces shard"), "got: {msg}")
         }
@@ -254,7 +245,7 @@ fn connect_rejects_contradictory_topologies() {
     }
     // An empty topology is rejected too.
     assert!(matches!(
-        Coordinator::connect(&[], ClusterConfig::default()),
+        Coordinator::connect(&[]),
         Err(ClusterError::Config(_))
     ));
 }
@@ -268,28 +259,9 @@ fn connect_rejects_mismatched_replica_catalogs() {
     let plan_a = plan(2, 16);
     let plan_b = plan(2, 18);
     let (lo, hi) = plan_a.ranges[0];
-    let node_a = ShardNode::spawn(
-        plan_a.shards[0].clone(),
-        0,
-        0,
-        lo,
-        hi,
-        ServerConfig::default(),
-    )
-    .expect("node a");
-    let node_b = ShardNode::spawn(
-        plan_b.shards[0].clone(),
-        0,
-        1,
-        lo,
-        hi,
-        ServerConfig::default(),
-    )
-    .expect("node b");
-    match Coordinator::connect(
-        &[vec![node_a.addr(), node_b.addr()]],
-        ClusterConfig::default(),
-    ) {
+    let node_a = ShardNode::spawn(plan_a.shards[0].clone(), 0, 0, lo, hi).expect("node a");
+    let node_b = ShardNode::spawn(plan_b.shards[0].clone(), 0, 1, lo, hi).expect("node b");
+    match Coordinator::connect(&[vec![node_a.addr(), node_b.addr()]]) {
         Err(ClusterError::Config(msg)) => {
             assert!(msg.contains("disagree"), "got: {msg}")
         }

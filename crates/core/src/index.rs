@@ -234,16 +234,9 @@ impl Rambo {
         (registry, matrices)
     }
 
-    /// Hash a byte term for repetition `rep` (each repetition draws an
-    /// independent Bloom hash family; within a repetition all BFUs share it).
-    #[inline]
-    #[must_use]
-    pub fn hash_bytes_rep(&self, rep: usize, term: &[u8]) -> HashPair {
-        HashPair::of_bytes(term, self.bloom_seeds[rep])
-    }
-
     /// Hash a packed 64-bit term (e.g. a 2-bit-encoded k-mer) for
-    /// repetition `rep`.
+    /// repetition `rep` (each repetition draws an independent Bloom hash
+    /// family; within a repetition all BFUs share it).
     #[inline]
     #[must_use]
     pub fn hash_u64_rep(&self, rep: usize, term: u64) -> HashPair {
@@ -264,25 +257,6 @@ impl Rambo {
         for (rep, table) in self.tables.iter_mut().enumerate() {
             let bucket = table.assign[doc as usize] as usize;
             let pair = HashPair::of_u64(term, self.bloom_seeds[rep]);
-            table.matrix.insert(bucket, pair, eta);
-        }
-        self.inserts += 1;
-        Ok(())
-    }
-
-    /// Insert a byte term.
-    ///
-    /// # Errors
-    /// [`RamboError::UnknownDocument`] if `doc` was not issued by this index.
-    #[inline]
-    pub fn insert_term_bytes(&mut self, doc: DocId, term: &[u8]) -> Result<(), RamboError> {
-        if doc as usize >= self.doc_names.len() {
-            return Err(RamboError::UnknownDocument(doc));
-        }
-        let eta = self.params.eta;
-        for (rep, table) in self.tables.iter_mut().enumerate() {
-            let bucket = table.assign[doc as usize] as usize;
-            let pair = HashPair::of_bytes(term, self.bloom_seeds[rep]);
             table.matrix.insert(bucket, pair, eta);
         }
         self.inserts += 1;
@@ -443,21 +417,9 @@ impl Rambo {
             .all(|p| matrix.bit(p as usize, bucket))
     }
 
-    /// Does the BFU at `(rep, bucket)` report this packed term?
-    ///
-    /// # Panics
-    /// Panics when out of range.
-    #[must_use]
-    pub fn bfu_contains_u64(&self, rep: usize, bucket: usize, term: u64) -> bool {
-        self.bfu_contains_pair(rep, bucket, self.hash_u64_rep(rep, term))
-    }
-
     /// Documents currently assigned to a bucket.
-    ///
-    /// # Panics
-    /// Panics when out of range.
-    #[must_use]
-    pub fn bucket_documents(&self, rep: usize, bucket: usize) -> &[DocId] {
+    #[cfg(test)]
+    pub(crate) fn bucket_documents(&self, rep: usize, bucket: usize) -> &[DocId] {
         &self.tables[rep].buckets[bucket]
     }
 }
@@ -539,7 +501,10 @@ mod tests {
         r.insert_term_u64(d, 0xDEAD_BEEF).unwrap();
         for rep in 0..3 {
             let b = r.bucket_of(rep, d) as usize;
-            assert!(r.bfu_contains_u64(rep, b, 0xDEAD_BEEF), "rep {rep}");
+            assert!(
+                r.bfu_contains_pair(rep, b, r.hash_u64_rep(rep, 0xDEAD_BEEF)),
+                "rep {rep}"
+            );
         }
         assert_eq!(r.total_inserts(), 1);
     }
@@ -552,7 +517,7 @@ mod tests {
         for rep in 0..3 {
             let b = r.bucket_of(rep, d) as usize;
             for t in [1u64, 2, 3] {
-                assert!(r.bfu_contains_u64(rep, b, t));
+                assert!(r.bfu_contains_pair(rep, b, r.hash_u64_rep(rep, t)));
             }
         }
     }

@@ -95,12 +95,6 @@ impl RamboParams {
         }
         Ok(())
     }
-
-    /// Total index payload in bits if fully allocated: `B · R · m`.
-    #[must_use]
-    pub fn total_bits(&self) -> u128 {
-        u128::from(self.buckets()) * self.repetitions as u128 * self.bfu_bits as u128
-    }
 }
 
 #[cfg(test)]
@@ -123,11 +117,5 @@ mod tests {
         assert!(RamboParams::flat(10, 0, 10, 2, 0).validate().is_err());
         assert!(RamboParams::flat(10, 3, 0, 2, 0).validate().is_err());
         assert!(RamboParams::flat(10, 3, 10, 0, 0).validate().is_err());
-    }
-
-    #[test]
-    fn total_bits_product() {
-        let p = RamboParams::flat(200, 3, 1_000_000, 2, 9);
-        assert_eq!(p.total_bits(), 200 * 3 * 1_000_000);
     }
 }

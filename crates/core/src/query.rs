@@ -146,30 +146,21 @@ impl QueryContext {
 /// overwrite the vector with the η row offsets of every term, term-major.
 type Planner<'a> = dyn Fn(u64, &mut Vec<usize>) + 'a;
 
-/// Build the [`Planner`] of `terms` for an index of `geometry`'s shape.
-/// `hash` is the only thing that differs between packed and byte terms; the
+/// Build the [`Planner`] of `terms` for an index of `geometry`'s shape. The
 /// row positions are [`HashPair::index`] (through a [`Modulus`] built once
 /// here: a 200-term query takes 1 200 of them), so they match insertion bit
 /// for bit.
-fn planner<'a, T>(
-    geometry: &Rambo,
-    terms: &'a [T],
-    hash: impl Fn(&T, u64) -> HashPair + 'a,
-) -> impl Fn(u64, &mut Vec<usize>) + 'a {
+fn planner<'a>(geometry: &Rambo, terms: &'a [u64]) -> impl Fn(u64, &mut Vec<usize>) + 'a {
     let eta = geometry.params().eta;
     let m = Modulus::new(geometry.params().bfu_bits as u64);
     let row_words = (geometry.buckets() as usize).div_ceil(64);
     move |seed, rows| {
         rows.clear();
-        for term in terms {
-            let pair = hash(term, seed);
+        for &term in terms {
+            let pair = HashPair::of_u64(term, seed);
             rows.extend((0..eta).map(|j| pair.index_in(j, &m) as usize * row_words));
         }
     }
-}
-
-fn hash_u64(term: &u64, seed: u64) -> HashPair {
-    HashPair::of_u64(*term, seed)
 }
 
 /// Set the low `bits` bits of `mask`, zero the rest of its last word.
@@ -197,21 +188,14 @@ fn bit(words: &[u64], i: usize) -> bool {
 }
 
 /// Algorithm 2 with caller-owned scratch: ids of the documents whose BFUs
-/// hold *all* `terms`, ascending. `hash` maps a term and a repetition's Bloom
-/// seed to its [`HashPair`].
-fn evaluate<T>(
-    index: &Rambo,
-    terms: &[T],
-    hash: impl Fn(&T, u64) -> HashPair,
-    mode: QueryMode,
-    ctx: &mut QueryContext,
-) -> Vec<DocId> {
+/// hold *all* `terms`, ascending.
+fn evaluate(index: &Rambo, terms: &[u64], mode: QueryMode, ctx: &mut QueryContext) -> Vec<DocId> {
     let docs = index.num_documents();
     if docs == 0 || terms.is_empty() {
         return Vec::new();
     }
     ctx.ensure(docs, index.buckets() as usize);
-    let plan = planner(index, terms, hash);
+    let plan = planner(index, terms);
     match mode {
         QueryMode::Full => query_full(index, &plan, ctx),
         QueryMode::Sparse => query_sparse(index, &plan, ctx),
@@ -350,7 +334,7 @@ fn theta_by_bucket_count(
     let n = terms.len();
     let eta = index.params().eta as usize;
     let reps = index.repetitions();
-    let plan = planner(index, terms, hash_u64);
+    let plan = planner(index, terms);
     let QueryContext {
         rows,
         row_scratch,
@@ -416,7 +400,7 @@ fn theta_term_at_a_time(
     let mut max_count = 0usize;
     for (done, term) in terms.iter().enumerate() {
         let term = std::slice::from_ref(term);
-        for d in evaluate(index, term, hash_u64, QueryMode::Sparse, ctx) {
+        for d in evaluate(index, term, QueryMode::Sparse, ctx) {
             let c = &mut ctx.counts[d as usize];
             *c += 1;
             max_count = max_count.max(*c as usize);
@@ -446,13 +430,6 @@ impl Rambo {
         self.query_terms_with(&[term], QueryMode::Full, &mut ctx)
     }
 
-    /// Query a single byte term.
-    #[must_use]
-    pub fn query_bytes(&self, term: &[u8]) -> Vec<DocId> {
-        let mut ctx = QueryContext::new();
-        self.query_bytes_terms_with(&[term], QueryMode::Full, &mut ctx)
-    }
-
     /// Query a multi-term set under Algorithm 2 semantics (a BFU matches only
     /// if it contains *all* terms).
     #[must_use]
@@ -474,19 +451,7 @@ impl Rambo {
         mode: QueryMode,
         ctx: &mut QueryContext,
     ) -> Vec<DocId> {
-        evaluate(self, terms, hash_u64, mode, ctx)
-    }
-
-    /// [`Rambo::query_terms_with`] for byte terms (words, raw k-mer text).
-    #[must_use]
-    pub fn query_bytes_terms_with(
-        &self,
-        terms: &[&[u8]],
-        mode: QueryMode,
-        ctx: &mut QueryContext,
-    ) -> Vec<DocId> {
-        let hash = |term: &&[u8], seed| HashPair::of_bytes(term, seed);
-        evaluate(self, terms, hash, mode, ctx)
+        evaluate(self, terms, mode, ctx)
     }
 
     /// Large-sequence query (§3.3.1): membership-test each term of the query
@@ -689,16 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn byte_and_u64_paths_consistent() {
-        let params = RamboParams::flat(8, 3, 1 << 12, 2, 5);
-        let mut r = Rambo::new(params).unwrap();
-        let d = r.add_document("bytes-doc").unwrap();
-        r.insert_term_bytes(d, b"GATTACA").unwrap();
-        assert!(r.query_bytes(b"GATTACA").contains(&d));
-        assert!(r.query_bytes(b"GATTACC").is_empty());
-    }
-
-    #[test]
     fn shared_term_returns_all_documents() {
         let (r, _) = build(20, 30, 2);
         let hits = r.query_u64(0xFFFF);
@@ -738,7 +693,7 @@ mod tests {
             // Count docs passing in repetition 0 only vs in the full query.
             for d in 0..40u32 {
                 let b0 = r.bucket_of(0, d) as usize;
-                if r.bfu_contains_u64(0, b0, t) {
+                if r.bfu_contains_pair(0, b0, r.hash_u64_rep(0, t)) {
                     single_fp += 1;
                 }
             }

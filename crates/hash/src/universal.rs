@@ -104,13 +104,6 @@ impl PartitionHasher {
         self.cw.eval(murmur3_x64_64(name, self.name_seed))
     }
 
-    /// Bucket of a document identified by a pre-hashed 64-bit identity.
-    #[inline]
-    #[must_use]
-    pub fn bucket_of_id(&self, id: u64) -> u64 {
-        self.cw.eval(id)
-    }
-
     /// Number of buckets `B`.
     #[must_use]
     pub fn buckets(&self) -> u64 {
@@ -176,12 +169,6 @@ impl TwoLevelHash {
     #[must_use]
     pub fn global_bucket(&self, rep: usize, name: &[u8]) -> u64 {
         self.local_buckets * self.node_of(name) + self.local_bucket(rep, name)
-    }
-
-    /// Total global bucket count `B = nodes · local_buckets`.
-    #[must_use]
-    pub fn global_buckets(&self) -> u64 {
-        self.nodes * self.local_buckets
     }
 
     /// Number of repetitions this router was built for.
@@ -284,7 +271,6 @@ mod tests {
     #[test]
     fn two_level_composition_matches_parts() {
         let t = TwoLevelHash::new(42, 10, 3, 50);
-        assert_eq!(t.global_buckets(), 500);
         for i in 0..200u32 {
             let name = format!("doc-{i}");
             let node = t.node_of(name.as_bytes());
@@ -302,7 +288,7 @@ mod tests {
         // The paper's claim: the composed map keeps the collision probability
         // at 1/B. We check the occupancy histogram of the global range.
         let t = TwoLevelHash::new(1, 8, 1, 16);
-        let b = t.global_buckets() as usize;
+        let b = (t.nodes() * t.local_buckets()) as usize;
         let mut hist = vec![0u32; b];
         let n = 64_000;
         for i in 0..n {

@@ -181,12 +181,6 @@ impl KmerSet {
         }
         Ok(Self { k, kmers })
     }
-
-    /// Bytes this set occupies on disk.
-    #[must_use]
-    pub fn disk_bytes(&self) -> usize {
-        14 + self.kmers.len() * 8
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +226,7 @@ mod tests {
         let s = KmerSet::from_sequence(&b"GATTACA".repeat(20), 7, false);
         let mut buf = Vec::new();
         s.write_to(&mut buf).unwrap();
-        assert_eq!(buf.len(), s.disk_bytes());
+        assert_eq!(buf.len(), 14 + s.len() * 8, "14-byte header + 8 per k-mer");
         let back = KmerSet::read_from(&buf[..]).unwrap();
         assert_eq!(s, back);
     }

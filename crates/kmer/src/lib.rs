@@ -39,8 +39,5 @@ pub use ingest::{
 };
 pub use iter::{kmers_of, KmerIter};
 
-/// The paper's k-mer length: every headline experiment uses `k = 31`.
-pub const PAPER_K: usize = 31;
-
 /// Maximum supported k for 2-bit packing into a `u64`.
 pub const MAX_K: usize = 31;

@@ -36,12 +36,11 @@
 //!   single-threaded readiness reactor that answers each request as it
 //!   decodes and blocks in `poll(2)` until a socket is ready (a stalled
 //!   client holds a buffer, not a thread, and cannot block shutdown).
-//!   [`TcpClient`] is the matching
-//!   blocking client, with connect/read/write timeouts and a
-//!   [`TcpClient::reconnect`] path so a dead peer can never block a caller
-//!   indefinitely — the building blocks of the `rambo-cluster`
-//!   coordinator's connection pools. A cluster shard node registers its
-//!   identity via [`ServeOptions::manifest`], served to `HELLO` requests.
+//!   [`TcpClient`] is the matching blocking client, with connect/read/write
+//!   timeouts so a dead peer can never block a caller indefinitely — the
+//!   building block of the `rambo-cluster` coordinator's connection pools.
+//!   A cluster shard node registers its identity via
+//!   [`ServeOptions::manifest`], served to `HELLO` requests.
 //!
 //! Every tier evaluator probes through the runtime-dispatched SIMD kernels
 //! of [`rambo_core::kernel`] (re-exported here as [`KernelBackend`] /

@@ -26,46 +26,40 @@ use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Serving configuration.
+/// Worst-latency requests the slow-query log retains.
+const SLOW_LOG_DEPTH: usize = 32;
+
+/// Serving configuration: the engine's one memory budget.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Evaluation mode for requests that do not specify one.
-    pub default_mode: QueryMode,
     /// Byte budget of the hot-query result cache; `0` disables it.
     pub result_cache_bytes: usize,
-    /// Retain this many worst-latency requests in the slow-query log; `0`
-    /// disables it.
-    pub slow_log: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            default_mode: QueryMode::Full,
             result_cache_bytes: 16 << 20,
-            slow_log: 32,
         }
     }
 }
 
 impl ServerConfig {
     /// Start a [`ServerConfigBuilder`] whose defaults are exactly
-    /// [`ServerConfig::default`] — the one place to set every serving knob.
+    /// [`ServerConfig::default`].
     #[must_use]
     pub fn builder() -> ServerConfigBuilder {
         ServerConfigBuilder::new()
     }
 }
 
-/// Builder for [`ServerConfig`]: every serving knob (mode, caching, slow
-/// log) in one place. Unset knobs keep today's defaults.
+/// Builder for [`ServerConfig`]. Unset knobs keep today's defaults.
 ///
 /// ```
 /// use rambo_server::ServerConfig;
 ///
 /// let config = ServerConfig::builder().result_cache_bytes(0).build();
 /// assert_eq!(config.result_cache_bytes, 0);
-/// assert_eq!(config.slow_log, ServerConfig::default().slow_log);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfigBuilder {
@@ -79,24 +73,10 @@ impl ServerConfigBuilder {
         Self::default()
     }
 
-    /// See [`ServerConfig::default_mode`].
-    #[must_use]
-    pub fn default_mode(mut self, mode: QueryMode) -> Self {
-        self.config.default_mode = mode;
-        self
-    }
-
     /// See [`ServerConfig::result_cache_bytes`].
     #[must_use]
     pub fn result_cache_bytes(mut self, bytes: usize) -> Self {
         self.config.result_cache_bytes = bytes;
-        self
-    }
-
-    /// See [`ServerConfig::slow_log`].
-    #[must_use]
-    pub fn slow_log(mut self, depth: usize) -> Self {
-        self.config.slow_log = depth;
         self
     }
 
@@ -110,13 +90,6 @@ impl ServerConfigBuilder {
 /// Why the server could not answer a query.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerError {
-    /// A peer shed the request under load: what [`crate::TcpClient`] and
-    /// the cluster coordinator decode the overload wire status to. This
-    /// engine never returns it.
-    Overloaded {
-        /// Tier the request was routed to.
-        tier: usize,
-    },
     /// The deadline had passed when the request was admitted; it was not
     /// evaluated.
     DeadlineExceeded {
@@ -130,7 +103,6 @@ pub enum ServerError {
 impl fmt::Display for ServerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Overloaded { tier } => write!(f, "tier {tier} is overloaded"),
             Self::DeadlineExceeded { tier } => {
                 write!(f, "deadline passed before tier {tier} answered")
             }
@@ -150,8 +122,6 @@ pub struct QueryOptions {
     pub fpr_budget: f64,
     /// Give-up horizon measured from submission.
     pub deadline: Duration,
-    /// Evaluation mode; `None` uses the server's default.
-    pub mode: Option<QueryMode>,
     /// Bypass budget routing and hit this tier directly.
     pub tier: Option<usize>,
 }
@@ -161,7 +131,6 @@ impl Default for QueryOptions {
         Self {
             fpr_budget: 0.0,
             deadline: Duration::from_secs(1),
-            mode: None,
             tier: None,
         }
     }
@@ -210,7 +179,6 @@ impl ScratchPool {
 pub struct ServerHandle<'env> {
     catalog: &'env Catalog,
     counters: &'env [TierCounters],
-    default_mode: QueryMode,
     cache: Option<&'env ResultCache>,
     slow: &'env SlowQueryLog,
     scratch: &'env ScratchPool,
@@ -263,14 +231,13 @@ impl ServerHandle<'_> {
             return Err(ServerError::DeadlineExceeded { tier });
         }
 
-        let mode = opts.mode.unwrap_or(self.default_mode);
         let mut eval = Duration::ZERO;
         let mut evaluate = || {
             let start = Instant::now();
             let index = self.catalog.tier(tier);
             let docs = self
                 .scratch
-                .with(|ctx| index.query_terms_with(terms, mode, ctx));
+                .with(|ctx| index.query_terms_with(terms, QueryMode::Full, ctx));
             eval = start.elapsed();
             docs
         };
@@ -340,12 +307,11 @@ impl Server {
         let counters: Vec<TierCounters> = (0..catalog.len()).map(|_| Default::default()).collect();
         let cache =
             (config.result_cache_bytes > 0).then(|| ResultCache::new(config.result_cache_bytes));
-        let slow = SlowQueryLog::new(config.slow_log);
+        let slow = SlowQueryLog::new(SLOW_LOG_DEPTH);
         let scratch = ScratchPool::default();
         let handle = ServerHandle {
             catalog,
             counters: &counters,
-            default_mode: config.default_mode,
             cache: cache.as_ref(),
             slow: &slow,
             scratch: &scratch,

@@ -21,11 +21,10 @@ use crate::tenant::TenantRegistry;
 use crate::wire::{
     self, encode_blob, encode_mutate_ok, encode_response, parse_mutate, parse_request,
     MAX_FRAME_BYTES, OPCODE_HELLO, OPCODE_MUTATE, OPCODE_STATS, STATUS_BAD_REQUEST,
-    STATUS_DEADLINE, STATUS_MUTATE_REJECTED, STATUS_OK, STATUS_OVERLOADED,
+    STATUS_DEADLINE, STATUS_MUTATE_REJECTED, STATUS_OK,
 };
-use rambo_core::QueryMode;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
@@ -171,10 +170,10 @@ impl Protocol for TenantFrames<'_> {
                 (frame, false)
             }
             _ => {
-                let Some((terms, opts)) = parse_request(payload) else {
+                let Some((terms, _)) = parse_request(payload) else {
                     return bad_request();
                 };
-                let answer = tenant.and_then(|t| self.registry.query(t, &terms, opts.mode).ok());
+                let answer = tenant.and_then(|t| self.registry.query(t, &terms, None).ok());
                 // A well-formed query with no tenant bound (or dropped) is
                 // answered bad-request but keeps the connection open, like
                 // HELLO on a manifest-less server. A tenant has no fold
@@ -233,21 +232,14 @@ impl From<io::Error> for TcpClientError {
 /// Minimal blocking client for the wire protocol (one in-flight query per
 /// connection; open several clients for concurrency).
 ///
-/// The client remembers its peer address and timeouts, so a dead peer can
-/// neither block a caller indefinitely (connect/read/write timeouts, see
-/// [`TcpClient::connect_with_timeout`] and [`TcpClient::set_io_timeout`])
-/// nor strand the client permanently ([`TcpClient::reconnect`] opens a
-/// fresh connection to the same peer with the same timeouts). This is what
-/// a cluster coordinator's per-shard connection pools are built from.
+/// A dead peer cannot block a caller indefinitely: connect, read and write
+/// are bounded by [`TcpClient::connect_with_timeout`] and
+/// [`TcpClient::set_io_timeout`]. After a timed-out exchange the stream may
+/// hold a stale half-frame, so the client is dropped and a fresh one dialed
+/// — what a cluster coordinator's per-shard connection pools do.
 #[derive(Debug)]
 pub struct TcpClient {
     stream: TcpStream,
-    /// Peer as resolved at connect time — the `reconnect` target.
-    peer: SocketAddr,
-    /// Connect timeout to reuse on `reconnect` (`None` = OS default).
-    connect_timeout: Option<Duration>,
-    /// Read+write timeout to reapply on `reconnect` (`None` = block).
-    io_timeout: Option<Duration>,
 }
 
 impl TcpClient {
@@ -259,13 +251,7 @@ impl TcpClient {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let peer = stream.peer_addr()?;
-        Ok(Self {
-            stream,
-            peer,
-            connect_timeout: None,
-            io_timeout: None,
-        })
+        Ok(Self { stream })
     }
 
     /// Connect with an upper bound on connection establishment (tried
@@ -281,13 +267,7 @@ impl TcpClient {
             match TcpStream::connect_timeout(&candidate, timeout) {
                 Ok(stream) => {
                     stream.set_nodelay(true)?;
-                    let peer = stream.peer_addr()?;
-                    return Ok(Self {
-                        stream,
-                        peer,
-                        connect_timeout: Some(timeout),
-                        io_timeout: None,
-                    });
+                    return Ok(Self { stream });
                 }
                 Err(e) => last_err = Some(e),
             }
@@ -300,44 +280,14 @@ impl TcpClient {
     /// Bound every read and write on the connection: a peer that accepts a
     /// request but never answers (or stops draining its socket) turns into
     /// a timed-out [`TcpClientError::Io`] instead of blocking the caller
-    /// forever. `None` restores unbounded blocking I/O. The setting is
-    /// remembered and reapplied across [`TcpClient::reconnect`].
+    /// forever. `None` restores unbounded blocking I/O.
     ///
     /// # Errors
     /// Propagates the socket option errors (`Some(Duration::ZERO)` is
     /// rejected by the standard library).
     pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         self.stream.set_read_timeout(timeout)?;
-        self.stream.set_write_timeout(timeout)?;
-        self.io_timeout = timeout;
-        Ok(())
-    }
-
-    /// The peer address this client connected (and reconnects) to.
-    #[must_use]
-    pub fn peer(&self) -> SocketAddr {
-        self.peer
-    }
-
-    /// Drop the current connection and open a fresh one to the same peer,
-    /// reusing the remembered connect and I/O timeouts. Any in-flight
-    /// request on the old connection is abandoned — after a timed-out
-    /// [`TcpClient::query`] the stream may hold a stale half-frame, so
-    /// reconnecting is the only way to make the client usable again.
-    ///
-    /// # Errors
-    /// Propagates connection errors; on error the client keeps the old
-    /// (dead) stream and may be retried.
-    pub fn reconnect(&mut self) -> io::Result<()> {
-        let stream = match self.connect_timeout {
-            Some(t) => TcpStream::connect_timeout(&self.peer, t)?,
-            None => TcpStream::connect(self.peer)?,
-        };
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(self.io_timeout)?;
-        stream.set_write_timeout(self.io_timeout)?;
-        self.stream = stream;
-        Ok(())
+        self.stream.set_write_timeout(timeout)
     }
 
     /// Fetch the server's `HELLO` manifest (the opaque bytes registered via
@@ -359,7 +309,7 @@ impl TcpClient {
     /// Query with an FPR budget and a deadline.
     ///
     /// # Errors
-    /// [`TcpClientError::Server`] for overload/deadline rejections,
+    /// [`TcpClientError::Server`] for a deadline rejection,
     /// [`TcpClientError::Io`]/[`TcpClientError::Protocol`] on transport or
     /// framing failures.
     pub fn query(
@@ -368,21 +318,7 @@ impl TcpClient {
         fpr_budget: f64,
         deadline: Duration,
     ) -> Result<QueryReply, TcpClientError> {
-        self.query_mode(terms, fpr_budget, deadline, None)
-    }
-
-    /// [`TcpClient::query`] with an explicit evaluation mode.
-    ///
-    /// # Errors
-    /// See [`TcpClient::query`].
-    pub fn query_mode(
-        &mut self,
-        terms: &[u64],
-        fpr_budget: f64,
-        deadline: Duration,
-        mode: Option<QueryMode>,
-    ) -> Result<QueryReply, TcpClientError> {
-        let request = wire::encode_query_request(terms, fpr_budget, deadline, mode);
+        let request = wire::encode_query_request(terms, fpr_budget, deadline);
         let payload = self.exchange(&request)?;
         let reply = wire::parse_response(&payload).map_err(TcpClientError::Protocol)?;
         let tier = reply.tier as usize;
@@ -394,7 +330,6 @@ impl TcpClient {
             STATUS_OK => Err(TcpClientError::Protocol(
                 "response length disagrees with document count".into(),
             )),
-            STATUS_OVERLOADED => Err(TcpClientError::Server(ServerError::Overloaded { tier })),
             STATUS_DEADLINE => Err(TcpClientError::Server(ServerError::DeadlineExceeded {
                 tier,
             })),
@@ -410,25 +345,19 @@ impl TcpClient {
     /// Insert a document with its term set into the tenant a
     /// [`crate::serve_tenant_tcp`] binary front is bound to; the read-only
     /// catalog front answers the mutate opcode with the bad-request status.
-    /// Returns the issued document id and the reply's reserved 8-byte slot
-    /// (written 0 by this server; see [`crate::wire`]).
+    /// Returns the issued document id; the reply's trailing 8-byte slot is
+    /// reserved (see [`crate::wire`]).
     ///
     /// # Errors
     /// [`TcpClientError::Rejected`] when the index refuses (duplicate name,
     /// quota — the connection stays open), [`TcpClientError::Io`] /
     /// [`TcpClientError::Protocol`] on transport or framing failures.
-    pub fn insert_document(
-        &mut self,
-        name: &str,
-        terms: &[u64],
-    ) -> Result<(u32, u64), TcpClientError> {
+    pub fn insert_document(&mut self, name: &str, terms: &[u64]) -> Result<u32, TcpClientError> {
         let payload = self.exchange(&wire::encode_mutate_request(name, terms))?;
         match payload[0] {
-            STATUS_OK if payload.len() == 13 => {
-                let doc_id = u32::from_le_bytes(payload[1..5].try_into().expect("4 bytes"));
-                let reserved = u64::from_le_bytes(payload[5..13].try_into().expect("8 bytes"));
-                Ok((doc_id, reserved))
-            }
+            STATUS_OK if payload.len() == 13 => Ok(u32::from_le_bytes(
+                payload[1..5].try_into().expect("4 bytes"),
+            )),
             STATUS_OK => Err(TcpClientError::Protocol(
                 "mutate response length disagrees with layout".into(),
             )),

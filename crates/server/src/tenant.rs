@@ -171,21 +171,6 @@ pub enum TenantError {
     Index(RamboError),
 }
 
-impl TenantError {
-    /// Whether this error is an admission-quota rejection (vs a lookup or
-    /// index failure) — the RESP front prefixes these `quota exceeded`.
-    #[must_use]
-    pub fn is_quota(&self) -> bool {
-        matches!(
-            self,
-            Self::TenantQuota { .. }
-                | Self::DocQuota { .. }
-                | Self::ByteQuota { .. }
-                | Self::TermQuota { .. }
-        )
-    }
-}
-
 impl fmt::Display for TenantError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -325,7 +310,6 @@ pub struct TenantRegistry {
     tenants: RwLock<HashMap<String, Arc<TenantState>>>,
     quotas: TenantQuotas,
     params: RamboParams,
-    default_mode: QueryMode,
     /// Creation-stamp source; also the "tenants ever created" counter.
     creations: AtomicU64,
     drops: AtomicU64,
@@ -347,7 +331,6 @@ impl TenantRegistry {
             tenants: RwLock::new(HashMap::new()),
             quotas,
             params,
-            default_mode: QueryMode::Full,
             creations: AtomicU64::new(0),
             drops: AtomicU64::new(0),
             tenant_quota_rejections: AtomicU64::new(0),
@@ -359,12 +342,6 @@ impl TenantRegistry {
     #[must_use]
     pub fn quotas(&self) -> &TenantQuotas {
         &self.quotas
-    }
-
-    /// The default index geometry for created tenants.
-    #[must_use]
-    pub fn base_params(&self) -> &RamboParams {
-        &self.params
     }
 
     /// Number of live tenants.
@@ -515,7 +492,8 @@ impl TenantRegistry {
 
     /// Multi-term AND query against one tenant (bit-identical to a
     /// single-index process holding only this tenant's documents), through
-    /// the tenant's result cache. `None` mode uses the registry default.
+    /// the tenant's result cache. `None` mode evaluates `Full`; either mode
+    /// returns the same documents, so both share one cache lane.
     ///
     /// # Errors
     /// [`TenantError::UnknownTenant`].
@@ -558,18 +536,16 @@ impl TenantRegistry {
     ) -> Result<Vec<DocId>, TenantError> {
         let t = self.get(tenant)?;
         let start = Instant::now();
-        let mode = mode.unwrap_or(self.default_mode);
-        let mode_lane = match mode {
-            QueryMode::Full => 0u32,
-            QueryMode::Sparse => 1,
-        };
-        // θ queries live in their own cache lanes with the threshold mixed
-        // into the key: the same terms at a different θ are a different
-        // answer. θ counts a repeated term once per occurrence, so its key
-        // keeps multiplicity; AND queries are set-valued.
+        let mode = mode.unwrap_or(QueryMode::Full);
+        // The catalog's rule: the mode is not part of the key, because Full
+        // and Sparse answers are identical by construction. Lane 0 holds AND
+        // queries; θ queries live in lane 1 with the threshold mixed into the
+        // key: the same terms at a different θ are a different answer. θ
+        // counts a repeated term once per occurrence, so its key keeps
+        // multiplicity; AND queries are set-valued.
         let (lane, key) = match theta {
-            None => (mode_lane, canonical_query_key(terms)),
-            Some(th) => (2 + mode_lane, multiset_query_key(terms) ^ theta_salt(th)),
+            None => (0, canonical_query_key(terms)),
+            Some(th) => (1, multiset_query_key(terms) ^ theta_salt(th)),
         };
         let evaluate = || {
             let index = t.index.read().expect("tenant index");
@@ -914,9 +890,15 @@ mod tests {
         let reg = registry();
         reg.create("a", TenantOptions::default()).unwrap();
         reg.insert_document("a", "old", &[42]).unwrap();
-        // Prime and hit the cache.
-        assert_eq!(reg.query("a", &[42], None).unwrap(), vec![0]);
-        assert_eq!(reg.query("a", &[42], None).unwrap(), vec![0]);
+        // Prime and hit the cache; the mode is not part of the key, so a
+        // Sparse repeat of a Full query is a hit with the same documents.
+        let full = reg.query("a", &[42], Some(QueryMode::Full)).unwrap();
+        assert_eq!(full, vec![0]);
+        assert_eq!(
+            reg.query("a", &[42], Some(QueryMode::Sparse)).unwrap(),
+            full
+        );
+        assert_eq!(reg.stats("a").unwrap().cache.unwrap().counters.hits, 1);
         let first_created = reg.stats("a").unwrap().created;
         assert!(reg.drop_tenant("a"));
         reg.create("a", TenantOptions::default()).unwrap();

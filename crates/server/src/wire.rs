@@ -5,11 +5,11 @@
 //! All integers little-endian; `len` counts the bytes after the length field:
 //!
 //! ```text
-//! request  := u32 len | u8 opcode(=1) | u8 mode(0 default,1 Full,2 Sparse)
-//!             | u16 reserved(=0) | f64 fpr_budget | u32 deadline_ms(0=1s)
+//! request  := u32 len | u8 opcode(=1) | 3 × u8 reserved(=0)
+//!             | f64 fpr_budget | u32 deadline_ms(0=1s)
 //!             | u32 n_terms | n_terms × u64
 //! response := u32 len | u8 status | u32 tier | u32 n_docs | n_docs × u32
-//! status   := 0 ok | 1 overloaded | 2 deadline exceeded | 3 bad request
+//! status   := 0 ok | 2 deadline exceeded | 3 bad request
 //!
 //! stats-request  := u32 len(=1) | u8 opcode(=2)
 //! stats-response := u32 len | u8 status(=0) | utf8 text
@@ -29,10 +29,11 @@
 //! front answers it with the bad-request status and closes; a well-formed
 //! request the server merely cannot serve (no manifest, no bound tenant, a
 //! refused insert) is answered in-protocol and the connection stays open.
-//! Status 4 is the `rambo-cluster` degraded-response extension.
+//! Status 4 is the `rambo-cluster` degraded-response extension. Status 1 is
+//! reserved: no server sends it, and a client decodes it as an unknown
+//! status. A request with a non-zero reserved byte is malformed.
 
 use crate::server::{QueryOptions, QueryReply, ServerError};
-use rambo_core::QueryMode;
 use std::io::{self, Read};
 use std::time::Duration;
 
@@ -52,9 +53,6 @@ pub const OPCODE_MUTATE: u8 = 4;
 
 /// Response status: success.
 pub const STATUS_OK: u8 = 0;
-/// Response status: the server shed the request under load (this crate's
-/// servers never send it; a client still decodes it).
-pub const STATUS_OVERLOADED: u8 = 1;
 /// Response status: deadline exceeded.
 pub const STATUS_DEADLINE: u8 = 2;
 /// Response status: malformed or unanswerable request.
@@ -88,16 +86,7 @@ fn u32_at(bytes: &[u8], at: usize) -> Option<u32> {
 /// terms and options. `None` for other opcodes and malformed frames.
 #[must_use]
 pub fn parse_request(payload: &[u8]) -> Option<(Vec<u64>, QueryOptions)> {
-    if payload.len() < 20 || payload[0] != OPCODE_QUERY {
-        return None;
-    }
-    let mode = match payload[1] {
-        0 => None,
-        1 => Some(QueryMode::Full),
-        2 => Some(QueryMode::Sparse),
-        _ => return None,
-    };
-    if payload[2] != 0 || payload[3] != 0 {
+    if payload.len() < 20 || payload[..4] != [OPCODE_QUERY, 0, 0, 0] {
         return None;
     }
     let fpr_budget = f64::from_le_bytes(payload[4..12].try_into().ok()?);
@@ -113,7 +102,6 @@ pub fn parse_request(payload: &[u8]) -> Option<(Vec<u64>, QueryOptions)> {
         } else {
             Duration::from_millis(u64::from(deadline_ms))
         },
-        mode,
         tier: None,
     };
     Some((terms, opts))
@@ -176,9 +164,6 @@ pub fn encode_response(status: u8, tier: u32, docs: &[u32]) -> Vec<u8> {
 pub(crate) fn encode_query_result(result: Result<QueryReply, ServerError>) -> (Vec<u8>, bool) {
     match result {
         Ok(QueryReply { docs, tier }) => (encode_response(STATUS_OK, tier as u32, &docs), false),
-        Err(ServerError::Overloaded { tier }) => {
-            (encode_response(STATUS_OVERLOADED, tier as u32, &[]), false)
-        }
         Err(ServerError::DeadlineExceeded { tier }) => {
             (encode_response(STATUS_DEADLINE, tier as u32, &[]), false)
         }
@@ -204,23 +189,12 @@ fn push_terms(out: &mut Vec<u8>, terms: &[u64]) {
 
 /// Encode a query request frame (length prefix included).
 #[must_use]
-pub fn encode_query_request(
-    terms: &[u64],
-    fpr_budget: f64,
-    deadline: Duration,
-    mode: Option<QueryMode>,
-) -> Vec<u8> {
+pub fn encode_query_request(terms: &[u64], fpr_budget: f64, deadline: Duration) -> Vec<u8> {
     let deadline_ms = u32::try_from(deadline.as_millis().max(1)).unwrap_or(u32::MAX);
     let len = 20 + terms.len() * 8;
     let mut out = Vec::with_capacity(4 + len);
     out.extend_from_slice(&(len as u32).to_le_bytes());
-    out.push(OPCODE_QUERY);
-    out.push(match mode {
-        None => 0,
-        Some(QueryMode::Full) => 1,
-        Some(QueryMode::Sparse) => 2,
-    });
-    out.extend_from_slice(&[0, 0]); // reserved
+    out.extend_from_slice(&[OPCODE_QUERY, 0, 0, 0]);
     out.extend_from_slice(&fpr_budget.to_le_bytes());
     out.extend_from_slice(&deadline_ms.to_le_bytes());
     push_terms(&mut out, terms);
@@ -318,17 +292,11 @@ mod tests {
     #[test]
     fn query_request_roundtrip() {
         let terms = [1, 2, 3, u64::MAX];
-        let frame = encode_query_request(
-            &terms,
-            0.05,
-            Duration::from_millis(250),
-            Some(QueryMode::Sparse),
-        );
+        let frame = encode_query_request(&terms, 0.05, Duration::from_millis(250));
         let (got, opts) = parse_request(&frame[4..]).expect("parse");
         assert_eq!(got, terms);
         assert_eq!(opts.fpr_budget, 0.05);
         assert_eq!(opts.deadline, Duration::from_millis(250));
-        assert_eq!(opts.mode, Some(QueryMode::Sparse));
     }
 
     #[test]
@@ -362,12 +330,20 @@ mod tests {
 
     #[test]
     fn rejects_malformed_requests() {
-        let good = encode_query_request(&[1], 0.0, Duration::from_millis(100), None);
+        let good = encode_query_request(&[1], 0.0, Duration::from_millis(100));
         let payload = &good[4..];
+        assert!(parse_request(payload).is_some());
         assert!(parse_request(&payload[..payload.len() - 1]).is_none());
         let mut bad_opcode = payload.to_vec();
         bad_opcode[0] = 9;
         assert!(parse_request(&bad_opcode).is_none());
+        // Byte 1 is reserved: 1 and 2 are malformed like any other
+        // non-zero value.
+        for byte in [1, 2] {
+            let mut reserved = payload.to_vec();
+            reserved[1] = byte;
+            assert!(parse_request(&reserved).is_none(), "byte 1 = {byte}");
+        }
         let mut bad_fpr = payload.to_vec();
         bad_fpr[4..12].copy_from_slice(&f64::NAN.to_le_bytes());
         assert!(parse_request(&bad_fpr).is_none());
@@ -377,7 +353,7 @@ mod tests {
     fn lying_counts_are_rejected_not_overflowed() {
         // A term count (query) and a name length (mutate) of u32::MAX must
         // fail the length check, not wrap around it.
-        let mut query = encode_query_request(&[1], 0.0, DEFAULT_DEADLINE, None)[4..].to_vec();
+        let mut query = encode_query_request(&[1], 0.0, DEFAULT_DEADLINE)[4..].to_vec();
         query[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(parse_request(&query).is_none());
         let mut mutate = encode_mutate_request("d", &[1])[4..].to_vec();

@@ -104,7 +104,6 @@ proptest! {
         let catalog = Catalog::builder().base(&index).halving(0).build().unwrap();
         let config = ServerConfig {
             result_cache_bytes: 2 << 10, // tiny: evictions under the stream
-            ..ServerConfig::default()
         };
         let stream = &stream;
         let (checked, stats) = Server::scope(&catalog, config, |handle| {

@@ -168,9 +168,7 @@ fn binary_mutate_roundtrip() {
     with_binary_front(&reg, |addr| {
         let mut client = TcpClient::connect(addr).unwrap();
         for (i, (name, terms)) in docs.iter().enumerate() {
-            let (id, reserved) = client.insert_document(name, terms).unwrap();
-            assert_eq!(id, i as u32);
-            assert_eq!(reserved, 0, "the reply's reserved slot reads 0");
+            assert_eq!(client.insert_document(name, terms).unwrap(), i as u32);
         }
         // Duplicate name → in-protocol rejection, connection intact.
         match client.insert_document(&docs[3].0, &[1]) {

@@ -7,6 +7,7 @@ use rambo_server::{
     serve_tcp, Catalog, QueryOptions, Server, ServerConfig, ServerError, TcpClient, TcpClientError,
 };
 use rambo_workloads::TestClient;
+use std::io::Write;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -76,34 +77,22 @@ fn served_results_match_direct_evaluation_on_every_tier() {
 }
 
 #[test]
-fn sparse_mode_and_explicit_tier_override() {
+fn explicit_tier_override() {
     let index = build_index(16, 30, 2);
     let catalog = Catalog::builder().base(&index).halving(1).build().unwrap();
     let (_, stats) = Server::scope(&catalog, ServerConfig::default(), |handle| {
         let term = (4u64 << 24) | 3;
-        let full = handle
+        let reply = handle
             .query_opts(
                 &[term],
                 &QueryOptions {
                     tier: Some(1),
-                    mode: Some(QueryMode::Full),
                     ..QueryOptions::default()
                 },
             )
             .unwrap();
-        let sparse = handle
-            .query_opts(
-                &[term],
-                &QueryOptions {
-                    tier: Some(1),
-                    mode: Some(QueryMode::Sparse),
-                    ..QueryOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(full.tier, 1);
-        assert_eq!(full.docs, sparse.docs);
-        assert!(full.docs.contains(&4));
+        assert_eq!(reply.tier, 1);
+        assert!(reply.docs.contains(&4));
         assert_eq!(
             handle.query_opts(
                 &[term],
@@ -116,7 +105,7 @@ fn sparse_mode_and_explicit_tier_override() {
         );
     });
     assert_eq!(stats.tiers[0].completed, 0);
-    assert_eq!(stats.tiers[1].completed, 2);
+    assert_eq!(stats.tiers[1].completed, 1);
 }
 
 #[test]
@@ -241,6 +230,25 @@ fn tcp_rejects_malformed_frames_without_dying() {
             stop.store(true, Ordering::Relaxed);
             server.join().unwrap().unwrap();
         });
+    });
+    // Status 1 is reserved and never sent: a peer that sends it is
+    // speaking an unknown status.
+    let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = peer.local_addr().unwrap();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let (mut conn, _) = peer.accept().unwrap();
+            rambo_server::wire::read_frame(&mut conn).unwrap();
+            conn.write_all(&rambo_server::wire::encode_response(1, 0, &[]))
+                .unwrap();
+        });
+        let err = TcpClient::connect(addr)
+            .unwrap()
+            .query(&[1], 0.0, Duration::from_secs(5));
+        assert!(
+            matches!(&err, Err(TcpClientError::Protocol(m)) if m == "unknown response status 1"),
+            "{err:?}"
+        );
     });
 }
 

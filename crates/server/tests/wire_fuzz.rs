@@ -172,7 +172,7 @@ impl Served<'_> {
                 let terms: Vec<String> = terms.iter().map(u64::to_string).collect();
                 format!("R.QUERYSEQ bin 1.0 {}\r\n", terms.join(" ")).into_bytes()
             }
-            _ => encode_query_request(terms, 0.0, Duration::from_secs(60), None),
+            _ => encode_query_request(terms, 0.0, Duration::from_secs(60)),
         }
     }
 
@@ -547,7 +547,7 @@ fn interleaved_resp_and_binary_connections_serve_concurrently() {
                     for d in 0..10u64 {
                         let doc = format!("bin-{r}-{d}");
                         let term = (r << 32) | (d << 8) | 1;
-                        let (id, _epoch) = c.insert_document(&doc, &[term, 0xB1B1]).unwrap();
+                        let id = c.insert_document(&doc, &[term, 0xB1B1]).unwrap();
                         let reply = c.query(&[term], 1.0, Duration::from_secs(5)).unwrap();
                         assert!(
                             reply.docs.contains(&id),

@@ -34,4 +34,4 @@ pub use fpr::{FprMeasurement, PlantedQueries};
 pub use netclient::TestClient;
 pub use report::Table;
 pub use telemetry::{CacheSnapshot, CacheTelemetry};
-pub use timing::{time, Stopwatch};
+pub use timing::time;

@@ -226,12 +226,6 @@ impl TestClient {
         self.read_exact_buffered(n)
     }
 
-    /// Direct access to the underlying stream for cases the knobs don't
-    /// cover (note: reads through the stream bypass this client's buffer).
-    pub fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.stream
-    }
-
     /// Read `n` bytes through the internal buffer.
     fn read_exact_buffered(&mut self, n: usize) -> io::Result<Vec<u8>> {
         while self.buf.len() < n {

@@ -15,16 +15,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Sample standard deviation (0 for fewer than two points).
-#[must_use]
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 /// Percentile by nearest-rank (p in [0, 100]).
 ///
 /// # Panics
@@ -237,9 +227,7 @@ mod tests {
     fn mean_and_std() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - 2.138_089_935).abs() < 1e-6);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[1.0]), 0.0);
     }
 
     #[test]

@@ -15,61 +15,6 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, start.elapsed())
 }
 
-/// A restartable stopwatch accumulating lap times.
-#[derive(Debug)]
-pub struct Stopwatch {
-    start: Instant,
-    laps: Vec<Duration>,
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Stopwatch {
-    /// Start immediately.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            start: Instant::now(),
-            laps: Vec::new(),
-        }
-    }
-
-    /// Record a lap and restart the interval.
-    pub fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let d = now - self.start;
-        self.laps.push(d);
-        self.start = now;
-        d
-    }
-
-    /// Elapsed time in the current interval (no lap recorded).
-    #[must_use]
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// All recorded laps.
-    #[must_use]
-    pub fn laps(&self) -> &[Duration] {
-        &self.laps
-    }
-
-    /// Mean lap duration (zero when no laps).
-    #[must_use]
-    pub fn mean_lap(&self) -> Duration {
-        if self.laps.is_empty() {
-            Duration::ZERO
-        } else {
-            self.laps.iter().sum::<Duration>() / self.laps.len() as u32
-        }
-    }
-}
-
 /// Format a duration the way the paper's tables do (`1m25s`, `52m`, `2h30m`,
 /// `0.018 ms`).
 #[must_use]
@@ -117,17 +62,6 @@ mod tests {
         let (v, d) = time(|| (0..1000).sum::<u64>());
         assert_eq!(v, 499_500);
         assert!(d >= Duration::ZERO);
-    }
-
-    #[test]
-    fn stopwatch_accumulates_laps() {
-        let mut sw = Stopwatch::new();
-        std::thread::sleep(Duration::from_millis(2));
-        let lap = sw.lap();
-        assert!(lap >= Duration::from_millis(1));
-        sw.lap();
-        assert_eq!(sw.laps().len(), 2);
-        assert!(sw.mean_lap() > Duration::ZERO);
     }
 
     #[test]

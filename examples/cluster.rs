@@ -13,9 +13,8 @@
 //! cargo run --release --example cluster
 //! ```
 
-use rambo::cluster::{plan_cluster, ClusterConfig, Coordinator, ShardNode};
+use rambo::cluster::{plan_cluster, Coordinator, ShardNode};
 use rambo::core::{QueryMode, RamboParams};
-use rambo::server::ServerConfig;
 use std::time::Duration;
 
 const NODES: u64 = 3;
@@ -56,8 +55,7 @@ fn main() {
         .map(|(s, (shard, &(lo, hi)))| {
             (0..REPLICAS)
                 .map(|r| {
-                    ShardNode::spawn(shard.clone(), s as u32, r, lo, hi, ServerConfig::default())
-                        .expect("spawn shard node")
+                    ShardNode::spawn(shard.clone(), s as u32, r, lo, hi).expect("spawn shard node")
                 })
                 .collect()
         })
@@ -72,8 +70,7 @@ fn main() {
 
     // The coordinator validates every manifest (shard ids, disjoint
     // ranges, replica fingerprints) before serving.
-    let coordinator =
-        Coordinator::connect(&topology, ClusterConfig::default()).expect("connect coordinator");
+    let coordinator = Coordinator::connect(&topology).expect("connect coordinator");
 
     // Scatter-gather answers are bit-identical to the monolith.
     let probe: Vec<u64> = vec![7 << 16 | 3, 7 << 16 | 4, 7 << 16 | 5];

@@ -85,7 +85,7 @@ fn main() {
         let mut client = TcpClient::connect(addr).expect("connect");
         for i in 20..28 {
             let (name, terms) = sample(i);
-            let (id, _reserved) = client.insert_document(&name, &terms).expect("mutate");
+            let id = client.insert_document(&name, &terms).expect("mutate");
             let reply = client
                 .query(&[terms[0]], 1.0, std::time::Duration::from_secs(5))
                 .expect("query");

@@ -10,11 +10,12 @@
 # kept alive by any namesake, so the list under-reports; what it does
 # report has no caller outside its own crate.
 #
-# Prints the dead list as `<crate>::<name>` and exits 1 only when it holds a
-# name that is not in scripts/dead_pub.allow — the list may shrink, not
-# regrow. Delete the item (and its tests) or, if it is meant to stay
-# crate-internal API, drop the `pub`; add to the allow file only with a
-# reason in the PR.
+# Prints the dead list as `<crate>::<name>` and exits 1 unless it equals
+# scripts/dead_pub.allow: a dead name missing from the allow file fails, and
+# so does a stale entry (a listed name that was deleted or gained a caller).
+# For a new dead name, delete the item (and its tests) or, if it is meant to
+# stay crate-internal API, drop the `pub`; add to the allow file only with a
+# reason in the PR. For a stale entry, delete the line.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,6 +46,8 @@ fi
 if [ -n "$new" ]; then
     echo "dead_pub: public items with no use outside their own crate's src/ (not in $ALLOW):" >&2
     echo "$new" | sed 's/^/  /' >&2
+fi
+if [ -n "$stale$new" ]; then
     exit 1
 fi
-echo "dead_pub: $(wc -l <"$tmp/dead") dead public names, none new." >&2
+echo "dead_pub: $(wc -l <"$tmp/dead") dead public names, exactly the allow list." >&2
