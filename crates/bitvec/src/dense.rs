@@ -6,8 +6,7 @@
 //! the RAMBO query loop performs per repetition — are whole-word `|=` / `&=`
 //! passes, which is exactly the "fast bitwise operations" implementation the
 //! paper describes in §3.3 and §5.1. The word loops run through the
-//! runtime-dispatched kernels in [`crate::kernel`] (portable scalar
-//! everywhere, AVX2 where detected), and the words themselves
+//! portable kernels in [`crate::kernel`], and the words themselves
 //! live in a [`WordStore`] — heap-owned, or a zero-copy view into a shared
 //! byte buffer ([`BitVec::open_view`]).
 

@@ -30,16 +30,13 @@
 //! [`WordStore`] storage abstraction backs a [`BitVec`] either with owned
 //! words or with a zero-copy view into a caller-provided `Arc<[u8]>`
 //! (typically a memory-mapped file), and the word-loop hot paths run through
-//! the runtime-dispatched kernels in [`kernel`] — a portable unrolled
-//! [`Backend::Scalar`] everywhere, 256-bit [`Backend::Avx2`] variants where
-//! `is_x86_feature_detected!` confirms support (pin a [`Kernel`] to choose
-//! one explicitly).
+//! the portable unrolled kernels in [`kernel`], one compilation that LLVM
+//! auto-vectorizes at the baseline target.
 //!
-//! Unsafe policy: the crate is `deny(unsafe_code)` with scoped, audited
-//! allows in exactly two places — the aligned `&[u8]` → `&[u64]`
-//! reinterpretation behind the zero-copy view (see `store::cast_words`),
-//! and the guarded `target_feature` dispatch of the AVX2 kernels (see
-//! [`kernel`]'s module docs and DESIGN.md for the safety arguments).
+//! Unsafe policy: the crate is `deny(unsafe_code)` with one scoped, audited
+//! allow — the aligned `&[u8]` → `&[u64]` reinterpretation behind the
+//! zero-copy view (see `store::cast_words` and DESIGN.md for the safety
+//! argument). CI fails if the keyword appears in any other file here.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +51,6 @@ mod store;
 
 pub use dense::BitVec;
 pub use error::DecodeError;
-pub use kernel::{Backend, Kernel};
 pub use paged::{BlockCacheCounters, BlockCacheSnapshot, PageGuard, PagedFile, PagedWords};
 pub use rank::RankBitVec;
 pub use rrr::{RrrMatrix, RrrVec};

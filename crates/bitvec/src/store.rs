@@ -79,7 +79,7 @@ impl std::fmt::Debug for WordView {
 
 /// Reinterpret an 8-byte-aligned little-endian byte slice as `&[u64]`.
 ///
-/// The *only* unsafe code in the workspace. Soundness:
+/// The crate's only unsafe site. Soundness:
 /// * the pointer is 8-byte-aligned (checked by [`WordView::new`], re-asserted
 ///   here);
 /// * the length is an exact multiple of 8 (sliced by the caller);

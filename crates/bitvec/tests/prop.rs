@@ -5,7 +5,7 @@
 //! they are checked against a naive `Vec<bool>` model under random inputs.
 
 use proptest::prelude::*;
-use rambo_bitvec::kernel::{and_into_scalar, Backend, ColumnCounter, Kernel};
+use rambo_bitvec::kernel::{self, and_into_scalar, ColumnCounter};
 use rambo_bitvec::{BitVec, RankBitVec, RrrVec};
 
 /// A bit length paired with set-bit positions below it.
@@ -30,7 +30,7 @@ fn model(len: usize, ones: &[usize]) -> Vec<bool> {
 }
 
 /// Deterministic pseudo-random words from a fuzzed seed: `sparsify` extra
-/// AND-draws thin the density (0 → ~50% set, 3 → ~6%), so the backend
+/// AND-draws thin the density (0 → ~50% set, 3 → ~6%), so the kernel
 /// identity tests cover both live and dying masks.
 fn sparse_words(seed: u64, n: usize, sparsify: u32) -> Vec<u64> {
     let mut x = seed | 1;
@@ -42,16 +42,6 @@ fn sparse_words(seed: u64, n: usize, sparsify: u32) -> Vec<u64> {
     };
     (0..n)
         .map(|_| (0..=sparsify).fold(u64::MAX, |w, _| w & next()))
-        .collect()
-}
-
-/// Every kernel backend the host supports (scalar always; AVX2 where
-/// `is_x86_feature_detected!` confirms it).
-fn supported_kernels() -> Vec<Kernel> {
-    Backend::ALL
-        .into_iter()
-        .filter(|b| b.is_supported())
-        .map(|b| Kernel::forced(b).unwrap())
         .collect()
 }
 
@@ -198,71 +188,42 @@ proptest! {
         }
     }
 
-    /// Every supported kernel backend (AVX2 where the host has it) must be
-    /// **bit-identical** to the pinned scalar backend for the fused N-row
-    /// AND — mask words *and* the liveness flag — across fuzzed lengths,
-    /// densities (sparse rows exercise the mask-death path) and all four
-    /// probe arities. On hosts without AVX2 only scalar runs and the test
-    /// still passes (the dispatch falls back silently).
+    /// The fused N-row AND must be **bit-identical** to the row-at-a-time
+    /// scalar AND — mask words *and* the liveness flag — across fuzzed
+    /// lengths, densities (sparse rows exercise the mask-death path) and all
+    /// four probe arities.
     #[test]
-    fn kernel_backends_fused_and_bit_identical(
+    fn kernel_fused_and_bit_identical(
         len in 0usize..600,
         seed in any::<u64>(),
         sparsify in 0u32..4,
     ) {
-        let scalar = Kernel::forced(Backend::Scalar).unwrap();
         let rows: Vec<Vec<u64>> =
             (0..4).map(|i| sparse_words(seed ^ (i * 0x9E37), len, sparsify)).collect();
         let base = sparse_words(seed ^ 0xABCD, len, 0);
-        for kernel in supported_kernels() {
-            for arity in 1..=4usize {
-                // Independent reference: row-at-a-time scalar AND.
-                let mut expect = base.clone();
-                for r in rows.iter().take(arity) {
-                    and_into_scalar(&mut expect, r);
-                }
-                let mut scalar_got = base.clone();
-                let mut got = base.clone();
-                let (scalar_live, live) = match arity {
-                    1 => (
-                        scalar.and_rows_into_any(&mut scalar_got, [&rows[0][..]]),
-                        kernel.and_rows_into_any(&mut got, [&rows[0][..]]),
-                    ),
-                    2 => (
-                        scalar.and_rows_into_any(&mut scalar_got, [&rows[0][..], &rows[1]]),
-                        kernel.and_rows_into_any(&mut got, [&rows[0][..], &rows[1]]),
-                    ),
-                    3 => (
-                        scalar.and_rows_into_any(
-                            &mut scalar_got,
-                            [&rows[0][..], &rows[1], &rows[2]],
-                        ),
-                        kernel.and_rows_into_any(&mut got, [&rows[0][..], &rows[1], &rows[2]]),
-                    ),
-                    _ => (
-                        scalar.and_rows_into_any(
-                            &mut scalar_got,
-                            [&rows[0][..], &rows[1], &rows[2], &rows[3]],
-                        ),
-                        kernel.and_rows_into_any(
-                            &mut got,
-                            [&rows[0][..], &rows[1], &rows[2], &rows[3]],
-                        ),
-                    ),
-                };
-                prop_assert_eq!(&scalar_got, &expect, "scalar vs reference, arity {}", arity);
-                prop_assert_eq!(
-                    &got, &expect,
-                    "{} vs reference, arity {}", kernel.backend(), arity
-                );
-                prop_assert_eq!(scalar_live, expect.iter().any(|&w| w != 0));
-                prop_assert_eq!(live, scalar_live, "{} liveness", kernel.backend());
+        for arity in 1..=4usize {
+            // Independent reference: row-at-a-time scalar AND.
+            let mut expect = base.clone();
+            for r in rows.iter().take(arity) {
+                and_into_scalar(&mut expect, r);
             }
+            let mut got = base.clone();
+            let live = match arity {
+                1 => kernel::and_rows_into_any(&mut got, [&rows[0][..]]),
+                2 => kernel::and_rows_into_any(&mut got, [&rows[0][..], &rows[1]]),
+                3 => kernel::and_rows_into_any(&mut got, [&rows[0][..], &rows[1], &rows[2]]),
+                _ => kernel::and_rows_into_any(
+                    &mut got,
+                    [&rows[0][..], &rows[1], &rows[2], &rows[3]],
+                ),
+            };
+            prop_assert_eq!(&got, &expect, "arity {}", arity);
+            prop_assert_eq!(live, expect.iter().any(|&w| w != 0), "liveness, arity {}", arity);
         }
     }
 
     /// The gather-AND — a whole repetition's probe in one call — must equal
-    /// the naive row-at-a-time AND on every supported backend: mask words
+    /// the naive row-at-a-time AND: mask words
     /// *and* liveness, for 1..=24-word rows and 0..=13 listed rows (every
     /// four-row group and remainder shape), with repeated offsets and with
     /// an all-zero row planted mid-list so the early exit is taken. The walk
@@ -278,7 +239,7 @@ proptest! {
     /// mask that *enters* with zero words, at both ends or everywhere but
     /// one word.
     #[test]
-    fn kernel_backends_gather_and_bit_identical(
+    fn kernel_gather_and_bit_identical(
         width in 1usize..=24,
         picks in proptest::collection::vec(0usize..5, 0..14),
         kill_at in 0usize..18,
@@ -325,46 +286,44 @@ proptest! {
         for &o in &offsets {
             and_into_scalar(&mut expect, &words[o..o + width]);
         }
-        for kernel in supported_kernels() {
-            let mut got = base.clone();
-            let live = kernel.and_gather_rows_into_any(&mut got, &words, &offsets);
-            prop_assert_eq!(&got, &expect, "{} on {:?}", kernel.backend(), offsets);
-            prop_assert_eq!(live, expect.iter().any(|&w| w != 0), "{} liveness", kernel.backend());
-        }
+        let mut got = base.clone();
+        let live = kernel::and_gather_rows_into_any(&mut got, &words, &offsets);
+        prop_assert_eq!(&got, &expect, "on {:?}", offsets);
+        prop_assert_eq!(live, expect.iter().any(|&w| w != 0), "liveness");
     }
 
-    /// OR, popcount and any must agree across every supported backend on
-    /// fuzzed words (the intersection walk and fill statistics depend on
-    /// these three being interchangeable).
+    /// OR, popcount and any must equal their per-word definitions on fuzzed
+    /// words (the intersection walk and fill statistics depend on these
+    /// three): `|=` per word, a sum of `count_ones`, and `iter().any`.
     #[test]
-    fn kernel_backends_or_popcount_any_bit_identical(
+    fn kernel_or_popcount_any_bit_identical(
         len in 0usize..600,
         seed in any::<u64>(),
         sparsify in 0u32..4,
     ) {
-        let scalar = Kernel::forced(Backend::Scalar).unwrap();
         let a = sparse_words(seed, len, sparsify);
         let b = sparse_words(seed ^ 0x5555, len, sparsify);
-        for kernel in supported_kernels() {
-            let mut or_s = a.clone();
-            scalar.or_into(&mut or_s, &b);
-            let mut or_k = a.clone();
-            kernel.or_into(&mut or_k, &b);
-            prop_assert_eq!(&or_k, &or_s, "{} or_into", kernel.backend());
-            prop_assert_eq!(kernel.popcount(&a), scalar.popcount(&a));
-            prop_assert_eq!(kernel.any(&a), scalar.any(&a));
-            prop_assert_eq!(kernel.popcount(&or_k), scalar.popcount(&or_s));
+        let mut expect = a.clone();
+        for (x, y) in expect.iter_mut().zip(&b) {
+            *x |= y;
+        }
+        let mut got = a.clone();
+        kernel::or_into(&mut got, &b);
+        prop_assert_eq!(&got, &expect, "or_into");
+        for words in [&a, &got] {
+            let naive: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+            prop_assert_eq!(kernel::popcount(words), naive);
+            prop_assert_eq!(kernel::any(words), words.iter().any(|&w| w != 0));
         }
     }
 
     /// The bit-sliced column counters must produce the naive per-column
-    /// counts under every supported backend (fuzzed row width, row count
-    /// and density) — the fill statistics behind FPR prediction may not
-    /// depend on the CPU — whether rows arrive one by one or in bulk through
-    /// the carry-save blocks of `add_rows`, also on a counter `reset` from
-    /// another width; and `at_least` must be the bitmap of `count ≥ t`.
+    /// counts (fuzzed row width, row count and density), whether rows
+    /// arrive one by one or in bulk through the carry-save blocks of
+    /// `add_rows`, also on a counter `reset` from another width; and
+    /// `at_least` must be the bitmap of `count ≥ t`.
     #[test]
-    fn kernel_backends_column_counts_bit_identical(
+    fn kernel_column_counts_bit_identical(
         width in 1usize..8,
         n_rows in 0usize..70,
         threshold in 0usize..80,
@@ -384,23 +343,21 @@ proptest! {
             .chunks_exact(64)
             .map(|cs| cs.iter().enumerate().fold(0, |w, (b, &c)| w | u64::from(c >= threshold) << b))
             .collect();
-        for kernel in supported_kernels() {
-            let mut one_by_one = ColumnCounter::with_kernel(width, kernel);
-            for row in rows.chunks_exact(width) {
-                one_by_one.add_row(row);
-            }
-            prop_assert_eq!(&one_by_one.counts(), &expect, "{} add_row", kernel.backend());
-
-            // A counter that held other counts at another width, reused.
-            let mut bulk = ColumnCounter::with_kernel(width + 1, kernel);
-            bulk.add_rows(&sparse_words(seed, 9 * (width + 1), 0));
-            bulk.reset(width);
-            bulk.add_rows(&rows);
-            prop_assert_eq!(&bulk.counts(), &expect, "{} add_rows", kernel.backend());
-            let mut got = vec![u64::MAX; width];
-            bulk.at_least(threshold, &mut got);
-            prop_assert_eq!(&got, &passing, "{} at_least {}", kernel.backend(), threshold);
+        let mut one_by_one = ColumnCounter::new(width);
+        for row in rows.chunks_exact(width) {
+            one_by_one.add_row(row);
         }
+        prop_assert_eq!(&one_by_one.counts(), &expect, "add_row");
+
+        // A counter that held other counts at another width, reused.
+        let mut bulk = ColumnCounter::new(width + 1);
+        bulk.add_rows(&sparse_words(seed, 9 * (width + 1), 0));
+        bulk.reset(width);
+        bulk.add_rows(&rows);
+        prop_assert_eq!(&bulk.counts(), &expect, "add_rows");
+        let mut got = vec![u64::MAX; width];
+        bulk.at_least(threshold, &mut got);
+        prop_assert_eq!(&got, &passing, "at_least {}", threshold);
     }
 
     /// RRR vectors round-trip through the v2 `RRV2` framing at every fuzzed

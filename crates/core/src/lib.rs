@@ -53,9 +53,8 @@
 //!   file) is re-opened by *borrowing* its words in place from an
 //!   `Arc<[u8]>` — no payload copy, copy-on-write on mutation. The probe
 //!   hot path runs through the fused word-parallel kernels of
-//!   [`rambo_bitvec::kernel`] (re-exported as [`kernel`]), which dispatch
-//!   at runtime between a portable scalar backend and AVX2 variants
-//!   selected via `is_x86_feature_detected!` — see [`kernel::Backend`].
+//!   [`rambo_bitvec::kernel`] (re-exported as [`kernel`]): portable loops,
+//!   one compilation, auto-vectorized.
 //! * [`RamboBuilder`]/[`RamboParams`] — parameter selection following §4/§5.1
 //!   (`B ≈ √(KV/η)`, `R ≈ log K − log δ`, BFU sizing by pooled cardinality).
 //! * [`sharded`] — the distributed construction of §5.3: two-level hash

@@ -15,13 +15,12 @@
 //! and [`BfuMatrix::and_rows_into`] only moves them — on dense storage one
 //! [`rambo_bitvec::kernel::and_gather_rows_into_any`] call ANDs the whole
 //! list into the bucket mask, four rows per fused pass, abandoning the table
-//! the moment the running mask goes all-zero. The kernels are
-//! runtime-dispatched ([`rambo_bitvec::kernel::Backend`]): the probe, the
-//! repetition-intersection walk and the bit-sliced column fills all pick up
-//! the AVX2 variants on hosts that support them, with no change here. The word
-//! payload lives in a [`WordStore`] — owned, or a zero-copy view into a
-//! serialized index buffer (see [`crate::Rambo::open_view`]); mutating a
-//! viewed matrix promotes it to owned storage first.
+//! the moment the running mask goes all-zero. The probe, the
+//! repetition-intersection walk and the bit-sliced column fills share those
+//! portable, auto-vectorized kernels. The word payload lives in a
+//! [`WordStore`] — owned, or a zero-copy view into a serialized index buffer
+//! (see [`crate::Rambo::open_view`]); mutating a viewed matrix promotes it to
+//! owned storage first.
 //!
 //! The layout also keeps the §5.3 operations cheap and exact:
 //! * **fold-over** ORs the right half of every row onto the left half
@@ -295,7 +294,7 @@ impl BfuMatrix {
     /// a mask whose bits beyond `B` are zero; then paged rows, whose on-disk
     /// tails are unvalidated, cannot set them.
     ///
-    /// * Dense rows go through one dispatched
+    /// * Dense rows go through one
     ///   [`kernel::and_gather_rows_into_any`] call with no dedupe: a repeated
     ///   row is one more cache-resident AND.
     /// * RRR and paged rows cost a block decode or a page fault each, so the

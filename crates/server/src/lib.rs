@@ -42,10 +42,8 @@
 //!   A cluster shard node registers its identity via
 //!   [`ServeOptions::manifest`], served to `HELLO` requests.
 //!
-//! Every tier evaluator probes through the runtime-dispatched SIMD kernels
-//! of [`rambo_core::kernel`] (re-exported here as [`KernelBackend`] /
-//! [`Kernel`]): the best backend the CPU supports is selected once at
-//! startup — no server configuration required.
+//! Every tier evaluator probes through the portable word-parallel kernels
+//! of [`rambo_core::kernel`] — one compilation, no server configuration.
 //!
 //! ```
 //! use rambo_core::{Rambo, RamboParams};
@@ -90,7 +88,6 @@ pub mod wire;
 
 pub use cache::{CacheStats, ResultCache};
 pub use catalog::{Catalog, CatalogBuilder, CatalogError, TierInfo, DEFAULT_CACHE_BYTES};
-pub use rambo_core::kernel::{Backend as KernelBackend, Kernel};
 pub use resp::{serve_tenant_tcp, term_of, TenantServeOptions};
 pub use server::{
     QueryOptions, QueryReply, Server, ServerConfig, ServerConfigBuilder, ServerError, ServerHandle,
