@@ -156,19 +156,6 @@ impl BitVec {
         kernel::popcount(self.words.as_words())
     }
 
-    /// Fraction of set bits (`count_ones / len`); 0 for empty vectors.
-    ///
-    /// For a Bloom filter this is the *fill ratio* that drives the
-    /// false-positive estimate `(fill)^η`.
-    #[must_use]
-    pub fn fill_ratio(&self) -> f64 {
-        if self.len == 0 {
-            0.0
-        } else {
-            self.count_ones() as f64 / self.len as f64
-        }
-    }
-
     /// True if at least one bit is set.
     #[must_use]
     pub fn any(&self) -> bool {
@@ -462,7 +449,6 @@ mod tests {
         let o = BitVec::ones(130);
         assert_eq!(o.count_ones(), 130);
         assert!(o.any());
-        assert!((o.fill_ratio() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -638,7 +624,7 @@ mod tests {
         assert!(v.is_empty());
         let back = BitVec::from_bytes(&v.to_bytes()).unwrap();
         assert_eq!(v, back);
-        assert_eq!(v.fill_ratio(), 0.0);
+        assert_eq!(v.count_ones(), 0);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Error type for RAMBO construction, mutation and serialization.
 
 use rambo_bitvec::DecodeError;
-use rambo_bloom::BloomError;
 use std::fmt;
 
 /// Errors surfaced by the RAMBO index.
@@ -19,8 +18,6 @@ pub enum RamboError {
     FoldUnavailable(String),
     /// Binary deserialization failed.
     Decode(DecodeError),
-    /// A Bloom-filter level operation failed (parameter mismatch on merge).
-    Bloom(BloomError),
 }
 
 impl fmt::Display for RamboError {
@@ -31,7 +28,6 @@ impl fmt::Display for RamboError {
             Self::UnknownDocument(id) => write!(f, "unknown document id: {id}"),
             Self::FoldUnavailable(msg) => write!(f, "cannot fold: {msg}"),
             Self::Decode(e) => write!(f, "RAMBO decode failed: {e}"),
-            Self::Bloom(e) => write!(f, "bloom layer error: {e}"),
         }
     }
 }
@@ -40,7 +36,6 @@ impl std::error::Error for RamboError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Decode(e) => Some(e),
-            Self::Bloom(e) => Some(e),
             _ => None,
         }
     }
@@ -49,12 +44,6 @@ impl std::error::Error for RamboError {
 impl From<DecodeError> for RamboError {
     fn from(e: DecodeError) -> Self {
         Self::Decode(e)
-    }
-}
-
-impl From<BloomError> for RamboError {
-    fn from(e: BloomError) -> Self {
-        Self::Bloom(e)
     }
 }
 

@@ -35,9 +35,7 @@ impl Rambo {
     ///
     /// # Errors
     /// [`RamboError::FoldUnavailable`] when the current bucket count is odd
-    /// or would drop below 2, and [`RamboError::Bloom`] if the BFU merge
-    /// detects mismatched parameters (impossible for indexes built by this
-    /// crate, but kept as a guard for hand-assembled ones).
+    /// or would drop below 2.
     pub fn fold_once(&mut self) -> Result<(), RamboError> {
         let b = self.current_buckets;
         if !b.is_multiple_of(2) {

@@ -557,4 +557,30 @@ mod tests {
         assert!(mean > 0.0 && max > mean / 2.0);
         assert!(r.estimated_bfu_fpr() > 0.0);
     }
+
+    /// The §2.1 estimate `(1 − e^{−ηn/m})^η` the FPR predictions are built
+    /// on holds for a BFU: one document of `n` distinct terms in BFUs sized
+    /// for 1 % (η = ⌈−log₂ 0.01⌉ = 7), probed with absent terms in every
+    /// repetition.
+    #[test]
+    fn measured_fpr_tracks_target() {
+        let n = 2000;
+        let m = rambo_bloom::params::optimal_m(n, 0.01);
+        let mut r = Rambo::new(RamboParams::flat(2, 3, m, 7, 3)).unwrap();
+        let d = r.insert_document("doc", 0..n as u64).unwrap();
+        let expected = expected_fpr(m, n, 7);
+        let trials = 50_000u64;
+        for rep in 0..3 {
+            let bucket = r.bucket_of(rep, d) as usize;
+            let fp = (0..trials)
+                .map(|t| 1_000_000 + t)
+                .filter(|&t| r.bfu_contains_pair(rep, bucket, r.hash_u64_rep(rep, t)))
+                .count();
+            let rate = fp as f64 / trials as f64;
+            assert!(
+                (rate - expected).abs() < 0.25 * expected,
+                "rep {rep}: measured {rate} vs expected {expected}"
+            );
+        }
+    }
 }

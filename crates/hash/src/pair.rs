@@ -1,15 +1,15 @@
-//! Double-hashing pairs: the bridge between "hash the term once" and
-//! "probe `η` Bloom-filter positions".
+//! Double-hashing pairs: the bridge between hashing a term and probing `η`
+//! Bloom-filter positions.
 //!
 //! Kirsch & Mitzenmacher showed that the probe sequence
 //! `g_i(x) = h1(x) + i·h2(x) (mod m)` preserves the asymptotic false-positive
 //! behaviour of `η` independent hashes. RAMBO leans on this hard: a term is
-//! hashed **once** and the same [`HashPair`] is reused across all `R` BFUs it
-//! is inserted into (the BFUs share one Bloom hash family, paper §5.3 — "all
-//! machines use the same hash function and seeds").
+//! hashed **once per repetition**, with that repetition's seed, and the one
+//! [`HashPair`] yields all `η` positions. Every BFU of a repetition shares
+//! its hash family, so the pair probes whichever bucket the query needs
+//! (paper §5.3: "all machines use the same hash function and seeds").
 
 use crate::mix::mix64;
-use crate::murmur3::murmur3_x64_128;
 
 /// A 128-bit digest split into the two halves used for double hashing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,18 +22,9 @@ pub struct HashPair {
 }
 
 impl HashPair {
-    /// Hash an arbitrary byte term (word, raw k-mer string, …).
-    #[inline]
-    #[must_use]
-    pub fn of_bytes(term: &[u8], seed: u64) -> Self {
-        let (h1, h2) = murmur3_x64_128(term, seed);
-        Self { h1, h2: h2 | 1 }
-    }
-
-    /// Fast path for 2-bit-packed k-mers: two decorrelated [`mix64`]
-    /// cascades instead of a byte-stream hash. ~3–4× faster than
-    /// [`HashPair::of_bytes`] on 8-byte inputs, which matters because every
-    /// inserted k-mer is hashed exactly once on the construction hot path.
+    /// Hash a 64-bit term (a 2-bit-packed k-mer, a word's murmur3 hash):
+    /// two decorrelated [`mix64`] cascades, cheap because it runs once per
+    /// term and repetition on the construction and query hot paths.
     #[inline]
     #[must_use]
     pub fn of_u64(term: u64, seed: u64) -> Self {
@@ -189,11 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn bytes_and_u64_paths_are_deterministic() {
-        assert_eq!(
-            HashPair::of_bytes(b"ACGT", 5),
-            HashPair::of_bytes(b"ACGT", 5)
-        );
+    fn u64_path_is_deterministic() {
         assert_eq!(HashPair::of_u64(77, 5), HashPair::of_u64(77, 5));
     }
 
@@ -201,7 +188,6 @@ mod tests {
     fn stride_is_always_odd() {
         for i in 0..1000u64 {
             assert_eq!(HashPair::of_u64(i, 3).h2 & 1, 1);
-            assert_eq!(HashPair::of_bytes(&i.to_le_bytes(), 3).h2 & 1, 1);
         }
     }
 

@@ -1,12 +1,12 @@
-//! # rambo-server — multi-core serving over a fold-over tier catalog
+//! # rambo-server — serving over a fold-over tier catalog
 //!
 //! The paper's operational story has two halves. Construction ends with
 //! "a one-time processing allows us to create several versions of RAMBO
 //! with varying sizes and FP rates" (§5.3, Table 4) — the fold-over
 //! catalog. Serving 170TB "at interactive speed" to many concurrent
 //! clients then requires a query path that picks the right version per
-//! request and keeps every core busy without re-probing shared work. This
-//! crate is that serving path, std-only:
+//! request and answers repeated work from a cache instead of re-probing
+//! it. This crate is that serving path, std-only:
 //!
 //! * [`Catalog`] — several fold-over versions of one index opened
 //!   **zero-copy** out of a single shared `Arc<[u8]>` buffer
@@ -94,6 +94,4 @@ pub use server::{
 };
 pub use stats::{ServerStats, SlowQuery, TierStats};
 pub use tcp::{serve_tcp, serve_tcp_with, ServeOptions, TcpClient, TcpClientError};
-pub use tenant::{
-    TenantError, TenantKind, TenantOptions, TenantQuotas, TenantRegistry, TenantStats,
-};
+pub use tenant::{TenantError, TenantOptions, TenantQuotas, TenantRegistry, TenantStats};

@@ -7,32 +7,19 @@
 //! RAMBO verbs (one named index per tenant):
 //!
 //! ```text
-//! R.CREATE    <name> [fpr=<budget>] [docs=<n>] [bytes=<n>]   → +OK
-//! R.INSERTDOC <name> <doc> <term...>                         → :id
-//! R.QUERYSEQ  <name> <theta> <term...>                       → *N doc names
-//! R.DROP      <name>                                         → :1 / :0
-//! R.STATS     [<name>]                                       → $text
-//! R.LIST                                                     → *N tenant names
+//! R.CREATE    <name> [docs=<n>] [bytes=<n>]   → +OK
+//! R.INSERTDOC <name> <doc> <term...>         → :id
+//! R.QUERYSEQ  <name> <theta> <term...>       → *N doc names
+//! R.DROP      <name>                         → :1 / :0
+//! R.STATS     [<name>]                       → $text
+//! R.LIST                                     → *N tenant names
 //! ```
 //!
-//! A tenant is one RAMBO matrix. `fpr=` is its stated FPR budget, which
-//! `R.STATS` shows beside the tenant's predicted FPR; `docs=` caps its
-//! documents; `bytes=` caps its index size (matrix plus per-document
-//! bookkeeping): `R.CREATE` answers `-ERR quota exceeded …` when the empty
-//! matrix already reaches the budget, and an insert does once the index
-//! has.
-//!
-//! `BF.*` compatibility (SpinelDB/RedisBloom shape), mapped onto a
-//! degenerate single-repetition index where every item is its own
-//! single-term document — classic Bloom-filter membership semantics (no
-//! false negatives, tunable false positives) under the same engine:
-//!
-//! ```text
-//! BF.RESERVE <key> <error_rate> <capacity>   → +OK
-//! BF.ADD     <key> <item>                    → :1 new / :0 already present
-//! BF.MADD    <key> <item...>                 → *N of :1 / :0
-//! BF.EXISTS  <key> <item>                    → :1 / :0
-//! ```
+//! A tenant is one RAMBO matrix of the registry's geometry; `R.STATS`
+//! shows its predicted FPR. `docs=` caps its documents; `bytes=` caps its
+//! index size (matrix plus per-document bookkeeping): `R.CREATE` answers
+//! `-ERR quota exceeded …` when the empty matrix already reaches the
+//! budget, and an insert does once the index has.
 //!
 //! A `<term>` token that parses as a decimal `u64` is taken as a raw term
 //! hash (the binary front's currency); any other token is hashed with
@@ -63,9 +50,8 @@
 
 use crate::reactor::{Protocol, Reactor, Step};
 use crate::tcp::TenantFrames;
-use crate::tenant::{TenantKind, TenantOptions, TenantRegistry};
+use crate::tenant::{TenantOptions, TenantRegistry};
 use crate::wire::MAX_FRAME_BYTES;
-use rambo_core::{RamboError, RamboParams};
 use rambo_hash::murmur3_x64_64;
 use std::io;
 use std::net::TcpListener;
@@ -79,14 +65,6 @@ const MAX_BULK: usize = 1 << 20;
 /// Longest accepted inline line before the parser gives up waiting for a
 /// newline.
 const MAX_INLINE: usize = 64 << 10;
-
-/// Implicit-create defaults for `BF.ADD` on a missing key, matching the
-/// conventional RedisBloom reserve defaults.
-const BF_DEFAULT_CAPACITY: u64 = 100;
-const BF_DEFAULT_FPR: f64 = 0.01;
-/// Seed for the degenerate Bloom tenants (fixed: `BF.*` answers must not
-/// depend on the registry's base geometry).
-const BF_SEED: u64 = 0xB10F;
 
 /// Hash a textual term token the way the text-corpus pipeline does, so
 /// wire-inserted documents and corpus-built oracles agree on term hashes.
@@ -308,31 +286,6 @@ fn decimal_u64(tok: &[u8]) -> Option<u64> {
     })
 }
 
-/// Degenerate single-repetition geometry for a `BF.*` tenant: 2 buckets
-/// (the engine's minimum — items partition across them by hash, which
-/// preserves no-false-negative membership), classic Bloom sizing per
-/// bucket, `k = round(−ln p / ln 2)` probes.
-fn bloom_params(capacity: u64, fpr: f64) -> RamboParams {
-    let ln2 = std::f64::consts::LN_2;
-    let bits_per_key = -fpr.ln() / (ln2 * ln2);
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-    let per_bucket =
-        (((capacity as f64) / 2.0 * bits_per_key).ceil().max(64.0) as usize).next_power_of_two();
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-    let eta = (-fpr.ln() / ln2).round().clamp(1.0, 30.0) as u32;
-    RamboParams::flat(2, 1, per_bucket, eta, BF_SEED)
-}
-
-fn bloom_options(capacity: u64, fpr: f64) -> TenantOptions {
-    TenantOptions {
-        fpr,
-        params: Some(bloom_params(capacity, fpr)),
-        max_docs: Some(usize::try_from(capacity).unwrap_or(usize::MAX)),
-        kind: TenantKind::Bloom,
-        ..TenantOptions::default()
-    }
-}
-
 /// Execute one parsed command against the registry, returning the encoded
 /// reply. Always answers in-protocol — the caller never closes over an
 /// executed command, only over framing violations.
@@ -370,34 +323,6 @@ pub(crate) fn execute(registry: &TenantRegistry, args: &[Vec<u8>]) -> Vec<u8> {
             }
             _ => wrong_arity("r.list"),
         },
-        "BF.RESERVE" => cmd_bf_reserve(registry, args),
-        "BF.ADD" => match args.len() {
-            3 => bf_add_one(registry, &lossy(&args[1]), &args[2]),
-            _ => wrong_arity("bf.add"),
-        },
-        "BF.MADD" => {
-            if args.len() < 3 {
-                return wrong_arity("bf.madd");
-            }
-            let key = lossy(&args[1]);
-            let replies: Vec<Vec<u8>> = args[2..]
-                .iter()
-                .map(|item| bf_add_one(registry, &key, item))
-                .collect();
-            resp_array(&replies)
-        }
-        "BF.EXISTS" => match args.len() {
-            3 => {
-                let key = lossy(&args[1]);
-                let term = parse_term(&args[2]);
-                match registry.query(&key, &[term], None) {
-                    Ok(docs) => resp_integer(i64::from(!docs.is_empty())),
-                    // A missing filter holds nothing.
-                    Err(_) => resp_integer(0),
-                }
-            }
-            _ => wrong_arity("bf.exists"),
-        },
         _ => resp_error(&format!("unknown command '{}'", lossy(&args[0]))),
     }
 }
@@ -415,10 +340,6 @@ fn cmd_create(registry: &TenantRegistry, args: &[Vec<u8>]) -> Vec<u8> {
             None => (tok.as_str(), ""),
         };
         match key.to_ascii_lowercase().as_str() {
-            "fpr" => match value.parse::<f64>() {
-                Ok(f) if f > 0.0 && f < 1.0 => opts.fpr = f,
-                _ => return resp_error(&format!("invalid FPR '{value}' (want 0 < fpr < 1)")),
-            },
             "docs" => match value.parse::<usize>() {
                 Ok(n) if n > 0 => opts.max_docs = Some(n),
                 _ => return resp_error(&format!("invalid value '{value}' for option 'docs'")),
@@ -473,48 +394,6 @@ fn cmd_queryseq(registry: &TenantRegistry, args: &[Vec<u8>]) -> Vec<u8> {
             // The tenant vanished between query and resolve.
             Err(e) => resp_error(&e.to_string()),
         },
-        Err(e) => resp_error(&e.to_string()),
-    }
-}
-
-fn cmd_bf_reserve(registry: &TenantRegistry, args: &[Vec<u8>]) -> Vec<u8> {
-    if args.len() != 4 {
-        return wrong_arity("bf.reserve");
-    }
-    let key = lossy(&args[1]);
-    let fpr_tok = lossy(&args[2]);
-    let fpr = match fpr_tok.parse::<f64>() {
-        Ok(f) if f > 0.0 && f < 1.0 => f,
-        _ => return resp_error(&format!("invalid FPR '{fpr_tok}' (want 0 < fpr < 1)")),
-    };
-    let cap_tok = lossy(&args[3]);
-    let capacity = match cap_tok.parse::<u64>() {
-        Ok(n) if n > 0 => n,
-        _ => return resp_error(&format!("invalid capacity '{cap_tok}'")),
-    };
-    match registry.create(&key, bloom_options(capacity, fpr)) {
-        Ok(()) => resp_simple("OK"),
-        Err(e) => resp_error(&e.to_string()),
-    }
-}
-
-/// `BF.ADD` semantics for one item: implicit-create the filter, insert the
-/// item as its own single-term document; a duplicate answers `:0` (already
-/// present), admission failures answer in-protocol errors.
-fn bf_add_one(registry: &TenantRegistry, key: &str, item: &[u8]) -> Vec<u8> {
-    if !registry.contains(key) {
-        if let Err(e) = registry.create(key, bloom_options(BF_DEFAULT_CAPACITY, BF_DEFAULT_FPR)) {
-            // A concurrent create of the same key is fine; anything else
-            // (bad name, tenant cap) is the caller's answer.
-            if !matches!(e, crate::tenant::TenantError::DuplicateTenant(_)) {
-                return resp_error(&e.to_string());
-            }
-        }
-    }
-    let doc = lossy(item);
-    match registry.insert_document(key, &doc, &[parse_term(item)]) {
-        Ok(_) => resp_integer(1),
-        Err(crate::tenant::TenantError::Index(RamboError::DuplicateDocument(_))) => resp_integer(0),
         Err(e) => resp_error(&e.to_string()),
     }
 }
@@ -598,6 +477,7 @@ pub fn serve_tenant_tcp(
 mod tests {
     use super::*;
     use crate::tenant::TenantQuotas;
+    use rambo_core::RamboParams;
 
     fn registry() -> TenantRegistry {
         TenantRegistry::new(
@@ -641,13 +521,13 @@ mod tests {
 
     #[test]
     fn inline_parsing_splits_on_whitespace() {
-        let wire = b"  R.CREATE  idx \t fpr=0.02 \r\nrest";
+        let wire = b"  R.CREATE  idx \t docs=5 \r\nrest";
         match parse_resp(wire) {
             RespParse::Command { args, consumed } => {
                 assert_eq!(consumed, wire.len() - 4);
                 assert_eq!(args.len(), 3);
                 assert_eq!(args[0], b"R.CREATE");
-                assert_eq!(args[2], b"fpr=0.02");
+                assert_eq!(args[2], b"docs=5");
             }
             _ => panic!("inline must parse"),
         }
@@ -681,7 +561,7 @@ mod tests {
     fn command_surface_happy_paths() {
         let reg = registry();
         assert_eq!(run(&reg, "PING"), b"+PONG\r\n");
-        assert_eq!(run(&reg, "R.CREATE idx fpr=0.02"), b"+OK\r\n");
+        assert_eq!(run(&reg, "R.CREATE idx"), b"+OK\r\n");
         assert_eq!(run(&reg, "R.INSERTDOC idx doc-a alpha beta 42"), b":0\r\n");
         assert_eq!(run(&reg, "R.INSERTDOC idx doc-b beta gamma"), b":1\r\n");
         assert_eq!(
@@ -706,8 +586,8 @@ mod tests {
             b"-ERR wrong number of arguments for 'r.create'\r\n"
         );
         assert_eq!(
-            run(&reg, "R.CREATE idx fpr=2"),
-            b"-ERR invalid FPR '2' (want 0 < fpr < 1)\r\n"
+            run(&reg, "R.CREATE idx fpr=0.01"),
+            b"-ERR unknown option 'fpr' for 'r.create'\r\n"
         );
         assert_eq!(run(&reg, "R.CREATE idx"), b"+OK\r\n");
         assert_eq!(
@@ -738,50 +618,6 @@ mod tests {
         );
         assert_eq!(run(&reg, "R.CREATE t bytes=1000000"), b"+OK\r\n");
         assert_eq!(run(&reg, "R.INSERTDOC t d a b"), b":0\r\n");
-        // BF.RESERVE sizes its filter from the capacity; the registry's
-        // default budget applies.
-        let quotas = TenantQuotas {
-            max_bytes: 64 << 10,
-            ..TenantQuotas::default()
-        };
-        let small = TenantRegistry::new(RamboParams::flat(8, 3, 1 << 10, 2, 7), quotas).unwrap();
-        assert_eq!(run(&small, "BF.RESERVE f 0.01 100"), b"+OK\r\n");
-        assert_eq!(
-            run(&small, "BF.RESERVE g 0.01 1000000"),
-            b"-ERR quota exceeded: index larger than the byte budget (65536)\r\n"
-        );
-    }
-
-    #[test]
-    fn bf_surface_maps_onto_degenerate_tenants() {
-        let reg = registry();
-        assert_eq!(run(&reg, "BF.RESERVE filter 0.01 1000"), b"+OK\r\n");
-        assert_eq!(run(&reg, "BF.ADD filter apple"), b":1\r\n");
-        assert_eq!(run(&reg, "BF.ADD filter apple"), b":0\r\n");
-        assert_eq!(
-            run(&reg, "BF.MADD filter pear plum apple"),
-            b"*3\r\n:1\r\n:1\r\n:0\r\n"
-        );
-        assert_eq!(run(&reg, "BF.EXISTS filter pear"), b":1\r\n");
-        assert_eq!(run(&reg, "BF.EXISTS filter durian"), b":0\r\n");
-        assert_eq!(run(&reg, "BF.EXISTS missing pear"), b":0\r\n");
-        // Implicit create on first ADD.
-        assert_eq!(run(&reg, "BF.ADD fresh kiwi"), b":1\r\n");
-        assert_eq!(run(&reg, "BF.EXISTS fresh kiwi"), b":1\r\n");
-    }
-
-    #[test]
-    fn bf_capacity_maps_to_doc_quota() {
-        let reg = registry();
-        assert_eq!(run(&reg, "BF.RESERVE small 0.01 2"), b"+OK\r\n");
-        assert_eq!(run(&reg, "BF.ADD small a"), b":1\r\n");
-        assert_eq!(run(&reg, "BF.ADD small b"), b":1\r\n");
-        let reply = run(&reg, "BF.ADD small c");
-        let text = String::from_utf8(reply).unwrap();
-        assert!(
-            text.starts_with("-ERR quota exceeded"),
-            "full filter must reject in-protocol: {text}"
-        );
     }
 
     /// The byte-level term parser keeps `str::parse::<u64>`'s definition:

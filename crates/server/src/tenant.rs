@@ -5,8 +5,8 @@
 //! service, not a single-index appliance. [`TenantRegistry`] is that
 //! service's core: it owns any number of **named** mutable indexes (each one
 //! [`Rambo`] behind an `RwLock`, plus a [`ResultCache`]), created and dropped
-//! at runtime, each with its own stated FPR budget, document quota and index
-//! byte budget. A single live index is a registry with one tenant.
+//! at runtime, each with its own document quota and index byte budget. A
+//! single live index is a registry with one tenant.
 //!
 //! **One matrix per tenant.** RAMBO absorbs a streamed document by setting
 //! its bits in the fixed `B × R` grid, so an insert is
@@ -16,11 +16,10 @@
 //! included. Every insert bumps the tenant's result-cache version (a new
 //! document can match any cached query).
 //!
-//! **The FPR budget is stated, not enforced.** [`TenantOptions::fpr`] is
-//! reported beside the tenant's predicted FPR ([`Rambo::predicted_fpr`], the
-//! figure the catalog quotes per tier) in [`TenantStats`]; the prediction
-//! rises with every insert, and nothing stops at the budget. What bounds a
-//! tenant is its document quota.
+//! **Every tenant has the registry's geometry.** [`TenantStats`] reports the
+//! tenant's predicted FPR ([`Rambo::predicted_fpr`], the figure the catalog
+//! quotes per tier); it rises with every insert, and what bounds a tenant
+//! is its document quota.
 //!
 //! **Quotas are enforced at admission**: an insert that would exceed the
 //! tenant's document quota or term cap is rejected *before* touching the
@@ -59,7 +58,7 @@ use std::time::{Duration, Instant};
 /// *at admission* — a rejected request never touches the index.
 #[derive(Debug, Clone, Copy)]
 pub struct TenantQuotas {
-    /// Maximum live tenants; `R.CREATE`/`BF.RESERVE` beyond it is rejected.
+    /// Maximum live tenants; `R.CREATE` beyond it is rejected.
     pub max_tenants: usize,
     /// Default per-tenant document cap (overridable per tenant at create).
     pub max_docs: usize,
@@ -87,50 +86,24 @@ impl Default for TenantQuotas {
     }
 }
 
-/// What flavor of index a tenant serves — only a display/bookkeeping tag;
-/// both kinds share the same engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TenantKind {
-    /// A full RAMBO index created via `R.CREATE`.
-    Rambo,
-    /// A degenerate single-repetition index backing the `BF.*` compatibility
-    /// verbs (each item is its own single-term document).
-    Bloom,
-}
-
-impl fmt::Display for TenantKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Rambo => write!(f, "rambo"),
-            Self::Bloom => write!(f, "bloom"),
-        }
-    }
-}
-
 /// Per-tenant creation options ([`TenantRegistry::create`]).
 #[derive(Debug, Clone)]
 pub struct TenantOptions {
-    /// The tenant's stated FPR budget, reported beside its predicted FPR
-    /// ([`TenantStats::predicted_fpr`]). Must lie in `(0, 1]`.
-    pub fpr: f64,
-    /// Index geometry override; `None` uses the registry's base params.
-    pub params: Option<RamboParams>,
     /// Document-quota override; `None` uses [`TenantQuotas::max_docs`].
     pub max_docs: Option<usize>,
     /// Byte-budget override; `None` uses [`TenantQuotas::max_bytes`].
     pub max_bytes: Option<usize>,
-    /// Display/bookkeeping kind tag.
-    pub kind: TenantKind,
+    /// Read by nothing. Kept for the `benchmark/` harness.
+    #[doc(hidden)]
+    pub fpr: f64,
 }
 
 impl Default for TenantOptions {
     fn default() -> Self {
         Self {
-            fpr: 0.01,
-            params: None,
             max_docs: None,
             max_bytes: None,
-            kind: TenantKind::Rambo,
+            fpr: 0.01,
         }
     }
 }
@@ -212,10 +185,8 @@ impl std::error::Error for TenantError {
 /// One live tenant: its index, cache, limits and counters.
 pub(crate) struct TenantState {
     pub(crate) name: String,
-    kind: TenantKind,
     pub(crate) index: RwLock<Rambo>,
     cache: Option<ResultCache>,
-    fpr_budget: f64,
     max_docs: usize,
     max_bytes: usize,
     /// Registry-wide creation stamp: strictly increasing across every
@@ -235,8 +206,6 @@ pub(crate) struct TenantState {
 pub struct TenantStats {
     /// Tenant name.
     pub name: String,
-    /// Index flavor tag.
-    pub kind: TenantKind,
     /// Registry-wide creation stamp (strictly increasing across creates).
     pub created: u64,
     /// Documents indexed.
@@ -247,8 +216,6 @@ pub struct TenantStats {
     /// Predicted per-document query FPR at the current fill
     /// ([`Rambo::predicted_fpr`]).
     pub predicted_fpr: f64,
-    /// The stated budget it is reported against ([`TenantOptions::fpr`]).
-    pub fpr_budget: f64,
     /// Current index payload size.
     pub size_bytes: usize,
     /// The tenant's byte budget.
@@ -273,13 +240,8 @@ impl fmt::Display for TenantStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "tenant '{}' [{}]: {} docs, {} bytes, predicted fpr {:.3e} (budget {:.3e})",
-            self.name,
-            self.kind,
-            self.documents,
-            self.size_bytes,
-            self.predicted_fpr,
-            self.fpr_budget,
+            "tenant '{}': {} docs, {} bytes, predicted fpr {:.3e}",
+            self.name, self.documents, self.size_bytes, self.predicted_fpr,
         )?;
         writeln!(
             f,
@@ -313,15 +275,14 @@ pub struct TenantRegistry {
     /// Creation-stamp source; also the "tenants ever created" counter.
     creations: AtomicU64,
     drops: AtomicU64,
-    /// `R.CREATE`/`BF.RESERVE` rejections at the registry tenant cap.
+    /// `R.CREATE` rejections at the registry tenant cap.
     tenant_quota_rejections: AtomicU64,
     /// Query scratch shared by every tenant.
     scratch: ScratchPool,
 }
 
 impl TenantRegistry {
-    /// Create an empty registry. `params` is the default geometry for
-    /// tenants created without an explicit override.
+    /// Create an empty registry. `params` is every tenant's geometry.
     ///
     /// # Errors
     /// [`RamboError::InvalidParams`] when `params` is degenerate.
@@ -377,16 +338,10 @@ impl TenantRegistry {
     /// [`TenantError::BadName`], [`TenantError::DuplicateTenant`],
     /// [`TenantError::TenantQuota`] at the live-tenant cap,
     /// [`TenantError::ByteQuota`] when the empty index already reaches the
-    /// byte budget (it would refuse every insert), and
-    /// [`TenantError::Index`] when the FPR budget or geometry is invalid.
+    /// byte budget (it would refuse every insert).
     pub fn create(&self, name: &str, opts: TenantOptions) -> Result<(), TenantError> {
         validate_name(name)?;
-        if !(opts.fpr > 0.0 && opts.fpr <= 1.0) {
-            return Err(TenantError::Index(RamboError::InvalidParams(
-                "fpr must lie in (0, 1]".into(),
-            )));
-        }
-        let index = Rambo::new(opts.params.unwrap_or(self.params)).map_err(TenantError::Index)?;
+        let index = Rambo::new(self.params).map_err(TenantError::Index)?;
         let max_bytes = opts.max_bytes.unwrap_or(self.quotas.max_bytes);
         if index.size_bytes() >= max_bytes {
             return Err(TenantError::ByteQuota { limit: max_bytes });
@@ -406,11 +361,9 @@ impl TenantRegistry {
             name.to_owned(),
             Arc::new(TenantState {
                 name: name.to_owned(),
-                kind: opts.kind,
                 index: RwLock::new(index),
                 cache: (self.quotas.cache_bytes > 0)
                     .then(|| ResultCache::new(self.quotas.cache_bytes)),
-                fpr_budget: opts.fpr,
                 max_docs: opts.max_docs.unwrap_or(self.quotas.max_docs),
                 max_bytes,
                 created,
@@ -676,12 +629,10 @@ fn snapshot(t: &TenantState) -> TenantStats {
     };
     TenantStats {
         name: t.name.clone(),
-        kind: t.kind,
         created: t.created,
         documents,
         generations: 0,
         predicted_fpr,
-        fpr_budget: t.fpr_budget,
         size_bytes,
         max_bytes: t.max_bytes,
         inserts: t.inserts.load(Ordering::Relaxed),
@@ -859,15 +810,11 @@ mod tests {
     }
 
     /// One FPR rule: a tenant reports the prediction the catalog quotes for
-    /// tier 0 of the tenant's frozen index, beside its stated budget.
+    /// tier 0 of the tenant's frozen index.
     #[test]
     fn reported_fpr_is_the_catalog_prediction() {
         let reg = registry();
-        let options = TenantOptions {
-            fpr: 0.05,
-            ..TenantOptions::default()
-        };
-        reg.create("a", options).unwrap();
+        reg.create("a", TenantOptions::default()).unwrap();
         for d in 0..40u64 {
             let terms: Vec<u64> = (0..64).map(|t| d << 16 | t).collect();
             reg.insert_document("a", &format!("d{d}"), &terms).unwrap();
@@ -881,7 +828,6 @@ mod tests {
             .unwrap();
         assert!(stats.predicted_fpr > 0.0);
         assert_eq!(stats.predicted_fpr, catalog.info(0).predicted_fpr);
-        assert_eq!(stats.fpr_budget, 0.05);
         assert_eq!(stats.size_bytes, frozen.size_bytes());
     }
 

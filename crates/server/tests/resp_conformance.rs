@@ -104,10 +104,19 @@ fn unescape(s: &str) -> Vec<u8> {
     out
 }
 
+/// Every scenario this file runs, one golden file each.
+const SCENARIOS: [&str; 4] = ["resp_happy", "resp_errors", "resp_stats", "binary_stats"];
+
+fn transcript_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/transcripts")
+}
+
 fn transcript_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/transcripts")
-        .join(format!("{name}.txt"))
+    assert!(
+        SCENARIOS.contains(&name),
+        "scenario {name} is not in SCENARIOS"
+    );
+    transcript_dir().join(format!("{name}.txt"))
 }
 
 fn regen() -> bool {
@@ -277,7 +286,7 @@ fn resp_happy_paths() {
     let steps = vec![
         Step::Send(multibulk(&["PING"])),
         Step::ExpectResp(1),
-        Step::Send(inline("R.CREATE idx fpr=0.02")),
+        Step::Send(inline("R.CREATE idx")),
         Step::ExpectResp(1),
         Step::Send(multibulk(&[
             "R.INSERTDOC",
@@ -311,7 +320,7 @@ fn resp_error_taxonomy() {
         Step::ExpectResp(1),
         Step::Send(inline("R.CREATE")),
         Step::ExpectResp(1),
-        Step::Send(inline("R.CREATE idx fpr=2")),
+        Step::Send(inline("R.CREATE idx fpr=0.01")),
         Step::ExpectResp(1),
         Step::Send(inline("R.CREATE idx")),
         Step::ExpectResp(1),
@@ -337,40 +346,13 @@ fn resp_error_taxonomy() {
 }
 
 #[test]
-fn resp_bf_compatibility() {
-    let steps = vec![
-        Step::Send(multibulk(&["BF.RESERVE", "filter", "0.01", "1000"])),
-        Step::ExpectResp(1),
-        Step::Send(multibulk(&["BF.ADD", "filter", "apple"])),
-        Step::ExpectResp(1),
-        Step::Send(multibulk(&["BF.ADD", "filter", "apple"])),
-        Step::ExpectResp(1),
-        Step::Send(multibulk(&["BF.MADD", "filter", "pear", "plum", "apple"])),
-        Step::ExpectResp(1),
-        Step::Send(multibulk(&["BF.EXISTS", "filter", "pear"])),
-        Step::ExpectResp(1),
-        Step::Send(multibulk(&["BF.EXISTS", "filter", "durian"])),
-        Step::ExpectResp(1),
-        Step::Send(multibulk(&["BF.EXISTS", "missing", "pear"])),
-        Step::ExpectResp(1),
-        // Implicit create with defaults on first ADD.
-        Step::Send(multibulk(&["BF.ADD", "fresh", "kiwi"])),
-        Step::ExpectResp(1),
-        Step::Send(multibulk(&["BF.RESERVE", "filter", "0.01", "10"])),
-        Step::ExpectResp(1),
-        Step::ExpectEof,
-    ];
-    with_tenant_server(|_, addr| run_scenario("resp_bf", &steps, addr));
-}
-
-#[test]
 fn resp_stats_surface() {
     // Stats are taken on fresh tenants only (before any queries), where
     // every counter and histogram is deterministically zero.
     let steps = vec![
         Step::Send(inline("R.STATS")),
         Step::ExpectResp(1),
-        Step::Send(inline("R.CREATE s1 fpr=0.05")),
+        Step::Send(inline("R.CREATE s1")),
         Step::ExpectResp(1),
         Step::Send(inline("R.STATS s1")),
         Step::ExpectResp(1),
@@ -435,6 +417,21 @@ fn binary_stats_and_hello_frames() {
         Step::ExpectEof,
     ];
     with_catalog_server(|addr| run_scenario("binary_stats", &steps, addr));
+}
+
+/// A deleted scenario must take its golden file with it.
+#[test]
+fn every_transcript_belongs_to_a_scenario() {
+    let mut on_disk: Vec<String> = std::fs::read_dir(transcript_dir())
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "txt"))
+        .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    on_disk.sort();
+    let mut expected = SCENARIOS.to_vec();
+    expected.sort_unstable();
+    assert_eq!(on_disk, expected);
 }
 
 #[test]

@@ -248,12 +248,10 @@ const VALID_LINES: &[&str] = &[
     "PING",
     "R.LIST",
     "R.STATS",
-    "R.CREATE fz fpr=0.02",
+    "R.CREATE fz",
     "R.INSERTDOC fz d0 alpha beta",
     "R.QUERYSEQ fz 1.0 alpha",
     "R.DROP fz",
-    "BF.ADD bloomy pear",
-    "BF.EXISTS bloomy pear",
 ];
 
 proptest! {
@@ -379,7 +377,7 @@ fn pipelined_inserts_stay_in_order_under_fragmentation() {
     let reg = registry();
     with_dual_server(&reg, |resp_addr, _| {
         let mut client = TestClient::connect(resp_addr).unwrap();
-        client.send_resp_inline("R.CREATE pipe fpr=0.02").unwrap();
+        client.send_resp_inline("R.CREATE pipe").unwrap();
         assert_eq!(client.read_resp_reply().unwrap(), b"+OK\r\n");
         // 40 pipelined inserts in one burst, dribbled 3 bytes per poll tick.
         let mut wire = Vec::new();
@@ -505,8 +503,7 @@ fn interleaved_resp_and_binary_connections_serve_concurrently() {
                 s.spawn(move || {
                     let name = format!("tenant-{t}");
                     let mut c = TestClient::connect(resp_addr).unwrap();
-                    c.send_resp_inline(&format!("R.CREATE {name} fpr=0.02"))
-                        .unwrap();
+                    c.send_resp_inline(&format!("R.CREATE {name}")).unwrap();
                     assert_eq!(c.read_resp_reply().unwrap(), b"+OK\r\n");
                     for d in 0..20 {
                         c.send_resp_inline(&format!(

@@ -6,9 +6,9 @@
 //! grid absorbs each inserted document's bits (the paper's cheap streaming
 //! update). It accepts inserts while answering queries bit-identically to a
 //! from-scratch build, exposes the same over TCP via the binary `MUTATE`
-//! opcode, reports its predicted FPR beside its stated budget, and finally
-//! freezes the accumulated documents into a regular fold-over `Catalog`
-//! through the builder.
+//! opcode, reports its predicted FPR as it fills, and finally freezes the
+//! accumulated documents into a regular fold-over `Catalog` through the
+//! builder.
 //!
 //! ```text
 //! cargo run --release --example live_insert
@@ -31,23 +31,20 @@ fn sample(i: u64) -> (String, Vec<u64>) {
     (format!("sample-{i}"), terms)
 }
 
-/// A tenant's shape: documents, bytes, and predicted FPR against its budget.
+/// A tenant's shape: documents, bytes, and predicted FPR.
 fn shape(stats: &TenantStats) -> String {
     format!(
-        "{} docs in {} bytes, predicted fpr {:.3e} (budget {:.0e})",
-        stats.documents, stats.size_bytes, stats.predicted_fpr, stats.fpr_budget
+        "{} docs in {} bytes, predicted fpr {:.3e}",
+        stats.documents, stats.size_bytes, stats.predicted_fpr
     )
 }
 
 fn main() {
     let params = RamboParams::flat(32, 3, 1 << 13, 2, 42);
     let registry = TenantRegistry::new(params, TenantQuotas::default()).expect("valid geometry");
-    // The stated FPR budget is reported beside the tenant's prediction.
-    let options = TenantOptions {
-        fpr: 1e-4,
-        ..TenantOptions::default()
-    };
-    registry.create(TENANT, options).expect("fresh tenant");
+    registry
+        .create(TENANT, TenantOptions::default())
+        .expect("fresh tenant");
     let query = |terms: &[u64], mode| registry.query(TENANT, terms, mode).expect("tenant");
 
     // 1. In-process live inserts, queried as they land.
