@@ -167,6 +167,14 @@ impl Shard {
         }
     }
 
+    /// Bump a resident slot to most-recently-used.
+    fn touch(&mut self, s: u32) {
+        if self.head != s {
+            self.unlink(s);
+            self.push_front(s);
+        }
+    }
+
     /// Unlink + unmap + free a slot, dropping its block payload and
     /// charging the eviction to the block's owner.
     fn evict(&mut self, s: u32) {
@@ -209,16 +217,15 @@ impl PageCache {
     fn get(&self, key: u128) -> Option<Arc<[u64]>> {
         let mut shard = self.shard_of(key).lock().expect("page cache shard");
         let s = *shard.map.get(&key)?;
-        if shard.head != s {
-            shard.unlink(s);
-            shard.push_front(s);
-        }
+        shard.touch(s);
         Some(shard.slots[s as usize].block.clone())
     }
 
     /// Admit a freshly loaded block, evicting least-recently-used blocks
     /// until the shard fits its budget. Blocks larger than a whole shard
-    /// are not admitted (the caller still gets its loaded copy).
+    /// are not admitted (the caller still gets its loaded copy), and a block
+    /// already resident is only bumped: a second fault of the same block
+    /// evicts nothing.
     fn insert(&self, key: u128, block: &Arc<[u64]>, owner: &Arc<BlockCacheCounters>) {
         let bytes = std::mem::size_of_val(&block[..]) + ENTRY_OVERHEAD_BYTES;
         if bytes > self.shard_cap {
@@ -227,7 +234,8 @@ impl PageCache {
         let mut shard = self.shard_of(key).lock().expect("page cache shard");
         if let Some(&s) = shard.map.get(&key) {
             // A concurrent fault already admitted this block.
-            shard.evict(s);
+            shard.touch(s);
+            return;
         }
         while shard.bytes + bytes > self.shard_cap {
             let victim = shard.tail;
@@ -571,6 +579,17 @@ mod tests {
         assert!(file.resident_blocks() <= SHARDS);
         drop(file);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn readmitting_a_resident_block_is_not_an_eviction() {
+        let cache = PageCache::new(1 << 20);
+        let counters = Arc::new(BlockCacheCounters::new());
+        let block: Arc<[u64]> = vec![7u64; 16].into();
+        cache.insert(42, &block, &counters);
+        cache.insert(42, &block, &counters);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(counters.snapshot().evictions, 0);
     }
 
     #[test]

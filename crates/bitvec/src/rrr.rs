@@ -19,8 +19,9 @@
 //! Blocks are decoded on the fly; the structure is immutable after build.
 //! Two containers share the codec:
 //!
-//! * [`RrrVec`] — a single vector with `access`/`rank1`, serializable via
-//!   the v2 `RRV2` framing;
+//! * [`RrrVec`] — a single in-memory vector with `access`/`rank1`, the
+//!   rank-capable node filter whose size Table 3 compares (it is never
+//!   written to disk);
 //! * [`RrrMatrix`] — an `m × B` row-major matrix where each row is an
 //!   independently addressable RRR stream (per-row start samples), the
 //!   compressed cold-tier backend behind the BFU probe path. Rows decode
@@ -67,8 +68,6 @@ const fn offset_bits_table() -> [u8; BLOCK + 1] {
 
 const OFFSET_BITS: [u8; BLOCK + 1] = offset_bits_table();
 
-/// v2 serialization magic for a standalone [`RrrVec`].
-const VEC_MAGIC: &[u8; 4] = b"RRV2";
 /// v2 serialization magic for an [`RrrMatrix`] (compressed BFU tier).
 const MAT_MAGIC: &[u8; 4] = b"RBFR";
 
@@ -207,10 +206,7 @@ pub struct RrrVec {
     offsets: Vec<u64>,
     /// Per superblock: (ones before, offset-stream bit position before).
     samples: Vec<(u64, u64)>,
-    n_blocks: usize,
     total_ones: usize,
-    /// Bit length of the offset stream (for serialization framing).
-    offset_bits: usize,
 }
 
 impl RrrVec {
@@ -244,10 +240,8 @@ impl RrrVec {
         Self {
             len,
             classes,
-            offset_bits: writer.len,
             offsets: writer.words,
             samples,
-            n_blocks,
             total_ones: ones as usize,
         }
     }
@@ -323,123 +317,11 @@ impl RrrVec {
         rank + (bits & ((1u16 << within) - 1)).count_ones() as usize
     }
 
-    /// Decompress back to a dense vector.
-    #[must_use]
-    pub fn to_bitvec(&self) -> BitVec {
-        let mut out = BitVec::zeros(self.len);
-        let mut pos = 0usize;
-        for b in 0..self.n_blocks {
-            let class = self.class_of(b);
-            let off = read_bits(&self.offsets, pos, OFFSET_BITS[class]);
-            pos += usize::from(OFFSET_BITS[class]);
-            let bits = decode_offset(off, class);
-            let start = b * BLOCK;
-            let mut rest = bits;
-            while rest != 0 {
-                let tz = rest.trailing_zeros() as usize;
-                out.set(start + tz);
-                rest &= rest - 1;
-            }
-        }
-        out
-    }
-
     /// Heap bytes of the compressed representation (classes + offsets +
     /// samples). Compare against `BitVec::size_bytes` for the ratio.
     #[must_use]
     pub fn size_bytes(&self) -> usize {
         self.classes.len() + self.offsets.len() * 8 + self.samples.len() * 16
-    }
-
-    /// Append the v2 binary encoding: `RRV2` magic, bit length, offset-stream
-    /// bit length, word-alignment padding, the class nibbles (zero-padded to
-    /// a word boundary) and the offset words. Superblock samples are *not*
-    /// stored — they are rebuilt during the decode validation walk.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(VEC_MAGIC);
-        out.extend_from_slice(&(self.len as u64).to_le_bytes());
-        out.extend_from_slice(&(self.offset_bits as u64).to_le_bytes());
-        write_word_padding(out);
-        out.extend_from_slice(&self.classes);
-        out.resize(out.len() + word_pad(self.classes.len()), 0);
-        for &w in &self.offsets {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    /// The v2 encoding as a fresh buffer (see [`RrrVec::encode_into`]).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Decode, advancing the buffer past the consumed bytes.
-    ///
-    /// Every structural invariant is re-validated, so corrupted or truncated
-    /// input yields an error — never a panic or an out-of-range decode:
-    /// offsets must stay below `C(15, class)`, the stream length must match
-    /// the class array exactly, the final block may not carry bits beyond
-    /// `len`, and all padding (nibble, byte and trailing stream bits) must
-    /// be zero.
-    ///
-    /// # Errors
-    /// [`DecodeError`] on any format violation.
-    pub fn decode_from(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        let magic = take(buf, 4, "rrr vector header")?;
-        if magic != VEC_MAGIC {
-            return Err(DecodeError::new("bad rrr vector magic"));
-        }
-        let len = take_u64(buf, "rrr vector length")?;
-        let offset_bits = take_u64(buf, "rrr offset-stream length")?;
-        skip_word_padding(buf)?;
-        let n_blocks = len.div_ceil(BLOCK);
-        let (classes, offsets) = decode_streams(buf, n_blocks, offset_bits)?;
-
-        // Validation walk: recompute the superblock samples while checking
-        // every block of the stream.
-        let mut samples = Vec::with_capacity(n_blocks.div_ceil(SUPER));
-        let mut pos = 0usize;
-        let mut ones = 0u64;
-        for b in 0..n_blocks {
-            if b % SUPER == 0 {
-                samples.push((ones, pos as u64));
-            }
-            let class = class_at(&classes, b);
-            let tail = if b == n_blocks - 1 {
-                len - b * BLOCK
-            } else {
-                BLOCK
-            };
-            pos = check_block(&offsets, pos, offset_bits, class, tail)?;
-            ones += class as u64;
-        }
-        if pos != offset_bits {
-            return Err(DecodeError::new("rrr offset stream length mismatch"));
-        }
-        Ok(Self {
-            len,
-            classes,
-            offsets,
-            samples,
-            n_blocks,
-            total_ones: ones as usize,
-            offset_bits,
-        })
-    }
-
-    /// Decode a complete buffer (see [`RrrVec::decode_from`]).
-    ///
-    /// # Errors
-    /// [`DecodeError`] on any format violation or trailing bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut slice = bytes;
-        let v = Self::decode_from(&mut slice)?;
-        if !slice.is_empty() {
-            return Err(DecodeError::new("trailing bytes after rrr vector"));
-        }
-        Ok(v)
     }
 }
 
@@ -449,8 +331,8 @@ fn word_pad(len: usize) -> usize {
     len.next_multiple_of(8) - len
 }
 
-/// Decode the class-nibble array and offset words shared by the `RRV2` and
-/// `RBFR` framings, validating all padding bytes/nibbles/bits are zero.
+/// Decode the class-nibble array and offset words of an `RBFR` record,
+/// validating all padding bytes/nibbles/bits are zero.
 fn decode_streams(
     buf: &mut &[u8],
     n_blocks: usize,
@@ -517,8 +399,8 @@ fn check_block(
 /// `m_bits` rows is an independently addressable `buckets`-bit RRR vector
 /// whose offset-stream start is sampled per row (`row_starts`), so a probe
 /// decodes exactly the rows it touches — block-wise, straight into dense
-/// words that feed the fused-AND mask kernels ([`crate::BitVec`]'s
-/// `and_words_any`) with no intermediate bitvector.
+/// words that feed the fused-AND mask kernels ([`crate::kernel`]) with no
+/// intermediate bitvector.
 ///
 /// The structure is immutable; build it from a dense row-major word payload
 /// with [`RrrMatrix::from_words`]. Mutation paths in callers are expected to
@@ -778,6 +660,11 @@ impl RrrMatrix {
 mod tests {
     use super::*;
 
+    /// The dense vector `rrr` reads back through `get`.
+    fn decoded(rrr: &RrrVec) -> BitVec {
+        BitVec::from_ones(rrr.len(), (0..rrr.len()).filter(|&i| rrr.get(i)))
+    }
+
     #[test]
     fn binomials_are_correct() {
         assert_eq!(BINOM[15][0], 1);
@@ -847,13 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn to_bitvec_roundtrip() {
-        let dense = BitVec::from_ones(999, (0..999).filter(|i| (i * i) % 7 == 1));
-        let rrr = RrrVec::from_bitvec(&dense);
-        assert_eq!(rrr.to_bitvec(), dense);
-    }
-
-    #[test]
     fn sparse_vectors_compress() {
         // 1% fill: RRR should be far below the dense 12.5 KB.
         let dense = BitVec::from_ones(100_000, (0..100_000).step_by(100));
@@ -864,7 +744,7 @@ mod tests {
             rrr.size_bytes(),
             dense.size_bytes()
         );
-        assert_eq!(rrr.to_bitvec(), dense);
+        assert_eq!(decoded(&rrr), dense);
     }
 
     #[test]
@@ -872,7 +752,7 @@ mod tests {
         let dense = BitVec::ones(500);
         let rrr = RrrVec::from_bitvec(&dense);
         assert_eq!(rrr.count_ones(), 500);
-        assert_eq!(rrr.to_bitvec(), dense);
+        assert_eq!(decoded(&rrr), dense);
     }
 
     #[test]
@@ -880,7 +760,7 @@ mod tests {
         let rrr = RrrVec::from_bitvec(&BitVec::zeros(0));
         assert!(rrr.is_empty());
         assert_eq!(rrr.count_ones(), 0);
-        assert_eq!(rrr.to_bitvec(), BitVec::zeros(0));
+        assert_eq!(decoded(&rrr), BitVec::zeros(0));
     }
 
     #[test]
@@ -901,7 +781,7 @@ mod tests {
         let len = BLOCK * (3 * SUPER) + 7; // 3 full superblocks + partial
         let dense = BitVec::from_ones(len, (0..len).step_by(3));
         let rrr = RrrVec::from_bitvec(&dense);
-        assert_eq!(rrr.samples.len(), rrr.n_blocks.div_ceil(SUPER));
+        assert_eq!(rrr.samples.len(), len.div_ceil(BLOCK).div_ceil(SUPER));
         assert_eq!(rrr.samples.len(), 4);
         // Each sample's rank is the dense rank at its block boundary — i.e.
         // the sample really sits at block `sb * SUPER`, not some other
@@ -910,41 +790,6 @@ mod tests {
             let bit = sb * SUPER * BLOCK;
             assert_eq!(rank as usize, (0..bit).filter(|i| i % 3 == 0).count());
         }
-    }
-
-    #[test]
-    fn vec_serialization_roundtrip() {
-        for len in [0usize, 1, 14, 15, 16, 1000, 1234] {
-            let dense = BitVec::from_ones(len, (0..len).filter(|i| i % 7 == 2));
-            let rrr = RrrVec::from_bitvec(&dense);
-            let bytes = rrr.to_bytes();
-            assert!(bytes.len().is_multiple_of(8), "len {len}");
-            let back = RrrVec::from_bytes(&bytes).unwrap();
-            assert_eq!(back, rrr, "len {len}");
-            assert_eq!(back.to_bitvec(), dense, "len {len}");
-        }
-    }
-
-    #[test]
-    fn vec_serialization_rejects_corruption() {
-        let dense = BitVec::from_ones(500, (0..500).step_by(9));
-        let bytes = RrrVec::from_bitvec(&dense).to_bytes();
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(RrrVec::from_bytes(&bad).is_err());
-        // Truncations at every prefix length must error, never panic.
-        for cut in 0..bytes.len() {
-            assert!(RrrVec::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-        // Trailing garbage.
-        let mut long = bytes.clone();
-        long.extend_from_slice(&[0u8; 8]);
-        assert!(RrrVec::from_bytes(&long).is_err());
-        // A corrupted offset-stream length desynchronizes the block walk.
-        let mut lied = bytes.clone();
-        lied[12] ^= 0x01;
-        assert!(RrrVec::from_bytes(&lied).is_err());
     }
 
     fn dense_rows(m: usize, buckets: usize, f: impl Fn(usize, usize) -> bool) -> Vec<u64> {

@@ -3,15 +3,16 @@
 //! The paper's workflow serializes indexes to disk after construction and
 //! re-opens them repeatedly (fold-over keeps *several* index versions on
 //! disk; the 170TB build produces a 1.8TB artifact). Re-opening must not
-//! re-copy terabytes: [`WordStore::View`] lets a [`crate::BitVec`] or a BFU
-//! matrix borrow its word payload straight out of a caller-provided
-//! `Arc<[u8]>` — typically a memory-mapped index file — with **zero word
-//! copies**. The serialization formats 8-byte-align their word payloads so
-//! the borrowed bytes can be reinterpreted as `&[u64]` in place.
+//! re-copy terabytes: [`WordStore::View`] lets a BFU matrix (core's
+//! `Rambo::open_view`) borrow its word payload straight out of a
+//! caller-provided `Arc<[u8]>` — typically a memory-mapped index file — with
+//! **zero word copies**. The matrix record 8-byte-aligns its word payload
+//! (see [`write_word_padding`]) so the borrowed bytes can be reinterpreted
+//! as `&[u64]` in place.
 //!
 //! Views are copy-on-write: any mutating operation promotes the storage to
 //! [`WordStore::Owned`] first (one copy, once), so read-mostly workloads pay
-//! nothing and the mutable API keeps working unchanged.
+//! nothing and the matrix's mutable API keeps working unchanged.
 
 use crate::error::DecodeError;
 use std::sync::Arc;
@@ -140,8 +141,8 @@ pub enum WordStore {
     /// Heap-owned words (the default; produced by construction and by the
     /// copying decode paths).
     Owned(Vec<u64>),
-    /// Borrowed words inside an `Arc<[u8]>` (produced by the `open_view`
-    /// load paths). Promoted to [`WordStore::Owned`] on first mutation.
+    /// Borrowed words inside an `Arc<[u8]>` (produced by core's `open_view`
+    /// load path). Promoted to [`WordStore::Owned`] on first mutation.
     View(WordView),
 }
 

@@ -6,7 +6,8 @@
 
 use proptest::prelude::*;
 use rambo_bitvec::kernel::{self, and_into_scalar, ColumnCounter};
-use rambo_bitvec::{BitVec, RankBitVec, RrrVec};
+use rambo_bitvec::{BitVec, RrrVec, WordView};
+use std::sync::Arc;
 
 /// A bit length paired with set-bit positions below it.
 type LenAndOnes = (usize, Vec<usize>);
@@ -58,7 +59,7 @@ proptest! {
     }
 
     #[test]
-    fn or_and_xor_match_model(
+    fn or_and_match_model(
         (len, a_ones) in bits_strategy(1500),
         b_seed in proptest::collection::vec(0usize..1500, 0..128),
     ) {
@@ -71,32 +72,11 @@ proptest! {
         or.or_assign(&b);
         let mut and = a.clone();
         and.and_assign(&b);
-        let mut xor = a.clone();
-        xor.xor_assign(&b);
 
         for i in 0..len {
             prop_assert_eq!(or.get(i), ma[i] | mb[i]);
             prop_assert_eq!(and.get(i), ma[i] & mb[i]);
-            prop_assert_eq!(xor.get(i), ma[i] ^ mb[i]);
         }
-    }
-
-    #[test]
-    fn union_is_superset_intersection_is_subset(
-        (len, a_ones) in bits_strategy(1000),
-        b_seed in proptest::collection::vec(0usize..1000, 0..128),
-    ) {
-        let b_ones: Vec<usize> = b_seed.into_iter().map(|x| x % len).collect();
-        let a = BitVec::from_ones(len, a_ones);
-        let b = BitVec::from_ones(len, b_ones);
-        let mut or = a.clone();
-        or.or_assign(&b);
-        let mut and = a.clone();
-        and.and_assign(&b);
-        prop_assert!(a.is_subset_of(&or));
-        prop_assert!(b.is_subset_of(&or));
-        prop_assert!(and.is_subset_of(&a));
-        prop_assert!(and.is_subset_of(&b));
     }
 
     #[test]
@@ -107,85 +87,6 @@ proptest! {
         prop_assert_eq!(&bv, &rebuilt);
         // Sorted and unique.
         prop_assert!(collected.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn serialization_roundtrip((len, ones) in bits_strategy(4000)) {
-        let bv = BitVec::from_ones(len, ones);
-        let back = BitVec::from_bytes(&bv.to_bytes()).unwrap();
-        prop_assert_eq!(bv, back);
-    }
-
-    /// Zero-copy views decode to the same logical vector as the copying
-    /// path, borrow the input buffer, and answer the word-level kernels
-    /// identically.
-    #[test]
-    fn open_view_equals_from_bytes((len, ones) in bits_strategy(4000)) {
-        let bv = BitVec::from_ones(len, ones);
-        let buf: std::sync::Arc<[u8]> = bv.to_bytes().into();
-        if !(buf.as_ptr() as usize).is_multiple_of(8) {
-            continue; // 32-bit Arc layouts may misalign the payload; the
-                      // loader correctly errors there (see store.rs tests)
-        }
-        let owned = BitVec::from_bytes(&buf).unwrap();
-        let view = BitVec::open_view(buf.clone()).unwrap();
-        prop_assert!(view.is_view());
-        prop_assert_eq!(&view, &owned);
-        prop_assert_eq!(view.count_ones(), owned.count_ones());
-        prop_assert_eq!(view.any(), owned.any());
-        prop_assert_eq!(
-            view.iter_ones().collect::<Vec<_>>(),
-            owned.iter_ones().collect::<Vec<_>>()
-        );
-        if !view.is_empty() {
-            let p = view.words().as_ptr().cast::<u8>();
-            prop_assert!(buf.as_ptr_range().contains(&p), "view must borrow the buffer");
-        }
-    }
-
-    /// Corrupted view buffers (truncation at any depth, shifted/misaligned
-    /// payloads, byte flips) return errors or decode to a consistent
-    /// vector — never panic, never UB.
-    #[test]
-    fn open_view_fuzz_errors_not_ub(
-        (len, ones) in bits_strategy(2000),
-        cut in any::<proptest::sample::Index>(),
-        flip_at in any::<proptest::sample::Index>(),
-        flip_to in any::<u8>(),
-        shift in 1usize..8,
-    ) {
-        let bytes = BitVec::from_ones(len, ones).to_bytes();
-
-        let truncated: std::sync::Arc<[u8]> = bytes[..cut.index(bytes.len())].to_vec().into();
-        prop_assert!(BitVec::open_view(truncated).is_err());
-
-        let mut shifted = vec![0u8; shift];
-        shifted.extend_from_slice(&bytes);
-        prop_assert!(BitVec::open_view(shifted.into()).is_err(), "shifted buffer has bad magic");
-
-        let mut flipped = bytes.clone();
-        let at = flip_at.index(flipped.len());
-        flipped[at] = flip_to;
-        if let Ok(v) = BitVec::open_view(flipped.into()) {
-            let _ = v.count_ones(); // decoded → must be internally consistent
-            let _ = v.iter_ones().count();
-        }
-    }
-
-    #[test]
-    fn rank_select_consistent((len, ones) in bits_strategy(4000)) {
-        let rb = RankBitVec::new(BitVec::from_ones(len, ones));
-        let mut acc = 0usize;
-        for i in 0..len {
-            prop_assert_eq!(rb.rank1(i), acc);
-            if rb.get(i) { acc += 1; }
-        }
-        prop_assert_eq!(rb.rank1(len), acc);
-        for k in 0..rb.count_ones() {
-            let p = rb.select1(k).unwrap();
-            prop_assert!(rb.get(p));
-            prop_assert_eq!(rb.rank1(p), k);
-        }
     }
 
     /// The fused N-row AND must be **bit-identical** to the row-at-a-time
@@ -360,76 +261,46 @@ proptest! {
         prop_assert_eq!(&got, &passing, "at_least {}", threshold);
     }
 
-    /// RRR vectors round-trip through the v2 `RRV2` framing at every fuzzed
-    /// density and length: decode gives back the same logical vector
-    /// (access and rank1 agree with the dense model), and the encoded
-    /// record self-describes its length so trailing bytes survive.
-    #[test]
-    fn rrr_serialization_roundtrip((len, ones) in bits_strategy(4000), tail in any::<u8>()) {
-        let dense = BitVec::from_ones(len, ones);
-        let rrr = RrrVec::from_bitvec(&dense);
-        let bytes = rrr.to_bytes();
-
-        let back = RrrVec::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back.len(), dense.len());
-        prop_assert_eq!(back.count_ones(), dense.count_ones());
-        prop_assert_eq!(back.to_bitvec(), dense.clone());
-        let rank_dense = RankBitVec::new(dense.clone());
-        for i in (0..len).step_by(11) {
-            prop_assert_eq!(back.get(i), dense.get(i));
-            prop_assert_eq!(back.rank1(i), rank_dense.rank1(i));
-        }
-
-        // Framed decode consumes exactly its record and leaves the tail.
-        let mut framed = bytes.clone();
-        framed.extend_from_slice(&[tail, tail]);
-        let mut slice = framed.as_slice();
-        let again = RrrVec::decode_from(&mut slice).unwrap();
-        prop_assert_eq!(slice.len(), 2, "decode must consume exactly one record");
-        prop_assert_eq!(again.to_bitvec(), dense);
-    }
-
-    /// Corrupted or truncated `RRV2` records must return an error or decode
-    /// to an internally consistent vector — never panic, never UB. Mirrors
-    /// `open_view_fuzz_errors_not_ub` for the compressed framing.
-    #[test]
-    fn rrr_decode_fuzz_errors_not_panics(
-        (len, ones) in bits_strategy(2000),
-        cut in any::<proptest::sample::Index>(),
-        flip_at in any::<proptest::sample::Index>(),
-        flip_to in any::<u8>(),
-    ) {
-        let bytes = RrrVec::from_bitvec(&BitVec::from_ones(len, ones)).to_bytes();
-
-        // Truncation at every depth is an error, not a panic.
-        prop_assert!(RrrVec::from_bytes(&bytes[..cut.index(bytes.len())]).is_err());
-
-        // A flipped byte either errors out or yields a vector whose reads
-        // stay in bounds (class/offset tables may still be coherent).
-        let mut flipped = bytes.clone();
-        let at = flip_at.index(flipped.len());
-        flipped[at] = flip_to;
-        if let Ok(v) = RrrVec::from_bytes(&flipped) {
-            let n = v.len();
-            let _ = v.count_ones();
-            let _ = v.rank1(n);
-            if n > 0 {
-                let _ = v.get(n - 1);
-            }
-        }
-    }
-
     #[test]
     fn rrr_equals_dense((len, ones) in bits_strategy(4000)) {
         let dense = BitVec::from_ones(len, ones);
         let rrr = RrrVec::from_bitvec(&dense);
         prop_assert_eq!(rrr.len(), dense.len());
         prop_assert_eq!(rrr.count_ones(), dense.count_ones());
-        prop_assert_eq!(rrr.to_bitvec(), dense.clone());
-        let rank_dense = RankBitVec::new(dense.clone());
-        for i in (0..len).step_by(7) {
-            prop_assert_eq!(rrr.get(i), dense.get(i));
-            prop_assert_eq!(rrr.rank1(i), rank_dense.rank1(i));
+        let mut rank = 0usize;
+        for i in 0..len {
+            if i % 7 == 0 {
+                prop_assert_eq!(rrr.get(i), dense.get(i), "get({})", i);
+                prop_assert_eq!(rrr.rank1(i), rank, "rank1({})", i);
+            }
+            rank += usize::from(dense.get(i));
+        }
+        prop_assert_eq!(rrr.rank1(len), rank);
+    }
+
+    /// `WordView::new` — the gate in front of the crate's one `unsafe`
+    /// cast — must refuse exactly the windows that overrun the buffer or
+    /// start off an 8-byte boundary in memory (and every window on a
+    /// big-endian target); every window it accepts must read back as the
+    /// little-endian decode of its bytes.
+    #[test]
+    fn word_view_accepts_exactly_aligned_in_bounds_windows(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        start in 0usize..300,
+        words in 0usize..40,
+    ) {
+        let buf: Arc<[u8]> = bytes.into();
+        let end = start + words * 8;
+        let aligned = (buf.as_ptr() as usize + start).is_multiple_of(8);
+        let little_endian = 1u64.to_le() == 1;
+        let view = WordView::new(buf.clone(), start, words);
+        prop_assert_eq!(view.is_ok(), end <= buf.len() && aligned && little_endian);
+        if let Ok(view) = view {
+            let expect: Vec<u64> = buf[start..end]
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
+                .collect();
+            prop_assert_eq!(view.as_words(), &expect[..]);
         }
     }
 }
