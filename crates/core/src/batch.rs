@@ -8,8 +8,7 @@
 //! * **Ingestion** ([`Rambo::insert_document_batch`]): one document through
 //!   the write path of [`crate::pipeline`] on the calling thread —
 //!   [`crate::HashPlan::hash_document`] (dedupe once, hash each unique term
-//!   once per repetition, sort a repetition's rows when the table has
-//!   outgrown the cache), then [`Rambo::apply_hashed`]. The produced index is
+//!   once per repetition), then [`Rambo::apply_hashed`]. The produced index is
 //!   **bit-identical** to term-at-a-time insertion (bit-setting is idempotent
 //!   and commutative per table), which the property suite asserts via full
 //!   `PartialEq`.
@@ -165,25 +164,6 @@ mod tests {
         }
         assert_eq!(serial, batch);
         assert_eq!(serial.total_inserts(), batch.total_inserts());
-    }
-
-    /// Row blocks are only sorted for tables past the cache-size threshold
-    /// in production; force it here so the large-table branch is covered by
-    /// the bit-identity guarantee too.
-    #[test]
-    fn row_sorted_write_path_is_bit_identical() {
-        let docs = archive(12, 120);
-        let serial = term_at_a_time(params(21), &docs);
-        let mut staged = Rambo::new(params(21)).unwrap();
-        let mut plan = staged.hash_plan();
-        plan.sort_rows = true;
-        for (name, terms) in &docs {
-            staged
-                .apply_hashed(&plan.hash_document(name, terms))
-                .unwrap();
-        }
-        assert_eq!(serial, staged, "staged row-sorted writes must be lossless");
-        assert_eq!(serial.total_inserts(), staged.total_inserts());
     }
 
     #[test]

@@ -26,7 +26,10 @@
 //! * **fold-over** ORs the right half of every row onto the left half
 //!   (columns `b` and `b + B/2` merge — Figure 3);
 //! * **stacking** copies each node's rows into a column window of the global
-//!   matrix (`global bucket = node·b + local`).
+//!   matrix (`global bucket = node·b + local`);
+//! * **landing** ORs BFUs written as standalone columns (the ingestion
+//!   pipeline's staging) into the rows, one 64×64 bit transpose per 64 rows
+//!   and 64 buckets ([`RowSlice::or_columns`]).
 
 use crate::error::RamboError;
 use bytes::{Buf, BufMut};
@@ -265,10 +268,8 @@ impl BfuMatrix {
         }
     }
 
-    /// Set one bucket's bit in every listed filter row. For tables past the
-    /// cache the hash stage hands the rows over sorted, so this walks the
-    /// row-major storage monotonically — sequential cache lines instead of
-    /// the term-order hopping of repeated [`BfuMatrix::insert`] calls.
+    /// Set one bucket's bit in every listed filter row: the single-document
+    /// write, one scattered word per row.
     #[inline]
     pub(crate) fn set_rows(&mut self, bucket: usize, rows: &[usize]) {
         debug_assert!(bucket < self.buckets);
@@ -281,6 +282,24 @@ impl BfuMatrix {
             debug_assert!(p < m_bits);
             words[p * row_words + word] |= bit;
         }
+    }
+
+    /// Split the payload into `parts` slices of whole 64-row blocks (the
+    /// last may be shorter or, for tiny matrices, some may be missing), so
+    /// that threads can OR staged columns into disjoint rows. Materializes
+    /// owned dense storage first.
+    pub(crate) fn row_slices(&mut self, parts: usize) -> impl Iterator<Item = RowSlice<'_>> {
+        let blocks = self.m_bits.div_ceil(64).div_ceil(parts.max(1));
+        let (row_words, buckets) = (self.row_words, self.buckets);
+        self.words_mut()
+            .chunks_mut(blocks * 64 * row_words)
+            .enumerate()
+            .map(move |(i, words)| RowSlice {
+                first_row: i * blocks * 64,
+                row_words,
+                buckets,
+                words,
+            })
     }
 
     /// AND the planned filter rows into `dst` (`row_words` words): afterwards
@@ -763,6 +782,75 @@ impl BfuMatrix {
     }
 }
 
+/// A run of whole 64-row blocks of one dense matrix, from
+/// [`BfuMatrix::row_slices`].
+pub(crate) struct RowSlice<'a> {
+    first_row: usize,
+    row_words: usize,
+    buckets: usize,
+    words: &'a mut [u64],
+}
+
+impl RowSlice<'_> {
+    /// OR bucket-major columns into these rows: `columns[b]`, when present,
+    /// is BFU `b` as `⌈m/64⌉` words, bit `p % 64` of word `p / 64` standing
+    /// for filter position `p`. For each group of 64 buckets (one word of a
+    /// row), every 64-row block gathers its word from the group's present
+    /// columns, transposes the tile, and ORs the 64 results into the
+    /// block's row words — so the matrix is walked sequentially.
+    pub(crate) fn or_columns(&mut self, columns: &[Option<Box<[u64]>>]) {
+        debug_assert_eq!(columns.len(), self.buckets);
+        let rw = self.row_words;
+        let first_block = self.first_row / 64;
+        for (w, group) in columns.chunks(64).enumerate() {
+            let present: Vec<(usize, &[u64])> = group
+                .iter()
+                .enumerate()
+                .filter_map(|(j, c)| Some((j, &c.as_ref()?[first_block..])))
+                .collect();
+            if present.is_empty() {
+                continue;
+            }
+            for (block, rows) in self.words.chunks_mut(64 * rw).enumerate() {
+                let mut tile = [0u64; 64];
+                let mut any = 0;
+                for &(j, column) in &present {
+                    tile[j] = column[block];
+                    any |= column[block];
+                }
+                if any == 0 {
+                    continue;
+                }
+                transpose64(&mut tile);
+                for (row, &bits) in rows.chunks_exact_mut(rw).zip(&tile) {
+                    row[w] |= bits;
+                }
+            }
+        }
+    }
+}
+
+/// Transpose a 64×64 bit tile in place: afterwards bit `j` of `tile[i]` is
+/// what bit `i` of `tile[j]` was. Six rounds swap ever smaller off-diagonal
+/// sub-blocks (32, 16, … 1 bits), each a masked shift-xor over word pairs
+/// `width` apart.
+pub(crate) fn transpose64(tile: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while width != 0 {
+        for pair in tile.chunks_exact_mut(2 * width) {
+            let (lo, hi) = pair.split_at_mut(width);
+            for (a, b) in lo.iter_mut().zip(hi) {
+                let t = ((*a >> width) ^ *b) & mask;
+                *a ^= t << width;
+                *b ^= t;
+            }
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
+}
+
 /// Zero bits at positions `>= len` in the final word of a row.
 fn mask_tail(row: &mut [u64], len: usize) {
     let tail = len % 64;
@@ -1104,6 +1192,67 @@ mod tests {
             );
             // The copying path has no alignment requirement.
             assert!(BfuMatrix::decode_from(&mut &arc[1..]).is_ok());
+        }
+    }
+
+    fn words(seed: u64, n: usize) -> Vec<u64> {
+        let mut rng = rambo_hash::SplitMix64::new(seed);
+        (0..n).map(|_| rng.next_u64()).collect()
+    }
+
+    #[test]
+    fn transpose64_matches_per_bit_reference() {
+        let sparse: Vec<u64> = words(2, 64).iter().map(|w| w & (w >> 7)).collect();
+        let diagonal: Vec<u64> = (0..64).map(|i| 1u64 << i).collect();
+        let fixtures = [words(1, 64), sparse, diagonal, vec![u64::MAX; 64]];
+        for input in fixtures {
+            let mut tile: [u64; 64] = input.clone().try_into().unwrap();
+            transpose64(&mut tile);
+            for (i, out) in tile.iter().enumerate() {
+                for (j, word) in input.iter().enumerate() {
+                    assert_eq!((out >> j) & 1, (word >> i) & 1, "out[{i}] bit {j}");
+                }
+            }
+        }
+    }
+
+    /// ORing bucket-major columns through the transpose sets exactly the
+    /// bits that `set_rows` sets from the same columns' positions, on a
+    /// non-empty matrix, for one-word, multi-word and partial-word rows,
+    /// ragged last row blocks, absent columns, and any slicing.
+    #[test]
+    fn or_columns_equals_set_rows() {
+        for (m_bits, buckets) in [(64, 8), (100, 64), (2000, 100), (4096, 130), (333, 3)] {
+            let mut base = BfuMatrix::new(m_bits, buckets);
+            for b in 0..buckets {
+                base.insert(b, pair(b as u64), 2);
+            }
+            let column_words = m_bits.div_ceil(64);
+            let columns: Vec<Option<Box<[u64]>>> = (0..buckets)
+                .map(|b| {
+                    (b % 3 != 1).then(|| {
+                        let mut c = words((m_bits * 1000 + b) as u64, column_words);
+                        mask_tail(&mut c, m_bits);
+                        c.into_boxed_slice()
+                    })
+                })
+                .collect();
+            let mut expect = base.clone();
+            for (b, column) in columns.iter().enumerate() {
+                if let Some(c) = column {
+                    let rows: Vec<usize> = (0..m_bits)
+                        .filter(|&p| (c[p / 64] >> (p % 64)) & 1 == 1)
+                        .collect();
+                    expect.set_rows(b, &rows);
+                }
+            }
+            for parts in [1, 2, 3, 7] {
+                let mut got = base.clone();
+                for mut slice in got.row_slices(parts) {
+                    slice.or_columns(&columns);
+                }
+                assert_eq!(got, expect, "m={m_bits} B={buckets} parts={parts}");
+            }
         }
     }
 

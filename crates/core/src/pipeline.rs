@@ -1,29 +1,37 @@
 //! The write path, and the worker pool that runs it for a document stream
 //! (the paper's §5.3 construction story, inside one node).
 //!
-//! Every document's bits land through one per-repetition primitive: hash
-//! the document's unique terms under repetition `r`'s Bloom seed into
-//! matrix rows (rows-for-`r`, on a [`HashPlan`]), then set those rows in
-//! the document's bucket of table `r`. Bit-setting is idempotent and
-//! commutative, so any order and any split of that work is
-//! **bit-identical** to term-at-a-time Algorithm 1 (pinned by the property
-//! suites via full `PartialEq`). Two drivers run it:
+//! Every document's bits come from one hashing step: each unique term's
+//! `η` filter positions under repetition `r`'s Bloom seed (rows-for-`r`, on
+//! a [`HashPlan`]), set in the document's bucket of table `r`. Bit-setting
+//! is idempotent and commutative, so any order and any split of that work
+//! is **bit-identical** to term-at-a-time Algorithm 1 (pinned by the
+//! property suites via full `PartialEq`). Two drivers run it, and they
+//! differ in where the bits go first:
 //!
-//! * **One document.** [`HashPlan::hash_document`] dedupes once and runs
-//!   rows-for-`r` for every repetition into a [`HashedDoc`], touching
-//!   nothing but the Bloom seeds; [`Rambo::apply_hashed`] registers the
-//!   name and sets each repetition's block. [`Rambo::insert_document_batch`]
-//!   runs the two back to back on the calling thread.
-//! * **A stream.** [`IngestPipeline::ingest`] keeps only the serial part on
-//!   the calling thread: it parses, extracts, dedupes and registers each
-//!   document in stream order, then enqueues one job per repetition on a
-//!   bounded queue. A pool of `available_parallelism` workers runs the jobs:
-//!   rows-for-`r` into a reused buffer, then the row writes under table
-//!   `r`'s lock. Repetitions are the paper's independent unit (§4.2), so
-//!   two workers want the same table only by accident. Stall time on both
-//!   sides of the queue is counted in the [`PipelineReport`]: a full queue
-//!   means the workers are the bottleneck, an empty one means the caller
-//!   is.
+//! * **One document, position-major.** [`HashPlan::hash_document`] dedupes
+//!   once and collects rows-for-`r` for every repetition into a
+//!   [`HashedDoc`], touching nothing but the Bloom seeds;
+//!   [`Rambo::apply_hashed`] registers the name and sets each repetition's
+//!   rows straight in the matrix. [`Rambo::insert_document_batch`] (and so
+//!   every tenant insert, which must answer between inserts) runs the two
+//!   back to back on the calling thread.
+//! * **A stream, bucket-major.** [`IngestPipeline::ingest`] keeps only the
+//!   serial part on the calling thread: it parses, extracts, dedupes and
+//!   registers each document in stream order, then enqueues one job per
+//!   repetition on a bounded queue. A pool of `available_parallelism`
+//!   workers runs the jobs. For the length of the call every table stages
+//!   one lazily allocated `m`-bit column per bucket; a job locks only its
+//!   document's column `(r, bucket)` and sets the positions there as it
+//!   hashes them — a column is a few hundred KB, so the writes stay in
+//!   cache where the matrix's `m × B` rows would not. When the stream ends
+//!   (or stops on an error) one pass lands the staging: 64 columns' words
+//!   at a time are transposed and ORed into 64 row words, every table split
+//!   into row slices shared evenly by the pool's threads. Staging costs at
+//!   most one extra copy of the matrices while the call runs. Stall time
+//!   on both sides of the queue is counted in the [`PipelineReport`]: a
+//!   full queue means the workers are the bottleneck, an empty one means
+//!   the caller is.
 
 use crate::batch::default_threads;
 use crate::error::RamboError;
@@ -36,16 +44,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Per-table matrix size above which a repetition's row block is sorted
-/// before it is written: once a table outgrows the last-level cache, random
-/// row writes are DRAM-latency-bound and a sorted sweep (sequential,
-/// prefetchable) wins. Below it the matrix is cache-resident and the
-/// O(n log n) sort costs more than it saves.
-const ROW_SORT_MIN_BYTES: usize = 24 << 20;
-
-/// Registered-but-unwritten documents the pool's queue holds, as `R` jobs
+/// Registered-but-unstaged documents the pool's queue holds, as `R` jobs
 /// each. A few absorb the stage-time variance between documents; each
-/// holds its unique terms (8 bytes apiece) until its last job is written.
+/// holds its unique terms (8 bytes apiece) until its last job is staged.
 const QUEUE_DEPTH: usize = 4;
 
 /// Dedupe a term batch in place, once for all repetitions: Bloom insertion
@@ -112,10 +113,6 @@ pub struct HashPlan {
     /// Filter size, with its reciprocal: a 50 kb genome takes ~300 000
     /// positions modulo this one value.
     m: Modulus,
-    /// Sort each repetition's row block? True for tables of at least
-    /// [`ROW_SORT_MIN_BYTES`]; crate-visible so tests can force the branch
-    /// on a small index.
-    pub(crate) sort_rows: bool,
 }
 
 impl Rambo {
@@ -123,13 +120,11 @@ impl Rambo {
     /// run [`HashPlan::hash_document`] without touching the index.
     #[must_use]
     pub fn hash_plan(&self) -> HashPlan {
-        let table_bytes = self.tables[0].matrix.size_bytes();
         HashPlan {
             seed_tag: seed_tag(&self.bloom_seeds),
             seeds: self.bloom_seeds.clone(),
             eta: self.params().eta,
             m: Modulus::new(self.params().bfu_bits as u64),
-            sort_rows: table_bytes >= ROW_SORT_MIN_BYTES,
         }
     }
 
@@ -203,23 +198,34 @@ impl HashPlan {
         }
     }
 
-    /// Rows-for-`rep`, the one hashing step of every write: append the `η`
-    /// matrix rows of each unique term under repetition `rep`'s Bloom seed,
-    /// and sort the appended block when the table is large enough that the
-    /// write's monotone sweep pays for it.
-    fn push_rows(&self, rep: usize, unique: &[u64], rows: &mut Vec<usize>) {
-        let start = rows.len();
+    /// Rows-for-`rep`, the one hashing step of every write: each unique
+    /// term's `η` filter positions under repetition `rep`'s Bloom seed,
+    /// handed to `f` in term order.
+    #[inline]
+    fn positions(&self, rep: usize, unique: &[u64], mut f: impl FnMut(usize)) {
         let seed = self.seeds[rep];
-        rows.reserve(unique.len() * self.eta as usize);
         for &t in unique {
             let pair = HashPair::of_u64(t, seed);
             for i in 0..self.eta {
-                rows.push(pair.index_in(i, &self.m) as usize);
+                f(pair.index_in(i, &self.m) as usize);
             }
         }
-        if self.sort_rows {
-            rows[start..].sort_unstable();
-        }
+    }
+
+    /// Append rows-for-`rep` to `rows`, for a position-major write.
+    fn push_rows(&self, rep: usize, unique: &[u64], rows: &mut Vec<usize>) {
+        rows.reserve(unique.len() * self.eta as usize);
+        self.positions(rep, unique, |p| rows.push(p));
+    }
+
+    /// Set rows-for-`rep` in one bucket-major column as they are hashed.
+    fn set_column(&self, rep: usize, unique: &[u64], column: &mut [u64]) {
+        self.positions(rep, unique, |p| column[p / 64] |= 1 << (p % 64));
+    }
+
+    /// An all-zero column: one bit per filter position.
+    fn empty_column(&self) -> Box<[u64]> {
+        vec![0; self.m.get().div_ceil(64) as usize].into_boxed_slice()
     }
 }
 
@@ -233,8 +239,7 @@ pub struct HashedDoc {
     term_count: u64,
     /// Rows per repetition block (`unique_terms × η`).
     per_rep: usize,
-    /// `R · per_rep` rows, repetition-major (blocks sorted ascending when
-    /// the plan's table size warrants the monotone sweep).
+    /// `R · per_rep` rows, repetition-major.
     rows: Vec<usize>,
     /// Filter geometry and seed fingerprint the rows were derived for —
     /// checked by [`Rambo::apply_hashed`] so a plan from one index cannot
@@ -279,7 +284,7 @@ pub struct PipelineReport {
     /// workers.
     pub writer_stall_ns: u64,
     /// High-water mark of documents registered but not yet completely
-    /// written. At most the queue's four documents plus one whose jobs
+    /// staged. At most the queue's four documents plus one whose jobs
     /// straddle its ends, plus one per worker still writing a document
     /// whose jobs have all left the queue.
     pub max_queue_depth: u64,
@@ -319,7 +324,7 @@ impl Counters {
 
 /// A registered document's unique terms, shared by its `R` jobs. It counts
 /// toward the report's queue depth from registration until its last job
-/// is written and the last `Arc` drops.
+/// is staged and the last `Arc` drops.
 struct InFlight<'c> {
     terms: Vec<u64>,
     counters: &'c Counters,
@@ -340,7 +345,7 @@ impl Drop for InFlight<'_> {
 }
 
 /// One repetition's share of one document: rows-for-`rep` of its terms,
-/// set in `bucket`.
+/// set in the staged column `(rep, bucket)`.
 struct Job<'c> {
     doc: Arc<InFlight<'c>>,
     rep: usize,
@@ -448,34 +453,74 @@ impl Drop for CloseOnDrop<'_, '_> {
     }
 }
 
+/// One staged BFU column of one table, allocated by the first job that
+/// writes it.
+type Column = Mutex<Option<Box<[u64]>>>;
+
 /// A worker: run jobs until the queue is closed and drained.
-fn work(queue: &JobQueue<'_>, plan: &HashPlan, tables: &[Mutex<&mut BfuMatrix>], c: &Counters) {
+fn work(queue: &JobQueue<'_>, plan: &HashPlan, staged: &[Vec<Column>], c: &Counters) {
     let _close = CloseOnDrop(queue);
-    let mut rows = Vec::new();
     while let Some(job) = queue.pop(c) {
-        rows.clear();
-        plan.push_rows(job.rep, &job.doc.terms, &mut rows);
-        tables[job.rep]
+        let mut column = staged[job.rep][job.bucket]
             .lock()
-            .expect("another worker panicked while writing this table")
-            .set_rows(job.bucket, &rows);
+            .expect("another worker panicked while writing this column");
+        let column = column.get_or_insert_with(|| plan.empty_column());
+        plan.set_column(job.rep, &job.doc.terms, column);
     }
 }
 
-/// The pool behind [`IngestPipeline::ingest`], with the plan and the
-/// worker count as parameters so tests can force the row sort and sweep
-/// the pool size.
+/// OR every table's staged columns into its matrix. Each table with a
+/// staged column is split into `threads` row slices, and scoped thread `t`
+/// takes slice `t` of every table, so the threads share all `R` tables
+/// evenly.
+fn land(matrices: Vec<&mut BfuMatrix>, staged: Vec<Vec<Column>>, threads: usize) {
+    let columns: Vec<Vec<Option<Box<[u64]>>>> = staged
+        .into_iter()
+        .map(|table| {
+            table
+                .into_iter()
+                .map(|c| {
+                    c.into_inner()
+                        .expect("a worker's panic is re-raised before the staging lands")
+                })
+                .collect()
+        })
+        .collect();
+    let mut shares: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
+    for (matrix, columns) in matrices.into_iter().zip(&columns) {
+        if columns.iter().any(Option::is_some) {
+            for (share, slice) in shares.iter_mut().zip(matrix.row_slices(threads)) {
+                share.push((slice, columns.as_slice()));
+            }
+        }
+    }
+    std::thread::scope(|scope| {
+        for share in shares.into_iter().filter(|s| !s.is_empty()) {
+            scope.spawn(move || {
+                for (mut slice, columns) in share {
+                    slice.or_columns(columns);
+                }
+            });
+        }
+    });
+}
+
+/// The pool behind [`IngestPipeline::ingest`], with the worker count as a
+/// parameter so tests can sweep the pool size.
 fn run_pool(
     index: &mut Rambo,
-    plan: &HashPlan,
     workers: usize,
     docs: impl IntoIterator<Item = (String, Vec<u64>)>,
 ) -> Result<PipelineReport, RamboError> {
+    let plan = &index.hash_plan();
     let counters = Counters::default();
     let (mut registry, matrices) = index.split_registry();
-    let tables: Vec<Mutex<&mut BfuMatrix>> = matrices.into_iter().map(Mutex::new).collect();
-    let queue = JobQueue::new(QUEUE_DEPTH * tables.len());
-    std::thread::scope(|scope| -> Result<(), RamboError> {
+    let staged: Vec<Vec<Column>> = matrices
+        .iter()
+        .map(|m| (0..m.buckets()).map(|_| Mutex::new(None)).collect())
+        .collect();
+    let queue = JobQueue::new(QUEUE_DEPTH * staged.len());
+    let streamed = std::thread::scope(|scope| -> Result<(), RamboError> {
         let _close = CloseOnDrop(&queue);
         let mut seen = Vec::new();
         let mut started = false;
@@ -488,7 +533,7 @@ fn run_pool(
                 .fetch_add(terms.len() as u64, Ordering::Relaxed);
             dedupe_terms(&mut terms, &mut seen);
             let doc = InFlight::new(terms, &counters);
-            for rep in 0..tables.len() {
+            for rep in 0..staged.len() {
                 let bucket = registry.bucket_of(rep, id);
                 let job = Job {
                     doc: Arc::clone(&doc),
@@ -506,18 +551,23 @@ fn run_pool(
                 // workers do not idle through its parse.
                 started = true;
                 for _ in 0..workers {
-                    scope.spawn(|| work(&queue, plan, &tables, &counters));
+                    scope.spawn(|| work(&queue, plan, &staged, &counters));
                 }
             }
         }
         Ok(())
-    })?;
+    });
+    // Every document registered before an error is staged by now; land it
+    // before the error goes back, so the index holds what it registered.
+    land(matrices, staged, workers);
+    streamed?;
     Ok(counters.report())
 }
 
 /// The ingestion pool: the calling thread parses, dedupes and registers,
-/// a pool of `available_parallelism` workers hashes and writes one repetition
-/// of one document per job. Carries no configuration.
+/// a pool of `available_parallelism` workers hashes one repetition of one
+/// document per job into that document's staged column, and the staging
+/// lands in the matrices when the stream ends. Carries no configuration.
 #[derive(Debug, Clone, Default)]
 pub struct IngestPipeline;
 
@@ -530,7 +580,7 @@ impl IngestPipeline {
 
     /// Ingest a document stream into an existing index. Bit-identical to
     /// calling [`Rambo::insert_document_batch`] per document in stream
-    /// order, with the hashing and row writes on the worker pool.
+    /// order, with the hashing and column writes on the worker pool.
     ///
     /// # Errors
     /// The first index error (a duplicate name, …) stops the stream before
@@ -544,8 +594,7 @@ impl IngestPipeline {
         index: &mut Rambo,
         docs: impl IntoIterator<Item = (String, Vec<u64>)>,
     ) -> Result<PipelineReport, RamboError> {
-        let plan = index.hash_plan();
-        run_pool(index, &plan, default_threads(), docs)
+        run_pool(index, default_threads(), docs)
     }
 
     /// Build a fresh index by pipelining a document stream.
@@ -645,15 +694,19 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The pool is Algorithm 1: for any repetition count, pool size and
-        /// row order, with duplicate terms and empty documents, a pooled
+        /// geometry, with duplicate terms and empty documents, a pooled
         /// build equals the term-at-a-time reference structurally and in
-        /// its insert count, and the report counts what went in.
+        /// its insert count, and the report counts what went in. The
+        /// bucket counts give one-word, multi-word and partial-last-word
+        /// rows to the transpose-OR; an `m` off a multiple of 64 gives it a
+        /// ragged last 64-row block.
         #[test]
         fn pipeline_pool_equals_algorithm_1(
             term_lists in proptest::collection::vec(proptest::collection::vec(0u64..64, 0..50), 0..12),
             r in proptest::sample::select(vec![1usize, 2, 3, 5]),
             workers in proptest::sample::select(vec![1usize, 2, 3, 8]),
-            sort_rows in any::<bool>(),
+            b in proptest::sample::select(vec![8u64, 64, 100, 130]),
+            m in proptest::sample::select(vec![1usize << 11, 2000]),
             seed in any::<u64>(),
         ) {
             let docs: Vec<(String, Vec<u64>)> = term_lists
@@ -661,13 +714,11 @@ mod tests {
                 .enumerate()
                 .map(|(d, terms)| (format!("doc-{d}"), terms))
                 .collect();
-            let p = RamboParams::flat(8, r, 1 << 11, 2, seed);
+            let p = RamboParams::flat(b, r, m, 2, seed);
             let reference = sequential(p, &docs);
             let mut pooled = Rambo::new(p).unwrap();
-            let mut plan = pooled.hash_plan();
-            plan.sort_rows = sort_rows;
-            let report = run_pool(&mut pooled, &plan, workers, docs.iter().cloned()).unwrap();
-            prop_assert_eq!(&reference, &pooled, "R={} workers={} sorted={}", r, workers, sort_rows);
+            let report = run_pool(&mut pooled, workers, docs.iter().cloned()).unwrap();
+            prop_assert_eq!(&reference, &pooled, "R={} workers={} B={} m={}", r, workers, b, m);
             prop_assert_eq!(reference.total_inserts(), pooled.total_inserts());
             prop_assert_eq!(report.docs as usize, docs.len());
             prop_assert_eq!(report.terms, reference.total_inserts());
@@ -727,8 +778,7 @@ mod tests {
         docs[8].0 = "doc-2".to_string();
         for workers in [1, 2, 8] {
             let mut idx = Rambo::new(params(9)).unwrap();
-            let plan = idx.hash_plan();
-            let err = run_pool(&mut idx, &plan, workers, docs.iter().cloned());
+            let err = run_pool(&mut idx, workers, docs.iter().cloned());
             assert!(matches!(err, Err(RamboError::DuplicateDocument(ref n)) if n == "doc-2"));
             assert_eq!(idx.num_documents(), 8, "workers={workers}");
             for (d, (name, terms)) in docs[..8].iter().enumerate() {
@@ -830,8 +880,7 @@ mod tests {
             .map(|d| (format!("doc-{d}"), (0..4000).map(|t| d << 32 | t).collect()))
             .collect();
         let mut idx = Rambo::new(p).unwrap();
-        let plan = idx.hash_plan();
-        let report = run_pool(&mut idx, &plan, 1, docs.clone()).unwrap();
+        let report = run_pool(&mut idx, 1, docs.clone()).unwrap();
         assert_eq!(idx, sequential(p, &docs));
         assert!(report.producer_stalls >= 1, "{report:?}");
         assert_eq!(
