@@ -166,12 +166,6 @@ impl SplitSbt {
         }
     }
 
-    /// Whether nodes are RRR-compressed.
-    #[must_use]
-    pub fn is_compressed(&self) -> bool {
-        self.compressed
-    }
-
     /// Query with traversal accounting: `(hits, nodes_visited)`.
     #[must_use]
     pub fn query_term_stats(&self, term: u64) -> (Vec<u32>, usize) {
@@ -312,7 +306,6 @@ mod tests {
         for t in ds.iter().flat_map(|(_, t)| t[..2].to_vec()) {
             assert_eq!(dense.query_term(t), rrr.query_term(t));
         }
-        assert!(rrr.is_compressed() && !dense.is_compressed());
         assert_eq!(dense.label(), "SSBT");
         assert_eq!(rrr.label(), "HowDeSBT~");
     }

@@ -1,29 +1,22 @@
-//! Storage-tier benchmark: compressed cold tiers, paged catalog opens, and
-//! the block cache's cold-vs-hot serving gap.
+//! Storage-tier benchmark: paged catalog opens and the block cache's
+//! cold-vs-hot serving gap.
 //!
-//! Two experiments, one report (`BENCH_storage.json`):
-//!
-//! 1. **Compression** — build the same index into two two-tier catalogs,
-//!    all-dense vs RRR-compressed tier 0 (the paper's Table 3 trade: RAMBO
-//!    forgoes the RRR compression HowDeSBT/SSBT use; here cold tiers get
-//!    it back). Reports bits/doc per tier, the headline
-//!    `dense_over_rrr_bits_per_doc` ratio, and the query cost of serving
-//!    compressed — after asserting both tiers answer **identically**.
-//! 2. **Paged serving** — write a ≥100MB all-dense catalog to disk, open it
-//!    with `Catalog::builder().file(..)` (metadata only; payload blocks fault
-//!    through the byte-budgeted block cache) and measure: open time vs a
-//!    4×-smaller file (`paged_open_payload_independence` ≈ 4 when the open
-//!    is O(metadata)), open time vs a full read+parse
-//!    (`cold_open_speedup_vs_full`), per-query p50 cold (faulting) vs hot
-//!    (cache-resident), and the block-cache hit ratios behind both.
+//! Write a ≥100MB catalog to disk, open it with
+//! `Catalog::builder().file(..)` (metadata only; payload blocks fault
+//! through the byte-budgeted block cache) and measure: open time vs a
+//! 4×-smaller file (`paged_open_payload_independence` ≈ 4 when the open is
+//! O(metadata)), open time vs a full read+parse
+//! (`cold_open_speedup_vs_full`), per-query p50 cold (faulting) vs hot
+//! (cache-resident), and the block-cache hit ratios behind both. The report
+//! is `BENCH_storage.json`.
 //!
 //! ```text
 //! cargo run --release -p rambo-bench --bin storage_cold -- \
-//!     --docs 400 --terms 2000 --buckets 1024 --paged-m-bits 20
+//!     --buckets 512 --paged-m-bits 20
 //! ```
 
-use rambo_bench::{archive_with_mean_terms, us_per, window_queries, Args, JsonReport};
-use rambo_core::{RamboParams, TierCompression};
+use rambo_bench::{archive_with_mean_terms, window_queries, Args, JsonReport};
+use rambo_core::RamboParams;
 use rambo_server::Catalog;
 use rambo_workloads::timing::time;
 use std::time::{Duration, Instant};
@@ -56,9 +49,7 @@ fn per_query_times(catalog: &Catalog, tier: usize, queries: &[Vec<u64>]) -> (Vec
 
 fn main() {
     let args = Args::parse();
-    let docs = args.get_usize("docs", 400);
-    let terms = args.get_usize("terms", 2000);
-    let buckets = args.get_u64("buckets", 1024);
+    let buckets = args.get_u64("buckets", 512);
     let paged_docs = args.get_usize("paged-docs", 64);
     let paged_terms = args.get_usize("paged-terms", 500);
     let paged_m_bits = args.get_usize("paged-m-bits", 20);
@@ -68,8 +59,6 @@ fn main() {
     rambo_bench::require_nonzero(
         "storage_cold",
         &[
-            ("--docs", docs),
-            ("--terms", terms),
             ("--buckets", buckets as usize),
             ("--paged-docs", paged_docs),
             ("--paged-terms", paged_terms),
@@ -81,8 +70,6 @@ fn main() {
 
     let mut report = JsonReport::new("storage_cold");
     report
-        .int("docs", docs as u64)
-        .int("terms", terms as u64)
         .int("buckets", buckets)
         .int("paged_docs", paged_docs as u64)
         .int("paged_terms", paged_terms as u64)
@@ -90,111 +77,17 @@ fn main() {
         .int("cache_mb", cache_mb as u64)
         .int("seed", seed);
 
-    // ---- 1. Compressed cold tier vs dense ---------------------------------
-    // Size m for a sparse tier-0 (fill ≈ 2.5%): RRR wins on sparse rows, and
-    // the unfolded tier is exactly where the catalog is sparse — folding ORs
-    // columns together and raises fill, which is why the folded tier below
-    // stays dense.
-    let eta = 2u32;
-    let keys_per_bucket = (docs as f64 / buckets as f64) * terms as f64;
-    let m = ((f64::from(eta) * keys_per_bucket / 0.025) as usize)
-        .next_power_of_two()
-        .max(1 << 10);
-    let params = RamboParams::flat(buckets, 2, m, eta, seed);
-    let archive = archive_with_mean_terms(docs, terms, seed);
-    let base = rambo_bench::build_rambo(params, &archive.docs);
-    let tier_plan_dense = [buckets, buckets / 4];
-    eprintln!(
-        "compression: K={docs} terms={terms} B={buckets} m={m} tiers={tier_plan_dense:?} \
-         fill={:.4}",
-        base.fill_stats().0
-    );
-
-    let dense_cat = Catalog::builder()
-        .base(&base)
-        .tier_buckets(&tier_plan_dense)
-        .build()
-        .expect("dense catalog");
-    let rrr_cat = Catalog::builder()
-        .base(&base)
-        .tiers(&[
-            (buckets, TierCompression::Rrr),
-            (buckets / 4, TierCompression::Dense),
-        ])
-        .build()
-        .expect("mixed catalog");
-
-    // Bits/doc per tier (the paper's Table 3 unit), from the encoded sizes.
-    let bits_per_doc = |encoded_len: usize| encoded_len as f64 * 8.0 / docs as f64;
-    let dense_t0 = bits_per_doc(dense_cat.info(0).encoded_len);
-    let dense_t1 = bits_per_doc(dense_cat.info(1).encoded_len);
-    let rrr_t0 = bits_per_doc(rrr_cat.info(0).encoded_len);
-    report
-        .num("dense_bits_per_doc_tier0", dense_t0)
-        .num("dense_bits_per_doc_tier1", dense_t1)
-        .num("rrr_bits_per_doc_tier0", rrr_t0)
-        .num("dense_over_rrr_bits_per_doc", dense_t0 / rrr_t0);
-
-    // Parity first, then timing: the RRR tier must answer bit-identically.
-    let queries = window_queries(&archive, 4, 2, n_queries);
-    for q in &queries {
-        assert_eq!(
-            rrr_cat
-                .tier(0)
-                .query_terms_u64(q, rambo_core::QueryMode::Full),
-            dense_cat
-                .tier(0)
-                .query_terms_u64(q, rambo_core::QueryMode::Full),
-            "RRR tier diverged from dense on {q:?}"
-        );
-    }
-    let (dense_hits, dense_time) = time(|| {
-        queries
-            .iter()
-            .map(|q| {
-                dense_cat
-                    .tier(0)
-                    .query_terms_u64(q, rambo_core::QueryMode::Full)
-                    .len()
-            })
-            .sum::<usize>()
-    });
-    let (rrr_hits, rrr_time) = time(|| {
-        queries
-            .iter()
-            .map(|q| {
-                rrr_cat
-                    .tier(0)
-                    .query_terms_u64(q, rambo_core::QueryMode::Full)
-                    .len()
-            })
-            .sum::<usize>()
-    });
-    assert_eq!(dense_hits, rrr_hits);
-    report
-        .num("dense_query_us", us_per(dense_time, queries.len()))
-        .num("rrr_query_us", us_per(rrr_time, queries.len()));
-    eprintln!(
-        "compression: tier0 {:.0} bits/doc dense vs {:.0} RRR ({:.2}x), query {:.1}us vs {:.1}us",
-        dense_t0,
-        rrr_t0,
-        dense_t0 / rrr_t0,
-        us_per(dense_time, queries.len()),
-        us_per(rrr_time, queries.len()),
-    );
-
-    // ---- 2. Paged open + cold/hot serving ---------------------------------
     // Two single-tier on-disk catalogs differing ONLY in filter bits (4x):
     // an O(metadata) open costs the same on both, an O(payload) open does
     // not. The big file is the ≥100MB acceptance artifact at default flags
     // (2 reps x 2^20 x 512 bits = 128MB).
+    let eta = 2u32;
     let dir = std::path::Path::new("target").join("storage_cold");
     std::fs::create_dir_all(&dir).expect("create target/storage_cold");
     let paged_archive = archive_with_mean_terms(paged_docs, paged_terms, seed + 1);
-    let paged_buckets = 512u64.min(buckets);
     let mut sizes = Vec::new();
     for (tag, m_bits) in [("big", paged_m_bits), ("small", paged_m_bits - 2)] {
-        let params = RamboParams::flat(paged_buckets, 2, 1 << m_bits, eta, seed + 1);
+        let params = RamboParams::flat(buckets, 2, 1 << m_bits, eta, seed + 1);
         let index = rambo_bench::build_rambo(params, &paged_archive.docs);
         let bytes = index.to_bytes().expect("serialize");
         let path = dir.join(format!("{tag}.cat"));

@@ -220,12 +220,6 @@ pub fn require_nonzero(bin: &str, flags: &[(&str, usize)]) {
     }
 }
 
-/// Mean microseconds per item of a workload that processed `n` items.
-#[must_use]
-pub fn us_per(d: Duration, n: usize) -> f64 {
-    d.as_secs_f64() * 1e6 / n.max(1) as f64
-}
-
 /// Time a query workload: mean wall time per query over `terms`.
 #[must_use]
 pub fn mean_query_time(index: &dyn MembershipIndex, terms: &[u64]) -> Duration {

@@ -12,9 +12,8 @@
 //!   cited by the paper as the compression used by HowDeSBT and SSBT for
 //!   their tree nodes (Table 3 caption). Blocks of 15 bits are stored as a
 //!   (class, offset) pair under enumerative coding; supports `access` and
-//!   `rank1` without decompression. Its row-major sibling [`RrrMatrix`]
-//!   stores an `m × B` matrix as one RRR stream per row — the compressed
-//!   storage backend for cold BFU tiers, serialized as an `RBFR` record.
+//!   `rank1` without decompression. It only sizes the baselines' nodes;
+//!   RAMBO's BFU matrices are stored dense.
 //! * [`WordStore`] — the word storage behind a BFU matrix: owned words, or
 //!   a zero-copy [`WordView`] into a caller-provided `Arc<[u8]>` (typically
 //!   a memory-mapped index file), so an index whose 8-byte-aligned word
@@ -43,5 +42,5 @@ mod store;
 pub use dense::BitVec;
 pub use error::DecodeError;
 pub use paged::{BlockCacheCounters, BlockCacheSnapshot, PageGuard, PagedFile, PagedWords};
-pub use rrr::{RrrMatrix, RrrVec};
+pub use rrr::RrrVec;
 pub use store::{skip_word_padding, write_word_padding, WordStore, WordView};

@@ -13,23 +13,6 @@
 use crate::error::RamboError;
 use crate::index::Rambo;
 
-/// Storage choice for one tier of a fold-over catalog
-/// ([`Rambo::fold_catalog_bytes_with`]).
-///
-/// `Dense` tiers serialize row-major words (re-openable zero-copy or paged);
-/// `Rrr` tiers serialize RRR-compressed rows — the Table 3 trade the paper
-/// attributes to HowDeSBT/SSBT, applied here to *cold* tiers only. RRR wins
-/// when rows are sparse, which is exactly the unfolded (large-`B`) end of
-/// the catalog: folding ORs columns together and raises the fill fraction,
-/// so the hot folded tiers stay dense where the kernel fast path runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TierCompression {
-    /// Row-major dense words (the v2 default; zero-copy / paged openable).
-    Dense,
-    /// RRR-compressed rows; probes decode touched rows block-wise.
-    Rrr,
-}
-
 impl Rambo {
     /// Fold once: `B → B/2`, total size halves, FPR grows.
     ///
@@ -137,57 +120,24 @@ impl Rambo {
     /// list or an unreachable geometry, plus everything
     /// [`Rambo::to_bytes`] can raise (node-local shards).
     pub fn fold_catalog_bytes(&self, tier_buckets: &[u64]) -> Result<Vec<u8>, RamboError> {
-        let tiers: Vec<(u64, TierCompression)> = tier_buckets
-            .iter()
-            .map(|&b| (b, TierCompression::Dense))
-            .collect();
-        self.fold_catalog_bytes_with(&tiers)
-    }
-
-    /// [`Rambo::fold_catalog_bytes`] with a per-tier compression flag: each
-    /// `(buckets, compression)` entry folds to `buckets` and serializes
-    /// either dense (`RBFM` matrix records) or RRR-compressed (`RBFR`
-    /// records). Every decode path — [`Rambo::from_bytes`],
-    /// [`Rambo::open_view_at`], [`Rambo::open_paged_at`] — dispatches on
-    /// the record magic, so mixed catalogs open transparently; compressed
-    /// tiers simply have no zero-copy/paged form and decode into owned RRR
-    /// storage.
-    ///
-    /// # Errors
-    /// Same as [`Rambo::fold_catalog_bytes`].
-    pub fn fold_catalog_bytes_with(
-        &self,
-        tiers: &[(u64, TierCompression)],
-    ) -> Result<Vec<u8>, RamboError> {
-        if tiers.is_empty() {
+        if tier_buckets.is_empty() {
             return Err(RamboError::FoldUnavailable(
                 "catalog needs at least one tier".into(),
             ));
         }
-        if tiers.windows(2).any(|w| w[1].0 >= w[0].0) {
-            let buckets: Vec<u64> = tiers.iter().map(|t| t.0).collect();
+        if tier_buckets.windows(2).any(|w| w[1] >= w[0]) {
             return Err(RamboError::FoldUnavailable(format!(
-                "catalog tiers must be strictly decreasing, got {buckets:?}"
+                "catalog tiers must be strictly decreasing, got {tier_buckets:?}"
             )));
         }
         let mut out = Vec::new();
         let mut cur = self.clone();
-        for &(target, compression) in tiers {
+        for &target in tier_buckets {
             cur.fold_to(target)?;
-            match compression {
-                TierCompression::Dense => out.extend(cur.to_bytes()?),
-                TierCompression::Rrr => {
-                    // Compress a clone: `cur` keeps dense storage so later
-                    // (smaller) tiers fold from words, not decodes.
-                    let mut compressed = cur.clone();
-                    compressed.compress_to_rrr();
-                    out.extend(compressed.to_bytes()?);
-                }
-            }
+            out.extend(cur.to_bytes()?);
             // Zero-copy invariant: every encoded index ends on its 8-aligned
-            // word payload (RRR records are whole words too), so each tier
-            // starts at a multiple of 8 and the per-tier internal padding
-            // stays valid inside the catalog.
+            // word payload, so each tier starts at a multiple of 8 and the
+            // per-tier internal padding stays valid inside the catalog.
             debug_assert!(out.len().is_multiple_of(8));
         }
         Ok(out)
@@ -381,58 +331,6 @@ mod tests {
                 assert!(tier.query_u64(t).contains(&3));
             }
         }
-    }
-
-    #[test]
-    fn compressed_catalog_tiers_answer_identically() {
-        let (r, contents) = build(128, 50, 14);
-        let dense = r.fold_catalog_bytes(&[128, 32]).unwrap();
-        let mixed = r
-            .fold_catalog_bytes_with(&[(128, TierCompression::Rrr), (32, TierCompression::Dense)])
-            .unwrap();
-        assert!(
-            mixed.len() < dense.len(),
-            "RRR tier 0 must shrink the catalog ({} vs {})",
-            mixed.len(),
-            dense.len()
-        );
-        // Both tiers reopen through open_view_at (which dispatches per
-        // record: RBFR decodes owned, RBFM borrows) and answer like the
-        // all-dense catalog.
-        let arc: std::sync::Arc<[u8]> = mixed.into();
-        let mut tiers = Vec::new();
-        let mut offset = 0;
-        while offset < arc.len() {
-            let (tier, used) = Rambo::open_view_at(&arc, offset).unwrap();
-            offset += used;
-            tiers.push(tier);
-        }
-        assert_eq!(tiers.len(), 2);
-        assert!(tiers[0].is_compressed(), "tier 0 must decode as RRR");
-        assert!(!tiers[1].is_compressed(), "tier 1 must stay dense");
-        assert_eq!(tiers[0], r, "compressed tier is logically the source");
-        assert_eq!(tiers[1], r.folded(2).unwrap());
-        for (d, ts) in contents.iter().enumerate().take(6) {
-            for &t in ts.iter().take(3) {
-                for tier in &tiers {
-                    assert!(tier.query_u64(t).contains(&(d as crate::DocId)));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compress_to_rrr_roundtrips_and_mutates() {
-        let (r, _) = build(256, 40, 15);
-        let mut c = r.clone();
-        c.compress_to_rrr();
-        assert!(c.is_compressed());
-        assert_eq!(c, r, "compression is logically lossless");
-        assert!(c.size_bytes() < r.size_bytes());
-        // Mutation materializes transparently.
-        let d = c.insert_document("late", [0x5EEDu64]).unwrap();
-        assert!(!c.is_compressed());
-        assert!(c.query_u64(0x5EED).contains(&d));
     }
 
     #[test]

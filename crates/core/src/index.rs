@@ -114,23 +114,33 @@ impl Rambo {
         params.validate()?;
         let seeds = derive_seeds(params.seed);
         let resolver = Resolver::new(params.partition, params.repetitions, seeds.partition);
-        Ok(Self::from_parts(params, resolver, seeds.bloom))
+        Ok(Self::from_parts(
+            params,
+            resolver,
+            seeds.bloom,
+            params.buckets(),
+        ))
     }
 
     /// Internal constructor shared with the sharded builder (which supplies a
-    /// node-local resolver).
-    pub(crate) fn from_parts(params: RamboParams, resolver: Resolver, bloom_seed: u64) -> Self {
-        let b = params.buckets() as usize;
+    /// node-local resolver) and the decoders (whose tables start at the
+    /// stored, possibly folded, bucket count `buckets`).
+    pub(crate) fn from_parts(
+        params: RamboParams,
+        resolver: Resolver,
+        bloom_seed: u64,
+        buckets: u64,
+    ) -> Self {
         let mut stream = SplitMix64::new(bloom_seed);
         Self {
             tables: (0..params.repetitions)
-                .map(|_| Table::new(b, params.bfu_bits))
+                .map(|_| Table::new(buckets as usize, params.bfu_bits))
                 .collect(),
             resolver,
             bloom_seeds: (0..params.repetitions).map(|_| stream.next_u64()).collect(),
             doc_names: Vec::new(),
             name_index: HashMap::new(),
-            current_buckets: params.buckets(),
+            current_buckets: buckets,
             fold_factor: 0,
             inserts: 0,
             params,
@@ -314,22 +324,6 @@ impl Rambo {
             .map(|n| n.len() + std::mem::size_of::<String>())
             .sum::<usize>();
         total
-    }
-
-    /// Convert every repetition's matrix to RRR-compressed row storage
-    /// (the cold-tier form of [`crate::TierCompression::Rrr`]). Queries
-    /// keep answering identically — probes decode touched rows block-wise —
-    /// and any later mutation transparently materializes dense words again.
-    pub fn compress_to_rrr(&mut self) {
-        for table in &mut self.tables {
-            table.matrix.compress_rrr();
-        }
-    }
-
-    /// True when every repetition's matrix is RRR-compressed.
-    #[must_use]
-    pub fn is_compressed(&self) -> bool {
-        self.tables.iter().all(|t| t.matrix.is_compressed())
     }
 
     /// True when every repetition's matrix payload is file-backed (came

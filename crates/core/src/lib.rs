@@ -105,7 +105,6 @@ pub mod theory;
 pub use batch::QueryBatch;
 pub use builder::RamboBuilder;
 pub use error::RamboError;
-pub use fold::TierCompression;
 #[doc(hidden)]
 pub use forwards::{GenerationConfig, GenerationalIndex};
 pub use index::{DocId, Rambo};

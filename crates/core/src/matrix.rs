@@ -35,7 +35,7 @@ use crate::error::RamboError;
 use bytes::{Buf, BufMut};
 use rambo_bitvec::{
     kernel, skip_word_padding, write_word_padding, BitVec, BlockCacheCounters, DecodeError,
-    PagedFile, PagedWords, RrrMatrix, WordStore, WordView,
+    PagedFile, PagedWords, WordStore, WordView,
 };
 use rambo_hash::HashPair;
 use std::sync::Arc;
@@ -48,18 +48,15 @@ const HEADER_BYTES: usize = 4 + 8 + 8 + 1;
 ///
 /// * `Dense` — row-major words, owned or a zero-copy view; the probe fast
 ///   path (one gather-AND call per repetition) runs only here.
-/// * `Rrr` — RRR-compressed rows for cold tiers; probes decode the touched
-///   rows block-wise into dense scratch words.
 /// * `Paged` — dense rows left on disk, faulted in row-aligned blocks
 ///   through a shared byte-budgeted cache.
 ///
 /// Mutation always goes through [`BfuMatrix::words_mut`], which first
-/// materializes owned dense storage, so `Rrr`/`Paged` matrices stay
-/// logically identical to their dense counterparts under every operation.
+/// materializes owned dense storage, so a `Paged` matrix stays logically
+/// identical to its dense counterpart under every operation.
 #[derive(Debug, Clone)]
 pub(crate) enum MatrixStore {
     Dense(WordStore),
-    Rrr(RrrMatrix),
     Paged(PagedWords),
 }
 
@@ -72,13 +69,13 @@ pub(crate) struct BfuMatrix {
     buckets: usize,
     /// Words per row (`⌈B/64⌉`).
     row_words: usize,
-    /// Row-major bit storage — dense (owned or zero-copy view),
-    /// RRR-compressed, or file-backed paged.
+    /// Row-major bit storage — dense (owned or zero-copy view) or
+    /// file-backed paged.
     store: MatrixStore,
 }
 
 /// Equality is *logical* (same bits at the same geometry), regardless of
-/// storage backend — a compressed or paged matrix equals its dense source.
+/// storage backend — a paged matrix equals its dense source.
 impl PartialEq for BfuMatrix {
     fn eq(&self, other: &Self) -> bool {
         if self.m_bits != other.m_bits || self.buckets != other.buckets {
@@ -121,16 +118,6 @@ impl BfuMatrix {
         }
     }
 
-    /// Wrap a decoded RRR payload.
-    fn from_rrr(rrr: RrrMatrix) -> Self {
-        Self {
-            m_bits: rrr.m_bits(),
-            buckets: rrr.buckets(),
-            row_words: rrr.row_words(),
-            store: MatrixStore::Rrr(rrr),
-        }
-    }
-
     pub(crate) fn m_bits(&self) -> usize {
         self.m_bits
     }
@@ -144,19 +131,13 @@ impl BfuMatrix {
         matches!(&self.store, MatrixStore::Dense(ws) if ws.is_view())
     }
 
-    /// True when rows are stored RRR-compressed.
-    pub(crate) fn is_compressed(&self) -> bool {
-        matches!(self.store, MatrixStore::Rrr(_))
-    }
-
     /// True when the word payload is file-backed (faulted on demand).
-    #[allow(dead_code)] // diagnostic helper; exercised by tests
     pub(crate) fn is_paged(&self) -> bool {
         matches!(self.store, MatrixStore::Paged(_))
     }
 
     /// Does the word payload live inside `buf`? (Diagnostic for the
-    /// zero-copy load path; owned/compressed/paged matrices answer `false`.)
+    /// zero-copy load path; owned and paged matrices answer `false`.)
     pub(crate) fn payload_borrows(&self, buf: &[u8]) -> bool {
         let MatrixStore::Dense(ws) = &self.store else {
             return false;
@@ -178,7 +159,7 @@ impl BfuMatrix {
     fn dense_words(&self) -> &[u64] {
         match &self.store {
             MatrixStore::Dense(ws) => ws.as_words(),
-            _ => unreachable!("dense_words on compressed/paged storage"),
+            MatrixStore::Paged(_) => unreachable!("dense_words on paged storage"),
         }
     }
 
@@ -194,7 +175,6 @@ impl BfuMatrix {
         debug_assert_eq!(out.len(), self.row_words);
         match &self.store {
             MatrixStore::Dense(_) => out.copy_from_slice(self.row(p)),
-            MatrixStore::Rrr(rrr) => rrr.decode_row_into(p, out),
             MatrixStore::Paged(pw) => {
                 out.copy_from_slice(&pw.read(p * self.row_words, self.row_words));
                 mask_tail(out, self.buckets);
@@ -216,13 +196,12 @@ impl BfuMatrix {
         let (word, shift) = (bucket / 64, bucket % 64);
         match &self.store {
             MatrixStore::Dense(ws) => (ws.as_words()[offset + word] >> shift) & 1 == 1,
-            MatrixStore::Rrr(rrr) => rrr.get(offset / self.row_words, bucket),
             MatrixStore::Paged(pw) => (pw.read_word(offset + word) >> shift) & 1 == 1,
         }
     }
 
-    /// Materialize owned dense storage (decode / page in all rows). No-op
-    /// for matrices that are already dense.
+    /// Materialize owned dense storage (page in all rows). No-op for
+    /// matrices that are already dense.
     fn materialize(&mut self) {
         if matches!(self.store, MatrixStore::Dense(_)) {
             return;
@@ -235,23 +214,14 @@ impl BfuMatrix {
         self.store = MatrixStore::Dense(words.into());
     }
 
-    /// Mutable dense words — materializes compressed/paged storage and
-    /// promotes views to owned first (copy-on-write).
+    /// Mutable dense words — materializes paged storage and promotes views
+    /// to owned first (copy-on-write).
     fn words_mut(&mut self) -> &mut Vec<u64> {
         self.materialize();
         match &mut self.store {
             MatrixStore::Dense(ws) => ws.to_mut(),
-            _ => unreachable!("materialize produced dense storage"),
+            MatrixStore::Paged(_) => unreachable!("materialize produced dense storage"),
         }
-    }
-
-    /// Convert storage to RRR-compressed rows (materializing dense words
-    /// first if needed). Build-time only: any later mutation materializes
-    /// back to dense via [`BfuMatrix::words_mut`].
-    pub(crate) fn compress_rrr(&mut self) {
-        self.materialize();
-        let rrr = RrrMatrix::from_words(self.dense_words(), self.m_bits, self.buckets);
-        self.store = MatrixStore::Rrr(rrr);
     }
 
     /// Set the `eta` filter bits of one term in one BFU (Algorithm 1's
@@ -316,15 +286,10 @@ impl BfuMatrix {
     /// * Dense rows go through one
     ///   [`kernel::and_gather_rows_into_any`] call with no dedupe: a repeated
     ///   row is one more cache-resident AND.
-    /// * RRR and paged rows cost a block decode or a page fault each, so the
-    ///   list is sorted (in place — AND is order-blind) and repeats are
-    ///   skipped; ascending row order is also what the block cache wants.
-    pub(crate) fn and_rows_into(
-        &self,
-        rows: &mut [usize],
-        dst: &mut [u64],
-        scratch: &mut Vec<u64>,
-    ) -> bool {
+    /// * Paged rows cost a page fault each, so the list is sorted (in place
+    ///   — AND is order-blind) and repeats are skipped; ascending row order
+    ///   is also what the block cache wants.
+    pub(crate) fn and_rows_into(&self, rows: &mut [usize], dst: &mut [u64]) -> bool {
         let rw = self.row_words;
         debug_assert_eq!(dst.len(), rw);
         if let MatrixStore::Dense(ws) = &self.store {
@@ -339,25 +304,20 @@ impl BfuMatrix {
             }
             if offset != prev {
                 prev = offset;
-                live = self.with_row(offset, scratch, |row| kernel::and_rows_into_any(dst, [row]));
+                live = self.with_row(offset, |row| kernel::and_rows_into_any(dst, [row]));
             }
         }
         live
     }
 
     /// Run `f` on the row at word offset `offset`, whatever the backend: a
-    /// dense row in place, an RRR row decoded into `scratch`, a paged row
-    /// from its resident block (tail bits beyond `B` unvalidated).
+    /// dense row in place, a paged row from its resident block (tail bits
+    /// beyond `B` unvalidated).
     #[inline]
-    fn with_row<T>(&self, offset: usize, scratch: &mut Vec<u64>, f: impl FnOnce(&[u64]) -> T) -> T {
+    fn with_row<T>(&self, offset: usize, f: impl FnOnce(&[u64]) -> T) -> T {
         let rw = self.row_words;
         match &self.store {
             MatrixStore::Dense(ws) => f(&ws.as_words()[offset..offset + rw]),
-            MatrixStore::Rrr(rrr) => {
-                scratch.resize(rw, 0);
-                rrr.decode_row_into(offset / rw, scratch);
-                f(scratch)
-            }
             MatrixStore::Paged(pw) => f(&pw.read(offset, rw)),
         }
     }
@@ -368,19 +328,13 @@ impl BfuMatrix {
     /// separate (θ queries count them per bucket) and there is no early
     /// exit, so no term's row loads wait on another's. Bits beyond `B` come
     /// out zero on every backend.
-    pub(crate) fn term_masks_into(
-        &self,
-        rows: &[usize],
-        eta: usize,
-        out: &mut [u64],
-        scratch: &mut Vec<u64>,
-    ) {
+    pub(crate) fn term_masks_into(&self, rows: &[usize], eta: usize, out: &mut [u64]) {
         let rw = self.row_words;
         debug_assert_eq!(out.len() * eta, rows.len() * rw);
         for (mask, term_rows) in out.chunks_exact_mut(rw).zip(rows.chunks_exact(eta)) {
-            self.with_row(term_rows[0], scratch, |row| mask.copy_from_slice(row));
+            self.with_row(term_rows[0], |row| mask.copy_from_slice(row));
             for &offset in &term_rows[1..] {
-                self.with_row(offset, scratch, |row| {
+                self.with_row(offset, |row| {
                     for (dst, r) in mask.iter_mut().zip(row) {
                         *dst &= r;
                     }
@@ -422,7 +376,7 @@ impl BfuMatrix {
     }
 
     /// Fraction of set bits in one BFU column.
-    #[allow(dead_code)] // diagnostic helper; exercised by tests
+    #[cfg(test)]
     pub(crate) fn column_fill(&self, bucket: usize) -> f64 {
         let ones = (0..self.m_bits).filter(|&p| self.bit(p, bucket)).count();
         ones as f64 / self.m_bits as f64
@@ -450,8 +404,8 @@ impl BfuMatrix {
         }
         let half = self.buckets / 2;
         let new_row_words = half.div_ceil(64);
-        // The fold walks every row anyway, so compressed/paged storage is
-        // materialized up front (folding belongs to the build phase).
+        // The fold walks every row anyway, so paged storage is materialized
+        // up front (folding belongs to the build phase).
         self.materialize();
         let mut new_words = vec![0u64; self.m_bits * new_row_words];
         for p in 0..self.m_bits {
@@ -494,7 +448,7 @@ impl BfuMatrix {
         let word_off = dst_offset / 64;
         let (dst_rw, src_rw) = (self.row_words, src.row_words);
         let m_bits = self.m_bits;
-        // Non-dense sources stream row by row through scratch; the common
+        // Paged sources stream row by row through scratch; the common
         // stacking path (dense shard into dense global) stays a slice walk.
         let mut scratch = vec![0u64; src_rw];
         let dense_src = match &src.store {
@@ -520,17 +474,14 @@ impl BfuMatrix {
                     dst_row[word_off + w + 1] |= sw >> (64 - shift);
                 }
             }
-            // Clear any bits that spilled past the window (src tail bits are
-            // zero by construction, so nothing to clean in practice).
         }
     }
 
     /// Total set bits (diagnostics).
-    #[allow(dead_code)] // diagnostic helper; exercised by tests
+    #[cfg(test)]
     pub(crate) fn count_ones(&self) -> usize {
         match &self.store {
             MatrixStore::Dense(ws) => kernel::popcount(ws.as_words()),
-            MatrixStore::Rrr(rrr) => rrr.count_ones(),
             MatrixStore::Paged(_) => {
                 let mut scratch = vec![0u64; self.row_words];
                 (0..self.m_bits)
@@ -544,14 +495,12 @@ impl BfuMatrix {
     }
 
     /// Resident bytes of the matrix payload. A view's borrowed payload
-    /// counts toward its backing buffer; a compressed matrix reports its
-    /// encoded footprint; a paged matrix reports its *logical* word extent
-    /// (the on-disk payload it addresses — cache residency is accounted by
-    /// the shared [`PagedFile`], not per matrix).
+    /// counts toward its backing buffer; a paged matrix reports its
+    /// *logical* word extent (the on-disk payload it addresses — cache
+    /// residency is accounted by the shared [`PagedFile`], not per matrix).
     pub(crate) fn size_bytes(&self) -> usize {
         match &self.store {
             MatrixStore::Dense(ws) => ws.len() * 8,
-            MatrixStore::Rrr(rrr) => rrr.size_bytes(),
             MatrixStore::Paged(pw) => pw.len() * 8,
         }
     }
@@ -560,10 +509,7 @@ impl BfuMatrix {
     /// `RBFM` framing: the word payload is preceded by a pad byte plus up
     /// to 7 zero bytes so it lands 8-byte-aligned *relative to the start of
     /// `out`* — containers that keep that origin (index files) can be
-    /// re-opened zero-copy via [`BfuMatrix::decode_view`]. Compressed
-    /// matrices write the `RBFR` framing of [`RrrMatrix`] instead (also a
-    /// whole number of words), which every decode path dispatches on by
-    /// magic.
+    /// re-opened zero-copy via [`BfuMatrix::decode_view`].
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match &self.store {
             MatrixStore::Dense(ws) => {
@@ -575,7 +521,6 @@ impl BfuMatrix {
                     out.put_u64_le(w);
                 }
             }
-            MatrixStore::Rrr(rrr) => rrr.encode_into(out),
             MatrixStore::Paged(_) => {
                 // Stream the on-disk rows back out as a dense record.
                 out.put_slice(MAGIC);
@@ -650,13 +595,7 @@ impl BfuMatrix {
     }
 
     /// Decode, advancing the buffer. Copies the payload into owned storage.
-    /// Dispatches on magic: `RBFM` records decode dense, `RBFR` records
-    /// decode into RRR-compressed storage.
     pub(crate) fn decode_from(buf: &mut &[u8]) -> Result<Self, RamboError> {
-        if buf.len() >= 4 && buf[..4] == RrrMatrix::MAGIC {
-            let rrr = RrrMatrix::decode_from(buf)?;
-            return Ok(Self::from_rrr(rrr));
-        }
         let h = Self::decode_header(buf)?;
         if buf.remaining() < h.payload_len {
             return Err(DecodeError::new("bfu matrix payload truncated").into());
@@ -692,14 +631,6 @@ impl BfuMatrix {
         let mut slice: &[u8] = buf
             .get(*pos..)
             .ok_or_else(|| DecodeError::new("matrix offset out of range"))?;
-        if slice.len() >= 4 && slice[..4] == RrrMatrix::MAGIC {
-            // Compressed records have no zero-copy form: the (class, offset)
-            // streams are decoded into an owned RrrMatrix.
-            let before = slice.len();
-            let rrr = RrrMatrix::decode_from(&mut slice)?;
-            *pos += before - slice.len();
-            return Ok(Self::from_rrr(rrr));
-        }
         let before = slice.len();
         let h = Self::decode_header(&mut slice)?;
         if slice.remaining() < h.payload_len {
@@ -721,10 +652,7 @@ impl BfuMatrix {
     /// reading only its header (one short read), and leave the dense word
     /// payload on disk behind a [`PagedWords`] that faults row-aligned
     /// blocks through `file`'s shared cache, charging traffic to
-    /// `counters`. Compressed (`RBFR`) records are decoded eagerly — they
-    /// are small by construction (that is why the tier was compressed) and
-    /// RRR probes need the class/offset streams resident anyway. Advances
-    /// `*pos` past the record.
+    /// `counters`. Advances `*pos` past the record.
     ///
     /// Paged payload rows are *not* tail-validated at open (that would read
     /// every row, defeating the O(metadata) open); instead
@@ -736,25 +664,11 @@ impl BfuMatrix {
         counters: &Arc<BlockCacheCounters>,
     ) -> Result<Self, RamboError> {
         let remaining = file.len().saturating_sub(*pos);
-        // Enough for either header: RBFM needs HEADER_BYTES + 7 pad bytes
-        // (28), RBFR's peek needs its 28-byte fixed prefix + pad (36).
-        let head_len = 36.min(remaining as usize);
+        // The header plus the most padding it can carry.
+        let head_len = (HEADER_BYTES + 7).min(remaining as usize);
         let head = file
             .read_bytes(*pos, head_len)
             .map_err(|e| DecodeError::new(format!("catalog read: {e}")))?;
-        if head.len() >= 4 && head[..4] == RrrMatrix::MAGIC {
-            let total = RrrMatrix::peek_encoded_len(&head)?;
-            if total as u64 > remaining {
-                return Err(DecodeError::new("rrr matrix record truncated").into());
-            }
-            let record = file
-                .read_bytes(*pos, total)
-                .map_err(|e| DecodeError::new(format!("catalog read: {e}")))?;
-            let mut slice = record.as_slice();
-            let rrr = RrrMatrix::decode_from(&mut slice)?;
-            *pos += total as u64;
-            return Ok(Self::from_rrr(rrr));
-        }
         let mut slice = head.as_slice();
         let before = slice.len();
         let h = Self::decode_header(&mut slice)?;
@@ -882,7 +796,7 @@ mod tests {
     /// Which BFUs hold all `pairs`: the planned probe from an all-ones mask.
     fn probe_all(m: &BfuMatrix, pairs: &[HashPair], eta: u32) -> BitVec {
         let mut mask = BitVec::ones(m.buckets).words().to_vec();
-        let live = m.and_rows_into(&mut plan(m, pairs, eta), &mut mask, &mut Vec::new());
+        let live = m.and_rows_into(&mut plan(m, pairs, eta), &mut mask);
         assert_eq!(live, mask.iter().any(|&w| w != 0));
         let ones = (0..m.buckets).filter(|b| (mask[b / 64] >> (b % 64)) & 1 == 1);
         BitVec::from_ones(m.buckets, ones)
@@ -951,8 +865,8 @@ mod tests {
         }
     }
 
-    /// Repeated terms do not change the mask, on any backend: dense ANDs the
-    /// repeated rows again (idempotent), RRR and paged sort the plan and skip
+    /// Repeated terms do not change the mask, on either backend: dense ANDs
+    /// the repeated rows again (idempotent), paged sorts the plan and skips
     /// them.
     #[test]
     fn probe_all_dedupes_repeated_pairs() {
@@ -961,8 +875,6 @@ mod tests {
             dense.insert(b, pair(b as u64 % 5), 3);
             dense.insert(b, pair((b as u64 + 1) % 5), 3);
         }
-        let mut rrr = dense.clone();
-        rrr.compress_rrr();
         let path = std::env::temp_dir().join(format!("rambo-matrix-{}.rbfm", std::process::id()));
         let mut bytes = Vec::new();
         dense.encode_into(&mut bytes);
@@ -971,13 +883,13 @@ mod tests {
         let paged =
             BfuMatrix::decode_paged(&file, &mut 0, &Arc::new(BlockCacheCounters::new())).unwrap();
         std::fs::remove_file(&path).unwrap();
-        assert!(rrr.is_compressed() && paged.is_paged());
+        assert!(paged.is_paged());
 
         let plain = [pair(1), pair(2)];
         let repeated = [pair(1), pair(2), pair(1), pair(1), pair(2)];
         let expect = probe_all(&dense, &plain, 3);
         assert!(expect.any(), "the fixture must leave live buckets");
-        for m in [&dense, &rrr, &paged] {
+        for m in [&dense, &paged] {
             assert_eq!(probe_all(m, &plain, 3), expect);
             assert_eq!(probe_all(m, &repeated, 3), expect);
             for b in 0..66 {

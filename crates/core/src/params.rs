@@ -88,6 +88,14 @@ impl RamboParams {
         if self.eta == 0 {
             return Err(RamboError::InvalidParams("eta must be ≥ 1".into()));
         }
+        if self.eta as usize > self.bfu_bits {
+            // A query plans η rows per term: more than the filter has would
+            // size that plan from a count no index needs (or a corrupt file).
+            return Err(RamboError::InvalidParams(format!(
+                "eta {} exceeds bfu_bits {}",
+                self.eta, self.bfu_bits
+            )));
+        }
         if u32::try_from(b).is_err() {
             return Err(RamboError::InvalidParams(format!(
                 "bucket count {b} exceeds u32 addressing"
@@ -117,5 +125,6 @@ mod tests {
         assert!(RamboParams::flat(10, 0, 10, 2, 0).validate().is_err());
         assert!(RamboParams::flat(10, 3, 0, 2, 0).validate().is_err());
         assert!(RamboParams::flat(10, 3, 10, 0, 0).validate().is_err());
+        assert!(RamboParams::flat(10, 3, 10, 11, 0).validate().is_err());
     }
 }

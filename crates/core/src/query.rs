@@ -67,8 +67,6 @@ pub struct QueryContext {
     rows: Vec<usize>,
     /// Bucket mask for the per-table probe (`⌈B/64⌉` words).
     mask: Vec<u64>,
-    /// One decoded RRR row, for probes of non-dense storage.
-    row_scratch: Vec<u64>,
     /// Intersection accumulator across repetitions (`K` bits, Full mode).
     acc: BitVec,
     /// Per-repetition union bitmap (`K` bits, Full mode).
@@ -107,7 +105,6 @@ impl QueryContext {
         Self {
             rows: Vec::new(),
             mask: Vec::new(),
-            row_scratch: Vec::new(),
             acc: BitVec::zeros(0),
             tbl: BitVec::zeros(0),
             probes: Vec::new(),
@@ -209,7 +206,6 @@ fn query_full(index: &Rambo, plan: &Planner<'_>, ctx: &mut QueryContext) -> Vec<
     let QueryContext {
         rows,
         mask,
-        row_scratch,
         acc,
         tbl,
         ..
@@ -218,7 +214,7 @@ fn query_full(index: &Rambo, plan: &Planner<'_>, ctx: &mut QueryContext) -> Vec<
     for (rep, (&seed, table)) in index.bloom_seeds.iter().zip(&index.tables).enumerate() {
         plan(seed, rows);
         fill_ones(mask, b);
-        if !table.matrix.and_rows_into(rows, mask, row_scratch) {
+        if !table.matrix.and_rows_into(rows, mask) {
             return Vec::new(); // no BFU holds every term: the union is empty
         }
         tbl.clear_all();
@@ -251,7 +247,6 @@ fn query_sparse(index: &Rambo, plan: &Planner<'_>, ctx: &mut QueryContext) -> Ve
     let QueryContext {
         rows,
         mask,
-        row_scratch,
         probes,
         candidates,
         ..
@@ -265,7 +260,7 @@ fn query_sparse(index: &Rambo, plan: &Planner<'_>, ctx: &mut QueryContext) -> Ve
             // buckets (buckets partition the documents, so the
             // concatenation is duplicate-free; one sort restores id order).
             fill_ones(mask, b);
-            if table.matrix.and_rows_into(rows, mask, row_scratch) {
+            if table.matrix.and_rows_into(rows, mask) {
                 for bucket in ones(mask) {
                     candidates.extend_from_slice(&table.buckets[bucket]);
                 }
@@ -337,7 +332,6 @@ fn theta_by_bucket_count(
     let plan = planner(index, terms);
     let QueryContext {
         rows,
-        row_scratch,
         term_masks,
         passing,
         bucket_counts,
@@ -349,7 +343,7 @@ fn theta_by_bucket_count(
         plan(seed, rows);
         bucket_counts.reset(rw);
         let masks = &mut term_masks[rep * n * rw..(rep + 1) * n * rw];
-        table.matrix.term_masks_into(rows, eta, masks, row_scratch);
+        table.matrix.term_masks_into(rows, eta, masks);
         bucket_counts.add_rows(masks);
         let passing = &mut passing[rep * rw..(rep + 1) * rw];
         bucket_counts.at_least(needed, passing);

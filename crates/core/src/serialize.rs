@@ -70,7 +70,7 @@ fn decode_prelude(buf: &mut &[u8]) -> Result<Prelude, RamboError> {
     if buf.get_u16_le() != VERSION {
         return Err(DecodeError::new("unsupported RAMBO version").into());
     }
-    short(buf, 1 + 8 + 8 + 4 + 8 + 4 + 4 + 8 + 4, "geometry")?;
+    short(buf, 1 + 8 + 8 + 4 + 8 + 4 + 8 + 4 + 8 + 4, "geometry")?;
     let mut node_ctx = None;
     let partition = match buf.get_u8() {
         0 => {
@@ -151,7 +151,18 @@ fn decode_prelude(buf: &mut &[u8]) -> Result<Prelude, RamboError> {
 /// Build the index skeleton (resolver, empty folded-geometry tables) from a
 /// decoded prelude. Names are installed at the end, after the payloads
 /// parse, mirroring the original decode order.
-fn skeleton(p: &Prelude) -> Rambo {
+///
+/// `available` is the byte count that follows the prelude. The tables need
+/// at least `R · (4K + 8m⌈B/64⌉)` of them, so a prelude claiming more is an
+/// error here, before anything is sized from its counts.
+fn skeleton(p: &Prelude, available: u64) -> Result<Rambo, RamboError> {
+    let need = (p.params.bfu_bits as u64)
+        .checked_mul(p.current_buckets.div_ceil(64) * 8)
+        .and_then(|payload| payload.checked_add(4 * p.doc_names.len() as u64))
+        .and_then(|table| table.checked_mul(p.params.repetitions as u64));
+    if need.is_none_or(|need| need > available) {
+        return Err(DecodeError::new("stored geometry overruns the input").into());
+    }
     let seeds = derive_seeds(p.params.seed);
     let resolver = match p.node_ctx {
         Some((nodes, node)) => {
@@ -170,14 +181,10 @@ fn skeleton(p: &Prelude) -> Rambo {
         }
         None => Resolver::new(p.params.partition, p.params.repetitions, seeds.partition),
     };
-    let mut index = Rambo::from_parts(p.params, resolver, seeds.bloom);
-    index.current_buckets = p.current_buckets;
+    let mut index = Rambo::from_parts(p.params, resolver, seeds.bloom, p.current_buckets);
     index.fold_factor = p.fold_factor;
     index.inserts = p.inserts;
-    for table in &mut index.tables {
-        *table = Table::new(p.current_buckets as usize, p.params.bfu_bits);
-    }
-    index
+    Ok(index)
 }
 
 /// Install one table's assignment vector, rebuilding its bucket lists.
@@ -295,7 +302,7 @@ impl Rambo {
         let buf = &mut buf;
         let prelude = decode_prelude(buf)?;
         let k = prelude.doc_names.len();
-        let mut index = skeleton(&prelude);
+        let mut index = skeleton(&prelude, buf.len() as u64)?;
         for table in &mut index.tables {
             short(buf, 4 * k, "assignment vector")?;
             let assign: Vec<u32> = (0..k).map(|_| buf.get_u32_le()).collect();
@@ -368,7 +375,7 @@ impl Rambo {
         let total = slice.len();
         let prelude = decode_prelude(&mut slice)?;
         let k = prelude.doc_names.len();
-        let mut index = skeleton(&prelude);
+        let mut index = skeleton(&prelude, slice.len() as u64)?;
         // Switch from slice-relative to absolute-cursor parsing: matrix
         // views need their position inside `buf` to borrow the payload.
         let mut pos = offset + (total - slice.len());
@@ -394,12 +401,11 @@ impl Rambo {
     /// File-backed load: parse the index record at byte `offset` of `file`
     /// reading *only metadata* — the prelude (geometry + document names),
     /// the per-table assignment vectors, and one fixed-size header per
-    /// matrix record. Dense word payloads stay on disk and are faulted in
-    /// row-aligned blocks through `file`'s shared cache on first probe;
-    /// compressed (`RBFR`) tiers decode eagerly (they are small by
-    /// construction). Open time is therefore independent of the dense
-    /// payload size — the O(metadata) open behind the paper's "170TB on
-    /// disk, queried in milliseconds" serving story.
+    /// matrix record. Word payloads stay on disk and are faulted in
+    /// row-aligned blocks through `file`'s shared cache on first probe.
+    /// Open time is therefore independent of the payload size — the
+    /// O(metadata) open behind the paper's "170TB on disk, queried in
+    /// milliseconds" serving story.
     ///
     /// Cache traffic for every matrix of this index is charged to
     /// `counters` (a serving catalog passes one set per tier). Returns the
@@ -435,8 +441,8 @@ impl Rambo {
         };
         let (prelude, prelude_len) = prelude;
         let k = prelude.doc_names.len();
-        let mut index = skeleton(&prelude);
         let mut pos = offset + prelude_len as u64;
+        let mut index = skeleton(&prelude, file.len() - pos)?;
         for table in &mut index.tables {
             let assign_len = 4 * k;
             if pos + assign_len as u64 > file.len() {
@@ -542,6 +548,20 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(Rambo::from_bytes(&trailing).is_err());
+
+        // Every cut through the prelude, the geometry block's last word
+        // included.
+        for cut in 0..256 {
+            assert!(Rambo::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        // A count raised far past what the input holds errors before
+        // anything is sized from it: the flat geometry's buckets,
+        // repetitions, filter bits and η start at bytes 7, 23, 27 and 35.
+        for at in [7 + 3, 23 + 3, 27 + 4, 35 + 3] {
+            let mut big = bytes.clone();
+            big[at] = 0x40;
+            assert!(Rambo::from_bytes(&big).is_err(), "byte {at}");
+        }
     }
 
     #[test]

@@ -68,6 +68,7 @@ impl ShardedRambo {
                         node,
                     },
                     seeds.bloom,
+                    local_buckets,
                 )
             })
             .collect();

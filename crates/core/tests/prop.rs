@@ -7,7 +7,8 @@
 
 use proptest::prelude::*;
 use rambo_core::{
-    build_sharded_parallel, IngestPipeline, QueryBatch, QueryContext, QueryMode, Rambo, RamboParams,
+    build_sharded_parallel, IngestPipeline, QueryBatch, QueryContext, QueryMode, Rambo, RamboError,
+    RamboParams,
 };
 use std::sync::Arc;
 
@@ -52,9 +53,9 @@ fn holds(idx: &Rambo, d: u32, term: u64) -> bool {
     })
 }
 
-/// Write `idx` to a scratch file and reopen it paged (payload left on disk);
-/// also returns the bytes the record occupied.
-fn reopen_paged(idx: &Rambo) -> (Rambo, u64) {
+/// Write `bytes` to a scratch file and open them paged (payload left on
+/// disk); also returns the bytes the record occupied.
+fn open_paged_bytes(bytes: &[u8]) -> Result<(Rambo, u64), RamboError> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static CASE: AtomicUsize = AtomicUsize::new(0);
     let path = std::env::temp_dir().join(format!(
@@ -62,12 +63,17 @@ fn reopen_paged(idx: &Rambo) -> (Rambo, u64) {
         std::process::id(),
         CASE.fetch_add(1, Ordering::Relaxed),
     ));
-    std::fs::write(&path, idx.to_bytes().unwrap()).unwrap();
+    std::fs::write(&path, bytes).unwrap();
     let file = rambo_bitvec::PagedFile::open(&path, 1 << 20).unwrap();
     let counters = Arc::new(rambo_bitvec::BlockCacheCounters::new());
-    let opened = Rambo::open_paged_at(&file, 0, &counters).unwrap();
+    let opened = Rambo::open_paged_at(&file, 0, &counters);
     std::fs::remove_file(&path).unwrap();
     opened
+}
+
+/// [`open_paged_bytes`] of `idx`'s encoding, which must open.
+fn reopen_paged(idx: &Rambo) -> (Rambo, u64) {
+    open_paged_bytes(&idx.to_bytes().unwrap()).unwrap()
 }
 
 proptest! {
@@ -307,11 +313,15 @@ proptest! {
         );
     }
 
-    /// Fuzz the view loader with corrupted buffers: truncations at every
-    /// depth, shifted (misaligned) payloads, and random byte flips must all
-    /// return errors or decode to a structurally valid index — never panic
-    /// and never exhibit UB (the suite runs under the normal test harness,
-    /// so a crash here is a failure).
+    /// Fuzz the view and paged loaders with corrupted buffers: truncations
+    /// at every depth, shifted (misaligned) payloads, and random byte flips
+    /// must all return errors or decode to a structurally valid index —
+    /// never panic and never exhibit UB (the suite runs under the normal
+    /// test harness, so a crash here is a failure). The paged loader reads
+    /// the same bytes from a file: a truncation is an error, and a flipped
+    /// file that opens answers every probe like `from_bytes` does whenever
+    /// that also accepts the bytes (the paged open leaves row tails
+    /// unchecked and masks them at fault time instead).
     #[test]
     fn open_view_fuzz_returns_errors_not_ub(
         archive in archive_strategy(8),
@@ -328,6 +338,7 @@ proptest! {
         let cut_len = cut.index(bytes.len());
         let truncated: Arc<[u8]> = bytes[..cut_len].to_vec().into();
         prop_assert!(Rambo::open_view(truncated).is_err());
+        prop_assert!(open_paged_bytes(&bytes[..cut_len]).is_err());
 
         // Shifted buffer: everything (including word payloads) lands at the
         // wrong offset; must error (bad magic or misalignment), not crash.
@@ -342,9 +353,29 @@ proptest! {
         let mut flipped = bytes.clone();
         let at = flip_at.index(flipped.len());
         flipped[at] = flip_to;
-        if let Ok(view) = Rambo::open_view(flipped.into()) {
+        if let Ok(view) = Rambo::open_view(flipped.clone().into()) {
             // Whatever decoded must be internally consistent enough to query.
             let _ = view.query_u64(0xF00D);
+        }
+        if let Ok((paged, _)) = open_paged_bytes(&flipped) {
+            let owned = Rambo::from_bytes(&flipped).ok();
+            let mut probes: Vec<u64> =
+                archive.docs.iter().flat_map(|(_, ts)| ts.iter().take(2).copied()).collect();
+            probes.push(0xF00D);
+            let mut ctx = QueryContext::new();
+            for q in probes.chunks(3) {
+                for mode in [QueryMode::Full, QueryMode::Sparse] {
+                    let and = paged.query_terms_with(q, mode, &mut ctx);
+                    let theta = paged.query_sequence_theta(q, 0.5, mode, &mut ctx);
+                    if let Some(owned) = &owned {
+                        prop_assert_eq!(&owned.query_terms_with(q, mode, &mut ctx), &and);
+                        prop_assert_eq!(
+                            &owned.query_sequence_theta(q, 0.5, mode, &mut ctx),
+                            &theta
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -440,51 +471,6 @@ proptest! {
         prop_assert_eq!(report.terms, reference.total_inserts());
     }
 
-    /// RRR-compressed storage is lossless: for any archive, geometry and
-    /// fold level, compressing every table answers each query (Full and
-    /// Sparse, present and absent terms) **bit-identically** to the dense
-    /// original — and the compressed index round-trips through v2
-    /// serialization back to logical equality.
-    #[test]
-    fn rrr_compressed_index_equals_dense(
-        archive in archive_strategy(12),
-        b in 2u64..12,
-        r in 1usize..4,
-        folds in 0u32..2,
-        seed in any::<u64>(),
-        probes in proptest::collection::vec(any::<u64>(), 1..15),
-    ) {
-        let mut dense = build(RamboParams::flat(b << folds, r, 1 << 10, 2, seed), &archive);
-        dense.fold_times(folds).unwrap();
-        let mut compressed = dense.clone();
-        compressed.compress_to_rrr();
-        prop_assert!(compressed.is_compressed());
-        prop_assert_eq!(&compressed, &dense, "logical equality across backends");
-
-        let mut all_probes = probes;
-        all_probes.extend(archive.docs.iter().flat_map(|(_, ts)| ts.iter().take(2).copied()));
-        let mut ctx_d = QueryContext::new();
-        let mut ctx_c = QueryContext::new();
-        for &t in &all_probes {
-            for mode in [QueryMode::Full, QueryMode::Sparse] {
-                prop_assert_eq!(
-                    dense.query_terms_with(&[t], mode, &mut ctx_d),
-                    compressed.query_terms_with(&[t], mode, &mut ctx_c),
-                    "mode {:?} term {:#x}", mode, t
-                );
-            }
-        }
-        let q: Vec<u64> = all_probes.iter().take(4).copied().collect();
-        prop_assert_eq!(
-            dense.query_terms_with(&q, QueryMode::Full, &mut ctx_d),
-            compressed.query_terms_with(&q, QueryMode::Full, &mut ctx_c)
-        );
-
-        // v2 roundtrip of the compressed form decodes back to equality.
-        let back = Rambo::from_bytes(&compressed.to_bytes().unwrap()).unwrap();
-        prop_assert_eq!(&back, &dense);
-    }
-
     /// The paged (file-backed) load path answers every query exactly like
     /// the in-memory copy, for fuzzed archives, geometries and fold levels:
     /// block-cache faulting may never change a bit of any result.
@@ -531,7 +517,7 @@ proptest! {
     /// absent terms; geometry sweeps η and bucket counts that are not a
     /// multiple of the word size. Each document's terms are also cycled into
     /// long AND windows (33 and 80 terms, and 80 ending on an absent term),
-    /// so long row plans run through the RRR and paged sort-and-dedupe path
+    /// so long row plans run through the paged sort-and-dedupe path
     /// and an early exit can only come from the last rows.
     #[test]
     fn every_verb_matches_the_definition_on_every_backend(
@@ -545,11 +531,9 @@ proptest! {
     ) {
         let dense = build(RamboParams::flat(b, r, 1 << 10, eta, seed), &archive);
         let bytes: Arc<[u8]> = dense.to_bytes().unwrap().into();
-        let mut rrr = dense.clone();
-        rrr.compress_to_rrr();
         let (paged, _) = reopen_paged(&dense);
-        prop_assert!(rrr.is_compressed() && paged.tables_paged());
-        let mut backends = vec![("dense", &dense), ("rrr", &rrr), ("paged", &paged)];
+        prop_assert!(paged.tables_paged());
+        let mut backends = vec![("dense", &dense), ("paged", &paged)];
         // 32-bit Arc layouts may misalign the payload; the loader errors there.
         let view = Rambo::open_view(bytes).ok();
         if let Some(view) = &view {

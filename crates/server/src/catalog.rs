@@ -11,7 +11,7 @@
 //! costs metadata, not payload, no matter how many tiers it holds.
 
 use rambo_bitvec::{BlockCacheCounters, BlockCacheSnapshot, PagedFile};
-use rambo_core::{Rambo, RamboError, TierCompression};
+use rambo_core::{Rambo, RamboError};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -26,8 +26,8 @@ pub enum CatalogError {
     /// [`CatalogBuilder::build`] was called without a source.
     MissingSource,
     /// A live-index source ([`CatalogBuilder::base`]) needs a tier spec
-    /// ([`CatalogBuilder::tier_buckets`], [`CatalogBuilder::tiers`] or
-    /// [`CatalogBuilder::halving`]) to know what to fold.
+    /// ([`CatalogBuilder::tier_buckets`] or [`CatalogBuilder::halving`]) to
+    /// know what to fold.
     MissingTiers,
     /// A tier spec was combined with an already-serialized source
     /// (buffer/file) — those carry their tier layout in-band.
@@ -218,8 +218,7 @@ impl Catalog {
     }
 
     /// Block-cache traffic charged to one tier's payload faults, or `None`
-    /// for tiers that serve from memory (buffer-backed catalogs, and
-    /// RRR-compressed tiers of a paged catalog).
+    /// for tiers that serve from memory (buffer-backed catalogs).
     ///
     /// # Panics
     /// Panics when `tier` is out of range.
@@ -265,9 +264,9 @@ impl Catalog {
 /// How a [`CatalogBuilder`] derives tier geometries from a live index.
 #[derive(Debug, Clone)]
 enum TierSpec {
-    /// Explicit `(buckets, compression)` list.
-    Explicit(Vec<(u64, TierCompression)>),
-    /// `levels` halvings from the base geometry, all dense.
+    /// Explicit strictly-decreasing bucket counts.
+    Explicit(Vec<u64>),
+    /// `levels` halvings from the base geometry.
     Halving(u32),
 }
 
@@ -355,11 +354,9 @@ impl<'a> CatalogBuilder<'a> {
     /// Source: a serialized catalog file. Only metadata is read at build
     /// (each tier's prelude, assignment vectors and matrix headers), so open
     /// time is independent of how many gigabytes of filter payload the tiers
-    /// hold; dense payloads stay on disk and fault in row-aligned blocks
-    /// through one shared block cache sized by
-    /// [`CatalogBuilder::cache_bytes`], per-tier traffic observable via
-    /// [`Catalog::block_cache_stats`]. RRR-compressed tiers decode eagerly
-    /// (they are small by construction) and serve from memory, uncached.
+    /// hold; payloads stay on disk and fault in row-aligned blocks through
+    /// one shared block cache sized by [`CatalogBuilder::cache_bytes`],
+    /// per-tier traffic observable via [`Catalog::block_cache_stats`].
     #[must_use]
     pub fn file(mut self, path: impl Into<PathBuf>) -> Self {
         self.source = Some(BuilderSource::File(path.into()));
@@ -373,27 +370,15 @@ impl<'a> CatalogBuilder<'a> {
         self
     }
 
-    /// Tier spec: explicit strictly-decreasing bucket counts, all dense.
+    /// Tier spec: explicit strictly-decreasing bucket counts.
     #[must_use]
     pub fn tier_buckets(mut self, buckets: &[u64]) -> Self {
-        self.tiers = Some(TierSpec::Explicit(
-            buckets
-                .iter()
-                .map(|&b| (b, TierCompression::Dense))
-                .collect(),
-        ));
-        self
-    }
-
-    /// Tier spec: explicit bucket counts with per-tier compression.
-    #[must_use]
-    pub fn tiers(mut self, tiers: &[(u64, TierCompression)]) -> Self {
-        self.tiers = Some(TierSpec::Explicit(tiers.to_vec()));
+        self.tiers = Some(TierSpec::Explicit(buckets.to_vec()));
         self
     }
 
     /// Tier spec: `levels` halvings from the base geometry
-    /// (`B, B/2, …, B/2^levels`), all dense.
+    /// (`B, B/2, …, B/2^levels`).
     #[must_use]
     pub fn halving(mut self, levels: u32) -> Self {
         self.tiers = Some(TierSpec::Halving(levels));
@@ -442,10 +427,7 @@ fn open_paged(path: &Path, cache_bytes: usize) -> Result<Catalog, CatalogError> 
     let tiers = open_tiers(file.len(), |offset| {
         let counters = Arc::new(BlockCacheCounters::new());
         let (index, used) = Rambo::open_paged_at(&file, offset, &counters)?;
-        // A tier that decoded eagerly (RRR) never touches the cache; only
-        // paged tiers report counters.
-        let counters = index.tables_paged().then_some(counters);
-        Ok((index, used, counters))
+        Ok((index, used, Some(counters)))
     })?;
     Ok(Catalog {
         source: Source::Paged(file),
@@ -492,7 +474,7 @@ fn open_tiers(
 /// Serialize `base` folded per `spec` (the concatenated catalog layout).
 fn fold_spec(base: &Rambo, spec: &TierSpec) -> Result<Vec<u8>, CatalogError> {
     let bytes = match spec {
-        TierSpec::Explicit(tiers) => base.fold_catalog_bytes_with(tiers)?,
+        TierSpec::Explicit(tiers) => base.fold_catalog_bytes(tiers)?,
         TierSpec::Halving(levels) => {
             let tiers: Vec<u64> = (0..=*levels).map(|l| base.buckets() >> l).collect();
             base.fold_catalog_bytes(&tiers)?
@@ -654,56 +636,6 @@ mod tests {
         }
         assert!(paged.block_cache_stats(0).unwrap().misses > 0);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn paged_catalog_with_compressed_cold_tier() {
-        let base = build_base(256, 120, 7);
-        let bytes = base
-            .fold_catalog_bytes_with(&[(256, TierCompression::Rrr), (64, TierCompression::Dense)])
-            .unwrap();
-        let path = temp_catalog_path("mixed");
-        std::fs::write(&path, &bytes).unwrap();
-        let paged = open_paged(&path);
-        assert_eq!(paged.len(), 2);
-        // RRR tier decoded eagerly → no block counters; dense tier paged.
-        assert!(paged.tier(0).is_compressed());
-        assert!(paged.block_cache_stats(0).is_none());
-        assert!(paged.tier(1).tables_paged());
-        assert!(paged.block_cache_stats(1).is_some());
-        let buffered = open(bytes).unwrap();
-        for d in [3usize, 77] {
-            let term = ((d as u64) << 24) | 2;
-            for t in 0..2 {
-                assert_eq!(
-                    paged.tier(t).query_u64(term),
-                    buffered.tier(t).query_u64(term)
-                );
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn tiers_spec_compresses_requested_tiers() {
-        let base = build_base(256, 120, 8);
-        let cat = Catalog::builder()
-            .base(&base)
-            .tiers(&[(256, TierCompression::Rrr), (64, TierCompression::Dense)])
-            .build()
-            .unwrap();
-        assert!(cat.tier(0).is_compressed());
-        assert!(!cat.tier(1).is_compressed());
-        let dense = Catalog::builder()
-            .base(&base)
-            .tier_buckets(&[256, 64])
-            .build()
-            .unwrap();
-        assert!(
-            cat.info(0).encoded_len < dense.info(0).encoded_len,
-            "compressed tier must encode smaller"
-        );
-        assert_eq!(cat.info(1).encoded_len, dense.info(1).encoded_len);
     }
 
     #[test]

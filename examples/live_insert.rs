@@ -14,7 +14,7 @@
 //! cargo run --release --example live_insert
 //! ```
 
-use rambo::core::{QueryMode, RamboParams, TierCompression};
+use rambo::core::{QueryMode, RamboParams};
 use rambo::server::{
     serve_tenant_tcp, Catalog, TcpClient, TenantOptions, TenantQuotas, TenantRegistry,
     TenantServeOptions, TenantStats,
@@ -109,7 +109,7 @@ fn main() {
     let frozen = registry.freeze(TENANT).expect("snapshot");
     let catalog = Catalog::builder()
         .base(&frozen)
-        .tiers(&[(32, TierCompression::Dense), (16, TierCompression::Dense)])
+        .tier_buckets(&[32, 16])
         .build()
         .expect("freeze");
     println!(

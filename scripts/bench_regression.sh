@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Bench floor gate: run the bench no BENCHMARK.json workload measures yet
-# (storage_cold, for the cold tiers) at its canonical (default-flag) sizes,
+# (storage_cold, for paged catalogs) at its canonical (default-flag) sizes,
 # and fail (exit 1) when a gated metric in BENCH_storage.json sits below its
 # absolute floor. A floor means the floor: there is no tolerance below it,
 # no baseline file and no retry. Speed of everything else is the
@@ -14,14 +14,11 @@ cd "$(dirname "$0")/.."
 
 # file | metric | absolute floor
 #
-# Storage floors: dense_over_rrr_bits_per_doc >= 1.667 is the acceptance
-# criterion "RRR cold tier <= 0.6x the dense bits/doc" (deterministic —
-# same seed, same sizes; recorded 2.85); cold_query_headroom >= 1.0 holds a
-# cold (all-faulting) query under the 20ms serving ceiling on a 128MB
-# catalog; hot_over_cold_query_speedup >= 4.48 is a block-cache hit beating
-# a cold fault (recorded 5.97-7.05; the floor is 5.969 less 25%).
+# Storage floors: cold_query_headroom >= 1.0 holds a cold (all-faulting)
+# query under the 20ms serving ceiling on a 128MB catalog;
+# hot_over_cold_query_speedup >= 4.48 is a block-cache hit beating a cold
+# fault (recorded 5.97-7.05; the floor is 5.969 less 25%).
 FLOORS="
-BENCH_storage.json|dense_over_rrr_bits_per_doc|1.667
 BENCH_storage.json|cold_query_headroom|1.0
 BENCH_storage.json|hot_over_cold_query_speedup|4.48
 "

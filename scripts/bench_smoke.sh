@@ -15,9 +15,8 @@ run() {
     "$@"
 }
 
-# storage-smoke: dense vs RRR tier sizes with result-parity asserts, then a
-# small on-disk catalog opened paged (cold) and re-queried hot through the
-# block cache, with paged-vs-buffered parity asserts throughout.
+# storage-smoke: a small on-disk catalog opened paged (cold) and re-queried
+# hot through the block cache, with paged-vs-buffered parity asserts
+# throughout.
 run cargo run --release -p rambo-bench --bin storage_cold -- \
-    --docs 60 --terms 300 --buckets 256 \
-    --paged-docs 16 --paged-terms 120 --paged-m-bits 16 --queries 64
+    --buckets 256 --paged-docs 16 --paged-terms 120 --paged-m-bits 16 --queries 64
