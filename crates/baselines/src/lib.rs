@@ -13,9 +13,8 @@
 //! | SSBT (Solomon–Kingsford 2017) | [`SplitSbt`] (dense) | split sim/rem filters — subtree-level resolution and pruning |
 //! | HowDeSBT (Harris–Medvedev) | [`SplitSbt`] (compressed) | split filters stored as RRR vectors (see DESIGN.md, "Substitutions" item 4) |
 //!
-//! RAMBO itself (and RAMBO+) implement the same trait via adapters
-//! ([`RamboIndex`], [`RamboPlusIndex`]), so a Table 2 row is literally a loop
-//! over `Vec<Box<dyn MembershipIndex>>`.
+//! RAMBO itself implements the same trait via an adapter ([`RamboIndex`]),
+//! so a Table 2 row is literally a loop over `Vec<Box<dyn MembershipIndex>>`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +29,7 @@ pub use bitsliced::{BitSlicedIndex, CompactBitSliced};
 pub use inverted::InvertedIndex;
 pub use sbt::Sbt;
 pub use split::SplitSbt;
-pub use traits::{MembershipIndex, RamboIndex, RamboPlusIndex};
+pub use traits::{MembershipIndex, RamboIndex};
 
 /// A document ready for batch indexing: `(name, distinct terms)`.
 ///

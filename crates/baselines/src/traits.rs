@@ -1,5 +1,5 @@
 //! The common query interface all evaluated indexes implement, plus the
-//! adapters that put RAMBO and RAMBO+ behind it.
+//! adapter that puts RAMBO behind it.
 
 use rambo_core::{QueryContext, QueryMode, Rambo};
 use std::cell::RefCell;
@@ -108,53 +108,6 @@ impl MembershipIndex for RamboIndex {
     }
 }
 
-/// RAMBO+ (sparse sequential evaluation, §5.1) behind the common interface.
-pub struct RamboPlusIndex {
-    index: Rambo,
-    ctx: RefCell<QueryContext>,
-}
-
-impl RamboPlusIndex {
-    /// Wrap a built index.
-    #[must_use]
-    pub fn new(index: Rambo) -> Self {
-        Self {
-            index,
-            ctx: RefCell::new(QueryContext::new()),
-        }
-    }
-
-    /// The wrapped index.
-    #[must_use]
-    pub fn inner(&self) -> &Rambo {
-        &self.index
-    }
-}
-
-impl MembershipIndex for RamboPlusIndex {
-    fn label(&self) -> &'static str {
-        "RAMBO+"
-    }
-
-    fn num_documents(&self) -> usize {
-        self.index.num_documents()
-    }
-
-    fn query_term(&self, term: u64) -> Vec<u32> {
-        self.index
-            .query_terms_with(&[term], QueryMode::Sparse, &mut self.ctx.borrow_mut())
-    }
-
-    fn query_terms(&self, terms: &[u64]) -> Vec<u32> {
-        self.index
-            .query_terms_with(terms, QueryMode::Sparse, &mut self.ctx.borrow_mut())
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.index.size_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,13 +126,11 @@ mod tests {
         r.insert_document("a", [10u64, 11]).unwrap();
         r.insert_document("b", [12u64]).unwrap();
         let full = RamboIndex::new(r.clone());
-        let plus = RamboPlusIndex::new(r);
         assert_eq!(full.num_documents(), 2);
-        assert_eq!(full.query_term(10), plus.query_term(10));
+        assert_eq!(full.query_term(10), r.query_u64(10));
         assert!(full.query_term(10).contains(&0));
-        assert!(plus.query_term(12).contains(&1));
+        assert!(full.query_term(12).contains(&1));
         assert_eq!(full.label(), "RAMBO");
-        assert_eq!(plus.label(), "RAMBO+");
         assert!(full.size_bytes() > 0);
     }
 

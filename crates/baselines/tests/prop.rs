@@ -5,8 +5,7 @@
 
 use proptest::prelude::*;
 use rambo_baselines::{
-    BitSlicedIndex, CompactBitSliced, InvertedIndex, MembershipIndex, RamboIndex, RamboPlusIndex,
-    Sbt, SplitSbt,
+    BitSlicedIndex, CompactBitSliced, InvertedIndex, MembershipIndex, RamboIndex, Sbt, SplitSbt,
 };
 use rambo_core::{Rambo, RamboParams};
 
@@ -31,8 +30,7 @@ fn build_all(docs: &[(String, Vec<u64>)], seed: u64) -> Vec<Box<dyn MembershipIn
         rambo.insert_document(name, terms.iter().copied()).unwrap();
     }
     vec![
-        Box::new(RamboIndex::new(rambo.clone())),
-        Box::new(RamboPlusIndex::new(rambo)),
+        Box::new(RamboIndex::new(rambo)),
         Box::new(BitSlicedIndex::build_auto(docs, 0.01, 3, seed)),
         Box::new(CompactBitSliced::build(docs, 4, 0.01, 3, seed)),
         Box::new(Sbt::build(docs, 1 << 12, 2, seed)),

@@ -23,9 +23,7 @@
 //! small so result-set materialization does not mask index probe costs.
 //! ```
 
-use rambo_baselines::{
-    BitSlicedIndex, InvertedIndex, MembershipIndex, RamboIndex, RamboPlusIndex, Sbt, SplitSbt,
-};
+use rambo_baselines::{BitSlicedIndex, InvertedIndex, MembershipIndex, RamboIndex, Sbt, SplitSbt};
 use rambo_bench::{
     build_rambo, mean_query_time, paper_buckets_for, paper_rambo_params_with_fpr, Args,
 };
@@ -48,7 +46,7 @@ fn main() {
     );
 
     println!("RAMBO reproduction — Table 1 (query-time scaling with K)\n");
-    let labels = ["Inverted", "RAMBO", "RAMBO+", "COBS", "SBT", "SSBT"];
+    let labels = ["Inverted", "RAMBO", "COBS", "SBT", "SSBT"];
     let mut headers = vec!["K".to_string()];
     headers.extend(labels.iter().map(|l| format!("{l} (us)")));
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
@@ -76,8 +74,7 @@ fn main() {
         let m_tree = rambo_bloom::params::optimal_m(max_n, 0.01);
         let indexes: Vec<Box<dyn MembershipIndex>> = vec![
             Box::new(InvertedIndex::build(docs)),
-            Box::new(RamboIndex::new(rambo.clone())),
-            Box::new(RamboPlusIndex::new(rambo)),
+            Box::new(RamboIndex::new(rambo)),
             Box::new(BitSlicedIndex::build_auto(docs, 0.01, 3, seed)),
             Box::new(Sbt::build(docs, m_tree, 1, seed)),
             Box::new(SplitSbt::build(docs, m_tree, 1, seed, false)),
@@ -101,7 +98,6 @@ fn main() {
     let theory = [
         "~1.0 (O(1))",
         "~1.4 (O(sqrt K log K))",
-        "~1.4",
         "~2.0 (O(K))",
         "1..2 (O(log K)..O(K))",
         "1..2",

@@ -51,7 +51,7 @@ fn main() {
         let actual_mean = archive.mean_terms().round() as usize;
         let suite = build_suite(&archive.docs, actual_mean, false, seed, k <= tree_limit);
 
-        // Suite order: RAMBO, RAMBO+, COBS, BIGSI, SBT, SSBT, HowDe~.
+        // Suite order: RAMBO, COBS, BIGSI, SBT, SSBT, HowDe~.
         let size_of = |label: &str| -> Option<usize> {
             suite
                 .iter()

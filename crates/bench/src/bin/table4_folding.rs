@@ -77,14 +77,7 @@ fn main() {
 
     let mut table = Table::new(
         "Table 4: query time / size / FPR per fold",
-        &[
-            "fold",
-            "B",
-            "QT full (ms)",
-            "QT sparse (ms)",
-            "size",
-            "per-doc FPR",
-        ],
+        &["fold", "B", "QT (ms)", "size", "per-doc FPR"],
     );
     let mut current = index;
     for fold in [1u32, 2, 4, 8] {
@@ -95,11 +88,6 @@ fn main() {
         let (_, full_t) = time(|| {
             for &t in &query_terms {
                 std::hint::black_box(current.query_terms_with(&[t], QueryMode::Full, &mut ctx));
-            }
-        });
-        let (_, sparse_t) = time(|| {
-            for &t in &query_terms {
-                std::hint::black_box(current.query_terms_with(&[t], QueryMode::Sparse, &mut ctx));
             }
         });
         // The sharded build renumbers documents node-major; translate index
@@ -126,10 +114,6 @@ fn main() {
                 "{:.4}",
                 full_t.as_secs_f64() * 1e3 / query_terms.len() as f64
             ),
-            format!(
-                "{:.4}",
-                sparse_t.as_secs_f64() * 1e3 / query_terms.len() as f64
-            ),
             human_bytes(current.size_bytes()),
             format!("{:.5}", fpr.per_doc_rate()),
         ]);
@@ -137,6 +121,6 @@ fn main() {
     println!("{table}");
     println!("shape checks vs paper (Table 4: 66.5ms/7.13TB -> 43.5/3.6 -> 26.25/1.78):");
     println!("  * size halves per fold;");
-    println!("  * full-evaluation query time falls as B shrinks (fewer BFU probes);");
+    println!("  * query time falls as B shrinks (fewer BFU probes);");
     println!("  * FPR rises super-linearly with each fold (Figure 4's trade-off).");
 }

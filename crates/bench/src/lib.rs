@@ -12,7 +12,7 @@
 #![warn(missing_docs)]
 
 use rambo_baselines::{
-    BitSlicedIndex, CompactBitSliced, MembershipIndex, RamboIndex, RamboPlusIndex, Sbt, SplitSbt,
+    BitSlicedIndex, CompactBitSliced, MembershipIndex, RamboIndex, Sbt, SplitSbt,
 };
 use rambo_core::{Rambo, RamboParams};
 use rambo_workloads::timing::time;
@@ -82,7 +82,7 @@ pub struct BuiltIndex {
     pub build_time: Duration,
 }
 
-/// Build the full Table 2 suite over a document batch: RAMBO, RAMBO+, COBS
+/// Build the full Table 2 suite over a document batch: RAMBO, COBS
 /// (compact), COBS(uniform)=BIGSI, SBT, SSBT and HowDeSBT-like. `heavy_trees`
 /// can be disabled for large K where the SBT family would dominate harness
 /// runtime (mirroring the paper, where HowDeSBT runs out of RAM past 500
@@ -103,11 +103,7 @@ pub fn build_suite(
     // construction-time column is compared against.
     let (rambo, t) = time(|| build_rambo(params, docs));
     out.push(BuiltIndex {
-        index: Box::new(RamboIndex::new(rambo.clone())),
-        build_time: t,
-    });
-    out.push(BuiltIndex {
-        index: Box::new(RamboPlusIndex::new(rambo)),
+        index: Box::new(RamboIndex::new(rambo)),
         build_time: t,
     });
 
@@ -418,7 +414,7 @@ mod tests {
     fn suite_builds_and_answers() {
         let archive = SyntheticArchive::generate(&ArchiveParams::tiny(30, 5));
         let suite = build_suite(&archive.docs, 200, false, 5, true);
-        assert_eq!(suite.len(), 7);
+        assert_eq!(suite.len(), 6); // RAMBO, COBS, BIGSI, SBT, SSBT, HowDe~
         let probe = archive.docs[3].1[0];
         for built in &suite {
             assert!(

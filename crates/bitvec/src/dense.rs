@@ -14,7 +14,7 @@ use crate::kernel;
 const WORD_BITS: usize = 64;
 
 /// A fixed-length dense bit vector.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitVec {
     len: usize,
     words: Vec<u64>,

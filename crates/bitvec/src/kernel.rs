@@ -213,7 +213,7 @@ pub fn any(words: &[u64]) -> bool {
 /// for its document rows, applied here to the `m × B` BFU matrix to compute
 /// all `B` column fills in one sequential pass (no per-set-bit extraction).
 /// Each add touches `O(carry depth)` planes, amortized ~2 passes per row.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ColumnCounter {
     width: usize,
     /// `planes[k][w]`: bit `k` of the count of column `w·64 + b`, sliced

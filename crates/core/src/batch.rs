@@ -71,9 +71,9 @@ impl Rambo {
 /// handle a server lane or a batch job holds, so that a run of queries pays
 /// for [`QueryContext`] warm-up once.
 ///
-/// Holds an immutable borrow of the index for its lifetime. Both modes go
-/// through [`Rambo::query_terms_with`] — the planned probe is the only
-/// evaluator, so a batch answers exactly what per-call evaluation answers.
+/// Holds an immutable borrow of the index for its lifetime. Every query goes
+/// through [`Rambo::query_terms_with`], so a batch answers exactly what
+/// per-call evaluation answers.
 ///
 /// ```
 /// use rambo_core::{QueryBatch, QueryMode, Rambo, RamboParams};

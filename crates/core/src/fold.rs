@@ -148,7 +148,7 @@ impl Rambo {
 mod tests {
     use super::*;
     use crate::params::RamboParams;
-    use crate::query::QueryMode;
+    use crate::query::{QueryContext, QueryMode};
     use crate::DocId;
 
     fn build(buckets: u64, k: usize, seed: u64) -> (Rambo, Vec<Vec<u64>>) {
@@ -358,10 +358,21 @@ mod tests {
     fn sparse_mode_agrees_after_folding() {
         let (mut r, contents) = build(16, 60, 9);
         r.fold_once().unwrap();
-        for &t in contents[10].iter().take(5) {
+        let mut ctx = QueryContext::new();
+        for q in contents[10].chunks(5).take(3) {
+            for t in q {
+                assert_eq!(
+                    r.query_terms_u64(&[*t], QueryMode::Full),
+                    r.query_terms_u64(&[*t], QueryMode::Sparse)
+                );
+            }
             assert_eq!(
-                r.query_terms_u64(&[t], QueryMode::Full),
-                r.query_terms_u64(&[t], QueryMode::Sparse)
+                r.query_terms_u64(q, QueryMode::Full),
+                r.query_terms_u64(q, QueryMode::Sparse)
+            );
+            assert_eq!(
+                r.query_sequence_theta(q, 0.6, QueryMode::Full, &mut ctx),
+                r.query_sequence_theta(q, 0.6, QueryMode::Sparse, &mut ctx)
             );
         }
     }

@@ -27,13 +27,15 @@
 //!
 //! ## What this crate provides
 //!
-//! * [`Rambo`] — the index: Algorithm 1 insertion, Algorithm 2 querying,
-//!   plain and **RAMBO+** sparse evaluation ([`QueryMode`]), large-sequence
-//!   queries with first-FALSE early exit (§3.3.1), and §5.3 **fold-over**
-//!   (halve `B` by OR-ing filter halves, trading memory for FPR). Every
-//!   query verb, on a static index or a live tenant's, runs on one planned
-//!   probe: each term hashed once per repetition into a row plan held in
-//!   the [`QueryContext`], one gather-AND kernel call per repetition.
+//! * [`Rambo`] — the index: Algorithm 1 insertion, Algorithm 2 querying
+//!   (which is also §3.3.1's large-sequence query, with first-FALSE early
+//!   exit), θ-threshold sequence queries, and §5.3 **fold-over** (halve `B`
+//!   by OR-ing filter halves, trading memory for FPR). Every query verb, on
+//!   a static index or a live tenant's, runs on one planned probe: each term
+//!   hashed once per repetition into a row plan held in the
+//!   [`QueryContext`], one gather-AND kernel call per repetition.
+//!   [`QueryMode::Sparse`] answers from a plan-free reference instead, for
+//!   tests and oracles.
 //! * [`HashPlan::hash_document`] → [`Rambo::apply_hashed`] — the write
 //!   path for one document: dedupe, hash each unique term once per
 //!   repetition into row blocks, then set the blocks in the matrices.
@@ -98,6 +100,7 @@ mod params;
 mod partition;
 pub mod pipeline;
 mod query;
+mod reference;
 mod serialize;
 pub mod sharded;
 pub mod theory;

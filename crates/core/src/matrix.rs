@@ -185,18 +185,10 @@ impl BfuMatrix {
     /// Read one bit, whatever the backend.
     #[inline]
     pub(crate) fn bit(&self, p: usize, bucket: usize) -> bool {
-        self.bit_at(p * self.row_words, bucket)
-    }
-
-    /// [`BfuMatrix::bit`] of the row at word offset `offset` — the form the
-    /// query row plan stores, so RAMBO+'s per-bucket probes read planned
-    /// rows without re-deriving positions.
-    #[inline]
-    pub(crate) fn bit_at(&self, offset: usize, bucket: usize) -> bool {
-        let (word, shift) = (bucket / 64, bucket % 64);
+        let (word, shift) = (p * self.row_words + bucket / 64, bucket % 64);
         match &self.store {
-            MatrixStore::Dense(ws) => (ws.as_words()[offset + word] >> shift) & 1 == 1,
-            MatrixStore::Paged(pw) => (pw.read_word(offset + word) >> shift) & 1 == 1,
+            MatrixStore::Dense(ws) => (ws.as_words()[word] >> shift) & 1 == 1,
+            MatrixStore::Paged(pw) => (pw.read_word(word) >> shift) & 1 == 1,
         }
     }
 
@@ -802,8 +794,13 @@ mod tests {
         BitVec::from_ones(m.buckets, ones)
     }
 
+    /// Does the BFU of `bucket` hold all `pairs`: its η rows each read by
+    /// [`BfuMatrix::bit`], with no plan.
     fn probe_bucket(m: &BfuMatrix, bucket: usize, pairs: &[HashPair], eta: u32) -> bool {
-        plan(m, pairs, eta).iter().all(|&o| m.bit_at(o, bucket))
+        pairs
+            .iter()
+            .flat_map(|p| p.indices(eta, m.m_bits as u64))
+            .all(|row| m.bit(row as usize, bucket))
     }
 
     #[test]

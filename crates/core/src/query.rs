@@ -1,12 +1,16 @@
-//! Algorithm 2 (query), the RAMBO+ sparse evaluation of §5.1, and the
-//! large-sequence query protocol of §3.3.1 — one evaluator for every caller.
+//! Algorithm 2 (query) and the θ-threshold sequence query — one evaluator
+//! for every caller.
 //!
 //! A query against one repetition is: probe the BFUs (η contiguous row reads
 //! of the position-major matrix, ANDed into a `B`-bit bucket mask — see
 //! [`crate::matrix`]), union the document sets of the buckets whose BFU
 //! answered *true*, and intersect those unions across repetitions. The
 //! paper's §5.1 measured the AND at under 5% of query cycles; the row-major
-//! probe plus word-AND here reproduces that design.
+//! probe plus word-AND here reproduces that design. An AND query is also
+//! §3.3.1's large-sequence query: a document holds every term in every
+//! repetition exactly when, in every repetition, its BFU holds every term,
+//! and evaluation stops at the first repetition whose bucket mask or
+//! intersection empties ("the first returned FALSE will be conclusive").
 //!
 //! # One planned probe
 //!
@@ -19,76 +23,60 @@
 //! [`rambo_bitvec::kernel::and_gather_rows_into_any`] call ANDs a whole
 //! repetition's rows into the bucket mask. Planning per repetition, not per
 //! query, means a query that dies in repetition 0 never hashes for the rest.
+//! A static catalog tier, a zero-copy view, a paged file or a live tenant's
+//! matrix are all the same [`Rambo`] to it.
 //!
-//! Every evaluator takes one [`Rambo`]: a static catalog tier, a zero-copy
-//! view, a paged file or a live tenant's matrix are all the same index to
-//! it, and the planned rows feed the matrix's own kernels — the gather-AND,
-//! or θ's per-term η-AND.
+//! AND materializes each repetition's union as a `K`-bit document bitmap
+//! and word-ANDs them (the paper's base RAMBO with "bitmap arrays", §5.1).
+//! θ builds per-term bucket masks (one η-AND each), counts term hits per
+//! *bucket* and verifies only the documents whose buckets reach the
+//! threshold.
 //!
-//! Two evaluation strategies:
-//!
-//! * [`QueryMode::Full`] materializes each repetition's union as a `K`-bit
-//!   document bitmap and word-ANDs them (the paper's base RAMBO with
-//!   "bitmap arrays", §5.1).
-//! * [`QueryMode::Sparse`] is **RAMBO+**: repetitions are evaluated
-//!   sequentially over an explicit candidate list — repetition `r` only
-//!   probes the buckets that still hold live candidates, memoized. Its cost
-//!   is Lemma 4.4's `B·η + (K/B)(V + B·p)·R` with no `O(K)` bitmap pass.
-//!
-//! θ-threshold sequence queries use the two modes as two independent
-//! strategies: Full counts term hits per *bucket* first and verifies only the
-//! documents whose buckets reach the threshold; Sparse runs one single-term
-//! RAMBO+ query per term and counts per document. The property suites and the
-//! benchmark's oracle hold one against the other.
+//! [`QueryMode::Sparse`] selects the reference instead: Algorithm 2 as
+//! written, in a private module that shares no plan, kernel or scratch with
+//! this one. The property suites and the benchmark's oracle hold the planned
+//! probe against it.
 
 use crate::index::{DocId, Rambo};
+use crate::reference;
 use rambo_bitvec::kernel::{self, ColumnCounter};
 use rambo_bitvec::BitVec;
 use rambo_hash::{HashPair, Modulus};
 
-/// Evaluation strategy for Algorithm 2.
+/// Which evaluator answers a query. Both return the same documents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryMode {
-    /// Probe all `B × R` BFUs and intersect `K`-bit bitmaps (base RAMBO).
+    /// The planned probe of this module: the one evaluator, and the only
+    /// one anything serves.
     #[default]
     Full,
-    /// RAMBO+ sparse sequential evaluation over candidate lists (§5.1
-    /// "Query time speedup").
+    /// The reference: Algorithm 2 as written, one single-bit probe per
+    /// (repetition, bucket, term), sharing no plan, kernel or scratch with
+    /// `Full`. It is for tests and the benchmark's oracle, never a serving
+    /// strategy.
     Sparse,
 }
 
 /// Reusable query scratch space. Query latency at RAMBO's scale is dominated
 /// by cache behaviour; reusing the buffers means a warmed-up context
 /// allocates nothing per query but the returned id list.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct QueryContext {
     /// The current repetition's row plan: η word offsets per term,
     /// term-major (see the [module docs](self)).
     rows: Vec<usize>,
     /// Bucket mask for the per-table probe (`⌈B/64⌉` words).
     mask: Vec<u64>,
-    /// Intersection accumulator across repetitions (`K` bits, Full mode).
+    /// Intersection accumulator across repetitions (`K` bits).
     acc: BitVec,
-    /// Per-repetition union bitmap (`K` bits, Full mode).
+    /// Per-repetition union bitmap (`K` bits).
     tbl: BitVec,
-    /// Probe memo per bucket: 0 unknown, 1 true, 2 false (Sparse mode).
-    probes: Vec<u8>,
-    /// Live candidates (Sparse mode).
-    candidates: Vec<DocId>,
-    /// Per-document hit counts (Sparse-mode θ queries).
-    counts: Vec<u32>,
-    /// Per-(repetition, term) bucket masks, repetition-major (Full-mode θ).
+    /// Per-(repetition, term) bucket masks, repetition-major (θ).
     term_masks: Vec<u64>,
     /// Per-repetition bitmaps of buckets reaching the θ threshold.
     passing: Vec<u64>,
-    /// Per-bucket term-hit counters (Full-mode θ).
+    /// Per-bucket term-hit counters (θ).
     bucket_counts: ColumnCounter,
-}
-
-impl Default for QueryContext {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Grow `v` to at least `len` entries (never shrink it).
@@ -102,18 +90,7 @@ impl QueryContext {
     /// Fresh context; buffers are sized lazily on first use.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            rows: Vec::new(),
-            mask: Vec::new(),
-            acc: BitVec::zeros(0),
-            tbl: BitVec::zeros(0),
-            probes: Vec::new(),
-            candidates: Vec::new(),
-            counts: Vec::new(),
-            term_masks: Vec::new(),
-            passing: Vec::new(),
-            bucket_counts: ColumnCounter::new(0),
-        }
+        Self::default()
     }
 
     /// Size the scratch buffers for an index with `docs` documents and
@@ -125,28 +102,23 @@ impl QueryContext {
     /// is sound because every query path fully re-initializes the prefix it
     /// reads: `mask[..⌈B/64⌉]` is refilled per repetition, `tbl` is cleared
     /// per repetition, `acc` is overwritten from `tbl` at repetition 0 (and
-    /// only documents `< docs` are ever set), `probes[..buckets]` is zeroed
-    /// per repetition, and `counts[..docs]`, the θ mask arena and the bucket
-    /// counters are reset per θ-query. The row plan and the row staging are
-    /// rewritten before each use.
+    /// only documents `< docs` are ever set), and the θ mask arena and the
+    /// bucket counters are reset per θ-query. The row plan is rewritten
+    /// before each use.
     fn ensure(&mut self, docs: usize, buckets: usize) {
         if self.acc.len() < docs {
             self.acc = BitVec::zeros(docs);
             self.tbl = BitVec::zeros(docs);
         }
         grow(&mut self.mask, buckets.div_ceil(64));
-        grow(&mut self.probes, buckets);
     }
 }
 
-/// The per-repetition planner of one query: given a repetition's Bloom seed,
-/// overwrite the vector with the η row offsets of every term, term-major.
-type Planner<'a> = dyn Fn(u64, &mut Vec<usize>) + 'a;
-
-/// Build the [`Planner`] of `terms` for an index of `geometry`'s shape. The
-/// row positions are [`HashPair::index`] (through a [`Modulus`] built once
-/// here: a 200-term query takes 1 200 of them), so they match insertion bit
-/// for bit.
+/// The per-repetition planner of `terms` for an index of `geometry`'s shape:
+/// given a repetition's Bloom seed, it overwrites the vector with the η row
+/// offsets of every term, term-major. The row positions are
+/// [`HashPair::index`] (through a [`Modulus`] built once here: a 200-term
+/// query takes 1 200 of them), so they match insertion bit for bit.
 fn planner<'a>(geometry: &Rambo, terms: &'a [u64]) -> impl Fn(u64, &mut Vec<usize>) + 'a {
     let eta = geometry.params().eta;
     let m = Modulus::new(geometry.params().bfu_bits as u64);
@@ -184,25 +156,12 @@ fn bit(words: &[u64], i: usize) -> bool {
     (words[i / 64] >> (i % 64)) & 1 == 1
 }
 
-/// Algorithm 2 with caller-owned scratch: ids of the documents whose BFUs
-/// hold *all* `terms`, ascending.
-fn evaluate(index: &Rambo, terms: &[u64], mode: QueryMode, ctx: &mut QueryContext) -> Vec<DocId> {
-    let docs = index.num_documents();
-    if docs == 0 || terms.is_empty() {
-        return Vec::new();
-    }
-    ctx.ensure(docs, index.buckets() as usize);
-    let plan = planner(index, terms);
-    match mode {
-        QueryMode::Full => query_full(index, &plan, ctx),
-        QueryMode::Sparse => query_sparse(index, &plan, ctx),
-    }
-}
-
-/// Full evaluation: probe every repetition's whole matrix, union into
-/// `K`-bit bitmaps, intersect across repetitions.
-fn query_full(index: &Rambo, plan: &Planner<'_>, ctx: &mut QueryContext) -> Vec<DocId> {
+/// Probe every repetition's whole matrix, union into `K`-bit bitmaps,
+/// intersect across repetitions.
+fn query_full(index: &Rambo, terms: &[u64], ctx: &mut QueryContext) -> Vec<DocId> {
     let b = index.buckets() as usize;
+    ctx.ensure(index.num_documents(), b);
+    let plan = planner(index, terms);
     let QueryContext {
         rows,
         mask,
@@ -239,78 +198,7 @@ fn query_full(index: &Rambo, plan: &Planner<'_>, ctx: &mut QueryContext) -> Vec<
     acc.iter_ones().map(|i| i as DocId).collect()
 }
 
-/// RAMBO+ evaluation: repetition 0 probes the matrix once and gathers an
-/// explicit candidate list; repetition `r > 0` probes only the buckets
-/// holding surviving candidates, memoized per bucket.
-fn query_sparse(index: &Rambo, plan: &Planner<'_>, ctx: &mut QueryContext) -> Vec<DocId> {
-    let b = index.buckets() as usize;
-    let QueryContext {
-        rows,
-        mask,
-        probes,
-        candidates,
-        ..
-    } = ctx;
-    let mask = &mut mask[..b.div_ceil(64)];
-    candidates.clear();
-    for (rep, (&seed, table)) in index.bloom_seeds.iter().zip(&index.tables).enumerate() {
-        plan(seed, rows);
-        if rep == 0 {
-            // Full matrix probe, then gather candidates from the matching
-            // buckets (buckets partition the documents, so the
-            // concatenation is duplicate-free; one sort restores id order).
-            fill_ones(mask, b);
-            if table.matrix.and_rows_into(rows, mask) {
-                for bucket in ones(mask) {
-                    candidates.extend_from_slice(&table.buckets[bucket]);
-                }
-                candidates.sort_unstable();
-            }
-        } else {
-            probes[..b].fill(0);
-            candidates.retain(|&doc| {
-                let bucket = table.assign[doc as usize] as usize;
-                if probes[bucket] == 0 {
-                    let hit = rows
-                        .iter()
-                        .all(|&offset| table.matrix.bit_at(offset, bucket));
-                    probes[bucket] = if hit { 1 } else { 2 };
-                }
-                probes[bucket] == 1
-            });
-        }
-        if candidates.is_empty() {
-            break;
-        }
-    }
-    std::mem::take(candidates)
-}
-
-/// θ-fraction sequence query: ids of the documents that (appear to) contain
-/// at least `⌈theta · terms.len()⌉` of the terms, counted with multiplicity,
-/// ascending.
-///
-/// # Panics
-/// Panics unless `0 < theta ≤ 1`.
-fn evaluate_theta(
-    index: &Rambo,
-    terms: &[u64],
-    theta: f64,
-    mode: QueryMode,
-    ctx: &mut QueryContext,
-) -> Vec<DocId> {
-    assert!(theta > 0.0 && theta <= 1.0, "theta must be in (0, 1]");
-    if index.num_documents() == 0 || terms.is_empty() {
-        return Vec::new();
-    }
-    let needed = ((theta * terms.len() as f64).ceil() as usize).max(1);
-    match mode {
-        QueryMode::Full => theta_by_bucket_count(index, terms, needed, ctx),
-        QueryMode::Sparse => theta_term_at_a_time(index, terms, needed, ctx),
-    }
-}
-
-/// Full-mode θ: filter at bucket granularity, then verify.
+/// θ: filter at bucket granularity, then verify.
 ///
 /// A term hits a document only if it hits the document's bucket in every
 /// repetition, so a document's hit count is at most the smallest, over
@@ -378,42 +266,6 @@ fn theta_by_bucket_count(
     out
 }
 
-/// Sparse-mode θ: one single-term RAMBO+ query per term, counted per
-/// document — the strategy [`theta_by_bucket_count`] is held against.
-fn theta_term_at_a_time(
-    index: &Rambo,
-    terms: &[u64],
-    needed: usize,
-    ctx: &mut QueryContext,
-) -> Vec<DocId> {
-    let k = index.num_documents();
-    grow(&mut ctx.counts, k);
-    ctx.counts[..k].fill(0);
-    // Running maximum over all counts: increments only ever raise a single
-    // counter, so tracking the max incrementally needs no O(K) scan per term.
-    let mut max_count = 0usize;
-    for (done, term) in terms.iter().enumerate() {
-        let term = std::slice::from_ref(term);
-        for d in evaluate(index, term, QueryMode::Sparse, ctx) {
-            let c = &mut ctx.counts[d as usize];
-            *c += 1;
-            max_count = max_count.max(*c as usize);
-        }
-        // Early exit: even if every remaining term hit every document,
-        // nobody can reach the threshold once the deficit is fatal.
-        let remaining = terms.len() - done - 1;
-        if max_count + remaining < needed {
-            return Vec::new();
-        }
-    }
-    ctx.counts[..k]
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c as usize >= needed)
-        .map(|(d, _)| d as DocId)
-        .collect()
-}
-
 impl Rambo {
     /// Query a single packed 64-bit term (allocates a fresh context; use
     /// [`Rambo::query_terms_with`] with a reused [`QueryContext`] on hot
@@ -438,6 +290,12 @@ impl Rambo {
     /// Zero false negatives: every document actually containing all terms is
     /// returned (its BFUs contain every term in every repetition, so it
     /// survives each union and the final intersection).
+    ///
+    /// This is also the large-sequence query of §3.3.1: intersecting the
+    /// per-term answers keeps the documents that hold every term in every
+    /// repetition, which is exactly this answer, and evaluation stops at the
+    /// first repetition that leaves nothing ("the first returned FALSE will
+    /// be conclusive").
     #[must_use]
     pub fn query_terms_with(
         &self,
@@ -445,43 +303,19 @@ impl Rambo {
         mode: QueryMode,
         ctx: &mut QueryContext,
     ) -> Vec<DocId> {
-        evaluate(self, terms, mode, ctx)
-    }
-
-    /// Large-sequence query (§3.3.1): membership-test each term of the query
-    /// sequence and intersect the per-term results, stopping at the first
-    /// term whose result empties the intersection ("the first returned FALSE
-    /// will be conclusive"). The output is bounded by the rarest term.
-    #[must_use]
-    pub fn query_sequence_u64(&self, terms: &[u64], mode: QueryMode) -> Vec<DocId> {
-        let mut ctx = QueryContext::new();
-        self.query_sequence_with(terms, mode, &mut ctx)
-    }
-
-    /// [`Rambo::query_sequence_u64`] with caller-owned scratch space.
-    #[must_use]
-    pub fn query_sequence_with(
-        &self,
-        terms: &[u64],
-        mode: QueryMode,
-        ctx: &mut QueryContext,
-    ) -> Vec<DocId> {
-        let mut acc: Option<Vec<DocId>> = None;
-        for &term in terms {
-            let hits = self.query_terms_with(&[term], mode, ctx);
-            acc = Some(match acc {
-                None => hits,
-                Some(prev) => intersect_sorted_ids(&prev, &hits),
-            });
-            if acc.as_ref().is_some_and(Vec::is_empty) {
-                return Vec::new(); // first conclusive FALSE
-            }
+        // Both evaluators see the same inputs: empty cases end here.
+        if self.num_documents() == 0 || terms.is_empty() {
+            return Vec::new();
         }
-        acc.unwrap_or_default()
+        match mode {
+            QueryMode::Full => query_full(self, terms, ctx),
+            QueryMode::Sparse => reference::all_terms(self, terms),
+        }
     }
 
     /// θ-fraction sequence query: return documents that (appear to) contain
-    /// at least `theta · terms.len()` of the query terms.
+    /// at least `⌈theta · terms.len()⌉` of the query terms, counted with
+    /// multiplicity.
     ///
     /// Strict intersection (θ = 1) is brittle on raw-read workloads: a
     /// sequencing error or coverage gap removes a single k-mer from the
@@ -500,7 +334,7 @@ impl Rambo {
     /// // strict intersection fails, θ = 0.6 still recovers the document.
     /// let seq = [1u64, 2, 3, 9999, 8888];
     /// let mut ctx = QueryContext::new();
-    /// assert!(index.query_sequence_u64(&seq, QueryMode::Full).is_empty());
+    /// assert!(index.query_terms_u64(&seq, QueryMode::Full).is_empty());
     /// let hits = index.query_sequence_theta(&seq, 0.6, QueryMode::Full, &mut ctx);
     /// assert_eq!(hits, vec![doc]);
     /// ```
@@ -515,7 +349,16 @@ impl Rambo {
         mode: QueryMode,
         ctx: &mut QueryContext,
     ) -> Vec<DocId> {
-        evaluate_theta(self, terms, theta, mode, ctx)
+        assert!(theta > 0.0 && theta <= 1.0, "theta must be in (0, 1]");
+        // Both evaluators see the same inputs: empty cases end here.
+        if self.num_documents() == 0 || terms.is_empty() {
+            return Vec::new();
+        }
+        let needed = ((theta * terms.len() as f64).ceil() as usize).max(1);
+        match mode {
+            QueryMode::Full => theta_by_bucket_count(self, terms, needed, ctx),
+            QueryMode::Sparse => reference::theta(self, terms, needed),
+        }
     }
 
     /// Convenience: resolve query results to document names.
@@ -591,24 +434,6 @@ pub fn multiset_query_key(terms: &[u64]) -> u128 {
     // collisions cannot survive the final mix.
     let n = terms.len() as u64;
     (u128::from(mix64(lo ^ n)) << 64) | u128::from(mix64(hi ^ n.rotate_left(17)))
-}
-
-/// Merge-intersection of two ascending id lists.
-fn intersect_sorted_ids(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -733,29 +558,36 @@ mod tests {
     #[test]
     fn sequence_query_intersects_terms() {
         let (r, contents) = build(25, 40, 6);
-        let hits = r.query_sequence_u64(&contents[3][..6], QueryMode::Full);
+        let hits = r.query_terms_u64(&contents[3][..6], QueryMode::Full);
         assert!(hits.contains(&3));
         // A sequence mixing two docs' exclusive terms matches nobody.
         let mixed = [contents[3][0], contents[4][0]];
-        let hits = r.query_sequence_u64(&mixed, QueryMode::Full);
+        let hits = r.query_terms_u64(&mixed, QueryMode::Full);
         assert!(!hits.contains(&3) || !hits.contains(&4));
     }
 
     #[test]
-    fn all_terms_result_subset_of_sequence_result() {
-        // Per-BFU all-terms (Algorithm 2) is at least as selective as
-        // term-at-a-time intersection (§3.3.1); both retain the true owner.
+    fn all_terms_result_equals_intersection_of_single_terms() {
+        // Per-BFU all-terms (Algorithm 2) equals term-at-a-time intersection
+        // (§3.3.1): both keep the documents holding every term in every
+        // repetition. A mixed window (another document's term, an absent
+        // term) must agree too.
         let (r, contents) = build(30, 40, 7);
         for d in [0usize, 9, 21] {
-            let q = &contents[d][..5];
-            let joint = r.query_terms_u64(q, QueryMode::Full);
-            let seq = r.query_sequence_u64(q, QueryMode::Full);
-            assert!(joint.contains(&(d as DocId)));
-            assert!(seq.contains(&(d as DocId)));
-            assert!(
-                joint.iter().all(|x| seq.contains(x)),
-                "all-terms result must be ⊆ sequence result"
-            );
+            let mut mixed = contents[d][..3].to_vec();
+            mixed.extend([contents[(d + 1) % 30][0], 0xFFFF, 0xDEAD_0000_0003]);
+            for q in [&contents[d][..5], &mixed[..4], &mixed] {
+                let joint = r.query_terms_u64(q, QueryMode::Full);
+                let mut seq = r.query_u64(q[0]);
+                for &t in &q[1..] {
+                    let hits = r.query_u64(t);
+                    seq.retain(|x| hits.contains(x));
+                }
+                assert_eq!(joint, seq, "query {q:x?}");
+            }
+            assert!(r
+                .query_terms_u64(&contents[d][..5], QueryMode::Full)
+                .contains(&(d as DocId)));
         }
     }
 
@@ -763,21 +595,30 @@ mod tests {
     fn sequence_query_modes_agree() {
         let (r, contents) = build(20, 30, 11);
         for d in [2usize, 13] {
-            let q = &contents[d][..4];
-            assert_eq!(
-                r.query_sequence_u64(q, QueryMode::Full),
-                r.query_sequence_u64(q, QueryMode::Sparse)
-            );
+            let mut q = contents[d][..4].to_vec();
+            for _ in 0..2 {
+                assert_eq!(
+                    r.query_terms_u64(&q, QueryMode::Full),
+                    r.query_terms_u64(&q, QueryMode::Sparse)
+                );
+                q.push(contents[d + 1][0]); // another document's term
+            }
         }
     }
 
     #[test]
     fn empty_inputs() {
         let (r, _) = build(5, 10, 8);
-        assert!(r.query_terms_u64(&[], QueryMode::Full).is_empty());
-        assert!(r.query_sequence_u64(&[], QueryMode::Full).is_empty());
         let empty = Rambo::new(RamboParams::flat(4, 2, 1024, 2, 0)).unwrap();
-        assert!(empty.query_u64(42).is_empty());
+        let mut ctx = QueryContext::new();
+        for mode in [QueryMode::Full, QueryMode::Sparse] {
+            assert!(r.query_terms_u64(&[], mode).is_empty());
+            assert!(r.query_sequence_theta(&[], 0.5, mode, &mut ctx).is_empty());
+            assert!(empty.query_terms_u64(&[42], mode).is_empty());
+            assert!(empty
+                .query_sequence_theta(&[42], 1.0, mode, &mut ctx)
+                .is_empty());
+        }
     }
 
     #[test]
@@ -786,9 +627,9 @@ mod tests {
         let mut ctx = QueryContext::new();
         // Interleave queries with very different result sizes.
         let a1 = r.query_terms_with(&[0xFFFF], QueryMode::Full, &mut ctx);
-        let b1 = r.query_terms_with(&[contents[0][0]], QueryMode::Sparse, &mut ctx);
+        let b1 = r.query_terms_with(&[contents[0][0]], QueryMode::Full, &mut ctx);
         let a2 = r.query_terms_with(&[0xFFFF], QueryMode::Full, &mut ctx);
-        let b2 = r.query_terms_with(&[contents[0][0]], QueryMode::Sparse, &mut ctx);
+        let b2 = r.query_terms_with(&[contents[0][0]], QueryMode::Full, &mut ctx);
         assert_eq!(a1, a2);
         assert_eq!(b1, b2);
     }
@@ -810,7 +651,7 @@ mod tests {
         let mut q: Vec<u64> = contents[5][..8].to_vec();
         q.push(0xDEAD_0000_0001);
         q.push(0xDEAD_0000_0002);
-        let strict = r.query_sequence_u64(&q, QueryMode::Full);
+        let strict = r.query_terms_u64(&q, QueryMode::Full);
         assert!(strict.is_empty(), "absent terms must break strict AND");
         let theta = r.query_sequence_theta(&q, 0.7, QueryMode::Full, &mut ctx);
         assert!(theta.contains(&5), "theta query must recover the owner");
@@ -824,14 +665,11 @@ mod tests {
         let (r, _) = build(10, 20, 13);
         let mut ctx = QueryContext::new();
         let absent: Vec<u64> = (0..10).map(|i| 0xBBBB_0000_0000u64 + i).collect();
-        let hits = r.query_sequence_theta(&absent, 0.9, QueryMode::Sparse, &mut ctx);
-        assert!(hits.is_empty());
-    }
-
-    #[test]
-    fn intersect_sorted_ids_basic() {
-        assert_eq!(intersect_sorted_ids(&[1, 3, 5], &[3, 5, 7]), vec![3, 5]);
-        assert_eq!(intersect_sorted_ids(&[], &[1]), Vec::<DocId>::new());
+        for mode in [QueryMode::Full, QueryMode::Sparse] {
+            assert!(r
+                .query_sequence_theta(&absent, 0.9, mode, &mut ctx)
+                .is_empty());
+        }
     }
 
     #[test]

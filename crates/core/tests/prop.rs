@@ -1,9 +1,9 @@
 //! Property-based tests for the RAMBO index invariants.
 //!
 //! These pin the paper's §4 claims under randomized workloads:
-//! zero false negatives (always), RAMBO+ ≡ RAMBO (sparse evaluation is an
-//! optimization, not an approximation), fold-over soundness, and the
-//! losslessness of sharded construction.
+//! zero false negatives (always), the planned evaluator (`QueryMode::Full`)
+//! ≡ the plan-free reference (`QueryMode::Sparse`) ≡ the definition,
+//! fold-over soundness, and the losslessness of sharded construction.
 
 use proptest::prelude::*;
 use rambo_core::{
@@ -99,7 +99,8 @@ proptest! {
         }
     }
 
-    /// RAMBO+ sparse evaluation returns exactly the full evaluation's result.
+    /// The planned probe (Full) returns exactly what the plan-free reference
+    /// (Sparse) returns, for single terms and for a window of them.
     #[test]
     fn sparse_equals_full(
         archive in archive_strategy(16),
@@ -112,13 +113,18 @@ proptest! {
         // Mix of absent terms (random u64s) and present terms.
         let mut all_probes = probes;
         all_probes.extend(archive.docs.iter().flat_map(|(_, ts)| ts.iter().take(2).copied()));
-        for t in all_probes {
+        for &t in &all_probes {
             prop_assert_eq!(
                 idx.query_terms_u64(&[t], QueryMode::Full),
                 idx.query_terms_u64(&[t], QueryMode::Sparse),
                 "modes disagree on {:#x}", t
             );
         }
+        let window = &all_probes[all_probes.len().saturating_sub(3)..];
+        prop_assert_eq!(
+            idx.query_terms_u64(window, QueryMode::Full),
+            idx.query_terms_u64(window, QueryMode::Sparse)
+        );
     }
 
     /// Folding never loses a document (no false negatives survive folding)
@@ -268,7 +274,7 @@ proptest! {
 
     /// The zero-copy load path is bit-identical to the copying one: for any
     /// archive, geometry and fold level, `open_view` answers every query
-    /// (Full and Sparse, present and absent terms) exactly like the
+    /// (Full and the reference, present and absent terms) exactly like the
     /// `from_bytes` copy — while actually borrowing the input buffer.
     #[test]
     fn open_view_equals_from_bytes(
@@ -510,26 +516,30 @@ proptest! {
     }
 
     /// Every query verb equals its definition on every storage backend.
-    /// AND queries (Full and Sparse) return exactly the documents that hold
-    /// every term; θ queries (Full: bucket-count filter-then-verify, Sparse:
-    /// term-at-a-time) return exactly the documents holding at least
-    /// `⌈θ·n⌉` terms counted with multiplicity. Queries carry repeated and
-    /// absent terms; geometry sweeps η and bucket counts that are not a
-    /// multiple of the word size. Each document's terms are also cycled into
-    /// long AND windows (33 and 80 terms, and 80 ending on an absent term),
-    /// so long row plans run through the paged sort-and-dedupe path
-    /// and an early exit can only come from the last rows.
+    /// AND queries (Full and the Sparse reference) return exactly the
+    /// documents that hold every term; θ queries (Full: bucket-count
+    /// filter-then-verify, Sparse: the reference's per-document count)
+    /// return exactly the documents holding at least `⌈θ·n⌉` terms counted
+    /// with multiplicity. Queries carry repeated and absent terms; geometry
+    /// sweeps η, bucket counts that are not a multiple of the word size, and
+    /// 0–2 fold-overs before the index is stored. Each document's terms are
+    /// also cycled into long AND windows (33 and 80 terms, and 80 ending on
+    /// an absent term), so long row plans run through the paged
+    /// sort-and-dedupe path and an early exit can only come from the last
+    /// rows.
     #[test]
     fn every_verb_matches_the_definition_on_every_backend(
         archive in archive_strategy(10),
         b in 2u64..150,
         r in 1usize..4,
         eta in 1u32..=4,
+        folds in 0u32..=2,
         seed in any::<u64>(),
         absent in proptest::collection::vec(any::<u64>(), 1..4),
         tenths in 1u32..=10,
     ) {
-        let dense = build(RamboParams::flat(b, r, 1 << 10, eta, seed), &archive);
+        let mut dense = build(RamboParams::flat(b << folds, r, 1 << 10, eta, seed), &archive);
+        dense.fold_times(folds).unwrap();
         let bytes: Arc<[u8]> = dense.to_bytes().unwrap().into();
         let (paged, _) = reopen_paged(&dense);
         prop_assert!(paged.tables_paged());
@@ -576,7 +586,8 @@ proptest! {
     }
 
     /// Multi-term queries (Algorithm 2 semantics) always contain every
-    /// document holding *all* the queried terms.
+    /// document holding *all* the queried terms, and equal the intersection
+    /// of the single-term answers (§3.3.1's term-at-a-time sequence query).
     #[test]
     fn multi_term_no_false_negatives(
         archive in archive_strategy(12),
@@ -587,10 +598,12 @@ proptest! {
             let q: Vec<u64> = terms.iter().take(4).copied().collect();
             let joint = idx.query_terms_u64(&q, QueryMode::Full);
             prop_assert!(joint.contains(&(d as u32)));
-            let seq = idx.query_sequence_u64(&q, QueryMode::Full);
-            prop_assert!(seq.contains(&(d as u32)));
-            // Algorithm-2 semantics at least as selective as term-at-a-time.
-            prop_assert!(joint.iter().all(|x| seq.contains(x)));
+            let mut seq = idx.query_u64(q[0]);
+            for &t in &q[1..] {
+                let hits = idx.query_u64(t);
+                seq.retain(|x| hits.contains(x));
+            }
+            prop_assert_eq!(joint, seq);
         }
     }
 }

@@ -7,9 +7,10 @@
 //! `(tier, canonical term-set key)` — the key is
 //! [`rambo_core::canonical_query_key`], order- and multiplicity-insensitive,
 //! so permuted or duplicated term lists hit the same entry. Evaluation mode
-//! is deliberately *not* part of the key: `Full` and `Sparse` are
-//! result-identical by construction (Algorithm 2 ∩/∪ semantics; asserted in
-//! the serve tests), so either mode may consume a hit produced by the other.
+//! is deliberately *not* part of the key: `Full` returns exactly what the
+//! plan-free reference `Sparse` returns (Algorithm 2 ∩/∪ semantics; asserted
+//! in the property suites), so either mode may consume a hit produced by the
+//! other.
 //!
 //! The cache is sized in **bytes, not entries** — one broad-tier hit list
 //! can outweigh a thousand point lookups — and is an intrusive LRU: a

@@ -491,11 +491,11 @@ impl TenantRegistry {
         let start = Instant::now();
         let mode = mode.unwrap_or(QueryMode::Full);
         // The catalog's rule: the mode is not part of the key, because Full
-        // and Sparse answers are identical by construction. Lane 0 holds AND
-        // queries; θ queries live in lane 1 with the threshold mixed into the
-        // key: the same terms at a different θ are a different answer. θ
-        // counts a repeated term once per occurrence, so its key keeps
-        // multiplicity; AND queries are set-valued.
+        // returns exactly what the plan-free reference (Sparse) returns.
+        // Lane 0 holds AND queries; θ queries live in lane 1 with the
+        // threshold mixed into the key: the same terms at a different θ are a
+        // different answer. θ counts a repeated term once per occurrence, so
+        // its key keeps multiplicity; AND queries are set-valued.
         let (lane, key) = match theta {
             None => (0, canonical_query_key(terms)),
             Some(th) => (1, multiset_query_key(terms) ^ theta_salt(th)),
@@ -837,7 +837,8 @@ mod tests {
         reg.create("a", TenantOptions::default()).unwrap();
         reg.insert_document("a", "old", &[42]).unwrap();
         // Prime and hit the cache; the mode is not part of the key, so a
-        // Sparse repeat of a Full query is a hit with the same documents.
+        // reference-mode repeat of a Full query is a hit with the same
+        // documents.
         let full = reg.query("a", &[42], Some(QueryMode::Full)).unwrap();
         assert_eq!(full, vec![0]);
         assert_eq!(

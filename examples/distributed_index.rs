@@ -88,7 +88,7 @@ fn main() {
     // parallel, §1.1).
     let queries: Vec<u64> = archive.docs.iter().map(|(_, t)| t[0]).collect();
     let start = std::time::Instant::now();
-    let results = reloaded.query_batch_parallel(&queries, QueryMode::Sparse, 8);
+    let results = reloaded.query_batch_parallel(&queries, QueryMode::Full, 8);
     println!(
         "batch of {} queries on 8 threads: {:?} ({} non-empty)",
         queries.len(),

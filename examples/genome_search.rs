@@ -89,7 +89,7 @@ fn main() {
     let target = 17; // family3-strain2
     let fragment = &genomes[target].1[5_000..5_400];
     let query_kmers: Vec<u64> = kmers_of(fragment, K, false).collect();
-    let hits = index.query_sequence_theta(&query_kmers, 0.8, QueryMode::Sparse, &mut ctx);
+    let hits = index.query_sequence_theta(&query_kmers, 0.8, QueryMode::Full, &mut ctx);
     let names = index.resolve_names(&hits);
     println!("\nfragment of {} -> {:?}", genomes[target].0, names);
     assert!(
@@ -118,7 +118,7 @@ fn main() {
     let outbreak = sim.mutate(&genomes[target].1, 0.002);
     let fragment = &outbreak[8_000..8_400];
     let query_kmers: Vec<u64> = kmers_of(fragment, K, false).collect();
-    let hits = index.query_sequence_theta(&query_kmers, 0.6, QueryMode::Sparse, &mut ctx);
+    let hits = index.query_sequence_theta(&query_kmers, 0.6, QueryMode::Full, &mut ctx);
     println!(
         "outbreak-strain fragment (0.2% diverged) -> {:?}",
         index.resolve_names(&hits)
@@ -127,7 +127,7 @@ fn main() {
     // --- 6. And a fragment from a genome never sequenced -----------------
     let alien = GenomeSimulator::new(999).random_genome(1_000);
     let query_kmers: Vec<u64> = kmers_of(&alien[..200], K, false).collect();
-    let hits = index.query_sequence_theta(&query_kmers, 0.6, QueryMode::Sparse, &mut ctx);
+    let hits = index.query_sequence_theta(&query_kmers, 0.6, QueryMode::Full, &mut ctx);
     println!("unrelated fragment -> {} hits (expect 0)", hits.len());
 
     // --- 7. Batch membership: which documents hold each probe k-mer? -----

@@ -43,8 +43,8 @@ fn main() {
     println!("term 99 -> {:?}", index.resolve_names(&hits));
     assert!(hits.len() >= 3);
 
-    // Multi-term (Algorithm 2) and RAMBO+ sparse evaluation.
-    let joint = index.query_terms_u64(&[30, 31, 32], QueryMode::Sparse);
+    // Multi-term (Algorithm 2): the documents holding every term.
+    let joint = index.query_terms_u64(&[30, 31, 32], QueryMode::Full);
     println!("terms {{30,31,32}} -> {:?}", index.resolve_names(&joint));
 
     // Absent terms (almost always) return nothing.

@@ -5,8 +5,7 @@
 //! table in EXPERIMENTS.md.
 
 use rambo::baselines::{
-    BitSlicedIndex, CompactBitSliced, InvertedIndex, MembershipIndex, RamboIndex, RamboPlusIndex,
-    Sbt, SplitSbt,
+    BitSlicedIndex, CompactBitSliced, InvertedIndex, MembershipIndex, RamboIndex, Sbt, SplitSbt,
 };
 use rambo::core::{Rambo, RamboParams};
 use rambo::workloads::{ArchiveParams, PlantedQueries, SyntheticArchive};
@@ -29,8 +28,7 @@ fn suite(docs: &[(String, Vec<u64>)]) -> Vec<Box<dyn MembershipIndex>> {
     let m_tree =
         rambo::bloom::params::optimal_m(docs.iter().map(|(_, t)| t.len()).max().unwrap(), 0.01);
     vec![
-        Box::new(RamboIndex::new(rambo.clone())),
-        Box::new(RamboPlusIndex::new(rambo)),
+        Box::new(RamboIndex::new(rambo)),
         Box::new(BitSlicedIndex::build_auto(docs, 0.01, 3, 5)),
         Box::new(CompactBitSliced::build(docs, 16, 0.01, 3, 5)),
         Box::new(Sbt::build(docs, m_tree, 1, 5)),

@@ -92,7 +92,7 @@ fn sequence_queries_find_source_genome() {
     for target in [0usize, 5, 11] {
         let fragment = &genomes[target].1[1000..1300];
         let kmers: Vec<u64> = kmers_of(fragment, K, false).collect();
-        let hits = index.query_sequence_theta(&kmers, 0.8, QueryMode::Sparse, &mut ctx);
+        let hits = index.query_sequence_theta(&kmers, 0.8, QueryMode::Full, &mut ctx);
         let names = index.resolve_names(&hits);
         assert!(
             names.contains(&genomes[target].0.as_str()),

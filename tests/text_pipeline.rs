@@ -115,7 +115,7 @@ fn conjunctive_phrase_queries() {
     for d in (0..docs.len()).step_by(31) {
         let q: Vec<u64> = docs[d].1.iter().rev().take(3).copied().collect();
         let truth = oracle.query_terms(&q);
-        let got = rambo.query_terms_u64(&q, QueryMode::Sparse);
+        let got = rambo.query_terms_u64(&q, QueryMode::Full);
         assert!(got.contains(&(d as u32)));
         for want in &truth {
             assert!(got.contains(want));
