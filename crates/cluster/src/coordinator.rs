@@ -1,24 +1,25 @@
 //! The coordinator/router: scatter-gather with hedged reads and replica
 //! failover.
 //!
-//! One query fans out to every shard in a scoped thread each; within a
-//! shard, attempts run on short-lived detached threads so the orchestrator
-//! can race a hedge against a straggling primary and take whichever
-//! answers first. An attempt owns everything it touches (`Arc`s to the
-//! replica's pool/health/histogram), so a late loser cleans up after
-//! itself — recording its outcome and recycling its connection — even
-//! after the query has long returned.
+//! One query is one loop on the calling thread. It writes the request to one
+//! replica of every shard (a *leg* each), then blocks in `poll(2)` until a
+//! reply is readable, a hedge timer is due or the deadline passes. A hedge
+//! writes the same request to a sibling replica, and an attempt that fails
+//! is re-launched on an untried one at once. The first complete answer
+//! decides a leg; its other attempts are closed there and then, and the
+//! loop charges their replicas (see `Scatter::step`).
 
 use crate::health::ReplicaHealth;
 use crate::manifest::{ManifestError, NodeManifest};
 use crate::pool::ClientPool;
+use rambo_server::poll::{self, PollFd, POLLIN};
+use rambo_server::wire::{self, encode_query_request};
 use rambo_server::{QueryReply, ServerError, TcpClient, TcpClientError};
 use rambo_workloads::stats::LatencyHistogram;
 use std::fmt;
-use std::io;
-use std::net::SocketAddr;
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Per-address TCP connect timeout (topology discovery and pool refills).
@@ -27,8 +28,9 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 const POOL_CAPACITY: usize = 4;
 /// Consecutive transport errors that demote a replica.
 const FAIL_THRESHOLD: u32 = 3;
-/// Cool-down before a demoted replica is re-probed with a live query.
-const PROBE_INTERVAL: Duration = Duration::from_millis(500);
+/// Cool-down before a demoted replica is re-probed with a live query, in
+/// nanoseconds of the coordinator's clock (500 ms).
+const PROBE_NS: u64 = 500_000_000;
 /// Latency quantile of the primary replica's own history that arms the
 /// hedge timer.
 const HEDGE_QUANTILE: f64 = 0.99;
@@ -59,7 +61,7 @@ pub struct ClusterReply {
 /// Coordinator-level failure.
 #[derive(Debug)]
 pub enum ClusterError {
-    /// Transport failure during topology discovery.
+    /// Transport failure during topology discovery, or a failed `poll(2)`.
     Io(io::Error),
     /// A node's `HELLO` answer was not a valid manifest.
     Manifest {
@@ -113,8 +115,7 @@ impl From<io::Error> for ClusterError {
     }
 }
 
-/// Everything an attempt thread needs about one replica — `Arc`-shared so
-/// detached attempts outliving their query stay sound.
+/// One replica's connections, health and latency history.
 #[derive(Debug)]
 struct Replica {
     pool: ClientPool,
@@ -130,7 +131,7 @@ struct Replica {
 struct Shard {
     id: u32,
     doc_lo: u32,
-    replicas: Vec<Arc<Replica>>,
+    replicas: Vec<Replica>,
     /// Round-robin cursor for primary selection.
     rr: AtomicUsize,
     /// Whole-query latency as seen by the gather loop.
@@ -238,15 +239,15 @@ impl Coordinator {
                         }
                     }
                 }
-                let pool = ClientPool::new(addr, CONNECT_TIMEOUT, POOL_CAPACITY);
-                pool.put(client); // seed with the discovery connection
-                replicas.push(Arc::new(Replica {
+                let pool = ClientPool::new(addr, POOL_CAPACITY);
+                pool.put(client.into_inner()); // seed with the discovery connection
+                replicas.push(Replica {
                     pool,
-                    health: ReplicaHealth::new(),
+                    health: ReplicaHealth::default(),
                     latency: LatencyHistogram::new(),
                     demotions: AtomicU64::new(0),
                     manifest,
-                }));
+                });
             }
             let head = first.expect("at least one replica");
             if let Some(hi) = prev_hi {
@@ -300,35 +301,42 @@ impl Coordinator {
     ) -> Result<ClusterReply, ClusterError> {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let terms: Arc<Vec<u64>> = Arc::new(terms.to_vec());
-        let outcomes: Vec<Result<QueryReply, ShardFailure>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| {
-                    let terms = Arc::clone(&terms);
-                    scope.spawn(move || self.query_shard(shard, terms, fpr_budget, start, deadline))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard orchestrator panicked"))
-                .collect()
-        });
+        let scatter = Scatter {
+            coordinator: self,
+            terms,
+            fpr_budget,
+            start,
+            overall: start + deadline,
+        };
+        let mut legs: Vec<Leg<'_>> = self.shards.iter().map(|s| scatter.open(s)).collect();
+        let mut fds = Vec::new();
+        while legs.iter().any(|l| l.outcome.is_none()) {
+            let mut wake = scatter.overall;
+            fds.clear();
+            for leg in legs.iter().filter(|l| l.outcome.is_none()) {
+                wake = leg.hedge_at.map_or(wake, |at| wake.min(at));
+                fds.extend(leg.open.iter().map(|a| PollFd::new(&a.stream, POLLIN)));
+            }
+            poll::wait(&mut fds, wake.saturating_duration_since(Instant::now()))?;
+            let mut ready = fds.iter().map(|fd| fd.revents() != 0);
+            for leg in legs.iter_mut().filter(|l| l.outcome.is_none()) {
+                scatter.step(leg, &mut ready);
+            }
+        }
 
         let mut docs = Vec::new();
         let mut tier = 0usize;
         let mut degraded = Vec::new();
-        for (shard, outcome) in self.shards.iter().zip(outcomes) {
-            match outcome {
+        for leg in legs {
+            match leg.outcome.expect("every leg is decided") {
                 Ok(reply) => {
                     tier = tier.max(reply.tier);
-                    docs.extend(reply.docs.iter().map(|&local| shard.doc_lo + local));
+                    docs.extend(reply.docs.iter().map(|&local| leg.shard.doc_lo + local));
                 }
-                Err(ShardFailure::Unreachable) => degraded.push(shard.id),
+                Err(ShardFailure::Unreachable) => degraded.push(leg.shard.id),
                 Err(ShardFailure::Rejected(error)) => {
                     return Err(ClusterError::Shard {
-                        shard: shard.id,
+                        shard: leg.shard.id,
                         error,
                     })
                 }
@@ -344,124 +352,36 @@ impl Coordinator {
         })
     }
 
-    /// One shard's scatter leg: primary attempt, hedge on the quantile
-    /// timer, failover on error, first success wins.
-    fn query_shard(
-        &self,
-        shard: &Shard,
-        terms: Arc<Vec<u64>>,
-        fpr_budget: f64,
-        start: Instant,
-        deadline: Duration,
-    ) -> Result<QueryReply, ShardFailure> {
-        let overall = start + deadline;
-        let (tx, rx) = mpsc::channel::<(bool, Result<QueryReply, TcpClientError>)>();
-        let mut used = vec![false; shard.replicas.len()];
-        let now_ns = || self.epoch.elapsed().as_nanos() as u64;
-        let probe_ns = PROBE_INTERVAL.as_nanos() as u64;
-
-        let Some(primary) = self.pick_primary(shard, &used, now_ns(), probe_ns) else {
-            return Err(ShardFailure::Unreachable);
-        };
-        used[primary] = true;
-        let hedge_at = Instant::now() + Self::hedge_delay(&shard.replicas[primary]);
-        self.launch(shard, primary, &tx, &terms, fpr_budget, overall, false);
-        let mut inflight = 1usize;
-        let mut hedged = false;
-        let mut last_rejection: Option<ServerError> = None;
-
-        loop {
-            let now = Instant::now();
-            if now >= overall {
-                return Err(ShardFailure::Rejected(ServerError::DeadlineExceeded {
-                    tier: 0,
-                }));
-            }
-            let wake = if hedged || inflight == 0 {
-                overall
-            } else {
-                overall.min(hedge_at)
-            };
-            match rx.recv_timeout(wake.saturating_duration_since(now)) {
-                Ok((was_hedge, Ok(reply))) => {
-                    shard.latency.record(start.elapsed());
-                    if was_hedge {
-                        shard.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(reply);
-                }
-                Ok((_, Err(e))) => {
-                    inflight -= 1;
-                    if let TcpClientError::Server(err) = e {
-                        last_rejection = Some(err);
-                    }
-                    // Failover: try the next untried replica immediately.
-                    if let Some(next) = self.pick_fallback(shard, &used, now_ns(), probe_ns) {
-                        used[next] = true;
-                        shard.failovers.fetch_add(1, Ordering::Relaxed);
-                        self.launch(shard, next, &tx, &terms, fpr_budget, overall, hedged);
-                        inflight += 1;
-                    } else if inflight == 0 {
-                        return Err(match last_rejection {
-                            Some(err) => ShardFailure::Rejected(err),
-                            None => ShardFailure::Unreachable,
-                        });
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if !hedged && Instant::now() >= hedge_at {
-                        hedged = true;
-                        if let Some(next) = self.pick_fallback(shard, &used, now_ns(), probe_ns) {
-                            used[next] = true;
-                            shard.hedges.fetch_add(1, Ordering::Relaxed);
-                            self.launch(shard, next, &tx, &terms, fpr_budget, overall, true);
-                            inflight += 1;
-                        }
-                    }
-                    // Otherwise the overall deadline fired; the top of the
-                    // loop converts it.
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(ShardFailure::Unreachable);
-                }
-            }
+    /// Charge `replica` one transport failure; the one that completes the
+    /// streak demotes it and drops its pooled connections, which must not
+    /// be handed out after it recovers.
+    fn charge(&self, replica: &Replica) {
+        let now_ns = self.epoch.elapsed().as_nanos() as u64;
+        if replica
+            .health
+            .record_failure(FAIL_THRESHOLD, now_ns, PROBE_NS)
+        {
+            replica.demotions.fetch_add(1, Ordering::Relaxed);
+            replica.pool.clear();
         }
     }
 
-    /// Round-robin over healthy replicas; with none healthy, the one
-    /// caller who wins the half-open probe CAS gets to test a demoted one.
-    fn pick_primary(
-        &self,
-        shard: &Shard,
-        used: &[bool],
-        now_ns: u64,
-        probe_ns: u64,
-    ) -> Option<usize> {
+    /// An untried replica: the first healthy one counting round-robin from
+    /// `from`; with none healthy, a demoted one whose half-open probe CAS
+    /// this caller wins.
+    fn pick(&self, shard: &Shard, used: &[bool], from: usize) -> Option<usize> {
         let n = shard.replicas.len();
-        let cursor = shard.rr.fetch_add(1, Ordering::Relaxed);
-        for k in 0..n {
-            let i = (cursor + k) % n;
-            if !used[i] && shard.replicas[i].health.is_up() {
-                return Some(i);
-            }
-        }
-        (0..n).find(|&i| !used[i] && shard.replicas[i].health.claim_probe(now_ns, probe_ns))
-    }
-
-    /// An untried replica for hedging/failover: healthy ones first, then a
-    /// probe-eligible demoted one.
-    fn pick_fallback(
-        &self,
-        shard: &Shard,
-        used: &[bool],
-        now_ns: u64,
-        probe_ns: u64,
-    ) -> Option<usize> {
-        let up = (0..shard.replicas.len()).find(|&i| !used[i] && shard.replicas[i].health.is_up());
-        up.or_else(|| {
-            (0..shard.replicas.len())
-                .find(|&i| !used[i] && shard.replicas[i].health.claim_probe(now_ns, probe_ns))
-        })
+        let untried = |i: &usize| !used[*i];
+        let mut round = (0..n).map(|k| (from + k) % n).filter(untried);
+        round
+            .find(|&i| shard.replicas[i].health.is_up())
+            .or_else(|| {
+                (0..n).filter(untried).find(|&i| {
+                    shard.replicas[i]
+                        .health
+                        .claim_probe(self.epoch.elapsed().as_nanos() as u64, PROBE_NS)
+                })
+            })
     }
 
     /// The hedge timer for a primary: its own latency quantile, clamped;
@@ -475,57 +395,6 @@ impl Coordinator {
                 .quantile(HEDGE_QUANTILE)
                 .clamp(HEDGE_FLOOR, HEDGE_CAP)
         }
-    }
-
-    /// Fire one attempt on a detached thread. The thread owns `Arc`s to
-    /// everything it touches and its socket reads are bounded by the
-    /// remaining deadline, so it dies promptly even when nobody is left
-    /// listening; health, histogram and pool updates happen in the
-    /// attempt so late losers still count.
-    #[allow(clippy::too_many_arguments)]
-    fn launch(
-        &self,
-        shard: &Shard,
-        replica_idx: usize,
-        tx: &mpsc::Sender<(bool, Result<QueryReply, TcpClientError>)>,
-        terms: &Arc<Vec<u64>>,
-        fpr_budget: f64,
-        overall: Instant,
-        is_hedge: bool,
-    ) {
-        let replica = Arc::clone(&shard.replicas[replica_idx]);
-        let terms = Arc::clone(terms);
-        let tx = tx.clone();
-        let probe_ns = PROBE_INTERVAL.as_nanos() as u64;
-        let epoch = self.epoch;
-        std::thread::spawn(move || {
-            let remaining = overall.saturating_duration_since(Instant::now());
-            let t0 = Instant::now();
-            let result = attempt(&replica.pool, &terms, fpr_budget, remaining);
-            match &result {
-                Ok(_) => {
-                    replica.latency.record(t0.elapsed());
-                    replica.health.record_success();
-                }
-                Err(TcpClientError::Server(_) | TcpClientError::Rejected(_)) => {
-                    // The node is alive and the stream stayed in sync;
-                    // rejections are not transport failures.
-                }
-                Err(TcpClientError::Io(_) | TcpClientError::Protocol(_)) => {
-                    let now_ns = epoch.elapsed().as_nanos() as u64;
-                    if replica
-                        .health
-                        .record_failure(FAIL_THRESHOLD, now_ns, probe_ns)
-                    {
-                        replica.demotions.fetch_add(1, Ordering::Relaxed);
-                        // Sockets that died with the replica must not be
-                        // handed out after it recovers.
-                        replica.pool.clear();
-                    }
-                }
-            }
-            let _ = tx.send((is_hedge, result));
-        });
     }
 
     /// A point-in-time stats snapshot (also serialized by the front's
@@ -563,27 +432,187 @@ impl Coordinator {
     }
 }
 
-/// One pooled request/reply exchange against a replica; reads and writes
-/// are bounded by `remaining`, and only a cleanly-synced connection goes
-/// back to the pool.
-fn attempt(
-    pool: &ClientPool,
-    terms: &[u64],
+/// One query's scatter: what every attempt sends, and its clock.
+struct Scatter<'a> {
+    coordinator: &'a Coordinator,
+    terms: &'a [u64],
     fpr_budget: f64,
-    remaining: Duration,
-) -> Result<QueryReply, TcpClientError> {
-    let mut client = pool.get(remaining)?;
-    match client.query(terms, fpr_budget, remaining.max(Duration::from_millis(1))) {
-        Ok(reply) => {
-            pool.put(client);
-            Ok(reply)
+    start: Instant,
+    /// The client's deadline.
+    overall: Instant,
+}
+
+/// One shard's scatter leg.
+struct Leg<'a> {
+    shard: &'a Shard,
+    /// Replicas this leg has tried.
+    used: Vec<bool>,
+    /// Attempts awaiting a reply, in launch order.
+    open: Vec<Attempt>,
+    /// When the hedge fires; `None` once it has.
+    hedge_at: Option<Instant>,
+    /// Reported if every attempt ends without an answer.
+    last_rejection: Option<ServerError>,
+    outcome: Option<Result<QueryReply, ShardFailure>>,
+}
+
+/// A request written to one replica, its reply read as it arrives.
+struct Attempt {
+    replica: usize,
+    stream: TcpStream,
+    reply: Vec<u8>,
+    launched: Instant,
+    hedge: bool,
+}
+
+impl Attempt {
+    /// Take what the socket has (`poll` found it ready, so the read does not
+    /// block); `Some` once the reply is complete or the attempt has failed.
+    fn read(&mut self) -> Option<Result<QueryReply, TcpClientError>> {
+        let mut chunk = [0u8; 16 << 10];
+        match self.stream.read(&mut chunk) {
+            Ok(0) => return Some(Err(io::Error::from(io::ErrorKind::UnexpectedEof).into())),
+            Ok(n) => self.reply.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return None,
+            Err(e) => return Some(Err(e.into())),
         }
-        Err(e @ TcpClientError::Server(_)) => {
-            // Error frames arrive complete; the stream is still in sync.
-            pool.put(client);
-            Err(e)
+        match wire::split_frame(&self.reply) {
+            Ok(frame) => frame.map(wire::query_reply),
+            Err(e) => Some(Err(e.into())),
         }
-        Err(e) => Err(e), // timed out / short read: the connection is dropped
+    }
+}
+
+impl<'a> Scatter<'a> {
+    /// Start a leg on its primary; a shard with no eligible replica is
+    /// unreachable at once.
+    fn open(&self, shard: &'a Shard) -> Leg<'a> {
+        let mut leg = Leg {
+            shard,
+            used: vec![false; shard.replicas.len()],
+            open: Vec::new(),
+            hedge_at: None,
+            last_rejection: None,
+            outcome: Some(Err(ShardFailure::Unreachable)),
+        };
+        let cursor = shard.rr.fetch_add(1, Ordering::Relaxed);
+        if let Some(primary) = self.coordinator.pick(shard, &leg.used, cursor) {
+            let delay = Coordinator::hedge_delay(&shard.replicas[primary]);
+            (leg.hedge_at, leg.outcome) = (Some(Instant::now() + delay), None);
+            self.launch(&mut leg, primary, false);
+        }
+        leg
+    }
+
+    /// Write the request, carrying the remaining budget, to replica `r`,
+    /// dialing it if its pool is empty. Dial and write block, bounded by the
+    /// smaller of [`CONNECT_TIMEOUT`] and the remaining budget; a replica
+    /// that cannot take the request fails over at once.
+    fn launch(&self, leg: &mut Leg<'a>, r: usize, hedge: bool) {
+        leg.used[r] = true;
+        let replica = &leg.shard.replicas[r];
+        let launched = Instant::now();
+        let remaining = self.overall.saturating_duration_since(launched);
+        let remaining = remaining.max(Duration::from_millis(1));
+        let request = encode_query_request(self.terms, self.fpr_budget, remaining);
+        let sent = replica.pool.get(remaining.min(CONNECT_TIMEOUT));
+        match sent.and_then(|mut stream| {
+            stream.set_write_timeout(Some(remaining))?;
+            stream.write_all(&request).map(|()| stream)
+        }) {
+            Ok(stream) => leg.open.push(Attempt {
+                replica: r,
+                stream,
+                reply: Vec::new(),
+                launched,
+                hedge,
+            }),
+            Err(_) => {
+                self.coordinator.charge(replica);
+                self.fail_over(leg);
+            }
+        }
+    }
+
+    /// An attempt ended without an answer: re-launch on an untried replica
+    /// (racing as a hedge once the hedge has fired), or settle the leg once
+    /// nothing is left in flight.
+    fn fail_over(&self, leg: &mut Leg<'a>) {
+        if let Some(next) = self.coordinator.pick(leg.shard, &leg.used, 0) {
+            leg.shard.failovers.fetch_add(1, Ordering::Relaxed);
+            self.launch(leg, next, leg.hedge_at.is_none());
+        } else if leg.open.is_empty() {
+            leg.outcome = Some(Err(match leg.last_rejection.clone() {
+                Some(err) => ShardFailure::Rejected(err),
+                None => ShardFailure::Unreachable,
+            }));
+        }
+    }
+
+    /// Read the leg's attempts that `ready` (one flag per open attempt, as
+    /// polled) marks readable, in launch order, then fire the hedge or
+    /// expire the leg if either is due.
+    ///
+    /// The first answer decides the leg and closes the rest, unpooled. The
+    /// charging rule: an attempt launched before the winner is charged one
+    /// transport failure, as a read timeout would charge it, so a
+    /// blackholed primary is demoted after three lost hedges; one launched
+    /// after the winner is charged nothing; one still open at the deadline
+    /// is charged one. A failed attempt fails over; a rejection keeps its
+    /// replica up and its stream pooled.
+    fn step(&self, leg: &mut Leg<'a>, ready: &mut impl Iterator<Item = bool>) {
+        let mut failures = 0;
+        for mut attempt in std::mem::take(&mut leg.open) {
+            let readable = ready.next() == Some(true) && leg.outcome.is_none();
+            let replica = &leg.shard.replicas[attempt.replica];
+            match readable.then(|| attempt.read()).flatten() {
+                None if leg.outcome.is_some() => {} // launched after the winner
+                None => leg.open.push(attempt),
+                Some(Ok(reply)) => {
+                    for loser in leg.open.drain(..) {
+                        self.coordinator.charge(&leg.shard.replicas[loser.replica]);
+                    }
+                    replica.latency.record(attempt.launched.elapsed());
+                    replica.health.record_success();
+                    replica.pool.put(attempt.stream);
+                    leg.shard.latency.record(self.start.elapsed());
+                    if attempt.hedge {
+                        leg.shard.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                    }
+                    leg.outcome = Some(Ok(reply));
+                }
+                Some(Err(TcpClientError::Server(err))) => {
+                    // Error frames arrive complete; the stream is in sync.
+                    replica.pool.put(attempt.stream);
+                    leg.last_rejection = Some(err);
+                    failures += 1;
+                }
+                Some(Err(_)) => {
+                    self.coordinator.charge(replica);
+                    failures += 1;
+                }
+            }
+        }
+        for _ in 0..failures {
+            if leg.outcome.is_none() {
+                self.fail_over(leg);
+            }
+        }
+        let now = Instant::now();
+        if leg.outcome.is_none() && now >= self.overall {
+            for attempt in leg.open.drain(..) {
+                self.coordinator
+                    .charge(&leg.shard.replicas[attempt.replica]);
+            }
+            let expired = ServerError::DeadlineExceeded { tier: 0 };
+            leg.outcome = Some(Err(ShardFailure::Rejected(expired)));
+        } else if leg.outcome.is_none() && leg.hedge_at.is_some_and(|at| now >= at) {
+            leg.hedge_at = None;
+            if let Some(next) = self.coordinator.pick(leg.shard, &leg.used, 0) {
+                leg.shard.hedges.fetch_add(1, Ordering::Relaxed);
+                self.launch(leg, next, true);
+            }
+        }
     }
 }
 

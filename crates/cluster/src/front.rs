@@ -5,19 +5,23 @@
 //! coordinator unchanged; the one extension is the degraded status (see
 //! [`crate::wire`]). Unlike the shard nodes' readiness reactor, the front is
 //! a plain thread-per-connection loop inside a [`std::thread::scope`] — a
-//! coordinator query
-//! blocks its connection thread on the scatter anyway, and the scoped
-//! spawn keeps shutdown structural: `serve_cluster` returns only after
-//! every connection thread has observed `stop` and exited.
+//! coordinator query blocks its connection thread on the scatter anyway,
+//! and the scoped spawn keeps shutdown structural: `serve_cluster` returns
+//! only after every connection thread has observed `stop` and exited. The
+//! accept loop blocks in `poll(2)` on the listener, and each connection
+//! splits its buffered input with the reactor's [`wire::split_frame`], so a
+//! frame that arrives in pieces across idle ticks is still answered.
 
 use crate::coordinator::{ClusterError, Coordinator};
 use crate::wire::encode_degraded_response;
+use rambo_server::poll::{self, PollFd, POLLIN};
 use rambo_server::wire::{
     self, encode_blob, encode_response, OPCODE_HELLO, OPCODE_STATS, STATUS_BAD_REQUEST,
     STATUS_DEADLINE, STATUS_OK,
 };
 use rambo_server::ServerError;
-use std::io::{self, Write};
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -26,12 +30,12 @@ use std::time::Duration;
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Serve the coordinator over TCP until `stop` is set. One thread per
-/// connection; socket reads are bounded by `POLL_INTERVAL` so every
-/// thread notices `stop` promptly, and the scoped spawn joins them all
-/// before returning.
+/// connection; the accept wait and socket reads are bounded by
+/// `POLL_INTERVAL` so every thread notices `stop` promptly, and the scoped
+/// spawn joins them all before returning.
 ///
 /// # Errors
-/// Listener configuration errors and fatal accept failures.
+/// Listener configuration errors and fatal accept or `poll` failures.
 pub fn serve_cluster(
     coordinator: &Coordinator,
     listener: TcpListener,
@@ -44,10 +48,12 @@ pub fn serve_cluster(
                 Ok((stream, _peer)) => {
                     scope.spawn(move || serve_connection(coordinator, stream, stop));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
+                Err(e) if e.kind() == WouldBlock => {
+                    let mut fds = [PollFd::new(&listener, POLLIN)];
+                    poll::wait(&mut fds, POLL_INTERVAL)
+                        .inspect_err(|_| stop.store(true, Ordering::Relaxed))?;
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == Interrupted => {}
                 Err(e) => {
                     stop.store(true, Ordering::Relaxed);
                     return Err(e);
@@ -58,23 +64,29 @@ pub fn serve_cluster(
     })
 }
 
-/// Drive one connection until EOF, a protocol error, or `stop`.
+/// Drive one connection until EOF, a protocol error, or `stop`. Input is
+/// buffered until a whole frame is in, however many reads it takes.
 fn serve_connection(coordinator: &Coordinator, mut stream: TcpStream, stop: &AtomicBool) {
     if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
+    let (mut inbuf, mut chunk) = (Vec::new(), [0u8; 4096]);
     while !stop.load(Ordering::Relaxed) {
-        let payload = match wire::read_frame(&mut stream) {
-            Ok(Some(p)) => p,
-            Ok(None) => return, // clean EOF between frames
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue; // idle poll tick: re-check stop
+        let (consumed, frame) = match wire::split_frame(&inbuf) {
+            Ok(Some(payload)) => (4 + payload.len(), answer(coordinator, payload)),
+            Ok(None) => {
+                match stream.read(&mut chunk) {
+                    Ok(0) => return, // EOF
+                    Ok(n) => inbuf.extend_from_slice(&chunk[..n]),
+                    // An idle tick: re-check stop, keep the partial frame.
+                    Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
+                    Err(_) => return,
+                }
+                continue;
             }
-            Err(_) => return,
+            Err(_) => (0, None), // oversized length
         };
-        let frame = answer(coordinator, &payload);
+        inbuf.drain(..consumed);
         let close_after = frame.is_none();
         let frame = frame.unwrap_or_else(|| encode_response(STATUS_BAD_REQUEST, 0, &[]));
         if stream.write_all(&frame).is_err() {

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 /// Health state of one shard replica.
 #[derive(Debug, Default)]
-pub struct ReplicaHealth {
+pub(crate) struct ReplicaHealth {
     /// Transport errors since the last success.
     consecutive_errors: AtomicU32,
     /// Demoted: excluded from primary/hedge selection until re-probed.
@@ -24,42 +24,31 @@ pub struct ReplicaHealth {
 }
 
 impl ReplicaHealth {
-    /// A fresh, healthy replica.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The replica answered: clear the error streak and restore it to the
     /// routing rotation.
-    pub fn record_success(&self) {
+    pub(crate) fn record_success(&self) {
         self.consecutive_errors.store(0, Ordering::Relaxed);
         self.down.store(false, Ordering::Relaxed);
     }
 
     /// The replica failed at the transport level. Demotes it once the
     /// streak reaches `threshold`, scheduling the first re-probe at
-    /// `now_ns + probe_interval_ns`. Returns `true` when this call is the
+    /// `now_ns + probe_ns`. Returns `true` when this call is the
     /// one that demoted it.
-    pub fn record_failure(&self, threshold: u32, now_ns: u64, probe_interval_ns: u64) -> bool {
+    pub(crate) fn record_failure(&self, threshold: u32, now_ns: u64, probe_ns: u64) -> bool {
         self.total_errors.fetch_add(1, Ordering::Relaxed);
         let streak = self.consecutive_errors.fetch_add(1, Ordering::Relaxed) + 1;
-        if streak >= threshold && !self.down.swap(true, Ordering::Relaxed) {
-            self.next_probe_ns
-                .store(now_ns.saturating_add(probe_interval_ns), Ordering::Relaxed);
-            return true;
+        if streak < threshold {
+            return false;
         }
-        if streak >= threshold {
-            // Already down: push the next probe window out again.
-            self.next_probe_ns
-                .store(now_ns.saturating_add(probe_interval_ns), Ordering::Relaxed);
-        }
-        false
+        // Demoted now or already down: push the next probe window out.
+        self.next_probe_ns
+            .store(now_ns.saturating_add(probe_ns), Ordering::Relaxed);
+        !self.down.swap(true, Ordering::Relaxed)
     }
 
     /// Whether the replica is in the routing rotation.
-    #[must_use]
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         !self.down.load(Ordering::Relaxed)
     }
 
@@ -68,7 +57,7 @@ impl ReplicaHealth {
     /// passed the scheduled probe time (that caller should send the replica
     /// one real query and report the outcome); `false` for everyone else
     /// and for healthy replicas.
-    pub fn claim_probe(&self, now_ns: u64, probe_interval_ns: u64) -> bool {
+    pub(crate) fn claim_probe(&self, now_ns: u64, probe_interval_ns: u64) -> bool {
         if self.is_up() {
             return false;
         }
@@ -89,8 +78,7 @@ impl ReplicaHealth {
     }
 
     /// Lifetime transport-error count.
-    #[must_use]
-    pub fn total_errors(&self) -> u64 {
+    pub(crate) fn total_errors(&self) -> u64 {
         self.total_errors.load(Ordering::Relaxed)
     }
 }
@@ -101,7 +89,7 @@ mod tests {
 
     #[test]
     fn demotes_only_after_threshold() {
-        let h = ReplicaHealth::new();
+        let h = ReplicaHealth::default();
         assert!(!h.record_failure(3, 100, 50));
         assert!(h.is_up());
         assert!(!h.record_failure(3, 100, 50));
@@ -115,7 +103,7 @@ mod tests {
 
     #[test]
     fn success_resets_streak_and_restores() {
-        let h = ReplicaHealth::new();
+        let h = ReplicaHealth::default();
         h.record_failure(2, 0, 10);
         h.record_success();
         assert!(!h.record_failure(2, 0, 10), "streak restarted");
@@ -128,7 +116,7 @@ mod tests {
 
     #[test]
     fn probe_claim_is_exclusive_per_interval() {
-        let h = ReplicaHealth::new();
+        let h = ReplicaHealth::default();
         h.record_failure(1, 1_000, 100);
         assert!(!h.is_up());
         assert!(!h.claim_probe(1_050, 100), "probe not due yet");
@@ -139,7 +127,7 @@ mod tests {
 
     #[test]
     fn healthy_replicas_never_claim() {
-        let h = ReplicaHealth::new();
+        let h = ReplicaHealth::default();
         assert!(!h.claim_probe(u64::MAX, 0));
     }
 }

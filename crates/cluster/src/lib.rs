@@ -27,19 +27,21 @@
 //!   monolith's answer restricted to that node's documents — false
 //!   positives included — so the union of per-shard answers is
 //!   **bit-identical** to querying the stacked monolith (property-tested,
-//!   and asserted per query over loopback shard servers). Deadlines
-//!   propagate to shards net of elapsed time, and **hedged reads** re-issue
-//!   a straggling request to a sibling replica after a delay derived from
+//!   and asserted per query over loopback shard servers). The scatter is
+//!   one `poll(2)` loop on the calling thread ([`rambo_server::poll`]): no
+//!   thread is started per query or per attempt. Deadlines propagate to
+//!   shards net of elapsed time, and **hedged reads** re-issue a
+//!   straggling request to a sibling replica after a delay derived from
 //!   the replica's own latency histogram quantile — the first answer wins.
-//! * **Replica failover** — [`ReplicaHealth`] demotes a replica after
-//!   consecutive transport errors and re-probes it after a cool-down;
-//!   queries fail over to siblings transparently. When *every* replica of
-//!   a shard is unreachable the coordinator answers **degraded** — the
-//!   union over reachable shards plus the list of missing shard ids
-//!   ([`ClusterReply::degraded`], wire status 4) — instead of failing the
-//!   query. [`ClusterStats`] exposes per-shard latency histograms, hedge
-//!   and failover counters, and degraded-reply counts via the
-//!   coordinator's `STATS` frame.
+//! * **Replica failover** — a replica is demoted after consecutive
+//!   transport errors (a hedge it lost counts as one) and re-probed after a
+//!   cool-down; queries fail over to siblings transparently. When *every*
+//!   replica of a shard is unreachable the coordinator answers
+//!   **degraded** — the union over reachable shards plus the list of
+//!   missing shard ids ([`ClusterReply::degraded`], wire status 4) —
+//!   instead of failing the query. [`ClusterStats`] exposes per-shard
+//!   latency histograms, hedge and failover counters, and degraded-reply
+//!   counts via the coordinator's `STATS` frame.
 //!
 //! ```
 //! use rambo_cluster::{plan_cluster, Coordinator, ShardNode};
@@ -85,7 +87,6 @@ mod health;
 mod manifest;
 mod partition;
 mod pool;
-mod proxy;
 mod shard;
 pub mod wire;
 
@@ -94,9 +95,6 @@ pub use coordinator::{
     ClusterError, ClusterReply, ClusterStats, Coordinator, ReplicaStats, ShardStats,
 };
 pub use front::serve_cluster;
-pub use health::ReplicaHealth;
 pub use manifest::{fingerprint_bytes, ManifestError, NodeManifest};
 pub use partition::{plan_cluster, ClusterPlan};
-pub use pool::ClientPool;
-pub use proxy::{Fault, FaultProxy};
 pub use shard::ShardNode;

@@ -1,4 +1,4 @@
-//! Per-replica connection pools over [`TcpClient`].
+//! Per-replica pools of idle connections.
 //!
 //! A coordinator keeps one pool per shard replica. Checking out reuses an
 //! idle connection when one exists and dials otherwise; checking in after
@@ -7,72 +7,68 @@
 //! so after a timeout or short read the stream may hold a stale
 //! half-frame and the only safe move is a fresh connection.
 
-use rambo_server::TcpClient;
 use std::io;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// `set_read_timeout(Some(Duration::ZERO))` is an error in std; clamp the
-/// remaining-deadline timeout to this floor instead.
-const MIN_IO_TIMEOUT: Duration = Duration::from_millis(1);
+/// `connect_timeout(.., Duration::ZERO)` is an error in std; clamp the
+/// remaining-deadline bound to this floor instead.
+const MIN_CONNECT_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// A bounded pool of idle connections to one replica.
 #[derive(Debug)]
-pub struct ClientPool {
+pub(crate) struct ClientPool {
     addr: SocketAddr,
-    connect_timeout: Duration,
     capacity: usize,
-    idle: Mutex<Vec<TcpClient>>,
+    idle: Mutex<Vec<TcpStream>>,
 }
 
 impl ClientPool {
-    /// A pool dialing `addr` with `connect_timeout`, keeping at most
-    /// `capacity` idle connections.
-    #[must_use]
-    pub fn new(addr: SocketAddr, connect_timeout: Duration, capacity: usize) -> Self {
+    /// A pool dialing `addr`, keeping at most `capacity` idle connections.
+    pub(crate) fn new(addr: SocketAddr, capacity: usize) -> Self {
         Self {
             addr,
-            connect_timeout,
             capacity,
             idle: Mutex::new(Vec::new()),
         }
     }
 
     /// The replica this pool dials.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Check out a connection with reads and writes bounded by `io_timeout`
-    /// (clamped to ≥1ms — the deadline-propagation path hands us whatever
-    /// is left of the client's budget).
+    /// Check out an idle connection, or dial one with a blocking connect
+    /// bounded by `connect_timeout` (clamped to ≥1ms — the
+    /// deadline-propagation path hands us whatever is left of the client's
+    /// budget).
     ///
     /// # Errors
     /// Connect or socket-option failures.
-    pub fn get(&self, io_timeout: Duration) -> io::Result<TcpClient> {
+    pub(crate) fn get(&self, connect_timeout: Duration) -> io::Result<TcpStream> {
         let reused = self.idle.lock().expect("pool lock poisoned").pop();
-        let mut client = match reused {
-            Some(c) => c,
-            None => TcpClient::connect_with_timeout(self.addr, self.connect_timeout)?,
-        };
-        client.set_io_timeout(Some(io_timeout.max(MIN_IO_TIMEOUT)))?;
-        Ok(client)
+        if let Some(stream) = reused {
+            return Ok(stream);
+        }
+        let stream =
+            TcpStream::connect_timeout(&self.addr, connect_timeout.max(MIN_CONNECT_TIMEOUT))?;
+        stream.set_nodelay(true)?;
+        Ok(stream)
     }
 
     /// Return a connection after a clean request/reply exchange. Dropped on
     /// the floor when the pool is full.
-    pub fn put(&self, client: TcpClient) {
+    pub(crate) fn put(&self, stream: TcpStream) {
         let mut idle = self.idle.lock().expect("pool lock poisoned");
         if idle.len() < self.capacity {
-            idle.push(client);
+            idle.push(stream);
         }
     }
 
     /// Drop every idle connection (e.g. after the replica was demoted — a
     /// recovered replica gets fresh dials, not sockets that died with it).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.idle.lock().expect("pool lock poisoned").clear();
     }
 }
@@ -97,7 +93,7 @@ mod tests {
     #[test]
     fn reuses_and_bounds_idle_connections() {
         let (l, addr) = listener();
-        let pool = ClientPool::new(addr, Duration::from_secs(1), 1);
+        let pool = ClientPool::new(addr, 1);
         let c1 = pool.get(Duration::from_millis(100)).expect("dial 1");
         let s1 = l.accept().expect("accept 1").0;
         let c2 = pool.get(Duration::from_millis(100)).expect("dial 2");
@@ -113,7 +109,7 @@ mod tests {
     #[test]
     fn zero_timeout_is_clamped_not_rejected() {
         let (l, addr) = listener();
-        let pool = ClientPool::new(addr, Duration::from_secs(1), 2);
+        let pool = ClientPool::new(addr, 2);
         let client = pool.get(Duration::ZERO).expect("zero timeout must clamp");
         let (mut server_side, _) = l.accept().expect("accept");
         drop(client);
@@ -126,7 +122,7 @@ mod tests {
     #[test]
     fn clear_empties_the_pool() {
         let (l, addr) = listener();
-        let pool = ClientPool::new(addr, Duration::from_secs(1), 4);
+        let pool = ClientPool::new(addr, 4);
         let c = pool.get(Duration::from_millis(50)).expect("dial");
         let _s = l.accept().expect("accept");
         pool.put(c);

@@ -231,6 +231,35 @@ fn front_speaks_the_standard_protocol_and_the_degraded_extension() {
 }
 
 #[test]
+fn front_answers_a_frame_split_across_idle_ticks() {
+    let plan = plan(2, 16);
+    let nodes = spawn_nodes(&plan, 1);
+    let coordinator = Coordinator::connect(&topology(&nodes)).expect("connect");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind front");
+    let front_addr = listener.local_addr().expect("addr");
+    let stop = AtomicBool::new(false);
+    let terms: Vec<u64> = vec![3 << 16 | 3, 3 << 16 | 4];
+    let payload = std::thread::scope(|scope| {
+        scope.spawn(|| serve_cluster(&coordinator, listener, &stop).expect("front"));
+        // 3-byte pieces 80 ms apart: every piece lands after an idle tick of
+        // the front's 50 ms read timeout.
+        let mut raw = TestClient::connect(front_addr).expect("raw dial");
+        raw.set_split(3, Duration::from_millis(80));
+        let frame = rambo_server::wire::encode_query_request(&terms, 0.0, DEADLINE);
+        let payload = raw.send(&frame).and_then(|()| raw.read_frame(16 << 20));
+        stop.store(true, Ordering::Relaxed);
+        payload
+    });
+    let payload = payload.expect("the split frame is answered");
+    assert_eq!(
+        rambo_server::wire::parse_response(&payload)
+            .expect("a reply")
+            .docs,
+        plan.monolith.query_terms_u64(&terms, QueryMode::Full)
+    );
+}
+
+#[test]
 fn connect_rejects_contradictory_topologies() {
     let plan = plan(2, 16);
     let nodes = spawn_nodes(&plan, 1);

@@ -1,39 +1,19 @@
-//! Fault-injection tests: a [`FaultProxy`] between the coordinator and a
+//! Fault-injection tests: a `FaultProxy` between the coordinator and a
 //! replica exercises hedging, deadline propagation, and malformed-frame
 //! rejection — failure modes a healthy loopback cluster never shows.
 
-use rambo_cluster::{plan_cluster, ClusterPlan, Coordinator, Fault, FaultProxy, ShardNode};
-use rambo_core::{QueryMode, RamboParams};
-use std::net::SocketAddr;
+mod support;
+
+use rambo_cluster::Coordinator;
+use rambo_core::QueryMode;
 use std::time::{Duration, Instant};
+use support::{plan, proxied_pair, topo, Fault};
 
 /// The coordinator's hedge delay for a replica with fewer than 32 recorded
 /// attempts — every replica in these tests, which each run a few queries.
 const HEDGE_COLD: Duration = Duration::from_millis(20);
 /// The coordinator's bound on each of its two `HELLO` attempts per replica.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
-
-fn plan() -> ClusterPlan {
-    let docs: Vec<(String, Vec<u64>)> = (0..16u64)
-        .map(|d| (format!("doc{d}"), (0..20).map(|t| d << 16 | t).collect()))
-        .collect();
-    plan_cluster(RamboParams::two_level(1, 16, 3, 1 << 12, 2, 9), &docs).unwrap()
-}
-
-/// One shard, two replicas, each behind its own proxy.
-fn proxied_pair(plan: &ClusterPlan) -> (Vec<ShardNode>, FaultProxy, FaultProxy) {
-    let (lo, hi) = plan.ranges[0];
-    let nodes: Vec<ShardNode> = (0..2)
-        .map(|r| ShardNode::spawn(plan.shards[0].clone(), 0, r, lo, hi).expect("spawn"))
-        .collect();
-    let p0 = FaultProxy::spawn(nodes[0].addr()).expect("proxy 0");
-    let p1 = FaultProxy::spawn(nodes[1].addr()).expect("proxy 1");
-    (nodes, p0, p1)
-}
-
-fn topo(p0: &FaultProxy, p1: &FaultProxy) -> Vec<Vec<SocketAddr>> {
-    vec![vec![p0.addr(), p1.addr()]]
-}
 
 #[test]
 fn hedging_fires_on_a_slow_replica_and_wins() {
@@ -60,6 +40,36 @@ fn hedging_fires_on_a_slow_replica_and_wins() {
     let stats = coordinator.stats();
     assert_eq!(stats.shards[0].hedges, 1, "{stats}");
     assert_eq!(stats.shards[0].hedge_wins, 1, "{stats}");
+}
+
+#[test]
+fn a_replica_that_loses_three_hedges_is_demoted() {
+    let plan = plan();
+    let (_nodes, p0, p1) = proxied_pair(&plan);
+    let coordinator = Coordinator::connect(&topo(&p0, &p1)).expect("connect");
+    // Round-robin makes replica 0 the primary of queries 1, 3 and 5. Each
+    // time the hedge to replica 1 wins, and the loser launched before the
+    // winner is charged a transport failure: the third one demotes it.
+    p0.set_fault(Fault::DelayReplyMs(900));
+    let terms: Vec<u64> = vec![9 << 16 | 1];
+    for _ in 0..6 {
+        let reply = coordinator
+            .query(&terms, 0.0, Duration::from_secs(5))
+            .expect("query");
+        assert_eq!(
+            reply.docs,
+            plan.monolith.query_terms_u64(&terms, QueryMode::Full)
+        );
+    }
+    let stats = coordinator.stats();
+    let (slow, sibling) = (&stats.shards[0].replicas[0], &stats.shards[0].replicas[1]);
+    assert_eq!(
+        (slow.errors, slow.demotions, slow.up),
+        (3, 1, false),
+        "{stats}"
+    );
+    assert_eq!((sibling.errors, sibling.up), (0, true), "{stats}");
+    assert_eq!(stats.shards[0].hedge_wins, 3, "{stats}");
 }
 
 #[test]
@@ -163,4 +173,104 @@ fn blackholed_cluster_respects_the_client_deadline() {
         elapsed < Duration::from_secs(3),
         "the deadline must bound the wait, took {elapsed:?}"
     );
+}
+
+/// The proxy's own faults, against a stub upstream.
+mod proxy {
+    use super::support::{Fault, FaultProxy};
+    use rambo_server::wire;
+    use std::io::{self, Read, Write};
+    use std::net::{SocketAddr, TcpListener, TcpStream};
+    use std::thread::JoinHandle;
+    use std::time::Duration;
+
+    /// A trivial upstream echoing a fixed OK reply per request frame.
+    fn upstream() -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let handle = std::thread::spawn(move || {
+            if let Ok((mut s, _)) = listener.accept() {
+                while let Ok(Some(_req)) = wire::read_frame(&mut s) {
+                    let reply = wire::encode_response(wire::STATUS_OK, 0, &[1, 2, 3]);
+                    if s.write_all(&reply).is_err() {
+                        return;
+                    }
+                }
+            }
+        });
+        (addr, handle)
+    }
+
+    fn query_frame(deadline_ms: u64) -> Vec<u8> {
+        wire::encode_query_request(&[42], 0.0, Duration::from_millis(deadline_ms))
+    }
+
+    #[test]
+    fn relays_and_captures_deadline() {
+        let (up, server) = upstream();
+        let proxy = FaultProxy::spawn(up).expect("proxy");
+        let mut c = TcpStream::connect(proxy.addr()).expect("dial");
+        c.write_all(&query_frame(777)).expect("send");
+        let reply = wire::read_frame(&mut c).expect("read").expect("frame");
+        let parsed = wire::parse_response(&reply).expect("parse");
+        assert_eq!(parsed.docs, vec![1, 2, 3]);
+        assert_eq!(proxy.last_deadline_ms(), 777);
+        drop(c);
+        drop(proxy);
+        let _ = server.join();
+    }
+
+    #[test]
+    fn corrupt_reply_breaks_the_payload_not_the_framing() {
+        let (up, server) = upstream();
+        let proxy = FaultProxy::spawn(up).expect("proxy");
+        proxy.set_fault(Fault::CorruptReply);
+        let mut c = TcpStream::connect(proxy.addr()).expect("dial");
+        c.write_all(&query_frame(100)).expect("send");
+        let reply = wire::read_frame(&mut c).expect("read").expect("frame");
+        assert_ne!(
+            reply,
+            wire::encode_response(wire::STATUS_OK, 0, &[1, 2, 3])[4..].to_vec()
+        );
+        drop(c);
+        drop(proxy);
+        let _ = server.join();
+    }
+
+    #[test]
+    fn truncate_reply_sends_half_then_closes() {
+        let (up, server) = upstream();
+        let proxy = FaultProxy::spawn(up).expect("proxy");
+        proxy.set_fault(Fault::TruncateReply);
+        let mut c = TcpStream::connect(proxy.addr()).expect("dial");
+        c.write_all(&query_frame(100)).expect("send");
+        let mut got = Vec::new();
+        c.read_to_end(&mut got).expect("drain");
+        let full = wire::encode_response(wire::STATUS_OK, 0, &[1, 2, 3]);
+        assert!(!got.is_empty() && got.len() < full.len());
+        drop(c);
+        drop(proxy);
+        let _ = server.join();
+    }
+
+    #[test]
+    fn blackhole_answers_nothing() {
+        let (up, server) = upstream();
+        let proxy = FaultProxy::spawn(up).expect("proxy");
+        proxy.set_fault(Fault::Blackhole);
+        let mut c = TcpStream::connect(proxy.addr()).expect("dial");
+        c.set_read_timeout(Some(Duration::from_millis(200)))
+            .expect("timeout");
+        c.write_all(&query_frame(100)).expect("send");
+        let mut buf = [0u8; 1];
+        let got = c.read(&mut buf);
+        assert!(
+            matches!(got, Err(ref e) if e.kind() == io::ErrorKind::WouldBlock
+                || e.kind() == io::ErrorKind::TimedOut),
+            "blackhole must produce a read timeout, got {got:?}"
+        );
+        drop(c);
+        drop(proxy);
+        drop(server); // upstream never saw a connection; don't join
+    }
 }

@@ -1,4 +1,5 @@
-//! A fault-injecting TCP proxy for resilience tests.
+//! A fault-injecting TCP proxy for the resilience suites (`faults.rs`,
+//! `one_thread.rs`).
 //!
 //! Sits between the coordinator and one shard replica, relaying whole
 //! frames (it parses the length prefixes, so corruption is well-defined)
@@ -8,8 +9,14 @@
 //! rejection, and connection drops. It also records the `deadline_ms`
 //! field of the last query request it saw, so tests can assert the
 //! coordinator really propagates the *remaining* budget downstream
-//! rather than the client's original deadline.
+//! rather than the client's original deadline. Its own tests are in
+//! `faults.rs`. Also the suites' fixture: one shard, two proxied replicas.
 
+// Each suite that includes this module uses part of it.
+#![allow(dead_code)]
+
+use rambo_cluster::{plan_cluster, ClusterPlan, ShardNode};
+use rambo_core::RamboParams;
 use rambo_server::wire;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -17,6 +24,30 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Sixteen documents on one shard.
+pub fn plan() -> ClusterPlan {
+    let docs: Vec<(String, Vec<u64>)> = (0..16u64)
+        .map(|d| (format!("doc{d}"), (0..20).map(|t| d << 16 | t).collect()))
+        .collect();
+    plan_cluster(RamboParams::two_level(1, 16, 3, 1 << 12, 2, 9), &docs).unwrap()
+}
+
+/// One shard, two replicas, each behind its own proxy.
+pub fn proxied_pair(plan: &ClusterPlan) -> (Vec<ShardNode>, FaultProxy, FaultProxy) {
+    let (lo, hi) = plan.ranges[0];
+    let nodes: Vec<ShardNode> = (0..2)
+        .map(|r| ShardNode::spawn(plan.shards[0].clone(), 0, r, lo, hi).expect("spawn"))
+        .collect();
+    let p0 = FaultProxy::spawn(nodes[0].addr()).expect("proxy 0");
+    let p1 = FaultProxy::spawn(nodes[1].addr()).expect("proxy 1");
+    (nodes, p0, p1)
+}
+
+/// The one-shard topology through both proxies.
+pub fn topo(p0: &FaultProxy, p1: &FaultProxy) -> Vec<Vec<SocketAddr>> {
+    vec![vec![p0.addr(), p1.addr()]]
+}
 
 /// What the proxy does to traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,101 +240,5 @@ fn relay(
         if client.write_all(&out).is_err() {
             return;
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::Read;
-
-    /// A trivial upstream echoing a fixed OK reply per request frame.
-    fn upstream() -> (SocketAddr, JoinHandle<()>) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let handle = std::thread::spawn(move || {
-            if let Ok((mut s, _)) = listener.accept() {
-                while let Ok(Some(_req)) = wire::read_frame(&mut s) {
-                    let reply = wire::encode_response(wire::STATUS_OK, 0, &[1, 2, 3]);
-                    if s.write_all(&reply).is_err() {
-                        return;
-                    }
-                }
-            }
-        });
-        (addr, handle)
-    }
-
-    fn query_frame(deadline_ms: u64) -> Vec<u8> {
-        wire::encode_query_request(&[42], 0.0, Duration::from_millis(deadline_ms))
-    }
-
-    #[test]
-    fn relays_and_captures_deadline() {
-        let (up, server) = upstream();
-        let proxy = FaultProxy::spawn(up).expect("proxy");
-        let mut c = TcpStream::connect(proxy.addr()).expect("dial");
-        c.write_all(&query_frame(777)).expect("send");
-        let reply = wire::read_frame(&mut c).expect("read").expect("frame");
-        let parsed = wire::parse_response(&reply).expect("parse");
-        assert_eq!(parsed.docs, vec![1, 2, 3]);
-        assert_eq!(proxy.last_deadline_ms(), 777);
-        drop(c);
-        drop(proxy);
-        let _ = server.join();
-    }
-
-    #[test]
-    fn corrupt_reply_breaks_the_payload_not_the_framing() {
-        let (up, server) = upstream();
-        let proxy = FaultProxy::spawn(up).expect("proxy");
-        proxy.set_fault(Fault::CorruptReply);
-        let mut c = TcpStream::connect(proxy.addr()).expect("dial");
-        c.write_all(&query_frame(100)).expect("send");
-        let reply = wire::read_frame(&mut c).expect("read").expect("frame");
-        assert_ne!(
-            reply,
-            wire::encode_response(wire::STATUS_OK, 0, &[1, 2, 3])[4..].to_vec()
-        );
-        drop(c);
-        drop(proxy);
-        let _ = server.join();
-    }
-
-    #[test]
-    fn truncate_reply_sends_half_then_closes() {
-        let (up, server) = upstream();
-        let proxy = FaultProxy::spawn(up).expect("proxy");
-        proxy.set_fault(Fault::TruncateReply);
-        let mut c = TcpStream::connect(proxy.addr()).expect("dial");
-        c.write_all(&query_frame(100)).expect("send");
-        let mut got = Vec::new();
-        c.read_to_end(&mut got).expect("drain");
-        let full = wire::encode_response(wire::STATUS_OK, 0, &[1, 2, 3]);
-        assert!(!got.is_empty() && got.len() < full.len());
-        drop(c);
-        drop(proxy);
-        let _ = server.join();
-    }
-
-    #[test]
-    fn blackhole_answers_nothing() {
-        let (up, server) = upstream();
-        let proxy = FaultProxy::spawn(up).expect("proxy");
-        proxy.set_fault(Fault::Blackhole);
-        let mut c = TcpStream::connect(proxy.addr()).expect("dial");
-        c.set_read_timeout(Some(Duration::from_millis(200)))
-            .expect("timeout");
-        c.write_all(&query_frame(100)).expect("send");
-        let mut buf = [0u8; 1];
-        let got = c.read(&mut buf);
-        assert!(
-            matches!(got, Err(ref e) if e.kind() == io::ErrorKind::WouldBlock
-                || e.kind() == io::ErrorKind::TimedOut),
-            "blackhole must produce a read timeout, got {got:?}"
-        );
-        drop(c);
-        drop(proxy);
-        drop(server); // upstream never saw a connection; don't join
     }
 }

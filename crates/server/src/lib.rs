@@ -77,7 +77,7 @@
 mod cache;
 mod catalog;
 #[allow(unsafe_code)]
-mod poll;
+pub mod poll;
 mod reactor;
 mod resp;
 mod server;

@@ -1,6 +1,7 @@
 //! The one foreign call in this crate: a minimal `poll(2)` shim, so the
 //! reactor can block until a descriptor is ready instead of napping between
-//! non-blocking sweeps. Unix only, std only — `poll` is in every libc the
+//! non-blocking sweeps; `rambo-cluster` blocks on it too, through [`PollFd`],
+//! [`POLLIN`] and [`wait`]. Unix only, std only — `poll` is in every libc the
 //! standard library already links, and the `POLL*` bits below have the same
 //! values on Linux and the BSDs.
 //!
@@ -14,7 +15,7 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::time::Duration;
 
 /// Readable (for a listener: a connection to accept; for a stream, also EOF).
-pub(crate) const POLLIN: c_short = 0x001;
+pub const POLLIN: c_short = 0x001;
 /// Writable without blocking.
 pub(crate) const POLLOUT: c_short = 0x004;
 /// Error / hang-up / not an open descriptor: reported whether asked for or not.
@@ -25,16 +26,16 @@ pub(crate) const POLLNVAL: c_short = 0x020;
 /// One entry of a poll set; layout fixed by POSIX (`struct pollfd`).
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PollFd {
+pub struct PollFd {
     fd: RawFd,
     events: c_short,
     revents: c_short,
 }
 
 impl PollFd {
-    /// Watch `source` for `events` (a mask of [`POLLIN`] / [`POLLOUT`]; `0`
+    /// Watch `source` for `events` (a mask of [`POLLIN`] and `POLLOUT`; `0`
     /// still reports errors and hang-ups).
-    pub(crate) fn new(source: &impl AsRawFd, events: c_short) -> Self {
+    pub fn new(source: &impl AsRawFd, events: c_short) -> Self {
         Self {
             fd: source.as_raw_fd(),
             events,
@@ -43,7 +44,7 @@ impl PollFd {
     }
 
     /// What the last [`wait`] found on this descriptor; `0` for nothing.
-    pub(crate) fn revents(&self) -> c_short {
+    pub fn revents(&self) -> c_short {
         self.revents
     }
 }
@@ -66,7 +67,7 @@ extern "C" {
 /// # Errors
 /// Whatever else `poll(2)` fails with (`ENOMEM`, `EINVAL` for a set larger
 /// than the descriptor limit).
-pub(crate) fn wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<()> {
+pub fn wait(fds: &mut [PollFd], timeout: Duration) -> io::Result<()> {
     let millis = timeout.as_nanos().div_ceil(1_000_000);
     let millis = c_int::try_from(millis).unwrap_or(c_int::MAX);
     // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]` entries

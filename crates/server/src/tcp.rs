@@ -20,8 +20,8 @@ use crate::server::{QueryReply, ServerError, ServerHandle};
 use crate::tenant::TenantRegistry;
 use crate::wire::{
     self, encode_blob, encode_mutate_ok, encode_response, parse_mutate, parse_request,
-    MAX_FRAME_BYTES, OPCODE_HELLO, OPCODE_MUTATE, OPCODE_STATS, STATUS_BAD_REQUEST,
-    STATUS_DEADLINE, STATUS_MUTATE_REJECTED, STATUS_OK,
+    OPCODE_HELLO, OPCODE_MUTATE, OPCODE_STATS, STATUS_BAD_REQUEST, STATUS_MUTATE_REJECTED,
+    STATUS_OK,
 };
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -77,16 +77,10 @@ pub fn serve_tcp_with(
 /// `dispatch` (reply, close-after). A length above the ceiling is answered
 /// bad-request and closed without waiting for its bytes.
 fn frame_step(inbuf: &[u8], dispatch: impl FnOnce(&[u8]) -> (Vec<u8>, bool)) -> Step {
-    let Some(prefix) = inbuf.get(..4) else {
-        return Step::Incomplete;
-    };
-    let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
-    let (consumed, (reply, close)) = if len > MAX_FRAME_BYTES {
-        (0, bad_request())
-    } else if let Some(payload) = inbuf.get(4..4 + len) {
-        (4 + len, dispatch(payload))
-    } else {
-        return Step::Incomplete;
+    let (consumed, (reply, close)) = match wire::split_frame(inbuf) {
+        Ok(None) => return Step::Incomplete,
+        Ok(Some(payload)) => (4 + payload.len(), dispatch(payload)),
+        Err(_) => (0, bad_request()),
     };
     Step::Request {
         consumed,
@@ -290,6 +284,11 @@ impl TcpClient {
         self.stream.set_write_timeout(timeout)
     }
 
+    /// The connection itself, timeouts as set (a coordinator pools it).
+    pub fn into_inner(self) -> TcpStream {
+        self.stream
+    }
+
     /// Fetch the server's `HELLO` manifest (the opaque bytes registered via
     /// [`ServeOptions::manifest`] — a cluster shard's identity announcement).
     ///
@@ -319,27 +318,7 @@ impl TcpClient {
         deadline: Duration,
     ) -> Result<QueryReply, TcpClientError> {
         let request = wire::encode_query_request(terms, fpr_budget, deadline);
-        let payload = self.exchange(&request)?;
-        let reply = wire::parse_response(&payload).map_err(TcpClientError::Protocol)?;
-        let tier = reply.tier as usize;
-        match reply.status {
-            STATUS_OK if reply.tail.is_empty() => Ok(QueryReply {
-                docs: reply.docs,
-                tier,
-            }),
-            STATUS_OK => Err(TcpClientError::Protocol(
-                "response length disagrees with document count".into(),
-            )),
-            STATUS_DEADLINE => Err(TcpClientError::Server(ServerError::DeadlineExceeded {
-                tier,
-            })),
-            STATUS_BAD_REQUEST => Err(TcpClientError::Protocol(
-                "server reported a bad request".into(),
-            )),
-            other => Err(TcpClientError::Protocol(format!(
-                "unknown response status {other}"
-            ))),
-        }
+        wire::query_reply(&self.exchange(&request)?)
     }
 
     /// Insert a document with its term set into the tenant a

@@ -1,6 +1,7 @@
 //! The binary frame format: the one codec every front and client in the
 //! workspace speaks (catalog front, tenant binary front, [`crate::TcpClient`],
-//! the `rambo-cluster` coordinator front, fault proxy and client).
+//! `rambo-cluster`'s scatter, front and client, the tests' fault proxy);
+//! buffered input is split into frames by [`split_frame`] alone.
 //!
 //! All integers little-endian; `len` counts the bytes after the length field:
 //!
@@ -34,6 +35,7 @@
 //! status. A request with a non-zero reserved byte is malformed.
 
 use crate::server::{QueryOptions, QueryReply, ServerError};
+use crate::tcp::TcpClientError;
 use std::io::{self, Read};
 use std::time::Duration;
 
@@ -253,6 +255,53 @@ pub fn parse_response(payload: &[u8]) -> Result<Response<'_>, String> {
         docs,
         tail: &payload[docs_end..],
     })
+}
+
+/// Decode a query response payload into what [`crate::TcpClient::query`]
+/// returns: the reply, or the deadline rejection.
+///
+/// # Errors
+/// [`TcpClientError::Server`] for a deadline rejection,
+/// [`TcpClientError::Protocol`] for a malformed frame or any other status.
+pub fn query_reply(payload: &[u8]) -> Result<QueryReply, TcpClientError> {
+    let reply = parse_response(payload).map_err(TcpClientError::Protocol)?;
+    let tier = reply.tier as usize;
+    match reply.status {
+        STATUS_OK if reply.tail.is_empty() => Ok(QueryReply {
+            docs: reply.docs,
+            tier,
+        }),
+        STATUS_OK => Err(TcpClientError::Protocol(
+            "response length disagrees with document count".into(),
+        )),
+        STATUS_DEADLINE => Err(TcpClientError::Server(ServerError::DeadlineExceeded {
+            tier,
+        })),
+        STATUS_BAD_REQUEST => Err(TcpClientError::Protocol(
+            "server reported a bad request".into(),
+        )),
+        other => Err(TcpClientError::Protocol(format!(
+            "unknown response status {other}"
+        ))),
+    }
+}
+
+/// Split the first length-prefixed frame off buffered input: its payload
+/// (the frame is `4 + payload.len()` bytes long), or `None` until the whole
+/// frame has arrived.
+///
+/// # Errors
+/// `InvalidData` for a length above [`MAX_FRAME_BYTES`], decided from the
+/// prefix alone so an oversized frame is refused without waiting for it.
+pub fn split_frame(buf: &[u8]) -> io::Result<Option<&[u8]>> {
+    let Some(prefix) = buf.get(..4) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
+    if len > MAX_FRAME_BYTES {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too long"));
+    }
+    Ok(buf.get(4..4 + len))
 }
 
 /// Read one length-prefixed frame payload from a blocking stream. Returns
