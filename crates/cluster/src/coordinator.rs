@@ -1,21 +1,22 @@
-//! The coordinator/router: scatter-gather with hedged reads and replica
-//! failover.
+//! The coordinator/router: topology discovery, and the driver of the
+//! scatter-gather with hedged reads and replica failover.
 //!
-//! One query is one loop on the calling thread. It writes the request to one
-//! replica of every shard (a *leg* each), then blocks in `poll(2)` until a
-//! reply is readable, a hedge timer is due or the deadline passes. A hedge
-//! writes the same request to a sibling replica, and an attempt that fails
-//! is re-launched on an untried one at once. The first complete answer
-//! decides a leg; its other attempts are closed there and then, and the
-//! loop charges their replicas (see `Scatter::step`).
+//! Every decision of a query — which replica is the primary, when a hedge
+//! fires, where an attempt fails over, who is charged, what the answer is —
+//! is made by [`Scatter`](crate::scatter), a step function with no socket
+//! and no clock. `Coordinator::query` only drives it, on the calling
+//! thread: it writes the frames the scatter asks for, blocks in `poll(2)`
+//! until a reply is readable or the scatter's next wake-up is due, and
+//! feeds what it read, what closed and the time back in.
 
 use crate::health::ReplicaHealth;
 use crate::manifest::{ManifestError, NodeManifest};
 use crate::pool::ClientPool;
+use crate::scatter::{Action, Event, Scatter};
 use rambo_server::poll::{self, PollFd, POLLIN};
-use rambo_server::wire::{self, encode_query_request};
-use rambo_server::{QueryReply, ServerError, TcpClient, TcpClientError};
+use rambo_server::{ServerError, TcpClient};
 use rambo_workloads::stats::LatencyHistogram;
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -26,24 +27,6 @@ use std::time::{Duration, Instant};
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 /// Idle connections kept per replica.
 const POOL_CAPACITY: usize = 4;
-/// Consecutive transport errors that demote a replica.
-const FAIL_THRESHOLD: u32 = 3;
-/// Cool-down before a demoted replica is re-probed with a live query, in
-/// nanoseconds of the coordinator's clock (500 ms).
-const PROBE_NS: u64 = 500_000_000;
-/// Latency quantile of the primary replica's own history that arms the
-/// hedge timer.
-const HEDGE_QUANTILE: f64 = 0.99;
-/// Lower clamp on the hedge delay (don't hedge on micro-jitter).
-const HEDGE_FLOOR: Duration = Duration::from_millis(1);
-/// Upper clamp on the hedge delay (a slow history must not disable hedging
-/// entirely).
-const HEDGE_CAP: Duration = Duration::from_millis(100);
-/// Hedge delay until the replica has [`HEDGE_MIN_SAMPLES`] recorded
-/// attempts.
-const HEDGE_COLD: Duration = Duration::from_millis(20);
-/// Attempts a replica's histogram needs before its quantile is trusted.
-const HEDGE_MIN_SAMPLES: u64 = 32;
 
 /// A coordinator answer: the global union, plus which shards (if any)
 /// could not be reached.
@@ -117,50 +100,64 @@ impl From<io::Error> for ClusterError {
 
 /// One replica's connections, health and latency history.
 #[derive(Debug)]
-struct Replica {
-    pool: ClientPool,
-    health: ReplicaHealth,
+pub(crate) struct Replica {
+    pub(crate) pool: ClientPool,
+    pub(crate) health: ReplicaHealth,
     /// Per-attempt latency history; feeds the hedge delay.
-    latency: LatencyHistogram,
-    demotions: AtomicU64,
-    manifest: NodeManifest,
+    pub(crate) latency: LatencyHistogram,
+    pub(crate) demotions: AtomicU64,
+    pub(crate) manifest: NodeManifest,
+}
+
+impl Replica {
+    /// A healthy replica at `addr` with an empty pool and history.
+    pub(crate) fn new(addr: SocketAddr, manifest: NodeManifest) -> Self {
+        Self {
+            pool: ClientPool::new(addr, POOL_CAPACITY),
+            health: ReplicaHealth::default(),
+            latency: LatencyHistogram::new(),
+            demotions: AtomicU64::new(0),
+            manifest,
+        }
+    }
 }
 
 /// One shard's routing state (coordinator-internal).
-#[derive(Debug)]
-struct Shard {
-    id: u32,
-    doc_lo: u32,
-    replicas: Vec<Replica>,
+#[derive(Debug, Default)]
+pub(crate) struct Shard {
+    pub(crate) id: u32,
+    pub(crate) doc_lo: u32,
+    pub(crate) replicas: Vec<Replica>,
     /// Round-robin cursor for primary selection.
-    rr: AtomicUsize,
+    pub(crate) rr: AtomicUsize,
     /// Whole-query latency as seen by the gather loop.
-    latency: LatencyHistogram,
-    hedges: AtomicU64,
-    hedge_wins: AtomicU64,
-    failovers: AtomicU64,
-}
-
-/// How one shard's scatter leg ended, before gathering.
-enum ShardFailure {
-    /// Every replica transport-failed (or none was eligible) — the shard
-    /// is unreachable and the reply degrades.
-    Unreachable,
-    /// A live shard said no (its deadline passed).
-    Rejected(ServerError),
+    pub(crate) latency: LatencyHistogram,
+    pub(crate) hedges: AtomicU64,
+    pub(crate) hedge_wins: AtomicU64,
+    pub(crate) failovers: AtomicU64,
 }
 
 /// The scatter-gather router. See the crate docs for the full picture.
 #[derive(Debug)]
 pub struct Coordinator {
-    shards: Vec<Shard>,
+    pub(crate) shards: Vec<Shard>,
     /// Monotonic epoch for the probe scheduler's nanosecond clock.
-    epoch: Instant,
+    pub(crate) epoch: Instant,
     queries: AtomicU64,
-    degraded_replies: AtomicU64,
+    pub(crate) degraded_replies: AtomicU64,
 }
 
 impl Coordinator {
+    /// A coordinator over already-verified shards.
+    pub(crate) fn with_shards(shards: Vec<Shard>, epoch: Instant) -> Self {
+        Self {
+            shards,
+            epoch,
+            queries: AtomicU64::new(0),
+            degraded_replies: AtomicU64::new(0),
+        }
+    }
+
     /// Dial a replica and complete the `HELLO` exchange. The whole exchange
     /// is bounded by [`CONNECT_TIMEOUT`] — discovery must never hang on a
     /// half-dead peer — and retried once, because a freshly spawned node
@@ -239,15 +236,9 @@ impl Coordinator {
                         }
                     }
                 }
-                let pool = ClientPool::new(addr, POOL_CAPACITY);
-                pool.put(client.into_inner()); // seed with the discovery connection
-                replicas.push(Replica {
-                    pool,
-                    health: ReplicaHealth::default(),
-                    latency: LatencyHistogram::new(),
-                    demotions: AtomicU64::new(0),
-                    manifest,
-                });
+                let replica = Replica::new(addr, manifest);
+                replica.pool.put(client.into_inner()); // seed with the discovery connection
+                replicas.push(replica);
             }
             let head = first.expect("at least one replica");
             if let Some(hi) = prev_hi {
@@ -265,19 +256,10 @@ impl Coordinator {
                 id: s as u32,
                 doc_lo: head.doc_lo,
                 replicas,
-                rr: AtomicUsize::new(0),
-                latency: LatencyHistogram::new(),
-                hedges: AtomicU64::new(0),
-                hedge_wins: AtomicU64::new(0),
-                failovers: AtomicU64::new(0),
+                ..Shard::default()
             });
         }
-        Ok(Self {
-            shards,
-            epoch: Instant::now(),
-            queries: AtomicU64::new(0),
-            degraded_replies: AtomicU64::new(0),
-        })
+        Ok(Self::with_shards(shards, Instant::now()))
     }
 
     /// Number of shards in the topology.
@@ -289,7 +271,8 @@ impl Coordinator {
     /// Scatter-gather a query: the union of per-shard answers, mapped to
     /// global doc ids. Unreachable shards degrade the reply
     /// ([`ClusterReply::degraded`]); reachable-but-rejecting shards fail it
-    /// ([`ClusterError::Shard`]).
+    /// ([`ClusterError::Shard`]). A deadline longer than a request frame
+    /// carries (`u32::MAX` ms) is cut to it.
     ///
     /// # Errors
     /// See [`ClusterError`].
@@ -300,100 +283,87 @@ impl Coordinator {
         deadline: Duration,
     ) -> Result<ClusterReply, ClusterError> {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let start = Instant::now();
-        let scatter = Scatter {
-            coordinator: self,
-            terms,
-            fpr_budget,
-            start,
-            overall: start + deadline,
-        };
-        let mut legs: Vec<Leg<'_>> = self.shards.iter().map(|s| scatter.open(s)).collect();
-        let mut fds = Vec::new();
-        while legs.iter().any(|l| l.outcome.is_none()) {
-            let mut wake = scatter.overall;
+        let (mut scatter, actions) =
+            Scatter::new(self, terms, fpr_budget, Instant::now(), deadline);
+        // One entry per attempt, in launch order; `None` once released.
+        let mut links: Vec<Option<(TcpStream, &ClientPool)>> = Vec::new();
+        self.perform(&mut scatter, &mut links, actions);
+        let (mut fds, mut open) = (Vec::new(), Vec::new());
+        let mut chunk = [0u8; 16 << 10];
+        while let Some(wake) = scatter.wake_at() {
             fds.clear();
-            for leg in legs.iter().filter(|l| l.outcome.is_none()) {
-                wake = leg.hedge_at.map_or(wake, |at| wake.min(at));
-                fds.extend(leg.open.iter().map(|a| PollFd::new(&a.stream, POLLIN)));
+            open.clear();
+            for (a, link) in links.iter().enumerate() {
+                if let Some((stream, _)) = link {
+                    fds.push(PollFd::new(stream, POLLIN));
+                    open.push(a);
+                }
             }
             poll::wait(&mut fds, wake.saturating_duration_since(Instant::now()))?;
-            let mut ready = fds.iter().map(|fd| fd.revents() != 0);
-            for leg in legs.iter_mut().filter(|l| l.outcome.is_none()) {
-                scatter.step(leg, &mut ready);
+            let now = Instant::now();
+            for (&a, fd) in open.iter().zip(&fds) {
+                // An attempt released by an earlier event of this turn is
+                // not read again.
+                let Some((stream, _)) = links[a].as_mut().filter(|_| fd.revents() != 0) else {
+                    continue;
+                };
+                let event = match stream.read(&mut chunk) {
+                    Ok(0) => Event::Closed(a),
+                    Ok(n) => Event::Bytes(a, &chunk[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(_) => Event::Closed(a),
+                };
+                let actions = scatter.feed(now, event);
+                self.perform(&mut scatter, &mut links, actions);
             }
+            let actions = scatter.feed(now, Event::Tick);
+            self.perform(&mut scatter, &mut links, actions);
         }
+        scatter.finish()
+    }
 
-        let mut docs = Vec::new();
-        let mut tier = 0usize;
-        let mut degraded = Vec::new();
-        for leg in legs {
-            match leg.outcome.expect("every leg is decided") {
-                Ok(reply) => {
-                    tier = tier.max(reply.tier);
-                    docs.extend(reply.docs.iter().map(|&local| leg.shard.doc_lo + local));
+    /// Do what the scatter asked. A send dials when the replica's pool is
+    /// empty; dial and write block, bounded by the smaller of
+    /// [`CONNECT_TIMEOUT`] and the attempt's budget, and a request that
+    /// cannot be sent is fed back as a closed attempt.
+    fn perform<'c>(
+        &'c self,
+        scatter: &mut Scatter<'_>,
+        links: &mut Vec<Option<(TcpStream, &'c ClientPool)>>,
+        actions: Vec<Action>,
+    ) {
+        let mut queue = VecDeque::from(actions);
+        while let Some(action) = queue.pop_front() {
+            match action {
+                Action::Send {
+                    attempt,
+                    shard,
+                    replica,
+                    frame,
+                    budget,
+                } => {
+                    debug_assert_eq!(attempt, links.len(), "attempts launch in order");
+                    let pool = &self.shards[shard].replicas[replica].pool;
+                    let sent = pool
+                        .get(budget.min(CONNECT_TIMEOUT))
+                        .and_then(|mut stream| {
+                            stream.set_write_timeout(Some(budget))?;
+                            stream.write_all(&frame).map(|()| stream)
+                        });
+                    links.push(sent.ok().map(|stream| (stream, pool)));
+                    if links[attempt].is_none() {
+                        queue.extend(scatter.feed(Instant::now(), Event::Closed(attempt)));
+                    }
                 }
-                Err(ShardFailure::Unreachable) => degraded.push(leg.shard.id),
-                Err(ShardFailure::Rejected(error)) => {
-                    return Err(ClusterError::Shard {
-                        shard: leg.shard.id,
-                        error,
-                    })
+                Action::Release { attempt, pool } => {
+                    if let (Some((stream, home)), true) = (links[attempt].take(), pool) {
+                        home.put(stream);
+                    }
+                }
+                Action::ClearPool { shard, replica } => {
+                    self.shards[shard].replicas[replica].pool.clear();
                 }
             }
-        }
-        if !degraded.is_empty() {
-            self.degraded_replies.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(ClusterReply {
-            docs,
-            tier,
-            degraded,
-        })
-    }
-
-    /// Charge `replica` one transport failure; the one that completes the
-    /// streak demotes it and drops its pooled connections, which must not
-    /// be handed out after it recovers.
-    fn charge(&self, replica: &Replica) {
-        let now_ns = self.epoch.elapsed().as_nanos() as u64;
-        if replica
-            .health
-            .record_failure(FAIL_THRESHOLD, now_ns, PROBE_NS)
-        {
-            replica.demotions.fetch_add(1, Ordering::Relaxed);
-            replica.pool.clear();
-        }
-    }
-
-    /// An untried replica: the first healthy one counting round-robin from
-    /// `from`; with none healthy, a demoted one whose half-open probe CAS
-    /// this caller wins.
-    fn pick(&self, shard: &Shard, used: &[bool], from: usize) -> Option<usize> {
-        let n = shard.replicas.len();
-        let untried = |i: &usize| !used[*i];
-        let mut round = (0..n).map(|k| (from + k) % n).filter(untried);
-        round
-            .find(|&i| shard.replicas[i].health.is_up())
-            .or_else(|| {
-                (0..n).filter(untried).find(|&i| {
-                    shard.replicas[i]
-                        .health
-                        .claim_probe(self.epoch.elapsed().as_nanos() as u64, PROBE_NS)
-                })
-            })
-    }
-
-    /// The hedge timer for a primary: its own latency quantile, clamped;
-    /// a fixed cold default until the histogram has enough samples.
-    fn hedge_delay(replica: &Replica) -> Duration {
-        if replica.latency.count() < HEDGE_MIN_SAMPLES {
-            HEDGE_COLD
-        } else {
-            replica
-                .latency
-                .quantile(HEDGE_QUANTILE)
-                .clamp(HEDGE_FLOOR, HEDGE_CAP)
         }
     }
 
@@ -428,190 +398,6 @@ impl Coordinator {
                         .collect(),
                 })
                 .collect(),
-        }
-    }
-}
-
-/// One query's scatter: what every attempt sends, and its clock.
-struct Scatter<'a> {
-    coordinator: &'a Coordinator,
-    terms: &'a [u64],
-    fpr_budget: f64,
-    start: Instant,
-    /// The client's deadline.
-    overall: Instant,
-}
-
-/// One shard's scatter leg.
-struct Leg<'a> {
-    shard: &'a Shard,
-    /// Replicas this leg has tried.
-    used: Vec<bool>,
-    /// Attempts awaiting a reply, in launch order.
-    open: Vec<Attempt>,
-    /// When the hedge fires; `None` once it has.
-    hedge_at: Option<Instant>,
-    /// Reported if every attempt ends without an answer.
-    last_rejection: Option<ServerError>,
-    outcome: Option<Result<QueryReply, ShardFailure>>,
-}
-
-/// A request written to one replica, its reply read as it arrives.
-struct Attempt {
-    replica: usize,
-    stream: TcpStream,
-    reply: Vec<u8>,
-    launched: Instant,
-    hedge: bool,
-}
-
-impl Attempt {
-    /// Take what the socket has (`poll` found it ready, so the read does not
-    /// block); `Some` once the reply is complete or the attempt has failed.
-    fn read(&mut self) -> Option<Result<QueryReply, TcpClientError>> {
-        let mut chunk = [0u8; 16 << 10];
-        match self.stream.read(&mut chunk) {
-            Ok(0) => return Some(Err(io::Error::from(io::ErrorKind::UnexpectedEof).into())),
-            Ok(n) => self.reply.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => return None,
-            Err(e) => return Some(Err(e.into())),
-        }
-        match wire::split_frame(&self.reply) {
-            Ok(frame) => frame.map(wire::query_reply),
-            Err(e) => Some(Err(e.into())),
-        }
-    }
-}
-
-impl<'a> Scatter<'a> {
-    /// Start a leg on its primary; a shard with no eligible replica is
-    /// unreachable at once.
-    fn open(&self, shard: &'a Shard) -> Leg<'a> {
-        let mut leg = Leg {
-            shard,
-            used: vec![false; shard.replicas.len()],
-            open: Vec::new(),
-            hedge_at: None,
-            last_rejection: None,
-            outcome: Some(Err(ShardFailure::Unreachable)),
-        };
-        let cursor = shard.rr.fetch_add(1, Ordering::Relaxed);
-        if let Some(primary) = self.coordinator.pick(shard, &leg.used, cursor) {
-            let delay = Coordinator::hedge_delay(&shard.replicas[primary]);
-            (leg.hedge_at, leg.outcome) = (Some(Instant::now() + delay), None);
-            self.launch(&mut leg, primary, false);
-        }
-        leg
-    }
-
-    /// Write the request, carrying the remaining budget, to replica `r`,
-    /// dialing it if its pool is empty. Dial and write block, bounded by the
-    /// smaller of [`CONNECT_TIMEOUT`] and the remaining budget; a replica
-    /// that cannot take the request fails over at once.
-    fn launch(&self, leg: &mut Leg<'a>, r: usize, hedge: bool) {
-        leg.used[r] = true;
-        let replica = &leg.shard.replicas[r];
-        let launched = Instant::now();
-        let remaining = self.overall.saturating_duration_since(launched);
-        let remaining = remaining.max(Duration::from_millis(1));
-        let request = encode_query_request(self.terms, self.fpr_budget, remaining);
-        let sent = replica.pool.get(remaining.min(CONNECT_TIMEOUT));
-        match sent.and_then(|mut stream| {
-            stream.set_write_timeout(Some(remaining))?;
-            stream.write_all(&request).map(|()| stream)
-        }) {
-            Ok(stream) => leg.open.push(Attempt {
-                replica: r,
-                stream,
-                reply: Vec::new(),
-                launched,
-                hedge,
-            }),
-            Err(_) => {
-                self.coordinator.charge(replica);
-                self.fail_over(leg);
-            }
-        }
-    }
-
-    /// An attempt ended without an answer: re-launch on an untried replica
-    /// (racing as a hedge once the hedge has fired), or settle the leg once
-    /// nothing is left in flight.
-    fn fail_over(&self, leg: &mut Leg<'a>) {
-        if let Some(next) = self.coordinator.pick(leg.shard, &leg.used, 0) {
-            leg.shard.failovers.fetch_add(1, Ordering::Relaxed);
-            self.launch(leg, next, leg.hedge_at.is_none());
-        } else if leg.open.is_empty() {
-            leg.outcome = Some(Err(match leg.last_rejection.clone() {
-                Some(err) => ShardFailure::Rejected(err),
-                None => ShardFailure::Unreachable,
-            }));
-        }
-    }
-
-    /// Read the leg's attempts that `ready` (one flag per open attempt, as
-    /// polled) marks readable, in launch order, then fire the hedge or
-    /// expire the leg if either is due.
-    ///
-    /// The first answer decides the leg and closes the rest, unpooled. The
-    /// charging rule: an attempt launched before the winner is charged one
-    /// transport failure, as a read timeout would charge it, so a
-    /// blackholed primary is demoted after three lost hedges; one launched
-    /// after the winner is charged nothing; one still open at the deadline
-    /// is charged one. A failed attempt fails over; a rejection keeps its
-    /// replica up and its stream pooled.
-    fn step(&self, leg: &mut Leg<'a>, ready: &mut impl Iterator<Item = bool>) {
-        let mut failures = 0;
-        for mut attempt in std::mem::take(&mut leg.open) {
-            let readable = ready.next() == Some(true) && leg.outcome.is_none();
-            let replica = &leg.shard.replicas[attempt.replica];
-            match readable.then(|| attempt.read()).flatten() {
-                None if leg.outcome.is_some() => {} // launched after the winner
-                None => leg.open.push(attempt),
-                Some(Ok(reply)) => {
-                    for loser in leg.open.drain(..) {
-                        self.coordinator.charge(&leg.shard.replicas[loser.replica]);
-                    }
-                    replica.latency.record(attempt.launched.elapsed());
-                    replica.health.record_success();
-                    replica.pool.put(attempt.stream);
-                    leg.shard.latency.record(self.start.elapsed());
-                    if attempt.hedge {
-                        leg.shard.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                    }
-                    leg.outcome = Some(Ok(reply));
-                }
-                Some(Err(TcpClientError::Server(err))) => {
-                    // Error frames arrive complete; the stream is in sync.
-                    replica.pool.put(attempt.stream);
-                    leg.last_rejection = Some(err);
-                    failures += 1;
-                }
-                Some(Err(_)) => {
-                    self.coordinator.charge(replica);
-                    failures += 1;
-                }
-            }
-        }
-        for _ in 0..failures {
-            if leg.outcome.is_none() {
-                self.fail_over(leg);
-            }
-        }
-        let now = Instant::now();
-        if leg.outcome.is_none() && now >= self.overall {
-            for attempt in leg.open.drain(..) {
-                self.coordinator
-                    .charge(&leg.shard.replicas[attempt.replica]);
-            }
-            let expired = ServerError::DeadlineExceeded { tier: 0 };
-            leg.outcome = Some(Err(ShardFailure::Rejected(expired)));
-        } else if leg.outcome.is_none() && leg.hedge_at.is_some_and(|at| now >= at) {
-            leg.hedge_at = None;
-            if let Some(next) = self.coordinator.pick(leg.shard, &leg.used, 0) {
-                leg.shard.hedges.fetch_add(1, Ordering::Relaxed);
-                self.launch(leg, next, true);
-            }
         }
     }
 }
@@ -661,14 +447,6 @@ pub struct ClusterStats {
     pub degraded_replies: u64,
     /// Per-shard breakdown.
     pub shards: Vec<ShardStats>,
-}
-
-impl ClusterStats {
-    /// Total failover re-launches across shards.
-    #[must_use]
-    pub fn total_failovers(&self) -> u64 {
-        self.shards.iter().map(|s| s.failovers).sum()
-    }
 }
 
 impl fmt::Display for ClusterStats {

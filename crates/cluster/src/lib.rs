@@ -27,12 +27,17 @@
 //!   monolith's answer restricted to that node's documents — false
 //!   positives included — so the union of per-shard answers is
 //!   **bit-identical** to querying the stacked monolith (property-tested,
-//!   and asserted per query over loopback shard servers). The scatter is
-//!   one `poll(2)` loop on the calling thread ([`rambo_server::poll`]): no
-//!   thread is started per query or per attempt. Deadlines propagate to
+//!   and asserted per query over loopback shard servers). Every decision
+//!   of a scatter is made by a state machine that is fed bytes, closes and
+//!   ticks with the caller's clock and never touches a socket or reads the
+//!   time itself, so its rules are tested as scripted schedules; the driver
+//!   is one `poll(2)` loop on the calling thread ([`rambo_server::poll`]),
+//!   with no thread per query or per attempt. Deadlines propagate to
 //!   shards net of elapsed time, and **hedged reads** re-issue a
 //!   straggling request to a sibling replica after a delay derived from
 //!   the replica's own latency histogram quantile — the first answer wins.
+//!   A shard's reply is checked before it is merged: strictly ascending
+//!   local ids inside the shard's range, from a tier it serves.
 //! * **Replica failover** — a replica is demoted after consecutive
 //!   transport errors (a hedge it lost counts as one) and re-probed after a
 //!   cool-down; queries fail over to siblings transparently. When *every*
@@ -87,6 +92,7 @@ mod health;
 mod manifest;
 mod partition;
 mod pool;
+mod scatter;
 mod shard;
 pub mod wire;
 

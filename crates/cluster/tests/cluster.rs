@@ -85,7 +85,22 @@ fn scatter_gather_is_bit_identical_to_monolith() {
     let stats = coordinator.stats();
     assert_eq!(stats.queries, 32);
     assert_eq!(stats.degraded_replies, 0);
-    assert_eq!(stats.total_failovers(), 0);
+    assert!(stats.shards.iter().all(|s| s.failovers == 0), "{stats}");
+}
+
+#[test]
+fn a_query_with_no_deadline_answers_like_any_other() {
+    let plan = plan(2, 16);
+    let nodes = spawn_nodes(&plan, 1);
+    let coordinator = Coordinator::connect(&topology(&nodes)).expect("connect");
+    let terms: Vec<u64> = vec![3 << 16 | 3, 3 << 16 | 4];
+    let reply = coordinator
+        .query(&terms, 0.0, Duration::MAX)
+        .expect("query");
+    assert_eq!(
+        reply.docs,
+        plan.monolith.query_terms_u64(&terms, QueryMode::Full)
+    );
 }
 
 #[test]

@@ -8,7 +8,7 @@ mod support;
 
 use rambo_cluster::Coordinator;
 use std::time::Duration;
-use support::{plan, proxied_pair, topo, Fault};
+use support::{answer, node, plan, Reply, Scripted};
 
 fn threads() -> usize {
     std::fs::read_dir("/proc/self/task")
@@ -19,19 +19,20 @@ fn threads() -> usize {
 #[test]
 fn a_hedged_query_leaves_no_thread_behind() {
     let plan = plan();
-    let (_nodes, p0, p1) = proxied_pair(&plan);
-    let coordinator = Coordinator::connect(&topo(&p0, &p1)).expect("connect");
-    // Warm-up: two queries per replica, so each has a pooled connection
-    // and its proxy relay thread already exists (a hedge that loses here
-    // closes its connection; the replica's next query dials a new one).
+    let real = node(&plan);
+    // Replica 0 answers the two warm-up queries it is primary for, then
+    // falls silent.
+    let warm = Reply::Bytes(answer(&plan, &[1]));
+    let slow = Scripted::spawn(Some(real.manifest()), vec![warm.clone(), warm]);
+    let coordinator = Coordinator::connect(&[vec![slow.addr(), real.addr()]]).expect("connect");
+    // Warm-up: two queries per replica, so each has a pooled connection.
     for _ in 0..4 {
         coordinator
             .query(&[1], 0.0, Duration::from_secs(5))
             .expect("warm query");
     }
     // Replica 0 is the next primary; the hedge to replica 1 wins while
-    // replica 0 still sits on its reply.
-    p0.set_fault(Fault::DelayReplyMs(900));
+    // replica 0 still holds the request.
     let before = threads();
     coordinator
         .query(&[2], 0.0, Duration::from_secs(5))
