@@ -43,7 +43,8 @@
 //!   thread. [`IngestPipeline`] runs the same per-repetition step for a
 //!   stream: the calling thread parses, dedupes and registers documents in
 //!   order, and a worker pool hashes and writes one repetition of one
-//!   document per job. Both are bit-identical to term-at-a-time
+//!   batch of documents per job (a big document is a batch of one). Both
+//!   are bit-identical to term-at-a-time
 //!   Algorithm 1. A live index takes inserts the same way: it is one
 //!   [`Rambo`] whose fixed `B × R` grid absorbs each new document's bits,
 //!   the paper's cheap streaming update.

@@ -18,20 +18,29 @@
 //!   back to back on the calling thread.
 //! * **A stream, bucket-major.** [`IngestPipeline::ingest`] keeps only the
 //!   serial part on the calling thread: it parses, extracts, dedupes and
-//!   registers each document in stream order, then enqueues one job per
-//!   repetition on a bounded queue. A pool of `available_parallelism`
-//!   workers runs the jobs. For the length of the call every table stages
-//!   one lazily allocated `m`-bit column per bucket; a job locks only its
-//!   document's column `(r, bucket)` and sets the positions there as it
-//!   hashes them — a column is a few hundred KB, so the writes stay in
-//!   cache where the matrix's `m × B` rows would not. When the stream ends
-//!   (or stops on an error) one pass lands the staging: 64 columns' words
-//!   at a time are transposed and ORed into 64 row words, every table split
-//!   into row slices shared evenly by the pool's threads. Staging costs at
-//!   most one extra copy of the matrices while the call runs. Stall time
-//!   on both sides of the queue is counted in the [`PipelineReport`]: a
-//!   full queue means the workers are the bottleneck, an empty one means
-//!   the caller is.
+//!   registers each document in stream order and appends it (its unique
+//!   terms and its `R` buckets) to an open batch. A batch is handed off as
+//!   one job per repetition on a bounded queue once it holds `2^15` unique
+//!   terms, when the stream ends, and before a registration error returns.
+//!   A document is never split, so a genome of tens of thousands of terms
+//!   is a batch of one, while hundreds of small documents share one
+//!   hand-off: a blocking queue hand-off costs about as much as hashing
+//!   one 500-term document, and paid per document it left the caller and
+//!   the workers waiting on each other for most of a stream of small ones.
+//!   A pool of `available_parallelism` workers runs the jobs, each its
+//!   repetition over every document of its batch. For the length of the
+//!   call every table stages one lazily allocated `m`-bit column per
+//!   bucket; a job locks one document's column `(r, bucket)` at a time and
+//!   sets the positions there as it hashes them — a column is a few
+//!   hundred KB, so the writes stay in cache where the matrix's `m × B`
+//!   rows would not. When the stream ends (or stops on an error) one pass
+//!   lands the staging: 64 columns' words at a time are transposed and
+//!   ORed into 64 row words, every table split into row slices shared
+//!   evenly by the pool's threads. Staging costs at most one extra copy of
+//!   the matrices while the call runs. Hand-offs, stall time on both sides
+//!   of the queue and the landing's time are counted in the
+//!   [`PipelineReport`]: a full queue means the workers are the
+//!   bottleneck, an empty one means the caller is.
 
 use crate::batch::default_threads;
 use crate::error::RamboError;
@@ -44,10 +53,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Registered-but-unstaged documents the pool's queue holds, as `R` jobs
-/// each. A few absorb the stage-time variance between documents; each
-/// holds its unique terms (8 bytes apiece) until its last job is staged.
+/// Batches the pool's queue holds, as `R` jobs each. A few absorb the
+/// stage-time variance between batches; each holds its documents' unique
+/// terms (8 bytes apiece) until its last job is staged, so four batches of
+/// small documents hold about 1 MiB.
 const QUEUE_DEPTH: usize = 4;
+
+/// Unique terms at which the open batch is handed off. One job over this
+/// many terms is ~0.3 ms of hashing on a 2-vCPU VM, far above a blocking
+/// hand-off, and four queued batches of them stay near 1 MiB.
+const BATCH_TERMS: usize = 1 << 15;
 
 /// Dedupe a term batch in place, once for all repetitions: Bloom insertion
 /// is idempotent, so duplicates would only re-hash and re-write the same
@@ -266,13 +281,17 @@ impl HashedDoc {
 }
 
 /// What one pipeline run did, including where it stalled. Counters are
-/// exact; durations are wall-clock sums over blocking waits.
+/// exact; stall durations are wall-clock sums over blocking waits.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PipelineReport {
     /// Documents ingested.
     pub docs: u64,
     /// Terms ingested (with multiplicity).
     pub terms: u64,
+    /// Hand-offs to the pool, each of `R` jobs: one per batch of documents
+    /// (at most one per `2^15` unique terms, plus the last). A function of
+    /// the stream alone.
+    pub batches: u64,
     /// Times the calling thread found the queue full and had to block.
     pub producer_stalls: u64,
     /// Total nanoseconds the calling thread spent blocked on a full queue.
@@ -283,9 +302,16 @@ pub struct PipelineReport {
     /// Nanoseconds workers spent blocked on an empty queue, summed over
     /// workers.
     pub writer_stall_ns: u64,
+    /// Nanoseconds of the landing: the one pass that ORs the staged
+    /// columns into the matrices after the stream ends.
+    pub land_ns: u64,
     /// High-water mark of documents registered but not yet completely
-    /// staged. At most the queue's four documents plus one whose jobs
-    /// straddle its ends, plus one per worker still writing a document
+    /// staged. A document is in flight with its batch, so this is at most
+    /// the documents of `QUEUE_DEPTH + 1 + workers` batches (4, 1 and
+    /// `available_parallelism`): the caller's batch, being filled or
+    /// pushed; at most `QUEUE_DEPTH` others with a job in the queue, since
+    /// each of them is fully pushed and, the queue being FIFO, only the
+    /// front one has lost jobs to the workers; and at most one per worker
     /// whose jobs have all left the queue.
     pub max_queue_depth: u64,
 }
@@ -295,6 +321,7 @@ pub struct PipelineReport {
 struct Counters {
     docs: AtomicU64,
     terms: AtomicU64,
+    batches: AtomicU64,
     producer_stalls: AtomicU64,
     producer_stall_ns: AtomicU64,
     writer_stalls: AtomicU64,
@@ -304,14 +331,16 @@ struct Counters {
 }
 
 impl Counters {
-    fn report(&self) -> PipelineReport {
+    fn report(&self, land: Duration) -> PipelineReport {
         PipelineReport {
             docs: self.docs.load(Ordering::Relaxed),
             terms: self.terms.load(Ordering::Relaxed),
+            batches: self.batches.load(Ordering::Relaxed),
             producer_stalls: self.producer_stalls.load(Ordering::Relaxed),
             producer_stall_ns: self.producer_stall_ns.load(Ordering::Relaxed),
             writer_stalls: self.writer_stalls.load(Ordering::Relaxed),
             writer_stall_ns: self.writer_stall_ns.load(Ordering::Relaxed),
+            land_ns: land.as_nanos() as u64,
             max_queue_depth: self.max_depth.load(Ordering::Relaxed),
         }
     }
@@ -322,34 +351,52 @@ impl Counters {
     }
 }
 
-/// A registered document's unique terms, shared by its `R` jobs. It counts
-/// toward the report's queue depth from registration until its last job
-/// is staged and the last `Arc` drops.
-struct InFlight<'c> {
-    terms: Vec<u64>,
+/// Registered documents, in stream order, shared by the `R` jobs of one
+/// hand-off. Each counts toward the report's queue depth from registration
+/// until the batch's last job is staged and the last `Arc` drops.
+struct Batch<'c> {
+    /// Each document's unique terms.
+    docs: Vec<Vec<u64>>,
+    /// Document `d`'s bucket in repetition `r`, at `d * R + r`.
+    buckets: Vec<usize>,
+    /// Unique terms over `docs`.
+    terms: usize,
     counters: &'c Counters,
 }
 
-impl<'c> InFlight<'c> {
-    fn new(terms: Vec<u64>, counters: &'c Counters) -> Arc<Self> {
-        let depth = counters.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        counters.max_depth.fetch_max(depth, Ordering::Relaxed);
-        Arc::new(Self { terms, counters })
+impl<'c> Batch<'c> {
+    fn new(counters: &'c Counters) -> Self {
+        Self {
+            docs: Vec::new(),
+            buckets: Vec::new(),
+            terms: 0,
+            counters,
+        }
+    }
+
+    /// Append a registered document.
+    fn push(&mut self, terms: Vec<u64>, buckets: impl IntoIterator<Item = usize>) {
+        let depth = self.counters.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        self.counters.max_depth.fetch_max(depth, Ordering::Relaxed);
+        self.terms += terms.len();
+        self.docs.push(terms);
+        self.buckets.extend(buckets);
     }
 }
 
-impl Drop for InFlight<'_> {
+impl Drop for Batch<'_> {
     fn drop(&mut self) {
-        self.counters.depth.fetch_sub(1, Ordering::Relaxed);
+        self.counters
+            .depth
+            .fetch_sub(self.docs.len() as u64, Ordering::Relaxed);
     }
 }
 
-/// One repetition's share of one document: rows-for-`rep` of its terms,
-/// set in the staged column `(rep, bucket)`.
+/// One repetition's share of one batch: rows-for-`rep` of each document's
+/// terms, set in that document's staged column `(rep, bucket)`.
 struct Job<'c> {
-    doc: Arc<InFlight<'c>>,
+    batch: Arc<Batch<'c>>,
     rep: usize,
-    bucket: usize,
 }
 
 /// The bounded queue between the calling thread and the workers.
@@ -411,6 +458,21 @@ impl<'c> JobQueue<'c> {
         true
     }
 
+    /// Enqueue a batch as `R` jobs, one per repetition, blocking as
+    /// [`Self::push`] does; an empty batch is not handed off. `false` when
+    /// the queue was closed under the caller.
+    fn push_batch(&self, batch: Batch<'c>, reps: usize, counters: &Counters) -> bool {
+        if batch.docs.is_empty() {
+            return true;
+        }
+        counters.batches.fetch_add(1, Ordering::Relaxed);
+        let batch = Arc::new(batch);
+        (0..reps).all(|rep| {
+            let batch = Arc::clone(&batch);
+            self.push(Job { batch, rep }, counters)
+        })
+    }
+
     /// Dequeue, blocking while the queue is empty and open (a worker
     /// stall). `None` once it is closed and drained.
     fn pop(&self, counters: &Counters) -> Option<Job<'c>> {
@@ -460,12 +522,15 @@ type Column = Mutex<Option<Box<[u64]>>>;
 /// A worker: run jobs until the queue is closed and drained.
 fn work(queue: &JobQueue<'_>, plan: &HashPlan, staged: &[Vec<Column>], c: &Counters) {
     let _close = CloseOnDrop(queue);
-    while let Some(job) = queue.pop(c) {
-        let mut column = staged[job.rep][job.bucket]
-            .lock()
-            .expect("another worker panicked while writing this column");
-        let column = column.get_or_insert_with(|| plan.empty_column());
-        plan.set_column(job.rep, &job.doc.terms, column);
+    let reps = staged.len();
+    while let Some(Job { batch, rep }) = queue.pop(c) {
+        for (d, terms) in batch.docs.iter().enumerate() {
+            let mut column = staged[rep][batch.buckets[d * reps + rep]]
+                .lock()
+                .expect("another worker panicked while writing this column");
+            let column = column.get_or_insert_with(|| plan.empty_column());
+            plan.set_column(rep, terms, column);
+        }
     }
 }
 
@@ -505,69 +570,86 @@ fn land(matrices: Vec<&mut BfuMatrix>, staged: Vec<Vec<Column>>, threads: usize)
     });
 }
 
-/// The pool behind [`IngestPipeline::ingest`], with the worker count as a
-/// parameter so tests can sweep the pool size.
+/// The pool behind [`IngestPipeline::ingest`], with the worker count and
+/// the batch size ([`BATCH_TERMS`]) as parameters so tests can sweep them.
 fn run_pool(
     index: &mut Rambo,
     workers: usize,
+    batch_terms: usize,
     docs: impl IntoIterator<Item = (String, Vec<u64>)>,
 ) -> Result<PipelineReport, RamboError> {
     let plan = &index.hash_plan();
-    let counters = Counters::default();
+    let counters = &Counters::default();
     let (mut registry, matrices) = index.split_registry();
     let staged: Vec<Vec<Column>> = matrices
         .iter()
         .map(|m| (0..m.buckets()).map(|_| Mutex::new(None)).collect())
         .collect();
-    let queue = JobQueue::new(QUEUE_DEPTH * staged.len());
+    let reps = staged.len();
+    let queue = &JobQueue::new(QUEUE_DEPTH * reps);
+    let columns = &staged;
     let streamed = std::thread::scope(|scope| -> Result<(), RamboError> {
-        let _close = CloseOnDrop(&queue);
-        let mut seen = Vec::new();
+        let _close = CloseOnDrop(queue);
         let mut started = false;
+        // `false` when a worker died, whose panic leaving the scope
+        // re-raises.
+        let mut hand_off = |batch| {
+            if !queue.push_batch(batch, reps, counters) {
+                return false;
+            }
+            if !started && counters.batches.load(Ordering::Relaxed) > 0 {
+                // Started only now, with the first batch's jobs queued
+                // (they fit: the queue holds several batches), so the
+                // workers do not idle through its parse.
+                started = true;
+                for _ in 0..workers {
+                    scope.spawn(move || work(queue, plan, columns, counters));
+                }
+            }
+            true
+        };
+        let mut seen = Vec::new();
+        let mut open = Batch::new(counters);
         for (name, mut terms) in docs {
-            let id = registry.add(&name)?;
+            let id = match registry.add(&name) {
+                Ok(id) => id,
+                Err(e) => {
+                    // The documents registered before it go to the pool
+                    // first, so they land before the error returns.
+                    hand_off(open);
+                    return Err(e);
+                }
+            };
             *registry.inserts += terms.len() as u64;
             counters.docs.fetch_add(1, Ordering::Relaxed);
             counters
                 .terms
                 .fetch_add(terms.len() as u64, Ordering::Relaxed);
             dedupe_terms(&mut terms, &mut seen);
-            let doc = InFlight::new(terms, &counters);
-            for rep in 0..staged.len() {
-                let bucket = registry.bucket_of(rep, id);
-                let job = Job {
-                    doc: Arc::clone(&doc),
-                    rep,
-                    bucket,
-                };
-                if !queue.push(job, &counters) {
-                    // A worker died; leaving the scope re-raises its panic.
-                    return Ok(());
-                }
-            }
-            if !started {
-                // Started only now, with the first document's jobs queued
-                // (they fit: the queue holds several documents), so the
-                // workers do not idle through its parse.
-                started = true;
-                for _ in 0..workers {
-                    scope.spawn(|| work(&queue, plan, &staged, &counters));
-                }
+            open.push(terms, (0..reps).map(|rep| registry.bucket_of(rep, id)));
+            if open.terms >= batch_terms
+                && !hand_off(std::mem::replace(&mut open, Batch::new(counters)))
+            {
+                return Ok(());
             }
         }
+        hand_off(open);
         Ok(())
     });
     // Every document registered before an error is staged by now; land it
     // before the error goes back, so the index holds what it registered.
+    let t0 = Instant::now();
     land(matrices, staged, workers);
+    let land = t0.elapsed();
     streamed?;
-    Ok(counters.report())
+    Ok(counters.report(land))
 }
 
 /// The ingestion pool: the calling thread parses, dedupes and registers,
 /// a pool of `available_parallelism` workers hashes one repetition of one
-/// document per job into that document's staged column, and the staging
-/// lands in the matrices when the stream ends. Carries no configuration.
+/// batch of documents per job into each document's staged column, and the
+/// staging lands in the matrices when the stream ends. Carries no
+/// configuration.
 #[derive(Debug, Clone, Default)]
 pub struct IngestPipeline;
 
@@ -585,7 +667,8 @@ impl IngestPipeline {
     /// # Errors
     /// The first index error (a duplicate name, …) stops the stream before
     /// anything of that document is queued; every document registered
-    /// before it is completely written, none after it is registered.
+    /// before it, in the open batch too, is completely written, none after
+    /// it is registered.
     ///
     /// # Panics
     /// Panics if a worker panics.
@@ -594,7 +677,7 @@ impl IngestPipeline {
         index: &mut Rambo,
         docs: impl IntoIterator<Item = (String, Vec<u64>)>,
     ) -> Result<PipelineReport, RamboError> {
-        run_pool(index, default_threads(), docs)
+        run_pool(index, default_threads(), BATCH_TERMS, docs)
     }
 
     /// Build a fresh index by pipelining a document stream.
@@ -693,10 +776,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The pool is Algorithm 1: for any repetition count, pool size and
-        /// geometry, with duplicate terms and empty documents, a pooled
-        /// build equals the term-at-a-time reference structurally and in
-        /// its insert count, and the report counts what went in. The
+        /// The pool is Algorithm 1: for any repetition count, pool size,
+        /// batch size and geometry, with duplicate terms and empty
+        /// documents, a pooled build equals the term-at-a-time reference
+        /// structurally and in its insert count, and the report counts
+        /// what went in. The batch sizes give a batch per document, batches
+        /// that close mid-stream, and one batch for the whole stream. The
         /// bucket counts give one-word, multi-word and partial-last-word
         /// rows to the transpose-OR; an `m` off a multiple of 64 gives it a
         /// ragged last 64-row block.
@@ -705,6 +790,7 @@ mod tests {
             term_lists in proptest::collection::vec(proptest::collection::vec(0u64..64, 0..50), 0..12),
             r in proptest::sample::select(vec![1usize, 2, 3, 5]),
             workers in proptest::sample::select(vec![1usize, 2, 3, 8]),
+            batch_terms in proptest::sample::select(vec![1usize, 40, 150, BATCH_TERMS]),
             b in proptest::sample::select(vec![8u64, 64, 100, 130]),
             m in proptest::sample::select(vec![1usize << 11, 2000]),
             seed in any::<u64>(),
@@ -717,11 +803,12 @@ mod tests {
             let p = RamboParams::flat(b, r, m, 2, seed);
             let reference = sequential(p, &docs);
             let mut pooled = Rambo::new(p).unwrap();
-            let report = run_pool(&mut pooled, workers, docs.iter().cloned()).unwrap();
-            prop_assert_eq!(&reference, &pooled, "R={} workers={} B={} m={}", r, workers, b, m);
+            let report = run_pool(&mut pooled, workers, batch_terms, docs.iter().cloned()).unwrap();
+            prop_assert_eq!(&reference, &pooled, "R={} workers={} batch={} B={} m={}", r, workers, batch_terms, b, m);
             prop_assert_eq!(reference.total_inserts(), pooled.total_inserts());
             prop_assert_eq!(report.docs as usize, docs.len());
             prop_assert_eq!(report.terms, reference.total_inserts());
+            prop_assert!(report.batches <= report.docs);
         }
 
         /// The sort-free dedupe keeps exactly the set `sort + dedup` keeps,
@@ -778,7 +865,7 @@ mod tests {
         docs[8].0 = "doc-2".to_string();
         for workers in [1, 2, 8] {
             let mut idx = Rambo::new(params(9)).unwrap();
-            let err = run_pool(&mut idx, workers, docs.iter().cloned());
+            let err = run_pool(&mut idx, workers, BATCH_TERMS, docs.iter().cloned());
             assert!(matches!(err, Err(RamboError::DuplicateDocument(ref n)) if n == "doc-2"));
             assert_eq!(idx.num_documents(), 8, "workers={workers}");
             for (d, (name, terms)) in docs[..8].iter().enumerate() {
@@ -793,6 +880,95 @@ mod tests {
             assert!(docs[9..].iter().all(|(n, _)| idx.document_id(n).is_none()));
             let accepted: usize = docs[..8].iter().map(|(_, t)| t.len()).sum();
             assert_eq!(idx.total_inserts(), accepted as u64);
+        }
+    }
+
+    /// An error inside an open batch, after two batches were handed off:
+    /// the open batch's documents go to the pool before the error returns,
+    /// so the index equals Algorithm 1 over exactly the registered prefix.
+    /// 21 unique terms a document and batches of ≥ 64 close every four
+    /// documents; the duplicate is the eleventh, behind two closed batches
+    /// and two documents of the third.
+    #[test]
+    fn error_in_an_open_batch_lands_every_registered_document() {
+        let mut docs = archive(14, 20);
+        docs[10].0 = "doc-4".to_string();
+        let registered = sequential(params(10), &docs[..10]);
+        for workers in [1, 2, 8] {
+            let mut idx = Rambo::new(params(10)).unwrap();
+            let err = run_pool(&mut idx, workers, 64, docs.iter().cloned());
+            assert!(matches!(err, Err(RamboError::DuplicateDocument(ref n)) if n == "doc-4"));
+            assert_eq!(idx, registered, "workers={workers}");
+            assert_eq!(idx.total_inserts(), registered.total_inserts());
+        }
+    }
+
+    /// One hand-off per batch, not per document: a stream of small
+    /// documents takes at most one per `BATCH_TERMS` unique terms plus the
+    /// last (2 000 documents of 100 terms: ≤ 8, where a hand-off per
+    /// document would be 2 000), and a document of `BATCH_TERMS` terms or
+    /// more is a batch of its own.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn batches_count_the_hand_offs() {
+        let small: Vec<(String, Vec<u64>)> = (0..2000u64)
+            .map(|d| {
+                (
+                    format!("small-{d}"),
+                    (0..100).map(|t| d << 32 | t).collect(),
+                )
+            })
+            .collect();
+        let (index, report) = IngestPipeline::new()
+            .build(params(11), small.iter().cloned())
+            .unwrap();
+        assert_eq!(index, sequential(params(11), &small));
+        let unique: usize = small.iter().map(|(_, t)| t.len()).sum();
+        assert!(
+            report.batches <= unique.div_ceil(BATCH_TERMS) as u64 + 1,
+            "{report:?}"
+        );
+        assert!(report.batches <= 8, "{report:?}");
+
+        let big: Vec<(String, Vec<u64>)> = (0..3u64)
+            .map(|d| {
+                let terms = (0..BATCH_TERMS as u64 + d).map(|t| d << 32 | t).collect();
+                (format!("big-{d}"), terms)
+            })
+            .collect();
+        let (index, report) = IngestPipeline::new()
+            .build(params(12), big.iter().cloned())
+            .unwrap();
+        assert_eq!(index, sequential(params(12), &big));
+        assert_eq!(report.batches, report.docs, "{report:?}");
+    }
+
+    /// Hundreds of tiny documents (0–3 terms, duplicates included) share
+    /// batches with documents of `BATCH_TERMS` terms or more, which close
+    /// the open batch wherever they land; at every pool size the build is
+    /// Algorithm 1.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn tiny_and_big_documents_mixed_equal_algorithm_1() {
+        let tiny = |d: u64| -> Vec<u64> { (0..d % 4).map(|t| (d * 7 + t) % 500).collect() };
+        let docs: Vec<(String, Vec<u64>)> = (0..900u64)
+            .map(|d| {
+                let terms = if d % 300 == 150 {
+                    (0..BATCH_TERMS as u64 + 3).map(|t| d << 32 | t).collect()
+                } else {
+                    tiny(d)
+                };
+                (format!("doc-{d}"), terms)
+            })
+            .collect();
+        let reference = sequential(params(13), &docs);
+        for workers in [1, 2, 8] {
+            let mut pooled = Rambo::new(params(13)).unwrap();
+            let report = run_pool(&mut pooled, workers, BATCH_TERMS, docs.iter().cloned()).unwrap();
+            assert_eq!(pooled, reference, "workers={workers}");
+            assert_eq!(pooled.total_inserts(), reference.total_inserts());
+            // Each big document closes its batch; the tail is the last.
+            assert_eq!(report.batches, 4, "{report:?}");
         }
     }
 
@@ -850,15 +1026,18 @@ mod tests {
 
     /// The report is the pipeline's only observer: a caller slower than
     /// the workers leaves the queue empty, and the report must say so; it
-    /// also bounds what was ever in flight.
+    /// also bounds what was ever in flight. A batch size of one term makes
+    /// every document a batch of its own, as a genome is at the real size.
     #[test]
     fn observer_sees_stalls_and_depths() {
         let docs = archive(3 * QUEUE_DEPTH, 40);
         let slow = docs.iter().cloned().inspect(|_| {
             std::thread::sleep(Duration::from_millis(2));
         });
-        let (_, report) = IngestPipeline::new().build(params(4), slow).unwrap();
+        let mut idx = Rambo::new(params(4)).unwrap();
+        let report = run_pool(&mut idx, default_threads(), 1, slow).unwrap();
         assert_eq!(report.docs, docs.len() as u64);
+        assert_eq!(report.batches, report.docs);
         assert!(report.writer_stalls >= 1, "{report:?}");
         assert!(report.writer_stall_ns > 0, "{report:?}");
         assert_eq!(
@@ -872,7 +1051,8 @@ mod tests {
     /// Workers slower than the caller fill the queue: the caller's stalls
     /// are counted, and the depth stays within its bound. Sorted terms
     /// make the caller's share a scan while one worker hashes and writes
-    /// five repetitions, tens of times more work per document.
+    /// five repetitions, tens of times more work per document; a batch
+    /// size of one document's terms makes each document a batch.
     #[test]
     fn pipeline_counts_producer_stalls_behind_one_worker() {
         let p = RamboParams::flat(8, 5, 1 << 12, 2, 6);
@@ -880,7 +1060,8 @@ mod tests {
             .map(|d| (format!("doc-{d}"), (0..4000).map(|t| d << 32 | t).collect()))
             .collect();
         let mut idx = Rambo::new(p).unwrap();
-        let report = run_pool(&mut idx, 1, docs.clone()).unwrap();
+        let report = run_pool(&mut idx, 1, 4000, docs.clone()).unwrap();
+        assert_eq!(report.batches, 60);
         assert_eq!(idx, sequential(p, &docs));
         assert!(report.producer_stalls >= 1, "{report:?}");
         assert_eq!(

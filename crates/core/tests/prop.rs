@@ -445,19 +445,23 @@ proptest! {
     /// **bit-identical** to Algorithm 1 term at a time — full structural
     /// equality and the same insert count — for any bucket count, for
     /// R ∈ {1, 2, 3, 5}, and for archives with duplicate terms and empty
-    /// documents; its report counts what went in. (The pool-size and
-    /// row-order sweep of the same property is `pipeline_pool_equals_algorithm_1`
-    /// in `src/pipeline.rs`, where the test hooks are visible.)
+    /// documents; its report counts what went in. Hundreds of 0–3-term
+    /// documents in the middle of the stream share one hand-off with
+    /// their neighbours. (The pool-size, batch-size and row-order sweep of
+    /// the same property is `pipeline_pool_equals_algorithm_1` in
+    /// `src/pipeline.rs`, where the test hooks are visible.)
     #[test]
     fn pipelined_build_bit_identical_to_sequential(
         archive in archive_strategy(16),
         extra in proptest::collection::vec(proptest::collection::vec(0u64..32, 0..40), 0..4),
+        tiny in proptest::collection::vec(proptest::collection::vec(0u64..64, 0..4), 0..400),
         b in 2u64..16,
         r in proptest::sample::select(vec![1usize, 2, 3, 5]),
         seed in any::<u64>(),
     ) {
         let mut docs = archive.docs;
         let at = docs.len();
+        docs.splice(at / 2..at / 2, tiny.into_iter().enumerate().map(|(i, terms)| (format!("tiny-{i}"), terms)));
         docs.extend(extra.into_iter().enumerate().map(|(i, terms)| (format!("extra-{i}"), terms)));
         docs.push((format!("empty-{at}"), Vec::new()));
         let params = RamboParams::flat(b, r, 1 << 11, 2, seed);
@@ -475,6 +479,8 @@ proptest! {
         prop_assert_eq!(reference.total_inserts(), piped.total_inserts());
         prop_assert_eq!(report.docs as usize, docs.len());
         prop_assert_eq!(report.terms, reference.total_inserts());
+        // Under 2^15 unique terms, the whole stream is one hand-off.
+        prop_assert_eq!(report.batches, 1);
     }
 
     /// The paged (file-backed) load path answers every query exactly like

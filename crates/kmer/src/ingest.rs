@@ -6,7 +6,8 @@
 //! parsers in this crate straight into [`IngestPipeline`]: the calling
 //! thread parses each record and extracts its k-mers, and the pipeline's
 //! worker pool hashes each unique k-mer once per repetition and writes the
-//! bits while the next records are parsed. A document already in memory (a
+//! bits while the next records are parsed (small records travel to the pool
+//! in batches; a genome-sized one is a batch of its own). A document already in memory (a
 //! [`crate::KmerSet`], an extracted k-mer vector) goes through
 //! [`Rambo::insert_document_batch`] directly.
 
@@ -284,6 +285,39 @@ mod tests {
             Err(IngestError::Io(_))
         ));
         assert_eq!(idx.num_documents(), 0);
+    }
+
+    /// A malformed record after hundreds of small ones, all still in the
+    /// pool's open batch: the parse error returns, and every record before
+    /// it is landed, bit-identical to eager per-record ingest.
+    #[test]
+    fn pipelined_fasta_parse_error_mid_batch_lands_earlier_records() {
+        let bases = |i: usize| -> String {
+            (0..24)
+                .map(|j| b"ACGT"[(i * 7 + j * j) % 4] as char)
+                .collect()
+        };
+        let good: String = (0..300).map(|i| format!(">g{i}\n{}\n", bases(i))).collect();
+        let text = [good.as_bytes(), b">bad\nAC\xffGT\n>never\nACGTACGT\n"].concat();
+        let mut eager = index();
+        for rec in FastaReader::new(Cursor::new(good.as_bytes())) {
+            let rec = rec.unwrap();
+            let terms: Vec<u64> = kmers_of(&rec.seq, 5, true).collect();
+            eager.insert_document_batch(&rec.id, &terms).unwrap();
+        }
+        let mut piped = index();
+        let err = pipeline_fasta_documents(
+            &mut piped,
+            FastaReader::new(Cursor::new(text)),
+            5,
+            true,
+            &IngestPipeline::new(),
+        );
+        assert!(
+            matches!(err, Err(IngestError::Io(ref e)) if e.kind() == io::ErrorKind::InvalidData)
+        );
+        assert_eq!(piped.num_documents(), 300);
+        assert_eq!(eager, piped, "every record before the error is landed");
     }
 
     #[test]

@@ -57,8 +57,14 @@ use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::AtomicBool;
 
-/// Most array elements accepted in one command.
-const MAX_ARGS: usize = 1 << 10;
+/// Most array elements accepted in one command: twice the document insert
+/// of [`crate::TenantQuotas`]'s default 65 536 terms, so a larger one meets
+/// the quota's in-protocol error rather than a framing error. The frame
+/// stays bounded by `MAX_FRAME_BYTES`. Not higher, because an incomplete
+/// command is parsed again from its start on every read, at a cost that
+/// grows with its element count: a 16 MB command of 2^17 elements
+/// trickled in 16 KiB reads already costs the parser seconds.
+const MAX_ARGS: usize = 1 << 17;
 /// Largest accepted bulk-string payload (1 MiB — a document insert with
 /// tens of thousands of terms still fits in many bulks).
 const MAX_BULK: usize = 1 << 20;
@@ -151,7 +157,9 @@ fn parse_multibulk(buf: &[u8]) -> RespParse {
             }
         }
     };
-    let mut args = Vec::with_capacity(count);
+    // Sized from the bytes in hand, not the header, so a bare `*131072`
+    // reserves nothing; an element is at least `$0\r\n\r\n`.
+    let mut args = Vec::with_capacity(count.min((buf.len() - pos) / 6));
     for _ in 0..count {
         let Some(&marker) = buf.get(pos) else {
             return RespParse::Incomplete;

@@ -394,6 +394,71 @@ fn quota_rejections_agree_on_the_wire_and_in_the_registry() {
     });
 }
 
+/// Multibulk is the framing every client library sends, so a document
+/// insert of thousands of terms must decode as one command (the element
+/// cap once stopped it at 1 021 terms): it answers its id, and each of its
+/// terms, one query apiece and all of them in one AND, finds it.
+#[test]
+fn multibulk_insert_of_thousands_of_terms_is_served() {
+    let terms: Vec<String> = (0..5000u64)
+        .map(|t| (0xD0C0_0000 + t).to_string())
+        .collect();
+    with_tenant_server(|_, addr| {
+        let mut client = TestClient::connect(addr).unwrap();
+        client.send_resp(&[b"R.CREATE", b"big"]).unwrap();
+        assert_eq!(client.read_resp_reply().unwrap(), b"+OK\r\n");
+        let mut insert: Vec<&[u8]> = vec![b"R.INSERTDOC", b"big", b"doc-big"];
+        insert.extend(terms.iter().map(String::as_bytes));
+        client.send_resp(&insert).unwrap();
+        assert_eq!(client.read_resp_reply().unwrap(), b":0\r\n");
+        let found = b"*1\r\n$7\r\ndoc-big\r\n";
+        let mut all: Vec<&[u8]> = vec![b"R.QUERYSEQ", b"big", b"1.0"];
+        all.extend(terms.iter().map(String::as_bytes));
+        client.send_resp(&all).unwrap();
+        assert_eq!(client.read_resp_reply().unwrap(), found);
+        for term in &terms {
+            client
+                .send_resp(&[b"R.QUERYSEQ", b"big", b"1.0", term.as_bytes()])
+                .unwrap();
+        }
+        for term in &terms {
+            assert_eq!(client.read_resp_reply().unwrap(), found, "term {term}");
+        }
+    });
+}
+
+/// An insert over the per-document term quota decodes, and is refused
+/// in-protocol with the connection left open; a multibulk header past the
+/// element cap is still a framing error that closes it.
+#[test]
+fn oversized_inserts_and_headers_are_refused() {
+    let limit = TenantQuotas::default().max_terms_per_doc;
+    let terms: Vec<String> = (0..=limit as u64).map(|t| t.to_string()).collect();
+    with_tenant_server(|registry, addr| {
+        let mut client = TestClient::connect(addr).unwrap();
+        client.send_resp(&[b"R.CREATE", b"q"]).unwrap();
+        assert_eq!(client.read_resp_reply().unwrap(), b"+OK\r\n");
+        let mut insert: Vec<&[u8]> = vec![b"R.INSERTDOC", b"q", b"too-big"];
+        insert.extend(terms.iter().map(String::as_bytes));
+        client.send_resp(&insert).unwrap();
+        assert_eq!(
+            client.read_resp_reply().unwrap(),
+            format!("-ERR quota exceeded: term set larger than {limit}\r\n").into_bytes()
+        );
+        assert_eq!(registry.stats("q").unwrap().quota_rejections, 1);
+        client.send_resp(&[b"PING"]).unwrap();
+        assert_eq!(client.read_resp_reply().unwrap(), b"+PONG\r\n");
+
+        client.send(b"*9999999\r\n").unwrap();
+        assert_eq!(
+            client.read_resp_reply().unwrap(),
+            b"-ERR Protocol error: invalid multibulk length\r\n"
+        );
+        client.shutdown_write().unwrap();
+        assert!(client.read_until_close().unwrap().is_empty());
+    });
+}
+
 #[test]
 fn binary_stats_and_hello_frames() {
     // The pre-existing binary front's plain-text STATS payload and the

@@ -52,9 +52,11 @@ fn main() {
 
     // --- 3. Index with RAMBO (+ exact oracle for comparison) -------------
     // K-mer sets stream in through the ingestion pipeline: the calling
-    // thread registers genome n+1 while a worker pool hashes and writes
-    // genome n, one repetition per job (each unique k-mer is still hashed
-    // once per repetition).
+    // thread registers the next genomes while a worker pool hashes and
+    // writes the earlier ones, one repetition of one batch per job (each
+    // unique k-mer is still hashed once per repetition). A batch is handed
+    // off once it holds 2^15 unique k-mers, so two of these genomes share
+    // one hand-off.
     let mut index = RamboBuilder::new()
         .expected_documents(docs.len())
         .expected_terms_per_doc(mean_kmers)
@@ -67,8 +69,14 @@ fn main() {
         .ingest(&mut index, docs.iter().cloned())
         .expect("unique names");
     println!(
-        "pipelined ingest: {} documents, {} terms; caller stalled {}x, workers {}x",
-        report.docs, report.terms, report.producer_stalls, report.writer_stalls
+        "pipelined ingest: {} documents, {} terms in {} hand-offs; caller stalled {}x, \
+         workers {}x; landing {:.2} ms",
+        report.docs,
+        report.terms,
+        report.batches,
+        report.producer_stalls,
+        report.writer_stalls,
+        report.land_ns as f64 / 1e6
     );
     let oracle = InvertedIndex::build(&docs);
     println!(
