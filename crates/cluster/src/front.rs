@@ -70,10 +70,11 @@ fn serve_connection(coordinator: &Coordinator, mut stream: TcpStream, stop: &Ato
     if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
-    let (mut inbuf, mut chunk) = (Vec::new(), [0u8; 4096]);
+    let (mut inbuf, mut out, mut chunk) = (Vec::new(), Vec::new(), [0u8; 4096]);
     while !stop.load(Ordering::Relaxed) {
-        let (consumed, frame) = match wire::split_frame(&inbuf) {
-            Ok(Some(payload)) => (4 + payload.len(), answer(coordinator, payload)),
+        out.clear();
+        let (consumed, answered) = match wire::split_frame(&inbuf) {
+            Ok(Some(payload)) => (4 + payload.len(), answer(coordinator, payload, &mut out)),
             Ok(None) => {
                 match stream.read(&mut chunk) {
                     Ok(0) => return, // EOF
@@ -87,40 +88,35 @@ fn serve_connection(coordinator: &Coordinator, mut stream: TcpStream, stop: &Ato
             Err(_) => (0, None), // oversized length
         };
         inbuf.drain(..consumed);
-        let close_after = frame.is_none();
-        let frame = frame.unwrap_or_else(|| encode_response(STATUS_BAD_REQUEST, 0, &[]));
-        if stream.write_all(&frame).is_err() {
-            return;
+        if answered.is_none() {
+            encode_response(&mut out, STATUS_BAD_REQUEST, 0, &[]);
         }
-        if close_after {
+        if stream.write_all(&out).is_err() || answered.is_none() {
             return; // a malformed frame may have desynchronized the stream
         }
     }
 }
 
-/// Answer one request frame; `None` means "bad request, then hang up".
-fn answer(coordinator: &Coordinator, payload: &[u8]) -> Option<Vec<u8>> {
-    match payload {
-        [OPCODE_STATS] => {
-            return Some(encode_blob(
-                STATUS_OK,
-                coordinator.stats().to_string().as_bytes(),
-            ))
-        }
+/// Append the answer to one request frame to `out`; `None` means "bad
+/// request, then hang up".
+fn answer(coordinator: &Coordinator, payload: &[u8], out: &mut Vec<u8>) -> Option<()> {
+    if payload == [OPCODE_STATS] {
+        encode_blob(out, STATUS_OK, coordinator.stats().to_string().as_bytes());
+    } else if payload == [OPCODE_HELLO] {
         // The coordinator is not a shard; like a manifest-less server it
         // answers HELLO with bad-request but keeps the connection open.
-        [OPCODE_HELLO] => return Some(encode_blob(STATUS_BAD_REQUEST, &[])),
-        _ => {}
+        encode_blob(out, STATUS_BAD_REQUEST, &[]);
+    } else {
+        let (terms, opts) = wire::parse_request(payload)?;
+        match coordinator.query(&terms, opts.fpr_budget, opts.deadline) {
+            Ok(r) if r.degraded.is_empty() => encode_response(out, STATUS_OK, r.tier as _, &r.docs),
+            Ok(r) => encode_degraded_response(out, r.tier as u32, &r.docs, &r.degraded),
+            Err(ClusterError::Shard {
+                error: ServerError::DeadlineExceeded { tier },
+                ..
+            }) => encode_response(out, STATUS_DEADLINE, tier as u32, &[]),
+            Err(_) => encode_response(out, STATUS_BAD_REQUEST, 0, &[]),
+        }
     }
-    let (terms, opts) = wire::parse_request(payload)?;
-    let reply = coordinator.query(&terms, opts.fpr_budget, opts.deadline);
-    Some(match reply {
-        Ok(r) if r.degraded.is_empty() => encode_response(STATUS_OK, r.tier as u32, &r.docs),
-        Ok(r) => encode_degraded_response(r.tier as u32, &r.docs, &r.degraded),
-        Err(ClusterError::Shard {
-            error: ServerError::DeadlineExceeded { tier },
-            ..
-        }) => encode_response(STATUS_DEADLINE, tier as u32, &[]),
-        Err(_) => encode_response(STATUS_BAD_REQUEST, 0, &[]),
-    })
+    Some(())
 }

@@ -18,6 +18,12 @@ const MS: Duration = Duration::from_millis(1);
 /// Doc 5's planted terms.
 const TERMS: [u64; 2] = [5 << 16 | 1, 5 << 16 | 2];
 
+fn response(status: u8, tier: u32, docs: &[u32]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode_response(&mut frame, status, tier, docs);
+    frame
+}
+
 /// What a replica does with one request, so many ms after it was sent.
 #[derive(Debug, Clone, Copy)]
 enum Fate {
@@ -132,19 +138,19 @@ impl World {
         let (lo, hi) = self.plan.ranges[s];
         let answer = &self.answers[s];
         match k {
-            0 => encode_response(0xEE, 0, answer), // unknown status
-            1 => encode_response(STATUS_OK, 0, &[u32::MAX]),
-            2 => encode_response(STATUS_OK, 0, &[3, 1, 1000]), // unsorted
-            3 => encode_response(STATUS_OK, 0, &[hi - lo]),    // past the range
-            4 => encode_response(STATUS_OK, 1, answer),        // an unserved tier
-            5 => [encode_response(STATUS_OK, 0, answer), vec![0]].concat(),
+            0 => response(0xEE, 0, answer), // unknown status
+            1 => response(STATUS_OK, 0, &[u32::MAX]),
+            2 => response(STATUS_OK, 0, &[3, 1, 1000]), // unsorted
+            3 => response(STATUS_OK, 0, &[hi - lo]),    // past the range
+            4 => response(STATUS_OK, 1, answer),        // an unserved tier
+            5 => [response(STATUS_OK, 0, answer), vec![0]].concat(),
             _ => u32::MAX.to_le_bytes().to_vec(), // a length above the cap
         }
     }
 
     /// When a replica of shard `s` acts on `fate`, and what it sends.
     fn script(&self, s: usize, fate: Fate) -> (u32, Vec<Option<Vec<u8>>>) {
-        let answer = encode_response(STATUS_OK, 0, &self.answers[s]);
+        let answer = response(STATUS_OK, 0, &self.answers[s]);
         let (head, tail) = answer.split_at(answer.len() / 2);
         match fate {
             Fate::Answer(ms) => (ms, vec![Some(head.to_vec()), Some(tail.to_vec())]),
@@ -152,7 +158,7 @@ impl World {
             Fate::Hangup(ms) => (ms, vec![None]),
             Fate::Truncate(ms) => (ms, vec![Some(head.to_vec()), None]),
             Fate::Garbage(ms, k) => (ms, vec![Some(self.junk(s, k)), None]),
-            Fate::Reject(ms) => (ms, vec![Some(encode_response(STATUS_DEADLINE, 0, &[]))]),
+            Fate::Reject(ms) => (ms, vec![Some(response(STATUS_DEADLINE, 0, &[]))]),
         }
     }
 

@@ -22,18 +22,15 @@ use rambo_server::wire;
 /// unreachable.
 pub const STATUS_DEGRADED: u8 = 4;
 
-/// Encode a degraded response: the partial answer plus the unreachable
+/// Append a degraded response: the partial answer plus the unreachable
 /// shard ids.
-#[must_use]
-pub fn encode_degraded_response(tier: u32, docs: &[u32], down_shards: &[u32]) -> Vec<u8> {
-    let mut frame = wire::encode_response(STATUS_DEGRADED, tier, docs);
-    frame.extend_from_slice(&(down_shards.len() as u32).to_le_bytes());
-    for &s in down_shards {
-        frame.extend_from_slice(&s.to_le_bytes());
-    }
-    let len = (frame.len() - 4) as u32;
-    frame[..4].copy_from_slice(&len.to_le_bytes());
-    frame
+pub fn encode_degraded_response(out: &mut Vec<u8>, tier: u32, docs: &[u32], down_shards: &[u32]) {
+    let start = out.len();
+    wire::encode_response(out, STATUS_DEGRADED, tier, docs);
+    out.extend_from_slice(&(down_shards.len() as u32).to_le_bytes());
+    out.extend(down_shards.iter().flat_map(|s| s.to_le_bytes()));
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Decode what follows the document list of a response with `status`
@@ -73,23 +70,24 @@ mod tests {
 
     #[test]
     fn degraded_response_roundtrip() {
-        let frame = encode_degraded_response(2, &[5, 9, 70], &[1, 3]);
-        assert_eq!(wire::frame(&frame[4..]), frame, "length prefix");
-        let reply = wire::parse_response(&frame[4..]).expect("parse");
+        let mut frame = vec![7]; // an earlier reply
+        encode_degraded_response(&mut frame, 2, &[5, 9, 70], &[1, 3]);
+        assert_eq!(wire::frame(&frame[5..]), frame[1..], "length prefix");
+        let reply = wire::parse_response(&frame[5..]).expect("parse");
         assert_eq!((reply.status, reply.tier), (STATUS_DEGRADED, 2));
-        assert_eq!(parse(&frame[4..]).unwrap(), (vec![1, 3], vec![5, 9, 70]));
+        assert_eq!(parse(&frame[5..]).unwrap(), (vec![1, 3], vec![5, 9, 70]));
     }
 
     #[test]
     fn rejects_truncated_and_trailing_bytes() {
-        let frame = encode_degraded_response(0, &[1], &[2]);
+        let (mut frame, mut ok) = (Vec::new(), Vec::new());
+        encode_degraded_response(&mut frame, 0, &[1], &[2]);
         for cut in 5..frame.len() - 1 {
             assert!(parse(&frame[4..cut]).is_err(), "cut at {cut}");
         }
-        let ok = wire::encode_response(wire::STATUS_OK, 0, &[1]);
+        wire::encode_response(&mut ok, wire::STATUS_OK, 0, &[1]);
         assert_eq!(parse(&ok[4..]).unwrap(), (vec![], vec![1]));
-        let mut trailing = ok[4..].to_vec();
-        trailing.push(0);
-        assert!(parse(&trailing).is_err());
+        ok.push(0); // a trailing byte
+        assert!(parse(&ok[4..]).is_err());
     }
 }

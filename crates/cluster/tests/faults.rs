@@ -51,7 +51,8 @@ fn hedging_fires_on_a_slow_replica_and_wins() {
 #[test]
 fn corrupt_replies_are_rejected_and_failed_over() {
     // Well framed, but unsorted and naming a document the shard lacks.
-    let junk = wire::encode_response(wire::STATUS_OK, 0, &[3, 1, 1000]);
+    let mut junk = Vec::new();
+    wire::encode_response(&mut junk, wire::STATUS_OK, 0, &[3, 1, 1000]);
     let coordinator = query_past(vec![Reply::Bytes(junk)], &[7 << 16 | 3, 7 << 16 | 4]);
     let stats = coordinator.stats();
     assert_eq!(stats.shards[0].failovers, 1, "{stats}");

@@ -33,7 +33,9 @@ pub fn node(plan: &ClusterPlan) -> ShardNode {
 /// The shard's true reply frame to `terms`.
 pub fn answer(plan: &ClusterPlan, terms: &[u64]) -> Vec<u8> {
     let docs = plan.shards[0].query_terms_u64(terms, QueryMode::Full);
-    wire::encode_response(wire::STATUS_OK, 0, &docs)
+    let mut frame = Vec::new();
+    wire::encode_response(&mut frame, wire::STATUS_OK, 0, &docs);
+    frame
 }
 
 /// What the scripted replica does with one query request.
@@ -112,7 +114,9 @@ fn serve(mut stream: TcpStream, hello: Option<&[u8]>, script: &Mutex<VecDeque<Re
     while let Ok(Some(request)) = wire::read_frame(&mut stream) {
         let reply = match request[0] {
             wire::OPCODE_HELLO => hello.map_or(Reply::Silent, |manifest| {
-                Reply::Bytes(wire::encode_blob(wire::STATUS_OK, manifest))
+                let mut frame = Vec::new();
+                wire::encode_blob(&mut frame, wire::STATUS_OK, manifest);
+                Reply::Bytes(frame)
             }),
             wire::OPCODE_QUERY => script.lock().unwrap().pop_front().unwrap_or(Reply::Silent),
             _ => Reply::Silent,

@@ -49,22 +49,33 @@ const MAX_UNFLUSHED: usize = 1 << 20;
 pub(crate) enum Step {
     /// No complete request yet; read more and retry with the same prefix.
     Incomplete,
-    /// One request, `consumed` bytes long, executed.
+    /// One request, `consumed` bytes long, executed and its reply (none for
+    /// a no-op, such as a blank RESP line) appended to the output.
     Request {
         consumed: usize,
-        /// The encoded reply; empty for a no-op (a blank RESP line).
-        reply: Vec<u8>,
         /// The stream can no longer be trusted: flush what is owed, then
         /// close.
         close: bool,
     },
 }
 
+/// A protocol's progress into the incomplete request at the head of one
+/// connection's input, so that the next read resumes where the last one
+/// stopped. Only the protocol reads it, and clears it when it takes one.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Resume {
+    /// Bytes of the request already checked.
+    pub(crate) offset: usize,
+    /// Items (lines, elements) among them.
+    pub(crate) items: usize,
+}
+
 /// A wire protocol bound to the engine it serves: how one request comes off
 /// the byte stream and what answers it.
 pub(crate) trait Protocol {
-    /// Take one request off the front of `inbuf` and answer it.
-    fn step(&self, inbuf: &[u8]) -> Step;
+    /// Take one request off the front of `inbuf` and append its reply to
+    /// `out`, the connection's output buffer.
+    fn step(&self, inbuf: &[u8], resume: &mut Resume, out: &mut Vec<u8>) -> Step;
 }
 
 /// One multiplexed connection's state.
@@ -73,6 +84,8 @@ struct Conn<'a> {
     protocol: &'a dyn Protocol,
     /// Raw bytes read but not yet decoded.
     inbuf: Vec<u8>,
+    /// How far the protocol got into the request at the head of `inbuf`.
+    resume: Resume,
     /// Encoded bytes not yet accepted by the socket.
     outbuf: Vec<u8>,
     /// Prefix of `outbuf` already written.
@@ -95,6 +108,7 @@ impl<'a> Conn<'a> {
             stream,
             protocol,
             inbuf: Vec::new(),
+            resume: Resume::default(),
             outbuf: Vec::new(),
             sent: 0,
             closing: false,
@@ -210,22 +224,17 @@ impl<'a> Conn<'a> {
             return progress;
         }
 
-        let mut consumed = 0;
+        let (mut consumed, protocol) = (0, self.protocol);
         self.starved = false;
         while !self.closing && self.has_room() {
-            match self.protocol.step(&self.inbuf[consumed..]) {
+            match protocol.step(&self.inbuf[consumed..], &mut self.resume, &mut self.outbuf) {
                 Step::Incomplete => {
                     self.starved = true;
                     break;
                 }
-                Step::Request {
-                    consumed: n,
-                    reply,
-                    close,
-                } => {
+                Step::Request { consumed: n, close } => {
                     consumed += n;
                     self.closing |= close;
-                    self.outbuf.extend_from_slice(&reply);
                     progress = true;
                 }
             }
@@ -434,14 +443,16 @@ mod tests {
     const REPLY: usize = 4 << 10;
 
     impl Protocol for Echo {
-        fn step(&self, inbuf: &[u8]) -> Step {
+        fn step(&self, inbuf: &[u8], _: &mut Resume, out: &mut Vec<u8>) -> Step {
             match inbuf.iter().position(|&b| b == b'\n') {
                 None => Step::Incomplete,
-                Some(nl) => Step::Request {
-                    consumed: nl + 1,
-                    reply: vec![b'.'; REPLY],
-                    close: false,
-                },
+                Some(nl) => {
+                    out.resize(out.len() + REPLY, b'.');
+                    Step::Request {
+                        consumed: nl + 1,
+                        close: false,
+                    }
+                }
             }
         }
     }

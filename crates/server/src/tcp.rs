@@ -14,7 +14,7 @@
 //! [`TenantServeOptions::binary_tenant`], and `STATS` dumps the registry
 //! summary.
 
-use crate::reactor::{Protocol, Reactor, Step};
+use crate::reactor::{Protocol, Reactor, Resume, Step};
 use crate::resp::TenantServeOptions;
 use crate::server::{QueryReply, ServerError, ServerHandle};
 use crate::tenant::TenantRegistry;
@@ -74,35 +74,37 @@ pub fn serve_tcp_with(
 }
 
 /// Take one length-prefixed frame off `inbuf` and answer its payload with
-/// `dispatch` (reply, close-after). A length above the ceiling is answered
-/// bad-request and closed without waiting for its bytes.
-fn frame_step(inbuf: &[u8], dispatch: impl FnOnce(&[u8]) -> (Vec<u8>, bool)) -> Step {
-    let (consumed, (reply, close)) = match wire::split_frame(inbuf) {
+/// `dispatch`, which appends the reply to `out` and returns whether to close
+/// after it. A length above the ceiling is answered bad-request and closed
+/// without waiting for its bytes.
+fn frame_step(
+    inbuf: &[u8],
+    out: &mut Vec<u8>,
+    dispatch: impl FnOnce(&[u8], &mut Vec<u8>) -> bool,
+) -> Step {
+    let (consumed, close) = match wire::split_frame(inbuf) {
         Ok(None) => return Step::Incomplete,
-        Ok(Some(payload)) => (4 + payload.len(), dispatch(payload)),
-        Err(_) => (0, bad_request()),
+        Ok(Some(payload)) => (4 + payload.len(), dispatch(payload, out)),
+        Err(_) => (0, bad_request(out)),
     };
-    Step::Request {
-        consumed,
-        reply,
-        close,
-    }
+    Step::Request { consumed, close }
 }
 
 /// A frame that fails to parse may have desynchronized the stream; answer
 /// and close rather than guess at recovery.
-fn bad_request() -> (Vec<u8>, bool) {
-    (encode_response(STATUS_BAD_REQUEST, 0, &[]), true)
+fn bad_request(out: &mut Vec<u8>) -> bool {
+    encode_response(out, STATUS_BAD_REQUEST, 0, &[]);
+    true
 }
 
 /// `HELLO`: the manifest, or — a well-formed request this server merely
 /// cannot serve, so the connection stays open — a bare bad-request status.
-fn hello(manifest: Option<&[u8]>) -> (Vec<u8>, bool) {
-    let frame = match manifest {
-        Some(manifest) => encode_blob(STATUS_OK, manifest),
-        None => encode_blob(STATUS_BAD_REQUEST, &[]),
-    };
-    (frame, false)
+fn hello(out: &mut Vec<u8>, manifest: Option<&[u8]>) -> bool {
+    match manifest {
+        Some(manifest) => encode_blob(out, STATUS_OK, manifest),
+        None => encode_blob(out, STATUS_BAD_REQUEST, &[]),
+    }
+    false
 }
 
 /// Binary frames over a read-only catalog server.
@@ -112,17 +114,17 @@ struct CatalogFrames<'a, 'scope> {
 }
 
 impl Protocol for CatalogFrames<'_, '_> {
-    fn step(&self, inbuf: &[u8]) -> Step {
-        frame_step(inbuf, |payload| match payload {
+    fn step(&self, inbuf: &[u8], _: &mut Resume, out: &mut Vec<u8>) -> Step {
+        frame_step(inbuf, out, |payload, out| match payload {
             [OPCODE_STATS] => {
-                let text = self.handle.stats().to_string();
-                (encode_blob(STATUS_OK, text.as_bytes()), false)
+                encode_blob(out, STATUS_OK, self.handle.stats().to_string().as_bytes());
+                false
             }
-            [OPCODE_HELLO] => hello(self.manifest),
+            [OPCODE_HELLO] => hello(out, self.manifest),
             _ => match parse_request(payload) {
-                None => bad_request(),
+                None => bad_request(out),
                 Some((terms, opts)) => {
-                    wire::encode_query_result(self.handle.query_opts(&terms, &opts))
+                    wire::encode_query_result(out, self.handle.query_opts(&terms, &opts))
                 }
             },
         })
@@ -136,48 +138,47 @@ pub(crate) struct TenantFrames<'a> {
 }
 
 impl Protocol for TenantFrames<'_> {
-    fn step(&self, inbuf: &[u8]) -> Step {
+    fn step(&self, inbuf: &[u8], _: &mut Resume, out: &mut Vec<u8>) -> Step {
         let tenant = self.options.binary_tenant.as_deref();
-        frame_step(inbuf, |payload| match payload {
-            [OPCODE_STATS] => {
-                let text = self.registry.summary();
-                (encode_blob(STATUS_OK, text.as_bytes()), false)
+        frame_step(inbuf, out, |payload, out| {
+            match payload {
+                [OPCODE_STATS] => encode_blob(out, STATUS_OK, self.registry.summary().as_bytes()),
+                [OPCODE_HELLO] => return hello(out, self.options.manifest.as_deref()),
+                [OPCODE_MUTATE, ..] => {
+                    let Some((name, terms)) = parse_mutate(payload) else {
+                        return bad_request(out);
+                    };
+                    // Every registry refusal — duplicate, quota, no tenant
+                    // bound or the tenant having been dropped mid-session —
+                    // is a clean in-protocol rejection; the stream stays
+                    // intact.
+                    match tenant.map(|t| self.registry.insert_document(t, &name, &terms)) {
+                        None => encode_blob(
+                            out,
+                            STATUS_MUTATE_REJECTED,
+                            b"no tenant bound to the binary front",
+                        ),
+                        Some(Ok(id)) => encode_mutate_ok(out, id),
+                        Some(Err(e)) => {
+                            encode_blob(out, STATUS_MUTATE_REJECTED, e.to_string().as_bytes());
+                        }
+                    }
+                }
+                _ => {
+                    let Some((terms, _)) = parse_request(payload) else {
+                        return bad_request(out);
+                    };
+                    // A well-formed query with no tenant bound (or dropped)
+                    // is answered bad-request but keeps the connection open,
+                    // like HELLO on a manifest-less server. A tenant has no
+                    // fold tiers; report tier 0.
+                    match tenant.and_then(|t| self.registry.query(t, &terms, None).ok()) {
+                        None => encode_response(out, STATUS_BAD_REQUEST, 0, &[]),
+                        Some(docs) => encode_response(out, STATUS_OK, 0, &docs),
+                    }
+                }
             }
-            [OPCODE_HELLO] => hello(self.options.manifest.as_deref()),
-            [OPCODE_MUTATE, ..] => {
-                let Some((name, terms)) = parse_mutate(payload) else {
-                    return bad_request();
-                };
-                // Every registry refusal — duplicate, quota, no tenant bound
-                // or the tenant having been dropped mid-session — is a clean
-                // in-protocol rejection; the stream stays intact.
-                let frame = match tenant {
-                    None => encode_blob(
-                        STATUS_MUTATE_REJECTED,
-                        b"no tenant bound to the binary front",
-                    ),
-                    Some(tenant) => match self.registry.insert_document(tenant, &name, &terms) {
-                        Ok(id) => encode_mutate_ok(id),
-                        Err(e) => encode_blob(STATUS_MUTATE_REJECTED, e.to_string().as_bytes()),
-                    },
-                };
-                (frame, false)
-            }
-            _ => {
-                let Some((terms, _)) = parse_request(payload) else {
-                    return bad_request();
-                };
-                let answer = tenant.and_then(|t| self.registry.query(t, &terms, None).ok());
-                // A well-formed query with no tenant bound (or dropped) is
-                // answered bad-request but keeps the connection open, like
-                // HELLO on a manifest-less server. A tenant has no fold
-                // tiers; report tier 0.
-                let frame = match answer {
-                    None => encode_response(STATUS_BAD_REQUEST, 0, &[]),
-                    Some(docs) => encode_response(STATUS_OK, 0, &docs),
-                };
-                (frame, false)
-            }
+            false
         })
     }
 }

@@ -518,21 +518,24 @@ impl TenantRegistry {
         Ok(docs)
     }
 
-    /// Resolve tenant-local document ids (as returned by the query methods)
-    /// to document names.
+    /// Hand `visit` the name of each tenant-local document id (as returned
+    /// by the query methods), in order, under the tenant's read lock.
     ///
     /// # Errors
     /// [`TenantError::UnknownTenant`].
     ///
     /// # Panics
     /// Panics on an id the tenant never issued.
-    pub fn resolve_names(&self, tenant: &str, ids: &[DocId]) -> Result<Vec<String>, TenantError> {
+    pub fn visit_names(
+        &self,
+        tenant: &str,
+        ids: &[DocId],
+        mut visit: impl FnMut(&str),
+    ) -> Result<(), TenantError> {
         let t = self.get(tenant)?;
         let index = t.index.read().expect("tenant index");
-        Ok(ids
-            .iter()
-            .map(|&d| index.document_name(d).to_owned())
-            .collect())
+        ids.iter().for_each(|&d| visit(index.document_name(d)));
+        Ok(())
     }
 
     /// A snapshot of a tenant's index (bit-identical to a from-scratch build
@@ -679,7 +682,10 @@ mod tests {
         reg.create("a", TenantOptions::default()).unwrap();
         assert_eq!(reg.insert_document("a", "d0", &[1, 2, 3]).unwrap(), 0);
         assert_eq!(reg.query("a", &[2], None).unwrap(), vec![0]);
-        assert_eq!(reg.resolve_names("a", &[0]).unwrap(), vec!["d0"]);
+        let mut names = Vec::new();
+        reg.visit_names("a", &[0], |n| names.push(n.to_owned()))
+            .unwrap();
+        assert_eq!(names, ["d0"]);
         assert!(reg.drop_tenant("a"));
         assert!(!reg.drop_tenant("a"));
         assert!(matches!(

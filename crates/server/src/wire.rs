@@ -1,7 +1,9 @@
 //! The binary frame format: the one codec every front and client in the
 //! workspace speaks (catalog front, tenant binary front, [`crate::TcpClient`],
 //! `rambo-cluster`'s scatter, front and client, the tests' fault proxy);
-//! buffered input is split into frames by [`split_frame`] alone.
+//! buffered input is split into frames by [`split_frame`] alone. Response
+//! encoders append to the caller's buffer (a front's is its connection's
+//! output); request encoders, for clients, return the frame.
 //!
 //! All integers little-endian; `len` counts the bytes after the length field:
 //!
@@ -134,22 +136,18 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Encode a status byte followed by opaque bytes: the `STATS` text, the
+/// Append a status byte followed by opaque bytes: the `STATS` text, the
 /// `HELLO` manifest, a mutate rejection's reason, or (empty) a bare status.
-#[must_use]
-pub fn encode_blob(status: u8, bytes: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5 + bytes.len());
+pub fn encode_blob(out: &mut Vec<u8>, status: u8, bytes: &[u8]) {
     out.extend_from_slice(&(1 + bytes.len() as u32).to_le_bytes());
     out.push(status);
     out.extend_from_slice(bytes);
-    out
 }
 
-/// Encode one query response frame.
-#[must_use]
-pub fn encode_response(status: u8, tier: u32, docs: &[u32]) -> Vec<u8> {
+/// Append one query response frame.
+pub fn encode_response(out: &mut Vec<u8>, status: u8, tier: u32, docs: &[u32]) {
     let len = 1 + 4 + 4 + docs.len() * 4;
-    let mut out = Vec::with_capacity(4 + len);
+    out.reserve(4 + len);
     out.extend_from_slice(&(len as u32).to_le_bytes());
     out.push(status);
     out.extend_from_slice(&tier.to_le_bytes());
@@ -157,29 +155,34 @@ pub fn encode_response(status: u8, tier: u32, docs: &[u32]) -> Vec<u8> {
     for &d in docs {
         out.extend_from_slice(&d.to_le_bytes());
     }
-    out
 }
 
-/// Encode a query outcome; the flag is true when the connection must close
-/// after the frame (the request could not be answered at all, so the stream
+/// Append a query outcome's frame; returns true when the connection must
+/// close after it (the request could not be answered at all, so the stream
 /// is not to be trusted).
-pub(crate) fn encode_query_result(result: Result<QueryReply, ServerError>) -> (Vec<u8>, bool) {
+pub(crate) fn encode_query_result(
+    out: &mut Vec<u8>,
+    result: Result<QueryReply, ServerError>,
+) -> bool {
     match result {
-        Ok(QueryReply { docs, tier }) => (encode_response(STATUS_OK, tier as u32, &docs), false),
+        Ok(QueryReply { docs, tier }) => encode_response(out, STATUS_OK, tier as u32, &docs),
         Err(ServerError::DeadlineExceeded { tier }) => {
-            (encode_response(STATUS_DEADLINE, tier as u32, &[]), false)
+            encode_response(out, STATUS_DEADLINE, tier as u32, &[]);
         }
-        Err(ServerError::UnknownTier(_)) => (encode_response(STATUS_BAD_REQUEST, 0, &[]), true),
+        Err(ServerError::UnknownTier(_)) => {
+            encode_response(out, STATUS_BAD_REQUEST, 0, &[]);
+            return true;
+        }
     }
+    false
 }
 
-/// Encode a successful mutate response: the document id, then the 8-byte
+/// Append a successful mutate response: the document id, then the 8-byte
 /// reserved slot, written 0.
-#[must_use]
-pub fn encode_mutate_ok(doc_id: u32) -> Vec<u8> {
+pub(crate) fn encode_mutate_ok(out: &mut Vec<u8>, doc_id: u32) {
     let mut body = [0u8; 12];
     body[..4].copy_from_slice(&doc_id.to_le_bytes());
-    encode_blob(STATUS_OK, &body)
+    encode_blob(out, STATUS_OK, &body);
 }
 
 fn push_terms(out: &mut Vec<u8>, terms: &[u64]) {
@@ -359,7 +362,8 @@ mod tests {
 
     #[test]
     fn standard_response_roundtrip() {
-        let frame = encode_response(STATUS_OK, 1, &[7, 8]);
+        let mut frame = Vec::new();
+        encode_response(&mut frame, STATUS_OK, 1, &[7, 8]);
         let parsed = parse_response(&frame[4..]).expect("parse");
         assert_eq!((parsed.status, parsed.tier), (STATUS_OK, 1));
         assert_eq!(parsed.docs, vec![7, 8]);
@@ -368,7 +372,8 @@ mod tests {
 
     #[test]
     fn rejects_truncated_responses_and_exposes_trailing_bytes() {
-        let frame = encode_response(STATUS_OK, 0, &[1, 2]);
+        let mut frame = Vec::new();
+        encode_response(&mut frame, STATUS_OK, 0, &[1, 2]);
         for cut in 4..frame.len() - 1 {
             assert!(parse_response(&frame[4..cut]).is_err(), "cut at {cut}");
         }
@@ -414,7 +419,8 @@ mod tests {
 
     #[test]
     fn read_frame_tells_clean_eof_from_a_torn_frame() {
-        let wire = encode_blob(STATUS_OK, b"hello");
+        let mut wire = Vec::new();
+        encode_blob(&mut wire, STATUS_OK, b"hello");
         let mut two = wire.clone();
         two.extend_from_slice(&wire);
         let mut stream = &two[..];

@@ -120,7 +120,10 @@ fn live_inserts_match_monolith_under_concurrent_readers() {
     }
     let ids: Vec<u32> = (0..40).collect();
     let names: Vec<String> = docs.iter().map(|(name, _)| name.clone()).collect();
-    assert_eq!(reg.resolve_names(TENANT, &ids).unwrap(), names);
+    let mut resolved = Vec::new();
+    reg.visit_names(TENANT, &ids, |n| resolved.push(n.to_owned()))
+        .unwrap();
+    assert_eq!(resolved, names);
 
     let stats = reg.stats(TENANT).unwrap();
     assert_eq!((stats.inserts, stats.documents), (40, 40));

@@ -239,8 +239,9 @@ fn tcp_rejects_malformed_frames_without_dying() {
         s.spawn(|| {
             let (mut conn, _) = peer.accept().unwrap();
             rambo_server::wire::read_frame(&mut conn).unwrap();
-            conn.write_all(&rambo_server::wire::encode_response(1, 0, &[]))
-                .unwrap();
+            let mut frame = Vec::new();
+            rambo_server::wire::encode_response(&mut frame, 1, 0, &[]);
+            conn.write_all(&frame).unwrap();
         });
         let err = TcpClient::connect(addr)
             .unwrap()

@@ -199,10 +199,11 @@ fn recreate_after_drop_never_serves_the_old_incarnation() {
         .unwrap();
     let ids = registry.query("phoenix", &[7], None).unwrap();
     assert_eq!(ids, vec![0]);
-    assert_eq!(
-        registry.resolve_names("phoenix", &ids).unwrap(),
-        vec!["new-doc".to_string()]
-    );
+    let mut names = Vec::new();
+    registry
+        .visit_names("phoenix", &ids, |n| names.push(n.to_owned()))
+        .unwrap();
+    assert_eq!(names, ["new-doc"]);
 }
 
 /// θ counts a repeated term once per occurrence, so `[a, a, b]` is a
